@@ -84,8 +84,9 @@ int Run() {
   std::printf(
       "Expected shape (paper): BASE alone up to ~4.9x; +UNRL helps RNNs\n"
       "(2.09x on LSTM); +SPCN small additional gains; +PARL biggest on\n"
-      "TreeNNs (muted here: single-core host, see EXPERIMENTS.md); the\n"
-      "-asserts column matches +PARL within noise (assertion cost ~0).\n");
+      "TreeNNs (here: gains on coarse plans only; fine-grained plans\n"
+      "stay on the calling thread, see EXPERIMENTS.md); the -asserts\n"
+      "column matches +PARL within noise (assertion cost ~0).\n");
   return 0;
 }
 

@@ -154,12 +154,17 @@ BENCHMARK(BM_FusedChain)->Arg(0)->Arg(1);
 void BM_EnginePlanCaching(benchmark::State& state) {
   // Steady-state engine loop on a cached graph; counters surface the
   // compile-once/run-many split (plan_builds stays at its post-generation
-  // value while plan_cache_hits grows with every run).
+  // value while plan_cache_hits grows with every run). Arg 0 runs without
+  // an executor pool, arg 1 with one (the default): the plan's nodes are
+  // far cheaper than a pool handoff, so after calibration its runs stay on
+  // the calling thread and the two arms should match.
   VariableStore variables;
   Rng rng(1);
   minipy::Interpreter interp(&variables, &rng);
   minipy::InstallBuiltins(interp);
-  JanusEngine engine(&interp, EngineOptions{});
+  EngineOptions options;
+  options.parallel_execution = state.range(0) != 0;
+  JanusEngine engine(&interp, options);
   engine.Attach();
   interp.Run(R"(
 w = variable('w', constant([[0.5]]))
@@ -177,7 +182,7 @@ for i in range(6):
   state.counters["plan_cache_hits"] =
       static_cast<double>(engine.stats().plan_cache_hits);
 }
-BENCHMARK(BM_EnginePlanCaching);
+BENCHMARK(BM_EnginePlanCaching)->Arg(0)->Arg(1);
 
 void BM_InterpreterStatements(benchmark::State& state) {
   VariableStore variables;
@@ -321,7 +326,7 @@ void BM_LedgerOverhead(benchmark::State& state) {
   // Full engine decision loop on a cached graph with the speculation
   // flight recorder off (arg 0) vs on (arg 1). The engine's record sites
   // guard on Ledger::Enabled(), so the disabled pair member prices the
-  // one-relaxed-load-plus-branch fast path against the BM_EnginePlanCaching
+  // one-relaxed-load-plus-branch fast path against the BM_EnginePlanCaching/1
   // baseline; the enabled delta prices building and publishing one "run"
   // record (strings + a wait-free ring slot) per step.
   const bool recording = state.range(0) != 0;

@@ -3,6 +3,12 @@
 // data (dense indices, pending counts, consumer lists, resolved kernels)
 // comes from the plan; the only per-run state is the countdown/output array.
 //
+// Whether a run offered a pool actually uses it is the plan's PoolDecision
+// (runtime/plan.h): calibration runs and cheap plans take the sequential
+// loop, coarse plans fan out. The fan-out loop is iterative: a thread keeps
+// one node it readies and hands only the extras to the pool. Pending
+// counts are atomics; no lock is taken per node.
+//
 // Buffer liveness follows the plan's MemoryPlan: every data read of a
 // producer's outputs counts its `reads_remaining` down, and the read that
 // reaches zero clears the producer's output slots (unless fetch-protected).
@@ -11,9 +17,7 @@
 // buffer, enabling in-place output reuse for plan-marked elementwise nodes.
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <mutex>
 
 #include "common/logging.h"
@@ -26,49 +30,202 @@ namespace internal {
 namespace {
 
 struct DagNodeState {
-  int pending = 0;
+  std::atomic<int> pending{0};
   std::atomic<int> reads_remaining{0};
   std::vector<Tensor> outputs;
 };
 
-}  // namespace
+// Shared state of one fanned-out run, on the caller's stack. A pool thread
+// touches it (and the DagRun) only while it holds a node not yet counted
+// off `remaining`, so once the count reaches zero no other thread can.
+struct FanOutState {
+  std::atomic<std::size_t> remaining{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr first_error;  // written once, by the thread setting
+                                   // `failed`
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;  // guarded by mu
+};
 
-std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
-                               const Bindings& bindings, bool parallel,
-                               const Precomputed* precomputed) {
-  const std::vector<ExecutionPlan::DagNode>& nodes = plan.dag_nodes();
-  const MemoryPlan& memory = plan.memory();
-  std::vector<DagNodeState> states(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    states[i].pending = nodes[i].initial_pending;
-    states[i].reads_remaining.store(memory.dag[i].output_reads,
-                                    std::memory_order_relaxed);
+// One execution of a DAG plan.
+class DagRun {
+ public:
+  DagRun(RunContext& run, const ExecutionPlan& plan, const Bindings& bindings,
+         const Precomputed* precomputed)
+      : run_(run),
+        plan_(plan),
+        nodes_(plan.dag_nodes()),
+        memory_(plan.memory()),
+        bindings_(bindings),
+        precomputed_(precomputed),
+        profile_(plan.profile()),
+        states_(nodes_.size()) {
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      states_[i].pending.store(nodes_[i].initial_pending,
+                               std::memory_order_relaxed);
+      states_[i].reads_remaining.store(memory_.dag[i].output_reads,
+                                       std::memory_order_relaxed);
+    }
+  }
+  // Pool tasks hold its address.
+  DagRun(const DagRun&) = delete;
+  DagRun& operator=(const DagRun&) = delete;
+
+  // Runs every node on the calling thread in dependency (FIFO) order.
+  void Sequential() {
+    // Each node becomes ready exactly once, so a reserved vector with a
+    // read cursor is the FIFO and never reallocates.
+    std::vector<int> ready;
+    ready.reserve(nodes_.size());
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (nodes_[i].initial_pending == 0) ready.push_back(static_cast<int>(i));
+    }
+    for (std::size_t head = 0; head < ready.size(); ++head) {
+      const int index = ready[head];
+      RunNode(index);
+      for (const int consumer :
+           nodes_[static_cast<std::size_t>(index)].consumers) {
+        // One thread: a plain load and store, no read-modify-write.
+        std::atomic<int>& pending =
+            states_[static_cast<std::size_t>(consumer)].pending;
+        const int left = pending.load(std::memory_order_relaxed) - 1;
+        pending.store(left, std::memory_order_relaxed);
+        if (left == 0) ready.push_back(consumer);
+      }
+    }
+    if (ready.size() != nodes_.size()) {
+      throw InternalError("graph contains a cycle (DAG executor)");
+    }
   }
 
-  const auto release_outputs = [&](DagNodeState& state) {
-    run.buffers_released.fetch_add(
+  // Runs the plan across the calling thread and `run.pool`. Only plans
+  // whose calibration (sequential runs) finished get here, so the plan is
+  // acyclic and the countdown reaches zero.
+  void FanOut() {
+    FanOutState f;
+    f.remaining.store(nodes_.size(), std::memory_order_relaxed);
+    // Sources (constants, feeds, parameters) resolve in nanoseconds and are
+    // never worth a handoff: the caller runs them itself, then keeps one of
+    // the nodes they ready (or one other root) and hands off the rest.
+    int next = -1;
+    // An empty plan has no node whose count-off would end the run.
+    bool finished = nodes_.empty();
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (nodes_[i].initial_pending != 0) continue;
+      const int index = static_cast<int>(i);
+      switch (nodes_[i].kind) {
+        case ExecutionPlan::OpKind::kConst:
+        case ExecutionPlan::OpKind::kPlaceholder:
+        case ExecutionPlan::OpKind::kParam:
+          // True only for the last node, i.e. a plan of nothing but roots.
+          if (Step(f, index, next, /*on_pool=*/false)) finished = true;
+          break;
+        default:
+          Keep(f, index, next);
+      }
+    }
+    if (!finished && !Drain(f, next, /*on_pool=*/false)) {
+      // A pool thread counts off the last node and signals.
+      std::unique_lock<std::mutex> lock(f.mu);
+      f.cv.wait(lock, [&f] { return f.done; });
+    }
+    if (f.first_error) std::rethrow_exception(f.first_error);
+  }
+
+  std::vector<Tensor> Results() const {
+    std::vector<Tensor> results;
+    results.reserve(plan_.dag_fetch_slots().size());
+    for (const ExecutionPlan::DagInput& fetch : plan_.dag_fetch_slots()) {
+      const auto& state = states_[static_cast<std::size_t>(fetch.producer)];
+      results.push_back(
+          state.outputs.at(static_cast<std::size_t>(fetch.slot)));
+    }
+    return results;
+  }
+
+ private:
+  // A ready node stays on this thread as `next` if that slot is free;
+  // otherwise it goes to the pool.
+  void Keep(FanOutState& f, int index, int& next) {
+    if (next < 0) {
+      next = index;
+      return;
+    }
+    run_.pool->Schedule([this, &f, index] {
+      if (Drain(f, index, /*on_pool=*/true)) {
+        // Notify under the lock: the caller may destroy the condition
+        // variable as soon as it can reacquire the mutex.
+        const std::lock_guard<std::mutex> lock(f.mu);
+        f.done = true;
+        f.cv.notify_one();
+      }
+    });
+  }
+
+  // Runs `index`, then the successor each node keeps, until a node keeps
+  // none. Returns true if this call counted off the run's last node.
+  bool Drain(FanOutState& f, int index, bool on_pool) {
+    while (index >= 0) {
+      int next = -1;
+      if (Step(f, index, next, on_pool)) return true;
+      index = next;
+    }
+    return false;
+  }
+
+  // Runs one node, readies its consumers through Keep, and counts it off.
+  // Returns true if it was the run's last node.
+  bool Step(FanOutState& f, int index, int& next, bool on_pool) {
+    // After the first error nodes are only counted down, not run, so the
+    // run drains quickly and the first error is the one rethrown.
+    if (!f.failed.load(std::memory_order_relaxed)) {
+      try {
+        RunNode(index);
+      } catch (...) {
+        if (!f.failed.exchange(true, std::memory_order_acq_rel)) {
+          f.first_error = std::current_exception();
+        }
+      }
+      if (on_pool) {
+        run_.offloaded_nodes.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    for (const int consumer :
+         nodes_[static_cast<std::size_t>(index)].consumers) {
+      // acq_rel: the thread that readies a consumer sees every producer's
+      // outputs.
+      if (states_[static_cast<std::size_t>(consumer)].pending.fetch_sub(
+              1, std::memory_order_acq_rel) == 1) {
+        Keep(f, consumer, next);
+      }
+    }
+    // Counted off last: until here the run cannot complete.
+    return f.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1;
+  }
+
+  void ReleaseOutputs(DagNodeState& state) {
+    run_.buffers_released.fetch_add(
         static_cast<std::int64_t>(state.outputs.size()),
         std::memory_order_relaxed);
     state.outputs.clear();
-  };
+  }
 
-  obs::PlanProfile* const profile = plan.profile();
-
-  const auto run_node = [&](int index) {
+  void RunNode(int index) {
     // Source-attributed profiler: sampled per-node wall time (disabled
     // path is one relaxed load inside ShouldSampleProfileNode).
     const bool prof_sampled = obs::ShouldSampleProfileNode();
-    const ProfRecord prof_record{profile, index,
+    const ProfRecord prof_record{profile_, index,
                                  prof_sampled ? obs::Trace::NowNs() : 0,
                                  prof_sampled};
     const ExecutionPlan::DagNode& entry =
-        nodes[static_cast<std::size_t>(index)];
+        nodes_[static_cast<std::size_t>(index)];
     const MemoryPlan::DagNodeInfo& minfo =
-        memory.dag[static_cast<std::size_t>(index)];
-    auto& state = states[static_cast<std::size_t>(index)];
-    if (precomputed != nullptr) {
-      const auto it = precomputed->find(entry.node);
-      if (it != precomputed->end()) {
+        memory_.dag[static_cast<std::size_t>(index)];
+    DagNodeState& state = states_[static_cast<std::size_t>(index)];
+    if (precomputed_ != nullptr) {
+      const auto it = precomputed_->find(entry.node);
+      if (it != precomputed_->end()) {
         // Precomputed nodes skip reading their inputs, so their producers'
         // read countdowns never reach zero: liveness release degrades to
         // end-of-run teardown for that subgraph, never to a premature drop.
@@ -83,7 +240,7 @@ std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
       case ExecutionPlan::OpKind::kPlaceholder:
       case ExecutionPlan::OpKind::kParam:
         state.outputs.assign(
-            1, ResolveSource(run, entry.kind, *entry.node, bindings));
+            1, ResolveSource(run_, entry.kind, *entry.node, bindings_));
         return;
       default:
         break;
@@ -91,123 +248,86 @@ std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
     std::vector<Tensor> inputs;
     inputs.reserve(entry.inputs.size());
     for (const ExecutionPlan::DagInput& input : entry.inputs) {
-      const auto& producer = states[static_cast<std::size_t>(input.producer)];
+      const auto& producer = states_[static_cast<std::size_t>(input.producer)];
       inputs.push_back(
           producer.outputs.at(static_cast<std::size_t>(input.slot)));
     }
     // This node's reads are done (copied above): count them off each
     // producer and drop producer-held references when the last counted read
     // completes. The acq_rel countdown orders every consumer's copy before
-    // the clearing thread's release, so this is safe under the parallel
-    // scheduler too.
+    // the clearing thread's release, so this is safe under fan-out too.
     for (const ExecutionPlan::DagInput& input : entry.inputs) {
-      auto& producer = states[static_cast<std::size_t>(input.producer)];
+      auto& producer = states_[static_cast<std::size_t>(input.producer)];
       if (producer.reads_remaining.fetch_sub(1, std::memory_order_acq_rel) ==
               1 &&
-          !memory.dag[static_cast<std::size_t>(input.producer)]
+          !memory_.dag[static_cast<std::size_t>(input.producer)]
                .fetch_protected) {
-        release_outputs(producer);
+        ReleaseOutputs(producer);
       }
     }
     if (entry.kind == ExecutionPlan::OpKind::kFusedRegion) {
       // Note the precomputed check above keys on the region's ROOT node;
       // interior members recorded on an eager tape are honoured inside
       // ExecuteFusedRegion, which falls back to per-member dispatch.
-      ExecuteFusedRegion(run, *entry.fused, inputs, state.outputs,
+      ExecuteFusedRegion(run_, *entry.fused, inputs, state.outputs,
                          /*allow_in_place=*/minfo.in_place_capable,
-                         precomputed);
+                         precomputed_);
     } else {
-      ExecuteKernel(run, *entry.node, *entry.kernel, inputs, state.outputs,
+      ExecuteKernel(run_, *entry.node, *entry.kernel, inputs, state.outputs,
                     /*allow_in_place=*/minfo.in_place_capable);
     }
     // Outputs nothing reads (control-edge-anchored side effects) die at
     // birth.
     if (minfo.output_reads == 0 && !minfo.fetch_protected &&
         !state.outputs.empty()) {
-      release_outputs(state);
+      ReleaseOutputs(state);
     }
-  };
+  }
 
+  RunContext& run_;
+  const ExecutionPlan& plan_;
+  const std::vector<ExecutionPlan::DagNode>& nodes_;
+  const MemoryPlan& memory_;
+  const Bindings& bindings_;
+  const Precomputed* const precomputed_;
+  obs::PlanProfile* const profile_;
+  std::vector<DagNodeState> states_;
+};
+
+}  // namespace
+
+std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
+                               const Bindings& bindings, bool parallel,
+                               const Precomputed* precomputed) {
+  DagRun dag(run, plan, bindings, precomputed);
   if (!parallel) {
-    // Sequential: simple worklist in dependency order.
-    std::deque<int> ready;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (states[i].pending == 0) ready.push_back(static_cast<int>(i));
-    }
-    std::size_t executed = 0;
-    while (!ready.empty()) {
-      const int index = ready.front();
-      ready.pop_front();
-      run_node(index);
-      ++executed;
-      for (const int consumer :
-           nodes[static_cast<std::size_t>(index)].consumers) {
-        if (--states[static_cast<std::size_t>(consumer)].pending == 0) {
-          ready.push_back(consumer);
-        }
-      }
-    }
-    if (executed != nodes.size()) {
-      throw InternalError("graph contains a cycle (DAG executor)");
-    }
-  } else {
-    JANUS_EXPECTS(run.pool != nullptr);
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t remaining = nodes.size();
-    std::exception_ptr first_error;
-
-    // Forward declaration via std::function for the recursive completion
-    // chain: finishing a node may schedule its consumers.
-    std::function<void(int)> dispatch = [&](int index) {
+    dag.Sequential();
+    return dag.Results();
+  }
+  JANUS_EXPECTS(run.pool != nullptr);
+  PoolDecision& decision = plan.pool_decision();
+  switch (decision.Claim()) {
+    case PoolDecision::Mode::kSequential:
+      dag.Sequential();
+      break;
+    case PoolDecision::Mode::kFanOut:
+      dag.FanOut();
+      break;
+    case PoolDecision::Mode::kCalibrate: {
+      const std::int64_t start_ns = obs::Trace::NowNs();
       try {
-        run_node(index);
+        dag.Sequential();
       } catch (...) {
-        const std::lock_guard<std::mutex> lock(mu);
-        if (!first_error) first_error = std::current_exception();
+        // A failed run (assumption, bad feed, cycle) measures nothing; a
+        // later run calibrates instead.
+        decision.Abandon();
+        throw;
       }
-      std::vector<int> newly_ready;
-      {
-        const std::lock_guard<std::mutex> lock(mu);
-        for (const int consumer :
-             nodes[static_cast<std::size_t>(index)].consumers) {
-          if (--states[static_cast<std::size_t>(consumer)].pending == 0) {
-            newly_ready.push_back(consumer);
-          }
-        }
-        --remaining;
-        if (remaining == 0) cv.notify_all();
-      }
-      // Even after an error we keep draining dependencies so `remaining`
-      // reaches zero; erroring nodes simply produce empty outputs that no
-      // one will read (the first error is rethrown at the end).
-      for (std::size_t i = 0; i + 1 < newly_ready.size(); ++i) {
-        run.pool->Schedule([&dispatch, n = newly_ready[i]] { dispatch(n); });
-      }
-      if (!newly_ready.empty()) dispatch(newly_ready.back());
-    };
-
-    std::vector<int> roots;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (states[i].pending == 0) roots.push_back(static_cast<int>(i));
+      decision.Record(obs::Trace::NowNs() - start_ns, plan.dag_nodes().size());
+      break;
     }
-    for (std::size_t i = 0; i + 1 < roots.size(); ++i) {
-      run.pool->Schedule([&dispatch, n = roots[i]] { dispatch(n); });
-    }
-    if (!roots.empty()) dispatch(roots.back());
-
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return remaining == 0; });
-    if (first_error) std::rethrow_exception(first_error);
   }
-
-  std::vector<Tensor> results;
-  results.reserve(plan.dag_fetch_slots().size());
-  for (const ExecutionPlan::DagInput& fetch : plan.dag_fetch_slots()) {
-    const auto& state = states[static_cast<std::size_t>(fetch.producer)];
-    results.push_back(state.outputs.at(static_cast<std::size_t>(fetch.slot)));
-  }
-  return results;
+  return dag.Results();
 }
 
 }  // namespace internal

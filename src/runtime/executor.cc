@@ -106,6 +106,8 @@ void FillMetrics(const RunContext& run, const BufferPool::Stats& before,
       run.buffers_released.load(std::memory_order_relaxed);
   metrics->fused_regions = run.fused_regions.load(std::memory_order_relaxed);
   metrics->fused_ops = run.fused_ops.load(std::memory_order_relaxed);
+  metrics->offloaded_nodes =
+      run.offloaded_nodes.load(std::memory_order_relaxed);
   metrics->bytes_allocated =
       static_cast<std::int64_t>(after.bytes_allocated - before.bytes_allocated);
   metrics->pool_hits =

@@ -4,8 +4,12 @@
 // (runtime/plan.h); Run dispatches a prebuilt plan with zero per-run
 // schedule construction. Two strategies, picked at plan-build time:
 //  * DAG path (dag_executor.cc): graphs without control-flow primitives
-//    execute over precompiled dependency counts, optionally fanning ready
-//    ops out to a thread pool (the +PARL knob of Fig. 7).
+//    execute over precompiled dependency counts. When the executor has a
+//    pool (the +PARL knob of Fig. 7), each plan decides once, from the
+//    mean node cost of its first few runs (sequential, all but the first
+//    timed), whether to use it: plans whose nodes average less than a pool
+//    handoff run exactly as without a pool; coarse plans fan ready ops out
+//    over atomic pending counts (PoolDecision in runtime/plan.h).
 //  * Dynamic path (dynamic_executor.cc): graphs containing Switch/Merge/
 //    Enter/Exit/NextIteration execute with tagged tokens carrying
 //    (frame, iteration) context and dead-value propagation, the classic
@@ -33,7 +37,8 @@
 namespace janus {
 
 struct ExecutorOptions {
-  // Parallel scheduling for DAG graphs. Requires `pool`.
+  // Offers `pool` to DAG plans; each plan's PoolDecision says whether its
+  // runs use it. Requires `pool`.
   bool parallel = false;
   ThreadPool* pool = nullptr;
 };
@@ -54,6 +59,8 @@ struct RunMetrics {
   // and the member ops they covered (also counted in ops_executed).
   std::int64_t fused_regions = 0;
   std::int64_t fused_ops = 0;
+  // Plan nodes executed off the calling thread, on the executor pool.
+  std::int64_t offloaded_nodes = 0;
 };
 
 class Executor {

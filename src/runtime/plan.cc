@@ -323,6 +323,52 @@ void ExecutionPlan::BuildDynamic(const Graph& graph) {
   }
 }
 
+PoolDecision::Mode PoolDecision::Claim() {
+  if (const Mode mode = mode_.load(std::memory_order_acquire);
+      mode != Mode::kCalibrate) {
+    return mode;
+  }
+  // Another run is calibrating: run sequentially, untimed.
+  if (calibrating_.exchange(true, std::memory_order_acquire)) {
+    return Mode::kSequential;
+  }
+  // The previous holder may have published between the two loads.
+  if (const Mode mode = mode_.load(std::memory_order_acquire);
+      mode != Mode::kCalibrate) {
+    calibrating_.store(false, std::memory_order_release);
+    return mode;
+  }
+  return Mode::kCalibrate;
+}
+
+void PoolDecision::Record(std::int64_t run_ns, std::size_t nodes) {
+  // A plan's first run is cold, and often the one whose unusual input (say,
+  // the odd batch a shape relaxation admits) caused the plan to be built:
+  // only the runs after it are timed.
+  if (warmed_up_) {
+    calibrated_ns_ += run_ns;
+    ++runs_recorded_;
+    // What the timed runs would have cost at one handoff per node.
+    const std::int64_t handoffs_ns =
+        kPoolHandoffNs * runs_recorded_ * static_cast<std::int64_t>(nodes);
+    // A mean node cost under half or over twice a handoff needs no second
+    // run; one nearer the threshold averages kCalibrationRuns runs.
+    const bool clear =
+        2 * calibrated_ns_ < handoffs_ns || calibrated_ns_ >= 2 * handoffs_ns;
+    if (clear || runs_recorded_ == kCalibrationRuns) {
+      mode_.store(calibrated_ns_ < handoffs_ns ? Mode::kSequential
+                                               : Mode::kFanOut,
+                  std::memory_order_release);
+    }
+  }
+  warmed_up_ = true;
+  calibrating_.store(false, std::memory_order_release);
+}
+
+void PoolDecision::Abandon() {
+  calibrating_.store(false, std::memory_order_release);
+}
+
 int ExecutionPlan::DagIndexOf(const Node* node) const {
   const auto it = dag_index_.find(node);
   return it == dag_index_.end() ? -1 : it->second;

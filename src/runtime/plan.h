@@ -18,6 +18,7 @@
 #ifndef JANUS_RUNTIME_PLAN_H_
 #define JANUS_RUNTIME_PLAN_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -46,6 +47,43 @@ class PlanCorruptor;
 // fusion::GloballyEnabled() switch (JANUS_FUSION).
 struct PlanOptions {
   bool enable_fusion = true;
+};
+
+// Whether a DAG plan's runs use the executor's thread pool, decided once per
+// plan from its measured mean node cost (DESIGN.md §6). The first runs
+// offered a pool execute sequentially; after an untimed first run, one
+// timed run decides when its mean is under half or over twice
+// kPoolHandoffNs, else kCalibrationRuns timed runs are averaged. The run
+// that completes calibration publishes the mode. A plan whose nodes take
+// less than kPoolHandoffNs on average never touches the pool: a handoff
+// would cost more than the work it moves. Otherwise its runs fan out.
+// Thread-safe: concurrent runs of one plan calibrate one at a time, the
+// rest run sequentially until the mode is published.
+class PoolDecision {
+ public:
+  enum class Mode : std::uint8_t { kCalibrate, kSequential, kFanOut };
+
+  static constexpr int kCalibrationRuns = 2;
+  // About one executor-pool handoff on a 4-core x86 VM (e2ebench's
+  // common.pool_handoff_ns_p50 reads ~7.5 us there), rounded up: plans
+  // that calibrate near it gain nothing from fanning out.
+  static constexpr std::int64_t kPoolHandoffNs = 8000;
+
+  // This run's mode. A kCalibrate claim (run sequentially) must be
+  // followed by exactly one Record (the run finished) or Abandon (it
+  // threw).
+  Mode Claim();
+  // Records a calibration run that took `run_ns` over `nodes` plan nodes.
+  void Record(std::int64_t run_ns, std::size_t nodes);
+  void Abandon();
+
+ private:
+  std::atomic<Mode> mode_{Mode::kCalibrate};
+  // Held by the one run currently calibrating; guards the fields below.
+  std::atomic<bool> calibrating_{false};
+  bool warmed_up_ = false;
+  int runs_recorded_ = 0;
+  std::int64_t calibrated_ns_ = 0;
 };
 
 class ExecutionPlan {
@@ -168,6 +206,10 @@ class ExecutionPlan {
   // when profiling is enabled; never null after Build.
   obs::PlanProfile* profile() const { return profile_.get(); }
 
+  // The plan's pool decision (DAG strategy only). Internally synchronized
+  // run-time state: the one part of a plan its runs write.
+  PoolDecision& pool_decision() const { return pool_decision_; }
+
  private:
   // The seeded-corruption harness (src/verify/corruption.h) mutates plan
   // internals to prove the verifier catches each class of damage.
@@ -194,6 +236,8 @@ class ExecutionPlan {
   MemoryPlan memory_;
 
   std::shared_ptr<obs::PlanProfile> profile_;
+
+  mutable PoolDecision pool_decision_;
 };
 
 // True if the graph uses any dataflow control-flow primitive and therefore

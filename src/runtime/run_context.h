@@ -91,7 +91,7 @@ class RunContext {
   StateInterface* host_state = nullptr;
   const FunctionLibrary* library = nullptr;
   Rng* rng = nullptr;
-  ThreadPool* pool = nullptr;  // non-null enables parallel DAG scheduling
+  ThreadPool* pool = nullptr;  // offered to DAG plans (see PoolDecision)
 
   // ---- staged (deferred) effects ----
 
@@ -133,6 +133,9 @@ class RunContext {
   // counts ops normally and leaves these at zero.
   std::atomic<std::int64_t> fused_regions{0};
   std::atomic<std::int64_t> fused_ops{0};
+  // Plan nodes executed on pool threads rather than the calling thread
+  // (zero unless the plan's PoolDecision fanned the run out).
+  std::atomic<std::int64_t> offloaded_nodes{0};
 
   // Per-kernel busy-wait (ns) emulating interpreter/framework dispatch cost;
   // only the eager (imperative) executor sets this.

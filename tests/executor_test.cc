@@ -4,6 +4,10 @@
 // aborts, and deferred state commit.
 #include "runtime/executor.h"
 
+#include <algorithm>
+#include <chrono>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -96,40 +100,183 @@ TEST_F(ExecutorTest, DiamondDependency) {
   EXPECT_FLOAT_EQ(out[0].ScalarValue(), 6.0f);
 }
 
+// A 128x128 input feeding `branches` independent MatMul pairs joined by
+// AddN: every kernel costs far more than a pool handoff, so once the plan
+// is calibrated its runs fan out.
+NodeOutput BuildMatMulFanOut(Graph& g, int branches) {
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  std::vector<NodeOutput> ends;
+  for (int i = 0; i < branches; ++i) {
+    const NodeOutput w =
+        g.Constant(Tensor::Full(Shape{128, 128}, 0.01f * (i + 1)));
+    Node* first = g.AddNode("MatMul", {x, w});
+    ends.push_back({g.AddNode("MatMul", {{first, 0}, w}), 0});
+  }
+  return {g.AddNode("AddN", ends), 0};
+}
+
+std::vector<float> Ramp(int n) {
+  std::vector<float> values(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) values[static_cast<std::size_t>(i)] = (i % 7) * 0.1f;
+  return values;
+}
+
 TEST_F(ExecutorTest, ParallelDagMatchesSequential) {
   Graph g;
-  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
-  // A wide fan-out of independent chains joined at the end.
-  std::vector<NodeOutput> chain_ends;
-  for (int i = 0; i < 16; ++i) {
-    NodeOutput v = x;
-    for (int j = 0; j < 5; ++j) {
-      v = {g.AddNode("Add", {v, g.Constant(Tensor::Scalar(1))}), 0};
-    }
-    chain_ends.push_back(v);
-  }
-  Node* sum = g.AddNode("AddN", chain_ends);
-  const std::map<std::string, Tensor> feeds{{"x", Tensor::Scalar(2)}};
+  const std::vector<NodeOutput> fetches{BuildMatMulFanOut(g, 8)};
+  const std::map<std::string, Tensor> feeds{
+      {"x", Tensor::FromVector(Ramp(128 * 128), Shape{128, 128})}};
 
   Executor seq(&library_, &variables_, &host_, &rng_);
-  const auto a = seq.Run(g, feeds, std::vector<NodeOutput>{{sum, 0}});
+  const auto expected = seq.Run(g, feeds, fetches);
 
   ThreadPool pool(4);
   Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
-  const auto b = par.Run(g, feeds, std::vector<NodeOutput>{{sum, 0}});
-  EXPECT_FLOAT_EQ(a[0].ScalarValue(), b[0].ScalarValue());
-  EXPECT_FLOAT_EQ(a[0].ScalarValue(), 16 * (2 + 5));
+  // The untimed first run and at least one timed run stay on the calling
+  // thread; once calibration ends this heavy plan fans out.
+  constexpr int kMaxCalibration = 1 + PoolDecision::kCalibrationRuns;
+  for (int run = 0; run < kMaxCalibration + 2; ++run) {
+    RunMetrics metrics;
+    const auto got = par.Run(g, feeds, fetches, &metrics);
+    EXPECT_TRUE(got[0].ElementsEqual(expected[0])) << "run " << run;
+    if (run < 2) {
+      EXPECT_EQ(metrics.offloaded_nodes, 0) << "calibration run " << run;
+    } else if (run >= kMaxCalibration) {
+      EXPECT_GT(metrics.offloaded_nodes, 0)
+          << "heavy fan-out never left the calling thread in run " << run;
+    }
+  }
+}
+
+TEST_F(ExecutorTest, CheapFanOutStaysOnCallingThread) {
+  // 16 independent sub-microsecond Negs joined by AddN, unfused: as wide as
+  // the heavy fan-out above, but its mean node cost is far below a
+  // handoff, so every run stays on the caller.
+  Graph g;
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  std::vector<NodeOutput> branches;
+  for (int i = 0; i < 16; ++i) branches.push_back({g.AddNode("Neg", {x}), 0});
+  const std::vector<NodeOutput> fetches{{g.AddNode("AddN", branches), 0}};
+  const std::map<std::string, Tensor> feeds{{"x", Tensor::Scalar(3)}};
+  const auto plan = ExecutionPlan::Build(g, fetches, {.enable_fusion = false});
+  // The premise is a build where these nodes are far below a handoff;
+  // sanitizer builds can make every node cost microseconds.
+  Executor seq(&library_, &variables_, &host_, &rng_);
+  std::int64_t fastest_ns = std::numeric_limits<std::int64_t>::max();
+  for (int run = 0; run < 3; ++run) {
+    const auto start = std::chrono::steady_clock::now();
+    seq.Run(*plan, feeds);
+    fastest_ns = std::min<std::int64_t>(
+        fastest_ns, std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+  }
+  const auto nodes = static_cast<std::int64_t>(plan->dag_nodes().size());
+  if (fastest_ns / nodes > PoolDecision::kPoolHandoffNs / 4) {
+    GTEST_SKIP() << "nodes cost " << fastest_ns / nodes
+                 << " ns each in this build";
+  }
+  ThreadPool pool(4);
+  Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
+  for (int run = 0; run < 1 + PoolDecision::kCalibrationRuns + 2; ++run) {
+    RunMetrics metrics;
+    const auto got = par.Run(*plan, feeds, &metrics);
+    EXPECT_FLOAT_EQ(got[0].ScalarValue(), -48.0f);
+    EXPECT_EQ(metrics.ops_executed, 17);
+    EXPECT_EQ(metrics.offloaded_nodes, 0) << "run " << run;
+  }
 }
 
 TEST_F(ExecutorTest, ParallelDagPropagatesException) {
+  // A heavy fan-out with an Assert and a staged AssignVariable anchored to
+  // the fetch. After clean calibration runs the plan fans out; a run whose
+  // Assert fails must rethrow that error, finish, and commit nothing.
+  variables_.Assign("v", Tensor::Scalar(0));
   Graph g;
-  const NodeOutput x = g.Placeholder("missing", DType::kFloat32);
-  Node* neg = g.AddNode("Neg", {x});
+  const NodeOutput sum = BuildMatMulFanOut(g, 8);
+  const NodeOutput ok = g.Placeholder("ok", DType::kBool);
+  Node* check = g.AddNode("Assert", {ok}, {{"assumption", std::string("ok")}});
+  const NodeOutput v_new = g.Placeholder("v_new", DType::kFloat32);
+  Node* assign =
+      g.AddNode("AssignVariable", {v_new}, {{"var", std::string("v")}});
+  Node* out = g.AddNode("Identity", {sum});
+  out->AddControlInput(check);
+  out->AddControlInput(assign);
+  const std::vector<NodeOutput> fetches{{out, 0}};
+  const Tensor x = Tensor::FromVector(Ramp(128 * 128), Shape{128, 128});
+
+  ThreadPool pool(4);
+  Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
+  constexpr int kMaxCalibration = 1 + PoolDecision::kCalibrationRuns;
+  for (int run = 0; run < kMaxCalibration; ++run) {
+    par.Run(g,
+            {{"x", x},
+             {"ok", Tensor::ScalarBool(true)},
+             {"v_new", Tensor::Scalar(static_cast<float>(run + 1))}},
+            fetches);
+  }
+  ASSERT_FLOAT_EQ(variables_.Read("v").ScalarValue(), kMaxCalibration);
+
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    try {
+      par.Run(g,
+              {{"x", x},
+               {"ok", Tensor::ScalarBool(false)},
+               {"v_new", Tensor::Scalar(99)}},
+              fetches);
+      FAIL() << "expected AssumptionFailed";
+    } catch (const AssumptionFailed& e) {
+      EXPECT_EQ(e.assumption_id(), "ok");
+    }
+    EXPECT_FLOAT_EQ(variables_.Read("v").ScalarValue(), kMaxCalibration)
+        << "failed run committed its staged assignment";
+  }
+
+  // The plan still fans out cleanly afterwards.
+  RunMetrics metrics;
+  par.Run(g,
+          {{"x", x},
+           {"ok", Tensor::ScalarBool(true)},
+           {"v_new", Tensor::Scalar(3)}},
+          fetches, &metrics);
+  EXPECT_GT(metrics.offloaded_nodes, 0);
+  EXPECT_FLOAT_EQ(variables_.Read("v").ScalarValue(), 3.0f);
+}
+
+TEST_F(ExecutorTest, DeepUnfusedChainRunsWithPool) {
+  // Scheduling is iterative on every path: a 200k-node chain must not
+  // overflow the stack, whether calibrating or after the decision.
+  constexpr int kDepth = 200000;
+  Graph g;
+  NodeOutput v = g.Constant(Tensor::Scalar(1.5f));
+  for (int i = 0; i < kDepth; ++i) v = {g.AddNode("Neg", {v}), 0};
+  const auto plan = ExecutionPlan::Build(g, std::vector<NodeOutput>{v},
+                                         {.enable_fusion = false});
+  ASSERT_EQ(plan->dag_nodes().size(), static_cast<std::size_t>(kDepth + 1));
+  ThreadPool pool(4);
+  Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
+  for (int run = 0; run < 3; ++run) {
+    RunMetrics metrics;
+    const auto got = par.Run(*plan, {}, &metrics);
+    EXPECT_FLOAT_EQ(got[0].ScalarValue(), 1.5f) << "run " << run;
+    EXPECT_EQ(metrics.ops_executed, kDepth);
+    // A chain readies one node at a time: nothing to hand off.
+    EXPECT_EQ(metrics.offloaded_nodes, 0);
+  }
+}
+
+TEST_F(ExecutorTest, EmptyPlanRunsWithPool) {
+  // Zero nodes calibrate to zero cost, which is not below zero handoffs:
+  // the plan fans out, and the fan-out must return without a node to
+  // count off.
+  Graph g;
+  const auto plan = ExecutionPlan::Build(g, std::vector<NodeOutput>{});
+  ASSERT_TRUE(plan->dag_nodes().empty());
   ThreadPool pool(2);
   Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
-  EXPECT_THROW(
-      par.Run(g, {}, std::vector<NodeOutput>{{neg, 0}}),
-      InvalidArgument);
+  for (int run = 0; run < 1 + PoolDecision::kCalibrationRuns + 2; ++run) {
+    EXPECT_TRUE(par.Run(*plan, {}).empty()) << "run " << run;
+  }
 }
 
 TEST_F(ExecutorTest, ControlDependencyOrdersExecution) {

@@ -95,8 +95,17 @@ TEST_P(ZooSweep, JanusMatchesImperative) {
   const ModelSpec& spec = FindModel(GetParam());
   ModelSession janus_session(spec, EngineOptions{}, 7);
   ModelSession imperative_session(spec, EngineOptions::ImperativePreset(), 7);
-  for (int i = 0; i < 8; ++i) {
+  // The default session's plans calibrate, then either stay on the calling
+  // thread or fan out to the pool; both must be bitwise equal to an engine
+  // without a pool, well past calibration.
+  EngineOptions sequential;
+  sequential.parallel_execution = false;
+  ModelSession sequential_session(spec, sequential, 7);
+  for (int i = 0; i < 16; ++i) {
     const double a = janus_session.Step();
+    EXPECT_EQ(a, sequential_session.Step())
+        << spec.name << " pool scheduling changed the loss at step " << i;
+    if (i >= 8) continue;
     const double b = imperative_session.Step();
     // Same seeds, same data stream; both paths use the same gradient rules.
     EXPECT_NEAR(a, b, 5e-2 * std::max(1.0, std::fabs(b)))

@@ -3,6 +3,7 @@
 #include "tensor/ops.h"
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,12 @@
 #include "tensor/tensor.h"
 
 namespace janus {
+
+// gtest finds this by argument-dependent lookup. Without it a Shape prints as
+// its raw bytes, which hold heap addresses, so the parameterized test names
+// below would change from one build to the next.
+void PrintTo(const Shape& shape, std::ostream* os) { *os << shape.ToString(); }
+
 namespace {
 
 using ::testing::Test;
