@@ -1,7 +1,9 @@
 // DAG strategy: executes a precompiled ExecutionPlan over dependency
 // countdown, sequentially or fanned out to a thread pool. All scheduling
-// data (dense indices, pending counts, consumer lists, resolved kernels)
+// data (dense indices, incoming-edge counts, out-edges, resolved kernels)
 // comes from the plan; the only per-run state is the countdown/output array.
+// A node's countdown starts at its incoming-edge count, and each of its
+// producers' out-edges and control edges counts it down by one.
 //
 // Whether a run offered a pool actually uses it is the plan's PoolDecision
 // (runtime/plan.h): calibration runs and cheap plans take the sequential
@@ -29,7 +31,9 @@ namespace janus {
 namespace internal {
 namespace {
 
-struct DagNodeState {
+using PlanNode = ExecutionPlan::PlanNode;
+
+struct NodeState {
   std::atomic<int> pending{0};
   std::atomic<int> reads_remaining{0};
   std::vector<Tensor> outputs;
@@ -55,16 +59,15 @@ class DagRun {
          const Precomputed* precomputed)
       : run_(run),
         plan_(plan),
-        nodes_(plan.dag_nodes()),
+        nodes_(plan.nodes()),
         memory_(plan.memory()),
         bindings_(bindings),
         precomputed_(precomputed),
         profile_(plan.profile()),
         states_(nodes_.size()) {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      states_[i].pending.store(nodes_[i].initial_pending,
-                               std::memory_order_relaxed);
-      states_[i].reads_remaining.store(memory_.dag[i].output_reads,
+      states_[i].pending.store(nodes_[i].in_edges, std::memory_order_relaxed);
+      states_[i].reads_remaining.store(memory_.nodes[i].output_reads,
                                        std::memory_order_relaxed);
     }
   }
@@ -79,20 +82,19 @@ class DagRun {
     std::vector<int> ready;
     ready.reserve(nodes_.size());
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (nodes_[i].initial_pending == 0) ready.push_back(static_cast<int>(i));
+      if (nodes_[i].in_edges == 0) ready.push_back(static_cast<int>(i));
     }
     for (std::size_t head = 0; head < ready.size(); ++head) {
       const int index = ready[head];
       RunNode(index);
-      for (const int consumer :
-           nodes_[static_cast<std::size_t>(index)].consumers) {
+      ForEachOutEdge(index, [&](int consumer) {
         // One thread: a plain load and store, no read-modify-write.
         std::atomic<int>& pending =
             states_[static_cast<std::size_t>(consumer)].pending;
         const int left = pending.load(std::memory_order_relaxed) - 1;
         pending.store(left, std::memory_order_relaxed);
         if (left == 0) ready.push_back(consumer);
-      }
+      });
     }
     if (ready.size() != nodes_.size()) {
       throw InternalError("graph contains a cycle (DAG executor)");
@@ -112,7 +114,7 @@ class DagRun {
     // An empty plan has no node whose count-off would end the run.
     bool finished = nodes_.empty();
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (nodes_[i].initial_pending != 0) continue;
+      if (nodes_[i].in_edges != 0) continue;
       const int index = static_cast<int>(i);
       switch (nodes_[i].kind) {
         case ExecutionPlan::OpKind::kConst:
@@ -135,8 +137,8 @@ class DagRun {
 
   std::vector<Tensor> Results() const {
     std::vector<Tensor> results;
-    results.reserve(plan_.dag_fetch_slots().size());
-    for (const ExecutionPlan::DagInput& fetch : plan_.dag_fetch_slots()) {
+    results.reserve(plan_.fetch_slots().size());
+    for (const ExecutionPlan::Endpoint& fetch : plan_.fetch_slots()) {
       const auto& state = states_[static_cast<std::size_t>(fetch.producer)];
       results.push_back(
           state.outputs.at(static_cast<std::size_t>(fetch.slot)));
@@ -145,6 +147,16 @@ class DagRun {
   }
 
  private:
+  // Calls `visit(consumer)` once per out-edge and control edge of `index`.
+  template <typename F>
+  void ForEachOutEdge(int index, F&& visit) const {
+    const PlanNode& entry = nodes_[static_cast<std::size_t>(index)];
+    for (const std::vector<ExecutionPlan::Edge>& slot : entry.out_edges) {
+      for (const ExecutionPlan::Edge& edge : slot) visit(edge.consumer);
+    }
+    for (const int consumer : entry.control_edges) visit(consumer);
+  }
+
   // A ready node stays on this thread as `next` if that slot is free;
   // otherwise it goes to the pool.
   void Keep(FanOutState& f, int index, int& next) {
@@ -191,20 +203,19 @@ class DagRun {
         run_.offloaded_nodes.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    for (const int consumer :
-         nodes_[static_cast<std::size_t>(index)].consumers) {
+    ForEachOutEdge(index, [&](int consumer) {
       // acq_rel: the thread that readies a consumer sees every producer's
       // outputs.
       if (states_[static_cast<std::size_t>(consumer)].pending.fetch_sub(
               1, std::memory_order_acq_rel) == 1) {
         Keep(f, consumer, next);
       }
-    }
+    });
     // Counted off last: until here the run cannot complete.
     return f.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1;
   }
 
-  void ReleaseOutputs(DagNodeState& state) {
+  void ReleaseOutputs(NodeState& state) {
     run_.buffers_released.fetch_add(
         static_cast<std::int64_t>(state.outputs.size()),
         std::memory_order_relaxed);
@@ -218,11 +229,10 @@ class DagRun {
     const ProfRecord prof_record{profile_, index,
                                  prof_sampled ? obs::Trace::NowNs() : 0,
                                  prof_sampled};
-    const ExecutionPlan::DagNode& entry =
-        nodes_[static_cast<std::size_t>(index)];
-    const MemoryPlan::DagNodeInfo& minfo =
-        memory_.dag[static_cast<std::size_t>(index)];
-    DagNodeState& state = states_[static_cast<std::size_t>(index)];
+    const PlanNode& entry = nodes_[static_cast<std::size_t>(index)];
+    const MemoryPlan::NodeInfo& minfo =
+        memory_.nodes[static_cast<std::size_t>(index)];
+    NodeState& state = states_[static_cast<std::size_t>(index)];
     if (precomputed_ != nullptr) {
       const auto it = precomputed_->find(entry.node);
       if (it != precomputed_->end()) {
@@ -247,7 +257,7 @@ class DagRun {
     }
     std::vector<Tensor> inputs;
     inputs.reserve(entry.inputs.size());
-    for (const ExecutionPlan::DagInput& input : entry.inputs) {
+    for (const ExecutionPlan::Endpoint& input : entry.inputs) {
       const auto& producer = states_[static_cast<std::size_t>(input.producer)];
       inputs.push_back(
           producer.outputs.at(static_cast<std::size_t>(input.slot)));
@@ -256,11 +266,11 @@ class DagRun {
     // producer and drop producer-held references when the last counted read
     // completes. The acq_rel countdown orders every consumer's copy before
     // the clearing thread's release, so this is safe under fan-out too.
-    for (const ExecutionPlan::DagInput& input : entry.inputs) {
+    for (const ExecutionPlan::Endpoint& input : entry.inputs) {
       auto& producer = states_[static_cast<std::size_t>(input.producer)];
       if (producer.reads_remaining.fetch_sub(1, std::memory_order_acq_rel) ==
               1 &&
-          !memory_.dag[static_cast<std::size_t>(input.producer)]
+          !memory_.nodes[static_cast<std::size_t>(input.producer)]
                .fetch_protected) {
         ReleaseOutputs(producer);
       }
@@ -286,12 +296,12 @@ class DagRun {
 
   RunContext& run_;
   const ExecutionPlan& plan_;
-  const std::vector<ExecutionPlan::DagNode>& nodes_;
+  const std::vector<PlanNode>& nodes_;
   const MemoryPlan& memory_;
   const Bindings& bindings_;
   const Precomputed* const precomputed_;
   obs::PlanProfile* const profile_;
-  std::vector<DagNodeState> states_;
+  std::vector<NodeState> states_;
 };
 
 }  // namespace
@@ -323,7 +333,7 @@ std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
         decision.Abandon();
         throw;
       }
-      decision.Record(obs::Trace::NowNs() - start_ns, plan.dag_nodes().size());
+      decision.Record(obs::Trace::NowNs() - start_ns, plan.nodes().size());
       break;
     }
   }

@@ -66,7 +66,7 @@ struct PendingNode {
 
 std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
                                    const Bindings& bindings) {
-  const std::vector<ExecutionPlan::DynNode>& nodes = plan.dyn_nodes();
+  const std::vector<ExecutionPlan::PlanNode>& nodes = plan.nodes();
   obs::PlanProfile* const profile = plan.profile();
 
   // Execution state per (node, tag); nodes are dense plan indices.
@@ -92,8 +92,8 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
   std::unordered_map<std::string, FrameConstants> frame_constants;
 
   // Fetch bookkeeping: fetches resolve at the root tag.
-  const std::vector<ExecutionPlan::DagInput>& fetch_slots =
-      plan.dyn_fetch_slots();
+  const std::vector<ExecutionPlan::Endpoint>& fetch_slots =
+      plan.fetch_slots();
   std::vector<std::optional<Tensor>> fetched(fetch_slots.size());
   std::size_t fetches_outstanding = fetch_slots.size();
 
@@ -116,7 +116,7 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
 
   const auto deliver_to = [&](int consumer, int slot, const std::string& tag,
                               const Token& token) {
-    const ExecutionPlan::DynNode& info =
+    const ExecutionPlan::PlanNode& info =
         nodes[static_cast<std::size_t>(consumer)];
     const int required_inputs = static_cast<int>(info.inputs.size());
     const Key key{consumer, tag};
@@ -129,7 +129,7 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
         // Prefill inputs produced by tag-polymorphic sources; at the root
         // tag they are delivered through the normal seeding pass instead.
         for (int i = 0; i < required_inputs; ++i) {
-          const ExecutionPlan::DagInput& input =
+          const ExecutionPlan::Endpoint& input =
               info.inputs[static_cast<std::size_t>(i)];
           if (is_source_producer(input.producer)) {
             state.inputs[static_cast<std::size_t>(i)] =
@@ -191,7 +191,7 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
 
   deliver_output = [&](int producer, int index, const std::string& tag,
                        const Token& token) {
-    const ExecutionPlan::DynNode& info =
+    const ExecutionPlan::PlanNode& info =
         nodes[static_cast<std::size_t>(producer)];
     // Fetches resolve only at the root tag.
     if (tag.empty()) {
@@ -204,13 +204,13 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
         }
       }
     }
-    for (const ExecutionPlan::DynEdge& edge :
+    for (const ExecutionPlan::Edge& edge :
          info.out_edges[static_cast<std::size_t>(index)]) {
       deliver_to(edge.consumer, edge.input_slot, tag, token);
     }
     if (index == 0) {
-      for (const ExecutionPlan::DynEdge& edge : info.control_edges) {
-        deliver_to(edge.consumer, -1, tag, token);
+      for (const int consumer : info.control_edges) {
+        deliver_to(consumer, -1, tag, token);
       }
     }
   };
@@ -229,7 +229,7 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
   // RandomNormal, ...) with no control dependencies execute exactly once per
   // run, so their outputs are also tag-polymorphic sources.
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const ExecutionPlan::DynNode& info = nodes[i];
+    const ExecutionPlan::PlanNode& info = nodes[i];
     if (!info.is_root_source) continue;
     const bool prof_sampled = obs::ShouldSampleProfileNode();
     const ProfRecord prof_record{profile, static_cast<int>(i),
@@ -263,7 +263,7 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
   while (!ready.empty() && fetches_outstanding > 0) {
     auto [key, state] = std::move(ready.front());
     ready.pop_front();
-    const ExecutionPlan::DynNode& info =
+    const ExecutionPlan::PlanNode& info =
         nodes[static_cast<std::size_t>(key.node)];
     const Node& node = *info.node;
     const std::string& tag = key.tag;
@@ -358,8 +358,9 @@ std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
     inputs.reserve(tokens.size());
     for (Token& token : tokens) inputs.push_back(std::move(token.value));
     std::vector<Tensor> outputs;
-    const bool in_place = plan.memory().dyn_in_place[
-                              static_cast<std::size_t>(key.node)] != 0;
+    const bool in_place =
+        plan.memory().nodes[static_cast<std::size_t>(key.node)]
+            .in_place_capable;
     if (info.kind == OpKind::kFusedRegion) {
       ExecuteFusedRegion(run, *info.fused, inputs, outputs, in_place,
                          /*precomputed=*/nullptr);

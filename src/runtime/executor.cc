@@ -129,10 +129,6 @@ Executor::Executor(const FunctionLibrary* library, VariableStore* variables,
       rng_(rng),
       options_(options) {}
 
-bool Executor::NeedsDynamicExecution(const Graph& graph) {
-  return GraphNeedsDynamicExecution(graph);
-}
-
 std::vector<Tensor> Executor::Run(const Graph& graph,
                                   const std::map<std::string, Tensor>& feeds,
                                   std::span<const NodeOutput> fetches) {
@@ -177,10 +173,7 @@ std::vector<Tensor> Executor::RunPlan(
     const ExecutionPlan& plan, const std::map<std::string, Tensor>& feeds,
     RunContext& run) {
   obs::TraceScope span("execute_plan", "executor");
-  span.set_arg("nodes",
-               plan.strategy() == ExecutionPlan::Strategy::kDynamic
-                   ? static_cast<std::int64_t>(plan.dyn_nodes().size())
-                   : static_cast<std::int64_t>(plan.dag_nodes().size()));
+  span.set_arg("nodes", static_cast<std::int64_t>(plan.nodes().size()));
   run.feeds = &feeds;
   run.variables = variables_;
   run.host_state = host_state_;

@@ -2,18 +2,21 @@
 //
 // Scheduling is compiled once per graph into an ExecutionPlan
 // (runtime/plan.h); Run dispatches a prebuilt plan with zero per-run
-// schedule construction. Two strategies, picked at plan-build time:
+// schedule construction. Two strategies, picked at plan-build time, read
+// the same plan-node array (ExecutionPlan::PlanNode):
 //  * DAG path (dag_executor.cc): graphs without control-flow primitives
-//    execute over precompiled dependency counts. When the executor has a
-//    pool (the +PARL knob of Fig. 7), each plan decides once, from the
+//    execute in topological order, each node counted down from its
+//    incoming-edge count along its producers' out-edges. When the executor
+//    has a pool (the +PARL knob of Fig. 7), each plan decides once, from the
 //    mean node cost of its first few runs (sequential, all but the first
 //    timed), whether to use it: plans whose nodes average less than a pool
 //    handoff run exactly as without a pool; coarse plans fan ready ops out
 //    over atomic pending counts (PoolDecision in runtime/plan.h).
 //  * Dynamic path (dynamic_executor.cc): graphs containing Switch/Merge/
 //    Enter/Exit/NextIteration execute with tagged tokens carrying
-//    (frame, iteration) context and dead-value propagation, the classic
-//    dataflow machinery of TF 1.x that the paper builds on (§4.2.1).
+//    (frame, iteration) context and dead-value propagation along the same
+//    out-edges, the classic dataflow machinery of TF 1.x that the paper
+//    builds on (§4.2.1).
 //
 // Nested executions (InvokeOp function calls, While bodies) run inline on
 // the calling thread and share the caller's RunContext, so staged state and
@@ -101,10 +104,6 @@ class Executor {
   static std::vector<Tensor> RunFunction(RunContext& run,
                                          const GraphFunction& fn,
                                          std::span<const Tensor> args);
-
-  // True if the graph uses any dataflow control-flow primitive and therefore
-  // needs the dynamic (tagged-token) strategy.
-  static bool NeedsDynamicExecution(const Graph& graph);
 
  private:
   std::vector<Tensor> RunPlan(const ExecutionPlan& plan,

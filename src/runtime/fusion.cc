@@ -2,8 +2,7 @@
 //
 // Layout of this file:
 //   1. Kill switch (JANUS_FUSION).
-//   2. Fusable-op table and region formation (shared core over a strategy-
-//      neutral candidate view, then DAG / dynamic rewrites).
+//   2. Fusable-op table, region formation and the plan rewrite.
 //   3. Runtime specialization (FusedSpec): dtype/shape propagation that
 //      mirrors the unfused kernels' checks exactly, block-kernel selection,
 //      scratch layout, and the content-addressed FusedKernelCache.
@@ -18,7 +17,6 @@
 #include <cstring>
 #include <limits>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 
 #include "cache/fused_kernel_cache.h"
@@ -51,11 +49,10 @@ void SetGloballyEnabled(bool enabled) {
 
 namespace {
 
-using DagInput = ExecutionPlan::DagInput;
-using DagNode = ExecutionPlan::DagNode;
-using DynEdge = ExecutionPlan::DynEdge;
-using DynNode = ExecutionPlan::DynNode;
+using Edge = ExecutionPlan::Edge;
+using Endpoint = ExecutionPlan::Endpoint;
 using OpKind = ExecutionPlan::OpKind;
+using PlanNode = ExecutionPlan::PlanNode;
 
 // ---------------------------------------------------------------------------
 // Fusable-op table.
@@ -105,40 +102,41 @@ const std::unordered_map<std::string_view, OpEntry>& FusableOps() {
 }
 
 // ---------------------------------------------------------------------------
-// Region formation over a strategy-neutral candidate view.
+// Region formation.
 // ---------------------------------------------------------------------------
 
+// How one plan node may take part in a region.
 struct Candidate {
-  const Node* node = nullptr;
-  const KernelFn* kernel = nullptr;
   FusedOp op = FusedOp::kAdd;
   bool elementwise = false;  // fusable non-reduction; may be member or root
   bool reduction = false;    // fusable reduction; root only
   bool has_control = false;  // any control producer or consumer
   bool is_protected = false; // feeds a fetch slot
-  std::span<const DagInput> inputs;
-  std::vector<int> data_consumers;  // deduplicated dense indices
 };
 
-void ClassifyCandidate(Candidate& cand) {
-  const Node* node = cand.node;
+Candidate ClassifyCandidate(const PlanNode& entry) {
+  Candidate cand;
+  cand.has_control =
+      !entry.control_producers.empty() || !entry.control_edges.empty();
+  if (entry.kind != OpKind::kKernel) return cand;
+  const Node* node = entry.node;
   const auto it = FusableOps().find(node->op());
-  if (it == FusableOps().end()) return;
-  const OpEntry& entry = it->second;
-  if (node->num_outputs() != 1 || node->num_inputs() != entry.arity) return;
-  if (entry.reduction &&
-      (!node->HasAttr("axes") || !node->HasAttr("keep_dims"))) {
-    return;
+  if (it == FusableOps().end()) return cand;
+  const OpEntry& op = it->second;
+  if (node->num_outputs() != 1 || node->num_inputs() != op.arity) return cand;
+  if (op.reduction && (!node->HasAttr("axes") || !node->HasAttr("keep_dims"))) {
+    return cand;
   }
-  cand.op = entry.op;
-  if (entry.reduction) {
+  cand.op = op.op;
+  if (op.reduction) {
     cand.reduction = true;
   } else {
     cand.elementwise = true;
   }
+  return cand;
 }
 
-// Greedy maximal-region collection. Roots are claimed in reverse topological
+// Greedy maximal-region collection. Roots are claimed in reverse schedule
 // order (so the node nearest the sink anchors the longest chain) and regions
 // grow producer-ward to a fixpoint: a producer joins only when it is fusable
 // elementwise, unclaimed, not fetch-protected, free of control edges, and
@@ -148,7 +146,7 @@ void ClassifyCandidate(Candidate& cand) {
 // rules: the region output is materialized exactly like the root's output
 // was. Regions of fewer than two members are discarded.
 std::vector<std::vector<int>> CollectRegions(
-    const std::vector<Candidate>& cand) {
+    const std::vector<PlanNode>& nodes, const std::vector<Candidate>& cand) {
   const int n = static_cast<int>(cand.size());
   std::vector<std::vector<int>> regions;
   std::vector<char> claimed(cand.size(), 0);
@@ -163,8 +161,8 @@ std::vector<std::vector<int>> CollectRegions(
     while (changed) {
       changed = false;
       for (std::size_t mi = 0; mi < members.size(); ++mi) {
-        for (const DagInput& input :
-             cand[static_cast<std::size_t>(members[mi])].inputs) {
+        for (const Endpoint& input :
+             nodes[static_cast<std::size_t>(members[mi])].inputs) {
           const auto up = static_cast<std::size_t>(input.producer);
           if (input.slot != 0 || in_region[up]) continue;
           const Candidate& pc = cand[up];
@@ -172,9 +170,10 @@ std::vector<std::vector<int>> CollectRegions(
               claimed[up]) {
             continue;
           }
+          // Elementwise producers have exactly one output slot.
           bool all_inside = true;
-          for (const int consumer : pc.data_consumers) {
-            if (!in_region[static_cast<std::size_t>(consumer)]) {
+          for (const Edge& edge : nodes[up].out_edges[0]) {
+            if (!in_region[static_cast<std::size_t>(edge.consumer)]) {
               all_inside = false;
               break;
             }
@@ -197,17 +196,16 @@ std::vector<std::vector<int>> CollectRegions(
 
 struct RegionRewrite {
   std::shared_ptr<FusedRegionPlan> plan;
-  std::vector<int> members;        // old dense indices, ascending (root last)
-  std::vector<DagInput> externals; // old coordinates, in value-id order
-  int root = -1;
+  std::vector<Endpoint> externals;  // old coordinates, in value-id order
+  int root = -1;                    // old dense index
 };
 
 // Builds the register program: external (producer, slot) pairs dedupe onto
 // value ids [0, E) in discovery order, then each member defines E + ordinal.
 RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
+                                 const std::vector<PlanNode>& nodes,
                                  const std::vector<Candidate>& cand) {
   RegionRewrite rw;
-  rw.members = members;
   rw.root = members.back();
   rw.plan = std::make_shared<FusedRegionPlan>();
   FusedRegionPlan& plan = *rw.plan;
@@ -218,7 +216,7 @@ RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
   }
   std::map<std::pair<int, int>, int> external_ids;
   for (const int m : members) {
-    for (const DagInput& input : cand[static_cast<std::size_t>(m)].inputs) {
+    for (const Endpoint& input : nodes[static_cast<std::size_t>(m)].inputs) {
       if (member_ordinal.find(input.producer) != member_ordinal.end()) continue;
       const auto key = std::make_pair(input.producer, input.slot);
       if (external_ids.find(key) == external_ids.end()) {
@@ -233,15 +231,16 @@ RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
 
   std::string signature;
   for (std::size_t i = 0; i < members.size(); ++i) {
+    const PlanNode& entry = nodes[static_cast<std::size_t>(members[i])];
     const Candidate& c = cand[static_cast<std::size_t>(members[i])];
     FusedRegionPlan::Member member;
-    member.node = c.node;
-    member.kernel = c.kernel;
+    member.node = entry.node;
+    member.kernel = entry.kernel;
     member.op = c.op;
     member.value_id = num_externals + static_cast<int>(i);
     int* slots[2] = {&member.a, &member.b};
     int slot_index = 0;
-    for (const DagInput& input : c.inputs) {
+    for (const Endpoint& input : entry.inputs) {
       int id;
       const auto mit = member_ordinal.find(input.producer);
       if (mit != member_ordinal.end()) {
@@ -251,7 +250,7 @@ RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
       }
       *slots[slot_index++] = id;
     }
-    signature += c.node->op();
+    signature += entry.node->op();
     signature += '(';
     signature += std::to_string(member.a);
     if (member.b >= 0) {
@@ -261,8 +260,8 @@ RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
     signature += ')';
     if (c.reduction) {
       plan.has_reduction = true;
-      member.axes = c.node->GetIntListAttr("axes");
-      member.keep_dims = c.node->GetBoolAttr("keep_dims");
+      member.axes = entry.node->GetIntListAttr("axes");
+      member.keep_dims = entry.node->GetBoolAttr("keep_dims");
       signature += "[axes=";
       for (const std::int64_t axis : member.axes) {
         signature += std::to_string(axis);
@@ -282,215 +281,99 @@ RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// DAG rewrite.
+// Plan rewrite.
 // ---------------------------------------------------------------------------
 
-int FuseDagPlan(std::vector<DagNode>& nodes, std::vector<DagInput>& fetch_slots,
-                std::unordered_map<const Node*, int>& dag_index,
-                std::vector<std::shared_ptr<const FusedRegionPlan>>& regions) {
+int FusePlan(std::vector<PlanNode>& nodes, std::vector<Endpoint>& fetch_slots,
+             std::unordered_map<const Node*, int>& index,
+             std::vector<std::shared_ptr<const FusedRegionPlan>>& regions) {
   const std::size_t n = nodes.size();
   std::vector<Candidate> cand(n);
-  std::vector<std::unordered_set<int>> consumer_sets(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const DagNode& entry = nodes[i];
-    cand[i].node = entry.node;
-    cand[i].kernel = entry.kernel;
-    cand[i].inputs = entry.inputs;
-    cand[i].has_control = !entry.node->control_inputs().empty();
-    if (entry.kind == OpKind::kKernel) ClassifyCandidate(cand[i]);
-    for (const DagInput& input : entry.inputs) {
-      consumer_sets[static_cast<std::size_t>(input.producer)].insert(
-          static_cast<int>(i));
-    }
-    for (const Node* control : entry.node->control_inputs()) {
-      const auto it = dag_index.find(control);
-      if (it != dag_index.end()) {
-        cand[static_cast<std::size_t>(it->second)].has_control = true;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    cand[i].data_consumers.assign(consumer_sets[i].begin(),
-                                  consumer_sets[i].end());
-  }
-  for (const DagInput& fetch : fetch_slots) {
+  for (std::size_t i = 0; i < n; ++i) cand[i] = ClassifyCandidate(nodes[i]);
+  for (const Endpoint& fetch : fetch_slots) {
     cand[static_cast<std::size_t>(fetch.producer)].is_protected = true;
   }
 
-  const std::vector<std::vector<int>> found = CollectRegions(cand);
+  const std::vector<std::vector<int>> found = CollectRegions(nodes, cand);
   if (found.empty()) return 0;
 
   std::vector<RegionRewrite> rewrites;
   rewrites.reserve(found.size());
-  std::vector<char> interior(n, 0);
+  // Old dense index -> the region it belongs to, and, for interiors, the
+  // region root that replaces them.
   std::vector<int> region_of(n, -1);
+  std::vector<int> root_of(n, -1);
   for (const std::vector<int>& members : found) {
-    RegionRewrite rw = BuildRegionRewrite(members, cand);
-    const int index = static_cast<int>(rewrites.size());
+    rewrites.push_back(BuildRegionRewrite(members, nodes, cand));
     for (const int m : members) {
-      region_of[static_cast<std::size_t>(m)] = index;
-      if (m != rw.root) interior[static_cast<std::size_t>(m)] = 1;
-    }
-    rewrites.push_back(std::move(rw));
-  }
-
-  std::vector<int> remap(n, -1);
-  int next = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!interior[i]) remap[i] = next++;
-  }
-
-  std::vector<DagNode> out;
-  out.reserve(static_cast<std::size_t>(next));
-  for (std::size_t i = 0; i < n; ++i) {
-    if (interior[i]) continue;
-    DagNode entry = std::move(nodes[i]);
-    const int region = region_of[i];
-    if (region >= 0 && static_cast<int>(i) == rewrites[region].root) {
-      RegionRewrite& rw = rewrites[static_cast<std::size_t>(region)];
-      entry.kind = OpKind::kFusedRegion;
-      entry.kernel = nullptr;
-      entry.fused = rw.plan.get();
-      entry.inputs = rw.externals;
-    }
-    entry.consumers.clear();
-    entry.initial_pending = 0;
-    out.push_back(std::move(entry));
-  }
-  for (DagNode& entry : out) {
-    for (DagInput& input : entry.inputs) {
-      input.producer = remap[static_cast<std::size_t>(input.producer)];
-    }
-  }
-  // Interior nodes resolve to their region's dense index (DagIndexOf).
-  for (auto& [node, index] : dag_index) {
-    const auto u = static_cast<std::size_t>(index);
-    index = interior[u]
-                ? remap[static_cast<std::size_t>(
-                      rewrites[static_cast<std::size_t>(region_of[u])].root)]
-                : remap[u];
-  }
-  // Rebuild dependency counts and consumer adjacency (mirrors BuildDag, but
-  // over the rewritten inputs: a region's inputs are its externals, not the
-  // root Node's graph inputs).
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    DagNode& entry = out[i];
-    std::unordered_set<int> producers;
-    for (const DagInput& input : entry.inputs) producers.insert(input.producer);
-    for (const Node* control : entry.node->control_inputs()) {
-      producers.insert(dag_index.at(control));
-    }
-    entry.initial_pending = static_cast<int>(producers.size());
-    for (const int producer : producers) {
-      out[static_cast<std::size_t>(producer)].consumers.push_back(
-          static_cast<int>(i));
-    }
-  }
-  for (DagInput& slot : fetch_slots) {
-    slot.producer = remap[static_cast<std::size_t>(slot.producer)];
-  }
-  nodes = std::move(out);
-  for (RegionRewrite& rw : rewrites) regions.push_back(std::move(rw.plan));
-  return static_cast<int>(rewrites.size());
-}
-
-// ---------------------------------------------------------------------------
-// Dynamic (tagged-token) rewrite.
-// ---------------------------------------------------------------------------
-
-int FuseDynPlan(std::vector<DynNode>& nodes, std::vector<DagInput>& fetch_slots,
-                std::vector<std::shared_ptr<const FusedRegionPlan>>& regions) {
-  const std::size_t n = nodes.size();
-  std::vector<Candidate> cand(n);
-  std::vector<std::unordered_set<int>> consumer_sets(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const DynNode& entry = nodes[i];
-    cand[i].node = entry.node;
-    cand[i].kernel = entry.kernel;
-    cand[i].inputs = entry.inputs;
-    cand[i].has_control =
-        !entry.control_producers.empty() || !entry.control_edges.empty();
-    if (entry.kind == OpKind::kKernel && !entry.is_root_source) {
-      ClassifyCandidate(cand[i]);
-    }
-    for (const auto& slot_edges : entry.out_edges) {
-      for (const DynEdge& edge : slot_edges) {
-        if (edge.input_slot >= 0) consumer_sets[i].insert(edge.consumer);
+      region_of[static_cast<std::size_t>(m)] =
+          static_cast<int>(rewrites.size()) - 1;
+      if (m != rewrites.back().root) {
+        root_of[static_cast<std::size_t>(m)] = rewrites.back().root;
       }
     }
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    cand[i].data_consumers.assign(consumer_sets[i].begin(),
-                                  consumer_sets[i].end());
-  }
-  for (const DagInput& fetch : fetch_slots) {
-    cand[static_cast<std::size_t>(fetch.producer)].is_protected = true;
-  }
 
-  const std::vector<std::vector<int>> found = CollectRegions(cand);
-  if (found.empty()) return 0;
-
-  std::vector<RegionRewrite> rewrites;
-  std::vector<char> interior(n, 0);
-  for (const std::vector<int>& members : found) {
-    rewrites.push_back(BuildRegionRewrite(members, cand));
-    for (const int m : members) {
-      if (m != rewrites.back().root) interior[static_cast<std::size_t>(m)] = 1;
-    }
-  }
-
-  // Rewire on the old arrays first: each external (producer, slot) loses its
+  // Rewire on the old array first: each external (producer, slot) loses its
   // edges into region members and gains exactly ONE edge into the region at
-  // the external's value-id slot (token deduplication: a value consumed by k
-  // members arrives once).
-  for (const RegionRewrite& rw : rewrites) {
-    std::unordered_set<int> member_set(rw.members.begin(), rw.members.end());
+  // the external's value-id slot (a value consumed by k members arrives,
+  // and counts down, once). The root's node becomes the region node; it
+  // keeps the root's out-edges and control edges.
+  for (std::size_t r = 0; r < rewrites.size(); ++r) {
+    const RegionRewrite& rw = rewrites[r];
     for (std::size_t e = 0; e < rw.externals.size(); ++e) {
-      const DagInput& ext = rw.externals[e];
+      const Endpoint& ext = rw.externals[e];
       auto& edges = nodes[static_cast<std::size_t>(ext.producer)]
                         .out_edges[static_cast<std::size_t>(ext.slot)];
-      std::erase_if(edges, [&](const DynEdge& edge) {
-        return edge.input_slot >= 0 &&
-               member_set.find(edge.consumer) != member_set.end();
+      std::erase_if(edges, [&](const Edge& edge) {
+        return region_of[static_cast<std::size_t>(edge.consumer)] ==
+               static_cast<int>(r);
       });
       edges.push_back({rw.root, static_cast<int>(e)});
     }
-    DynNode& root_entry = nodes[static_cast<std::size_t>(rw.root)];
-    root_entry.kind = OpKind::kFusedRegion;
-    root_entry.kernel = nullptr;
-    root_entry.fused = rw.plan.get();
-    root_entry.inputs = rw.externals;
+    PlanNode& root = nodes[static_cast<std::size_t>(rw.root)];
+    root.kind = OpKind::kFusedRegion;
+    root.kernel = nullptr;
+    root.fused = rw.plan.get();
+    root.inputs = rw.externals;
+    root.in_edges =
+        static_cast<int>(root.inputs.size() + root.control_producers.size());
   }
 
+  // Drop the interiors. Nothing points at an interior any more except the
+  // node -> index map, which resolves it to its region (IndexOf).
   std::vector<int> remap(n, -1);
   int next = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!interior[i]) remap[i] = next++;
+    if (root_of[i] < 0) remap[i] = next++;
   }
-  std::vector<DynNode> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (root_of[i] >= 0) {
+      remap[i] = remap[static_cast<std::size_t>(root_of[i])];
+    }
+  }
+  const auto remapped = [&remap](int old) {
+    return remap[static_cast<std::size_t>(old)];
+  };
+  std::vector<PlanNode> out;
   out.reserve(static_cast<std::size_t>(next));
   for (std::size_t i = 0; i < n; ++i) {
-    if (interior[i]) continue;
-    DynNode entry = std::move(nodes[i]);
-    for (DagInput& input : entry.inputs) {
-      input.producer = remap[static_cast<std::size_t>(input.producer)];
+    if (root_of[i] >= 0) continue;
+    PlanNode entry = std::move(nodes[i]);
+    for (Endpoint& input : entry.inputs) {
+      input.producer = remapped(input.producer);
     }
     for (int& producer : entry.control_producers) {
-      producer = remap[static_cast<std::size_t>(producer)];
+      producer = remapped(producer);
     }
     for (auto& slot_edges : entry.out_edges) {
-      for (DynEdge& edge : slot_edges) {
-        edge.consumer = remap[static_cast<std::size_t>(edge.consumer)];
-      }
+      for (Edge& edge : slot_edges) edge.consumer = remapped(edge.consumer);
     }
-    for (DynEdge& edge : entry.control_edges) {
-      edge.consumer = remap[static_cast<std::size_t>(edge.consumer)];
-    }
+    for (int& consumer : entry.control_edges) consumer = remapped(consumer);
     out.push_back(std::move(entry));
   }
-  for (DagInput& slot : fetch_slots) {
-    slot.producer = remap[static_cast<std::size_t>(slot.producer)];
-  }
+  for (auto& [node, dense] : index) dense = remapped(dense);
+  for (Endpoint& slot : fetch_slots) slot.producer = remapped(slot.producer);
   nodes = std::move(out);
   for (RegionRewrite& rw : rewrites) regions.push_back(std::move(rw.plan));
   return static_cast<int>(rewrites.size());

@@ -135,21 +135,16 @@ struct FusedRegionPlan {
   mutable std::shared_ptr<const FusedSpec> memo GUARDED_BY(memo_mu);
 };
 
-// Fusion passes, invoked by ExecutionPlan::Build after the dense schedule is
-// constructed. Both rewrite the node array in place: interior members
+// The fusion pass, invoked by ExecutionPlan::Build after the node array is
+// built, for either strategy. Rewrites the plan in place: interior members
 // disappear, the region node takes the root's position (preserving
-// topological order), and all adjacency/fetch indices are remapped. Returns
-// the number of regions formed.
-int FuseDagPlan(
-    std::vector<ExecutionPlan::DagNode>& nodes,
-    std::vector<ExecutionPlan::DagInput>& fetch_slots,
-    std::unordered_map<const Node*, int>& dag_index,
-    std::vector<std::shared_ptr<const FusedRegionPlan>>& regions);
-
-int FuseDynPlan(
-    std::vector<ExecutionPlan::DynNode>& nodes,
-    std::vector<ExecutionPlan::DagInput>& fetch_slots,
-    std::vector<std::shared_ptr<const FusedRegionPlan>>& regions);
+// schedule order), the externals' out-edges are rewired into it, and all
+// indices — edges, fetch slots, the node -> index map (interiors resolve to
+// their region) — are remapped. Returns the number of regions formed.
+int FusePlan(std::vector<ExecutionPlan::PlanNode>& nodes,
+             std::vector<ExecutionPlan::Endpoint>& fetch_slots,
+             std::unordered_map<const Node*, int>& index,
+             std::vector<std::shared_ptr<const FusedRegionPlan>>& regions);
 
 namespace internal {
 

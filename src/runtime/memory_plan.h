@@ -1,14 +1,17 @@
 // Plan-time tensor liveness analysis.
 //
 // A MemoryPlan is computed once per ExecutionPlan (at plan-build time, off
-// the run hot path) and tells the executors, for every node:
+// the run hot path) and tells the executors, for every plan node of either
+// strategy:
 //
 //   * output_reads     — how many data edges read this node's outputs. The
 //                        DAG executor counts reads down at run time and drops
 //                        the producer's output tensors the moment the last
 //                        consumer has copied them, returning dead
 //                        intermediate buffers to the BufferPool mid-run
-//                        instead of at end-of-run teardown.
+//                        instead of at end-of-run teardown. (The dynamic
+//                        executor gets liveness from token lifetimes and
+//                        reads only the in-place bit.)
 //   * fetch_protected  — the node feeds a fetch slot; its outputs must
 //                        survive to the end of the run and are never dropped.
 //   * in_place_capable — the node's kernel is a same-index elementwise op,
@@ -25,7 +28,6 @@
 #ifndef JANUS_RUNTIME_MEMORY_PLAN_H_
 #define JANUS_RUNTIME_MEMORY_PLAN_H_
 
-#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -34,18 +36,14 @@ namespace janus {
 class ExecutionPlan;
 
 struct MemoryPlan {
-  struct DagNodeInfo {
+  struct NodeInfo {
     int output_reads = 0;
     bool fetch_protected = false;
     bool in_place_capable = false;
   };
 
-  // Parallel to ExecutionPlan::dag_nodes().
-  std::vector<DagNodeInfo> dag;
-  // Parallel to ExecutionPlan::dyn_nodes(): 1 if the node's kernel may run
-  // in place. The dynamic executor gets liveness for free from token
-  // lifetimes, so only the in-place bit is planned.
-  std::vector<std::uint8_t> dyn_in_place;
+  // Parallel to ExecutionPlan::nodes().
+  std::vector<NodeInfo> nodes;
 };
 
 // True for kernels that write output element i from input element(s) i only.

@@ -41,6 +41,108 @@ bool IsSourceKind(ExecutionPlan::OpKind kind) {
          kind == OpKind::kParam;
 }
 
+// The nodes the fetches transitively need (through data and control edges),
+// in graph order. Side-effecting ops only run when anchored to a fetch (the
+// update-anchor NoOp convention); under the dynamic strategy deadness
+// propagation then decides which of them execute.
+std::vector<const Node*> FetchReachable(const Graph& graph,
+                                        std::span<const NodeOutput> fetches) {
+  std::unordered_set<const Node*> needed;
+  std::vector<const Node*> stack;
+  for (const NodeOutput& fetch : fetches) stack.push_back(fetch.node);
+  while (!stack.empty()) {
+    const Node* node = stack.back();
+    stack.pop_back();
+    if (!needed.insert(node).second) continue;
+    for (const NodeOutput& input : node->inputs()) stack.push_back(input.node);
+    for (const Node* control : node->control_inputs()) {
+      stack.push_back(control);
+    }
+  }
+  std::vector<const Node*> order;
+  order.reserve(needed.size());
+  for (const auto& node : graph.nodes()) {
+    if (needed.find(node.get()) != needed.end()) order.push_back(node.get());
+  }
+  return order;
+}
+
+// Stable topological order of `nodes` (given in graph order). Freshly
+// generated graphs insert nodes topologically, but optimization passes
+// append replacement nodes (folded constants, ZerosLike) at the END of the
+// graph while rewiring earlier consumers onto them — and both fusion's
+// region collection and the plan verifier rely on producers preceding
+// consumers in a DAG plan. Kahn's algorithm with a min-heap on graph
+// position keeps the order deterministic and as close to graph order as the
+// edges allow. On a cycle, returns `nodes` unchanged and lets the
+// executor's executed-count check report it.
+std::vector<const Node*> TopologicalOrder(std::vector<const Node*> nodes) {
+  std::unordered_map<const Node*, int> position;
+  position.reserve(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    position[nodes[i]] = static_cast<int>(i);
+  }
+  // One count per edge, duplicates included: each edge is counted off once.
+  std::vector<int> indegree(nodes.size(), 0);
+  std::vector<std::vector<int>> dependents(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const auto depend_on = [&](const Node* producer) {
+      dependents[static_cast<std::size_t>(position.at(producer))].push_back(
+          static_cast<int>(i));
+      ++indegree[i];
+    };
+    for (const NodeOutput& input : nodes[i]->inputs()) depend_on(input.node);
+    for (const Node* control : nodes[i]->control_inputs()) depend_on(control);
+  }
+  std::priority_queue<int, std::vector<int>, std::greater<>> ready;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (indegree[i] == 0) ready.push(static_cast<int>(i));
+  }
+  std::vector<const Node*> order;
+  order.reserve(nodes.size());
+  while (!ready.empty()) {
+    const auto i = static_cast<std::size_t>(ready.top());
+    ready.pop();
+    order.push_back(nodes[i]);
+    for (const int dependent : dependents[i]) {
+      if (--indegree[static_cast<std::size_t>(dependent)] == 0) {
+        ready.push(dependent);
+      }
+    }
+  }
+  return order.size() == nodes.size() ? order : nodes;
+}
+
+obs::ProfileSite SiteOf(const Node* node) {
+  obs::ProfileSite site;
+  site.function = node->site().function;
+  site.line = node->site().line;
+  site.stmt = node->site().stmt;
+  return site;
+}
+
+// A plan node's profiler identity: graph-layer SourceSite -> obs
+// ProfileSite, so the obs layer stays link-independent of the graph. Fused
+// regions keep per-member sites; cost recorded against the region is split
+// across them at export.
+obs::ProfileNodeInfo ProfileInfoOf(const ExecutionPlan::PlanNode& entry) {
+  obs::ProfileNodeInfo info;
+  info.name = entry.node->name();
+  info.op = entry.node->op();
+  info.site = SiteOf(entry.node);
+  if (entry.kind == ExecutionPlan::OpKind::kFusedRegion) {
+    info.op = "FusedRegion";
+    for (const FusedRegionPlan::Member& member : entry.fused->members) {
+      obs::ProfileNodeInfo member_info;
+      member_info.name = member.node->name();
+      member_info.op = member.node->op();
+      member_info.site = SiteOf(member.node);
+      info.members.push_back(std::move(member_info));
+    }
+  }
+  return info;
+}
+
 // The installed post-build verification hook (nullptr = none). Relaxed is
 // enough: installation happens once at engine attach / static init, and a
 // build that misses a just-installed hook only skips one verification.
@@ -72,83 +174,36 @@ std::shared_ptr<const ExecutionPlan> ExecutionPlan::Build(
   auto plan = std::shared_ptr<ExecutionPlan>(new ExecutionPlan());
   plan->fetches_.assign(fetches.begin(), fetches.end());
   plan->graph_version_ = graph.version();
+  // Both strategies run the fetch-reachable nodes; only the order differs.
+  std::vector<const Node*> order = FetchReachable(graph, fetches);
   if (GraphNeedsDynamicExecution(graph)) {
     plan->strategy_ = Strategy::kDynamic;
-    plan->BuildDynamic(graph);
   } else {
     plan->strategy_ = Strategy::kDag;
-    plan->BuildDag(graph);
+    order = TopologicalOrder(std::move(order));
   }
-  // Fusion rewrites the schedule in place (interior members disappear) and
-  // must run before the memory plan: liveness is computed over the fused
-  // node array, so interior values are never materialized or tracked.
+  plan->BuildNodes(order);
+  // Fusion rewrites the node array in place (interior members disappear)
+  // and must run before the memory plan: liveness is computed over the
+  // fused node array, so interior values are never materialized or tracked.
   if (options.enable_fusion && fusion::GloballyEnabled()) {
     obs::TraceScope fusion_span("fusion", "runtime");
-    int regions = 0;
-    if (plan->strategy_ == Strategy::kDag) {
-      regions = FuseDagPlan(plan->dag_nodes_, plan->dag_fetch_slots_,
-                            plan->dag_index_, plan->fused_regions_);
-    } else {
-      regions = FuseDynPlan(plan->dyn_nodes_, plan->dyn_fetch_slots_,
-                            plan->fused_regions_);
-    }
+    const int regions = FusePlan(plan->nodes_, plan->fetch_slots_,
+                                 plan->index_, plan->fused_regions_);
     fusion_span.set_arg("regions", static_cast<std::int64_t>(regions));
   }
   plan->memory_ = BuildMemoryPlan(*plan);
 
-  // Attach the source-attributed profiler's per-node accumulator, copying
-  // each node's provenance (graph-layer SourceSite -> obs ProfileSite) so
-  // the obs layer stays link-independent of the graph. Fused regions keep
-  // per-member sites; cost recorded against the region is split across
-  // them at export. Registration is unconditional — plan build is a cold
-  // path, and a later EnableProfiling() must see already-built plans.
-  {
-    const auto site_of = [](const Node* node) {
-      obs::ProfileSite site;
-      if (node != nullptr) {
-        site.function = node->site().function;
-        site.line = node->site().line;
-        site.stmt = node->site().stmt;
-      }
-      return site;
-    };
-    const auto info_of = [&](const Node* node, OpKind kind,
-                             const FusedRegionPlan* fused) {
-      obs::ProfileNodeInfo info;
-      if (node != nullptr) {
-        info.name = node->name();
-        info.op = node->op();
-        info.site = site_of(node);
-      }
-      if (kind == OpKind::kFusedRegion && fused != nullptr) {
-        info.op = "FusedRegion";
-        for (const FusedRegionPlan::Member& member : fused->members) {
-          obs::ProfileNodeInfo member_info;
-          member_info.name = member.node->name();
-          member_info.op = member.node->op();
-          member_info.site = site_of(member.node);
-          info.members.push_back(std::move(member_info));
-        }
-      }
-      return info;
-    };
-    std::vector<obs::ProfileNodeInfo> infos;
-    if (plan->strategy_ == Strategy::kDag) {
-      infos.reserve(plan->dag_nodes_.size());
-      for (const DagNode& dag_node : plan->dag_nodes_) {
-        infos.push_back(
-            info_of(dag_node.node, dag_node.kind, dag_node.fused));
-      }
-    } else {
-      infos.reserve(plan->dyn_nodes_.size());
-      for (const DynNode& dyn_node : plan->dyn_nodes_) {
-        infos.push_back(
-            info_of(dyn_node.node, dyn_node.kind, dyn_node.fused));
-      }
-    }
-    plan->profile_ = std::make_shared<obs::PlanProfile>(std::move(infos));
-    obs::ProfileRegistry::Global().Register(plan->profile_);
+  // Attach the source-attributed profiler's per-node accumulator.
+  // Registration is unconditional — plan build is a cold path, and a later
+  // EnableProfiling() must see already-built plans.
+  std::vector<obs::ProfileNodeInfo> infos;
+  infos.reserve(plan->nodes_.size());
+  for (const PlanNode& entry : plan->nodes_) {
+    infos.push_back(ProfileInfoOf(entry));
   }
+  plan->profile_ = std::make_shared<obs::PlanProfile>(std::move(infos));
+  obs::ProfileRegistry::Global().Register(plan->profile_);
 
   if (const PlanVerifyHookFn hook = GetPlanVerifyHook(); hook != nullptr) {
     hook(graph, *plan);
@@ -156,135 +211,20 @@ std::shared_ptr<const ExecutionPlan> ExecutionPlan::Build(
   return plan;
 }
 
-void ExecutionPlan::BuildDag(const Graph& graph) {
-  // Restrict execution to the nodes the fetches transitively need (through
-  // data and control edges): side-effecting ops only run when anchored to a
-  // fetch (the update-anchor NoOp convention).
-  std::unordered_set<const Node*> needed;
-  std::vector<const Node*> stack;
-  for (const NodeOutput& fetch : fetches_) stack.push_back(fetch.node);
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (!needed.insert(node).second) continue;
-    for (const NodeOutput& input : node->inputs()) stack.push_back(input.node);
-    for (const Node* control : node->control_inputs()) {
-      stack.push_back(control);
-    }
-  }
-
-  // Dense schedule in stable topological order. Freshly generated graphs
-  // insert nodes topologically, but optimization passes append replacement
-  // nodes (folded constants, ZerosLike) at the END of the graph while
-  // rewiring earlier consumers onto them — and both fusion's region
-  // collection and the plan verifier rely on producers preceding consumers
-  // in the dense array. Kahn's algorithm with a min-heap on graph position
-  // keeps the order deterministic and as close to insertion order as the
-  // edges allow.
-  std::vector<const Node*> order;
-  {
-    std::vector<const Node*> graph_order;
-    graph_order.reserve(needed.size());
-    std::unordered_map<const Node*, int> position;
-    for (const auto& node : graph.nodes()) {
-      if (needed.find(node.get()) == needed.end()) continue;
-      position[node.get()] = static_cast<int>(graph_order.size());
-      graph_order.push_back(node.get());
-    }
-    std::unordered_map<const Node*, int> indegree;
-    std::unordered_map<const Node*, std::vector<const Node*>> dependents;
-    for (const Node* node : graph_order) {
-      std::unordered_set<const Node*> producers;
-      for (const NodeOutput& input : node->inputs()) {
-        producers.insert(input.node);
-      }
-      for (const Node* control : node->control_inputs()) {
-        producers.insert(control);
-      }
-      indegree[node] = static_cast<int>(producers.size());
-      for (const Node* producer : producers) {
-        dependents[producer].push_back(node);
-      }
-    }
-    std::priority_queue<std::pair<int, const Node*>,
-                        std::vector<std::pair<int, const Node*>>,
-                        std::greater<>>
-        ready;
-    for (const Node* node : graph_order) {
-      if (indegree[node] == 0) ready.emplace(position[node], node);
-    }
-    order.reserve(graph_order.size());
-    while (!ready.empty()) {
-      const Node* node = ready.top().second;
-      ready.pop();
-      order.push_back(node);
-      for (const Node* consumer : dependents[node]) {
-        if (--indegree[consumer] == 0) {
-          ready.emplace(position[consumer], consumer);
-        }
-      }
-    }
-    if (order.size() != graph_order.size()) {
-      // Cycle: schedule in graph order and let the executor's
-      // executed-count check report it.
-      order = std::move(graph_order);
-    }
-  }
-
-  dag_nodes_.reserve(needed.size());
-  for (const Node* node : order) {
-    dag_index_[node] = static_cast<int>(dag_nodes_.size());
-    DagNode entry;
+void ExecutionPlan::BuildNodes(const std::vector<const Node*>& order) {
+  nodes_.resize(order.size());
+  index_.reserve(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Node* node = order[i];
+    index_[node] = static_cast<int>(i);
+    PlanNode& entry = nodes_[i];
     entry.node = node;
     entry.kind = ClassifyOp(node->op());
     if (entry.kind == OpKind::kKernel) {
       entry.kernel = &KernelRegistry::Global().Lookup(node->op());
     } else if (entry.kind == OpKind::kConst) {
       entry.const_value = node->GetTensorAttr("value");
-    }
-    dag_nodes_.push_back(std::move(entry));
-  }
-
-  for (std::size_t i = 0; i < dag_nodes_.size(); ++i) {
-    DagNode& entry = dag_nodes_[i];
-    const Node* node = entry.node;
-    std::unordered_set<int> producers;
-    entry.inputs.reserve(node->inputs().size());
-    for (const NodeOutput& input : node->inputs()) {
-      const int producer = dag_index_.at(input.node);
-      entry.inputs.push_back({producer, input.index});
-      producers.insert(producer);
-    }
-    for (const Node* control : node->control_inputs()) {
-      producers.insert(dag_index_.at(control));
-    }
-    entry.initial_pending = static_cast<int>(producers.size());
-    for (const int producer : producers) {
-      dag_nodes_[static_cast<std::size_t>(producer)].consumers.push_back(
-          static_cast<int>(i));
-    }
-  }
-
-  dag_fetch_slots_.reserve(fetches_.size());
-  for (const NodeOutput& fetch : fetches_) {
-    dag_fetch_slots_.push_back({dag_index_.at(fetch.node), fetch.index});
-  }
-}
-
-void ExecutionPlan::BuildDynamic(const Graph& graph) {
-  // The dynamic strategy covers the whole graph: deadness propagation, not
-  // reachability pruning, decides what executes.
-  std::unordered_map<const Node*, int> index;
-  dyn_nodes_.reserve(graph.num_nodes());
-  for (const auto& node : graph.nodes()) {
-    index[node.get()] = static_cast<int>(dyn_nodes_.size());
-    DynNode entry;
-    entry.node = node.get();
-    entry.kind = ClassifyOp(node->op());
-    if (entry.kind == OpKind::kKernel) {
-      entry.kernel = &KernelRegistry::Global().Lookup(node->op());
-    }
-    if (entry.kind == OpKind::kEnter) {
+    } else if (entry.kind == OpKind::kEnter) {
       entry.frame = node->GetStringAttr("frame");
       entry.is_constant_enter = node->HasAttr("is_constant") &&
                                 node->GetBoolAttr("is_constant");
@@ -295,31 +235,32 @@ void ExecutionPlan::BuildDynamic(const Graph& graph) {
          node->control_inputs().empty());
     entry.out_edges.resize(
         static_cast<std::size_t>(std::max(1, node->num_outputs())));
-    dyn_nodes_.push_back(std::move(entry));
   }
-  for (std::size_t i = 0; i < dyn_nodes_.size(); ++i) {
-    DynNode& entry = dyn_nodes_[i];
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    PlanNode& entry = nodes_[i];
     const Node* node = entry.node;
     entry.inputs.reserve(node->inputs().size());
     for (int slot = 0; slot < node->num_inputs(); ++slot) {
       const NodeOutput input = node->input(slot);
-      const int producer = index.at(input.node);
+      const int producer = index_.at(input.node);
       entry.inputs.push_back({producer, input.index});
-      dyn_nodes_[static_cast<std::size_t>(producer)]
-          .out_edges[static_cast<std::size_t>(input.index)]
+      nodes_[static_cast<std::size_t>(producer)]
+          .out_edges.at(static_cast<std::size_t>(input.index))
           .push_back({static_cast<int>(i), slot});
     }
     entry.control_producers.reserve(node->control_inputs().size());
     for (const Node* control : node->control_inputs()) {
-      const int producer = index.at(control);
+      const int producer = index_.at(control);
       entry.control_producers.push_back(producer);
-      dyn_nodes_[static_cast<std::size_t>(producer)].control_edges.push_back(
-          {static_cast<int>(i), -1});
+      nodes_[static_cast<std::size_t>(producer)].control_edges.push_back(
+          static_cast<int>(i));
     }
+    entry.in_edges = static_cast<int>(entry.inputs.size() +
+                                      entry.control_producers.size());
   }
-  dyn_fetch_slots_.reserve(fetches_.size());
+  fetch_slots_.reserve(fetches_.size());
   for (const NodeOutput& fetch : fetches_) {
-    dyn_fetch_slots_.push_back({index.at(fetch.node), fetch.index});
+    fetch_slots_.push_back({index_.at(fetch.node), fetch.index});
   }
 }
 
@@ -369,9 +310,9 @@ void PoolDecision::Abandon() {
   calibrating_.store(false, std::memory_order_release);
 }
 
-int ExecutionPlan::DagIndexOf(const Node* node) const {
-  const auto it = dag_index_.find(node);
-  return it == dag_index_.end() ? -1 : it->second;
+int ExecutionPlan::IndexOf(const Node* node) const {
+  const auto it = index_.find(node);
+  return it == index_.end() ? -1 : it->second;
 }
 
 std::shared_ptr<const ExecutionPlan> GetOrBuildPlan(

@@ -3,7 +3,7 @@
 // An ExecutionPlan is the immutable, per-graph compiled schedule that moves
 // every piece of per-run scheduling work out of the dispatch hot path:
 // strategy selection (DAG vs tagged-token dynamic), the fetch-reachable node
-// set, dense node indices, initial dependency counts, consumer adjacency,
+// set, dense node indices, incoming-edge counts, per-slot out-edges,
 // resolved KernelFn pointers, pre-classified op kinds (no string compares at
 // run time), and fetch slots. A plan is built once per (graph, fetches) and
 // reused across every subsequent Executor::Run / nested RunFunction call —
@@ -11,8 +11,14 @@
 // Fig. 2) relies on, mirroring how TensorFlow caches a compiled executor per
 // graph.
 //
-// Plans are cached in the owning Graph's ExecCache (so every Graph,
-// including each GraphFunction body, carries its own plan) and additionally
+// Both strategies share one node form (PlanNode) built by one builder, the
+// way TF runs every graph on one dataflow executor (§4.2.1). Only the node
+// order differs: topological (Kahn) for DAG plans, graph order for
+// tagged-token plans. Fusion, the memory plan, the profiler and the
+// verifier each read that one form.
+//
+// Plans are cached in the owning Graph's cache::PlanCache (so every Graph,
+// including each GraphFunction body, carries its own plans) and additionally
 // pinned by CompiledGraph, which pre-builds plans for the main graph and
 // every library function at generation time.
 #ifndef JANUS_RUNTIME_PLAN_H_
@@ -107,49 +113,43 @@ class ExecutionPlan {
     kFusedRegion,
   };
 
-  // ---- DAG schedule (graphs without control-flow primitives) ----
-
-  // An input coordinate in dense plan indices: output `slot` of the node at
-  // dense index `producer`.
-  struct DagInput {
+  // Output `slot` of the node at dense index `producer`: the coordinate of
+  // a node input and of a fetch.
+  struct Endpoint {
     int producer = 0;
     int slot = 0;
   };
 
-  struct DagNode {
-    const Node* node = nullptr;
-    OpKind kind = OpKind::kKernel;
-    const KernelFn* kernel = nullptr;  // resolved iff kind == kKernel
-    Tensor const_value;                // valid iff kind == kConst
-    const FusedRegionPlan* fused = nullptr;  // valid iff kind == kFusedRegion
-    int initial_pending = 0;
-    std::vector<DagInput> inputs;  // data inputs, in slot order
-    std::vector<int> consumers;    // dense indices, deduplicated
-  };
-
-  // ---- Dynamic schedule (tagged-token graphs) ----
-
-  // A delivery target: input slot `input_slot` (or -1 for a control edge) of
-  // the node at dense index `consumer`.
-  struct DynEdge {
+  // A delivery target: input slot `input_slot` of the node at dense index
+  // `consumer`.
+  struct Edge {
     int consumer = 0;
-    int input_slot = -1;
+    int input_slot = 0;
   };
 
-  struct DynNode {
+  // The fields the DAG executor reads for every node come first and fill
+  // the first 128 bytes; the rest are read rarely or only by the
+  // tagged-token executor.
+  struct PlanNode {
     const Node* node = nullptr;
     OpKind kind = OpKind::kKernel;
+    // inputs.size() + control_producers.size(): where the DAG countdown
+    // starts. Every out-edge and control edge into the node counts it down
+    // by one, so duplicate producers need no deduplication.
+    int in_edges = 0;
     const KernelFn* kernel = nullptr;  // resolved iff kind == kKernel
     const FusedRegionPlan* fused = nullptr;  // valid iff kind == kFusedRegion
     // Producer coordinate of each input slot, and the dense index of each
     // control-input producer.
-    std::vector<DagInput> inputs;
+    std::vector<Endpoint> inputs;
     std::vector<int> control_producers;
-    // Consumers per output slot, and control-edge consumers (fired off
-    // output 0, as in the seed executor).
-    std::vector<std::vector<DynEdge>> out_edges;
-    std::vector<DynEdge> control_edges;
-    // Enter attributes, resolved at build time.
+    // Consumers per output slot, and control-edge consumers (fired when
+    // output 0 is delivered).
+    std::vector<std::vector<Edge>> out_edges;
+    std::vector<int> control_edges;
+    Tensor const_value;  // valid iff kind == kConst
+    // Tagged-token fields; the DAG executor ignores them. Enter attributes,
+    // resolved at build time:
     std::string frame;
     bool is_constant_enter = false;
     // True for nodes evaluated once per run before token flow starts:
@@ -169,26 +169,18 @@ class ExecutionPlan {
   std::span<const NodeOutput> fetches() const { return fetches_; }
   std::uint64_t graph_version() const { return graph_version_; }
 
-  // DAG accessors.
-  const std::vector<DagNode>& dag_nodes() const { return dag_nodes_; }
-  const std::vector<DagInput>& dag_fetch_slots() const {
-    return dag_fetch_slots_;
-  }
-  // Dense index of a node, or -1 if the node is not part of the plan. Only
-  // needed by the precomputed-outputs path of the eager tape.
-  int DagIndexOf(const Node* node) const;
+  // The dense node array, in schedule order.
+  const std::vector<PlanNode>& nodes() const { return nodes_; }
+  // One endpoint per fetch, in fetch order.
+  const std::vector<Endpoint>& fetch_slots() const { return fetch_slots_; }
+  // Dense index of a node (a fused-region interior resolves to its
+  // region's), or -1 if the node is not part of the plan.
+  int IndexOf(const Node* node) const;
 
-  // The full node -> dense-index map (fused-region interiors resolve to
-  // their region's index). Exposed for the plan verifier's bijectivity and
-  // coverage checks (src/verify); executors use DagIndexOf.
-  const std::unordered_map<const Node*, int>& dag_index_map() const {
-    return dag_index_;
-  }
-
-  // Dynamic accessors.
-  const std::vector<DynNode>& dyn_nodes() const { return dyn_nodes_; }
-  const std::vector<DagInput>& dyn_fetch_slots() const {
-    return dyn_fetch_slots_;
+  // The full node -> dense-index map behind IndexOf. Exposed for the plan
+  // verifier's bijectivity and coverage checks (src/verify).
+  const std::unordered_map<const Node*, int>& index_map() const {
+    return index_;
   }
 
   // Liveness + in-place analysis, computed once at plan-build time.
@@ -217,19 +209,17 @@ class ExecutionPlan {
 
   ExecutionPlan() = default;
 
-  void BuildDag(const Graph& graph);
-  void BuildDynamic(const Graph& graph);
+  // Builds the node array over `order` (the strategy's node set in its
+  // schedule order): one PlanNode per node, wired both ways.
+  void BuildNodes(const std::vector<const Node*>& order);
 
   Strategy strategy_ = Strategy::kDag;
   std::vector<NodeOutput> fetches_;
   std::uint64_t graph_version_ = 0;
 
-  std::vector<DagNode> dag_nodes_;
-  std::vector<DagInput> dag_fetch_slots_;
-  std::unordered_map<const Node*, int> dag_index_;
-
-  std::vector<DynNode> dyn_nodes_;
-  std::vector<DagInput> dyn_fetch_slots_;
+  std::vector<PlanNode> nodes_;
+  std::vector<Endpoint> fetch_slots_;
+  std::unordered_map<const Node*, int> index_;
 
   std::vector<std::shared_ptr<const FusedRegionPlan>> fused_regions_;
 

@@ -7,10 +7,9 @@ namespace janus {
 namespace verify {
 namespace {
 
-using DagInput = ExecutionPlan::DagInput;
-using DagNode = ExecutionPlan::DagNode;
-using DynNode = ExecutionPlan::DynNode;
+using Endpoint = ExecutionPlan::Endpoint;
 using OpKind = ExecutionPlan::OpKind;
+using PlanNode = ExecutionPlan::PlanNode;
 
 // All nodes that belong to any fused region of the plan (interiors + roots).
 std::unordered_set<const Node*> RegionMembers(PlanCorruptor& c) {
@@ -23,23 +22,30 @@ std::unordered_set<const Node*> RegionMembers(PlanCorruptor& c) {
   return members;
 }
 
-// First dag index whose entry satisfies `pred`, or -1.
+// First dense index whose entry satisfies `pred`, or -1.
 template <typename Pred>
-int FindDag(PlanCorruptor& c, Pred pred) {
-  const auto& nodes = c.dag_nodes();
+int FindNode(PlanCorruptor& c, Pred pred) {
+  const auto& nodes = c.nodes();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (pred(nodes[i], static_cast<int>(i))) return static_cast<int>(i);
   }
   return -1;
 }
 
-template <typename Pred>
-int FindDyn(PlanCorruptor& c, Pred pred) {
-  const auto& nodes = c.dyn_nodes();
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (pred(nodes[i], static_cast<int>(i))) return static_cast<int>(i);
+bool HasInputs(const PlanNode& e, int) { return !e.inputs.empty(); }
+
+// The first non-empty out-edge list in the plan, or null.
+std::vector<ExecutionPlan::Edge>* FirstOutEdges(PlanCorruptor& c) {
+  for (PlanNode& entry : c.nodes()) {
+    for (auto& slot : entry.out_edges) {
+      if (!slot.empty()) return &slot;
+    }
   }
-  return -1;
+  return nullptr;
+}
+
+bool IsDag(PlanCorruptor& c) {
+  return c.plan().strategy() == ExecutionPlan::Strategy::kDag;
 }
 
 // First region with at least one interior (non-root) member, or -1.
@@ -52,7 +58,7 @@ int FindRegionWithInterior(PlanCorruptor& c) {
 
 }  // namespace
 
-std::vector<Corruption> DagCorruptions() {
+std::vector<Corruption> PlanCorruptions() {
   std::vector<Corruption> out;
   const auto add = [&out](std::string name, std::string invariant,
                           std::function<bool(PlanCorruptor&)> apply) {
@@ -60,147 +66,162 @@ std::vector<Corruption> DagCorruptions() {
         Corruption{std::move(name), std::move(invariant), std::move(apply)});
   };
 
-  add("dag-self-loop", "schedule.self_loop", [](PlanCorruptor& c) {
-    const int i = FindDag(c, [](const DagNode& e, int) {
-      return !e.inputs.empty();
-    });
+  // ---- Schedule and adjacency ----
+
+  add("self-loop", "schedule.self_loop", [](PlanCorruptor& c) {
+    const int i = FindNode(c, HasInputs);
     if (i < 0) return false;
-    c.dag_nodes()[static_cast<std::size_t>(i)].inputs[0].producer = i;
+    c.nodes()[static_cast<std::size_t>(i)].inputs[0].producer = i;
     return true;
   });
-  add("dag-back-edge", "schedule.topological_order", [](PlanCorruptor& c) {
-    const int n = static_cast<int>(c.dag_nodes().size());
-    const int i = FindDag(c, [n](const DagNode& e, int idx) {
+  add("back-edge", "schedule.topological_order", [](PlanCorruptor& c) {
+    // Tagged-token plans run in graph order, where loops feed back.
+    if (!IsDag(c)) return false;
+    const int n = static_cast<int>(c.nodes().size());
+    const int i = FindNode(c, [n](const PlanNode& e, int idx) {
       return !e.inputs.empty() && idx != n - 1;
     });
     if (i < 0) return false;
-    c.dag_nodes()[static_cast<std::size_t>(i)].inputs[0] = {n - 1, 0};
+    c.nodes()[static_cast<std::size_t>(i)].inputs[0] = {n - 1, 0};
     return true;
   });
-  add("dag-producer-out-of-range", "adjacency.producer_range",
+  add("producer-out-of-range", "adjacency.producer_range",
       [](PlanCorruptor& c) {
-        const int i = FindDag(c, [](const DagNode& e, int) {
-          return !e.inputs.empty();
-        });
+        const int i = FindNode(c, HasInputs);
         if (i < 0) return false;
-        c.dag_nodes()[static_cast<std::size_t>(i)].inputs[0].producer =
-            static_cast<int>(c.dag_nodes().size());
+        c.nodes()[static_cast<std::size_t>(i)].inputs[0].producer =
+            static_cast<int>(c.nodes().size());
         return true;
       });
-  add("dag-producer-negative", "adjacency.producer_range",
-      [](PlanCorruptor& c) {
-        const int i = FindDag(c, [](const DagNode& e, int) {
-          return !e.inputs.empty();
-        });
-        if (i < 0) return false;
-        c.dag_nodes()[static_cast<std::size_t>(i)].inputs[0].producer = -5;
-        return true;
-      });
-  add("dag-slot-out-of-range", "adjacency.slot_range", [](PlanCorruptor& c) {
-    const int i = FindDag(c, [](const DagNode& e, int) {
-      return !e.inputs.empty();
+  add("producer-negative", "adjacency.producer_range", [](PlanCorruptor& c) {
+    const int i = FindNode(c, HasInputs);
+    if (i < 0) return false;
+    c.nodes()[static_cast<std::size_t>(i)].inputs[0].producer = -5;
+    return true;
+  });
+  add("slot-out-of-range", "adjacency.slot_range", [](PlanCorruptor& c) {
+    const int i = FindNode(c, HasInputs);
+    if (i < 0) return false;
+    c.nodes()[static_cast<std::size_t>(i)].inputs[0].slot = 99;
+    return true;
+  });
+  add("edge-drop", "adjacency.edge_mirror", [](PlanCorruptor& c) {
+    auto* edges = FirstOutEdges(c);
+    if (edges == nullptr) return false;
+    edges->pop_back();
+    return true;
+  });
+  add("edge-duplicate", "adjacency.edge_mirror", [](PlanCorruptor& c) {
+    auto* edges = FirstOutEdges(c);
+    if (edges == nullptr) return false;
+    edges->push_back(edges->front());
+    return true;
+  });
+  add("edge-slot-skew", "adjacency.edge_mirror", [](PlanCorruptor& c) {
+    auto* edges = FirstOutEdges(c);
+    if (edges == nullptr) return false;
+    ++edges->front().input_slot;
+    return true;
+  });
+  add("phantom-edge", "adjacency.edge_mirror", [](PlanCorruptor& c) {
+    if (c.nodes().empty()) return false;
+    // A node can never consume itself, so i -> i is always phantom.
+    c.nodes()[0].out_edges[0].push_back({0, 0});
+    return true;
+  });
+  add("control-drop", "adjacency.control_mirror", [](PlanCorruptor& c) {
+    const int i = FindNode(c, [](const PlanNode& e, int) {
+      return !e.control_edges.empty();
     });
     if (i < 0) return false;
-    c.dag_nodes()[static_cast<std::size_t>(i)].inputs[0].slot = 99;
+    c.nodes()[static_cast<std::size_t>(i)].control_edges.pop_back();
     return true;
   });
-  add("dag-dropped-consumer", "adjacency.consumer_mirror",
-      [](PlanCorruptor& c) {
-        const int i = FindDag(c, [](const DagNode& e, int) {
-          return !e.consumers.empty();
-        });
-        if (i < 0) return false;
-        c.dag_nodes()[static_cast<std::size_t>(i)].consumers.pop_back();
-        return true;
-      });
-  add("dag-phantom-consumer", "adjacency.consumer_mirror",
-      [](PlanCorruptor& c) {
-        if (c.dag_nodes().empty()) return false;
-        // A node can never consume itself, so i -> i is always phantom.
-        c.dag_nodes()[0].consumers.push_back(0);
-        return true;
-      });
-  add("dag-consumer-duplicate", "adjacency.consumer_duplicate",
-      [](PlanCorruptor& c) {
-        const int i = FindDag(c, [](const DagNode& e, int) {
-          return !e.consumers.empty();
-        });
-        if (i < 0) return false;
-        DagNode& entry = c.dag_nodes()[static_cast<std::size_t>(i)];
-        entry.consumers.push_back(entry.consumers.front());
-        return true;
-      });
-  add("dag-pending-undercount", "schedule.pending_count",
-      [](PlanCorruptor& c) {
-        const int i = FindDag(c, [](const DagNode& e, int) {
-          return e.initial_pending > 0;
-        });
-        if (i < 0) return false;
-        --c.dag_nodes()[static_cast<std::size_t>(i)].initial_pending;
-        return true;
-      });
-  add("dag-pending-overcount", "schedule.pending_count",
-      [](PlanCorruptor& c) {
-        if (c.dag_nodes().empty()) return false;
-        ++c.dag_nodes()[0].initial_pending;
-        return true;
-      });
-  add("dag-index-skew", "index.roundtrip", [](PlanCorruptor& c) {
-    if (c.dag_nodes().size() < 2) return false;
-    c.dag_index()[c.dag_nodes()[0].node] = 1;
+  add("pending-undercount", "schedule.pending_count", [](PlanCorruptor& c) {
+    const int i = FindNode(c, [](const PlanNode& e, int) {
+      return e.in_edges > 0;
+    });
+    if (i < 0) return false;
+    --c.nodes()[static_cast<std::size_t>(i)].in_edges;
     return true;
   });
-  add("dag-index-erase", "index.roundtrip", [](PlanCorruptor& c) {
-    if (c.dag_nodes().empty()) return false;
-    c.dag_index().erase(c.dag_nodes().back().node);
+  add("pending-overcount", "schedule.pending_count", [](PlanCorruptor& c) {
+    if (c.nodes().empty()) return false;
+    ++c.nodes()[0].in_edges;
     return true;
   });
-  add("dag-index-out-of-range", "index.range", [](PlanCorruptor& c) {
-    if (c.dag_nodes().empty()) return false;
-    c.dag_index()[c.dag_nodes()[0].node] =
-        static_cast<int>(c.dag_nodes().size()) + 4;
+  add("kind-flip", "schedule.kind_mismatch", [](PlanCorruptor& c) {
+    const int i = FindNode(c, [](const PlanNode& e, int) {
+      return e.kind == OpKind::kKernel;
+    });
+    if (i < 0) return false;
+    c.nodes()[static_cast<std::size_t>(i)].kind = OpKind::kConst;
     return true;
   });
-  add("dag-fetch-producer-range", "fetch.slot_range", [](PlanCorruptor& c) {
-    if (c.dag_fetch_slots().empty()) return false;
-    c.dag_fetch_slots()[0].producer =
-        static_cast<int>(c.dag_nodes().size()) + 3;
+  add("kernel-null", "schedule.kernel_null", [](PlanCorruptor& c) {
+    const int i = FindNode(c, [](const PlanNode& e, int) {
+      return e.kind == OpKind::kKernel && e.kernel != nullptr;
+    });
+    if (i < 0) return false;
+    c.nodes()[static_cast<std::size_t>(i)].kernel = nullptr;
     return true;
   });
-  add("dag-fetch-output-slot-range", "fetch.slot_range",
-      [](PlanCorruptor& c) {
-        if (c.dag_fetch_slots().empty()) return false;
-        c.dag_fetch_slots()[0].slot = 7;
-        return true;
-      });
-  add("dag-fetch-dropped-remap", "fetch.remap", [](PlanCorruptor& c) {
-    if (c.dag_fetch_slots().empty() || c.dag_nodes().size() < 2) {
-      return false;
-    }
+  add("root-source-flip", "schedule.root_source", [](PlanCorruptor& c) {
+    // The DAG executor ignores the tagged-token fields.
+    if (IsDag(c) || c.nodes().empty()) return false;
+    PlanNode& entry = c.nodes()[0];
+    entry.is_root_source = !entry.is_root_source;
+    return true;
+  });
+  add("frame-clear", "schedule.enter_frame", [](PlanCorruptor& c) {
+    const int i = FindNode(c, [](const PlanNode& e, int) {
+      return e.kind == OpKind::kEnter && !e.frame.empty();
+    });
+    if (i < 0) return false;
+    c.nodes()[static_cast<std::size_t>(i)].frame.clear();
+    return true;
+  });
+
+  // ---- Index map and fetch slots ----
+
+  add("index-skew", "index.roundtrip", [](PlanCorruptor& c) {
+    if (c.nodes().size() < 2) return false;
+    c.index()[c.nodes()[0].node] = 1;
+    return true;
+  });
+  add("index-erase", "index.roundtrip", [](PlanCorruptor& c) {
+    if (c.nodes().empty()) return false;
+    c.index().erase(c.nodes().back().node);
+    return true;
+  });
+  add("index-out-of-range", "index.range", [](PlanCorruptor& c) {
+    if (c.nodes().empty()) return false;
+    c.index()[c.nodes()[0].node] = static_cast<int>(c.nodes().size()) + 4;
+    return true;
+  });
+  add("fetch-producer-range", "fetch.slot_range", [](PlanCorruptor& c) {
+    if (c.fetch_slots().empty()) return false;
+    c.fetch_slots()[0].producer = static_cast<int>(c.nodes().size()) + 3;
+    return true;
+  });
+  add("fetch-output-slot-range", "fetch.slot_range", [](PlanCorruptor& c) {
+    if (c.fetch_slots().empty()) return false;
+    c.fetch_slots()[0].slot = 7;
+    return true;
+  });
+  add("fetch-dropped-remap", "fetch.remap", [](PlanCorruptor& c) {
+    if (c.fetch_slots().empty() || c.nodes().size() < 2) return false;
     // Point the fetch slot at a valid producer that is not the fetch's.
-    DagInput& slot = c.dag_fetch_slots()[0];
+    Endpoint& slot = c.fetch_slots()[0];
     slot.producer = slot.producer == 0 ? 1 : 0;
     slot.slot = 0;
     return true;
   });
-  add("dag-kind-flip", "schedule.kind_mismatch", [](PlanCorruptor& c) {
-    const int i = FindDag(c, [](const DagNode& e, int) {
-      return e.kind == OpKind::kKernel;
-    });
-    if (i < 0) return false;
-    c.dag_nodes()[static_cast<std::size_t>(i)].kind = OpKind::kConst;
-    return true;
-  });
-  add("dag-kernel-null", "schedule.kernel_null", [](PlanCorruptor& c) {
-    const int i = FindDag(c, [](const DagNode& e, int) {
-      return e.kind == OpKind::kKernel && e.kernel != nullptr;
-    });
-    if (i < 0) return false;
-    c.dag_nodes()[static_cast<std::size_t>(i)].kernel = nullptr;
-    return true;
-  });
+
+  // ---- Memory plan ----
+
   add("liveness-undercount", "liveness.undercount", [](PlanCorruptor& c) {
-    for (MemoryPlan::DagNodeInfo& info : c.memory().dag) {
+    for (MemoryPlan::NodeInfo& info : c.memory().nodes) {
       if (info.output_reads > 0) {
         --info.output_reads;
         return true;
@@ -209,13 +230,13 @@ std::vector<Corruption> DagCorruptions() {
     return false;
   });
   add("liveness-overcount", "liveness.overcount", [](PlanCorruptor& c) {
-    if (c.memory().dag.empty()) return false;
-    ++c.memory().dag[0].output_reads;
+    if (c.memory().nodes.empty()) return false;
+    ++c.memory().nodes[0].output_reads;
     return true;
   });
   add("liveness-fetch-unprotected", "liveness.fetch_unprotected",
       [](PlanCorruptor& c) {
-        for (MemoryPlan::DagNodeInfo& info : c.memory().dag) {
+        for (MemoryPlan::NodeInfo& info : c.memory().nodes) {
           if (info.fetch_protected) {
             info.fetch_protected = false;
             return true;
@@ -225,7 +246,7 @@ std::vector<Corruption> DagCorruptions() {
       });
   add("liveness-spurious-protection", "liveness.spurious_protection",
       [](PlanCorruptor& c) {
-        for (MemoryPlan::DagNodeInfo& info : c.memory().dag) {
+        for (MemoryPlan::NodeInfo& info : c.memory().nodes) {
           if (!info.fetch_protected) {
             info.fetch_protected = true;
             return true;
@@ -234,7 +255,7 @@ std::vector<Corruption> DagCorruptions() {
         return false;
       });
   add("inplace-illegal", "inplace.illegal", [](PlanCorruptor& c) {
-    for (MemoryPlan::DagNodeInfo& info : c.memory().dag) {
+    for (MemoryPlan::NodeInfo& info : c.memory().nodes) {
       if (!info.in_place_capable) {
         info.in_place_capable = true;
         return true;
@@ -243,7 +264,7 @@ std::vector<Corruption> DagCorruptions() {
     return false;
   });
   add("inplace-dropped", "inplace.dropped", [](PlanCorruptor& c) {
-    for (MemoryPlan::DagNodeInfo& info : c.memory().dag) {
+    for (MemoryPlan::NodeInfo& info : c.memory().nodes) {
       if (info.in_place_capable) {
         info.in_place_capable = false;
         return true;
@@ -252,19 +273,19 @@ std::vector<Corruption> DagCorruptions() {
     return false;
   });
   add("memory-size-mismatch", "memory.parallel_size", [](PlanCorruptor& c) {
-    if (c.memory().dag.empty()) return false;
-    c.memory().dag.pop_back();
+    if (c.memory().nodes.empty()) return false;
+    c.memory().nodes.pop_back();
     return true;
   });
 
   // ---- Fusion-rewrite damage (applicable only to plans with regions) ----
 
   add("fusion-null-plan", "fusion.null_plan", [](PlanCorruptor& c) {
-    const int i = FindDag(c, [](const DagNode& e, int) {
+    const int i = FindNode(c, [](const PlanNode& e, int) {
       return e.kind == OpKind::kFusedRegion;
     });
     if (i < 0) return false;
-    c.dag_nodes()[static_cast<std::size_t>(i)].fused = nullptr;
+    c.nodes()[static_cast<std::size_t>(i)].fused = nullptr;
     return true;
   });
   add("fusion-drop-root-member", "fusion.root_mismatch",
@@ -315,12 +336,12 @@ std::vector<Corruption> DagCorruptions() {
             c.mutable_region(static_cast<std::size_t>(r)).members[0].node;
         const auto members = RegionMembers(c);
         // Rewire a plan node outside every region to read the interior.
-        const int i = FindDag(c, [&members](const DagNode& e, int) {
+        const int i = FindNode(c, [&members](const PlanNode& e, int) {
           return e.node != nullptr && e.node->num_inputs() > 0 &&
                  members.find(e.node) == members.end();
         });
         if (i < 0) return false;
-        const_cast<Node*>(c.dag_nodes()[static_cast<std::size_t>(i)].node)
+        const_cast<Node*>(c.nodes()[static_cast<std::size_t>(i)].node)
             ->set_input(0, NodeOutput{const_cast<Node*>(interior), 0});
         return true;
       });
@@ -340,137 +361,13 @@ std::vector<Corruption> DagCorruptions() {
         const Node* interior =
             c.mutable_region(static_cast<std::size_t>(r)).members[0].node;
         const auto members = RegionMembers(c);
-        const int i = FindDag(c, [&members](const DagNode& e, int) {
+        const int i = FindNode(c, [&members](const PlanNode& e, int) {
           return e.node != nullptr &&
                  members.find(e.node) == members.end();
         });
         if (i < 0) return false;
-        const_cast<Node*>(c.dag_nodes()[static_cast<std::size_t>(i)].node)
+        const_cast<Node*>(c.nodes()[static_cast<std::size_t>(i)].node)
             ->AddControlInput(const_cast<Node*>(interior));
-        return true;
-      });
-  return out;
-}
-
-std::vector<Corruption> DynCorruptions() {
-  std::vector<Corruption> out;
-  const auto add = [&out](std::string name, std::string invariant,
-                          std::function<bool(PlanCorruptor&)> apply) {
-    out.push_back(
-        Corruption{std::move(name), std::move(invariant), std::move(apply)});
-  };
-
-  add("dyn-edge-drop", "adjacency.edge_mirror", [](PlanCorruptor& c) {
-    const int i = FindDyn(c, [](const DynNode& e, int) {
-      for (const auto& slot : e.out_edges) {
-        if (!slot.empty()) return true;
-      }
-      return false;
-    });
-    if (i < 0) return false;
-    for (auto& slot : c.dyn_nodes()[static_cast<std::size_t>(i)].out_edges) {
-      if (!slot.empty()) {
-        slot.pop_back();
-        return true;
-      }
-    }
-    return false;
-  });
-  add("dyn-edge-slot-skew", "adjacency.edge_mirror", [](PlanCorruptor& c) {
-    const int i = FindDyn(c, [](const DynNode& e, int) {
-      for (const auto& slot : e.out_edges) {
-        if (!slot.empty()) return true;
-      }
-      return false;
-    });
-    if (i < 0) return false;
-    for (auto& slot : c.dyn_nodes()[static_cast<std::size_t>(i)].out_edges) {
-      if (!slot.empty()) {
-        ++slot.front().input_slot;
-        return true;
-      }
-    }
-    return false;
-  });
-  add("dyn-control-drop", "adjacency.control_mirror", [](PlanCorruptor& c) {
-    const int i = FindDyn(c, [](const DynNode& e, int) {
-      return !e.control_edges.empty();
-    });
-    if (i < 0) return false;
-    c.dyn_nodes()[static_cast<std::size_t>(i)].control_edges.pop_back();
-    return true;
-  });
-  add("dyn-root-source-flip", "schedule.root_source", [](PlanCorruptor& c) {
-    if (c.dyn_nodes().empty()) return false;
-    DynNode& entry = c.dyn_nodes()[0];
-    entry.is_root_source = !entry.is_root_source;
-    return true;
-  });
-  add("dyn-frame-clear", "schedule.enter_frame", [](PlanCorruptor& c) {
-    const int i = FindDyn(c, [](const DynNode& e, int) {
-      return e.kind == OpKind::kEnter && !e.frame.empty();
-    });
-    if (i < 0) return false;
-    c.dyn_nodes()[static_cast<std::size_t>(i)].frame.clear();
-    return true;
-  });
-  add("dyn-input-producer-range", "adjacency.producer_range",
-      [](PlanCorruptor& c) {
-        const int i = FindDyn(c, [](const DynNode& e, int) {
-          return !e.inputs.empty();
-        });
-        if (i < 0) return false;
-        c.dyn_nodes()[static_cast<std::size_t>(i)].inputs[0].producer =
-            static_cast<int>(c.dyn_nodes().size()) + 7;
-        return true;
-      });
-  add("dyn-fetch-dropped-remap", "fetch.remap", [](PlanCorruptor& c) {
-    if (c.dyn_fetch_slots().empty() || c.dyn_nodes().size() < 2) {
-      return false;
-    }
-    DagInput& slot = c.dyn_fetch_slots()[0];
-    slot.producer = slot.producer == 0 ? 1 : 0;
-    slot.slot = 0;
-    return true;
-  });
-  add("dyn-kind-flip", "schedule.kind_mismatch", [](PlanCorruptor& c) {
-    const int i = FindDyn(c, [](const DynNode& e, int) {
-      return e.kind == OpKind::kKernel;
-    });
-    if (i < 0) return false;
-    c.dyn_nodes()[static_cast<std::size_t>(i)].kind = OpKind::kConst;
-    return true;
-  });
-  add("dyn-kernel-null", "schedule.kernel_null", [](PlanCorruptor& c) {
-    const int i = FindDyn(c, [](const DynNode& e, int) {
-      return e.kind == OpKind::kKernel && e.kernel != nullptr;
-    });
-    if (i < 0) return false;
-    c.dyn_nodes()[static_cast<std::size_t>(i)].kernel = nullptr;
-    return true;
-  });
-  add("dyn-inplace-illegal", "inplace.illegal", [](PlanCorruptor& c) {
-    for (std::uint8_t& bit : c.memory().dyn_in_place) {
-      if (bit == 0) {
-        bit = 1;
-        return true;
-      }
-    }
-    return false;
-  });
-  add("dyn-inplace-dropped", "inplace.dropped", [](PlanCorruptor& c) {
-    for (std::uint8_t& bit : c.memory().dyn_in_place) {
-      if (bit != 0) {
-        bit = 0;
-        return true;
-      }
-    }
-    return false;
-  });
-  add("dyn-memory-size-mismatch", "memory.parallel_size",
-      [](PlanCorruptor& c) {
-        if (c.memory().dyn_in_place.empty()) return false;
-        c.memory().dyn_in_place.pop_back();
         return true;
       });
   return out;

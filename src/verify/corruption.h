@@ -34,22 +34,12 @@ class PlanCorruptor {
   Graph& graph() { return *graph_; }
   const ExecutionPlan& plan() const { return *plan_; }
 
-  std::vector<ExecutionPlan::DagNode>& dag_nodes() {
-    return plan_->dag_nodes_;
+  std::vector<ExecutionPlan::PlanNode>& nodes() { return plan_->nodes_; }
+  std::vector<ExecutionPlan::Endpoint>& fetch_slots() {
+    return plan_->fetch_slots_;
   }
-  std::vector<ExecutionPlan::DagInput>& dag_fetch_slots() {
-    return plan_->dag_fetch_slots_;
-  }
-  std::unordered_map<const Node*, int>& dag_index() {
-    return plan_->dag_index_;
-  }
-  std::vector<ExecutionPlan::DynNode>& dyn_nodes() {
-    return plan_->dyn_nodes_;
-  }
+  std::unordered_map<const Node*, int>& index() { return plan_->index_; }
   std::vector<NodeOutput>& fetches() { return plan_->fetches_; }
-  std::vector<ExecutionPlan::DagInput>& dyn_fetch_slots() {
-    return plan_->dyn_fetch_slots_;
-  }
   MemoryPlan& memory() { return plan_->memory_; }
 
   std::size_t num_regions() const { return plan_->fused_regions_.size(); }
@@ -65,18 +55,18 @@ class PlanCorruptor {
 
 // One catalogued mutation. `apply` damages the plan and returns true, or
 // returns false (leaving the plan intact) when the plan lacks the feature
-// the mutation targets (e.g. no fused region, no multi-input node).
+// the mutation targets (e.g. no fused region, no multi-input node, or a
+// strategy-specific invariant on the other strategy's plan).
 struct Corruption {
-  std::string name;                // e.g. "dag-back-edge"
+  std::string name;                // e.g. "back-edge"
   std::string expected_invariant;  // invariant VerifyPlan must report
   std::function<bool(PlanCorruptor&)> apply;
 };
 
-// The full catalog for one strategy. Every entry that applies to a given
-// plan must be caught by VerifyPlan with `expected_invariant` among the
-// reported issues.
-std::vector<Corruption> DagCorruptions();
-std::vector<Corruption> DynCorruptions();
+// The full catalog, for plans of either strategy. Every entry that applies
+// to a given plan must be caught by VerifyPlan with `expected_invariant`
+// among the reported issues.
+std::vector<Corruption> PlanCorruptions();
 
 }  // namespace verify
 }  // namespace janus

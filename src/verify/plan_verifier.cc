@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -18,11 +17,10 @@ namespace janus {
 namespace verify {
 namespace {
 
-using DagInput = ExecutionPlan::DagInput;
-using DagNode = ExecutionPlan::DagNode;
-using DynEdge = ExecutionPlan::DynEdge;
-using DynNode = ExecutionPlan::DynNode;
+using Edge = ExecutionPlan::Edge;
+using Endpoint = ExecutionPlan::Endpoint;
 using OpKind = ExecutionPlan::OpKind;
+using PlanNode = ExecutionPlan::PlanNode;
 
 // Mirror of plan.cc's ClassifyOp — deliberately re-derived here so a
 // classification bug in the builder cannot hide from the checker.
@@ -94,12 +92,11 @@ int PlanNodeOutputs(OpKind kind, const Node* node) {
   return std::max(1, node != nullptr ? node->num_outputs() : 1);
 }
 
-// ---- Fused-region checks, shared by the DAG and dynamic strategies ----
+// ---- Fused-region checks ----
 //
 // `in_plan` answers whether a graph node participates in the plan at all
-// (for the DAG strategy only fetch-reachable nodes do; the dynamic strategy
-// covers the whole graph); `region_of` maps a member node to its region so
-// cross-region consumption is distinguishable from in-region use.
+// (only fetch-reachable nodes do); `region_of` maps a member node to its
+// region so cross-region consumption is distinguishable from in-region use.
 struct RegionIndex {
   // Member node -> region it belongs to (interiors and roots).
   std::unordered_map<const Node*, const FusedRegionPlan*> region_of;
@@ -229,49 +226,35 @@ RegionIndex BuildRegionIndex(const ExecutionPlan& plan) {
   return index;
 }
 
-// ---- DAG strategy ----
+// ---- The plan walk (both strategies) ----
 
-void VerifyDag(Checker& check, const Graph& graph,
-               const ExecutionPlan& plan) {
-  const auto& nodes = plan.dag_nodes();
+// Dense order: the node array is a permutation of distinct graph nodes that
+// the index map round-trips, and the map covers fused interiors.
+void CheckIndex(Checker& check, const ExecutionPlan& plan,
+                const RegionIndex& region_index) {
+  const auto& nodes = plan.nodes();
   const int n = static_cast<int>(nodes.size());
-  const RegionIndex region_index = BuildRegionIndex(plan);
-
-  // Which graph nodes participate in the plan: dense entries plus fused
-  // interiors (whose dense slot is their region's).
-  std::unordered_set<const Node*> in_plan;
-  for (const DagNode& entry : nodes) {
-    if (entry.node != nullptr) in_plan.insert(entry.node);
-  }
-  for (const auto& [member, region] : region_index.region_of) {
-    in_plan.insert(member);
-  }
-
-  // Permutation: dense entries are distinct graph nodes, and the index map
-  // round-trips every one of them.
   std::unordered_set<const Node*> seen;
   for (int i = 0; i < n; ++i) {
-    const DagNode& entry = nodes[static_cast<std::size_t>(i)];
+    const PlanNode& entry = nodes[static_cast<std::size_t>(i)];
     check.Check(entry.node != nullptr, "schedule.null_node", nullptr,
                 "dense slot " + std::to_string(i) + " has no graph node");
     if (entry.node == nullptr) continue;
     check.Check(seen.insert(entry.node).second, "schedule.duplicate_node",
                 entry.node,
                 "graph node occupies more than one dense slot");
-    check.Check(plan.DagIndexOf(entry.node) == i, "index.roundtrip",
-                entry.node,
-                "DagIndexOf returns " +
-                    std::to_string(plan.DagIndexOf(entry.node)) +
+    check.Check(plan.IndexOf(entry.node) == i, "index.roundtrip", entry.node,
+                "IndexOf returns " + std::to_string(plan.IndexOf(entry.node)) +
                     " for dense slot " + std::to_string(i));
   }
   // Index-map coverage: every entry lands inside the dense array, and
   // fused interiors resolve to their region's slot.
-  for (const auto& [node, dense] : plan.dag_index_map()) {
+  for (const auto& [node, dense] : plan.index_map()) {
     check.Check(dense >= 0 && dense < n, "index.range", node,
                 "index-map entry " + std::to_string(dense) +
                     " outside [0, " + std::to_string(n) + ")");
     if (dense < 0 || dense >= n || node == nullptr) continue;
-    const DagNode& target = nodes[static_cast<std::size_t>(dense)];
+    const PlanNode& target = nodes[static_cast<std::size_t>(dense)];
     if (target.node == node) continue;
     const auto it = region_index.region_of.find(node);
     const bool interior_remap = it != region_index.region_of.end() &&
@@ -282,14 +265,263 @@ void VerifyDag(Checker& check, const Graph& graph,
                     " points at a slot holding neither the node nor its "
                     "fused region");
   }
+}
 
-  // Schedule + adjacency. Expected consumer sets are rebuilt from the
-  // plan's own input lists plus the graph's control edges, then compared
-  // against the stored adjacency exactly.
-  std::vector<std::set<int>> expected_consumers(
-      static_cast<std::size_t>(n));
+// Node `i`'s inputs and control producers: in range, in order (DAG), and
+// each mirrored by exactly one out-edge / control edge of its producer;
+// control producers mirror the graph's control inputs; the countdown starts
+// at the incoming-edge count.
+void CheckInEdges(Checker& check, const ExecutionPlan& plan, int i) {
+  const auto& nodes = plan.nodes();
+  const int n = static_cast<int>(nodes.size());
+  const PlanNode& entry = nodes[static_cast<std::size_t>(i)];
+  const bool dag = plan.strategy() == ExecutionPlan::Strategy::kDag;
+  for (std::size_t s = 0; s < entry.inputs.size(); ++s) {
+    const Endpoint& input = entry.inputs[s];
+    const bool in_range = input.producer >= 0 && input.producer < n;
+    check.Check(in_range, "adjacency.producer_range", entry.node,
+                "input " + std::to_string(s) + " producer " +
+                    Coord(input.producer, input.slot) + " outside [0, " +
+                    std::to_string(n) + ")");
+    if (!in_range) continue;
+    check.Check(input.producer != i, "schedule.self_loop", entry.node,
+                "node consumes its own output");
+    if (dag) {
+      check.Check(input.producer < i, "schedule.topological_order",
+                  entry.node,
+                  "producer at dense slot " + std::to_string(input.producer) +
+                      " does not precede consumer at " + std::to_string(i));
+    }
+    const PlanNode& producer = nodes[static_cast<std::size_t>(input.producer)];
+    const int outputs = PlanNodeOutputs(producer.kind, producer.node);
+    const bool slot_ok = input.slot >= 0 && input.slot < outputs;
+    check.Check(slot_ok, "adjacency.slot_range", entry.node,
+                "input " + std::to_string(s) + " reads slot " +
+                    std::to_string(input.slot) + " of a " +
+                    std::to_string(outputs) + "-output producer");
+    if (!slot_ok) continue;
+    int hits = 0;
+    if (static_cast<std::size_t>(input.slot) < producer.out_edges.size()) {
+      for (const Edge& edge :
+           producer.out_edges[static_cast<std::size_t>(input.slot)]) {
+        if (edge.consumer == i && edge.input_slot == static_cast<int>(s)) {
+          ++hits;
+        }
+      }
+    }
+    check.Check(hits == 1, "adjacency.edge_mirror", entry.node,
+                "input " + std::to_string(s) + " from " +
+                    Coord(input.producer, input.slot) + " has " +
+                    std::to_string(hits) +
+                    " delivery edges (need exactly 1): " +
+                    (hits == 0 ? "lost" : "duplicated") +
+                    " tokens / countdowns");
+  }
+
+  const std::vector<Node*>& graph_controls = entry.node->control_inputs();
+  for (const Node* control : graph_controls) {
+    check.Check(plan.IndexOf(control) >= 0, "adjacency.dangling_control",
+                entry.node,
+                "control input '" + control->name() + "' is not in the plan");
+  }
+  bool controls_match =
+      entry.control_producers.size() == graph_controls.size();
+  for (std::size_t k = 0; controls_match && k < graph_controls.size(); ++k) {
+    controls_match =
+        entry.control_producers[k] == plan.IndexOf(graph_controls[k]);
+  }
+  check.Check(controls_match, "adjacency.control_mirror", entry.node,
+              "control producers do not mirror the graph's " +
+                  std::to_string(graph_controls.size()) + " control inputs");
+  for (const int producer : entry.control_producers) {
+    const bool in_range = producer >= 0 && producer < n;
+    check.Check(in_range, "adjacency.producer_range", entry.node,
+                "control producer " + std::to_string(producer) +
+                    " outside [0, " + std::to_string(n) + ")");
+    if (!in_range) continue;
+    const auto& edges = nodes[static_cast<std::size_t>(producer)].control_edges;
+    check.Check(std::count(edges.begin(), edges.end(), i) ==
+                    std::count(entry.control_producers.begin(),
+                               entry.control_producers.end(), producer),
+                "adjacency.control_mirror", entry.node,
+                "control edges from slot " + std::to_string(producer) +
+                    " do not match this node's control producers");
+  }
+  const std::size_t incoming =
+      entry.inputs.size() + entry.control_producers.size();
+  check.Check(entry.in_edges == static_cast<int>(incoming),
+              "schedule.pending_count", entry.node,
+              "in_edges " + std::to_string(entry.in_edges) + " != " +
+                  std::to_string(incoming) + " incoming edges");
+}
+
+// Node `i`'s out-edges and control edges land on consumers that point back.
+void CheckOutEdges(Checker& check, const ExecutionPlan& plan, int i) {
+  const auto& nodes = plan.nodes();
+  const int n = static_cast<int>(nodes.size());
+  const PlanNode& entry = nodes[static_cast<std::size_t>(i)];
+  for (std::size_t oslot = 0; oslot < entry.out_edges.size(); ++oslot) {
+    for (const Edge& edge : entry.out_edges[oslot]) {
+      const bool consumer_ok = edge.consumer >= 0 && edge.consumer < n;
+      check.Check(consumer_ok, "adjacency.consumer_range", entry.node,
+                  "out edge to " + Coord(edge.consumer, edge.input_slot) +
+                      " outside [0, " + std::to_string(n) + ")");
+      if (!consumer_ok) continue;
+      const PlanNode& consumer = nodes[static_cast<std::size_t>(edge.consumer)];
+      const bool slot_ok =
+          edge.input_slot >= 0 &&
+          edge.input_slot < static_cast<int>(consumer.inputs.size());
+      check.Check(slot_ok, "adjacency.edge_mirror", entry.node,
+                  "out edge targets input slot " +
+                      std::to_string(edge.input_slot) +
+                      " of a consumer with " +
+                      std::to_string(consumer.inputs.size()) + " inputs");
+      if (!slot_ok) continue;
+      const Endpoint& back =
+          consumer.inputs[static_cast<std::size_t>(edge.input_slot)];
+      check.Check(back.producer == i && back.slot == static_cast<int>(oslot),
+                  "adjacency.edge_mirror", entry.node,
+                  "out edge " + Coord(edge.consumer, edge.input_slot) +
+                      " is not mirrored by the consumer's input (" +
+                      Coord(back.producer, back.slot) + ")");
+    }
+  }
+  for (const int consumer : entry.control_edges) {
+    const bool consumer_ok = consumer >= 0 && consumer < n;
+    check.Check(consumer_ok, "adjacency.consumer_range", entry.node,
+                "control edge to " + std::to_string(consumer) +
+                    " outside [0, " + std::to_string(n) + ")");
+    if (!consumer_ok) continue;
+    const auto& back =
+        nodes[static_cast<std::size_t>(consumer)].control_producers;
+    check.Check(std::count(back.begin(), back.end(), i) >= 1,
+                "adjacency.control_mirror", entry.node,
+                "control edge not mirrored in the consumer's "
+                "control_producers");
+  }
+}
+
+// Fetch slots: one per fetch, remapped to the producer's dense slot.
+void CheckFetches(Checker& check, const ExecutionPlan& plan) {
+  const auto& nodes = plan.nodes();
+  const int n = static_cast<int>(nodes.size());
+  const auto& fetch_slots = plan.fetch_slots();
+  check.Check(fetch_slots.size() == plan.fetches().size(),
+              "fetch.slot_count", nullptr,
+              std::to_string(fetch_slots.size()) + " fetch slots for " +
+                  std::to_string(plan.fetches().size()) + " fetches");
+  const std::size_t num_fetches =
+      std::min(fetch_slots.size(), plan.fetches().size());
+  for (std::size_t k = 0; k < num_fetches; ++k) {
+    const Endpoint& slot = fetch_slots[k];
+    const NodeOutput& fetch = plan.fetches()[k];
+    const bool in_range = slot.producer >= 0 && slot.producer < n;
+    check.Check(in_range, "fetch.slot_range", fetch.node,
+                "fetch " + std::to_string(k) + " slot " +
+                    Coord(slot.producer, slot.slot) + " outside [0, " +
+                    std::to_string(n) + ")");
+    if (!in_range) continue;
+    const PlanNode& producer = nodes[static_cast<std::size_t>(slot.producer)];
+    const int outputs = PlanNodeOutputs(producer.kind, producer.node);
+    check.Check(slot.slot >= 0 && slot.slot < outputs, "fetch.slot_range",
+                fetch.node,
+                "fetch " + std::to_string(k) + " reads slot " +
+                    std::to_string(slot.slot) + " of a " +
+                    std::to_string(outputs) + "-output producer");
+    check.Check(producer.node == fetch.node && slot.slot == fetch.index,
+                "fetch.remap", fetch.node,
+                "fetch " + std::to_string(k) + " remapped to " +
+                    Coord(slot.producer, slot.slot) +
+                    " which is not its producer's dense slot");
+  }
+}
+
+// Memory plan: recompute liveness/in-place independently and require
+// equality. An undercount releases a live buffer; an overcount leaks.
+void CheckMemory(Checker& check, const ExecutionPlan& plan) {
+  const auto& nodes = plan.nodes();
+  const int n = static_cast<int>(nodes.size());
+  const MemoryPlan& memory = plan.memory();
+  check.Check(memory.nodes.size() == nodes.size(), "memory.parallel_size",
+              nullptr,
+              "memory plan covers " + std::to_string(memory.nodes.size()) +
+                  " of " + std::to_string(nodes.size()) + " plan nodes");
+  if (memory.nodes.size() != nodes.size()) return;
+  std::vector<int> reads(static_cast<std::size_t>(n), 0);
+  for (const PlanNode& entry : nodes) {
+    for (const Endpoint& input : entry.inputs) {
+      if (input.producer >= 0 && input.producer < n) {
+        ++reads[static_cast<std::size_t>(input.producer)];
+      }
+    }
+  }
+  std::vector<bool> fetch_protected(static_cast<std::size_t>(n), false);
+  for (const Endpoint& slot : plan.fetch_slots()) {
+    if (slot.producer >= 0 && slot.producer < n) {
+      fetch_protected[static_cast<std::size_t>(slot.producer)] = true;
+    }
+  }
   for (int i = 0; i < n; ++i) {
-    const DagNode& entry = nodes[static_cast<std::size_t>(i)];
+    const auto u = static_cast<std::size_t>(i);
+    const PlanNode& entry = nodes[u];
+    const MemoryPlan::NodeInfo& info = memory.nodes[u];
+    check.Check(info.output_reads >= reads[u], "liveness.undercount",
+                entry.node,
+                "output_reads " + std::to_string(info.output_reads) + " < " +
+                    std::to_string(reads[u]) +
+                    " actual data reads: the countdown would release a "
+                    "buffer with a live consumer");
+    check.Check(info.output_reads <= reads[u], "liveness.overcount",
+                entry.node,
+                "output_reads " + std::to_string(info.output_reads) + " > " +
+                    std::to_string(reads[u]) +
+                    " actual data reads: the buffer would never be "
+                    "released mid-run");
+    check.Check(!fetch_protected[u] || info.fetch_protected,
+                "liveness.fetch_unprotected", entry.node,
+                "fetch producer is not marked fetch_protected; its "
+                "output could be dropped before the run ends");
+    check.Check(fetch_protected[u] || !info.fetch_protected,
+                "liveness.spurious_protection", entry.node,
+                "non-fetch node marked fetch_protected; its buffer "
+                "would be retained for the whole run");
+    const bool expected_in_place =
+        (entry.kind == OpKind::kKernel && entry.node != nullptr &&
+         OpSupportsInPlace(entry.node->op())) ||
+        (entry.kind == OpKind::kFusedRegion && entry.fused != nullptr &&
+         !entry.fused->has_reduction);
+    check.Check(!info.in_place_capable || expected_in_place,
+                "inplace.illegal", entry.node,
+                "in_place_capable set on an op outside the same-index "
+                "elementwise allowlist: overwriting its input while "
+                "reading it would corrupt the computation");
+    check.Check(info.in_place_capable || !expected_in_place,
+                "inplace.dropped", entry.node,
+                "allowlisted op lost its in_place_capable bit (memory "
+                "plan built against a stale schedule?)");
+  }
+}
+
+void VerifyNodes(Checker& check, const Graph& graph,
+                 const ExecutionPlan& plan) {
+  const auto& nodes = plan.nodes();
+  const int n = static_cast<int>(nodes.size());
+  const bool dynamic = plan.strategy() == ExecutionPlan::Strategy::kDynamic;
+  const RegionIndex region_index = BuildRegionIndex(plan);
+
+  // Which graph nodes participate in the plan: dense entries plus fused
+  // interiors (whose dense slot is their region's).
+  std::unordered_set<const Node*> in_plan;
+  for (const PlanNode& entry : nodes) {
+    if (entry.node != nullptr) in_plan.insert(entry.node);
+  }
+  for (const auto& [member, region] : region_index.region_of) {
+    in_plan.insert(member);
+  }
+  CheckIndex(check, plan, region_index);
+
+  for (int i = 0; i < n; ++i) {
+    const PlanNode& entry = nodes[static_cast<std::size_t>(i)];
     if (entry.node == nullptr) continue;
 
     const OpKind expected_kind =
@@ -320,408 +552,31 @@ void VerifyDag(Checker& check, const Graph& graph,
                     in_plan);
       }
     }
-
-    std::set<int> producers;
-    for (std::size_t s = 0; s < entry.inputs.size(); ++s) {
-      const DagInput& input = entry.inputs[s];
-      const bool in_range = input.producer >= 0 && input.producer < n;
-      check.Check(in_range, "adjacency.producer_range", entry.node,
-                  "input " + std::to_string(s) + " producer " +
-                      Coord(input.producer, input.slot) +
-                      " outside [0, " + std::to_string(n) + ")");
-      if (!in_range) continue;
-      check.Check(input.producer != i, "schedule.self_loop", entry.node,
-                  "node consumes its own output");
-      check.Check(input.producer < i, "schedule.topological_order",
-                  entry.node,
-                  "producer at dense slot " +
-                      std::to_string(input.producer) +
-                      " does not precede consumer at " + std::to_string(i));
-      const DagNode& producer =
-          nodes[static_cast<std::size_t>(input.producer)];
-      const int outputs = PlanNodeOutputs(producer.kind, producer.node);
-      check.Check(input.slot >= 0 && input.slot < outputs,
-                  "adjacency.slot_range", entry.node,
-                  "input " + std::to_string(s) + " reads slot " +
-                      std::to_string(input.slot) + " of a " +
-                      std::to_string(outputs) + "-output producer");
-      producers.insert(input.producer);
-    }
-    // Control producers come from the graph (the plan stores them only as
-    // pending-count contributions and consumer edges).
-    for (const Node* control : entry.node->control_inputs()) {
-      const int dense = plan.DagIndexOf(control);
-      check.Check(dense >= 0, "adjacency.dangling_control", entry.node,
-                  "control input '" + control->name() +
-                      "' is not in the plan");
-      if (dense >= 0 && dense < n) producers.insert(dense);
-    }
-    check.Check(entry.initial_pending ==
-                    static_cast<int>(producers.size()),
-                "schedule.pending_count", entry.node,
-                "initial_pending " + std::to_string(entry.initial_pending) +
-                    " != " + std::to_string(producers.size()) +
-                    " distinct producers");
-    for (const int producer : producers) {
-      if (producer >= 0 && producer < n) {
-        expected_consumers[static_cast<std::size_t>(producer)].insert(i);
+    // The tagged-token fields, which the DAG executor ignores.
+    if (dynamic) {
+      if (entry.kind == OpKind::kEnter) {
+        check.Check(!entry.frame.empty(), "schedule.enter_frame", entry.node,
+                    "Enter node with an empty frame name: its tokens would "
+                    "collide with the root frame");
       }
+      // is_root_source: sources plus input-less kernels, nothing else.
+      const bool expected_root =
+          IsSourceKind(entry.kind) ||
+          (entry.kind == OpKind::kKernel && entry.inputs.empty() &&
+           entry.control_producers.empty());
+      check.Check(entry.is_root_source == expected_root,
+                  "schedule.root_source", entry.node,
+                  entry.is_root_source
+                      ? "marked root-source but has inputs or is not a "
+                        "source kind (would fire before its tokens exist)"
+                      : "source node not marked root-source (would never "
+                        "fire)");
     }
+    CheckInEdges(check, plan, i);
+    CheckOutEdges(check, plan, i);
   }
-  for (int i = 0; i < n; ++i) {
-    const DagNode& entry = nodes[static_cast<std::size_t>(i)];
-    std::set<int> actual;
-    for (const int consumer : entry.consumers) {
-      check.Check(consumer >= 0 && consumer < n,
-                  "adjacency.consumer_range", entry.node,
-                  "consumer index " + std::to_string(consumer) +
-                      " outside [0, " + std::to_string(n) + ")");
-      check.Check(actual.insert(consumer).second,
-                  "adjacency.consumer_duplicate", entry.node,
-                  "consumer " + std::to_string(consumer) +
-                      " listed twice (pending counts would double-fire)");
-    }
-    check.Check(actual == expected_consumers[static_cast<std::size_t>(i)],
-                "adjacency.consumer_mirror", entry.node,
-                "stored consumer set (" + std::to_string(actual.size()) +
-                    ") does not mirror the input/control edges (" +
-                    std::to_string(
-                        expected_consumers[static_cast<std::size_t>(i)]
-                            .size()) +
-                    ")");
-  }
-
-  // Fetch slots: one per fetch, remapped to the producer's dense slot.
-  const auto& fetch_slots = plan.dag_fetch_slots();
-  check.Check(fetch_slots.size() == plan.fetches().size(),
-              "fetch.slot_count", nullptr,
-              std::to_string(fetch_slots.size()) + " fetch slots for " +
-                  std::to_string(plan.fetches().size()) + " fetches");
-  const std::size_t num_fetches =
-      std::min(fetch_slots.size(), plan.fetches().size());
-  for (std::size_t k = 0; k < num_fetches; ++k) {
-    const DagInput& slot = fetch_slots[k];
-    const NodeOutput& fetch = plan.fetches()[k];
-    const bool in_range = slot.producer >= 0 && slot.producer < n;
-    check.Check(in_range, "fetch.slot_range", fetch.node,
-                "fetch " + std::to_string(k) + " slot " +
-                    Coord(slot.producer, slot.slot) + " outside [0, " +
-                    std::to_string(n) + ")");
-    if (!in_range) continue;
-    const DagNode& producer = nodes[static_cast<std::size_t>(slot.producer)];
-    const int outputs = PlanNodeOutputs(producer.kind, producer.node);
-    check.Check(slot.slot >= 0 && slot.slot < outputs, "fetch.slot_range",
-                fetch.node,
-                "fetch " + std::to_string(k) + " reads slot " +
-                    std::to_string(slot.slot) + " of a " +
-                    std::to_string(outputs) + "-output producer");
-    check.Check(producer.node == fetch.node && slot.slot == fetch.index,
-                "fetch.remap", fetch.node,
-                "fetch " + std::to_string(k) + " remapped to " +
-                    Coord(slot.producer, slot.slot) +
-                    " which is not its producer's dense slot");
-  }
-
-  // Memory plan: recompute liveness/in-place independently and require
-  // equality. An undercount releases a live buffer; an overcount leaks.
-  const MemoryPlan& memory = plan.memory();
-  check.Check(memory.dag.size() == nodes.size(), "memory.parallel_size",
-              nullptr,
-              "memory plan covers " + std::to_string(memory.dag.size()) +
-                  " of " + std::to_string(nodes.size()) + " dag nodes");
-  if (memory.dag.size() == nodes.size()) {
-    std::vector<int> reads(static_cast<std::size_t>(n), 0);
-    for (const DagNode& entry : nodes) {
-      for (const DagInput& input : entry.inputs) {
-        if (input.producer >= 0 && input.producer < n) {
-          ++reads[static_cast<std::size_t>(input.producer)];
-        }
-      }
-    }
-    std::vector<bool> fetch_protected(static_cast<std::size_t>(n), false);
-    for (const DagInput& slot : fetch_slots) {
-      if (slot.producer >= 0 && slot.producer < n) {
-        fetch_protected[static_cast<std::size_t>(slot.producer)] = true;
-      }
-    }
-    for (int i = 0; i < n; ++i) {
-      const DagNode& entry = nodes[static_cast<std::size_t>(i)];
-      const MemoryPlan::DagNodeInfo& info =
-          memory.dag[static_cast<std::size_t>(i)];
-      check.Check(info.output_reads >=
-                      reads[static_cast<std::size_t>(i)],
-                  "liveness.undercount", entry.node,
-                  "output_reads " + std::to_string(info.output_reads) +
-                      " < " + std::to_string(reads[static_cast<std::size_t>(
-                                  i)]) +
-                      " actual data reads: the countdown would release a "
-                      "buffer with a live consumer");
-      check.Check(info.output_reads <=
-                      reads[static_cast<std::size_t>(i)],
-                  "liveness.overcount", entry.node,
-                  "output_reads " + std::to_string(info.output_reads) +
-                      " > " + std::to_string(reads[static_cast<std::size_t>(
-                                  i)]) +
-                      " actual data reads: the buffer would never be "
-                      "released mid-run");
-      check.Check(!fetch_protected[static_cast<std::size_t>(i)] ||
-                      info.fetch_protected,
-                  "liveness.fetch_unprotected", entry.node,
-                  "fetch producer is not marked fetch_protected; its "
-                  "output could be dropped before the run ends");
-      check.Check(fetch_protected[static_cast<std::size_t>(i)] ||
-                      !info.fetch_protected,
-                  "liveness.spurious_protection", entry.node,
-                  "non-fetch node marked fetch_protected; its buffer "
-                  "would be retained for the whole run");
-      const bool expected_in_place =
-          (entry.kind == OpKind::kKernel && entry.node != nullptr &&
-           OpSupportsInPlace(entry.node->op())) ||
-          (entry.kind == OpKind::kFusedRegion && entry.fused != nullptr &&
-           !entry.fused->has_reduction);
-      check.Check(!info.in_place_capable || expected_in_place,
-                  "inplace.illegal", entry.node,
-                  "in_place_capable set on an op outside the same-index "
-                  "elementwise allowlist: overwriting its input while "
-                  "reading it would corrupt the computation");
-      check.Check(info.in_place_capable || !expected_in_place,
-                  "inplace.dropped", entry.node,
-                  "allowlisted op lost its in_place_capable bit (memory "
-                  "plan built against a stale schedule?)");
-    }
-  }
-}
-
-// ---- Dynamic (tagged-token) strategy ----
-
-void VerifyDyn(Checker& check, const Graph& graph,
-               const ExecutionPlan& plan) {
-  const auto& nodes = plan.dyn_nodes();
-  const int n = static_cast<int>(nodes.size());
-  const RegionIndex region_index = BuildRegionIndex(plan);
-
-  // The dynamic strategy covers the whole graph.
-  std::unordered_set<const Node*> in_plan;
-  for (const DynNode& entry : nodes) {
-    if (entry.node != nullptr) in_plan.insert(entry.node);
-  }
-  for (const auto& [member, region] : region_index.region_of) {
-    in_plan.insert(member);
-  }
-  std::unordered_map<const Node*, int> dense_of;
-
-  std::unordered_set<const Node*> seen;
-  for (int i = 0; i < n; ++i) {
-    const DynNode& entry = nodes[static_cast<std::size_t>(i)];
-    check.Check(entry.node != nullptr, "schedule.null_node", nullptr,
-                "dense slot " + std::to_string(i) + " has no graph node");
-    if (entry.node == nullptr) continue;
-    check.Check(seen.insert(entry.node).second, "schedule.duplicate_node",
-                entry.node,
-                "graph node occupies more than one dense slot");
-    dense_of[entry.node] = i;
-  }
-
-  for (int i = 0; i < n; ++i) {
-    const DynNode& entry = nodes[static_cast<std::size_t>(i)];
-    if (entry.node == nullptr) continue;
-
-    const OpKind expected_kind =
-        entry.kind == OpKind::kFusedRegion ? OpKind::kFusedRegion
-                                           : ClassifyOp(entry.node->op());
-    check.Check(entry.kind == expected_kind, "schedule.kind_mismatch",
-                entry.node,
-                std::string("plan kind ") + KindName(entry.kind) +
-                    " but op '" + entry.node->op() + "' classifies as " +
-                    KindName(expected_kind));
-    if (entry.kind == OpKind::kKernel) {
-      check.Check(entry.kernel != nullptr, "schedule.kernel_null",
-                  entry.node, "kernel op with no resolved KernelFn");
-    }
-    if (entry.kind == OpKind::kEnter) {
-      check.Check(!entry.frame.empty(), "schedule.enter_frame", entry.node,
-                  "Enter node with an empty frame name: its tokens would "
-                  "collide with the root frame");
-    }
-    if (entry.kind == OpKind::kFusedRegion) {
-      check.Check(entry.fused != nullptr, "fusion.null_plan", entry.node,
-                  "kFusedRegion plan node with no region plan");
-      if (entry.fused != nullptr) {
-        check.Check(RegionOwnedByPlan(plan, entry.fused),
-                    "fusion.foreign_region", entry.node,
-                    "region plan is not owned by this ExecutionPlan");
-        CheckRegion(check, graph, plan, *entry.fused, entry.node,
-                    static_cast<int>(entry.inputs.size()), region_index,
-                    in_plan);
-      }
-    }
-
-    // is_root_source: sources plus input-less kernels, nothing else.
-    const bool expected_root =
-        IsSourceKind(entry.kind) ||
-        (entry.kind == OpKind::kKernel && entry.inputs.empty() &&
-         entry.control_producers.empty());
-    check.Check(entry.is_root_source == expected_root,
-                "schedule.root_source", entry.node,
-                entry.is_root_source
-                    ? "marked root-source but has inputs or is not a "
-                      "source kind (would fire before its tokens exist)"
-                    : "source node not marked root-source (would never "
-                      "fire)");
-
-    // Data-edge mirror: inputs[s] = {p, oslot}  <=>  {i, s} appears
-    // exactly once in nodes[p].out_edges[oslot].
-    for (std::size_t s = 0; s < entry.inputs.size(); ++s) {
-      const DagInput& input = entry.inputs[s];
-      const bool in_range = input.producer >= 0 && input.producer < n;
-      check.Check(in_range, "adjacency.producer_range", entry.node,
-                  "input " + std::to_string(s) + " producer " +
-                      Coord(input.producer, input.slot) +
-                      " outside [0, " + std::to_string(n) + ")");
-      if (!in_range) continue;
-      const DynNode& producer =
-          nodes[static_cast<std::size_t>(input.producer)];
-      const bool slot_ok =
-          input.slot >= 0 &&
-          input.slot < static_cast<int>(producer.out_edges.size());
-      check.Check(slot_ok, "adjacency.slot_range", entry.node,
-                  "input " + std::to_string(s) + " reads slot " +
-                      std::to_string(input.slot) + " of a producer with " +
-                      std::to_string(producer.out_edges.size()) +
-                      " output slots");
-      if (!slot_ok) continue;
-      int hits = 0;
-      for (const DynEdge& edge :
-           producer.out_edges[static_cast<std::size_t>(input.slot)]) {
-        if (edge.consumer == i &&
-            edge.input_slot == static_cast<int>(s)) {
-          ++hits;
-        }
-      }
-      check.Check(hits == 1, "adjacency.edge_mirror", entry.node,
-                  "input " + std::to_string(s) + " from " +
-                      Coord(input.producer, input.slot) + " has " +
-                      std::to_string(hits) +
-                      " delivery edges (need exactly 1): tokens would be " +
-                      (hits == 0 ? "lost" : "duplicated"));
-    }
-    // Reverse direction: every outgoing edge lands on a consumer input
-    // slot that points back here.
-    for (std::size_t oslot = 0; oslot < entry.out_edges.size(); ++oslot) {
-      for (const DynEdge& edge : entry.out_edges[oslot]) {
-        const bool consumer_ok = edge.consumer >= 0 && edge.consumer < n;
-        check.Check(consumer_ok, "adjacency.consumer_range", entry.node,
-                    "out edge to " +
-                        Coord(edge.consumer, edge.input_slot) +
-                        " outside [0, " + std::to_string(n) + ")");
-        if (!consumer_ok) continue;
-        const DynNode& consumer =
-            nodes[static_cast<std::size_t>(edge.consumer)];
-        const bool slot_ok =
-            edge.input_slot >= 0 &&
-            edge.input_slot < static_cast<int>(consumer.inputs.size());
-        check.Check(slot_ok, "adjacency.edge_mirror", entry.node,
-                    "out edge targets input slot " +
-                        std::to_string(edge.input_slot) +
-                        " of a consumer with " +
-                        std::to_string(consumer.inputs.size()) + " inputs");
-        if (!slot_ok) continue;
-        const DagInput& back =
-            consumer.inputs[static_cast<std::size_t>(edge.input_slot)];
-        check.Check(back.producer == i &&
-                        back.slot == static_cast<int>(oslot),
-                    "adjacency.edge_mirror", entry.node,
-                    "out edge " + Coord(edge.consumer, edge.input_slot) +
-                        " is not mirrored by the consumer's input (" +
-                        Coord(back.producer, back.slot) + ")");
-      }
-    }
-    // Control mirror.
-    for (const int producer : entry.control_producers) {
-      const bool in_range = producer >= 0 && producer < n;
-      check.Check(in_range, "adjacency.producer_range", entry.node,
-                  "control producer " + std::to_string(producer) +
-                      " outside [0, " + std::to_string(n) + ")");
-      if (!in_range) continue;
-      int hits = 0;
-      for (const DynEdge& edge :
-           nodes[static_cast<std::size_t>(producer)].control_edges) {
-        if (edge.consumer == i && edge.input_slot == -1) ++hits;
-      }
-      check.Check(hits == 1, "adjacency.control_mirror", entry.node,
-                  "control edge from slot " + std::to_string(producer) +
-                      " has " + std::to_string(hits) +
-                      " delivery edges (need exactly 1)");
-    }
-    for (const DynEdge& edge : entry.control_edges) {
-      const bool consumer_ok = edge.consumer >= 0 && edge.consumer < n;
-      check.Check(consumer_ok && edge.input_slot == -1,
-                  "adjacency.control_mirror", entry.node,
-                  "control edge to " +
-                      Coord(edge.consumer, edge.input_slot) +
-                      " is malformed");
-      if (!consumer_ok) continue;
-      const auto& back =
-          nodes[static_cast<std::size_t>(edge.consumer)].control_producers;
-      check.Check(std::count(back.begin(), back.end(), i) >= 1,
-                  "adjacency.control_mirror", entry.node,
-                  "control edge not mirrored in the consumer's "
-                  "control_producers");
-    }
-  }
-
-  // Fetch slots.
-  const auto& fetch_slots = plan.dyn_fetch_slots();
-  check.Check(fetch_slots.size() == plan.fetches().size(),
-              "fetch.slot_count", nullptr,
-              std::to_string(fetch_slots.size()) + " fetch slots for " +
-                  std::to_string(plan.fetches().size()) + " fetches");
-  const std::size_t num_fetches =
-      std::min(fetch_slots.size(), plan.fetches().size());
-  for (std::size_t k = 0; k < num_fetches; ++k) {
-    const DagInput& slot = fetch_slots[k];
-    const NodeOutput& fetch = plan.fetches()[k];
-    const bool in_range = slot.producer >= 0 && slot.producer < n;
-    check.Check(in_range, "fetch.slot_range", fetch.node,
-                "fetch " + std::to_string(k) + " slot " +
-                    Coord(slot.producer, slot.slot) + " outside [0, " +
-                    std::to_string(n) + ")");
-    if (!in_range) continue;
-    const DynNode& producer = nodes[static_cast<std::size_t>(slot.producer)];
-    check.Check(producer.node == fetch.node && slot.slot == fetch.index,
-                "fetch.remap", fetch.node,
-                "fetch " + std::to_string(k) + " remapped to " +
-                    Coord(slot.producer, slot.slot) +
-                    " which is not its producer's dense slot");
-  }
-
-  // Memory plan (in-place bits only; the dynamic executor gets liveness
-  // from token lifetimes).
-  const MemoryPlan& memory = plan.memory();
-  check.Check(memory.dyn_in_place.size() == nodes.size(),
-              "memory.parallel_size", nullptr,
-              "memory plan covers " +
-                  std::to_string(memory.dyn_in_place.size()) + " of " +
-                  std::to_string(nodes.size()) + " dyn nodes");
-  if (memory.dyn_in_place.size() == nodes.size()) {
-    for (int i = 0; i < n; ++i) {
-      const DynNode& entry = nodes[static_cast<std::size_t>(i)];
-      if (entry.node == nullptr) continue;
-      const bool expected_in_place =
-          (entry.kind == OpKind::kKernel &&
-           OpSupportsInPlace(entry.node->op())) ||
-          (entry.kind == OpKind::kFusedRegion && entry.fused != nullptr &&
-           !entry.fused->has_reduction);
-      const bool actual =
-          memory.dyn_in_place[static_cast<std::size_t>(i)] != 0;
-      check.Check(!actual || expected_in_place, "inplace.illegal",
-                  entry.node,
-                  "in_place bit set on an op outside the same-index "
-                  "elementwise allowlist");
-      check.Check(actual || !expected_in_place, "inplace.dropped",
-                  entry.node, "allowlisted op lost its in_place bit");
-    }
-  }
+  CheckFetches(check, plan);
+  CheckMemory(check, plan);
 }
 
 // JANUS_VERIFY tri-state: unset -> build-type default; "0"/"false"/"off"
@@ -767,11 +622,7 @@ std::string Report::ToString() const {
 Report VerifyPlan(const Graph& graph, const ExecutionPlan& plan) {
   Report report;
   Checker check(&report);
-  if (plan.strategy() == ExecutionPlan::Strategy::kDag) {
-    VerifyDag(check, graph, plan);
-  } else {
-    VerifyDyn(check, graph, plan);
-  }
+  VerifyNodes(check, graph, plan);
   return report;
 }
 

@@ -153,22 +153,22 @@ TEST(MemoryPlanTest, BuildComputesReadsProtectionAndCapability) {
   const std::vector<NodeOutput> fetches{{add, 0}};
   const auto plan = ExecutionPlan::Build(g, fetches);
   const MemoryPlan& mem = plan->memory();
-  ASSERT_EQ(mem.dag.size(), plan->dag_nodes().size());
+  ASSERT_EQ(mem.nodes.size(), plan->nodes().size());
 
-  const int ci = plan->DagIndexOf(c.node);
-  const int t1i = plan->DagIndexOf(t1);
-  const int addi = plan->DagIndexOf(add);
+  const int ci = plan->IndexOf(c.node);
+  const int t1i = plan->IndexOf(t1);
+  const int addi = plan->IndexOf(add);
   ASSERT_GE(ci, 0);
   ASSERT_GE(t1i, 0);
   ASSERT_GE(addi, 0);
-  EXPECT_EQ(mem.dag[static_cast<std::size_t>(ci)].output_reads, 1);
+  EXPECT_EQ(mem.nodes[static_cast<std::size_t>(ci)].output_reads, 1);
   // Both Add inputs read t1: two counted reads.
-  EXPECT_EQ(mem.dag[static_cast<std::size_t>(t1i)].output_reads, 2);
-  EXPECT_FALSE(mem.dag[static_cast<std::size_t>(t1i)].fetch_protected);
-  EXPECT_FALSE(mem.dag[static_cast<std::size_t>(t1i)].in_place_capable);
-  EXPECT_EQ(mem.dag[static_cast<std::size_t>(addi)].output_reads, 0);
-  EXPECT_TRUE(mem.dag[static_cast<std::size_t>(addi)].fetch_protected);
-  EXPECT_TRUE(mem.dag[static_cast<std::size_t>(addi)].in_place_capable);
+  EXPECT_EQ(mem.nodes[static_cast<std::size_t>(t1i)].output_reads, 2);
+  EXPECT_FALSE(mem.nodes[static_cast<std::size_t>(t1i)].fetch_protected);
+  EXPECT_FALSE(mem.nodes[static_cast<std::size_t>(t1i)].in_place_capable);
+  EXPECT_EQ(mem.nodes[static_cast<std::size_t>(addi)].output_reads, 0);
+  EXPECT_TRUE(mem.nodes[static_cast<std::size_t>(addi)].fetch_protected);
+  EXPECT_TRUE(mem.nodes[static_cast<std::size_t>(addi)].in_place_capable);
 }
 
 class MemoryPlanLivenessTest : public ::testing::Test {

@@ -171,7 +171,7 @@ TEST_F(ExecutorTest, CheapFanOutStaysOnCallingThread) {
                         std::chrono::steady_clock::now() - start)
                         .count());
   }
-  const auto nodes = static_cast<std::int64_t>(plan->dag_nodes().size());
+  const auto nodes = static_cast<std::int64_t>(plan->nodes().size());
   if (fastest_ns / nodes > PoolDecision::kPoolHandoffNs / 4) {
     GTEST_SKIP() << "nodes cost " << fastest_ns / nodes
                  << " ns each in this build";
@@ -252,7 +252,7 @@ TEST_F(ExecutorTest, DeepUnfusedChainRunsWithPool) {
   for (int i = 0; i < kDepth; ++i) v = {g.AddNode("Neg", {v}), 0};
   const auto plan = ExecutionPlan::Build(g, std::vector<NodeOutput>{v},
                                          {.enable_fusion = false});
-  ASSERT_EQ(plan->dag_nodes().size(), static_cast<std::size_t>(kDepth + 1));
+  ASSERT_EQ(plan->nodes().size(), static_cast<std::size_t>(kDepth + 1));
   ThreadPool pool(4);
   Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
   for (int run = 0; run < 3; ++run) {
@@ -271,7 +271,7 @@ TEST_F(ExecutorTest, EmptyPlanRunsWithPool) {
   // count off.
   Graph g;
   const auto plan = ExecutionPlan::Build(g, std::vector<NodeOutput>{});
-  ASSERT_TRUE(plan->dag_nodes().empty());
+  ASSERT_TRUE(plan->nodes().empty());
   ThreadPool pool(2);
   Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
   for (int run = 0; run < 1 + PoolDecision::kCalibrationRuns + 2; ++run) {
@@ -652,10 +652,10 @@ TEST_F(ExecutorTest, NeedsDynamicExecutionDetection) {
   Graph dag;
   const NodeOutput c = dag.Constant(Tensor::Scalar(1));
   dag.AddNode("Neg", {c});
-  EXPECT_FALSE(Executor::NeedsDynamicExecution(dag));
+  EXPECT_FALSE(GraphNeedsDynamicExecution(dag));
 
   CondGraph cond = BuildCond();
-  EXPECT_TRUE(Executor::NeedsDynamicExecution(cond.g));
+  EXPECT_TRUE(GraphNeedsDynamicExecution(cond.g));
 }
 
 TEST_F(ExecutorTest, RandomOpsDeterministicPerSeed) {

@@ -115,7 +115,7 @@ TEST_F(FusionTest, ChainFusesIntoOneRegion) {
   EXPECT_EQ(plan->fused_regions()[0]->members.size(), 6u);
   EXPECT_FALSE(plan->fused_regions()[0]->has_reduction);
   // Placeholder + const + one region node: all interiors disappeared.
-  EXPECT_EQ(plan->dag_nodes().size(), 3u);
+  EXPECT_EQ(plan->nodes().size(), 3u);
 
   const RunMetrics metrics = ExpectFusedMatchesUnfused(
       g, fetches, {{"x", Iota(Shape{8, 8})}});

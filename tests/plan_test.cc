@@ -94,6 +94,43 @@ TEST_F(PlanTest, DynamicStrategyChosenForControlFlowGraph) {
   EXPECT_EQ(plan->strategy(), ExecutionPlan::Strategy::kDynamic);
 }
 
+TEST_F(PlanTest, DynamicPlanKeepsOnlyFetchReachableNodes) {
+  // pred ? x * 3 : x + 100 through Switch/Merge. An Exp on the true branch
+  // that nothing fetches or anchors is left out of the plan, as a DAG plan
+  // would leave it out; an AssignVariable anchored to the fetch by a
+  // control edge stays in and commits.
+  Graph g;
+  const NodeOutput pred = g.Placeholder("pred", DType::kBool);
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  Node* sw = g.AddNode("Switch", {x, pred}, {}, 2);
+  Node* times3 = g.AddNode("Mul", {{sw, 1}, g.Constant(Tensor::Scalar(3))});
+  Node* plus100 =
+      g.AddNode("Add", {{sw, 0}, g.Constant(Tensor::Scalar(100))});
+  Node* stray = g.AddNode("Exp", {{sw, 1}});
+  Node* merge = g.AddNode("Merge", {{times3, 0}, {plus100, 0}}, {}, 2);
+  Node* write = g.AddNode("AssignVariable", {x}, {{"var", std::string("v")}});
+  Node* result = g.AddNode("Identity", {{merge, 0}});
+  result->AddControlInput(write);
+  const std::vector<NodeOutput> fetches{{result, 0}};
+
+  const auto plan = ExecutionPlan::Build(g, fetches);
+  ASSERT_EQ(plan->strategy(), ExecutionPlan::Strategy::kDynamic);
+  EXPECT_EQ(plan->IndexOf(stray), -1);
+  EXPECT_GE(plan->IndexOf(write), 0);
+  EXPECT_EQ(plan->nodes().size(), g.nodes().size() - 1);
+
+  Executor executor = MakeExecutor();
+  for (const bool taken : {true, false}) {
+    const float input = taken ? 2.0f : 4.0f;
+    const auto out = executor.Run(
+        *plan, {{"pred", Tensor::ScalarBool(taken)},
+                {"x", Tensor::Scalar(input)}});
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_FLOAT_EQ(out[0].ScalarValue(), taken ? 6.0f : 104.0f);
+    EXPECT_FLOAT_EQ(variables_.Read("v").ScalarValue(), input);
+  }
+}
+
 TEST_F(PlanTest, ReusedDagPlanMatchesFreshPlan) {
   Graph g;
   const NodeOutput x = g.Placeholder("x", DType::kFloat32);

@@ -32,12 +32,15 @@ struct Built {
 
 // Diamond DAG without fusable chains: x -> {Square, Transpose} -> MatMul.
 // Built with fusion off so the corruption tests see plain kernel nodes.
+// MatMul also waits on Square through a control edge (redundant with its
+// data edge), so the control-edge entries have a target.
 Built BuildPlainDag() {
   Built b;
   const NodeOutput x = b.g.Placeholder("x", DType::kFloat32);
   Node* sq = b.g.AddNode("Square", {x});
   Node* tr = b.g.AddNode("Transpose", {x});
   Node* mm = b.g.AddNode("MatMul", {{sq, 0}, {tr, 0}});
+  mm->AddControlInput(sq);
   b.fetches = {{mm, 0}};
   b.plan = ExecutionPlan::Build(b.g, b.fetches,
                                 PlanOptions{.enable_fusion = false});
@@ -82,6 +85,64 @@ Built BuildDynLoop() {
   return b;
 }
 
+// i = 0; while (i < n) i = (i + 1) + 1 — the two-Add loop body fuses into
+// one region of the tagged-token plan (fusion_test.cc).
+Built BuildFusedDynLoop() {
+  Built b;
+  const NodeOutput zero = b.g.Constant(Tensor::ScalarInt(0));
+  const NodeOutput n = b.g.Placeholder("n", DType::kInt64);
+  Node* enter_i =
+      b.g.AddNode("Enter", {zero}, {{"frame", std::string("loop")}});
+  Node* enter_n = b.g.AddNode(
+      "Enter", {n}, {{"frame", std::string("loop")}, {"is_constant", true}});
+  Node* merge = b.g.AddNode("Merge", {{enter_i, 0}, {enter_i, 0}}, {}, 2);
+  Node* less = b.g.AddNode("Less", {{merge, 0}, {enter_n, 0}});
+  Node* sw = b.g.AddNode("Switch", {{merge, 0}, {less, 0}}, {}, 2);
+  Node* one = b.g.AddNode("Const", {}, {{"value", Tensor::ScalarInt(1)}});
+  Node* inc1 = b.g.AddNode("Add", {{sw, 1}, {one, 0}});
+  Node* inc2 = b.g.AddNode("Add", {{inc1, 0}, {one, 0}});
+  Node* next = b.g.AddNode("NextIteration", {{inc2, 0}});
+  merge->set_input(1, {next, 0});
+  Node* exit = b.g.AddNode("Exit", {{sw, 0}});
+  b.fetches = {{exit, 0}};
+  b.plan = ExecutionPlan::Build(b.g, b.fetches,
+                                PlanOptions{.enable_fusion = true});
+  return b;
+}
+
+// Catalog entries whose target every fixture has: a node with inputs, an
+// out-edge, a kernel node, a fetch, an in-place-capable node.
+std::set<std::string> Expected(std::initializer_list<std::string> extra) {
+  std::set<std::string> names = {
+      "self-loop", "producer-out-of-range", "producer-negative",
+      "slot-out-of-range", "edge-drop", "edge-duplicate", "edge-slot-skew",
+      "phantom-edge", "pending-undercount", "pending-overcount", "kind-flip",
+      "kernel-null", "index-skew", "index-erase", "index-out-of-range",
+      "fetch-producer-range", "fetch-output-slot-range",
+      "fetch-dropped-remap", "liveness-undercount", "liveness-overcount",
+      "liveness-fetch-unprotected", "liveness-spurious-protection",
+      "inplace-illegal", "inplace-dropped", "memory-size-mismatch",
+  };
+  names.insert(extra.begin(), extra.end());
+  return names;
+}
+
+// The fusion.* entries; they apply to any plan with a region of >= 2
+// members and a plan node outside it.
+const std::vector<std::string> kFusionEntries = {
+    "fusion-null-plan", "fusion-drop-root-member", "fusion-reduction-flag",
+    "fusion-operand-dangling", "fusion-external-arity",
+    "fusion-member-kernel-null", "fusion-out-of-region-consumer",
+    "fusion-interior-fetched", "fusion-interior-control",
+};
+
+void ExpectApplied(const std::set<std::string>& applied,
+                   const std::set<std::string>& expected) {
+  for (const std::string& name : expected) {
+    EXPECT_TRUE(applied.count(name)) << name << " did not apply";
+  }
+}
+
 bool HasInvariant(const Report& report, const std::string& invariant) {
   return std::any_of(report.issues.begin(), report.issues.end(),
                      [&invariant](const Issue& issue) {
@@ -89,14 +150,13 @@ bool HasInvariant(const Report& report, const std::string& invariant) {
                      });
 }
 
-// Applies every applicable corruption from `catalog` against a fresh build
-// from `make`, asserting each is diagnosed with its expected invariant and
-// that every reported issue carries a node attribution. Returns the names
-// of the corruptions that applied.
-std::set<std::string> RunCatalog(const std::vector<Corruption>& catalog,
-                                 Built (*make)()) {
+// Applies every applicable corruption from the catalog against a fresh
+// build from `make`, asserting each is diagnosed with its expected
+// invariant and that every reported issue carries a node attribution.
+// Returns the names of the corruptions that applied.
+std::set<std::string> RunCatalog(Built (*make)()) {
   std::set<std::string> applied;
-  for (const Corruption& corruption : catalog) {
+  for (const Corruption& corruption : PlanCorruptions()) {
     Built b = make();
     const Report baseline = VerifyPlan(b.g, *b.plan);
     EXPECT_TRUE(baseline.ok())
@@ -144,61 +204,62 @@ TEST(VerifyPlanTest, CleanDynPlanPasses) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
-// ---- seeded corruption catalogs ----
+TEST(VerifyPlanTest, CleanFusedDynPlanPasses) {
+  Built b = BuildFusedDynLoop();
+  ASSERT_EQ(b.plan->strategy(), ExecutionPlan::Strategy::kDynamic);
+  ASSERT_EQ(b.plan->fused_regions().size(), 1u);
+  const Report report = VerifyPlan(b.g, *b.plan);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+// ---- the seeded corruption catalog, over all four fixtures ----
 
 TEST(VerifyPlanTest, PlainDagCorruptionsCaught) {
-  const std::set<std::string> applied =
-      RunCatalog(DagCorruptions(), &BuildPlainDag);
-  // Everything except the fusion-specific entries applies to a plain DAG.
-  EXPECT_GE(applied.size(), 15u);
+  ExpectApplied(RunCatalog(&BuildPlainDag),
+                Expected({"back-edge", "control-drop"}));
 }
 
 TEST(VerifyPlanTest, FusedDagCorruptionsCaught) {
-  const std::set<std::string> applied =
-      RunCatalog(DagCorruptions(), &BuildFusedDag);
-  // The fused plan additionally exercises the fusion.* entries.
-  EXPECT_TRUE(applied.count("fusion-null-plan"));
-  EXPECT_TRUE(applied.count("fusion-drop-root-member"));
-  EXPECT_TRUE(applied.count("fusion-out-of-region-consumer"));
-  EXPECT_TRUE(applied.count("fusion-interior-fetched"));
-  EXPECT_TRUE(applied.count("fusion-interior-control"));
+  std::set<std::string> expected = Expected({"back-edge"});
+  expected.insert(kFusionEntries.begin(), kFusionEntries.end());
+  ExpectApplied(RunCatalog(&BuildFusedDag), expected);
 }
 
 TEST(VerifyPlanTest, DynCorruptionsCaught) {
-  const std::set<std::string> applied =
-      RunCatalog(DynCorruptions(), &BuildDynLoop);
-  EXPECT_GE(applied.size(), 10u);
+  ExpectApplied(RunCatalog(&BuildDynLoop),
+                Expected({"root-source-flip", "frame-clear"}));
+}
+
+TEST(VerifyPlanTest, FusedDynLoopCorruptionsCaught) {
+  std::set<std::string> expected =
+      Expected({"root-source-flip", "frame-clear"});
+  expected.insert(kFusionEntries.begin(), kFusionEntries.end());
+  ExpectApplied(RunCatalog(&BuildFusedDynLoop), expected);
 }
 
 TEST(VerifyPlanTest, AtLeastTwentyDistinctCorruptionsCaught) {
   std::set<std::string> all;
-  for (const std::string& name : RunCatalog(DagCorruptions(),
-                                            &BuildPlainDag)) {
-    all.insert(name);
-  }
-  for (const std::string& name : RunCatalog(DagCorruptions(),
-                                            &BuildFusedDag)) {
-    all.insert(name);
-  }
-  for (const std::string& name : RunCatalog(DynCorruptions(),
-                                            &BuildDynLoop)) {
-    all.insert(name);
+  for (Built (*make)() : {&BuildPlainDag, &BuildFusedDag, &BuildDynLoop,
+                          &BuildFusedDynLoop}) {
+    for (const std::string& name : RunCatalog(make)) all.insert(name);
   }
   EXPECT_GE(all.size(), 20u) << "only " << all.size()
                              << " distinct corruptions applied";
+  // No catalog entry is dead: each one applies to some fixture.
+  EXPECT_EQ(all.size(), PlanCorruptions().size());
 }
 
 // The ISSUE's named negative cases must each map to a distinct diagnostic.
 TEST(VerifyPlanTest, NamedNegativeCasesHaveDistinctDiagnostics) {
   const std::vector<std::pair<std::string, Built (*)()>> cases = {
-      {"dag-back-edge", &BuildPlainDag},           // cycle injection
-      {"dag-fetch-dropped-remap", &BuildPlainDag}, // dropped fetch remap
+      {"back-edge", &BuildPlainDag},               // cycle injection
+      {"fetch-dropped-remap", &BuildPlainDag},     // dropped fetch remap
       {"liveness-undercount", &BuildPlainDag},
       {"fusion-out-of-region-consumer", &BuildFusedDag},
   };
   std::set<std::string> invariants;
   for (const auto& [name, make] : cases) {
-    const std::vector<Corruption> catalog = DagCorruptions();
+    const std::vector<Corruption> catalog = PlanCorruptions();
     const auto it = std::find_if(
         catalog.begin(), catalog.end(),
         [&name](const Corruption& c) { return c.name == name; });
@@ -310,8 +371,8 @@ TEST_F(VerifyHookTest, HookPassesCleanBuildsAndRejectsCorruptPlans) {
   EXPECT_NO_THROW(GetPlanVerifyHook()(b.g, *b.plan));
   // A corrupted plan is rejected with the report in the message.
   PlanCorruptor corruptor(&b.g, b.plan.get());
-  ASSERT_GT(b.plan->memory().dag.size(), 0u);
-  corruptor.memory().dag[0].output_reads += 1;
+  ASSERT_GT(b.plan->memory().nodes.size(), 0u);
+  corruptor.memory().nodes[0].output_reads += 1;
   EXPECT_THROW(GetPlanVerifyHook()(b.g, *b.plan), InternalError);
 }
 
@@ -320,8 +381,8 @@ TEST_F(VerifyHookTest, DisabledHookSkipsVerification) {
   SetVerifyEnabledForTesting(0);
   Built b = BuildPlainDag();
   PlanCorruptor corruptor(&b.g, b.plan.get());
-  ASSERT_GT(b.plan->memory().dag.size(), 0u);
-  corruptor.memory().dag[0].output_reads += 1;
+  ASSERT_GT(b.plan->memory().nodes.size(), 0u);
+  corruptor.memory().nodes[0].output_reads += 1;
   EXPECT_NO_THROW(GetPlanVerifyHook()(b.g, *b.plan));
 }
 
