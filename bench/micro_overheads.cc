@@ -19,15 +19,19 @@
 namespace janus {
 namespace {
 
-// Builds a chain of N Adds: the shape shared by the plan-layer benchmarks
-// below so plan-build cost and per-run dispatch cost are comparable.
-NodeOutput BuildAddChain(Graph& g, int n) {
-  NodeOutput v = g.Constant(Tensor::Full(Shape{8, 8}, 1.0f));
+// Appends a chain of N Adds of an 8x8 constant onto `v`.
+NodeOutput AddChainOnto(Graph& g, NodeOutput v, int n) {
   const NodeOutput one = g.Constant(Tensor::Full(Shape{8, 8}, 1.0f));
   for (int i = 0; i < n; ++i) {
     v = {g.AddNode("Add", {v, one}), 0};
   }
   return v;
+}
+
+// Builds a chain of N Adds: the shape shared by the plan-layer benchmarks
+// below so plan-build cost and per-run dispatch cost are comparable.
+NodeOutput BuildAddChain(Graph& g, int n) {
+  return AddChainOnto(g, g.Constant(Tensor::Full(Shape{8, 8}, 1.0f)), n);
 }
 
 void BM_EagerOpDispatch(benchmark::State& state) {
@@ -108,10 +112,24 @@ BENCHMARK(BM_PlanBuild)->Arg(16)->Arg(128);
 
 void BM_PrebuiltPlanDispatch(benchmark::State& state) {
   // Pure dispatch over a prebuilt plan (Executor::Run(plan, ...)): the
-  // cached-graph path with even the plan-cache probe removed.
+  // cached-graph path with even the plan-cache probe removed. Arg 1 = 1 puts
+  // the same chain behind one taken Switch, with an Identity on the
+  // untaken side and a Merge joining them: deadness costs a conditional
+  // plan no more per op than a plain one.
   const int n = static_cast<int>(state.range(0));
   Graph g;
-  const NodeOutput v = BuildAddChain(g, n);
+  NodeOutput v;
+  if (state.range(1) != 0) {
+    Node* sw = g.AddNode("Switch",
+                         {g.Constant(Tensor::Full(Shape{8, 8}, 1.0f)),
+                          g.Constant(Tensor::ScalarBool(true))},
+                         {}, 2);
+    const NodeOutput taken = AddChainOnto(g, {sw, 1}, n);
+    Node* untaken = g.AddNode("Identity", {{sw, 0}});
+    v = {g.AddNode("Merge", {taken, {untaken, 0}}, {}, 2), 0};
+  } else {
+    v = BuildAddChain(g, n);
+  }
   FunctionLibrary library;
   VariableStore variables;
   Rng rng(1);
@@ -122,7 +140,11 @@ void BM_PrebuiltPlanDispatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_PrebuiltPlanDispatch)->Arg(16)->Arg(128);
+BENCHMARK(BM_PrebuiltPlanDispatch)
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Args({128, 0})
+    ->Args({128, 1});
 
 void BM_FusedChain(benchmark::State& state) {
   // The fusion pass's headline effect: the same 16-op elementwise chain

@@ -280,10 +280,6 @@ std::vector<OptOut> OpGradient(Graph& g, FunctionLibrary& lib, Node* node,
     // Order the gradient after the forward loop so the tape exists.
     wg->AddControlInput(node);
     for (int i = 0; i < n_in; ++i) din[static_cast<std::size_t>(i)] = {wg, i};
-  } else if (op == "Enter" || op == "Exit" || op == "NextIteration") {
-    throw NotConvertible(
-        "gradient through dataflow frame primitives is not supported; "
-        "differentiable loops must use the functional While op");
   } else {
     throw NotConvertible("no gradient rule for op '" + op + "'");
   }

@@ -3,6 +3,7 @@
 #include <unordered_map>
 
 #include "autodiff/gradients.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 #include "runtime/executor.h"
 #include "runtime/kernel.h"

@@ -66,8 +66,7 @@ std::string FormatMeanNs(double mean_ns) {
 }
 
 bool IsControlFlow(const std::string& op) {
-  return op == "Switch" || op == "Merge" || op == "Enter" || op == "Exit" ||
-         op == "NextIteration" || op == "While" || op == "Invoke";
+  return op == "Switch" || op == "Merge" || op == "While" || op == "Invoke";
 }
 
 bool IsStateOp(const std::string& op) {

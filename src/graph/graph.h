@@ -2,9 +2,9 @@
 //
 // A Graph owns Nodes; Nodes reference each other through non-owning
 // NodeOutput handles (node pointer + output slot), mirroring how TensorFlow
-// edges carry (producer, output_index). Control-flow follows the classic
-// dataflow primitives the paper builds on: Switch, Merge, Enter, Exit,
-// NextIteration (Yu et al., EuroSys'18) plus InvokeOp for recursive
+// edges carry (producer, output_index). Control flow uses the dataflow
+// conditional primitives the paper builds on, Switch and Merge (Yu et al.,
+// EuroSys'18), the functional While for loops, InvokeOp for recursive
 // functions (Jeong et al., EuroSys'18) and AssertOp for JANUS's speculative
 // assumption checks.
 #ifndef JANUS_GRAPH_GRAPH_H_

@@ -98,8 +98,7 @@ bool IsPureOp(const std::string& op) {
         "PyGetSubscr",   "PySetSubscr",    "PyPrint",
         "RandomNormal",  "RandomUniform",  "NoOp",
         "Invoke",        "While",          "WhileGrad",
-        "Switch",        "Merge",          "Enter",
-        "Exit",          "NextIteration"};
+        "Switch",        "Merge"};
   }();
   return impure->find(op) == impure->end();
 }

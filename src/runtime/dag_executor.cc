@@ -1,8 +1,8 @@
-// DAG strategy: executes a precompiled ExecutionPlan over dependency
-// countdown, sequentially or fanned out to a thread pool. All scheduling
-// data (dense indices, incoming-edge counts, out-edges, resolved kernels)
-// comes from the plan; the only per-run state is the countdown/output array.
-// A node's countdown starts at its incoming-edge count, and each of its
+// The executor: runs a precompiled ExecutionPlan over dependency countdown,
+// sequentially or fanned out to a thread pool. All scheduling data (dense
+// indices, incoming-edge counts, out-edges, resolved kernels) comes from the
+// plan; the only per-run state is the countdown/liveness/output array. A
+// node's countdown starts at its incoming-edge count, and each of its
 // producers' out-edges and control edges counts it down by one.
 //
 // Whether a run offered a pool actually uses it is the plan's PoolDecision
@@ -11,16 +11,26 @@
 // one node it readies and hands only the extras to the pool. Pending
 // counts are atomics; no lock is taken per node.
 //
+// Switch/Merge conditionals run by TF 1.x dead-value propagation (§4.2.1).
+// Each node records which of its outputs are live: all, none, or the one
+// slot a Switch took. A Switch forwards its data to output `pred ? 1 : 0`;
+// a Merge waits for all its inputs and forwards the lowest-index live one
+// with that index, and is dead only if every data input is. Any other node
+// is dead if a data input or a control producer's output 0 is, and then
+// skips its kernel. Nodes without inputs are never dead.
+//
 // Buffer liveness follows the plan's MemoryPlan: every data read of a
-// producer's outputs counts its `reads_remaining` down, and the read that
-// reaches zero clears the producer's output slots (unless fetch-protected).
-// That both returns dead intermediate buffers to the BufferPool mid-run and
-// makes the consuming kernel's `inputs` vector the sole holder of a dying
-// buffer, enabling in-place output reuse for plan-marked elementwise nodes.
+// producer's outputs counts its `reads_remaining` down (a dead consumer
+// counts off too), and the read that reaches zero clears the producer's
+// output slots (unless fetch-protected). That both returns dead
+// intermediate buffers to the BufferPool mid-run and makes the consuming
+// kernel's `inputs` vector the sole holder of a dying buffer, enabling
+// in-place output reuse for plan-marked elementwise nodes.
 #include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <string>
 
 #include "common/logging.h"
 #include "obs/profile.h"
@@ -31,12 +41,23 @@ namespace janus {
 namespace internal {
 namespace {
 
+using OpKind = ExecutionPlan::OpKind;
 using PlanNode = ExecutionPlan::PlanNode;
+
+// NodeState::live values besides a Switch's taken output slot.
+constexpr int kAllLive = -1;
+constexpr int kNoneLive = -2;
 
 struct NodeState {
   std::atomic<int> pending{0};
   std::atomic<int> reads_remaining{0};
+  // Which outputs are live: kAllLive, kNoneLive, or the one slot a Switch
+  // took. Set before the node's out-edges count down, so the acq_rel
+  // countdown publishes it to consumers; never cleared with the outputs.
+  int live = kAllLive;
   std::vector<Tensor> outputs;
+
+  bool IsLive(int slot) const { return live == kAllLive || live == slot; }
 };
 
 // Shared state of one fanned-out run, on the caller's stack. A pool thread
@@ -52,7 +73,40 @@ struct FanOutState {
   bool done = false;  // guarded by mu
 };
 
-// One execution of a DAG plan.
+// RAII sampled-time recorder for one plan-node execution, so every exit
+// path of a node body (precomputed shortcut, source kinds, kernel
+// dispatch) is covered. Construct with armed = ShouldSampleProfileNode().
+struct ProfRecord {
+  obs::PlanProfile* profile;
+  int index;
+  std::int64_t start_ns;
+  bool armed;
+  ~ProfRecord() {
+    if (armed && profile != nullptr) {
+      profile->Record(index, obs::Trace::NowNs() - start_ns);
+    }
+  }
+};
+
+// The value of a Param (bound by the caller) or a Placeholder (fed by
+// name).
+Tensor ResolveSource(const RunContext& run, OpKind kind, const Node& node,
+                     const Bindings& bindings) {
+  if (kind == OpKind::kParam) {
+    const auto it = bindings.find(&node);
+    if (it == bindings.end()) {
+      throw InternalError("unbound Param node '" + node.name() + "'");
+    }
+    return it->second;
+  }
+  if (run.feeds != nullptr) {
+    const auto it = run.feeds->find(node.name());
+    if (it != run.feeds->end()) return it->second;
+  }
+  throw InvalidArgument("placeholder '" + node.name() + "' was not fed");
+}
+
+// One execution of a plan.
 class DagRun {
  public:
   DagRun(RunContext& run, const ExecutionPlan& plan, const Bindings& bindings,
@@ -97,7 +151,7 @@ class DagRun {
       });
     }
     if (ready.size() != nodes_.size()) {
-      throw InternalError("graph contains a cycle (DAG executor)");
+      throw InternalError("graph contains a cycle");
     }
   }
 
@@ -117,9 +171,9 @@ class DagRun {
       if (nodes_[i].in_edges != 0) continue;
       const int index = static_cast<int>(i);
       switch (nodes_[i].kind) {
-        case ExecutionPlan::OpKind::kConst:
-        case ExecutionPlan::OpKind::kPlaceholder:
-        case ExecutionPlan::OpKind::kParam:
+        case OpKind::kConst:
+        case OpKind::kPlaceholder:
+        case OpKind::kParam:
           // True only for the last node, i.e. a plan of nothing but roots.
           if (Step(f, index, next, /*on_pool=*/false)) finished = true;
           break;
@@ -140,6 +194,12 @@ class DagRun {
     results.reserve(plan_.fetch_slots().size());
     for (const ExecutionPlan::Endpoint& fetch : plan_.fetch_slots()) {
       const auto& state = states_[static_cast<std::size_t>(fetch.producer)];
+      if (!state.IsLive(fetch.slot)) {
+        throw InternalError(
+            "fetched output " + std::to_string(fetch.slot) + " of '" +
+            nodes_[static_cast<std::size_t>(fetch.producer)].node->name() +
+            "' is dead (on an untaken branch)");
+      }
       results.push_back(
           state.outputs.at(static_cast<std::size_t>(fetch.slot)));
     }
@@ -244,11 +304,11 @@ class DagRun {
       }
     }
     switch (entry.kind) {
-      case ExecutionPlan::OpKind::kConst:
+      case OpKind::kConst:
         state.outputs.assign(1, entry.const_value);
         return;
-      case ExecutionPlan::OpKind::kPlaceholder:
-      case ExecutionPlan::OpKind::kParam:
+      case OpKind::kPlaceholder:
+      case OpKind::kParam:
         state.outputs.assign(
             1, ResolveSource(run_, entry.kind, *entry.node, bindings_));
         return;
@@ -257,10 +317,18 @@ class DagRun {
     }
     std::vector<Tensor> inputs;
     inputs.reserve(entry.inputs.size());
+    int first_live = -1;
+    bool any_dead = false;
     for (const ExecutionPlan::Endpoint& input : entry.inputs) {
       const auto& producer = states_[static_cast<std::size_t>(input.producer)];
-      inputs.push_back(
-          producer.outputs.at(static_cast<std::size_t>(input.slot)));
+      if (producer.IsLive(input.slot)) {
+        if (first_live < 0) first_live = static_cast<int>(inputs.size());
+        inputs.push_back(
+            producer.outputs.at(static_cast<std::size_t>(input.slot)));
+      } else {
+        any_dead = true;
+        inputs.emplace_back();  // a placeholder that keeps slots aligned
+      }
     }
     // This node's reads are done (copied above): count them off each
     // producer and drop producer-held references when the last counted read
@@ -275,16 +343,49 @@ class DagRun {
         ReleaseOutputs(producer);
       }
     }
-    if (entry.kind == ExecutionPlan::OpKind::kFusedRegion) {
-      // Note the precomputed check above keys on the region's ROOT node;
-      // interior members recorded on an eager tape are honoured inside
-      // ExecuteFusedRegion, which falls back to per-member dispatch.
-      ExecuteFusedRegion(run_, *entry.fused, inputs, state.outputs,
-                         /*allow_in_place=*/minfo.in_place_capable,
-                         precomputed_);
-    } else {
-      ExecuteKernel(run_, *entry.node, *entry.kernel, inputs, state.outputs,
-                    /*allow_in_place=*/minfo.in_place_capable);
+    switch (entry.kind) {
+      case OpKind::kSwitch:
+        // Inputs are (data, pred); control-input deadness is ignored.
+        if (any_dead) {
+          state.live = kNoneLive;
+        } else {
+          state.live = inputs[1].ScalarBoolValue() ? 1 : 0;
+          state.outputs.resize(2);
+          state.outputs[static_cast<std::size_t>(state.live)] =
+              std::move(inputs[0]);
+        }
+        break;
+      case OpKind::kMerge:
+        // Control-input deadness is ignored here too.
+        if (first_live < 0) {
+          state.live = kNoneLive;
+        } else {
+          state.outputs = {std::move(inputs[static_cast<std::size_t>(
+                               first_live)]),
+                           Tensor::ScalarInt(first_live)};
+        }
+        break;
+      default:
+        for (const int control : entry.control_producers) {
+          if (!states_[static_cast<std::size_t>(control)].IsLive(0)) {
+            any_dead = true;
+          }
+        }
+        if (any_dead) {
+          state.live = kNoneLive;
+        } else if (entry.kind == OpKind::kFusedRegion) {
+          // Note the precomputed check above keys on the region's ROOT
+          // node; interior members recorded on an eager tape are honoured
+          // inside ExecuteFusedRegion, which falls back to per-member
+          // dispatch.
+          ExecuteFusedRegion(run_, *entry.fused, inputs, state.outputs,
+                             /*allow_in_place=*/minfo.in_place_capable,
+                             precomputed_);
+        } else {
+          ExecuteKernel(run_, *entry.node, *entry.kernel, inputs,
+                        state.outputs,
+                        /*allow_in_place=*/minfo.in_place_capable);
+        }
     }
     // Outputs nothing reads (control-edge-anchored side effects) die at
     // birth.

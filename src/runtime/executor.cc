@@ -1,38 +1,19 @@
 // Thin execution driver: resolves the per-graph ExecutionPlan (from the
-// graph's plan cache or a caller-supplied prebuilt plan) and hands it to the
-// strategy implementation in dag_executor.cc / dynamic_executor.cc. All
-// schedule construction lives in plan.cc; nothing here is per-node work.
+// graph's plan cache or a caller-supplied prebuilt plan) and hands it to
+// the executor in dag_executor.cc. All schedule construction lives in
+// plan.cc; nothing here is per-node work.
 #include "runtime/executor.h"
 
 #include <chrono>
 
 #include "common/logging.h"
 #include "obs/ledger.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 #include "tensor/buffer_pool.h"
 
 namespace janus {
 namespace internal {
-
-Tensor ResolveSource(RunContext& run, ExecutionPlan::OpKind kind,
-                     const Node& node, const Bindings& bindings) {
-  if (kind == ExecutionPlan::OpKind::kConst) {
-    return node.GetTensorAttr("value");
-  }
-  if (kind == ExecutionPlan::OpKind::kParam) {
-    const auto it = bindings.find(&node);
-    if (it == bindings.end()) {
-      throw InternalError("unbound Param node '" + node.name() + "'");
-    }
-    return it->second;
-  }
-  // Placeholder.
-  if (run.feeds != nullptr) {
-    const auto it = run.feeds->find(node.name());
-    if (it != run.feeds->end()) return it->second;
-  }
-  throw InvalidArgument("placeholder '" + node.name() + "' was not fed");
-}
 
 void ExecuteKernel(RunContext& run, const Node& node, const KernelFn& kernel,
                    std::span<const Tensor> inputs,
@@ -182,13 +163,8 @@ std::vector<Tensor> Executor::RunPlan(
   run.pool = options_.parallel ? options_.pool : nullptr;
   if (obs::PlanProfile* profile = plan.profile()) profile->AddRun();
 
-  std::vector<Tensor> results;
-  if (plan.strategy() == ExecutionPlan::Strategy::kDynamic) {
-    results = internal::ExecuteDynamic(run, plan, {});
-  } else {
-    results = internal::ExecuteDag(run, plan, {},
-                                   options_.parallel && options_.pool);
-  }
+  std::vector<Tensor> results = internal::ExecuteDag(
+      run, plan, {}, options_.parallel && options_.pool);
   run.Commit();
   return results;
 }
@@ -210,13 +186,6 @@ std::vector<Tensor> Executor::RunFunction(RunContext& run,
   // per-iteration While calls reuse one schedule.
   const std::shared_ptr<const ExecutionPlan> plan =
       GetOrBuildPlan(fn.graph, fn.results, &run);
-  if (plan->strategy() == ExecutionPlan::Strategy::kDynamic) {
-    try {
-      return internal::ExecuteDynamic(run, *plan, bindings);
-    } catch (const InternalError& e) {
-      throw InternalError("in function '" + fn.name + "': " + e.what());
-    }
-  }
   // Nested runs execute inline on the calling thread (never on the pool) to
   // avoid pool-thread starvation; see header comment.
   return internal::ExecuteDag(run, *plan, bindings, /*parallel=*/false);

@@ -2,21 +2,16 @@
 //
 // Scheduling is compiled once per graph into an ExecutionPlan
 // (runtime/plan.h); Run dispatches a prebuilt plan with zero per-run
-// schedule construction. Two strategies, picked at plan-build time, read
-// the same plan-node array (ExecutionPlan::PlanNode):
-//  * DAG path (dag_executor.cc): graphs without control-flow primitives
-//    execute in topological order, each node counted down from its
-//    incoming-edge count along its producers' out-edges. When the executor
-//    has a pool (the +PARL knob of Fig. 7), each plan decides once, from the
-//    mean node cost of its first few runs (sequential, all but the first
-//    timed), whether to use it: plans whose nodes average less than a pool
-//    handoff run exactly as without a pool; coarse plans fan ready ops out
-//    over atomic pending counts (PoolDecision in runtime/plan.h).
-//  * Dynamic path (dynamic_executor.cc): graphs containing Switch/Merge/
-//    Enter/Exit/NextIteration execute with tagged tokens carrying
-//    (frame, iteration) context and dead-value propagation along the same
-//    out-edges, the classic dataflow machinery of TF 1.x that the paper
-//    builds on (§4.2.1).
+// schedule construction. Every plan runs on one path (dag_executor.cc): its
+// nodes execute in topological order, each counted down from its
+// incoming-edge count along its producers' out-edges, and Switch/Merge
+// conditionals propagate a dead bit per value, the dataflow deadness of
+// TF 1.x that the paper builds on (§4.2.1). When the executor has a pool
+// (the +PARL knob of Fig. 7), each plan decides once, from the mean node
+// cost of its first few runs (sequential, all but the first timed), whether
+// to use it: plans whose nodes average less than a pool handoff run exactly
+// as without a pool; coarse plans fan ready ops out over atomic pending
+// counts (PoolDecision in runtime/plan.h).
 //
 // Nested executions (InvokeOp function calls, While bodies) run inline on
 // the calling thread and share the caller's RunContext, so staged state and
@@ -32,7 +27,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "obs/profile.h"
 #include "runtime/kernel.h"
 #include "runtime/plan.h"
 #include "runtime/run_context.h"
@@ -40,7 +34,7 @@
 namespace janus {
 
 struct ExecutorOptions {
-  // Offers `pool` to DAG plans; each plan's PoolDecision says whether its
+  // Offers `pool` to every plan; each plan's PoolDecision says whether its
   // runs use it. Requires `pool`.
   bool parallel = false;
   ThreadPool* pool = nullptr;
@@ -128,36 +122,17 @@ using Bindings = std::map<const Node*, Tensor>;
 // this to run gradient subgraphs without recomputing the forward pass.
 using Precomputed = std::map<const Node*, std::vector<Tensor>>;
 
-// RAII sampled-time recorder for one plan-node execution, shared by both
-// strategies. Destructor-based so every exit path of a node body
-// (precomputed shortcut, source kinds, control-flow `continue`s, kernel
-// dispatch) is covered. Construct with armed = ShouldSampleProfileNode().
-struct ProfRecord {
-  obs::PlanProfile* profile;
-  int index;
-  std::int64_t start_ns;
-  bool armed;
-  ~ProfRecord() {
-    if (armed && profile != nullptr) {
-      profile->Record(index, obs::Trace::NowNs() - start_ns);
-    }
-  }
-};
-
-// Shared by both strategy implementations (defined in executor.cc).
-Tensor ResolveSource(RunContext& run, ExecutionPlan::OpKind kind,
-                     const Node& node, const Bindings& bindings);
+// Runs one kernel (defined in executor.cc; fused regions call it for
+// per-member fallback dispatch).
 void ExecuteKernel(RunContext& run, const Node& node, const KernelFn& kernel,
                    std::span<const Tensor> inputs,
                    std::vector<Tensor>& outputs, bool allow_in_place = false);
 
-// Strategy implementations. Fetches come from the plan.
+// Runs one plan; fetches come from the plan. Throws InternalError if a
+// fetched value is dead.
 std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
                                const Bindings& bindings, bool parallel,
                                const Precomputed* precomputed = nullptr);
-
-std::vector<Tensor> ExecuteDynamic(RunContext& run, const ExecutionPlan& plan,
-                                   const Bindings& bindings);
 
 }  // namespace internal
 }  // namespace janus

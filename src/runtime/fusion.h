@@ -136,11 +136,11 @@ struct FusedRegionPlan {
 };
 
 // The fusion pass, invoked by ExecutionPlan::Build after the node array is
-// built, for either strategy. Rewrites the plan in place: interior members
-// disappear, the region node takes the root's position (preserving
-// schedule order), the externals' out-edges are rewired into it, and all
-// indices — edges, fetch slots, the node -> index map (interiors resolve to
-// their region) — are remapped. Returns the number of regions formed.
+// built. Rewrites the plan in place: interior members disappear, the region
+// node takes the root's position (preserving schedule order), the
+// externals' out-edges are rewired into it, and all indices — edges, fetch
+// slots, the node -> index map (interiors resolve to their region) — are
+// remapped. Returns the number of regions formed.
 int FusePlan(std::vector<ExecutionPlan::PlanNode>& nodes,
              std::vector<ExecutionPlan::Endpoint>& fetch_slots,
              std::unordered_map<const Node*, int>& index,

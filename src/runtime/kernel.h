@@ -1,8 +1,8 @@
 // Op kernel interface and registry for the dataflow graph runtime.
 //
-// Control-flow primitives (Switch, Merge, Enter, Exit, NextIteration) are
-// interpreted directly by the dynamic executor and have no kernels here;
-// every other op resolves to a KernelFn through the registry.
+// Sources (Const, Placeholder, Param) and the conditional primitives Switch
+// and Merge are interpreted directly by the executor and have no kernels
+// here; every other op resolves to a KernelFn through the registry.
 #ifndef JANUS_RUNTIME_KERNEL_H_
 #define JANUS_RUNTIME_KERNEL_H_
 

@@ -1,17 +1,15 @@
 // Plan-time tensor liveness analysis.
 //
 // A MemoryPlan is computed once per ExecutionPlan (at plan-build time, off
-// the run hot path) and tells the executors, for every plan node of either
-// strategy:
+// the run hot path) and tells the executor, for every plan node:
 //
 //   * output_reads     — how many data edges read this node's outputs. The
-//                        DAG executor counts reads down at run time and drops
-//                        the producer's output tensors the moment the last
+//                        executor counts reads down at run time (a consumer
+//                        on an untaken branch counts off too) and drops the
+//                        producer's output tensors the moment the last
 //                        consumer has copied them, returning dead
 //                        intermediate buffers to the BufferPool mid-run
-//                        instead of at end-of-run teardown. (The dynamic
-//                        executor gets liveness from token lifetimes and
-//                        reads only the in-place bit.)
+//                        instead of at end-of-run teardown.
 //   * fetch_protected  — the node feeds a fetch slot; its outputs must
 //                        survive to the end of the run and are never dropped.
 //   * in_place_capable — the node's kernel is a same-index elementwise op,

@@ -22,29 +22,13 @@ ExecutionPlan::OpKind ClassifyOp(const std::string& op) {
   if (op == "Param") return OpKind::kParam;
   if (op == "Switch") return OpKind::kSwitch;
   if (op == "Merge") return OpKind::kMerge;
-  if (op == "Enter") return OpKind::kEnter;
-  if (op == "Exit") return OpKind::kExit;
-  if (op == "NextIteration") return OpKind::kNextIteration;
   return OpKind::kKernel;
-}
-
-bool IsControlFlowKind(ExecutionPlan::OpKind kind) {
-  using OpKind = ExecutionPlan::OpKind;
-  return kind == OpKind::kSwitch || kind == OpKind::kMerge ||
-         kind == OpKind::kEnter || kind == OpKind::kExit ||
-         kind == OpKind::kNextIteration;
-}
-
-bool IsSourceKind(ExecutionPlan::OpKind kind) {
-  using OpKind = ExecutionPlan::OpKind;
-  return kind == OpKind::kConst || kind == OpKind::kPlaceholder ||
-         kind == OpKind::kParam;
 }
 
 // The nodes the fetches transitively need (through data and control edges),
 // in graph order. Side-effecting ops only run when anchored to a fetch (the
-// update-anchor NoOp convention); under the dynamic strategy deadness
-// propagation then decides which of them execute.
+// update-anchor NoOp convention); inside a conditional, deadness then
+// decides which of them execute.
 std::vector<const Node*> FetchReachable(const Graph& graph,
                                         std::span<const NodeOutput> fetches) {
   std::unordered_set<const Node*> needed;
@@ -72,10 +56,10 @@ std::vector<const Node*> FetchReachable(const Graph& graph,
 // append replacement nodes (folded constants, ZerosLike) at the END of the
 // graph while rewiring earlier consumers onto them — and both fusion's
 // region collection and the plan verifier rely on producers preceding
-// consumers in a DAG plan. Kahn's algorithm with a min-heap on graph
-// position keeps the order deterministic and as close to graph order as the
-// edges allow. On a cycle, returns `nodes` unchanged and lets the
-// executor's executed-count check report it.
+// consumers. Kahn's algorithm with a min-heap on graph position keeps the
+// order deterministic and as close to graph order as the edges allow. On a
+// cycle, returns `nodes` unchanged and lets the executor's executed-count
+// check report it.
 std::vector<const Node*> TopologicalOrder(std::vector<const Node*> nodes) {
   std::unordered_map<const Node*, int> position;
   position.reserve(nodes.size());
@@ -158,13 +142,6 @@ PlanVerifyHookFn GetPlanVerifyHook() {
   return g_plan_verify_hook.load(std::memory_order_relaxed);
 }
 
-bool GraphNeedsDynamicExecution(const Graph& graph) {
-  for (const auto& node : graph.nodes()) {
-    if (IsControlFlowKind(ClassifyOp(node->op()))) return true;
-  }
-  return false;
-}
-
 std::shared_ptr<const ExecutionPlan> ExecutionPlan::Build(
     const Graph& graph, std::span<const NodeOutput> fetches,
     PlanOptions options) {
@@ -174,15 +151,7 @@ std::shared_ptr<const ExecutionPlan> ExecutionPlan::Build(
   auto plan = std::shared_ptr<ExecutionPlan>(new ExecutionPlan());
   plan->fetches_.assign(fetches.begin(), fetches.end());
   plan->graph_version_ = graph.version();
-  // Both strategies run the fetch-reachable nodes; only the order differs.
-  std::vector<const Node*> order = FetchReachable(graph, fetches);
-  if (GraphNeedsDynamicExecution(graph)) {
-    plan->strategy_ = Strategy::kDynamic;
-  } else {
-    plan->strategy_ = Strategy::kDag;
-    order = TopologicalOrder(std::move(order));
-  }
-  plan->BuildNodes(order);
+  plan->BuildNodes(TopologicalOrder(FetchReachable(graph, fetches)));
   // Fusion rewrites the node array in place (interior members disappear)
   // and must run before the memory plan: liveness is computed over the
   // fused node array, so interior values are never materialized or tracked.
@@ -224,15 +193,7 @@ void ExecutionPlan::BuildNodes(const std::vector<const Node*>& order) {
       entry.kernel = &KernelRegistry::Global().Lookup(node->op());
     } else if (entry.kind == OpKind::kConst) {
       entry.const_value = node->GetTensorAttr("value");
-    } else if (entry.kind == OpKind::kEnter) {
-      entry.frame = node->GetStringAttr("frame");
-      entry.is_constant_enter = node->HasAttr("is_constant") &&
-                                node->GetBoolAttr("is_constant");
     }
-    entry.is_root_source =
-        IsSourceKind(entry.kind) ||
-        (entry.kind == OpKind::kKernel && node->num_inputs() == 0 &&
-         node->control_inputs().empty());
     entry.out_edges.resize(
         static_cast<std::size_t>(std::max(1, node->num_outputs())));
   }

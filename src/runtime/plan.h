@@ -1,21 +1,21 @@
 // Compile-once execution plans.
 //
 // An ExecutionPlan is the immutable, per-graph compiled schedule that moves
-// every piece of per-run scheduling work out of the dispatch hot path:
-// strategy selection (DAG vs tagged-token dynamic), the fetch-reachable node
-// set, dense node indices, incoming-edge counts, per-slot out-edges,
-// resolved KernelFn pointers, pre-classified op kinds (no string compares at
-// run time), and fetch slots. A plan is built once per (graph, fetches) and
-// reused across every subsequent Executor::Run / nested RunFunction call —
-// the compile-once/run-many split the paper's amortization argument (§3.1,
-// Fig. 2) relies on, mirroring how TensorFlow caches a compiled executor per
-// graph.
+// every piece of per-run scheduling work out of the dispatch hot path: the
+// fetch-reachable node set in topological (Kahn) order, dense node indices,
+// incoming-edge counts, per-slot out-edges, resolved KernelFn pointers,
+// pre-classified op kinds (no string compares at run time), and fetch
+// slots. A plan is built once per (graph, fetches) and reused across every
+// subsequent Executor::Run / nested RunFunction call — the compile-once/
+// run-many split the paper's amortization argument (§3.1, Fig. 2) relies
+// on, mirroring how TensorFlow caches a compiled executor per graph.
 //
-// Both strategies share one node form (PlanNode) built by one builder, the
-// way TF runs every graph on one dataflow executor (§4.2.1). Only the node
-// order differs: topological (Kahn) for DAG plans, graph order for
-// tagged-token plans. Fusion, the memory plan, the profiler and the
-// verifier each read that one form.
+// Every plan, conditional or not, has one node form (PlanNode) and runs on
+// one executor, the way TF runs every graph on one dataflow executor
+// (§4.2.1): Switch/Merge conditionals need no frames, only a dead bit per
+// value. Loops are the functional While and recursion is Invoke, so the
+// graph is acyclic. Fusion, the memory plan, the profiler and the verifier
+// each read that one form.
 //
 // Plans are cached in the owning Graph's cache::PlanCache (so every Graph,
 // including each GraphFunction body, carries its own plans) and additionally
@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -55,7 +54,7 @@ struct PlanOptions {
   bool enable_fusion = true;
 };
 
-// Whether a DAG plan's runs use the executor's thread pool, decided once per
+// Whether a plan's runs use the executor's thread pool, decided once per
 // plan from its measured mean node cost (DESIGN.md §6). The first runs
 // offered a pool execute sequentially; after an untimed first run, one
 // timed run decides when its mean is under half or over twice
@@ -94,8 +93,6 @@ class PoolDecision {
 
 class ExecutionPlan {
  public:
-  enum class Strategy : std::uint8_t { kDag, kDynamic };
-
   // Node classification resolved at plan-build time so the run loop never
   // compares op-name strings or consults the kernel registry.
   enum class OpKind : std::uint8_t {
@@ -104,9 +101,6 @@ class ExecutionPlan {
     kParam,
     kSwitch,
     kMerge,
-    kEnter,
-    kExit,
-    kNextIteration,
     kKernel,
     // A fused elementwise region (runtime/fusion.h): one plan node standing
     // in for a chain/tree of kernels, executed with a single dispatch.
@@ -127,9 +121,8 @@ class ExecutionPlan {
     int input_slot = 0;
   };
 
-  // The fields the DAG executor reads for every node come first and fill
-  // the first 128 bytes; the rest are read rarely or only by the
-  // tagged-token executor.
+  // The fields the executor reads for every node come first and fill the
+  // first 128 bytes; the rest are read rarely.
   struct PlanNode {
     const Node* node = nullptr;
     OpKind kind = OpKind::kKernel;
@@ -148,28 +141,20 @@ class ExecutionPlan {
     std::vector<std::vector<Edge>> out_edges;
     std::vector<int> control_edges;
     Tensor const_value;  // valid iff kind == kConst
-    // Tagged-token fields; the DAG executor ignores them. Enter attributes,
-    // resolved at build time:
-    std::string frame;
-    bool is_constant_enter = false;
-    // True for nodes evaluated once per run before token flow starts:
-    // sources, plus input-less stateful nodes with no control inputs.
-    bool is_root_source = false;
   };
 
   // Builds a plan from scratch, bypassing the cache (exposed for the
   // plan-build microbenchmark and for tests that compare fresh vs cached
-  // planning). Throws InvalidArgument if a non-control-flow op has no
-  // registered kernel.
+  // planning). Throws InvalidArgument if an op other than a source, Switch
+  // or Merge has no registered kernel.
   static std::shared_ptr<const ExecutionPlan> Build(
       const Graph& graph, std::span<const NodeOutput> fetches,
       PlanOptions options = {});
 
-  Strategy strategy() const { return strategy_; }
   std::span<const NodeOutput> fetches() const { return fetches_; }
   std::uint64_t graph_version() const { return graph_version_; }
 
-  // The dense node array, in schedule order.
+  // The dense node array, in topological order.
   const std::vector<PlanNode>& nodes() const { return nodes_; }
   // One endpoint per fetch, in fetch order.
   const std::vector<Endpoint>& fetch_slots() const { return fetch_slots_; }
@@ -198,8 +183,8 @@ class ExecutionPlan {
   // when profiling is enabled; never null after Build.
   obs::PlanProfile* profile() const { return profile_.get(); }
 
-  // The plan's pool decision (DAG strategy only). Internally synchronized
-  // run-time state: the one part of a plan its runs write.
+  // The plan's pool decision. Internally synchronized run-time state: the
+  // one part of a plan its runs write.
   PoolDecision& pool_decision() const { return pool_decision_; }
 
  private:
@@ -209,11 +194,10 @@ class ExecutionPlan {
 
   ExecutionPlan() = default;
 
-  // Builds the node array over `order` (the strategy's node set in its
-  // schedule order): one PlanNode per node, wired both ways.
+  // Builds the node array over `order` (the fetch-reachable nodes in
+  // topological order): one PlanNode per node, wired both ways.
   void BuildNodes(const std::vector<const Node*>& order);
 
-  Strategy strategy_ = Strategy::kDag;
   std::vector<NodeOutput> fetches_;
   std::uint64_t graph_version_ = 0;
 
@@ -229,10 +213,6 @@ class ExecutionPlan {
 
   mutable PoolDecision pool_decision_;
 };
-
-// True if the graph uses any dataflow control-flow primitive and therefore
-// needs the dynamic (tagged-token) strategy.
-bool GraphNeedsDynamicExecution(const Graph& graph);
 
 // Post-build verification hook. When set, ExecutionPlan::Build invokes it
 // on every finished plan (after fusion and memory planning); the hook may

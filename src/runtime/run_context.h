@@ -91,7 +91,7 @@ class RunContext {
   StateInterface* host_state = nullptr;
   const FunctionLibrary* library = nullptr;
   Rng* rng = nullptr;
-  ThreadPool* pool = nullptr;  // offered to DAG plans (see PoolDecision)
+  ThreadPool* pool = nullptr;  // offered to every plan (see PoolDecision)
 
   // ---- staged (deferred) effects ----
 

@@ -44,10 +44,6 @@ std::vector<ExecutionPlan::Edge>* FirstOutEdges(PlanCorruptor& c) {
   return nullptr;
 }
 
-bool IsDag(PlanCorruptor& c) {
-  return c.plan().strategy() == ExecutionPlan::Strategy::kDag;
-}
-
 // First region with at least one interior (non-root) member, or -1.
 int FindRegionWithInterior(PlanCorruptor& c) {
   for (std::size_t r = 0; r < c.num_regions(); ++r) {
@@ -75,8 +71,6 @@ std::vector<Corruption> PlanCorruptions() {
     return true;
   });
   add("back-edge", "schedule.topological_order", [](PlanCorruptor& c) {
-    // Tagged-token plans run in graph order, where loops feed back.
-    if (!IsDag(c)) return false;
     const int n = static_cast<int>(c.nodes().size());
     const int i = FindNode(c, [n](const PlanNode& e, int idx) {
       return !e.inputs.empty() && idx != n - 1;
@@ -166,22 +160,6 @@ std::vector<Corruption> PlanCorruptions() {
     c.nodes()[static_cast<std::size_t>(i)].kernel = nullptr;
     return true;
   });
-  add("root-source-flip", "schedule.root_source", [](PlanCorruptor& c) {
-    // The DAG executor ignores the tagged-token fields.
-    if (IsDag(c) || c.nodes().empty()) return false;
-    PlanNode& entry = c.nodes()[0];
-    entry.is_root_source = !entry.is_root_source;
-    return true;
-  });
-  add("frame-clear", "schedule.enter_frame", [](PlanCorruptor& c) {
-    const int i = FindNode(c, [](const PlanNode& e, int) {
-      return e.kind == OpKind::kEnter && !e.frame.empty();
-    });
-    if (i < 0) return false;
-    c.nodes()[static_cast<std::size_t>(i)].frame.clear();
-    return true;
-  });
-
   // ---- Index map and fetch slots ----
 
   add("index-skew", "index.roundtrip", [](PlanCorruptor& c) {

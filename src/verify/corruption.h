@@ -32,7 +32,6 @@ class PlanCorruptor {
       : graph_(graph), plan_(const_cast<ExecutionPlan*>(plan)) {}
 
   Graph& graph() { return *graph_; }
-  const ExecutionPlan& plan() const { return *plan_; }
 
   std::vector<ExecutionPlan::PlanNode>& nodes() { return plan_->nodes_; }
   std::vector<ExecutionPlan::Endpoint>& fetch_slots() {
@@ -55,15 +54,14 @@ class PlanCorruptor {
 
 // One catalogued mutation. `apply` damages the plan and returns true, or
 // returns false (leaving the plan intact) when the plan lacks the feature
-// the mutation targets (e.g. no fused region, no multi-input node, or a
-// strategy-specific invariant on the other strategy's plan).
+// the mutation targets (e.g. no fused region or no multi-input node).
 struct Corruption {
   std::string name;                // e.g. "back-edge"
   std::string expected_invariant;  // invariant VerifyPlan must report
   std::function<bool(PlanCorruptor&)> apply;
 };
 
-// The full catalog, for plans of either strategy. Every entry that applies
+// The full catalog. Every entry that applies
 // to a given plan must be caught by VerifyPlan with `expected_invariant`
 // among the reported issues.
 std::vector<Corruption> PlanCorruptions();

@@ -30,15 +30,7 @@ OpKind ClassifyOp(const std::string& op) {
   if (op == "Param") return OpKind::kParam;
   if (op == "Switch") return OpKind::kSwitch;
   if (op == "Merge") return OpKind::kMerge;
-  if (op == "Enter") return OpKind::kEnter;
-  if (op == "Exit") return OpKind::kExit;
-  if (op == "NextIteration") return OpKind::kNextIteration;
   return OpKind::kKernel;
-}
-
-bool IsSourceKind(OpKind kind) {
-  return kind == OpKind::kConst || kind == OpKind::kPlaceholder ||
-         kind == OpKind::kParam;
 }
 
 const char* KindName(OpKind kind) {
@@ -48,9 +40,6 @@ const char* KindName(OpKind kind) {
     case OpKind::kParam: return "Param";
     case OpKind::kSwitch: return "Switch";
     case OpKind::kMerge: return "Merge";
-    case OpKind::kEnter: return "Enter";
-    case OpKind::kExit: return "Exit";
-    case OpKind::kNextIteration: return "NextIteration";
     case OpKind::kKernel: return "Kernel";
     case OpKind::kFusedRegion: return "FusedRegion";
   }
@@ -226,7 +215,7 @@ RegionIndex BuildRegionIndex(const ExecutionPlan& plan) {
   return index;
 }
 
-// ---- The plan walk (both strategies) ----
+// ---- The plan walk ----
 
 // Dense order: the node array is a permutation of distinct graph nodes that
 // the index map round-trips, and the map covers fused interiors.
@@ -267,15 +256,14 @@ void CheckIndex(Checker& check, const ExecutionPlan& plan,
   }
 }
 
-// Node `i`'s inputs and control producers: in range, in order (DAG), and
-// each mirrored by exactly one out-edge / control edge of its producer;
+// Node `i`'s inputs and control producers: in range, in topological order,
+// and each mirrored by exactly one out-edge / control edge of its producer;
 // control producers mirror the graph's control inputs; the countdown starts
 // at the incoming-edge count.
 void CheckInEdges(Checker& check, const ExecutionPlan& plan, int i) {
   const auto& nodes = plan.nodes();
   const int n = static_cast<int>(nodes.size());
   const PlanNode& entry = nodes[static_cast<std::size_t>(i)];
-  const bool dag = plan.strategy() == ExecutionPlan::Strategy::kDag;
   for (std::size_t s = 0; s < entry.inputs.size(); ++s) {
     const Endpoint& input = entry.inputs[s];
     const bool in_range = input.producer >= 0 && input.producer < n;
@@ -286,12 +274,10 @@ void CheckInEdges(Checker& check, const ExecutionPlan& plan, int i) {
     if (!in_range) continue;
     check.Check(input.producer != i, "schedule.self_loop", entry.node,
                 "node consumes its own output");
-    if (dag) {
-      check.Check(input.producer < i, "schedule.topological_order",
-                  entry.node,
-                  "producer at dense slot " + std::to_string(input.producer) +
-                      " does not precede consumer at " + std::to_string(i));
-    }
+    check.Check(input.producer < i, "schedule.topological_order",
+                entry.node,
+                "producer at dense slot " + std::to_string(input.producer) +
+                    " does not precede consumer at " + std::to_string(i));
     const PlanNode& producer = nodes[static_cast<std::size_t>(input.producer)];
     const int outputs = PlanNodeOutputs(producer.kind, producer.node);
     const bool slot_ok = input.slot >= 0 && input.slot < outputs;
@@ -314,8 +300,7 @@ void CheckInEdges(Checker& check, const ExecutionPlan& plan, int i) {
                     Coord(input.producer, input.slot) + " has " +
                     std::to_string(hits) +
                     " delivery edges (need exactly 1): " +
-                    (hits == 0 ? "lost" : "duplicated") +
-                    " tokens / countdowns");
+                    (hits == 0 ? "lost" : "duplicated") + " countdowns");
   }
 
   const std::vector<Node*>& graph_controls = entry.node->control_inputs();
@@ -506,7 +491,6 @@ void VerifyNodes(Checker& check, const Graph& graph,
                  const ExecutionPlan& plan) {
   const auto& nodes = plan.nodes();
   const int n = static_cast<int>(nodes.size());
-  const bool dynamic = plan.strategy() == ExecutionPlan::Strategy::kDynamic;
   const RegionIndex region_index = BuildRegionIndex(plan);
 
   // Which graph nodes participate in the plan: dense entries plus fused
@@ -551,26 +535,6 @@ void VerifyNodes(Checker& check, const Graph& graph,
                     static_cast<int>(entry.inputs.size()), region_index,
                     in_plan);
       }
-    }
-    // The tagged-token fields, which the DAG executor ignores.
-    if (dynamic) {
-      if (entry.kind == OpKind::kEnter) {
-        check.Check(!entry.frame.empty(), "schedule.enter_frame", entry.node,
-                    "Enter node with an empty frame name: its tokens would "
-                    "collide with the root frame");
-      }
-      // is_root_source: sources plus input-less kernels, nothing else.
-      const bool expected_root =
-          IsSourceKind(entry.kind) ||
-          (entry.kind == OpKind::kKernel && entry.inputs.empty() &&
-           entry.control_producers.empty());
-      check.Check(entry.is_root_source == expected_root,
-                  "schedule.root_source", entry.node,
-                  entry.is_root_source
-                      ? "marked root-source but has inputs or is not a "
-                        "source kind (would fire before its tokens exist)"
-                      : "source node not marked root-source (would never "
-                        "fire)");
     }
     CheckInEdges(check, plan, i);
     CheckOutEdges(check, plan, i);

@@ -1,7 +1,6 @@
 // Tests for the dataflow executor: DAG scheduling (sequential + parallel),
-// control-flow frames (Switch/Merge/Enter/Exit/NextIteration), deadness
-// propagation, InvokeOp recursion, functional While, variables, assertion
-// aborts, and deferred state commit.
+// Switch/Merge conditionals and deadness propagation, InvokeOp recursion,
+// functional While, variables, assertion aborts, and deferred state commit.
 #include "runtime/executor.h"
 
 #include <algorithm>
@@ -100,11 +99,10 @@ TEST_F(ExecutorTest, DiamondDependency) {
   EXPECT_FLOAT_EQ(out[0].ScalarValue(), 6.0f);
 }
 
-// A 128x128 input feeding `branches` independent MatMul pairs joined by
+// A 128x128 input `x` feeding `branches` independent MatMul pairs joined by
 // AddN: every kernel costs far more than a pool handoff, so once the plan
 // is calibrated its runs fan out.
-NodeOutput BuildMatMulFanOut(Graph& g, int branches) {
-  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+NodeOutput BuildMatMulFanOut(Graph& g, NodeOutput x, int branches) {
   std::vector<NodeOutput> ends;
   for (int i = 0; i < branches; ++i) {
     const NodeOutput w =
@@ -123,7 +121,8 @@ std::vector<float> Ramp(int n) {
 
 TEST_F(ExecutorTest, ParallelDagMatchesSequential) {
   Graph g;
-  const std::vector<NodeOutput> fetches{BuildMatMulFanOut(g, 8)};
+  const std::vector<NodeOutput> fetches{
+      BuildMatMulFanOut(g, g.Placeholder("x", DType::kFloat32), 8)};
   const std::map<std::string, Tensor> feeds{
       {"x", Tensor::FromVector(Ramp(128 * 128), Shape{128, 128})}};
 
@@ -193,7 +192,8 @@ TEST_F(ExecutorTest, ParallelDagPropagatesException) {
   // Assert fails must rethrow that error, finish, and commit nothing.
   variables_.Assign("v", Tensor::Scalar(0));
   Graph g;
-  const NodeOutput sum = BuildMatMulFanOut(g, 8);
+  const NodeOutput sum =
+      BuildMatMulFanOut(g, g.Placeholder("x", DType::kFloat32), 8);
   const NodeOutput ok = g.Placeholder("ok", DType::kBool);
   Node* check = g.AddNode("Assert", {ok}, {{"assumption", std::string("ok")}});
   const NodeOutput v_new = g.Placeholder("v_new", DType::kFloat32);
@@ -363,83 +363,94 @@ TEST_F(ExecutorTest, DeadBranchKernelsNotExecuted) {
   EXPECT_FLOAT_EQ(out[0].ScalarValue(), 1.0f);
 }
 
-// ---- Control flow: dataflow while loop with frames ----
-
-// Builds the classic counting loop: i = 0; while (i < n) i = i + 1; fetch i.
-struct LoopGraph {
+TEST_F(ExecutorTest, NestedConditionalInsideUntakenBranch) {
+  // outer ? (inner ? x * 3 : x + 100) : -x
   Graph g;
-  Node* exit;
-};
+  const NodeOutput outer = g.Placeholder("outer", DType::kBool);
+  const NodeOutput inner = g.Placeholder("inner", DType::kBool);
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  Node* outer_sw = g.AddNode("Switch", {x, outer}, {}, 2);
+  Node* inner_sw = g.AddNode("Switch", {{outer_sw, 1}, inner}, {}, 2);
+  Node* times3 =
+      g.AddNode("Mul", {{inner_sw, 1}, g.Constant(Tensor::Scalar(3))});
+  Node* plus100 =
+      g.AddNode("Add", {{inner_sw, 0}, g.Constant(Tensor::Scalar(100))});
+  Node* inner_merge = g.AddNode("Merge", {{times3, 0}, {plus100, 0}}, {}, 2);
+  Node* neg = g.AddNode("Neg", {{outer_sw, 0}});
+  Node* outer_merge =
+      g.AddNode("Merge", {{inner_merge, 0}, {neg, 0}}, {}, 2);
+  const auto feeds = [](bool outer_taken, bool inner_taken) {
+    return std::map<std::string, Tensor>{
+        {"outer", Tensor::ScalarBool(outer_taken)},
+        {"inner", Tensor::ScalarBool(inner_taken)},
+        {"x", Tensor::Scalar(5)}};
+  };
+  Executor executor(&library_, &variables_, &host_, &rng_);
 
-LoopGraph BuildCountingLoop() {
-  LoopGraph l;
-  const NodeOutput zero = l.g.Constant(Tensor::ScalarInt(0));
-  const NodeOutput n = l.g.Placeholder("n", DType::kInt64);
-  Node* enter_i =
-      l.g.AddNode("Enter", {zero}, {{"frame", std::string("loop")}});
-  Node* enter_n = l.g.AddNode(
-      "Enter", {n}, {{"frame", std::string("loop")}, {"is_constant", true}});
-  Node* merge = l.g.AddNode("Merge", {{enter_i, 0}, {enter_i, 0}}, {}, 2);
-  Node* less = l.g.AddNode("Less", {{merge, 0}, {enter_n, 0}});
-  Node* sw = l.g.AddNode("Switch", {{merge, 0}, {less, 0}}, {}, 2);
-  Node* one = l.g.AddNode("Const", {}, {{"value", Tensor::ScalarInt(1)}});
-  Node* inc = l.g.AddNode("Add", {{sw, 1}, {one, 0}});
-  Node* next = l.g.AddNode("NextIteration", {{inc, 0}});
-  merge->set_input(1, {next, 0});
-  l.exit = l.g.AddNode("Exit", {{sw, 0}});
-  return l;
-}
-
-TEST_F(ExecutorTest, WhileLoopCountsToN) {
-  LoopGraph l = BuildCountingLoop();
+  // The inner Switch, both inner arms and the inner Merge are dead: only
+  // the Neg runs.
+  RunMetrics metrics;
   const auto out =
-      Run(l.g, {{l.exit, 0}}, {{"n", Tensor::ScalarInt(7)}});
-  EXPECT_EQ(out[0].ScalarIntValue(), 7);
+      executor.Run(g, feeds(false, true),
+                   std::vector<NodeOutput>{{outer_merge, 0}, {outer_merge, 1}},
+                   &metrics);
+  EXPECT_FLOAT_EQ(out[0].ScalarValue(), -5.0f);
+  EXPECT_EQ(out[1].ScalarIntValue(), 1);
+  EXPECT_EQ(metrics.ops_executed, 1);
+
+  EXPECT_FLOAT_EQ(
+      Run(g, {{outer_merge, 0}}, feeds(true, false))[0].ScalarValue(),
+      105.0f);
+  EXPECT_FLOAT_EQ(
+      Run(g, {{outer_merge, 0}}, feeds(true, true))[0].ScalarValue(), 15.0f);
+
+  // Fetching the untaken inner arm, or the inner Merge when the outer
+  // branch is not taken, is an error rather than a value.
+  EXPECT_THROW(Run(g, {{plus100, 0}}, feeds(true, true)), InternalError);
+  EXPECT_THROW(Run(g, {{inner_merge, 0}}, feeds(false, true)),
+               InternalError);
 }
 
-TEST_F(ExecutorTest, WhileLoopZeroIterations) {
-  LoopGraph l = BuildCountingLoop();
-  const auto out =
-      Run(l.g, {{l.exit, 0}}, {{"n", Tensor::ScalarInt(0)}});
-  EXPECT_EQ(out[0].ScalarIntValue(), 0);
-}
-
-TEST_F(ExecutorTest, WhileLoopManyIterations) {
-  LoopGraph l = BuildCountingLoop();
-  const auto out =
-      Run(l.g, {{l.exit, 0}}, {{"n", Tensor::ScalarInt(200)}});
-  EXPECT_EQ(out[0].ScalarIntValue(), 200);
-}
-
-TEST_F(ExecutorTest, NestedFramesViaAccumulatingLoop) {
-  // acc = 0; for i in [0,n): acc += i  =>  n*(n-1)/2, with two loop-carried
-  // values through the same frame.
+TEST_F(ExecutorTest, ConditionalPlanFansOut) {
+  // The heavy fan-out on the taken side of a Switch and a Neg on the other:
+  // a conditional plan calibrates, fans out and releases dead
+  // intermediates like any other plan.
   Graph g;
-  const NodeOutput zero_i = g.Constant(Tensor::ScalarInt(0));
-  const NodeOutput zero_acc = g.Constant(Tensor::ScalarInt(0));
-  const NodeOutput n = g.Placeholder("n", DType::kInt64);
-  Node* enter_i = g.AddNode("Enter", {zero_i}, {{"frame", std::string("L")}});
-  Node* enter_acc =
-      g.AddNode("Enter", {zero_acc}, {{"frame", std::string("L")}});
-  Node* enter_n = g.AddNode(
-      "Enter", {n}, {{"frame", std::string("L")}, {"is_constant", true}});
-  Node* merge_i = g.AddNode("Merge", {{enter_i, 0}, {enter_i, 0}}, {}, 2);
-  Node* merge_acc =
-      g.AddNode("Merge", {{enter_acc, 0}, {enter_acc, 0}}, {}, 2);
-  Node* less = g.AddNode("Less", {{merge_i, 0}, {enter_n, 0}});
-  Node* sw_i = g.AddNode("Switch", {{merge_i, 0}, {less, 0}}, {}, 2);
-  Node* sw_acc = g.AddNode("Switch", {{merge_acc, 0}, {less, 0}}, {}, 2);
-  Node* one = g.AddNode("Const", {}, {{"value", Tensor::ScalarInt(1)}});
-  Node* inc = g.AddNode("Add", {{sw_i, 1}, {one, 0}});
-  Node* acc2 = g.AddNode("Add", {{sw_acc, 1}, {sw_i, 1}});
-  Node* next_i = g.AddNode("NextIteration", {{inc, 0}});
-  Node* next_acc = g.AddNode("NextIteration", {{acc2, 0}});
-  merge_i->set_input(1, {next_i, 0});
-  merge_acc->set_input(1, {next_acc, 0});
-  Node* exit_acc = g.AddNode("Exit", {{sw_acc, 0}});
-  const auto out =
-      Run(g, {{exit_acc, 0}}, {{"n", Tensor::ScalarInt(10)}});
-  EXPECT_EQ(out[0].ScalarIntValue(), 45);
+  const NodeOutput pred = g.Placeholder("pred", DType::kBool);
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  Node* sw = g.AddNode("Switch", {x, pred}, {}, 2);
+  const NodeOutput taken = BuildMatMulFanOut(g, {sw, 1}, 8);
+  Node* untaken = g.AddNode("Neg", {{sw, 0}});
+  Node* merge = g.AddNode("Merge", {taken, {untaken, 0}}, {}, 2);
+  const std::vector<NodeOutput> fetches{{merge, 0}};
+  std::map<std::string, Tensor> feeds{
+      {"pred", Tensor::ScalarBool(true)},
+      {"x", Tensor::FromVector(Ramp(128 * 128), Shape{128, 128})}};
+
+  Executor seq(&library_, &variables_, &host_, &rng_);
+  const auto expected = seq.Run(g, feeds, fetches);
+
+  ThreadPool pool(4);
+  Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
+  constexpr int kMaxCalibration = 1 + PoolDecision::kCalibrationRuns;
+  for (int run = 0; run < kMaxCalibration + 2; ++run) {
+    RunMetrics metrics;
+    const auto got = par.Run(g, feeds, fetches, &metrics);
+    EXPECT_TRUE(got[0].ElementsEqual(expected[0])) << "run " << run;
+    EXPECT_EQ(metrics.ops_executed, 17) << "run " << run;  // 16 MatMul, AddN
+    EXPECT_GT(metrics.buffers_released, 0) << "run " << run;
+    if (run >= kMaxCalibration) {
+      EXPECT_GT(metrics.offloaded_nodes, 0)
+          << "heavy taken branch never left the calling thread in run "
+          << run;
+    }
+  }
+
+  feeds["pred"] = Tensor::ScalarBool(false);
+  RunMetrics metrics;
+  const auto got = par.Run(g, feeds, fetches, &metrics);
+  EXPECT_TRUE(got[0].ElementsEqual(seq.Run(g, feeds, fetches)[0]));
+  EXPECT_EQ(metrics.ops_executed, 1);
 }
 
 // ---- Invoke: function calls and recursion ----
@@ -646,16 +657,6 @@ TEST_F(ExecutorTest, OpsExecutedCounter) {
   Executor executor(&library_, &variables_, &host_, &rng_);
   executor.Run(g, {}, std::vector<NodeOutput>{{n2, 0}}, &ops);
   EXPECT_EQ(ops, 2);  // Const resolves without a kernel
-}
-
-TEST_F(ExecutorTest, NeedsDynamicExecutionDetection) {
-  Graph dag;
-  const NodeOutput c = dag.Constant(Tensor::Scalar(1));
-  dag.AddNode("Neg", {c});
-  EXPECT_FALSE(GraphNeedsDynamicExecution(dag));
-
-  CondGraph cond = BuildCond();
-  EXPECT_TRUE(GraphNeedsDynamicExecution(cond.g));
 }
 
 TEST_F(ExecutorTest, RandomOpsDeterministicPerSeed) {

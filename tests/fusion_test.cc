@@ -329,46 +329,37 @@ TEST_F(FusionTest, ChangingShapesRespecializeViaCache) {
   }
 }
 
-// ---- dynamic (tagged-token) plans ----
+// ---- Switch/Merge conditionals ----
 
 TEST_F(FusionTest, DynamicPlanFusesLoopBodyChain) {
-  // i = 0; while (i < n) i = (i + 1) + 1 — the two-Add body chain fuses in
-  // the tagged-token plan.
-  auto build = [](Graph& g, Node** exit) {
-    const NodeOutput zero = g.Constant(Tensor::ScalarInt(0));
-    const NodeOutput n = g.Placeholder("n", DType::kInt64);
-    Node* enter_i =
-        g.AddNode("Enter", {zero}, {{"frame", std::string("loop")}});
-    Node* enter_n = g.AddNode(
-        "Enter", {n}, {{"frame", std::string("loop")}, {"is_constant", true}});
-    Node* merge = g.AddNode("Merge", {{enter_i, 0}, {enter_i, 0}}, {}, 2);
-    Node* less = g.AddNode("Less", {{merge, 0}, {enter_n, 0}});
-    Node* sw = g.AddNode("Switch", {{merge, 0}, {less, 0}}, {}, 2);
-    Node* one = g.AddNode("Const", {}, {{"value", Tensor::ScalarInt(1)}});
-    Node* inc1 = g.AddNode("Add", {{sw, 1}, {one, 0}});
-    Node* inc2 = g.AddNode("Add", {{inc1, 0}, {one, 0}});
-    Node* next = g.AddNode("NextIteration", {{inc2, 0}});
-    merge->set_input(1, {next, 0});
-    *exit = g.AddNode("Exit", {{sw, 0}});
-  };
+  // pred ? (x + 1) + 1 : -x — the two-Add chain on the true branch fuses
+  // into one region, which runs only when that branch is taken.
   Graph g;
-  Node* exit = nullptr;
-  build(g, &exit);
-  const std::vector<NodeOutput> fetches{{exit, 0}};
+  const NodeOutput pred = g.Placeholder("pred", DType::kBool);
+  const NodeOutput x = g.Placeholder("x", DType::kInt64);
+  const NodeOutput one = g.Constant(Tensor::ScalarInt(1));
+  Node* sw = g.AddNode("Switch", {x, pred}, {}, 2);
+  Node* inc1 = g.AddNode("Add", {{sw, 1}, one});
+  Node* inc2 = g.AddNode("Add", {{inc1, 0}, one});
+  Node* neg = g.AddNode("Neg", {{sw, 0}});
+  Node* merge = g.AddNode("Merge", {{inc2, 0}, {neg, 0}}, {}, 2);
+  const std::vector<NodeOutput> fetches{{merge, 0}};
   const auto fused_plan = BuildPlan(g, fetches, true);
-  ASSERT_EQ(fused_plan->strategy(), ExecutionPlan::Strategy::kDynamic);
   ASSERT_EQ(fused_plan->fused_regions().size(), 1u);
   EXPECT_EQ(fused_plan->fused_regions()[0]->members.size(), 2u);
   const auto plain_plan = BuildPlan(g, fetches, false);
-  const std::map<std::string, Tensor> feeds{{"n", Tensor::ScalarInt(5)}};
-  RunMetrics fused_metrics;
-  const std::vector<Tensor> fused = Run(*fused_plan, feeds, &fused_metrics);
-  const std::vector<Tensor> plain = Run(*plain_plan, feeds);
-  ASSERT_EQ(fused.size(), 1u);
-  EXPECT_EQ(fused[0].data<std::int64_t>()[0], 6);  // 0, 2, 4, exit at 6
-  EXPECT_EQ(plain[0].data<std::int64_t>()[0], 6);
-  EXPECT_EQ(fused_metrics.fused_regions, 3);  // once per iteration
-  EXPECT_EQ(fused_metrics.fused_ops, 6);
+  for (const bool taken : {true, false}) {
+    const std::map<std::string, Tensor> feeds{
+        {"pred", Tensor::ScalarBool(taken)}, {"x", Tensor::ScalarInt(5)}};
+    RunMetrics fused_metrics;
+    const std::vector<Tensor> fused = Run(*fused_plan, feeds, &fused_metrics);
+    const std::vector<Tensor> plain = Run(*plain_plan, feeds);
+    ASSERT_EQ(fused.size(), 1u);
+    EXPECT_EQ(fused[0].data<std::int64_t>()[0], taken ? 7 : -5);
+    EXPECT_EQ(plain[0].data<std::int64_t>()[0], taken ? 7 : -5);
+    EXPECT_EQ(fused_metrics.fused_regions, taken ? 1 : 0);
+    EXPECT_EQ(fused_metrics.fused_ops, taken ? 2 : 0);
+  }
 }
 
 // ---- kill switches and program sharing ----

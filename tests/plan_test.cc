@@ -1,6 +1,6 @@
 // Tests for the compile-once ExecutionPlan layer: plan reuse must be
-// bit-identical to fresh planning for DAG, dynamic, and nested While/Invoke
-// graphs, and the plan cache must report builds exactly once per
+// bit-identical to fresh planning for DAG, Switch/Merge, and nested
+// While/Invoke graphs, and the plan cache must report builds exactly once per
 // (graph version, fetch set) with every later run a hit.
 #include "runtime/plan.h"
 
@@ -52,49 +52,16 @@ class PlanTest : public ::testing::Test {
   Rng rng_{42};
 };
 
-// i = 0; while (i < n) i = i + 1 — exercises the dynamic (tagged-token)
-// strategy with Enter/Merge/Switch/NextIteration/Exit.
-struct LoopGraph {
-  Graph g;
-  Node* exit;
-};
-
-LoopGraph BuildCountingLoop() {
-  LoopGraph l;
-  const NodeOutput zero = l.g.Constant(Tensor::ScalarInt(0));
-  const NodeOutput n = l.g.Placeholder("n", DType::kInt64);
-  Node* enter_i =
-      l.g.AddNode("Enter", {zero}, {{"frame", std::string("loop")}});
-  Node* enter_n = l.g.AddNode(
-      "Enter", {n}, {{"frame", std::string("loop")}, {"is_constant", true}});
-  Node* merge = l.g.AddNode("Merge", {{enter_i, 0}, {enter_i, 0}}, {}, 2);
-  Node* less = l.g.AddNode("Less", {{merge, 0}, {enter_n, 0}});
-  Node* sw = l.g.AddNode("Switch", {{merge, 0}, {less, 0}}, {}, 2);
-  Node* one = l.g.AddNode("Const", {}, {{"value", Tensor::ScalarInt(1)}});
-  Node* inc = l.g.AddNode("Add", {{sw, 1}, {one, 0}});
-  Node* next = l.g.AddNode("NextIteration", {{inc, 0}});
-  merge->set_input(1, {next, 0});
-  l.exit = l.g.AddNode("Exit", {{sw, 0}});
-  return l;
-}
-
-TEST_F(PlanTest, DagStrategyChosenForAcyclicGraph) {
+TEST_F(PlanTest, PlanRecordsGraphVersion) {
   Graph g;
   const NodeOutput a = g.Constant(Tensor::Scalar(2));
   Node* sq = g.AddNode("Square", {a});
   const std::vector<NodeOutput> fetches{{sq, 0}};
   const auto plan = ExecutionPlan::Build(g, fetches);
-  EXPECT_EQ(plan->strategy(), ExecutionPlan::Strategy::kDag);
   EXPECT_EQ(plan->graph_version(), g.version());
 }
 
-TEST_F(PlanTest, DynamicStrategyChosenForControlFlowGraph) {
-  LoopGraph l = BuildCountingLoop();
-  const auto plan = ExecutionPlan::Build(l.g, std::vector<NodeOutput>{{l.exit, 0}});
-  EXPECT_EQ(plan->strategy(), ExecutionPlan::Strategy::kDynamic);
-}
-
-TEST_F(PlanTest, DynamicPlanKeepsOnlyFetchReachableNodes) {
+TEST_F(PlanTest, ConditionalPlanKeepsOnlyFetchReachableNodes) {
   // pred ? x * 3 : x + 100 through Switch/Merge. An Exp on the true branch
   // that nothing fetches or anchors is left out of the plan, as a DAG plan
   // would leave it out; an AssignVariable anchored to the fetch by a
@@ -114,7 +81,6 @@ TEST_F(PlanTest, DynamicPlanKeepsOnlyFetchReachableNodes) {
   const std::vector<NodeOutput> fetches{{result, 0}};
 
   const auto plan = ExecutionPlan::Build(g, fetches);
-  ASSERT_EQ(plan->strategy(), ExecutionPlan::Strategy::kDynamic);
   EXPECT_EQ(plan->IndexOf(stray), -1);
   EXPECT_GE(plan->IndexOf(write), 0);
   EXPECT_EQ(plan->nodes().size(), g.nodes().size() - 1);
@@ -154,18 +120,30 @@ TEST_F(PlanTest, ReusedDagPlanMatchesFreshPlan) {
 }
 
 TEST_F(PlanTest, ReusedDynamicPlanMatchesFreshPlan) {
-  LoopGraph l = BuildCountingLoop();
-  const std::vector<NodeOutput> fetches{{l.exit, 0}};
+  // pred ? x * 3 : x + 100 through Switch/Merge, fetching the value and the
+  // taken index, with both predicate values.
+  Graph g;
+  const NodeOutput pred = g.Placeholder("pred", DType::kBool);
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  Node* sw = g.AddNode("Switch", {x, pred}, {}, 2);
+  Node* times3 = g.AddNode("Mul", {{sw, 1}, g.Constant(Tensor::Scalar(3))});
+  Node* plus100 =
+      g.AddNode("Add", {{sw, 0}, g.Constant(Tensor::Scalar(100))});
+  Node* merge = g.AddNode("Merge", {{times3, 0}, {plus100, 0}}, {}, 2);
+  const std::vector<NodeOutput> fetches{{merge, 0}, {merge, 1}};
   Executor executor = MakeExecutor();
-  const auto cached = GetOrBuildPlan(l.g, fetches);
-  for (const std::int64_t n : {0, 1, 7, 200}) {
-    const std::map<std::string, Tensor> feeds{{"n", Tensor::ScalarInt(n)}};
-    const auto fresh = ExecutionPlan::Build(l.g, fetches);
+  const auto cached = GetOrBuildPlan(g, fetches);
+  for (const bool taken : {true, false, true, false}) {
+    const std::map<std::string, Tensor> feeds{
+        {"pred", Tensor::ScalarBool(taken)}, {"x", Tensor::Scalar(1.5f)}};
+    const auto fresh = ExecutionPlan::Build(g, fetches);
     const auto a = executor.Run(*cached, feeds);
     const auto b = executor.Run(*fresh, feeds);
-    ASSERT_EQ(a.size(), 1u);
-    EXPECT_EQ(a[0].ScalarIntValue(), n);
-    ExpectBitIdentical(a[0], b[0]);
+    ASSERT_EQ(a.size(), 2u);
+    ASSERT_EQ(b.size(), 2u);
+    EXPECT_FLOAT_EQ(a[0].ScalarValue(), taken ? 4.5f : 101.5f);
+    EXPECT_EQ(a[1].ScalarIntValue(), taken ? 0 : 1);
+    for (std::size_t j = 0; j < a.size(); ++j) ExpectBitIdentical(a[j], b[j]);
   }
 }
 

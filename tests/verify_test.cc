@@ -63,48 +63,35 @@ Built BuildFusedDag() {
   return b;
 }
 
-// i = 0; while (i < n) i = i + 1 — the dynamic (tagged-token) strategy.
-Built BuildDynLoop() {
+// pred ? x * 3 : x + 100 through Switch/Merge.
+Built BuildCond() {
   Built b;
-  const NodeOutput zero = b.g.Constant(Tensor::ScalarInt(0));
-  const NodeOutput n = b.g.Placeholder("n", DType::kInt64);
-  Node* enter_i =
-      b.g.AddNode("Enter", {zero}, {{"frame", std::string("loop")}});
-  Node* enter_n = b.g.AddNode(
-      "Enter", {n}, {{"frame", std::string("loop")}, {"is_constant", true}});
-  Node* merge = b.g.AddNode("Merge", {{enter_i, 0}, {enter_i, 0}}, {}, 2);
-  Node* less = b.g.AddNode("Less", {{merge, 0}, {enter_n, 0}});
-  Node* sw = b.g.AddNode("Switch", {{merge, 0}, {less, 0}}, {}, 2);
-  Node* one = b.g.AddNode("Const", {}, {{"value", Tensor::ScalarInt(1)}});
-  Node* inc = b.g.AddNode("Add", {{sw, 1}, {one, 0}});
-  Node* next = b.g.AddNode("NextIteration", {{inc, 0}});
-  merge->set_input(1, {next, 0});
-  Node* exit = b.g.AddNode("Exit", {{sw, 0}});
-  b.fetches = {{exit, 0}};
+  const NodeOutput pred = b.g.Placeholder("pred", DType::kBool);
+  const NodeOutput x = b.g.Placeholder("x", DType::kFloat32);
+  Node* sw = b.g.AddNode("Switch", {x, pred}, {}, 2);
+  Node* times3 =
+      b.g.AddNode("Mul", {{sw, 1}, b.g.Constant(Tensor::Scalar(3))});
+  Node* plus100 =
+      b.g.AddNode("Add", {{sw, 0}, b.g.Constant(Tensor::Scalar(100))});
+  Node* merge = b.g.AddNode("Merge", {{times3, 0}, {plus100, 0}}, {}, 2);
+  b.fetches = {{merge, 0}};
   b.plan = ExecutionPlan::Build(b.g, b.fetches);
   return b;
 }
 
-// i = 0; while (i < n) i = (i + 1) + 1 — the two-Add loop body fuses into
-// one region of the tagged-token plan (fusion_test.cc).
-Built BuildFusedDynLoop() {
+// pred ? Transpose((x + 1) + 1) : x — the two-Add chain on the true arm
+// fuses into one region, and its non-fusable consumer stays a kernel node.
+Built BuildFusedCond() {
   Built b;
-  const NodeOutput zero = b.g.Constant(Tensor::ScalarInt(0));
-  const NodeOutput n = b.g.Placeholder("n", DType::kInt64);
-  Node* enter_i =
-      b.g.AddNode("Enter", {zero}, {{"frame", std::string("loop")}});
-  Node* enter_n = b.g.AddNode(
-      "Enter", {n}, {{"frame", std::string("loop")}, {"is_constant", true}});
-  Node* merge = b.g.AddNode("Merge", {{enter_i, 0}, {enter_i, 0}}, {}, 2);
-  Node* less = b.g.AddNode("Less", {{merge, 0}, {enter_n, 0}});
-  Node* sw = b.g.AddNode("Switch", {{merge, 0}, {less, 0}}, {}, 2);
-  Node* one = b.g.AddNode("Const", {}, {{"value", Tensor::ScalarInt(1)}});
-  Node* inc1 = b.g.AddNode("Add", {{sw, 1}, {one, 0}});
-  Node* inc2 = b.g.AddNode("Add", {{inc1, 0}, {one, 0}});
-  Node* next = b.g.AddNode("NextIteration", {{inc2, 0}});
-  merge->set_input(1, {next, 0});
-  Node* exit = b.g.AddNode("Exit", {{sw, 0}});
-  b.fetches = {{exit, 0}};
+  const NodeOutput pred = b.g.Placeholder("pred", DType::kBool);
+  const NodeOutput x = b.g.Placeholder("x", DType::kFloat32);
+  const NodeOutput one = b.g.Constant(Tensor::Full(Shape{8, 8}, 1.0f));
+  Node* sw = b.g.AddNode("Switch", {x, pred}, {}, 2);
+  Node* inc1 = b.g.AddNode("Add", {{sw, 1}, one});
+  Node* inc2 = b.g.AddNode("Add", {{inc1, 0}, one});
+  Node* tr = b.g.AddNode("Transpose", {{inc2, 0}});
+  Node* merge = b.g.AddNode("Merge", {{tr, 0}, {sw, 0}}, {}, 2);
+  b.fetches = {{merge, 0}};
   b.plan = ExecutionPlan::Build(b.g, b.fetches,
                                 PlanOptions{.enable_fusion = true});
   return b;
@@ -198,15 +185,13 @@ TEST(VerifyPlanTest, CleanFusedDagPasses) {
 }
 
 TEST(VerifyPlanTest, CleanDynPlanPasses) {
-  Built b = BuildDynLoop();
-  ASSERT_EQ(b.plan->strategy(), ExecutionPlan::Strategy::kDynamic);
+  Built b = BuildCond();
   const Report report = VerifyPlan(b.g, *b.plan);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST(VerifyPlanTest, CleanFusedDynPlanPasses) {
-  Built b = BuildFusedDynLoop();
-  ASSERT_EQ(b.plan->strategy(), ExecutionPlan::Strategy::kDynamic);
+  Built b = BuildFusedCond();
   ASSERT_EQ(b.plan->fused_regions().size(), 1u);
   const Report report = VerifyPlan(b.g, *b.plan);
   EXPECT_TRUE(report.ok()) << report.ToString();
@@ -226,21 +211,19 @@ TEST(VerifyPlanTest, FusedDagCorruptionsCaught) {
 }
 
 TEST(VerifyPlanTest, DynCorruptionsCaught) {
-  ExpectApplied(RunCatalog(&BuildDynLoop),
-                Expected({"root-source-flip", "frame-clear"}));
+  ExpectApplied(RunCatalog(&BuildCond), Expected({"back-edge"}));
 }
 
 TEST(VerifyPlanTest, FusedDynLoopCorruptionsCaught) {
-  std::set<std::string> expected =
-      Expected({"root-source-flip", "frame-clear"});
+  std::set<std::string> expected = Expected({"back-edge"});
   expected.insert(kFusionEntries.begin(), kFusionEntries.end());
-  ExpectApplied(RunCatalog(&BuildFusedDynLoop), expected);
+  ExpectApplied(RunCatalog(&BuildFusedCond), expected);
 }
 
 TEST(VerifyPlanTest, AtLeastTwentyDistinctCorruptionsCaught) {
   std::set<std::string> all;
-  for (Built (*make)() : {&BuildPlainDag, &BuildFusedDag, &BuildDynLoop,
-                          &BuildFusedDynLoop}) {
+  for (Built (*make)() :
+       {&BuildPlainDag, &BuildFusedDag, &BuildCond, &BuildFusedCond}) {
     for (const std::string& name : RunCatalog(make)) all.insert(name);
   }
   EXPECT_GE(all.size(), 20u) << "only " << all.size()
