@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "runtime/fusion.h"
 #include "tensor/buffer_pool.h"
-#include "tensor/ops.h"
 #include "verify/plan_verifier.h"
 
 namespace janus {
@@ -184,11 +183,8 @@ void JanusEngine::Attach() {
   interp_->eager().set_dispatch_penalty_ns(options_.eager_dispatch_penalty_ns);
   // Engine-aware training entry point, replacing the imperative builtin.
   interp_->RegisterBuiltin(
-      "optimize", [this](minipy::Interpreter& in,
-                         std::span<Value> args) -> Value {
-        if (args.empty() || args.size() > 2) {
-          throw minipy::MiniPyError("optimize(): wrong number of arguments");
-        }
+      "optimize", [this](minipy::Interpreter&, std::span<Value> args) -> Value {
+        minipy::CheckArity(*minipy::FindBuiltin("optimize"), args.size());
         const auto* fn = std::get_if<std::shared_ptr<FunctionValue>>(&args[0]);
         if (fn == nullptr) {
           throw minipy::MiniPyError("optimize(): expected a function");
@@ -203,7 +199,6 @@ void JanusEngine::Attach() {
             throw minipy::MiniPyError("optimize(): bad learning rate");
           }
         }
-        (void)in;
         return RunTraining(*fn, lr);
       });
   // Marks a function for graph conversion on ordinary (inference) calls.
@@ -605,19 +600,8 @@ minipy::Value JanusEngine::RunImperative(
   if (!training) {
     return interp_->CallFunction(fn, std::move(call_args));
   }
-  // Imperative training step (the eager-tape path of the default builtin).
-  interp_->eager().StartTape();
-  const Value loss_value = interp_->CallFunction(fn, std::move(call_args));
-  const Tensor loss = interp_->ToTensor(loss_value);
-  const auto grads = interp_->eager().GradientsAndStopTape(loss);
-  for (const auto& [name, grad] : grads) {
-    const Tensor current = interp_->variables()->Read(name);
-    interp_->variables()->Assign(
-        name, ops::Sub(current, ops::Mul(Tensor::Scalar(
-                                             static_cast<float>(lr)),
-                                         grad)));
-  }
-  return loss;
+  return minipy::ImperativeTrainingStep(*interp_, fn, std::move(call_args),
+                                        static_cast<float>(lr));
 }
 
 bool JanusEngine::EntryValid(const CachedUnit& entry,

@@ -26,6 +26,18 @@ using minipy::Value;
 
 [[noreturn]] void Refuse(const std::string& why) { throw NotConvertible(why); }
 
+// Runs builtin-table code (an arity check, attr decoder or implementation)
+// at generation time. Whatever it raises, the interpreter raises on the
+// same call, so the call is refused and the imperative run raises it.
+template <typename F>
+auto RefuseOnError(F&& f) -> decltype(f()) {
+  try {
+    return f();
+  } catch (const Error& error) {
+    Refuse(error.what());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Symbolic values
 // ---------------------------------------------------------------------------
@@ -1146,14 +1158,15 @@ struct GraphGenerator::Impl {
     SymValue lo = SymValue::Static(std::int64_t{0});
     SymValue hi;
     SymValue step = SymValue::Static(std::int64_t{1});
+    RefuseOnError([&] {
+      minipy::CheckArity(*minipy::FindBuiltin("range"), bounds.size());
+    });
     if (bounds.size() == 1) {
       hi = bounds[0];
-    } else if (bounds.size() >= 2) {
+    } else {
       lo = bounds[0];
       hi = bounds[1];
       if (bounds.size() == 3) step = bounds[2];
-    } else {
-      Refuse("range() needs 1-3 arguments");
     }
     const auto static_int = [](const SymValue& s) -> std::optional<std::int64_t> {
       if (!s.IsStatic()) return std::nullopt;
@@ -1514,6 +1527,8 @@ struct GraphGenerator::Impl {
   SymValue EvalBuiltinCall(const minipy::BuiltinFunction& builtin,
                            std::vector<SymValue>& args, Frame& frame,
                            const Expr* expr);
+  SymValue EvalOpBuiltin(const minipy::BuiltinSpec& spec,
+                         std::vector<SymValue>& args, Frame& frame);
   SymValue EvalUserCall(const std::shared_ptr<minipy::FunctionValue>& fn,
                         std::vector<SymValue> args, Frame& frame,
                         const Expr* call_site,
@@ -2068,273 +2083,140 @@ std::int64_t StaticInt(const SymValue& s, const char* what) {
   Refuse(std::string(what) + ": expected a static int");
 }
 
-double StaticNumber(const SymValue& s, const char* what) {
-  if (s.IsStatic()) {
-    if (const auto* i = std::get_if<std::int64_t>(&s.static_value)) {
-      return static_cast<double>(*i);
-    }
-    if (const auto* d = std::get_if<double>(&s.static_value)) return *d;
+bool IsPlainData(const Value& v) {
+  if (const auto* list = std::get_if<std::shared_ptr<minipy::ListValue>>(&v)) {
+    return std::all_of((*list)->items.begin(), (*list)->items.end(),
+                       IsPlainData);
   }
-  Refuse(std::string(what) + ": expected a static number");
+  return std::holds_alternative<minipy::NoneType>(v) ||
+         std::holds_alternative<bool>(v) ||
+         std::holds_alternative<std::int64_t>(v) ||
+         std::holds_alternative<double>(v) ||
+         std::holds_alternative<std::string>(v);
 }
 
-std::string StaticString(const SymValue& s, const char* what) {
-  if (s.IsStatic()) {
-    if (const auto* str = std::get_if<std::string>(&s.static_value)) {
-      return *str;
+// The plain data every argument holds (None, bool, int, float, str, or
+// lists of these), or nullopt if any holds other data. A symbolic list
+// becomes a transient ListValue that is never registered on the
+// interpreter heap: heap ids are pointers that graphs can see.
+std::optional<std::vector<Value>> PlainArgs(std::span<const SymValue> args) {
+  std::vector<Value> out;
+  for (const SymValue& arg : args) {
+    if (arg.IsStatic() && IsPlainData(arg.static_value)) {
+      out.push_back(arg.static_value);
+    } else if (auto items = arg.IsList() ? PlainArgs(*arg.elements)
+                                         : std::nullopt) {
+      auto list = std::make_shared<minipy::ListValue>(/*heap_id=*/0);
+      list->items = std::move(*items);
+      out.push_back(std::move(list));
+    } else {
+      return std::nullopt;
     }
   }
-  Refuse(std::string(what) + ": expected a static string");
-}
-
-std::vector<std::int64_t> StaticIntList(const SymValue& s, const char* what) {
-  std::vector<std::int64_t> out;
-  if (s.IsList()) {
-    for (const SymValue& item : *s.elements) {
-      out.push_back(StaticInt(item, what));
-    }
-    return out;
-  }
-  if (s.IsStatic()) {
-    if (const auto* list = std::get_if<std::shared_ptr<minipy::ListValue>>(
-            &s.static_value)) {
-      for (const minipy::Value& item : (*list)->items) {
-        if (const auto* i = std::get_if<std::int64_t>(&item)) {
-          out.push_back(*i);
-          continue;
-        }
-        Refuse(std::string(what) + ": expected ints in list");
-      }
-      return out;
-    }
-  }
-  Refuse(std::string(what) + ": expected a static list of ints");
-}
-
-// Flattens a static nested list of numbers into a float tensor.
-void FlattenStatic(const SymValue& s, std::vector<float>* data,
-                   std::vector<std::int64_t>* dims, int depth) {
-  const auto handle_items = [&](auto&& self, const auto& items,
-                                auto&& get_number) -> void {
-    const auto n = static_cast<std::int64_t>(items.size());
-    if (static_cast<int>(dims->size()) <= depth) {
-      dims->push_back(n);
-    } else if ((*dims)[static_cast<std::size_t>(depth)] != n) {
-      Refuse("constant(): ragged nested list");
-    }
-    for (const auto& item : items) {
-      self(self, item, get_number);
-    }
-  };
-  (void)handle_items;
-  if (s.IsList()) {
-    const auto n = static_cast<std::int64_t>(s.elements->size());
-    if (static_cast<int>(dims->size()) <= depth) {
-      dims->push_back(n);
-    } else if ((*dims)[static_cast<std::size_t>(depth)] != n) {
-      Refuse("constant(): ragged nested list");
-    }
-    for (const SymValue& item : *s.elements) {
-      FlattenStatic(item, data, dims, depth + 1);
-    }
-    return;
-  }
-  if (s.IsStatic()) {
-    if (const auto* list = std::get_if<std::shared_ptr<minipy::ListValue>>(
-            &s.static_value)) {
-      const auto n = static_cast<std::int64_t>((*list)->items.size());
-      if (static_cast<int>(dims->size()) <= depth) {
-        dims->push_back(n);
-      } else if ((*dims)[static_cast<std::size_t>(depth)] != n) {
-        Refuse("constant(): ragged nested list");
-      }
-      for (const minipy::Value& item : (*list)->items) {
-        FlattenStatic(SymValue::Static(item), data, dims, depth + 1);
-      }
-      return;
-    }
-    data->push_back(static_cast<float>(StaticNumber(s, "constant")));
-    return;
-  }
-  Refuse("constant(): dynamic elements are not supported");
+  return out;
 }
 
 }  // namespace
+
+SymValue GraphGenerator::Impl::EvalOpBuiltin(const minipy::BuiltinSpec& spec,
+                                             std::vector<SymValue>& args,
+                                             Frame& frame) {
+  AttrMap attrs;
+  if (spec.attrs != nullptr) {
+    const auto statics =
+        PlainArgs(std::span(args).subspan(spec.tensor_args));
+    if (!statics.has_value()) {
+      Refuse(std::string(spec.name) + ": expected static arguments");
+    }
+    attrs = RefuseOnError([&] { return spec.attrs(*statics, spec.name); });
+  }
+  // Later inputs take the first input's dtype; OneHot's input is int64.
+  const std::string_view op = spec.graph_op;
+  std::vector<NodeOutput> inputs;
+  DType dt = DType::kFloat32;
+  for (std::size_t i = 0; i < spec.tensor_args; ++i) {
+    const std::optional<DType> want =
+        op == "OneHot" ? DType::kInt64
+                       : (i > 0 ? std::optional(dt) : std::nullopt);
+    DType this_dt = DType::kFloat32;
+    inputs.push_back(ToNode(frame, args[i], want, &this_dt));
+    if (i == 0) dt = this_dt;
+  }
+  // Result dtype and shape, keyed by op; by default the first input's dtype
+  // and an unknown shape.
+  ShapeAssumption shape = ShapeAssumption::Unknown();
+  const auto ints = [&](const char* key) -> const std::vector<std::int64_t>& {
+    return std::get<std::vector<std::int64_t>>(attrs.find(key)->second);
+  };
+  if (op == "ReduceSum" || op == "ReduceMean" || op == "ReduceMax") {
+    if (ints("axes").empty()) shape = ShapeAssumption::Exact(Shape{});
+  } else if (op == "Reshape") {
+    const auto& dims = ints("shape");
+    if (std::all_of(dims.begin(), dims.end(),
+                    [](std::int64_t d) { return d >= 0; })) {
+      shape = ShapeAssumption::Exact(Shape(dims));
+    }
+  } else if (op == "RandomNormal" || op == "RandomUniform") {
+    dt = DType::kFloat32;
+    shape = ShapeAssumption::Exact(Shape(ints("shape")));
+  } else if (op == "Cast") {
+    dt = std::get<DType>(attrs.find("dtype")->second);
+    shape = args[0].shape;
+  } else if (op == "ArgMax") {
+    dt = DType::kInt64;
+  } else if (op == "SoftmaxCrossEntropy" || op == "Gather" ||
+             op == "OneHot" || op == "Conv2D" || op == "MaxPool2D" ||
+             op == "AvgPool2D") {
+    dt = DType::kFloat32;
+  }
+  Node* n = AddOp(frame, spec.graph_op, std::move(inputs), std::move(attrs));
+  return SymValue::OfNode({n, 0}, frame.graph, dt, false, std::move(shape));
+}
 
 SymValue GraphGenerator::Impl::EvalBuiltinCall(
     const minipy::BuiltinFunction& builtin, std::vector<SymValue>& args,
     Frame& frame, const Expr* expr) {
   const std::string& name = builtin.name;
-  const auto node_of = [&](std::size_t i, std::optional<DType> want =
-                                              std::nullopt) {
-    DType dt = DType::kFloat32;
-    const NodeOutput n = ToNode(frame, args.at(i), want, &dt);
-    return std::make_pair(n, dt);
-  };
-  const auto make = [&](Node* n, DType dt,
-                        ShapeAssumption sh = ShapeAssumption::Unknown()) {
-    return SymValue::OfNode({n, 0}, frame.graph, dt, false, std::move(sh));
-  };
-
-  // Simple one-to-one tensor ops.
-  if (const auto info = minipy::LookupBuiltinOp(name)) {
-    std::vector<NodeOutput> inputs;
-    DType dt = DType::kFloat32;
-    for (int i = 0; i < info->tensor_args; ++i) {
-      DType this_dt = DType::kFloat32;
-      inputs.push_back(
-          ToNode(frame, args.at(static_cast<std::size_t>(i)),
-                 i == 0 ? std::nullopt : std::optional<DType>(dt), &this_dt));
-      if (i == 0) dt = this_dt;
+  const minipy::BuiltinSpec* spec = minipy::FindBuiltin(name);
+  if (spec != nullptr) {
+    RefuseOnError([&] { minipy::CheckArity(*spec, args.size()); });
+    if (spec->is_op()) return EvalOpBuiltin(*spec, args, frame);
+    if (spec->static_eval) {
+      // Plain-data arguments: run the interpreter's own implementation.
+      if (auto plain = PlainArgs(args)) {
+        Value result =
+            RefuseOnError([&] { return spec->impl(*interp, *plain); });
+        if (const auto* t = std::get_if<Tensor>(&result)) {
+          Node* n = frame.graph->AddNode("Const", {}, {{"value", *t}});
+          return SymValue::OfNode({n, 0}, frame.graph, t->dtype(), false,
+                                  ShapeAssumption::Exact(t->shape()));
+        }
+        return SymValue::Static(std::move(result));
+      }
     }
-    Node* n = AddOp(frame, info->graph_op, inputs);
-    const DType out_dt =
-        info->graph_op == "SoftmaxCrossEntropy" || info->graph_op == "Gather"
-            ? DType::kFloat32
-            : ArithResultDType(info->graph_op, dt, dt);
-    return make(n, out_dt);
-  }
-
-  if (name == "constant") {
-    std::vector<float> data;
-    std::vector<std::int64_t> dims;
-    FlattenStatic(args.at(0), &data, &dims, 0);
-    Shape shape(dims);
-    Tensor t = Tensor::FromVector(std::move(data), shape);
-    Node* n = frame.graph->AddNode("Const", {}, {{"value", std::move(t)}});
-    return make(n, DType::kFloat32, ShapeAssumption::Exact(shape));
-  }
-  if (name == "constant_int") {
-    if (args.at(0).IsStatic() &&
-        std::holds_alternative<std::int64_t>(args.at(0).static_value)) {
-      Node* n = frame.graph->AddNode(
-          "Const", {},
-          {{"value",
-            Tensor::ScalarInt(std::get<std::int64_t>(args[0].static_value))}});
-      return make(n, DType::kInt64, ShapeAssumption::Exact(Shape{}));
-    }
-    const auto ints = StaticIntList(args.at(0), "constant_int");
-    Shape shape{static_cast<std::int64_t>(ints.size())};
-    Node* n = frame.graph->AddNode(
-        "Const", {}, {{"value", Tensor::FromVectorInt(ints, shape)}});
-    return make(n, DType::kInt64, ShapeAssumption::Exact(shape));
-  }
-  if (name == "zeros" || name == "ones" || name == "fill") {
-    const auto dims = StaticIntList(args.at(0), name.c_str());
-    const float v = name == "zeros"
-                        ? 0.0f
-                        : (name == "ones" ? 1.0f
-                                          : static_cast<float>(StaticNumber(
-                                                args.at(1), "fill")));
-    Shape shape(dims);
-    Node* n = frame.graph->AddNode("Const", {},
-                                   {{"value", Tensor::Full(shape, v)}});
-    return make(n, DType::kFloat32, ShapeAssumption::Exact(shape));
-  }
-  if (name == "randn" || name == "rand_uniform") {
-    const auto dims = StaticIntList(args.at(0), name.c_str());
-    AttrMap attrs{{"shape", dims}};
-    const char* op = nullptr;
-    if (name == "randn") {
-      op = "RandomNormal";
-      attrs["mean"] = 0.0;
-      attrs["stddev"] =
-          args.size() >= 2 ? StaticNumber(args.at(1), "randn") : 1.0;
-    } else {
-      op = "RandomUniform";
-      attrs["lo"] = StaticNumber(args.at(1), "rand_uniform");
-      attrs["hi"] = StaticNumber(args.at(2), "rand_uniform");
-    }
-    Node* n = AddOp(frame, op, {}, std::move(attrs));
-    return make(n, DType::kFloat32, ShapeAssumption::Exact(Shape(dims)));
   }
   if (name == "variable") {
     // Parameters already exist by generation time (created while
     // profiling); the handle is a static value.
-    const std::string var = StaticString(args.at(0), "variable");
-    return SymValue::Static(minipy::VariableRef{var});
+    const auto* var = args[0].IsStatic()
+                          ? std::get_if<std::string>(&args[0].static_value)
+                          : nullptr;
+    if (var == nullptr) Refuse("variable: expected a static string");
+    return SymValue::Static(minipy::VariableRef{*var});
   }
   if (name == "assign") {
-    std::string var;
-    if (args.at(0).IsStatic()) {
-      if (const auto* ref =
-              std::get_if<minipy::VariableRef>(&args[0].static_value)) {
-        var = ref->name;
-      } else {
-        var = StaticString(args.at(0), "assign");
-      }
-    } else {
-      Refuse("assign(): variable handle must be static");
+    const std::string* var = nullptr;
+    if (args[0].IsStatic()) {
+      const Value& handle = args[0].static_value;
+      const auto* ref = std::get_if<minipy::VariableRef>(&handle);
+      var = ref != nullptr ? &ref->name : std::get_if<std::string>(&handle);
     }
-    const auto [v, dt] = node_of(1);
-    (void)dt;
+    if (var == nullptr) Refuse("assign(): variable handle must be static");
+    const NodeOutput v = ToNode(frame, args[1]);
     RefuseSideEffectInDynamicBranch(frame, "variable assignment");
-    Node* set = AddOp(frame, "AssignVariable", {v}, {{"var", var}});
-    OrderStateWrite(frame, -2, "var:" + var, set);
+    Node* set = AddOp(frame, "AssignVariable", {v}, {{"var", *var}});
+    OrderStateWrite(frame, -2, "var:" + *var, set);
     return SymValue::Static(minipy::NoneType{});
-  }
-  if (name == "reduce_sum" || name == "reduce_mean" || name == "reduce_max") {
-    std::vector<std::int64_t> axes;
-    if (args.size() == 2) axes.push_back(StaticInt(args.at(1), name.c_str()));
-    const auto [v, dt] = node_of(0);
-    const char* op = name == "reduce_sum"
-                         ? "ReduceSum"
-                         : (name == "reduce_mean" ? "ReduceMean" : "ReduceMax");
-    Node* n = AddOp(frame, op, {v}, {{"axes", axes}, {"keep_dims", false}});
-    return make(n, dt,
-                args.size() == 1 ? ShapeAssumption::Exact(Shape{})
-                                 : ShapeAssumption::Unknown());
-  }
-  if (name == "argmax") {
-    const auto [v, dt] = node_of(0);
-    (void)dt;
-    Node* n = AddOp(frame, "ArgMax", {v},
-                    {{"axis", StaticInt(args.at(1), "argmax")}});
-    return make(n, DType::kInt64);
-  }
-  if (name == "onehot") {
-    const auto [v, dt] = node_of(0, DType::kInt64);
-    (void)dt;
-    Node* n = AddOp(frame, "OneHot", {v},
-                    {{"depth", StaticInt(args.at(1), "onehot")}});
-    return make(n, DType::kFloat32);
-  }
-  if (name == "reshape") {
-    const auto dims = StaticIntList(args.at(1), "reshape");
-    const auto [v, dt] = node_of(0);
-    Node* n = AddOp(frame, "Reshape", {v}, {{"shape", dims}});
-    bool exact = true;
-    for (const std::int64_t d : dims) exact = exact && d >= 0;
-    return make(n, dt,
-                exact ? ShapeAssumption::Exact(Shape(dims))
-                      : ShapeAssumption::Unknown());
-  }
-  if (name == "cast_float" || name == "cast_int") {
-    const DType target =
-        name == "cast_float" ? DType::kFloat32 : DType::kInt64;
-    const auto [v, dt] = node_of(0);
-    (void)dt;
-    Node* n = AddOp(frame, "Cast", {v}, {{"dtype", target}});
-    return make(n, target, args.at(0).shape);
-  }
-  if (name == "conv2d") {
-    const auto [x, xd] = node_of(0);
-    const auto [f, fd] = node_of(1);
-    (void)xd;
-    (void)fd;
-    Node* n = AddOp(frame, "Conv2D", {x, f},
-                    {{"stride", StaticInt(args.at(2), "conv2d")},
-                     {"padding", StaticString(args.at(3), "conv2d")}});
-    return make(n, DType::kFloat32);
-  }
-  if (name == "maxpool" || name == "avgpool") {
-    const auto [x, xd] = node_of(0);
-    (void)xd;
-    Node* n = AddOp(frame, name == "maxpool" ? "MaxPool2D" : "AvgPool2D",
-                    {x},
-                    {{"window", StaticInt(args.at(1), name.c_str())},
-                     {"stride", StaticInt(args.at(2), name.c_str())}});
-    return make(n, DType::kFloat32);
   }
   if (name == "concat" || name == "stack") {
     if (!args.at(0).IsList()) {
@@ -2350,17 +2232,7 @@ SymValue GraphGenerator::Impl::EvalBuiltinCall(
                   ? AddOp(frame, "Concat", parts,
                           {{"axis", StaticInt(args.at(1), "concat")}})
                   : AddOp(frame, "Stack", parts);
-    return make(n, dt);
-  }
-  if (name == "slice2d") {
-    // slice2d(x, row_start, row_size, col_start, col_size); -1 = to end.
-    const auto [x, dt] = node_of(0);
-    const std::vector<std::int64_t> begin{StaticInt(args.at(1), "slice2d"),
-                                          StaticInt(args.at(3), "slice2d")};
-    const std::vector<std::int64_t> size{StaticInt(args.at(2), "slice2d"),
-                                         StaticInt(args.at(4), "slice2d")};
-    Node* n = AddOp(frame, "Slice", {x}, {{"begin", begin}, {"size", size}});
-    return make(n, dt);
+    return SymValue::OfNode({n, 0}, frame.graph, dt);
   }
   if (name == "len") {
     const SymValue& target = args.at(0);
@@ -2384,20 +2256,13 @@ SymValue GraphGenerator::Impl::EvalBuiltinCall(
   }
   if (name == "range") {
     // range outside a for-header must be fully static.
-    std::vector<std::int64_t> bounds;
-    for (const SymValue& arg : args) {
-      bounds.push_back(StaticInt(arg, "range"));
-    }
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-    std::int64_t step = 1;
-    if (bounds.size() == 1) {
-      hi = bounds[0];
-    } else {
-      lo = bounds[0];
-      hi = bounds[1];
-      if (bounds.size() == 3) step = bounds[2];
-    }
+    const std::int64_t first = StaticInt(args[0], "range");
+    const std::int64_t lo = args.size() == 1 ? 0 : first;
+    const std::int64_t hi =
+        args.size() == 1 ? first : StaticInt(args[1], "range");
+    const std::int64_t step =
+        args.size() == 3 ? StaticInt(args[2], "range") : 1;
+    if (step == 0) Refuse("range() step must not be zero");
     std::vector<SymValue> items;
     for (std::int64_t i = lo; step > 0 ? i < hi : i > hi; i += step) {
       items.push_back(SymValue::Static(i));
@@ -2424,31 +2289,22 @@ SymValue GraphGenerator::Impl::EvalBuiltinCall(
     frame.side_nodes.push_back(n);
     return SymValue::Static(minipy::NoneType{});
   }
-  if (name == "int" || name == "float") {
-    const SymValue& v = args.at(0);
-    if (v.IsStatic()) {
-      const double d = StaticNumber(v, name.c_str());
-      if (name == "int") return SymValue::Static(static_cast<std::int64_t>(d));
-      return SymValue::Static(d);
+  // Tensor forms of the statically evaluated int/float/abs.
+  if ((name == "int" || name == "float" || name == "abs") &&
+      args[0].IsNode()) {
+    DType dt = DType::kFloat32;
+    const NodeOutput v = ToNode(frame, args[0], std::nullopt, &dt);
+    Node* n = nullptr;
+    if (name == "abs") {
+      n = AddOp(frame, "Abs", {v});
+    } else {
+      dt = name == "int" ? DType::kInt64 : DType::kFloat32;
+      n = AddOp(frame, "Cast", {v}, {{"dtype", dt}});
     }
-    const DType target = name == "int" ? DType::kInt64 : DType::kFloat32;
-    const auto [n, dt] = node_of(0);
-    (void)dt;
-    Node* cast = AddOp(frame, "Cast", {n}, {{"dtype", target}});
-    return make(cast, target, v.shape);
+    return SymValue::OfNode({n, 0}, frame.graph, dt, false, args[0].shape);
   }
-  if (name == "abs") {
-    const SymValue& v = args.at(0);
-    if (v.IsStatic()) {
-      const double d = StaticNumber(v, "abs");
-      if (std::holds_alternative<std::int64_t>(v.static_value)) {
-        return SymValue::Static(
-            static_cast<std::int64_t>(d < 0 ? -d : d));
-      }
-      return SymValue::Static(d < 0 ? -d : d);
-    }
-    const auto [n, dt] = node_of(0);
-    return make(AddOp(frame, "Abs", {n}), dt, v.shape);
+  if (spec != nullptr && spec->static_eval) {
+    Refuse(name + "(): arguments are not static plain data");
   }
   Refuse("builtin '" + name +
          "' is outside the conversion whitelist (imperative-only), line " +

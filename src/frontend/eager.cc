@@ -132,6 +132,8 @@ void EagerContext::AssignVariable(const std::string& name, Tensor value) {
 
 void EagerContext::StartTape() { tape_ = std::make_unique<Tape>(); }
 
+void EagerContext::DropTape() { tape_.reset(); }
+
 std::map<std::string, Tensor> EagerContext::GradientsAndStopTape(
     const Tensor& loss) {
   JANUS_EXPECTS(tape_ != nullptr);

@@ -46,6 +46,8 @@ class EagerContext {
   // Computes d(loss)/d(v) for every variable read under the tape, then
   // discards the tape. Returns variable name -> gradient.
   std::map<std::string, Tensor> GradientsAndStopTape(const Tensor& loss);
+  // Discards the active tape, if any, without computing gradients.
+  void DropTape();
 
   // Number of eager kernel invocations so far (throughput accounting).
   std::int64_t ops_executed() const { return ops_executed_; }

@@ -431,6 +431,31 @@ g = gradients(f)
   EXPECT_FLOAT_EQ(grad.data<float>()[0], 6.0f);  // d(w^2)/dw = 2w
 }
 
+TEST_F(FrontendTest, FailedOptimizeAndGradientsDropTheTape) {
+  // A loss function that raises must not leave the eager tape recording,
+  // or every later eager op would record onto it.
+  interp_.Run(R"(
+w = variable('tape_w', constant([1.0]))
+def bad():
+    y = w * 2.0
+    raise 'loss failed'
+caught = 0
+try:
+    optimize(bad, 0.1)
+except Error as e:
+    caught = caught + 1
+)");
+  EXPECT_FALSE(interp_.eager().TapeActive());
+  interp_.Run(R"(
+try:
+    gradients(bad)
+except Error as e:
+    caught = caught + 1
+)");
+  EXPECT_FALSE(interp_.eager().TapeActive());
+  EXPECT_EQ(Num(interp_.GetGlobal("caught")), 2);
+}
+
 TEST_F(FrontendTest, GradientsFlowThroughPythonControlFlow) {
   // The tape records through interpreter-level loops and branches (DCF).
   interp_.Run(R"(

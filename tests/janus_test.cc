@@ -1,10 +1,13 @@
 // End-to-end tests of the JANUS engine: profiling, speculative graph
 // generation, caching, assumption validation, fallback, deferred state
-// update, shape relaxation (Fig. 4), recursion, BASE-mode lowering, and the
-// tracing baseline's deliberate incorrectness.
+// update, shape relaxation (Fig. 4), recursion, BASE-mode lowering, the
+// tracing baseline's deliberate incorrectness, and every builtin of the
+// builtin table converting exactly as the interpreter runs it.
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "frontend/builtins.h"
 
@@ -41,6 +44,20 @@ class JanusTest : public ::testing::Test {
     }
   };
 };
+
+// Graph mode returns every result as a tensor, while imperative mode may
+// return a plain number; both are compared as tensors, bit for bit.
+Tensor AsTensor(const Value& v) {
+  if (const auto* t = std::get_if<Tensor>(&v)) return *t;
+  if (const auto* i = std::get_if<std::int64_t>(&v)) {
+    return Tensor::ScalarInt(*i);
+  }
+  if (const auto* d = std::get_if<double>(&v)) {
+    return Tensor::Scalar(static_cast<float>(*d));
+  }
+  ADD_FAILURE() << "result is a " << minipy::ValueTypeName(v);
+  return Tensor();
+}
 
 // A linear-regression training program exercising the basic conversion path.
 constexpr const char* kLinearProgram = R"(
@@ -427,6 +444,220 @@ for i in range(5):
   EXPECT_EQ(std::count(output.begin(), output.end(), '\n'), 5);
   EXPECT_NE(output.find("loss is"), std::string::npos);
 }
+
+TEST_F(JanusTest, FailedTrainingStepDropsTheTape) {
+  // A loss function that raises must not leave the eager tape recording:
+  // the engine's imperative training step discards it.
+  Session session(EngineOptions{});
+  session.interp.Run(R"(
+w = variable('tape_w', constant([1.0]))
+def bad():
+    y = w * 2.0
+    raise 'loss failed'
+caught = False
+try:
+    optimize(bad, 0.1)
+except Error as e:
+    caught = True
+)");
+  EXPECT_TRUE(std::get<bool>(session.interp.GetGlobal("caught")));
+  EXPECT_FALSE(session.interp.eager().TapeActive());
+}
+
+// One call per builtin that the generator lowers to an op or evaluates
+// statically, over fixed arguments (`x` is a 2x2 float tensor).
+const std::map<std::string, std::string>& BuiltinCases() {
+  static const auto* const cases = new std::map<std::string, std::string>{
+      {"abs", "abs(-3.5)"},
+      {"argmax", "argmax(x, 1)"},
+      {"avgpool", "avgpool(img, 2, 2)"},
+      {"cast_float", "cast_float(ids)"},
+      {"cast_int", "cast_int(x)"},
+      {"constant", "constant([[1.5, 2.0], [3.0, 4.0]])"},
+      {"constant_int", "constant_int([3, 1, 2])"},
+      {"conv2d", "conv2d(img, flt, 1, 'SAME')"},
+      {"exp", "exp(x)"},
+      {"fill", "fill([2, 2], 0.25)"},
+      {"float", "float(7)"},
+      {"gather", "gather(x, ids)"},
+      {"int", "int(2.75)"},
+      {"log", "log(pos)"},
+      {"log_softmax", "log_softmax(x)"},
+      {"matmul", "matmul(x, y)"},
+      {"maximum", "maximum(x, y)"},
+      {"maxpool", "maxpool(img, 2, 2)"},
+      {"minimum", "minimum(x, y)"},
+      {"onehot", "onehot(ids, 3)"},
+      {"ones", "ones([3])"},
+      {"rand_uniform", "rand_uniform([2, 3], -1.0, 1.0)"},
+      {"randn", "randn([2, 3], 0.5)"},
+      {"reduce_max", "reduce_max(x, 1)"},
+      {"reduce_mean", "reduce_mean(x)"},
+      {"reduce_sum", "reduce_sum(x, 0)"},
+      {"relu", "relu(x)"},
+      {"reshape", "reshape(x, [4])"},
+      {"select", "select(x > 0.0, x, y)"},
+      {"sigmoid", "sigmoid(x)"},
+      {"slice2d", "slice2d(x, 0, 1, 1, -1)"},
+      {"softmax", "softmax(x)"},
+      {"softmax_xent", "softmax_xent(x, ids)"},
+      {"sqrt", "sqrt(pos)"},
+      {"square", "square(x)"},
+      {"stop_gradient", "stop_gradient(x)"},
+      {"tanh", "tanh(x)"},
+      {"transpose", "transpose(x)"},
+      {"zeros", "zeros([2, 3])"},
+  };
+  return *cases;
+}
+
+TEST_F(JanusTest, EveryConvertibleBuiltinMatchesImperative) {
+  // Differential test driven by the builtin table: every op builtin and
+  // every statically evaluated builtin, eager against the generated graph.
+  // A builtin added to the table without a case here fails the test.
+  constexpr const char* kPrelude = R"(
+a = constant([[1.0, -2.0], [3.0, 0.5]])
+y = constant([[0.5, 1.0], [-1.0, 2.0]])
+pos = constant([[0.5, 1.0], [2.0, 4.0]])
+ids = constant_int([1, 0])
+img = constant([[[[1.0], [2.0], [0.0], [1.0]], [[0.5], [3.0], [1.0], [2.0]],
+                 [[2.0], [1.0], [4.0], [0.0]], [[1.0], [0.0], [2.0], [3.0]]]])
+flt = constant([[[[1.0, -1.0]], [[0.5, 2.0]]], [[[0.0, 1.0]], [[2.0, 0.5]]]])
+)";
+  for (const minipy::BuiltinSpec& spec : minipy::BuiltinTable()) {
+    if (!spec.is_op() && !spec.static_eval) continue;
+    SCOPED_TRACE(spec.name);
+    const auto it = BuiltinCases().find(spec.name);
+    ASSERT_NE(it, BuiltinCases().end())
+        << "no differential case for builtin " << spec.name;
+    const std::string program = std::string(kPrelude) +
+                                "def f(x):\n    return " + it->second +
+                                "\n\nf = janus_function(f)\nout = []\n"
+                                "for i in range(6):\n    out.append(f(a))\n";
+    Session imperative(EngineOptions::ImperativePreset());
+    Session janus(EngineOptions{});
+    imperative.interp.Run(program);
+    janus.interp.Run(program);
+    EXPECT_GT(janus.engine.stats().graph_executions, 0);
+    const auto want = std::get<std::shared_ptr<minipy::ListValue>>(
+        imperative.interp.GetGlobal("out"));
+    const auto got = std::get<std::shared_ptr<minipy::ListValue>>(
+        janus.interp.GetGlobal("out"));
+    ASSERT_EQ(want->items.size(), 6u);
+    ASSERT_EQ(got->items.size(), 6u);
+    const bool random = spec.name == std::string("randn") ||
+                        spec.name == std::string("rand_uniform");
+    for (std::size_t i = 0; i < 6; ++i) {
+      const Tensor expected = AsTensor(want->items[i]);
+      const Tensor actual = AsTensor(got->items[i]);
+      if (random) {
+        EXPECT_EQ(actual.dtype(), expected.dtype()) << "call " << i;
+        EXPECT_EQ(actual.shape(), expected.shape()) << "call " << i;
+      } else {
+        EXPECT_TRUE(actual.ElementsEqual(expected))
+            << "call " << i << ": " << actual.ToString() << " vs "
+            << expected.ToString();
+      }
+    }
+  }
+}
+
+// A builtin call the generator used to treat differently from the
+// interpreter, or a call with a bad static argument. `f` runs 8 times with
+// its branch never taken, then once with it taken; each call must return
+// what imperative mode returns or raise the same error.
+struct BuiltinDivergence {
+  const char* label;
+  const char* call;   // what `f` returns from its branch
+  const char* error;  // the error the taken branch raises, or null
+  bool base;          // Fig. 7 BASE: no speculative unrolling or specialization
+};
+
+class BuiltinDivergenceTest
+    : public JanusTest,
+      public ::testing::WithParamInterface<BuiltinDivergence> {};
+
+TEST_P(BuiltinDivergenceTest, MatchesImperativeMode) {
+  const BuiltinDivergence& param = GetParam();
+  // Without an expected error the call is also f's ordinary result.
+  const std::string result =
+      param.error == nullptr ? param.call : "reduce_sum(x * 2.0)";
+  const std::string program =
+      std::string("def f(x):\n    n = -9007199254740993\n"
+                  "    if reduce_sum(x) > 100.0:\n        return ") +
+      param.call + "\n    return " + result +
+      "\n\nf = janus_function(f)\nsmall = constant([1.0, 2.0])\n"
+      "big = constant([100.0, 200.0])\n";
+  EngineOptions options;
+  if (param.base) {
+    options.generator.speculative_unroll = false;
+    options.generator.specialize = false;
+  }
+  Session imperative(EngineOptions::ImperativePreset());
+  Session janus(options);
+  imperative.interp.Run(program);
+  janus.interp.Run(program);
+  // What one call produced: a result, or the message of the error raised.
+  const auto call = [](Session& session, const char* arg) {
+    std::pair<std::optional<Tensor>, std::string> outcome;
+    try {
+      session.interp.Run(std::string("r = f(") + arg + ")\n");
+      outcome.first = AsTensor(session.interp.GetGlobal("r"));
+    } catch (const minipy::MiniPyError& error) {
+      outcome.second = error.what();
+    }
+    return outcome;
+  };
+  for (int i = 0; i <= 8; ++i) {
+    const char* arg = i < 8 ? "small" : "big";
+    SCOPED_TRACE(std::string("call ") + std::to_string(i) + " f(" + arg + ")");
+    const auto want = call(imperative, arg);
+    const auto got = call(janus, arg);
+    EXPECT_EQ(got.second, want.second);
+    ASSERT_EQ(got.first.has_value(), want.first.has_value());
+    if (want.first.has_value()) {
+      EXPECT_TRUE(got.first->ElementsEqual(*want.first))
+          << got.first->ToString() << " vs " << want.first->ToString();
+    }
+    if (i == 8 && param.error != nullptr) {
+      EXPECT_NE(want.second.find(param.error), std::string::npos)
+          << want.second;
+    }
+  }
+  // With speculation on, f converts and its graph computes the result.
+  if (!param.base) {
+    EXPECT_GT(janus.engine.stats().graph_executions, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Calls, BuiltinDivergenceTest,
+    ::testing::Values(
+        // BASE used to crash on range() (an unchecked bounds[0]) and let
+        // std::out_of_range escape Compile on len() and argmax(x).
+        BuiltinDivergence{"range", "range()",
+                          "range(): wrong number of arguments", true},
+        BuiltinDivergence{"len", "len()", "len(): wrong number of arguments",
+                          true},
+        BuiltinDivergence{"argmax", "argmax(x)",
+                          "argmax(): wrong number of arguments", true},
+        // An extra argument used to be dropped instead of raising.
+        BuiltinDivergence{"relu", "relu(x, x)",
+                          "relu(): wrong number of arguments", true},
+        // abs of a static int used to go through a double.
+        BuiltinDivergence{"abs", "abs(n)", nullptr, false},
+        // Bad static arguments raise the interpreter's own error.
+        BuiltinDivergence{"bad_axis", "reduce_sum(x, 'a')",
+                          "reduce_sum: expected an int, got str", true},
+        BuiltinDivergence{"bad_shape", "reshape(x, [2, 'b'])",
+                          "reshape: expected an int, got str", true},
+        BuiltinDivergence{"bad_padding", "conv2d(x, x, 1, 2)",
+                          "conv2d: expected a string, got int", true},
+        BuiltinDivergence{"ragged", "constant([[1.0], [2.0, 3.0]])",
+                          "constant(): ragged nested list", true}),
+    [](const ::testing::TestParamInfo<BuiltinDivergence>& info) {
+      return std::string(info.param.label);
+    });
 
 }  // namespace
 }  // namespace janus
