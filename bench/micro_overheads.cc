@@ -47,10 +47,14 @@ void BM_EagerOpDispatch(benchmark::State& state) {
 BENCHMARK(BM_EagerOpDispatch);
 
 void BM_GraphExecutionPerOp(benchmark::State& state) {
-  // A chain of N adds executed through the DAG executor (plan cached after
-  // the first run, so this measures the cached-graph hot path). Allocator
-  // counters report the memory-planner effect: allocs/op should be near
-  // zero (in-place reuse) and the pool hit rate near 1 after warmup.
+  // A chain of N adds executed through the executor (plan cached after the
+  // first run, so this measures the cached-graph hot path). With fusion on
+  // (the default) the chain fuses into one region, so this is a
+  // fused-region benchmark: one superop dispatch covering N members, and
+  // the per-op figure is that dispatch divided by N. Per-node dispatch is
+  // BM_PrebuiltPlanDispatch under JANUS_FUSION=0. Allocator counters report
+  // the memory-planner effect: allocs/op should be near zero (in-place
+  // reuse) and the pool hit rate near 1 after warmup.
   const int n = static_cast<int>(state.range(0));
   Graph g;
   const NodeOutput v = BuildAddChain(g, n);
@@ -310,8 +314,8 @@ void BM_ProfileOverhead(benchmark::State& state) {
   // (arg 1), same 16-op chain as BM_GraphExecutionPerOp/16. The disabled
   // path must stay within noise of baseline: the per-node hook is one
   // relaxed atomic load plus a branch. The enabled delta prices a jittered
-  // 1-in-16 sample (two clock reads + relaxed adds on the plan's own slot
-  // array) amortized over every node execution.
+  // 1-in-64 sample (two clock reads + relaxed adds on the node's own
+  // histogram) amortized over every node execution.
   const bool profiling = state.range(0) != 0;
   const int n = 16;
   Graph g;
@@ -334,7 +338,9 @@ void BM_ProfileOverhead(benchmark::State& state) {
     std::uint64_t sampled = 0;
     for (const auto& profile : obs::ProfileRegistry::Global().Profiles()) {
       for (int i = 0; i < profile->num_nodes(); ++i) {
-        sampled += profile->Snapshot(i).count;
+        if (const obs::Histogram* samples = profile->Samples(i)) {
+          sampled += static_cast<std::uint64_t>(samples->Count());
+        }
       }
     }
     state.counters["samples_recorded"] = static_cast<double>(sampled);

@@ -58,8 +58,9 @@ print('final loss', float(loss))
               static_cast<long long>(stats.fallbacks));
 
   // Full report: decision-loop counters, per-phase latency histograms,
-  // sampled kernel timers, buffer-pool traffic. For a timeline view, run
-  // with JANUS_TRACE=trace.json and open the file in chrome://tracing.
+  // cache, fusion and buffer-pool traffic. For a timeline view, run with
+  // JANUS_TRACE=trace.json and open the file in chrome://tracing; for
+  // per-op and per-source-line kernel time, run with JANUS_PROFILE.
   std::printf("\n%s", engine.StatsReport().c_str());
 
   const float learned_w0 = variables.Read("w").data<float>()[0];

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <set>
 
 #include "cache/fused_kernel_cache.h"
@@ -120,26 +121,10 @@ JanusEngine::JanusEngine(minipy::Interpreter* interp, EngineOptions options)
     pool_ = std::make_unique<ThreadPool>(
         ResolveThreadPoolSize(options_.pool_threads));
   }
-  counters_.graph_executions = &metrics_.GetCounter("engine.graph_executions");
-  counters_.imperative_executions =
-      &metrics_.GetCounter("engine.imperative_executions");
-  counters_.graph_generations =
-      &metrics_.GetCounter("engine.graph_generations");
-  counters_.cache_misses = &metrics_.GetCounter("engine.cache_misses");
-  counters_.assumption_failures =
-      &metrics_.GetCounter("engine.assumption_failures");
-  counters_.fallbacks = &metrics_.GetCounter("engine.fallbacks");
-  counters_.not_convertible = &metrics_.GetCounter("engine.not_convertible");
-  counters_.graph_ops_executed =
-      &metrics_.GetCounter("engine.graph_ops_executed");
-  counters_.plan_builds = &metrics_.GetCounter("engine.plan_builds");
-  counters_.plan_cache_hits = &metrics_.GetCounter("engine.plan_cache_hits");
-  counters_.bytes_allocated = &metrics_.GetCounter("engine.bytes_allocated");
-  counters_.pool_hits = &metrics_.GetCounter("engine.pool_hits");
-  counters_.pool_misses = &metrics_.GetCounter("engine.pool_misses");
-  counters_.in_place_reuses = &metrics_.GetCounter("engine.in_place_reuses");
-  counters_.fused_regions = &metrics_.GetCounter("engine.fused_regions");
-  counters_.fused_ops = &metrics_.GetCounter("engine.fused_ops");
+#define JANUS_ENGINE_COUNTER_CELL(name) \
+  counters_.name = &metrics_.GetCounter("engine." #name);
+  JANUS_ENGINE_COUNTERS(JANUS_ENGINE_COUNTER_CELL)
+#undef JANUS_ENGINE_COUNTER_CELL
   imperative_ns_ = &metrics_.GetHistogram("engine.imperative_ns");
   graph_execution_ns_ = &metrics_.GetHistogram("engine.graph_execution_ns");
   generation_ns_ = &metrics_.GetHistogram("engine.generation_ns");
@@ -171,7 +156,6 @@ void JanusEngine::Attach() {
     trace_was_enabled_ = obs::Trace::Enabled();
     obs::Trace::Enable();
   }
-  if (options_.kernel_timing) obs::SetKernelTimingEnabled(true);
   // Publish this engine to the live-introspection endpoints: its private
   // registry feeds /metrics, its StatsReport() feeds /statusz. Detach()
   // retires both so a scrape after teardown still sees the final totals.
@@ -312,11 +296,76 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
                               lr, unit->refusal_reason);
   }
 
+  const cache::SpecializationCache::Key cache_key{this, key,
+                                                  VariantKey(training, lr)};
+  // Runs a cached (cache_hit 1) or freshly generated (0) entry whose entry
+  // assumptions hold. On a speculation failure nothing was committed:
+  // records it, drops the entry, and returns nullopt with `failure` set.
+  std::string failure;
+  const auto try_graph = [&](CachedUnit& entry,
+                             const cache::SpecializationCache::EntryRef& ref,
+                             int cache_hit,
+                             std::int64_t check_ns) -> std::optional<Value> {
+    const auto fallback_record = [&] {
+      auto record = NewRecord("fallback");
+      record.level = entry.compiled->despecialization_level;
+      record.cache_hit = cache_hit;
+      record.validate_ns = check_ns;
+      return record;
+    };
+    try {
+      // Only materialize the record (PointerToHex + name copies) when the
+      // ledger is on; the disabled path stays one relaxed load and a branch.
+      obs::LedgerRecord run_record;
+      if (ledger_on) run_record = NewRecord("run");
+      Value result =
+          ExecuteCompiled(entry, args, ledger_on ? &run_record : nullptr);
+      counters_.graph_executions->Increment();
+      cache_->OnRunSuccess(cache_key, ref);
+      if (ledger_on) {
+        run_record.level = entry.compiled->despecialization_level;
+        run_record.cache_hit = cache_hit;
+        run_record.validate_ns = check_ns;
+        obs::Ledger::Global().Record(std::move(run_record));
+      }
+      return result;
+    } catch (const AssumptionFailed& assumption) {
+      // (E) Runtime assumption failure: mark the assumption so
+      // regeneration relaxes it (§3.2).
+      counters_.assumption_failures->Increment();
+      counters_.fallbacks->Increment();
+      obs::Trace::RecordInstant("assumption_failure", "engine",
+                                assumption.assumption_id());
+      if (ledger_on) {
+        auto record = fallback_record();
+        record.assumption = assumption.assumption_id();
+        record.assumed = assumption.assumed();
+        record.observed = assumption.observed();
+        obs::Ledger::Global().Record(std::move(record));
+      }
+      profiler_.MarkAssumptionFailed(assumption.assumption_id());
+      failure = assumption.assumption_id();
+    } catch (const Error& error) {
+      // A kernel crashed on data that violates an assumption before the
+      // guarding AssertOp ran (assertions execute in parallel with the
+      // network, §6.3.1). Re-profiling relaxes the assumption.
+      counters_.fallbacks->Increment();
+      JANUS_LOG(kInfo) << "speculative graph failed (" << error.what()
+                       << "); falling back";
+      if (ledger_on) {
+        auto record = fallback_record();
+        record.detail = error.what();
+        obs::Ledger::Global().Record(std::move(record));
+      }
+      failure = error.what();
+    }
+    cache_->OnEntryFailure(cache_key, ref);
+    return std::nullopt;
+  };
+
   // (D) Try cached graphs whose entry assumptions hold (Fig. 2 ①). The
   // SpecializationCache owns the candidate population (budgets, eviction,
   // churn accounting); the engine owns validation and execution.
-  const cache::SpecializationCache::Key cache_key{this, key,
-                                                  VariantKey(training, lr)};
   const auto candidates = cache_->Lookup(cache_key);
   for (const auto& entry_ref : candidates) {
     auto& entry = *static_cast<CachedUnit*>(entry_ref->payload.get());
@@ -357,65 +406,13 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
       }
       continue;
     }
-    try {
-      // Only materialize the record (PointerToHex + name copies) when the
-      // ledger is on; the disabled path stays one relaxed load and a branch.
-      obs::LedgerRecord run_record;
-      if (ledger_on) run_record = NewRecord("run");
-      Value result =
-          ExecuteCompiled(entry, args, ledger_on ? &run_record : nullptr);
-      counters_.graph_executions->Increment();
-      cache_->OnRunSuccess(cache_key, entry_ref);
-      if (ledger_on) {
-        run_record.level = entry.compiled->despecialization_level;
-        run_record.cache_hit = 1;
-        run_record.validate_ns = check_ns;
-        obs::Ledger::Global().Record(std::move(run_record));
-      }
-      return result;
-    } catch (const AssumptionFailed& failure) {
-      // (E) Runtime assumption failure: nothing was committed; mark the
-      // assumption so regeneration relaxes it, drop this graph, and fall
-      // back to the imperative executor (§3.2).
-      counters_.assumption_failures->Increment();
-      counters_.fallbacks->Increment();
-      obs::Trace::RecordInstant("assumption_failure", "engine",
-                                failure.assumption_id());
-      if (ledger_on) {
-        auto record = NewRecord("fallback");
-        record.level = entry.compiled->despecialization_level;
-        record.cache_hit = 1;
-        record.assumption = failure.assumption_id();
-        record.assumed = failure.assumed();
-        record.observed = failure.observed();
-        record.validate_ns = check_ns;
-        obs::Ledger::Global().Record(std::move(record));
-      }
-      profiler_.MarkAssumptionFailed(failure.assumption_id());
-      cache_->OnEntryFailure(cache_key, entry_ref);
-      counters_.imperative_executions->Increment();
-      return RunImperativePhase("fallback", fn, std::move(args), training,
-                                lr, failure.assumption_id());
-    } catch (const Error& error) {
-      // A kernel crashed on data that violates an assumption before the
-      // guarding AssertOp ran (assertions execute in parallel with the
-      // network, §6.3.1). The run committed nothing, so dropping the graph
-      // and falling back is safe; re-profiling relaxes the assumption.
-      counters_.fallbacks->Increment();
-      JANUS_LOG(kInfo) << "speculative graph failed (" << error.what()
-                       << "); falling back";
-      if (ledger_on) {
-        auto record = NewRecord("fallback");
-        record.level = entry.compiled->despecialization_level;
-        record.cache_hit = 1;
-        record.detail = error.what();
-        obs::Ledger::Global().Record(std::move(record));
-      }
-      cache_->OnEntryFailure(cache_key, entry_ref);
-      counters_.imperative_executions->Increment();
-      return RunImperativePhase("fallback", fn, std::move(args), training,
-                                lr, error.what());
+    if (auto result = try_graph(entry, entry_ref, /*cache_hit=*/1, check_ns)) {
+      return *std::move(result);
     }
+    // (E) Fall back to the imperative executor.
+    counters_.imperative_executions->Increment();
+    return RunImperativePhase("fallback", fn, std::move(args), training, lr,
+                              failure);
   }
   if (!candidates.empty()) {
     counters_.cache_misses->Increment();
@@ -486,47 +483,8 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
           cache_->Insert(cache_key, cached, bytes, build_cost_ns);
       CachedUnit& fresh = *cached;
       if (EntryValid(fresh, fn, args)) {
-        try {
-          obs::LedgerRecord run_record;
-          if (ledger_on) run_record = NewRecord("run");
-          Value result = ExecuteCompiled(fresh, args,
-                                         ledger_on ? &run_record : nullptr);
-          counters_.graph_executions->Increment();
-          cache_->OnRunSuccess(cache_key, entry_ref);
-          if (ledger_on) {
-            run_record.level = fresh.compiled->despecialization_level;
-            run_record.cache_hit = 0;  // first run of a fresh graph
-            obs::Ledger::Global().Record(std::move(run_record));
-          }
-          return result;
-        } catch (const AssumptionFailed& failure) {
-          counters_.assumption_failures->Increment();
-          counters_.fallbacks->Increment();
-          obs::Trace::RecordInstant("assumption_failure", "engine",
-                                    failure.assumption_id());
-          if (ledger_on) {
-            auto record = NewRecord("fallback");
-            record.level = fresh.compiled->despecialization_level;
-            record.cache_hit = 0;
-            record.assumption = failure.assumption_id();
-            record.assumed = failure.assumed();
-            record.observed = failure.observed();
-            obs::Ledger::Global().Record(std::move(record));
-          }
-          profiler_.MarkAssumptionFailed(failure.assumption_id());
-          cache_->OnEntryFailure(cache_key, entry_ref);
-        } catch (const Error& error) {
-          counters_.fallbacks->Increment();
-          JANUS_LOG(kInfo) << "fresh speculative graph failed ("
-                           << error.what() << "); falling back";
-          if (ledger_on) {
-            auto record = NewRecord("fallback");
-            record.level = fresh.compiled->despecialization_level;
-            record.cache_hit = 0;
-            record.detail = error.what();
-            obs::Ledger::Global().Record(std::move(record));
-          }
-          cache_->OnEntryFailure(cache_key, entry_ref);
+        if (auto result = try_graph(fresh, entry_ref, /*cache_hit=*/0, -1)) {
+          return *std::move(result);
         }
       }
     } catch (const NotConvertible& refusal) {
@@ -734,68 +692,38 @@ minipy::Value JanusEngine::ExecuteCompiled(CachedUnit& entry,
   return results.at(0);
 }
 
+std::vector<JanusEngine::UnitVariants> JanusEngine::SnapshotUnits() const {
+  const MutexLock lock(units_mu_);
+  std::vector<UnitVariants> snapshot;
+  snapshot.reserve(units_.size());
+  for (const auto& [key, unit] : units_) {
+    snapshot.push_back({key, unit->name,
+                        {unit->variants.begin(), unit->variants.end()}});
+  }
+  return snapshot;
+}
+
 EngineStats JanusEngine::stats() const {
   EngineStats s;
-  s.graph_executions = counters_.graph_executions->Value();
-  s.imperative_executions = counters_.imperative_executions->Value();
-  s.graph_generations = counters_.graph_generations->Value();
-  s.cache_misses = counters_.cache_misses->Value();
-  s.assumption_failures = counters_.assumption_failures->Value();
-  s.fallbacks = counters_.fallbacks->Value();
-  s.not_convertible = counters_.not_convertible->Value();
-  s.graph_ops_executed = counters_.graph_ops_executed->Value();
-  s.plan_builds = counters_.plan_builds->Value();
-  s.plan_cache_hits = counters_.plan_cache_hits->Value();
-  s.bytes_allocated = counters_.bytes_allocated->Value();
-  s.pool_hits = counters_.pool_hits->Value();
-  s.pool_misses = counters_.pool_misses->Value();
-  s.in_place_reuses = counters_.in_place_reuses->Value();
-  s.fused_regions = counters_.fused_regions->Value();
-  s.fused_ops = counters_.fused_ops->Value();
+#define JANUS_ENGINE_COUNTER_VALUE(name) s.name = counters_.name->Value();
+  JANUS_ENGINE_COUNTERS(JANUS_ENGINE_COUNTER_VALUE)
+#undef JANUS_ENGINE_COUNTER_VALUE
   return s;
 }
 
 std::string JanusEngine::StatsReport() const {
   std::string out = "=== JANUS engine observability report ===\n";
   out += metrics_.TextReport();
-  // Sampled kernel timers accumulate in the process-wide registry (they
-  // are recorded by the executors, which have no engine reference).
-  std::string kernels;
-  obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
-  for (const std::string& name : global.HistogramNames()) {
-    if (name.rfind("kernel.", 0) != 0) continue;
-    const obs::Histogram* histogram = global.FindHistogram(name);
-    if (histogram != nullptr) {
-      obs::AppendHistogramLine(kernels, name, *histogram);
-    }
-  }
-  if (!kernels.empty()) {
-    out += "--- sampled kernel timers (ns) ---\n";
-    out += kernels;
-  }
   out += "--- specialization cache ---\n";
   out += cache_->TextReport();
   // Per-unit ladder/promotion state: which rung of the Fig. 4 lattice each
   // conversion unit sits on, and how its candidates are doing. /statusz
   // reads this from the HTTP thread, hence the units_mu_ snapshot.
   {
-    std::vector<std::pair<const void*,
-                          std::pair<std::string, std::vector<std::uint64_t>>>>
-        snapshot;
-    {
-      const MutexLock lock(units_mu_);
-      for (const auto& [key, unit] : units_) {
-        snapshot.emplace_back(
-            key, std::make_pair(unit->name,
-                                std::vector<std::uint64_t>(
-                                    unit->variants.begin(),
-                                    unit->variants.end())));
-      }
-    }
     std::string ladder;
-    for (const auto& [key, named] : snapshot) {
-      for (const std::uint64_t variant : named.second) {
-        const cache::KeyStats ks = cache_->Stats({this, key, variant});
+    for (const UnitVariants& unit : SnapshotUnits()) {
+      for (const std::uint64_t variant : unit.variants) {
+        const cache::KeyStats ks = cache_->Stats({this, unit.key, variant});
         if (ks.insertions == 0 && ks.misses == 0 && ks.hits == 0) continue;
         std::string variant_text = "inference";
         if ((variant & 1u) != 0) {
@@ -810,8 +738,8 @@ std::string JanusEngine::StatsReport() const {
             "%s [%s]: ladder_level=%d resident=%lld promoted=%lld "
             "hits=%lld misses=%lld failures=%lld churn=%lld "
             "promotions=%lld\n",
-            named.first.empty() ? obs::PointerToHex(key).c_str()
-                                : named.first.c_str(),
+            unit.name.empty() ? obs::PointerToHex(unit.key).c_str()
+                              : unit.name.c_str(),
             variant_text.c_str(), ks.ladder_level,
             static_cast<long long>(ks.resident_entries),
             static_cast<long long>(ks.promoted_entries),
@@ -829,20 +757,17 @@ std::string JanusEngine::StatsReport() const {
     }
   }
   {
-    // Fused-region dispatch: how much of this engine's graph work ran
-    // through superops, plus the process-wide specialized-program cache.
-    const std::int64_t regions = counters_.fused_regions->Value();
-    const std::int64_t fused_ops = counters_.fused_ops->Value();
+    // Fusion state and the process-wide specialized-program cache (the
+    // engine's fused_regions/fused_ops counters are in the registry
+    // section above).
     const cache::FusedKernelCache::Stats fks =
         cache::FusedKernelCache::Global().Snapshot();
     out += "--- fusion ---\n";
     char fusion_line[320];
     std::snprintf(fusion_line, sizeof(fusion_line),
-                  "fused_regions=%lld fused_ops=%lld enabled=%d\n"
+                  "enabled=%d\n"
                   "fused_kernel_cache(process-wide): entries=%lld hits=%lld "
                   "misses=%lld inserts=%lld evictions=%lld\n",
-                  static_cast<long long>(regions),
-                  static_cast<long long>(fused_ops),
                   options_.enable_fusion && fusion::GloballyEnabled() ? 1 : 0,
                   static_cast<long long>(fks.entries),
                   static_cast<long long>(fks.hits),
@@ -870,27 +795,15 @@ std::string JanusEngine::StatsReport() const {
 void JanusEngine::ForEachCompiledUnit(
     const std::function<void(const std::string& name,
                              const CompiledGraph& unit)>& visit) {
-  // Snapshot keys under the lock, then walk the cache unlocked: Lookup
-  // takes the cache mutex and the visitor may be arbitrarily slow.
-  std::vector<std::pair<const void*,
-                        std::pair<std::string, std::vector<std::uint64_t>>>>
-      snapshot;
-  {
-    const MutexLock lock(units_mu_);
-    for (const auto& [key, unit] : units_) {
-      snapshot.emplace_back(
-          key, std::make_pair(unit->name, std::vector<std::uint64_t>(
-                                              unit->variants.begin(),
-                                              unit->variants.end())));
-    }
-  }
-  for (const auto& [key, named] : snapshot) {
-    for (const std::uint64_t variant : named.second) {
-      for (const auto& entry_ref : cache_->Lookup({this, key, variant})) {
+  // Walk the cache outside units_mu_: Lookup takes the cache mutex and the
+  // visitor may be arbitrarily slow.
+  for (const UnitVariants& unit : SnapshotUnits()) {
+    for (const std::uint64_t variant : unit.variants) {
+      for (const auto& entry_ref : cache_->Lookup({this, unit.key, variant})) {
         const auto& cached =
             *static_cast<const CachedUnit*>(entry_ref->payload.get());
         if (cached.compiled != nullptr) {
-          visit(named.first, *cached.compiled);
+          visit(unit.name, *cached.compiled);
         }
       }
     }

@@ -71,9 +71,6 @@ struct EngineOptions {
   // file to this path. The JANUS_TRACE=<path> environment variable
   // provides the same process-wide without engine involvement.
   std::string trace_path;
-  // Sampled per-op kernel timers (histograms "kernel.<op>" in the global
-  // metrics registry) even when the tracer is off.
-  bool kernel_timing = false;
   // Plan-time fusion of elementwise regions into superops (runtime/fusion.h).
   // ANDed with the process-wide JANUS_FUSION kill switch; applies to every
   // plan this engine builds (main graphs and library functions).
@@ -87,38 +84,45 @@ struct EngineOptions {
   static EngineOptions TracingPreset();
 };
 
-// Snapshot of the engine's decision-loop counters. The live counters are
-// obs::Counter cells in the engine's metrics registry (atomic, safe
-// against pool worker threads); stats() materializes this plain struct
-// from them.
-struct EngineStats {
-  std::int64_t graph_executions = 0;
-  std::int64_t imperative_executions = 0;
-  std::int64_t graph_generations = 0;
-  std::int64_t cache_misses = 0;
-  std::int64_t assumption_failures = 0;
-  std::int64_t fallbacks = 0;
-  std::int64_t not_convertible = 0;
-  std::int64_t graph_ops_executed = 0;
-  // Execution-plan cache accounting (runtime/plan.h): builds happen at
-  // generation time (once per compiled graph + library function); every
-  // cached-graph run afterwards is hits-only — the compile-once/run-many
-  // split the paper's amortization argument relies on.
-  std::int64_t plan_builds = 0;
-  std::int64_t plan_cache_hits = 0;
-  // Tensor-allocator accounting across all graph executions (tensor/
-  // buffer_pool.h): bytes requested, pool freelist hits/misses, and kernel
-  // outputs written in place over a dead input's buffer.
-  std::int64_t bytes_allocated = 0;
-  std::int64_t pool_hits = 0;
-  std::int64_t pool_misses = 0;
-  std::int64_t in_place_reuses = 0;
-  // Fused-region dispatch across all graph executions (runtime/fusion.h):
-  // regions executed through the superop interpreter and the member ops
-  // they covered (the latter also counted in graph_ops_executed).
-  std::int64_t fused_regions = 0;
-  std::int64_t fused_ops = 0;
+// The engine's counters, each named once: the list expands into the
+// EngineCounters field, its "engine.<name>" registry counter and stats()'s
+// copy, so adding a counter is one line. graph_executions through
+// graph_ops_executed follow the Fig. 2 decision loop; plan_builds and
+// plan_cache_hits the plan cache (runtime/plan.h: plans are built at
+// generation time and every cached-graph run afterwards only hits, the
+// compile-once/run-many split the paper's amortization relies on);
+// bytes_allocated through in_place_reuses the buffer-pool traffic of graph
+// runs (tensor/buffer_pool.h); fused_regions and fused_ops the regions run
+// by the superop interpreter and the member ops they covered
+// (runtime/fusion.h; also counted in graph_ops_executed).
+#define JANUS_ENGINE_COUNTERS(X) \
+  X(graph_executions)            \
+  X(imperative_executions)       \
+  X(graph_generations)           \
+  X(cache_misses)                \
+  X(assumption_failures)         \
+  X(fallbacks)                   \
+  X(not_convertible)             \
+  X(graph_ops_executed)          \
+  X(plan_builds)                 \
+  X(plan_cache_hits)             \
+  X(bytes_allocated)             \
+  X(pool_hits)                   \
+  X(pool_misses)                 \
+  X(in_place_reuses)             \
+  X(fused_regions)               \
+  X(fused_ops)
+
+// One field per engine counter: EngineCounters<std::int64_t> is the
+// snapshot stats() returns, EngineCounters<obs::Counter*> the live registry
+// cells behind it (atomic, safe against pool worker threads).
+template <typename T>
+struct EngineCounters {
+#define JANUS_ENGINE_COUNTER_FIELD(name) T name{};
+  JANUS_ENGINE_COUNTERS(JANUS_ENGINE_COUNTER_FIELD)
+#undef JANUS_ENGINE_COUNTER_FIELD
 };
+using EngineStats = EngineCounters<std::int64_t>;
 
 class JanusEngine : public minipy::CallInterceptor {
  public:
@@ -146,14 +150,14 @@ class JanusEngine : public minipy::CallInterceptor {
   Profiler& profiler() { return profiler_; }
   const EngineOptions& options() const { return options_; }
 
-  // The engine's own registry: the Fig. 2 decision-loop counters
+  // The engine's own registry: the JANUS_ENGINE_COUNTERS counters
   // ("engine.*") plus per-phase latency histograms ("engine.*_ns").
-  // Sampled kernel timers live in obs::MetricsRegistry::Global().
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  // Human-readable observability summary: decision-loop counters, phase
-  // latency histograms (p50/p95/p99), sampled per-op kernel timers, and
-  // buffer-pool traffic.
+  // Human-readable observability summary: the engine registry's counters
+  // and phase latency histograms (p50/p95/p99), the specialization cache,
+  // fusion and buffer-pool traffic. Per-op kernel time is in the plan
+  // profiles (/profilez, janus_kernel_ns on /metrics).
   std::string StatsReport() const;
 
   // The graph cache this engine stores its specializations in (global by
@@ -172,27 +176,14 @@ class JanusEngine : public minipy::CallInterceptor {
   struct CachedUnit;
   struct UnitState;
 
-  // Live accumulation cells behind the EngineStats snapshot. Registry
-  // counters so the one registry absorbs engine, executor (RunMetrics),
-  // and allocator reporting.
-  struct Counters {
-    obs::Counter* graph_executions = nullptr;
-    obs::Counter* imperative_executions = nullptr;
-    obs::Counter* graph_generations = nullptr;
-    obs::Counter* cache_misses = nullptr;
-    obs::Counter* assumption_failures = nullptr;
-    obs::Counter* fallbacks = nullptr;
-    obs::Counter* not_convertible = nullptr;
-    obs::Counter* graph_ops_executed = nullptr;
-    obs::Counter* plan_builds = nullptr;
-    obs::Counter* plan_cache_hits = nullptr;
-    obs::Counter* bytes_allocated = nullptr;
-    obs::Counter* pool_hits = nullptr;
-    obs::Counter* pool_misses = nullptr;
-    obs::Counter* in_place_reuses = nullptr;
-    obs::Counter* fused_regions = nullptr;
-    obs::Counter* fused_ops = nullptr;
+  // A unit's key, name and variants, copied under units_mu_ for readers
+  // off the engine thread (StatsReport via /statusz) and slow visitors.
+  struct UnitVariants {
+    const void* key;
+    std::string name;
+    std::vector<std::uint64_t> variants;
   };
+  std::vector<UnitVariants> SnapshotUnits() const;
 
   // Identity of a conversion unit: its def or lambda AST node.
   static const void* UnitKey(const minipy::FunctionValue& fn);
@@ -236,7 +227,7 @@ class JanusEngine : public minipy::CallInterceptor {
   InterpreterHostState host_state_;
   std::unique_ptr<ThreadPool> pool_;
   obs::MetricsRegistry metrics_;
-  Counters counters_;
+  EngineCounters<obs::Counter*> counters_;
   obs::Histogram* imperative_ns_ = nullptr;
   obs::Histogram* graph_execution_ns_ = nullptr;
   obs::Histogram* generation_ns_ = nullptr;

@@ -1,10 +1,10 @@
 #include "frontend/eager.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "autodiff/gradients.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "runtime/executor.h"
 #include "runtime/kernel.h"
 #include "runtime/plan.h"
@@ -37,6 +37,38 @@ struct TensorKeyHash {
 
 TensorKey KeyFor(const Tensor& t) {
   return {t.data_id(), t.dtype(), t.shape().dims()};
+}
+
+// Records one sampled eager dispatch of `op`, begun at `start_ns`, into
+// the process-wide eager profile: unit "<eager>", one node per kernel op
+// registered when the first sample lands (later registrations go
+// unrecorded). OpNames() is sorted, so an op finds its node by binary
+// search. Pinned, so the tape plans churning through the registry's cap
+// never drop it.
+void RecordEagerSample(const std::string& op, std::int64_t start_ns) {
+  static obs::PlanProfile* const profile = [] {
+    std::vector<obs::ProfileNodeInfo> nodes;
+    for (std::string& name : KernelRegistry::Global().OpNames()) {
+      obs::ProfileNodeInfo info;
+      info.name = name;
+      info.op = std::move(name);
+      nodes.push_back(std::move(info));
+    }
+    auto eager = std::make_shared<obs::PlanProfile>(std::move(nodes));
+    eager->SetKey("<eager>", "eager", 0);
+    obs::ProfileRegistry::Global().Pin(eager);
+    return eager.get();
+  }();
+  const std::vector<obs::ProfileNodeInfo>& nodes = profile->nodes();
+  const auto it = std::lower_bound(
+      nodes.begin(), nodes.end(), op,
+      [](const obs::ProfileNodeInfo& node, const std::string& name) {
+        return node.op < name;
+      });
+  if (it != nodes.end() && it->op == op) {
+    obs::RecordSample(*profile, static_cast<int>(it - nodes.begin()), "eager",
+                      start_ns);
+  }
 }
 
 }  // namespace
@@ -93,15 +125,12 @@ Tensor EagerContext::Execute(const std::string& op,
   ctx.inputs = inputs;
   ctx.outputs.resize(1);
   ctx.run = &run;
-  // Same sampled per-op timing as the graph executors, so traces compare
-  // eager dispatch against graph kernels under one clock.
-  const bool sampled = obs::ShouldSampleKernel();
+  // The graph executor's sampler, so profiles and traces compare eager
+  // dispatch against graph kernels under one clock.
+  const bool sampled = obs::ShouldSampleProfileNode();
   const std::int64_t start_ns = sampled ? obs::Trace::NowNs() : 0;
   KernelRegistry::Global().Lookup(op)(ctx);
-  if (sampled) {
-    obs::RecordKernelSample(op, "eager", start_ns,
-                            obs::Trace::NowNs() - start_ns);
-  }
+  if (sampled) RecordEagerSample(op, start_ns);
   ++ops_executed_;
   Tensor output = std::move(ctx.outputs[0]);
   if (tape_ != nullptr) {

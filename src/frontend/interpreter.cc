@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <unordered_map>
 
 #include "frontend/parser.h"
 #include "graph/source_site.h"
@@ -45,7 +46,13 @@ bool IsTensorish(const Value& v) {
 
 struct Interpreter::Impl {
   Interpreter* self = nullptr;
-  std::vector<Module> modules;  // owns ASTs for the lifetime of the session
+  // Source text -> its parsed module, owning the AST for the session. Each
+  // distinct text is parsed once and its module re-run, as Python compiles
+  // a loop body once: a session re-running one source (ModelSession::Step)
+  // keeps one AST, so state keyed by AST node (engine units, Profiler
+  // sites) stops growing. Nodes never move, so function values and
+  // observers may keep pointers into them.
+  std::unordered_map<std::string, Module> modules;
   std::shared_ptr<Environment> globals = std::make_shared<Environment>();
 
   // Qualified names of the user functions currently on the call stack
@@ -82,6 +89,12 @@ struct Interpreter::Impl {
                     });
     }
     closure_envs.push_back(env);
+  }
+
+  const Module& ParseOnce(const std::string& source) {
+    auto it = modules.find(source);
+    if (it == modules.end()) it = modules.emplace(source, Parse(source)).first;
+    return it->second;
   }
 
   // ---- statements ----
@@ -590,11 +603,8 @@ Interpreter::~Interpreter() {
   }
 }
 
-void Interpreter::Run(const std::string& source) { Run(Parse(source)); }
-
-void Interpreter::Run(Module module) {
-  impl_->modules.push_back(std::move(module));
-  impl_->ExecBlock(impl_->modules.back().body, impl_->globals);
+void Interpreter::Run(const std::string& source) {
+  impl_->ExecBlock(impl_->ParseOnce(source).body, impl_->globals);
 }
 
 Value Interpreter::GetGlobal(const std::string& name) const {
@@ -702,13 +712,11 @@ Value Interpreter::CallValue(const Value& callee, std::vector<Value> args,
 }
 
 Value Interpreter::EvaluateExpression(const std::string& expression_source) {
-  Module module = Parse(expression_source + "\n");
+  const Module& module = impl_->ParseOnce(expression_source + "\n");
   if (module.body.size() != 1 || module.body[0]->kind != StmtKind::kExpr) {
     throw InvalidArgument("EvaluateExpression expects a single expression");
   }
-  impl_->modules.push_back(std::move(module));
-  return impl_->Eval(impl_->modules.back().body[0]->value.get(),
-                     impl_->globals);
+  return impl_->Eval(module.body[0]->value.get(), impl_->globals);
 }
 
 Value Interpreter::HeapLookup(std::int64_t heap_id) const {

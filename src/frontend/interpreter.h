@@ -61,11 +61,10 @@ class Interpreter {
   Interpreter(const Interpreter&) = delete;
   Interpreter& operator=(const Interpreter&) = delete;
 
-  // Parses and executes a program in the global scope.
+  // Executes a program in the global scope. Each distinct source text is
+  // parsed once per interpreter; running the same text again re-runs the
+  // kept AST, so a `def` in it yields a FunctionValue with the same `def`.
   void Run(const std::string& source);
-  // Executes an already parsed module (takes ownership; AST nodes must stay
-  // alive for functions defined in it).
-  void Run(Module module);
 
   // Looks up a global (e.g. a model object or function defined by Run).
   Value GetGlobal(const std::string& name) const;
@@ -79,6 +78,7 @@ class Interpreter {
                   const Expr* call_site = nullptr);
 
   // ---- expression/statement evaluation (used by tests and builtins) ----
+  // Parsed once per distinct text, like Run.
   Value EvaluateExpression(const std::string& expression_source);
 
   // ---- services ----

@@ -22,6 +22,22 @@ class Parser {
   }
 
  private:
+  // Holds one level of nesting (an expression, a block, an elif, or the
+  // operand of a prefix or power operator) for its lifetime. Past
+  // kMaxNestingDepth it raises, so no input recurses the parser — or the
+  // walkers of the AST it returns — off the stack.
+  struct NestingGuard {
+    explicit NestingGuard(Parser& p) : parser(p) {
+      if (++parser.depth_ > kMaxNestingDepth) {
+        throw InvalidArgument("line " + std::to_string(parser.Peek().line) +
+                              ": nesting deeper than " +
+                              std::to_string(kMaxNestingDepth) + " levels");
+      }
+    }
+    ~NestingGuard() { --parser.depth_; }
+    Parser& parser;
+  };
+
   const Token& Peek(int ahead = 0) const {
     const std::size_t i = pos_ + static_cast<std::size_t>(ahead);
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
@@ -62,6 +78,7 @@ class Parser {
   }
 
   std::vector<StmtPtr> ParseBlock() {
+    const NestingGuard guard(*this);
     Expect(TokenKind::kColon, "block header");
     Expect(TokenKind::kNewline, "block header");
     SkipNewlines();
@@ -204,6 +221,7 @@ class Parser {
     stmt->body = ParseBlock();
     SkipNewlines();
     if (Check(TokenKind::kElif)) {
+      const NestingGuard guard(*this);
       stmt->else_body.push_back(ParseIf());
     } else if (Match(TokenKind::kElse)) {
       stmt->else_body = ParseBlock();
@@ -282,7 +300,10 @@ class Parser {
     return tuple;
   }
 
-  ExprPtr ParseExpression() { return ParseOr(); }
+  ExprPtr ParseExpression() {
+    const NestingGuard guard(*this);
+    return ParseOr();
+  }
 
   ExprPtr ParseOr() {
     ExprPtr left = ParseAnd();
@@ -318,6 +339,7 @@ class Parser {
       ++pos_;
       auto e = NewExpr(ExprKind::kUnary, line);
       e->unary_op = UnaryOp::kNot;
+      const NestingGuard guard(*this);
       e->left = ParseNot();
       return e;
     }
@@ -401,11 +423,13 @@ class Parser {
       ++pos_;
       auto e = NewExpr(ExprKind::kUnary, line);
       e->unary_op = UnaryOp::kNeg;
+      const NestingGuard guard(*this);
       e->left = ParseFactor();
       return e;
     }
     if (Check(TokenKind::kPlus)) {
       ++pos_;
+      const NestingGuard guard(*this);
       return ParseFactor();
     }
     return ParsePower();
@@ -419,6 +443,7 @@ class Parser {
       auto e = NewExpr(ExprKind::kBinary, line);
       e->binary_op = BinaryOp::kPow;
       e->left = std::move(base);
+      const NestingGuard guard(*this);
       e->right = ParseFactor();  // right-associative
       return e;
     }
@@ -570,6 +595,7 @@ class Parser {
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
   int next_id_ = 0;
+  int depth_ = 0;  // current nesting, see NestingGuard
 };
 
 }  // namespace

@@ -6,45 +6,32 @@
 #include <set>
 #include <sstream>
 
-#include "obs/metrics.h"
 #include "obs/profile.h"
 
 namespace janus {
 namespace {
 
-// Node-resolved mean latencies from the source-attributed profiler
-// (preferred: distinguishes two MatMuls of different shapes), falling back
-// to per-op means from the sampled kernel timers. The hottest mean across
-// both sources scales the heat ramp. Empty when nothing has been recorded.
+// Per-node mean latencies from the plan profiles (obs/profile.h); the
+// hottest scales the heat ramp. Empty when nothing has been sampled.
 struct TimingIndex {
   std::map<std::string, double> node_mean_ns;  // node name -> mean latency
-  std::map<std::string, double> mean_ns;       // op -> mean sampled latency
   double max_mean_ns = 0.0;
 };
 
 TimingIndex BuildTimingIndex(const Graph& graph) {
   TimingIndex index;
   const std::map<std::string, double> profiled = obs::ProfileNodeMeanNs();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   for (const auto& node : graph.nodes()) {
     if (const auto it = profiled.find(node->name()); it != profiled.end()) {
       index.node_mean_ns[node->name()] = it->second;
       index.max_mean_ns = std::max(index.max_mean_ns, it->second);
     }
-    const std::string& op = node->op();
-    if (index.mean_ns.count(op) != 0u) continue;
-    const obs::Histogram* histogram =
-        registry.FindHistogram("kernel." + op);
-    if (histogram == nullptr || histogram->Count() == 0) continue;
-    const double mean = histogram->Mean();
-    index.mean_ns[op] = mean;
-    index.max_mean_ns = std::max(index.max_mean_ns, mean);
   }
   return index;
 }
 
-// Buckets a node's mean latency relative to the graph's hottest op into a
-// white-to-red heat ramp.
+// Buckets a node's mean latency relative to the graph's hottest node into
+// a white-to-red heat ramp.
 const char* HeatColor(double mean_ns, double max_mean_ns) {
   const double ratio = max_mean_ns > 0.0 ? mean_ns / max_mean_ns : 0.0;
   if (ratio >= 0.75) return "\"#e34a33\"";
@@ -98,15 +85,9 @@ void EmitNode(std::ostringstream& oss, const Node& node,
   }
   std::string timing_label;
   if (timing != nullptr) {
-    // Per-node profile data first (exact for this node), op-wide mean as
-    // the fallback when the profiler never sampled this node.
-    const auto node_it = timing->node_mean_ns.find(node.name());
-    if (node_it != timing->node_mean_ns.end()) {
-      timing_label = "\\n" + FormatMeanNs(node_it->second);
-      color = HeatColor(node_it->second, timing->max_mean_ns);
-    } else if (const auto it = timing->mean_ns.find(op);
-               it != timing->mean_ns.end()) {
-      timing_label = "\\n" + FormatMeanNs(it->second) + " (op avg)";
+    if (const auto it = timing->node_mean_ns.find(node.name());
+        it != timing->node_mean_ns.end()) {
+      timing_label = "\\n" + FormatMeanNs(it->second);
       color = HeatColor(it->second, timing->max_mean_ns);
     }
   }

@@ -11,11 +11,10 @@
 namespace janus {
 
 struct DotOptions {
-  // Annotate each node whose op has a sampled kernel timer (histogram
-  // "kernel.<op>" in obs::MetricsRegistry::Global()) with its mean latency
-  // and a heat color scaled to the hottest op in the graph, so ToDot()
-  // doubles as a visual profile. Run with tracing / kernel timing enabled
-  // first to populate the timers.
+  // Annotate each node the plan profiles (obs/profile.h) have sampled with
+  // its mean latency and a heat color scaled to the hottest node in the
+  // graph, so ToDot() doubles as a visual profile. Run the graph with
+  // profiling or tracing enabled first to collect the samples.
   bool annotate_timing = false;
 };
 

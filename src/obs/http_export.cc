@@ -248,24 +248,27 @@ std::string RenderPrometheusText() {
     out += name + " " + std::to_string(value) + "\n";
   }
 
-  // Histograms. Per-op kernel timers (kernel.<op>) collapse into one
-  // labeled family so an unbounded op vocabulary cannot explode the
-  // exposition's family count.
-  std::map<std::string, HistogramSnapshot> kernel_ops;
   std::map<std::string, HistogramSnapshot> families;
   for (const auto& [name, snapshot] : hub.MergedHistograms()) {
-    constexpr std::string_view kKernelPrefix = "kernel.";
-    if (name.size() > kKernelPrefix.size() &&
-        std::string_view(name).substr(0, kKernelPrefix.size()) ==
-            kKernelPrefix) {
-      kernel_ops[name.substr(kKernelPrefix.size())].Accumulate(snapshot);
-    } else {
-      families[PrometheusMetricName(name)].Accumulate(snapshot);
-    }
+    families[PrometheusMetricName(name)].Accumulate(snapshot);
   }
   for (const auto& [family, snapshot] : families) {
     out += "# TYPE " + family + " histogram\n";
     AppendHistogramExposition(out, family, "", snapshot);
+  }
+  // Sampled kernel time: every registered plan profile's node histograms
+  // rolled up by op into one labeled family, so an unbounded op vocabulary
+  // cannot explode the exposition's family count. Absent until the
+  // sampler (profiling or tracing) has recorded something.
+  std::map<std::string, HistogramSnapshot> kernel_ops;
+  for (const auto& profile : ProfileRegistry::Global().Profiles()) {
+    for (int i = 0; i < profile->num_nodes(); ++i) {
+      const Histogram* samples = profile->Samples(i);
+      if (samples != nullptr && samples->Count() > 0) {
+        kernel_ops[profile->nodes()[static_cast<std::size_t>(i)].op]
+            .Accumulate(*samples);
+      }
+    }
   }
   if (!kernel_ops.empty()) {
     out += "# TYPE janus_kernel_ns histogram\n";

@@ -14,9 +14,9 @@
 // Endpoints (all text/plain, loopback only):
 //   /metrics       Prometheus text exposition 0.0.4: every counter and
 //                  histogram from the global registry, live registered
-//                  registries, and retired sources, merged by name.
-//                  kernel.<op> histograms collapse into one family,
-//                  janus_kernel_ns{op="<op>"}.
+//                  registries, and retired sources, merged by name; plus
+//                  the plan profiles' sampled node times rolled up by op
+//                  into one family, janus_kernel_ns{op="<op>"}.
 //   /statusz       concatenated status text from every registered (and
 //                  retired) provider — Engine::StatsReport() per engine.
 //   /flightz       the most recent speculation-ledger records as JSONL.

@@ -138,7 +138,8 @@ class Ledger {
 };
 
 // Appends `text` to `out` with JSON string escaping (quotes, backslash,
-// control characters). Shared by the ledger and the explain tooling.
+// control characters). The one JSON string escaper: the ledger, the trace
+// and profile exporters and the tools all write through it.
 void AppendJsonEscaped(std::string& out, std::string_view text);
 
 // Renders a pointer as a stable "0x..." identity string (unit join keys).

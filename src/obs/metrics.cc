@@ -165,6 +165,9 @@ std::vector<std::string> MetricsRegistry::HistogramNames() const {
   return names;
 }
 
+namespace {
+
+// Appends one formatted "name count=... mean=... p50=..." line.
 void AppendHistogramLine(std::string& out, const std::string& name,
                          const Histogram& histogram) {
   char line[256];
@@ -179,6 +182,8 @@ void AppendHistogramLine(std::string& out, const std::string& name,
                 static_cast<long long>(histogram.Max()));
   out += line;
 }
+
+}  // namespace
 
 std::string MetricsRegistry::TextReport() const {
   return TextReportForPrefix("");

@@ -1,10 +1,11 @@
 // Named counters and log-bucketed latency histograms.
 //
-// One registry absorbs every statistic the runtime produces — the engine's
-// Fig. 2 decision-loop counters, per-run RunMetrics, buffer-pool traffic,
-// and sampled per-op kernel timers — so any layer can report through the
-// same path and any consumer (Engine::StatsReport(), the DOT heat-map
-// annotator, tests) can query it.
+// One registry absorbs the runtime's counters and phase histograms — the
+// engine's Fig. 2 decision-loop counters, per-run RunMetrics, the
+// specialization cache — so any layer can report through the same path
+// and any consumer (Engine::StatsReport(), /metrics, tests) can query it.
+// Histogram is also the per-node accumulator of the plan profiles
+// (obs/profile.h), whose samples /metrics rolls up per op.
 //
 // Counters and histogram buckets are relaxed atomics: recording is
 // wait-free and safe from pool worker threads; reads are snapshots that
@@ -88,9 +89,9 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // The process-wide registry: kernel timers and other cross-engine
-  // metrics. Engines additionally own a private registry for per-engine
-  // phase histograms.
+  // The process-wide registry for cross-engine metrics. Engines
+  // additionally own a private registry for their counters and phase
+  // histograms.
   static MetricsRegistry& Global();
 
   Counter& GetCounter(std::string_view name);
@@ -121,11 +122,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       GUARDED_BY(mu_);
 };
-
-// Appends one formatted "name count=... mean=... p50=..." line per
-// histogram; shared by MetricsRegistry::TextReport and Engine::StatsReport.
-void AppendHistogramLine(std::string& out, const std::string& name,
-                         const Histogram& histogram);
 
 }  // namespace obs
 }  // namespace janus

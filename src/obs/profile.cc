@@ -1,13 +1,14 @@
 #include "obs/profile.h"
 
 #include <algorithm>
-#include <bit>
 #include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "common/logging.h"
+#include "obs/ledger.h"
 
 namespace janus {
 namespace obs {
@@ -25,44 +26,49 @@ std::string ProfileSite::Label() const {
 
 PlanProfile::PlanProfile(std::vector<ProfileNodeInfo> nodes)
     : nodes_(std::move(nodes)),
-      slots_(std::make_unique<Slot[]>(nodes_.empty() ? 1 : nodes_.size())) {}
+      slots_(std::make_unique<std::atomic<Histogram*>[]>(nodes_.size())) {}
+
+PlanProfile::~PlanProfile() {
+  for (int i = 0; i < num_nodes(); ++i) {
+    delete slots_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
+  }
+}
 
 void PlanProfile::Record(int index, std::int64_t dur_ns) {
   if (index < 0 || index >= num_nodes()) return;
-  if (dur_ns < 0) dur_ns = 0;
-  Slot& slot = slots_[static_cast<std::size_t>(index)];
-  const auto ns = static_cast<std::uint64_t>(dur_ns);
-  slot.count.fetch_add(1, std::memory_order_relaxed);
-  slot.total_ns.fetch_add(ns, std::memory_order_relaxed);
-  // Racy max is fine: a lost update can only under-report by one sample.
-  std::uint64_t seen = slot.max_ns.load(std::memory_order_relaxed);
-  while (ns > seen &&
-         !slot.max_ns.compare_exchange_weak(seen, ns,
-                                            std::memory_order_relaxed)) {
+  std::atomic<Histogram*>& slot = slots_[static_cast<std::size_t>(index)];
+  Histogram* samples = slot.load(std::memory_order_acquire);
+  if (samples == nullptr) {
+    // First sample of this node: publish a histogram, or adopt the one a
+    // racing recorder published first.
+    auto fresh = std::make_unique<Histogram>();
+    if (slot.compare_exchange_strong(samples, fresh.get(),
+                                     std::memory_order_acq_rel)) {
+      samples = fresh.release();
+    }
   }
-  const int bucket =
-      std::min(kNumBuckets - 1,
-               ns == 0 ? 0 : static_cast<int>(std::bit_width(ns)) - 1);
-  slot.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+  samples->Record(dur_ns);
+}
+
+const Histogram* PlanProfile::Samples(int index) const {
+  if (index < 0 || index >= num_nodes()) return nullptr;
+  return slots_[static_cast<std::size_t>(index)].load(
+      std::memory_order_acquire);
+}
+
+void PlanProfile::ClearSamples() {
+  for (int i = 0; i < num_nodes(); ++i) {
+    if (Histogram* samples = slots_[static_cast<std::size_t>(i)].load(
+            std::memory_order_acquire)) {
+      samples->Reset();
+    }
+  }
 }
 
 void PlanProfile::SetKey(std::string unit, std::string variant, int level) {
   unit_ = std::move(unit);
   variant_ = std::move(variant);
   level_ = level;
-}
-
-PlanProfile::NodeSnapshot PlanProfile::Snapshot(int index) const {
-  NodeSnapshot snap;
-  if (index < 0 || index >= num_nodes()) return snap;
-  const Slot& slot = slots_[static_cast<std::size_t>(index)];
-  snap.count = slot.count.load(std::memory_order_relaxed);
-  snap.total_ns = slot.total_ns.load(std::memory_order_relaxed);
-  snap.max_ns = slot.max_ns.load(std::memory_order_relaxed);
-  for (int b = 0; b < kNumBuckets; ++b) {
-    snap.buckets[b] = slot.buckets[b].load(std::memory_order_relaxed);
-  }
-  return snap;
 }
 
 // ---------------------------------------------------------------------------
@@ -85,9 +91,17 @@ void ProfileRegistry::Register(std::shared_ptr<PlanProfile> profile) {
   profiles_.push_back(std::move(profile));
 }
 
+void ProfileRegistry::Pin(std::shared_ptr<PlanProfile> profile) {
+  if (profile == nullptr) return;
+  const std::lock_guard<std::mutex> lock(mu_);
+  pinned_.push_back(std::move(profile));
+}
+
 std::vector<std::shared_ptr<PlanProfile>> ProfileRegistry::Profiles() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return profiles_;
+  std::vector<std::shared_ptr<PlanProfile>> all = pinned_;
+  all.insert(all.end(), profiles_.begin(), profiles_.end());
+  return all;
 }
 
 std::uint64_t ProfileRegistry::dropped() const {
@@ -99,23 +113,57 @@ void ProfileRegistry::Reset() {
   const std::lock_guard<std::mutex> lock(mu_);
   profiles_.clear();
   dropped_ = 0;
+  for (const auto& profile : pinned_) profile->ClearSamples();
 }
 
 // ---------------------------------------------------------------------------
-// Enable flag
+// Enable flags + the sampler
 // ---------------------------------------------------------------------------
 
 namespace internal {
-std::atomic<bool> profiling_active{false};
-thread_local std::uint32_t profile_sample_countdown = 0;
+std::atomic<bool> profiling_enabled{false};
+std::atomic<bool> sampling_active{false};
+thread_local std::uint32_t sample_countdown = 0;
+
+void RefreshSampling() {
+  sampling_active.store(
+      profiling_enabled.load(std::memory_order_relaxed) || Trace::Enabled(),
+      std::memory_order_relaxed);
+}
+
+std::uint32_t NextSampleGap() {
+  // Per-thread xorshift32, seeded from the thread-local's address so
+  // threads decorrelate without any shared state.
+  thread_local std::uint32_t state = [] {
+    const auto seed = static_cast<std::uint32_t>(
+        reinterpret_cast<std::uintptr_t>(&sample_countdown) >> 4);
+    return seed | 1u;  // xorshift must not start at 0
+  }();
+  state ^= state << 13;
+  state ^= state >> 17;
+  state ^= state << 5;
+  return kProfileSampleEvery / 2 + state % kProfileSampleEvery;
+}
 }  // namespace internal
 
 void EnableProfiling() {
-  internal::profiling_active.store(true, std::memory_order_relaxed);
+  internal::profiling_enabled.store(true, std::memory_order_relaxed);
+  internal::RefreshSampling();
 }
 
 void DisableProfiling() {
-  internal::profiling_active.store(false, std::memory_order_relaxed);
+  internal::profiling_enabled.store(false, std::memory_order_relaxed);
+  internal::RefreshSampling();
+}
+
+void RecordSample(PlanProfile& profile, int index, const char* category,
+                  std::int64_t start_ns) {
+  const std::int64_t dur_ns = Trace::NowNs() - start_ns;
+  profile.Record(index, dur_ns);
+  if (Trace::Enabled() && index >= 0 && index < profile.num_nodes()) {
+    Trace::RecordComplete(profile.nodes()[static_cast<std::size_t>(index)].op,
+                          category, start_ns, dur_ns, "sampled", 1);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -128,13 +176,16 @@ namespace {
 // across members) into *out.
 void AppendNodeSamples(const PlanProfile& profile, int index,
                        std::vector<ProfileSample>* out) {
-  const PlanProfile::NodeSnapshot snap = profile.Snapshot(index);
-  if (snap.count == 0) return;
+  const Histogram* samples = profile.Samples(index);
+  if (samples == nullptr || samples->Count() == 0) return;
   const ProfileNodeInfo& info =
       profile.nodes()[static_cast<std::size_t>(index)];
   const std::uint64_t scale = kProfileSampleEvery;
-  const auto emit = [&](const ProfileNodeInfo& node, std::uint64_t total_ns,
-                        std::uint64_t max_ns) {
+  const auto count = static_cast<std::uint64_t>(samples->Count());
+  const auto total_ns = static_cast<std::uint64_t>(samples->Sum());
+  const auto max_ns = static_cast<std::uint64_t>(samples->Max());
+  const auto emit = [&](const ProfileNodeInfo& node, std::uint64_t share_ns,
+                        std::uint64_t share_max_ns) {
     ProfileSample sample;
     sample.unit = profile.unit();
     sample.variant = profile.variant();
@@ -144,62 +195,20 @@ void AppendNodeSamples(const PlanProfile& profile, int index,
     sample.stmt = node.site.stmt;
     sample.op = node.op;
     sample.node = node.name;
-    sample.count = snap.count * scale;
-    sample.total_ns = total_ns * scale;
-    sample.max_ns = max_ns * scale;
+    sample.count = count * scale;
+    sample.total_ns = share_ns * scale;
+    sample.max_ns = share_max_ns;
     out->push_back(std::move(sample));
   };
   if (info.members.empty()) {
-    emit(info, snap.total_ns, snap.max_ns);
+    emit(info, total_ns, max_ns);
     return;
   }
   // Fused region: the timer wraps the whole region dispatch, so the split
   // across members is an even-share estimate (documented in DESIGN.md §13).
   const auto num_members = static_cast<std::uint64_t>(info.members.size());
   for (const ProfileNodeInfo& member : info.members) {
-    emit(member, snap.total_ns / num_members, snap.max_ns / num_members);
-  }
-}
-
-struct UnitKey {
-  std::string unit;
-  std::string variant;
-  int level;
-  bool operator<(const UnitKey& other) const {
-    if (unit != other.unit) return unit < other.unit;
-    if (variant != other.variant) return variant < other.variant;
-    return level < other.level;
-  }
-};
-
-void JsonEscape(std::ostringstream& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << hex;
-        } else {
-          out << c;
-        }
-    }
+    emit(member, total_ns / num_members, max_ns / num_members);
   }
 }
 
@@ -216,20 +225,23 @@ std::vector<ProfileSample> CollectProfileSamples() {
 }
 
 std::vector<ProfileUnitTotals> CollectProfileUnitTotals() {
-  std::map<UnitKey, ProfileUnitTotals> by_key;
+  std::map<std::tuple<std::string, std::string, int>, ProfileUnitTotals>
+      by_key;
   for (const auto& profile : ProfileRegistry::Global().Profiles()) {
-    const UnitKey key{profile->unit(), profile->variant(),
-                      profile->despecialization_level()};
-    ProfileUnitTotals& totals = by_key[key];
-    totals.unit = key.unit;
-    totals.variant = key.variant;
-    totals.level = key.level;
+    ProfileUnitTotals& totals =
+        by_key[{profile->unit(), profile->variant(),
+                profile->despecialization_level()}];
+    totals.unit = profile->unit();
+    totals.variant = profile->variant();
+    totals.level = profile->despecialization_level();
     totals.generation_ns += profile->generation_ns();
     totals.validation_ns += profile->validation_ns();
     totals.runs += profile->runs();
     for (int i = 0; i < profile->num_nodes(); ++i) {
-      totals.execution_ns +=
-          profile->Snapshot(i).total_ns * kProfileSampleEvery;
+      if (const Histogram* samples = profile->Samples(i)) {
+        totals.execution_ns +=
+            static_cast<std::uint64_t>(samples->Sum()) * kProfileSampleEvery;
+      }
     }
   }
   std::vector<ProfileUnitTotals> out;
@@ -239,37 +251,18 @@ std::vector<ProfileUnitTotals> CollectProfileUnitTotals() {
 }
 
 std::map<std::string, double> ProfileNodeMeanNs() {
-  struct Acc {
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-  };
-  std::map<std::string, Acc> by_name;
-  for (const auto& profile : ProfileRegistry::Global().Profiles()) {
-    for (int i = 0; i < profile->num_nodes(); ++i) {
-      const PlanProfile::NodeSnapshot snap = profile->Snapshot(i);
-      if (snap.count == 0) continue;
-      const ProfileNodeInfo& info =
-          profile->nodes()[static_cast<std::size_t>(i)];
-      if (info.members.empty()) {
-        Acc& acc = by_name[info.name];
-        acc.count += snap.count;
-        acc.total_ns += snap.total_ns;
-      } else {
-        const auto n = static_cast<std::uint64_t>(info.members.size());
-        for (const ProfileNodeInfo& member : info.members) {
-          Acc& acc = by_name[member.name];
-          acc.count += snap.count;
-          acc.total_ns += snap.total_ns / n;
-        }
-      }
-    }
+  // Both count and time are scaled by the stride, so their ratio is the
+  // sampled mean; fused members carry their even share of the region.
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> by_name;
+  for (const ProfileSample& sample : CollectProfileSamples()) {
+    auto& [count, total_ns] = by_name[sample.node];
+    count += sample.count;
+    total_ns += sample.total_ns;
   }
   std::map<std::string, double> means;
   for (const auto& [name, acc] : by_name) {
-    if (acc.count > 0) {
-      means[name] = static_cast<double>(acc.total_ns) /
-                    static_cast<double>(acc.count);
-    }
+    means[name] =
+        static_cast<double>(acc.second) / static_cast<double>(acc.first);
   }
   return means;
 }
@@ -281,11 +274,7 @@ std::map<std::string, double> ProfileNodeMeanNs() {
 namespace {
 
 std::string SiteLabelOf(const ProfileSample& sample) {
-  ProfileSite site;
-  site.function = sample.function;
-  site.line = sample.line;
-  site.stmt = sample.stmt;
-  return site.Label();
+  return ProfileSite{sample.function, sample.line, sample.stmt}.Label();
 }
 
 }  // namespace
@@ -311,32 +300,26 @@ std::string RenderProfileText() {
   }
 
   // Rollup by source line.
-  struct LineAcc {
-    std::uint64_t total_ns = 0;
-    std::uint64_t count = 0;
-  };
-  std::map<std::string, LineAcc> by_line;
+  std::map<std::string, std::uint64_t> by_line;
   std::uint64_t grand_total = 0;
   for (const ProfileSample& sample : samples) {
-    LineAcc& acc = by_line[SiteLabelOf(sample)];
-    acc.total_ns += sample.total_ns;
-    acc.count += sample.count;
+    by_line[SiteLabelOf(sample)] += sample.total_ns;
     grand_total += sample.total_ns;
   }
-  std::vector<std::pair<std::string, LineAcc>> lines(by_line.begin(),
-                                                     by_line.end());
+  std::vector<std::pair<std::string, std::uint64_t>> lines(by_line.begin(),
+                                                           by_line.end());
   std::sort(lines.begin(), lines.end(), [](const auto& a, const auto& b) {
-    return a.second.total_ns > b.second.total_ns;
+    return a.second > b.second;
   });
   out << "\n== by source line ==\n";
-  for (const auto& [label, acc] : lines) {
+  for (const auto& [label, total_ns] : lines) {
     const double share =
-        grand_total > 0 ? 100.0 * static_cast<double>(acc.total_ns) /
+        grand_total > 0 ? 100.0 * static_cast<double>(total_ns) /
                               static_cast<double>(grand_total)
                         : 0.0;
     char pct[16];
     std::snprintf(pct, sizeof(pct), "%5.1f%%", share);
-    out << pct << "  " << acc.total_ns << "ns  " << label << "\n";
+    out << pct << "  " << total_ns << "ns  " << label << "\n";
   }
 
   // Top nodes.
@@ -363,6 +346,11 @@ std::string RenderProfileText() {
 std::string RenderProfileJson() {
   const std::vector<ProfileSample> samples = CollectProfileSamples();
   const std::vector<ProfileUnitTotals> units = CollectProfileUnitTotals();
+  const auto quoted = [](std::string_view text) {
+    std::string out = "\"";
+    AppendJsonEscaped(out, text);
+    return out + "\"";
+  };
   std::ostringstream out;
   out << "{\"enabled\":" << (ProfilingEnabled() ? "true" : "false")
       << ",\"sample_stride\":" << kProfileSampleEvery << ",\"units\":[";
@@ -370,11 +358,9 @@ std::string RenderProfileJson() {
   for (const ProfileUnitTotals& unit : units) {
     if (!first_unit) out << ",";
     first_unit = false;
-    out << "{\"unit\":\"";
-    JsonEscape(out, unit.unit);
-    out << "\",\"variant\":\"";
-    JsonEscape(out, unit.variant);
-    out << "\",\"level\":" << unit.level << ",\"runs\":" << unit.runs
+    out << "{\"unit\":" << quoted(unit.unit)
+        << ",\"variant\":" << quoted(unit.variant)
+        << ",\"level\":" << unit.level << ",\"runs\":" << unit.runs
         << ",\"generation_ns\":" << unit.generation_ns
         << ",\"validation_ns\":" << unit.validation_ns
         << ",\"execution_ns\":" << unit.execution_ns;
@@ -405,9 +391,8 @@ std::string RenderProfileJson() {
     for (const auto& [key, acc] : by_line) {
       if (!first_line) out << ",";
       first_line = false;
-      out << "{\"function\":\"";
-      JsonEscape(out, acc.function);
-      out << "\",\"line\":" << acc.line
+      out << "{\"function\":" << quoted(acc.function)
+          << ",\"line\":" << acc.line
           << ",\"execution_ns\":" << acc.total_ns
           << ",\"count\":" << acc.count << "}";
     }
@@ -422,13 +407,10 @@ std::string RenderProfileJson() {
     for (const ProfileSample* sample : top) {
       if (!first_node) out << ",";
       first_node = false;
-      out << "{\"node\":\"";
-      JsonEscape(out, sample->node);
-      out << "\",\"op\":\"";
-      JsonEscape(out, sample->op);
-      out << "\",\"function\":\"";
-      JsonEscape(out, sample->function);
-      out << "\",\"line\":" << sample->line
+      out << "{\"node\":" << quoted(sample->node)
+          << ",\"op\":" << quoted(sample->op)
+          << ",\"function\":" << quoted(sample->function)
+          << ",\"line\":" << sample->line
           << ",\"count\":" << sample->count
           << ",\"total_ns\":" << sample->total_ns
           << ",\"max_ns\":" << sample->max_ns << "}";

@@ -1,26 +1,31 @@
-// Source-attributed continuous profiler.
+// Source-attributed continuous profiler, and the runtime's one sampler.
 //
 // JANUS executes a generated symbolic graph in place of the user's
 // imperative program, which severs the link between "this line of my
 // program" and "this much execution time". This module restores it: every
-// ExecutionPlan registers a PlanProfile at build time — one lock-free
-// accumulator slot per plan node, plus a copy of each node's imperative
-// SourceSite (function, line, statement) — and the executors record
-// sampled per-node wall time into those slots. Aggregations key on
+// ExecutionPlan registers a PlanProfile at build time — one latency
+// histogram per plan node, plus a copy of each node's imperative
+// SourceSite (function, line, statement) — and the executor records
+// sampled per-node wall time into it. Aggregations key on
 // {conversion unit, variant, despecialization level}, so a unit's cost is
-// attributable across recompilations of the same source.
+// attributable across recompilations of the same source. Eager per-op
+// dispatch records through the same sampler into one process-wide profile
+// (unit "<eager>", one node per kernel op).
 //
 // Cost model (mirrors trace/ledger):
 //  * disabled (default): the per-node hook is one relaxed atomic load and
 //    a branch;
-//  * enabled: every Nth node execution (jittered stride, thread-local
-//    countdown — see internal::NextSampleGap) pays two clock reads and a
-//    handful of relaxed atomic adds on the plan's own slot array.
+//  * enabled (profiling or tracing on): every Nth node execution (jittered
+//    stride, thread-local countdown — see internal::NextSampleGap) pays two
+//    clock reads and a handful of relaxed atomic adds on the node's own
+//    histogram, plus one trace event while tracing.
 //
 // Exports:
 //  * /profilez on the introspection HTTP server — human text and
 //    ?format=json (top nodes, per-source-line rollup, per-unit
 //    generation/validation/execution split);
+//  * /metrics — the janus_kernel_ns{op} family, the node histograms rolled
+//    up by op (obs/http_export.h);
 //  * /pprof/profile — gzipped pprof profile.proto whose sample stacks are
 //    imperative function -> statement -> op (see obs/pprof_encode.h);
 //  * JANUS_PROFILE=<path> — folded-stacks dump at process exit, directly
@@ -39,6 +44,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace janus {
@@ -65,22 +71,30 @@ struct ProfileNodeInfo {
   std::vector<ProfileNodeInfo> members;  // non-empty iff fused region
 };
 
-// Per-plan cost accumulator: one cache-line-padded-free slot per plan node
-// (count / total ns / max ns / log2 histogram), all updated with relaxed
-// atomics — concurrent recorders only race benignly on max. Sized once at
-// construction; never reallocated, so executors can record without
-// synchronization while an HTTP scrape snapshots concurrently.
+// Per-plan cost accumulator: one log2 Histogram per plan node, allocated
+// on the node's first sample (a plan that is never sampled costs one
+// pointer per node) and updated with relaxed atomics. The slot array is
+// sized once at construction and never reallocated, so executors record
+// without synchronization while an HTTP scrape reads concurrently.
 class PlanProfile {
  public:
-  static constexpr int kNumBuckets = 32;
-
   explicit PlanProfile(std::vector<ProfileNodeInfo> nodes);
+  ~PlanProfile();
+  PlanProfile(const PlanProfile&) = delete;
+  PlanProfile& operator=(const PlanProfile&) = delete;
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const std::vector<ProfileNodeInfo>& nodes() const { return nodes_; }
 
   // Hot path: adds one sampled execution of `index` taking `dur_ns`.
   void Record(int index, std::int64_t dur_ns);
+
+  // The sampled durations of node `index`; nullptr until its first sample
+  // and for out-of-range indices.
+  const Histogram* Samples(int index) const;
+
+  // Zeroes every node's samples (ProfileRegistry::Reset).
+  void ClearSamples();
 
   // Aggregation key: {conversion unit, variant, despecialization level}.
   // Set once by the engine right after compilation; plans built outside an
@@ -106,24 +120,9 @@ class PlanProfile {
   }
   std::uint64_t runs() const { return runs_.load(std::memory_order_relaxed); }
 
-  struct NodeSnapshot {
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-    std::uint64_t max_ns = 0;
-    std::uint64_t buckets[kNumBuckets] = {};
-  };
-  NodeSnapshot Snapshot(int index) const;
-
  private:
-  struct Slot {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> total_ns{0};
-    std::atomic<std::uint64_t> max_ns{0};
-    std::atomic<std::uint64_t> buckets[kNumBuckets] = {};
-  };
-
   std::vector<ProfileNodeInfo> nodes_;
-  std::unique_ptr<Slot[]> slots_;
+  std::unique_ptr<std::atomic<Histogram*>[]> slots_;
   std::string unit_;
   std::string variant_;
   int level_ = 0;
@@ -134,10 +133,11 @@ class PlanProfile {
 
 // Process-global set of live PlanProfiles. Plans register at build and
 // stay until process exit (plans are shared_ptr-owned by caches; the
-// registry holds weak-free shared_ptrs so a scrape racing plan eviction
-// still reads valid slots). Bounded: past kMaxProfiles the oldest
-// registration is dropped (dropped_ counts them) — continuous profiling
-// must not grow without bound under cache churn.
+// registry holds shared_ptrs so a scrape racing plan eviction still reads
+// valid slots). Bounded: past kMaxProfiles the oldest registration is
+// dropped (dropped_ counts them) — continuous profiling must not grow
+// without bound under cache churn. Pinned profiles (the eager-dispatch
+// profile) are exempt from the cap.
 class ProfileRegistry {
  public:
   static constexpr std::size_t kMaxProfiles = 512;
@@ -145,55 +145,81 @@ class ProfileRegistry {
   static ProfileRegistry& Global();
 
   void Register(std::shared_ptr<PlanProfile> profile);
+  // Registers a profile the cap never drops; it lives until process exit.
+  void Pin(std::shared_ptr<PlanProfile> profile);
+  // Pinned profiles first, then registrations oldest first.
   std::vector<std::shared_ptr<PlanProfile>> Profiles() const;
   std::uint64_t dropped() const;
 
-  // Drops all registrations (tests).
+  // Drops every unpinned registration and zeroes the pinned profiles'
+  // samples (tests).
   void Reset();
 
  private:
   mutable std::mutex mu_;
+  std::vector<std::shared_ptr<PlanProfile>> pinned_;
   std::vector<std::shared_ptr<PlanProfile>> profiles_;
   std::uint64_t dropped_ = 0;
 };
 
 // ---------------------------------------------------------------------------
-// Enable flag + sampling
+// Enable flags + the sampler
 // ---------------------------------------------------------------------------
 
-namespace internal {
-extern std::atomic<bool> profiling_active;
-extern thread_local std::uint32_t profile_sample_countdown;
-}  // namespace internal
-
 // Nominal sampling stride: ~1 in 64 node executions is timed while
-// profiling is enabled. Exports scale counts/times back up by this factor.
+// sampling is on. Exports scale counts/times back up by this factor.
 // 64 keeps the enabled overhead on a chain of ~40ns ops under ~5%
 // (BM_ProfileOverhead); long-running workloads still collect thousands of
 // samples per second per thread.
 inline constexpr std::uint32_t kProfileSampleEvery = 64;
 
+namespace internal {
+extern std::atomic<bool> profiling_enabled;
+// The sampler's one enable flag: profiling or tracing is on. Kept in sync
+// by EnableProfiling/DisableProfiling and Trace::Enable/Disable, so the hot
+// path tests one atomic.
+extern std::atomic<bool> sampling_active;
+extern thread_local std::uint32_t sample_countdown;
+void RefreshSampling();
+// Next countdown reload: uniform in [stride/2, 3*stride/2) from a
+// per-thread xorshift PRNG (mean = the stride). A deterministic every-Nth
+// stride aliases with fixed-length plans — a 16-op chain under a 16-stride
+// sampler times the same node forever — so the sampler draws jittered gaps
+// instead. Only the enable flag is process-global; all countdown state is
+// thread-local.
+std::uint32_t NextSampleGap();
+}  // namespace internal
+
 void EnableProfiling();
 void DisableProfiling();
 
 inline bool ProfilingEnabled() {
-  return internal::profiling_active.load(std::memory_order_relaxed);
+  return internal::profiling_enabled.load(std::memory_order_relaxed);
 }
 
-// Executors call this once per plan-node execution. Disabled cost: the
-// relaxed load above and a branch. The countdown is thread-local and the
-// reload jittered (internal::NextSampleGap) so a fixed-length plan cannot
-// alias with the stride and pin sampling onto one node.
+// The executor calls this once per plan-node execution and eager dispatch
+// once per op. Disabled cost: one relaxed load and a branch. The countdown
+// is thread-local and the reload jittered (internal::NextSampleGap) so a
+// fixed-length plan cannot alias with the stride and pin sampling onto one
+// node.
 inline bool ShouldSampleProfileNode() {
-  if (!ProfilingEnabled()) return false;
-  if (internal::profile_sample_countdown == 0) {
-    internal::profile_sample_countdown =
-        internal::NextSampleGap(kProfileSampleEvery) - 1;
+  if (!internal::sampling_active.load(std::memory_order_relaxed)) {
+    return false;
+  }
+  if (internal::sample_countdown == 0) {
+    internal::sample_countdown = internal::NextSampleGap() - 1;
     return true;
   }
-  --internal::profile_sample_countdown;
+  --internal::sample_countdown;
   return false;
 }
+
+// Records one sampled execution of node `index` of `profile`, begun at
+// `start_ns` (Trace::NowNs()): into the node's histogram and, while
+// tracing, as a complete event named by the node's op under `category`
+// ("kernel" for plan nodes, "eager" for per-op dispatch).
+void RecordSample(PlanProfile& profile, int index, const char* category,
+                  std::int64_t start_ns);
 
 // ---------------------------------------------------------------------------
 // Snapshots + renderers
@@ -201,8 +227,8 @@ inline bool ShouldSampleProfileNode() {
 
 // One exported sample: a plan node (or fused-region member, with the
 // region's time split evenly across members) under its aggregation key.
-// count/total_ns/max_ns are scaled by the nominal sampling stride, i.e.
-// they estimate true totals.
+// count/total_ns are scaled by the nominal sampling stride, i.e. they
+// estimate true totals; max_ns is the longest sampled execution.
 struct ProfileSample {
   std::string unit;
   std::string variant;

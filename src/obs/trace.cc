@@ -7,10 +7,10 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
+#include "obs/ledger.h"
+#include "obs/profile.h"
 
 namespace janus {
 namespace obs {
@@ -83,104 +83,32 @@ ThreadBuffer& LocalBuffer() {
   return *buffer;
 }
 
-void JsonEscape(std::ostringstream& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << hex;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 // Nanosecond count rendered as microseconds with fractional digits, the
 // unit Chrome's "ts"/"dur" fields expect.
-void EmitMicros(std::ostringstream& out, std::int64_t ns) {
+void EmitMicros(std::string& out, std::int64_t ns) {
   if (ns < 0) ns = 0;
   char text[32];
   std::snprintf(text, sizeof(text), "%lld.%03lld",
                 static_cast<long long>(ns / 1000),
                 static_cast<long long>(ns % 1000));
-  out << text;
+  out += text;
 }
-
-void RefreshSamplingFlag();
 
 }  // namespace
 
 std::atomic<bool> Trace::enabled_{false};
 
-namespace internal {
-std::atomic<bool> kernel_sampling_active{false};
-thread_local std::uint32_t kernel_sample_countdown = 0;
-
-std::uint32_t NextSampleGap(std::uint32_t nominal) {
-  // Per-thread xorshift32, seeded from the thread-local's address so
-  // threads decorrelate without any shared state.
-  thread_local std::uint32_t state = [] {
-    const auto seed = static_cast<std::uint32_t>(
-        reinterpret_cast<std::uintptr_t>(&kernel_sample_countdown) >> 4);
-    return seed | 1u;  // xorshift must not start at 0
-  }();
-  state ^= state << 13;
-  state ^= state >> 17;
-  state ^= state << 5;
-  if (nominal <= 1) return 1;
-  // Uniform in [nominal/2, 3*nominal/2): mean = nominal, never 0.
-  const std::uint32_t half = nominal / 2;
-  return half + state % nominal + (half == 0 ? 1 : 0);
-}
-}  // namespace internal
-
-namespace {
-std::atomic<bool> g_kernel_timing_enabled{false};
-
-void RefreshSamplingFlag() {
-  internal::kernel_sampling_active.store(
-      Trace::Enabled() || g_kernel_timing_enabled.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-}
-}  // namespace
-
+// Tracing turns the plan-node sampler on too (its kernel events land in
+// the trace), so both toggles refresh its one enable flag.
 void Trace::Enable() {
   TraceEpoch();  // pin the epoch before the first event
   enabled_.store(true, std::memory_order_relaxed);
-  RefreshSamplingFlag();
+  internal::RefreshSampling();
 }
 
 void Trace::Disable() {
   enabled_.store(false, std::memory_order_relaxed);
-  RefreshSamplingFlag();
-}
-
-void SetKernelTimingEnabled(bool enabled) {
-  g_kernel_timing_enabled.store(enabled, std::memory_order_relaxed);
-  RefreshSamplingFlag();
-}
-
-bool KernelTimingEnabled() {
-  return g_kernel_timing_enabled.load(std::memory_order_relaxed);
+  internal::RefreshSampling();
 }
 
 std::int64_t Trace::NowNs() { return SteadyNowRaw() - TraceEpoch(); }
@@ -287,46 +215,46 @@ void Trace::SetBufferCapacityForTesting(std::size_t events) {
 
 std::string Trace::ToChromeJson() {
   const std::vector<TraceEvent> events = Collect();
-  std::ostringstream out;
-  out << "{\"traceEvents\":[";
+  std::string out = "{\"traceEvents\":[";
   bool first = true;
   for (const TraceEvent& event : events) {
-    if (!first) out << ",";
+    if (!first) out += ",";
     first = false;
-    out << "{\"name\":\"";
-    JsonEscape(out, event.name);
-    out << "\",\"cat\":\"";
-    JsonEscape(out, event.category);
-    out << "\",\"ph\":\"" << event.phase << "\",\"pid\":1,\"tid\":"
-        << event.tid << ",\"ts\":";
+    out += "{\"name\":\"";
+    AppendJsonEscaped(out, event.name);
+    out += "\",\"cat\":\"";
+    AppendJsonEscaped(out, event.category);
+    out += "\",\"ph\":\"";
+    out += event.phase;
+    out += "\",\"pid\":1,\"tid\":" + std::to_string(event.tid) + ",\"ts\":";
     EmitMicros(out, event.start_ns);
     if (event.phase == 'X') {
-      out << ",\"dur\":";
+      out += ",\"dur\":";
       EmitMicros(out, event.dur_ns);
     } else {
-      out << ",\"s\":\"t\"";  // instant scope: thread
+      out += ",\"s\":\"t\"";  // instant scope: thread
     }
     if (event.arg_key != nullptr || !event.detail.empty()) {
-      out << ",\"args\":{";
+      out += ",\"args\":{";
       bool first_arg = true;
       if (event.arg_key != nullptr) {
-        out << "\"";
-        JsonEscape(out, event.arg_key);
-        out << "\":" << event.arg_value;
+        out += "\"";
+        AppendJsonEscaped(out, event.arg_key);
+        out += "\":" + std::to_string(event.arg_value);
         first_arg = false;
       }
       if (!event.detail.empty()) {
-        if (!first_arg) out << ",";
-        out << "\"detail\":\"";
-        JsonEscape(out, event.detail);
-        out << "\"";
+        if (!first_arg) out += ",";
+        out += "\"detail\":\"";
+        AppendJsonEscaped(out, event.detail);
+        out += "\"";
       }
-      out << "}";
+      out += "}";
     }
-    out << "}";
+    out += "}";
   }
-  out << "],\"displayTimeUnit\":\"ns\"}";
-  return out.str();
+  out += "],\"displayTimeUnit\":\"ns\"}";
+  return out;
 }
 
 void Trace::WriteChromeTrace(const std::string& path) {
@@ -336,14 +264,6 @@ void Trace::WriteChromeTrace(const std::string& path) {
     return;
   }
   file << ToChromeJson() << "\n";
-}
-
-void RecordKernelSample(const std::string& op, const char* category,
-                        std::int64_t start_ns, std::int64_t dur_ns) {
-  MetricsRegistry::Global().GetHistogram("kernel." + op).Record(dur_ns);
-  if (Trace::Enabled()) {
-    Trace::RecordComplete(op, category, start_ns, dur_ns, "sampled", 1);
-  }
 }
 
 namespace {

@@ -3,8 +3,9 @@
 // The engine's value proposition is a runtime loop — profile imperatively,
 // speculatively generate a graph, guard it with assertions, fall back on
 // failure (Fig. 2) — and this tracer makes that loop visible: every phase
-// and (sampled) kernel records a TraceEvent into a thread-local ring
-// buffer, and the whole process timeline exports as a single
+// records a TraceEvent into a thread-local ring buffer (and, while tracing
+// is on, the plan-node sampler of obs/profile.h records its sampled
+// kernels too), and the whole process timeline exports as a single
 // chrome://tracing / Perfetto-compatible JSON file.
 //
 // Cost model:
@@ -87,56 +88,6 @@ class Trace {
  private:
   static std::atomic<bool> enabled_;
 };
-
-// True when at least one consumer of sampled per-op kernel timing is
-// active (the tracer, or metrics-only kernel timing enabled via
-// SetKernelTimingEnabled / EngineOptions::kernel_timing).
-inline bool KernelSamplingActive();
-void SetKernelTimingEnabled(bool enabled);
-bool KernelTimingEnabled();
-
-namespace internal {
-// Single flag combining Trace::Enabled() and KernelTimingEnabled(), kept
-// in sync by the toggles so hot paths test one atomic.
-extern std::atomic<bool> kernel_sampling_active;
-extern thread_local std::uint32_t kernel_sample_countdown;
-// Next countdown reload for a sampler with the given nominal stride:
-// uniform in [nominal/2, 3*nominal/2) from a per-thread xorshift PRNG
-// (mean = nominal). A deterministic every-Nth stride aliases with
-// fixed-length plans — a 16-op chain under a 16-stride sampler times the
-// same node forever — so both the kernel and the plan-node profilers
-// draw jittered gaps instead. Only the enable flag is process-global;
-// all countdown state is thread-local (no cross-thread contention).
-std::uint32_t NextSampleGap(std::uint32_t nominal);
-}  // namespace internal
-
-// Executors call this per kernel: returns true on the first and then every
-// kSampleEvery'th kernel of the calling thread while sampling is active.
-// Sampled kernels get timed into the metrics registry (histogram
-// "kernel.<op>") and, when tracing is on, recorded as a trace event.
-inline constexpr std::uint32_t kKernelSampleEvery = 16;
-
-inline bool KernelSamplingActive() {
-  return internal::kernel_sampling_active.load(std::memory_order_relaxed);
-}
-
-inline bool ShouldSampleKernel() {
-  if (!KernelSamplingActive()) return false;
-  if (internal::kernel_sample_countdown == 0) {
-    internal::kernel_sample_countdown =
-        internal::NextSampleGap(kKernelSampleEvery) - 1;
-    return true;
-  }
-  --internal::kernel_sample_countdown;
-  return false;
-}
-
-// Records one sampled kernel execution: histogram "kernel.<op>" in the
-// global metrics registry plus, if tracing is enabled, a complete event
-// under `category` ("kernel" for graph executors, "eager" for per-op
-// dispatch).
-void RecordKernelSample(const std::string& op, const char* category,
-                        std::int64_t start_ns, std::int64_t dur_ns);
 
 // RAII span. Construction with a `const char*` name does no work when
 // tracing is disabled; the std::string overload is for dynamic names on

@@ -75,7 +75,9 @@ struct FanOutState {
 
 // RAII sampled-time recorder for one plan-node execution, so every exit
 // path of a node body (precomputed shortcut, source kinds, kernel
-// dispatch) is covered. Construct with armed = ShouldSampleProfileNode().
+// dispatch) is covered. Construct with armed = ShouldSampleProfileNode():
+// the runtime's one sampler (obs/profile.h), which also emits the node's
+// "kernel" trace event while tracing.
 struct ProfRecord {
   obs::PlanProfile* profile;
   int index;
@@ -83,7 +85,7 @@ struct ProfRecord {
   bool armed;
   ~ProfRecord() {
     if (armed && profile != nullptr) {
-      profile->Record(index, obs::Trace::NowNs() - start_ns);
+      obs::RecordSample(*profile, index, "kernel", start_ns);
     }
   }
 };
@@ -283,7 +285,7 @@ class DagRun {
   }
 
   void RunNode(int index) {
-    // Source-attributed profiler: sampled per-node wall time (disabled
+    // Sampled per-node wall time while profiling or tracing (disabled
     // path is one relaxed load inside ShouldSampleProfileNode).
     const bool prof_sampled = obs::ShouldSampleProfileNode();
     const ProfRecord prof_record{profile_, index,

@@ -31,11 +31,6 @@ void ExecuteKernel(RunContext& run, const Node& node, const KernelFn& kernel,
   ctx.inputs = inputs;
   ctx.outputs.resize(static_cast<std::size_t>(node.num_outputs()));
   ctx.run = &run;
-  // Sampled per-op kernel timing (every Nth kernel per thread while the
-  // tracer or metrics-only kernel timing is on): one relaxed atomic load
-  // and a branch when observability is off.
-  const bool sampled = obs::ShouldSampleKernel();
-  const std::int64_t start_ns = sampled ? obs::Trace::NowNs() : 0;
   try {
     // Opens the in-place window only for nodes the memory plan marked
     // capable AND whose executor guarantees the inputs vector is the sole
@@ -59,10 +54,6 @@ void ExecuteKernel(RunContext& run, const Node& node, const KernelFn& kernel,
   } catch (const Error& e) {
     throw InvalidArgument(std::string(e.what()) + " [at " +
                           node.DebugString() + "]");
-  }
-  if (sampled) {
-    obs::RecordKernelSample(node.op(), "kernel", start_ns,
-                            obs::Trace::NowNs() - start_ns);
   }
   run.ops_executed.fetch_add(1, std::memory_order_relaxed);
   outputs = std::move(ctx.outputs);
@@ -109,23 +100,6 @@ Executor::Executor(const FunctionLibrary* library, VariableStore* variables,
       host_state_(host_state),
       rng_(rng),
       options_(options) {}
-
-std::vector<Tensor> Executor::Run(const Graph& graph,
-                                  const std::map<std::string, Tensor>& feeds,
-                                  std::span<const NodeOutput> fetches) {
-  return Run(graph, feeds, fetches,
-             static_cast<RunMetrics*>(nullptr));
-}
-
-std::vector<Tensor> Executor::Run(const Graph& graph,
-                                  const std::map<std::string, Tensor>& feeds,
-                                  std::span<const NodeOutput> fetches,
-                                  std::int64_t* ops_executed) {
-  RunMetrics metrics;
-  std::vector<Tensor> results = Run(graph, feeds, fetches, &metrics);
-  if (ops_executed != nullptr) *ops_executed = metrics.ops_executed;
-  return results;
-}
 
 std::vector<Tensor> Executor::Run(const Graph& graph,
                                   const std::map<std::string, Tensor>& feeds,

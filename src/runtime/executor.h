@@ -69,22 +69,12 @@ class Executor {
   // Runs `graph`, feeding placeholders by name and returning the fetched
   // values in order. The graph's plan is taken from its plan cache (built on
   // first use). On success commits all staged state; on any exception
-  // (including AssumptionFailed) nothing is committed.
-  std::vector<Tensor> Run(const Graph& graph,
-                          const std::map<std::string, Tensor>& feeds,
-                          std::span<const NodeOutput> fetches);
-
-  // As Run, but also reports the number of op kernels executed.
+  // (including AssumptionFailed) nothing is committed. `metrics`, when
+  // given, receives the run's kernel count and plan-cache accounting.
   std::vector<Tensor> Run(const Graph& graph,
                           const std::map<std::string, Tensor>& feeds,
                           std::span<const NodeOutput> fetches,
-                          std::int64_t* ops_executed);
-
-  // As Run, with full metrics (kernel count + plan cache accounting).
-  std::vector<Tensor> Run(const Graph& graph,
-                          const std::map<std::string, Tensor>& feeds,
-                          std::span<const NodeOutput> fetches,
-                          RunMetrics* metrics);
+                          RunMetrics* metrics = nullptr);
 
   // Runs a prebuilt plan directly: the pure dispatch hot path. No plan
   // cache is consulted and no scheduling state is derived.

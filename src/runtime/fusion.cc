@@ -21,7 +21,6 @@
 
 #include "cache/fused_kernel_cache.h"
 #include "common/error.h"
-#include "obs/trace.h"
 #include "tensor/shape.h"
 
 namespace janus {
@@ -1134,9 +1133,6 @@ void ExecuteFusedRegion(RunContext& run, const FusedRegionPlan& region,
     while (std::chrono::steady_clock::now() < deadline) {
     }
   }
-  const bool sampled = obs::ShouldSampleKernel();
-  const std::int64_t start_ns = sampled ? obs::Trace::NowNs() : 0;
-
   // Region output. Non-reduction regions may steal a dying full external's
   // buffer: block b's writes land only on indices every instruction has
   // already consumed (instructions run whole-block, the root runs last), so
@@ -1222,10 +1218,6 @@ void ExecuteFusedRegion(RunContext& run, const FusedRegionPlan& region,
   }
 
   outputs.assign(1, std::move(out));
-  if (sampled) {
-    obs::RecordKernelSample("fused", "kernel", start_ns,
-                            obs::Trace::NowNs() - start_ns);
-  }
   const auto member_count =
       static_cast<std::int64_t>(region.members.size());
   run.ops_executed.fetch_add(member_count, std::memory_order_relaxed);

@@ -653,10 +653,10 @@ TEST_F(ExecutorTest, OpsExecutedCounter) {
   const NodeOutput a = g.Constant(Tensor::Scalar(1));
   Node* n1 = g.AddNode("Neg", {a});
   Node* n2 = g.AddNode("Neg", {{n1, 0}});
-  std::int64_t ops = 0;
+  RunMetrics metrics;
   Executor executor(&library_, &variables_, &host_, &rng_);
-  executor.Run(g, {}, std::vector<NodeOutput>{{n2, 0}}, &ops);
-  EXPECT_EQ(ops, 2);  // Const resolves without a kernel
+  executor.Run(g, {}, std::vector<NodeOutput>{{n2, 0}}, &metrics);
+  EXPECT_EQ(metrics.ops_executed, 2);  // Const resolves without a kernel
 }
 
 TEST_F(ExecutorTest, RandomOpsDeterministicPerSeed) {

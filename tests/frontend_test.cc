@@ -135,7 +135,57 @@ TEST(ParserTest, SyntaxErrorHasLineNumber) {
   }
 }
 
+TEST(ParserTest, DeepNestingRaisesInsteadOfOverflowing) {
+  for (const std::string& brackets : {std::string("()"), std::string("[]")}) {
+    const std::string source = "x = " + std::string(100000, brackets[0]) +
+                               "1" + std::string(100000, brackets[1]) + "\n";
+    try {
+      Parse(source);
+      FAIL() << "parsed 100k nested '" << brackets[0] << "'";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 1: nesting deeper than 200"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ParserTest, NestingAtTheLimitParses) {
+  // The expression statement is depth 1 and each bracket adds one, so
+  // kMaxNestingDepth - 1 brackets nest exactly at the limit.
+  const auto nested = [](int depth, char open, char close) {
+    return "x = " + std::string(static_cast<std::size_t>(depth), open) + "1" +
+           std::string(static_cast<std::size_t>(depth), close) + "\n";
+  };
+  const int at_limit = kMaxNestingDepth - 1;
+  EXPECT_NO_THROW(Parse(nested(at_limit, '(', ')')));
+  EXPECT_NO_THROW(Parse(nested(at_limit, '[', ']')));
+  EXPECT_THROW(Parse(nested(at_limit + 1, '(', ')')), InvalidArgument);
+  EXPECT_THROW(Parse(nested(at_limit + 1, '[', ']')), InvalidArgument);
+  // Prefix operators and elif chains nest too.
+  EXPECT_THROW(Parse("x = " + std::string(100000, '-') + "1\n"),
+               InvalidArgument);
+  std::string elifs = "if x:\n    pass\n";
+  for (int i = 0; i < kMaxNestingDepth; ++i) elifs += "elif x:\n    pass\n";
+  EXPECT_THROW(Parse(elifs), InvalidArgument);
+}
+
 // ---- Interpreter: core semantics ----
+
+TEST_F(FrontendTest, RerunningSourceReusesItsParse) {
+  const std::string source = "def f(x):\n    return x + 1\n";
+  interp_.Run(source);
+  const auto first =
+      std::get<std::shared_ptr<FunctionValue>>(interp_.GetGlobal("f"));
+  interp_.Run(source);
+  const auto second =
+      std::get<std::shared_ptr<FunctionValue>>(interp_.GetGlobal("f"));
+  // A fresh function object per run, over the one kept AST.
+  EXPECT_NE(first, second);
+  EXPECT_EQ(first->def, second->def);
+  EXPECT_EQ(Num(interp_.EvaluateExpression("f(2)")), 3);
+  EXPECT_EQ(Num(interp_.EvaluateExpression("f(2)")), 3);
+}
 
 TEST_F(FrontendTest, ArithmeticAndPrecedence) {
   EXPECT_EQ(Num(RunAndGet("x = 2 + 3 * 4\n", "x")), 14);

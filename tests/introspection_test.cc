@@ -25,6 +25,7 @@
 #include "obs/json_check.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 
 namespace janus {
 namespace {
@@ -285,15 +286,32 @@ TEST_F(IntrospectionTest, RendersHistogramBucketsSumAndCount) {
 }
 
 TEST_F(IntrospectionTest, KernelTimersCollapseIntoLabeledFamily) {
-  MetricsRegistry registry;
-  registry.GetHistogram("kernel.Add").Record(10);
-  registry.GetHistogram("kernel.MatMul").Record(20);
-  IntrospectionHub::Global().RegisterMetricsSource(&registry);
+  // A plan profile's node histograms roll up by op into one labeled family.
+  obs::ProfileRegistry::Global().Reset();
+  std::vector<obs::ProfileNodeInfo> infos(3);
+  infos[0].name = "add_a";
+  infos[0].op = "Add";
+  infos[1].name = "add_b";
+  infos[1].op = "Add";
+  infos[2].name = "matmul";
+  infos[2].op = "MatMul";
+  auto profile = std::make_shared<obs::PlanProfile>(std::move(infos));
+  obs::ProfileRegistry::Global().Register(profile);
+  // Nothing sampled yet: no family.
+  EXPECT_EQ(obs::RenderPrometheusText().find("janus_kernel_ns"),
+            std::string::npos);
+  profile->Record(0, 10);
+  profile->Record(1, 12);
+  profile->Record(2, 20);
 
   const std::string text = obs::RenderPrometheusText();
+  obs::ProfileRegistry::Global().Reset();
   EXPECT_NE(text.find("# TYPE janus_kernel_ns histogram\n"),
             std::string::npos);
   EXPECT_NE(text.find("janus_kernel_ns_bucket{op=\"Add\","),
+            std::string::npos);
+  // Both Add nodes land in one series.
+  EXPECT_NE(text.find("janus_kernel_ns_count{op=\"Add\"} 2\n"),
             std::string::npos);
   EXPECT_NE(text.find("janus_kernel_ns_count{op=\"MatMul\"} 1\n"),
             std::string::npos);
@@ -302,7 +320,6 @@ TEST_F(IntrospectionTest, KernelTimersCollapseIntoLabeledFamily) {
 
   std::string error;
   ASSERT_TRUE(obs::ValidatePrometheusText(text, &error, nullptr)) << error;
-  IntrospectionHub::Global().UnregisterMetricsSource(&registry);
 }
 
 TEST_F(IntrospectionTest, PrometheusValidatorRejectsNonFiniteSamples) {

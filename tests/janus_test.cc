@@ -573,6 +573,13 @@ struct BuiltinDivergence {
   bool base;          // Fig. 7 BASE: no speculative unrolling or specialization
 };
 
+// Prints a case as its label. Without it gtest prints the struct's raw
+// bytes (pointers and padding), so the test names it lists would change
+// from one run to the next.
+void PrintTo(const BuiltinDivergence& param, std::ostream* os) {
+  *os << param.label;
+}
+
 class BuiltinDivergenceTest
     : public JanusTest,
       public ::testing::WithParamInterface<BuiltinDivergence> {};

@@ -1,13 +1,15 @@
 // Tests for the observability subsystem (src/obs): span tracer ring
 // buffers and nesting, histogram bucket/percentile math, Chrome-trace JSON
 // schema round trips, threaded metric accumulation, DOT heat annotation,
-// and the end-to-end engine trace including a forced fallback.
+// the plan-node sampler's profile records and trace events, and the
+// end-to-end engine trace including a forced fallback.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "graph/dot.h"
 #include "obs/json_check.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 
 namespace janus {
@@ -35,12 +38,14 @@ class ObsTest : public ::testing::Test {
   void SetUp() override {
     Trace::Disable();
     Trace::Reset();
+    obs::ProfileRegistry::Global().Reset();
   }
   void TearDown() override {
     Trace::Disable();
     Trace::Reset();
     Trace::SetBufferCapacityForTesting(0);  // restore default
-    obs::SetKernelTimingEnabled(false);
+    obs::DisableProfiling();
+    obs::ProfileRegistry::Global().Reset();
   }
 };
 
@@ -56,8 +61,8 @@ TEST_F(ObsTest, DisabledTracerRecordsNoEvents) {
   }
   EXPECT_EQ(Trace::TotalRecorded(), 0);
   EXPECT_TRUE(Trace::Collect().empty());
-  // Kernel sampling is inert too: no tracer, no kernel timing.
-  EXPECT_FALSE(obs::ShouldSampleKernel());
+  // The sampler is inert too: no tracer, no profiling.
+  EXPECT_FALSE(obs::ShouldSampleProfileNode());
 }
 
 TEST_F(ObsTest, ScopeRecordsCompleteEventWithArgs) {
@@ -299,19 +304,22 @@ TEST_F(ObsTest, JsonCheckRejectsMalformedDocuments) {
 // ---- DOT heat annotation ----
 
 TEST_F(ObsTest, DotAnnotatesPerOpTimingFromRegistry) {
-  Histogram& hot =
-      MetricsRegistry::Global().GetHistogram("kernel.ObsHeatHot");
-  Histogram& cold =
-      MetricsRegistry::Global().GetHistogram("kernel.ObsHeatCold");
-  hot.Reset();
-  cold.Reset();
-  for (int i = 0; i < 10; ++i) hot.Record(40000);
-  for (int i = 0; i < 10; ++i) cold.Record(100);
-
   Graph g;
   const NodeOutput c = g.Constant(Tensor::Scalar(1.0f));
   Node* hot_node = g.AddNode("ObsHeatHot", {c});
-  g.AddNode("ObsHeatCold", {{hot_node, 0}});
+  Node* cold_node = g.AddNode("ObsHeatCold", {{hot_node, 0}});
+  // The node times a plan's profile holds after sampled runs.
+  std::vector<obs::ProfileNodeInfo> infos(2);
+  infos[0].name = hot_node->name();
+  infos[0].op = hot_node->op();
+  infos[1].name = cold_node->name();
+  infos[1].op = cold_node->op();
+  auto profile = std::make_shared<obs::PlanProfile>(std::move(infos));
+  for (int i = 0; i < 10; ++i) {
+    profile->Record(0, 40000);
+    profile->Record(1, 100);
+  }
+  obs::ProfileRegistry::Global().Register(profile);
 
   const std::string plain = ToDot(g, "heat");
   EXPECT_EQ(plain.find("~40.0us"), std::string::npos);
@@ -319,8 +327,8 @@ TEST_F(ObsTest, DotAnnotatesPerOpTimingFromRegistry) {
   DotOptions options;
   options.annotate_timing = true;
   const std::string annotated = ToDot(g, "heat", options);
-  // Mean latency appears in the label; the hottest op gets the strongest
-  // heat color, the cold op a pale one.
+  // Mean latency appears in the label; the hottest node gets the strongest
+  // heat color, the cold node a pale one.
   EXPECT_NE(annotated.find("~40.0us"), std::string::npos);
   EXPECT_NE(annotated.find("~100ns"), std::string::npos);
   EXPECT_NE(annotated.find("#e34a33"), std::string::npos);
@@ -369,14 +377,15 @@ for i in range(8):
   EXPECT_GE(stats.graph_generations, 1);
 
   // The text report carries the decision-loop counters, phase histograms,
-  // sampled kernel timers, and allocator traffic.
+  // and allocator traffic; the kernels the tracer sampled land in the plan
+  // profiles.
   const std::string report = engine.StatsReport();
   EXPECT_NE(report.find("engine.graph_executions"), std::string::npos);
   EXPECT_NE(report.find("engine.assumption_failures"), std::string::npos);
   EXPECT_NE(report.find("engine.imperative_ns"), std::string::npos);
   EXPECT_NE(report.find("engine.graph_execution_ns"), std::string::npos);
-  EXPECT_NE(report.find("kernel."), std::string::npos);
   EXPECT_NE(report.find("buffer pool"), std::string::npos);
+  EXPECT_FALSE(obs::CollectProfileSamples().empty());
 
   engine.Detach();  // writes the Chrome trace
 
@@ -402,25 +411,76 @@ for i in range(8):
   std::remove(path.c_str());
 }
 
+// Sampled count of eager dispatches of `op` in the pinned "<eager>" profile.
+std::int64_t EagerSampleCount(const std::string& op) {
+  for (const auto& profile : obs::ProfileRegistry::Global().Profiles()) {
+    if (profile->unit() != "<eager>") continue;
+    for (int i = 0; i < profile->num_nodes(); ++i) {
+      if (profile->nodes()[static_cast<std::size_t>(i)].op != op) continue;
+      const Histogram* samples = profile->Samples(i);
+      return samples != nullptr ? samples->Count() : 0;
+    }
+  }
+  return 0;
+}
+
 TEST_F(ObsTest, KernelTimingWithoutTracerFillsRegistryOnly) {
-  Histogram& timer = MetricsRegistry::Global().GetHistogram("kernel.Add");
-  const std::int64_t count_before = timer.Count();
-  obs::SetKernelTimingEnabled(true);
+  const std::int64_t count_before = EagerSampleCount("Add");
+  obs::EnableProfiling();
   ASSERT_FALSE(Trace::Enabled());
   VariableStore variables;
   Rng rng(3);
   minipy::EagerContext eager(&variables, &rng);
   const Tensor a = Tensor::Full(Shape{4, 4}, 1.0f);
-  for (int i = 0; i < 64; ++i) {
+  for (int i = 0; i < 256; ++i) {
     eager.Execute("Add", {a, a});
   }
-  obs::SetKernelTimingEnabled(false);
-  // 64 ops sampled at a jittered ~16 stride: the first op samples, and
-  // every gap is < 24 (NextSampleGap draws from [8, 24)), so at least 3
-  // new samples land even in the worst draw.
-  EXPECT_GE(timer.Count() - count_before, 3);
+  obs::DisableProfiling();
+  // 256 ops sampled at a jittered ~64 stride: every gap is < 96
+  // (NextSampleGap draws from [32, 96)), so at least 2 new samples land in
+  // the eager profile's Add node even in the worst draw.
+  EXPECT_GE(EagerSampleCount("Add") - count_before, 2);
   // No tracer: nothing hit the ring buffers.
   EXPECT_EQ(Trace::TotalRecorded(), 0);
+}
+
+TEST_F(ObsTest, TracingSamplesPlanNodesAndEagerDispatch) {
+  // Tracing alone turns the sampler on: a plan's nodes record into its
+  // profile and emit "kernel" events, eager dispatch emits "eager" events.
+  Trace::Enable();
+  ASSERT_FALSE(obs::ProfilingEnabled());
+  VariableStore variables;
+  Rng rng(3);
+  minipy::EagerContext eager(&variables, &rng);
+  const Tensor a = Tensor::Full(Shape{4, 4}, 1.0f);
+  for (int i = 0; i < 256; ++i) eager.Execute("Neg", {a});
+
+  Graph g;
+  NodeOutput x = g.Constant(Tensor::Full(Shape{4, 4}, 0.25f));
+  for (int i = 0; i < 64; ++i) x = {g.AddNode("MatMul", {x, x}), 0};
+  FunctionLibrary library;
+  Executor executor(&library, &variables, nullptr, &rng);
+  const std::vector<NodeOutput> fetches{x};
+  for (int run = 0; run < 4; ++run) executor.Run(g, {}, fetches);
+  Trace::Disable();
+
+  std::set<std::string> categories;
+  for (const TraceEvent& event : Trace::Collect()) {
+    categories.insert(event.category);
+  }
+  EXPECT_TRUE(categories.count("eager") != 0u);
+  EXPECT_TRUE(categories.count("kernel") != 0u);
+  EXPECT_GE(EagerSampleCount("Neg"), 2);
+  std::int64_t plan_samples = 0;
+  for (const auto& profile : obs::ProfileRegistry::Global().Profiles()) {
+    if (profile->unit() == "<eager>") continue;
+    for (int i = 0; i < profile->num_nodes(); ++i) {
+      if (const Histogram* samples = profile->Samples(i)) {
+        plan_samples += samples->Count();
+      }
+    }
+  }
+  EXPECT_GE(plan_samples, 2);
 }
 
 }  // namespace

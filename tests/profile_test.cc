@@ -21,6 +21,7 @@
 
 #include "core/engine.h"
 #include "frontend/builtins.h"
+#include "frontend/eager.h"
 #include "models/zoo.h"
 #include "obs/http_export.h"
 #include "obs/json_check.h"
@@ -90,11 +91,12 @@ TEST_P(ZooProvenance, EveryPlanNodeCarriesASourceSite) {
 
   // Every engine-generated plan (unit-keyed at BuildPlans) must attribute
   // all of its nodes — including autodiff-cloned gradient nodes and every
-  // member of a fused region — back to an imperative source site.
+  // member of a fused region — back to an imperative source site. The
+  // eager-dispatch profile is not a plan: one node per kernel op, no site.
   int unit_plans = 0;
   int nodes_checked = 0;
   for (const auto& profile : ProfileRegistry::Global().Profiles()) {
-    if (profile->unit().empty()) continue;
+    if (profile->unit().empty() || profile->unit() == "<eager>") continue;
     ++unit_plans;
     for (const ProfileNodeInfo& info : profile->nodes()) {
       ++nodes_checked;
@@ -197,22 +199,53 @@ TEST_F(ProfileTest, ThreadedRecordingLosesNoCountsOrTime) {
   }
   for (std::thread& thread : threads) thread.join();
 
-  std::uint64_t total_count = 0;
+  std::int64_t total_count = 0;
   for (int i = 0; i < 4; ++i) {
-    const PlanProfile::NodeSnapshot snap = profile.Snapshot(i);
-    EXPECT_EQ(snap.count, static_cast<std::uint64_t>(kThreads) * kPerThread / 4);
-    total_count += snap.count;
+    // Every thread raced to allocate the node's histogram on its first
+    // sample; exactly one was published and nothing was lost.
+    const obs::Histogram* samples = profile.Samples(i);
+    ASSERT_NE(samples, nullptr);
+    EXPECT_EQ(samples->Count(),
+              static_cast<std::int64_t>(kThreads) * kPerThread / 4);
+    total_count += samples->Count();
     // max = largest duration any thread recorded on this slot.
-    EXPECT_GE(snap.max_ns, 99u);
-    std::uint64_t bucket_sum = 0;
-    for (const std::uint64_t b : snap.buckets) bucket_sum += b;
-    EXPECT_EQ(bucket_sum, snap.count) << "histogram lost samples";
+    EXPECT_GE(samples->Max(), 99);
+    std::int64_t bucket_sum = 0;
+    for (int b = 0; b < obs::Histogram::kNumBuckets; ++b) {
+      bucket_sum += samples->BucketCount(b);
+    }
+    EXPECT_EQ(bucket_sum, samples->Count()) << "histogram lost samples";
   }
-  EXPECT_EQ(total_count,
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(total_count, static_cast<std::int64_t>(kThreads) * kPerThread);
   // Out-of-range indices are ignored, not UB.
   profile.Record(-1, 5);
   profile.Record(4, 5);
+  EXPECT_EQ(profile.Samples(-1), nullptr);
+  EXPECT_EQ(profile.Samples(4), nullptr);
+}
+
+TEST_F(ProfileTest, EagerDispatchProfileIsPinnedPastTheCap) {
+  obs::EnableProfiling();
+  VariableStore variables;
+  Rng rng(3);
+  minipy::EagerContext eager(&variables, &rng);
+  const Tensor a = Tensor::Full(Shape{2, 2}, 1.0f);
+  for (int i = 0; i < 256; ++i) eager.Execute("Neg", {a});
+  obs::DisableProfiling();
+  // Plan registrations churn past the cap; the eager profile stays.
+  for (std::size_t i = 0; i <= ProfileRegistry::kMaxProfiles; ++i) {
+    ProfileRegistry::Global().Register(
+        std::make_shared<PlanProfile>(std::vector<ProfileNodeInfo>(1)));
+  }
+  EXPECT_GT(ProfileRegistry::Global().dropped(), 0u);
+  bool found = false;
+  for (const ProfileSample& sample : obs::CollectProfileSamples()) {
+    if (sample.unit == "<eager>" && sample.op == "Neg" && sample.count > 0) {
+      found = true;
+      EXPECT_EQ(sample.variant, "eager");
+    }
+  }
+  EXPECT_TRUE(found) << "eager samples dropped with the oldest plans";
 }
 
 // ---- pprof encoding: gzip container + protobuf round-trip ----

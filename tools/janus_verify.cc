@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "models/zoo.h"
+#include "obs/ledger.h"
 #include "verify/plan_verifier.h"
 #include "verify/unit_verifier.h"
 
@@ -35,25 +36,10 @@ struct SweepResult {
   std::string error;  // non-verification failure (session threw)
 };
 
-std::string JsonEscape(const std::string& in) {
+// The shared JSON string escaper, returning a value for the printf calls.
+std::string Escaped(const std::string& in) {
   std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  janus::obs::AppendJsonEscaped(out, in);
   return out;
 }
 
@@ -78,11 +64,11 @@ void WriteJsonReport(const std::string& path,
     std::fprintf(f,
                  "    {\"model\": \"%s\", \"level\": %d, \"fusion\": %s, "
                  "\"units\": %d, \"checks\": %d, \"violations\": %zu",
-                 JsonEscape(r.model).c_str(), r.level,
+                 Escaped(r.model).c_str(), r.level,
                  r.fusion ? "true" : "false", r.units, r.checks,
                  r.issues.size());
     if (!r.error.empty()) {
-      std::fprintf(f, ", \"error\": \"%s\"", JsonEscape(r.error).c_str());
+      std::fprintf(f, ", \"error\": \"%s\"", Escaped(r.error).c_str());
     }
     if (!r.issues.empty()) {
       std::fprintf(f, ", \"issues\": [");
@@ -92,9 +78,9 @@ void WriteJsonReport(const std::string& path,
                      "%s{\"invariant\": \"%s\", \"node\": \"%s\", "
                      "\"message\": \"%s\"}",
                      j == 0 ? "" : ", ",
-                     JsonEscape(issue.invariant).c_str(),
-                     JsonEscape(issue.node).c_str(),
-                     JsonEscape(issue.message).c_str());
+                     Escaped(issue.invariant).c_str(),
+                     Escaped(issue.node).c_str(),
+                     Escaped(issue.message).c_str());
       }
       std::fprintf(f, "]");
     }
