@@ -6,7 +6,6 @@
 #include <optional>
 #include <set>
 
-#include "cache/fused_kernel_cache.h"
 #include "common/logging.h"
 #include "frontend/builtins.h"
 #include "obs/http_export.h"
@@ -756,26 +755,11 @@ std::string JanusEngine::StatsReport() const {
       out += ladder;
     }
   }
-  {
-    // Fusion state and the process-wide specialized-program cache (the
-    // engine's fused_regions/fused_ops counters are in the registry
-    // section above).
-    const cache::FusedKernelCache::Stats fks =
-        cache::FusedKernelCache::Global().Snapshot();
-    out += "--- fusion ---\n";
-    char fusion_line[320];
-    std::snprintf(fusion_line, sizeof(fusion_line),
-                  "enabled=%d\n"
-                  "fused_kernel_cache(process-wide): entries=%lld hits=%lld "
-                  "misses=%lld inserts=%lld evictions=%lld\n",
-                  options_.enable_fusion && fusion::GloballyEnabled() ? 1 : 0,
-                  static_cast<long long>(fks.entries),
-                  static_cast<long long>(fks.hits),
-                  static_cast<long long>(fks.misses),
-                  static_cast<long long>(fks.inserts),
-                  static_cast<long long>(fks.evictions));
-    out += fusion_line;
-  }
+  // Fusion state (the engine's fused_regions/fused_ops counters are in the
+  // registry section above).
+  out += "--- fusion ---\n";
+  out += "enabled=";
+  out += options_.enable_fusion && fusion::GloballyEnabled() ? "1\n" : "0\n";
   const BufferPool::Stats pool = BufferPool::Global().Snapshot();
   out += "--- buffer pool (process-wide) ---\n";
   char line[256];

@@ -10,6 +10,7 @@
 #include "core/host_state.h"
 #include "frontend/builtins.h"
 #include "opt/passes.h"
+#include "tensor/elementwise.h"
 
 namespace janus {
 namespace {
@@ -195,44 +196,6 @@ void CollectAssigned(const std::vector<minipy::StmtPtr>& body,
         break;
     }
   }
-}
-
-DType ArithResultDType(const std::string& op, DType a, DType b) {
-  if (op == "Equal" || op == "NotEqual" || op == "Less" ||
-      op == "LessEqual" || op == "Greater" || op == "GreaterEqual" ||
-      op == "LogicalAnd" || op == "LogicalOr") {
-    return DType::kBool;
-  }
-  if (op == "Div") return DType::kFloat32;
-  if (a == DType::kFloat32 || b == DType::kFloat32) return DType::kFloat32;
-  if (a == DType::kInt64 || b == DType::kInt64) return DType::kInt64;
-  return a;
-}
-
-const char* BinOpName(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kAdd: return "Add";
-    case BinaryOp::kSub: return "Sub";
-    case BinaryOp::kMul: return "Mul";
-    case BinaryOp::kDiv: return "Div";
-    case BinaryOp::kFloorDiv: return "FloorDiv";
-    case BinaryOp::kMod: return "Mod";
-    case BinaryOp::kPow: return "Pow";
-  }
-  return "?";
-}
-
-const char* CmpOpName(CompareOp op) {
-  switch (op) {
-    case CompareOp::kEq: return "Equal";
-    case CompareOp::kNe: return "NotEqual";
-    case CompareOp::kLt: return "Less";
-    case CompareOp::kLe: return "LessEqual";
-    case CompareOp::kGt: return "Greater";
-    case CompareOp::kGe: return "GreaterEqual";
-    case CompareOp::kIn: return "In";
-  }
-  return "?";
 }
 
 }  // namespace
@@ -1441,8 +1404,8 @@ struct GraphGenerator::Impl {
       rn = {AddOp(frame, "Cast", {rn}, {{"dtype", DType::kInt64}}), 0};
       lt = rt = DType::kInt64;
     }
-    const char* name = BinOpName(op);
-    const DType result_dt = ArithResultDType(name, lt, rt);
+    const char* name = minipy::BinaryOpName(op);
+    const DType result_dt = ops::FindElementwiseOp(name)->For(lt).result;
     // Merge shape knowledge when both operands carry it.
     ShapeAssumption result_shape = ShapeAssumption::Unknown();
     if (lhs.IsNode() && lhs.shape.IsExact() &&
@@ -1503,8 +1466,9 @@ struct GraphGenerator::Impl {
         rn = {AddOp(frame, "Cast", {rn}, {{"dtype", DType::kFloat32}}), 0};
       }
     }
-    return SymValue::OfNode({AddOp(frame, CmpOpName(op), {ln, rn}), 0},
-                            frame.graph, DType::kBool);
+    return SymValue::OfNode(
+        {AddOp(frame, minipy::CompareOpName(op), {ln, rn}), 0}, frame.graph,
+        DType::kBool);
   }
 
   // Checks that a Name expression still resolves to the expected builtin

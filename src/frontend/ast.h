@@ -33,6 +33,34 @@ enum class UnaryOp { kNeg, kNot };
 
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe, kIn };
 
+// The op a tensor operand runs the operator as: the eager kernel and the
+// generated graph node share the name.
+inline const char* BinaryOpName(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kAdd: return "Add";
+    case BinaryOp::kSub: return "Sub";
+    case BinaryOp::kMul: return "Mul";
+    case BinaryOp::kDiv: return "Div";
+    case BinaryOp::kFloorDiv: return "FloorDiv";
+    case BinaryOp::kMod: return "Mod";
+    case BinaryOp::kPow: return "Pow";
+  }
+  return "?";
+}
+
+inline const char* CompareOpName(CompareOp op) {
+  switch (op) {
+    case CompareOp::kEq: return "Equal";
+    case CompareOp::kNe: return "NotEqual";
+    case CompareOp::kLt: return "Less";
+    case CompareOp::kLe: return "LessEqual";
+    case CompareOp::kGt: return "Greater";
+    case CompareOp::kGe: return "GreaterEqual";
+    case CompareOp::kIn: return "In";
+  }
+  return "?";
+}
+
 enum class BoolOpKind { kAnd, kOr };
 
 struct Expr {

@@ -820,32 +820,6 @@ void AlignDTypes(EagerContext& eager, Tensor& a, Tensor& b, bool arithmetic) {
   }
 }
 
-const char* BinaryOpName(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kAdd: return "Add";
-    case BinaryOp::kSub: return "Sub";
-    case BinaryOp::kMul: return "Mul";
-    case BinaryOp::kDiv: return "Div";
-    case BinaryOp::kFloorDiv: return "FloorDiv";
-    case BinaryOp::kMod: return "Mod";
-    case BinaryOp::kPow: return "Pow";
-  }
-  return "?";
-}
-
-const char* CompareOpName(CompareOp op) {
-  switch (op) {
-    case CompareOp::kEq: return "Equal";
-    case CompareOp::kNe: return "NotEqual";
-    case CompareOp::kLt: return "Less";
-    case CompareOp::kLe: return "LessEqual";
-    case CompareOp::kGt: return "Greater";
-    case CompareOp::kGe: return "GreaterEqual";
-    case CompareOp::kIn: return "In";
-  }
-  return "?";
-}
-
 }  // namespace
 
 Value Interpreter::BinaryOperation(BinaryOp op, const Value& lhs,

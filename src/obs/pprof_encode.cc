@@ -667,7 +667,10 @@ bool DecodePprof(std::string_view data, DecodedPprof* out,
                                 std::to_string(line.function_id));
         }
         std::string frame = string_at(fn_it->second.name_idx);
-        if (line.line > 0) frame += ":" + std::to_string(line.line);
+        if (line.line > 0) {
+          frame += ':';
+          frame += std::to_string(line.line);
+        }
         sample.stack.push_back(std::move(frame));
       }
     }

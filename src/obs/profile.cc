@@ -123,7 +123,9 @@ void ProfileRegistry::Reset() {
 namespace internal {
 std::atomic<bool> profiling_enabled{false};
 std::atomic<bool> sampling_active{false};
-thread_local std::uint32_t sample_countdown = 0;
+// A thread's first sample comes one nominal stride in, not on its first
+// node: a sample there would be scaled up as if it stood for the stride.
+thread_local std::uint32_t sample_countdown = kProfileSampleEvery - 1;
 
 void RefreshSampling() {
   sampling_active.store(

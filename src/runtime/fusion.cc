@@ -2,24 +2,22 @@
 //
 // Layout of this file:
 //   1. Kill switch (JANUS_FUSION).
-//   2. Fusable-op table, region formation and the plan rewrite.
-//   3. Runtime specialization (FusedSpec): dtype/shape propagation that
-//      mirrors the unfused kernels' checks exactly, block-kernel selection,
-//      scratch layout, and the content-addressed FusedKernelCache.
+//   2. Region formation and the plan rewrite.
+//   3. Runtime specialization (FusedSpec): dtype/shape propagation through
+//      the elementwise table's dtype rules, scratch layout, and the
+//      per-region memo.
 //   4. Execution: block interpreter (fused path) and per-member fallback.
 #include "runtime/fusion.h"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
+#include <map>
 #include <string_view>
 #include <utility>
 
-#include "cache/fused_kernel_cache.h"
 #include "common/error.h"
 #include "tensor/shape.h"
 
@@ -53,52 +51,7 @@ using Endpoint = ExecutionPlan::Endpoint;
 using OpKind = ExecutionPlan::OpKind;
 using PlanNode = ExecutionPlan::PlanNode;
 
-// ---------------------------------------------------------------------------
-// Fusable-op table.
-// ---------------------------------------------------------------------------
-
-struct OpEntry {
-  FusedOp op;
-  int arity;
-  bool reduction;
-};
-
-const std::unordered_map<std::string_view, OpEntry>& FusableOps() {
-  static const auto* table = new std::unordered_map<std::string_view, OpEntry>{
-      {"Neg", {FusedOp::kNeg, 1, false}},
-      {"Abs", {FusedOp::kAbs, 1, false}},
-      {"Sign", {FusedOp::kSign, 1, false}},
-      {"Exp", {FusedOp::kExp, 1, false}},
-      {"Log", {FusedOp::kLog, 1, false}},
-      {"Sqrt", {FusedOp::kSqrt, 1, false}},
-      {"Square", {FusedOp::kSquare, 1, false}},
-      {"Tanh", {FusedOp::kTanh, 1, false}},
-      {"Sigmoid", {FusedOp::kSigmoid, 1, false}},
-      {"Relu", {FusedOp::kRelu, 1, false}},
-      {"LogicalNot", {FusedOp::kLogicalNot, 1, false}},
-      {"Add", {FusedOp::kAdd, 2, false}},
-      {"Sub", {FusedOp::kSub, 2, false}},
-      {"Mul", {FusedOp::kMul, 2, false}},
-      {"Div", {FusedOp::kDiv, 2, false}},
-      {"FloorDiv", {FusedOp::kFloorDiv, 2, false}},
-      {"Mod", {FusedOp::kMod, 2, false}},
-      {"Pow", {FusedOp::kPow, 2, false}},
-      {"Maximum", {FusedOp::kMaximum, 2, false}},
-      {"Minimum", {FusedOp::kMinimum, 2, false}},
-      {"ReluGrad", {FusedOp::kReluGrad, 2, false}},
-      {"Equal", {FusedOp::kEqual, 2, false}},
-      {"NotEqual", {FusedOp::kNotEqual, 2, false}},
-      {"Less", {FusedOp::kLess, 2, false}},
-      {"LessEqual", {FusedOp::kLessEqual, 2, false}},
-      {"Greater", {FusedOp::kGreater, 2, false}},
-      {"GreaterEqual", {FusedOp::kGreaterEqual, 2, false}},
-      {"LogicalAnd", {FusedOp::kLogicalAnd, 2, false}},
-      {"LogicalOr", {FusedOp::kLogicalOr, 2, false}},
-      {"ReduceSum", {FusedOp::kReduceSum, 1, true}},
-      {"ReduceMean", {FusedOp::kReduceMean, 1, true}},
-  };
-  return *table;
-}
+using Reduction = FusedRegionPlan::Reduction;
 
 // ---------------------------------------------------------------------------
 // Region formation.
@@ -106,9 +59,8 @@ const std::unordered_map<std::string_view, OpEntry>& FusableOps() {
 
 // How one plan node may take part in a region.
 struct Candidate {
-  FusedOp op = FusedOp::kAdd;
-  bool elementwise = false;  // fusable non-reduction; may be member or root
-  bool reduction = false;    // fusable reduction; root only
+  const ops::ElementwiseOp* op = nullptr;  // elementwise: member or root
+  Reduction reduction = Reduction::kNone;  // reduction: root only
   bool has_control = false;  // any control producer or consumer
   bool is_protected = false; // feeds a fetch slot
 };
@@ -119,18 +71,15 @@ Candidate ClassifyCandidate(const PlanNode& entry) {
       !entry.control_producers.empty() || !entry.control_edges.empty();
   if (entry.kind != OpKind::kKernel) return cand;
   const Node* node = entry.node;
-  const auto it = FusableOps().find(node->op());
-  if (it == FusableOps().end()) return cand;
-  const OpEntry& op = it->second;
-  if (node->num_outputs() != 1 || node->num_inputs() != op.arity) return cand;
-  if (op.reduction && (!node->HasAttr("axes") || !node->HasAttr("keep_dims"))) {
+  if (node->num_outputs() != 1) return cand;
+  if (const ops::ElementwiseOp* op = ops::FindElementwiseOp(node->op())) {
+    if (node->num_inputs() == op->arity) cand.op = op;
     return cand;
   }
-  cand.op = op.op;
-  if (op.reduction) {
-    cand.reduction = true;
-  } else {
-    cand.elementwise = true;
+  const bool sum = node->op() == "ReduceSum";
+  if ((sum || node->op() == "ReduceMean") && node->num_inputs() == 1 &&
+      node->HasAttr("axes") && node->HasAttr("keep_dims")) {
+    cand.reduction = sum ? Reduction::kSum : Reduction::kMean;
   }
   return cand;
 }
@@ -153,7 +102,9 @@ std::vector<std::vector<int>> CollectRegions(
   for (int root = n - 1; root >= 0; --root) {
     const auto ur = static_cast<std::size_t>(root);
     if (claimed[ur]) continue;
-    if (!cand[ur].elementwise && !cand[ur].reduction) continue;
+    if (cand[ur].op == nullptr && cand[ur].reduction == Reduction::kNone) {
+      continue;
+    }
     std::vector<int> members{root};
     in_region[ur] = 1;
     bool changed = true;
@@ -165,7 +116,7 @@ std::vector<std::vector<int>> CollectRegions(
           const auto up = static_cast<std::size_t>(input.producer);
           if (input.slot != 0 || in_region[up]) continue;
           const Candidate& pc = cand[up];
-          if (!pc.elementwise || pc.has_control || pc.is_protected ||
+          if (pc.op == nullptr || pc.has_control || pc.is_protected ||
               claimed[up]) {
             continue;
           }
@@ -228,7 +179,6 @@ RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
   plan.num_externals = num_externals;
   plan.num_values = num_externals + static_cast<int>(members.size());
 
-  std::string signature;
   for (std::size_t i = 0; i < members.size(); ++i) {
     const PlanNode& entry = nodes[static_cast<std::size_t>(members[i])];
     const Candidate& c = cand[static_cast<std::size_t>(members[i])];
@@ -236,6 +186,7 @@ RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
     member.node = entry.node;
     member.kernel = entry.kernel;
     member.op = c.op;
+    member.reduction = c.reduction;
     member.value_id = num_externals + static_cast<int>(i);
     int* slots[2] = {&member.a, &member.b};
     int slot_index = 0;
@@ -249,31 +200,15 @@ RegionRewrite BuildRegionRewrite(const std::vector<int>& members,
       }
       *slots[slot_index++] = id;
     }
-    signature += entry.node->op();
-    signature += '(';
-    signature += std::to_string(member.a);
-    if (member.b >= 0) {
-      signature += ',';
-      signature += std::to_string(member.b);
-    }
-    signature += ')';
-    if (c.reduction) {
+    if (c.reduction != Reduction::kNone) {
       plan.has_reduction = true;
-      member.axes = entry.node->GetIntListAttr("axes");
-      member.keep_dims = entry.node->GetBoolAttr("keep_dims");
-      signature += "[axes=";
-      for (const std::int64_t axis : member.axes) {
-        signature += std::to_string(axis);
-        signature += ',';
+      for (const std::int64_t axis : entry.node->GetIntListAttr("axes")) {
+        member.axes.push_back(static_cast<int>(axis));
       }
-      signature += "kd=";
-      signature += member.keep_dims ? '1' : '0';
-      signature += ']';
+      member.keep_dims = entry.node->GetBoolAttr("keep_dims");
     }
-    signature += ';';
     plan.members.push_back(std::move(member));
   }
-  plan.signature = std::move(signature);
   return rw;
 }
 
@@ -383,18 +318,19 @@ int FusePlan(std::vector<PlanNode>& nodes, std::vector<Endpoint>& fetch_slots,
 // ---------------------------------------------------------------------------
 
 namespace internal {
+// One block instruction: the member's typed same-index loop over value ids
+// (a unary loop ignores `b`).
 struct BlockInstr {
-  void (*fn)(char* const* vals, const BlockInstr& instr,
-             std::int64_t count) = nullptr;
+  void (*loop)(const void* a, const void* b, void* out,
+               std::int64_t count) = nullptr;
   int out = -1;
   int a = -1;
   int b = -1;
 };
 }  // namespace internal
 
-// The specialized program: what the block interpreter executes. Shared via
-// the FusedKernelCache across every region with the same content key, so it
-// carries no Node pointers — only value wiring, block kernels, and layout.
+// The specialized program: what the block interpreter executes for one set
+// of external dtypes and shapes.
 struct FusedSpec {
   bool use_fallback = false;
   struct Ext {
@@ -418,10 +354,7 @@ struct FusedSpec {
   bool has_reduction = false;
   bool reduce_mean = false;
   Shape out_shape;  // == iter_shape unless has_reduction
-  // Reduction epilogue replica of ops_linalg.cc ReduceImpl: full-rank output
-  // strides (0 on reduced axes) + input dims, linear accumulation order.
-  std::vector<std::int64_t> red_out_strides;
-  std::vector<std::int64_t> red_in_dims;
+  ops::ReduceIndex reduce_index;  // reduction epilogue only
   float mean_scale = 1.0f;
 
   static constexpr std::size_t kNoScratch =
@@ -433,197 +366,7 @@ namespace {
 
 constexpr std::int64_t kBlockElements = 1024;
 
-// ---- block kernels: exact replicas of the ops_elementwise.cc lambdas ----
-
-template <typename T, typename O, typename F>
-void UnaryBlock(char* const* vals, const BlockInstr& instr,
-                std::int64_t count) {
-  const T* a = reinterpret_cast<const T*>(vals[instr.a]);
-  O* o = reinterpret_cast<O*>(vals[instr.out]);
-  for (std::int64_t i = 0; i < count; ++i) {
-    o[i] = F::Apply(a[i]);
-  }
-}
-
-template <typename T, typename O, typename F>
-void BinaryBlock(char* const* vals, const BlockInstr& instr,
-                 std::int64_t count) {
-  const T* a = reinterpret_cast<const T*>(vals[instr.a]);
-  const T* b = reinterpret_cast<const T*>(vals[instr.b]);
-  O* o = reinterpret_cast<O*>(vals[instr.out]);
-  for (std::int64_t i = 0; i < count; ++i) {
-    o[i] = F::Apply(a[i], b[i]);
-  }
-}
-
-struct FNeg {
-  template <typename T>
-  static T Apply(T x) {
-    return -x;
-  }
-};
-struct FAbs {
-  static float Apply(float x) { return std::fabs(x); }
-  static std::int64_t Apply(std::int64_t x) { return x < 0 ? -x : x; }
-};
-struct FSign {
-  static float Apply(float x) {
-    return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
-  }
-};
-struct FExp {
-  static float Apply(float x) { return std::exp(x); }
-};
-struct FLog {
-  static float Apply(float x) { return std::log(x); }
-};
-struct FSqrt {
-  static float Apply(float x) { return std::sqrt(x); }
-};
-struct FSquare {
-  static float Apply(float x) { return x * x; }
-};
-struct FTanh {
-  static float Apply(float x) { return std::tanh(x); }
-};
-struct FSigmoid {
-  static float Apply(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-};
-struct FRelu {
-  static float Apply(float x) { return x > 0.0f ? x : 0.0f; }
-};
-struct FNot {
-  static std::uint8_t Apply(std::uint8_t x) {
-    return static_cast<std::uint8_t>(x != 0 ? 0 : 1);
-  }
-};
-struct FAdd {
-  template <typename T>
-  static T Apply(T x, T y) {
-    return x + y;
-  }
-};
-struct FSub {
-  template <typename T>
-  static T Apply(T x, T y) {
-    return x - y;
-  }
-};
-struct FMul {
-  template <typename T>
-  static T Apply(T x, T y) {
-    return x * y;
-  }
-};
-struct FDiv {
-  static float Apply(float x, float y) { return x / y; }
-};
-struct FFloorDiv {
-  static float Apply(float x, float y) { return std::floor(x / y); }
-};
-struct FMod {
-  static float Apply(float x, float y) { return x - y * std::floor(x / y); }
-};
-struct FPow {
-  static float Apply(float x, float y) { return std::pow(x, y); }
-  static std::int64_t Apply(std::int64_t x, std::int64_t y) {
-    std::int64_t result = 1;
-    for (std::int64_t i = 0; i < y; ++i) result *= x;
-    return result;
-  }
-};
-struct FMax {
-  template <typename T>
-  static T Apply(T x, T y) {
-    return x > y ? x : y;
-  }
-};
-struct FMin {
-  template <typename T>
-  static T Apply(T x, T y) {
-    return x < y ? x : y;
-  }
-};
-struct FReluGrad {
-  static float Apply(float g, float x) { return x > 0.0f ? g : 0.0f; }
-};
-struct CEq {
-  template <typename T>
-  static bool Test(T x, T y) {
-    return x == y;
-  }
-};
-struct CNe {
-  template <typename T>
-  static bool Test(T x, T y) {
-    return x != y;
-  }
-};
-struct CLt {
-  template <typename T>
-  static bool Test(T x, T y) {
-    return x < y;
-  }
-};
-struct CLe {
-  template <typename T>
-  static bool Test(T x, T y) {
-    return x <= y;
-  }
-};
-struct CGt {
-  template <typename T>
-  static bool Test(T x, T y) {
-    return x > y;
-  }
-};
-struct CGe {
-  template <typename T>
-  static bool Test(T x, T y) {
-    return x >= y;
-  }
-};
-template <typename C>
-struct FCmp {
-  template <typename T>
-  static std::uint8_t Apply(T x, T y) {
-    return static_cast<std::uint8_t>(C::Test(x, y) ? 1 : 0);
-  }
-};
-// Bool comparisons compare truthiness, as Compare<bool> does.
-template <typename C>
-struct FBoolCmp {
-  static std::uint8_t Apply(std::uint8_t x, std::uint8_t y) {
-    return static_cast<std::uint8_t>(C::Test(x != 0, y != 0) ? 1 : 0);
-  }
-};
-struct FAnd {
-  static std::uint8_t Apply(std::uint8_t x, std::uint8_t y) {
-    return static_cast<std::uint8_t>((x != 0 && y != 0) ? 1 : 0);
-  }
-};
-struct FOr {
-  static std::uint8_t Apply(std::uint8_t x, std::uint8_t y) {
-    return static_cast<std::uint8_t>((x != 0 || y != 0) ? 1 : 0);
-  }
-};
-
-using BlockFn = void (*)(char* const*, const BlockInstr&, std::int64_t);
-
-template <typename C>
-BlockFn CompareFn(DType dtype) {
-  switch (dtype) {
-    case DType::kFloat32:
-      return &BinaryBlock<float, std::uint8_t, FCmp<C>>;
-    case DType::kInt64:
-      return &BinaryBlock<std::int64_t, std::uint8_t, FCmp<C>>;
-    case DType::kBool:
-      return &BinaryBlock<std::uint8_t, std::uint8_t, FBoolCmp<C>>;
-  }
-  return nullptr;
-}
-
-// ---- dtype/shape propagation (mirrors the unfused kernels' checks) ----
+// ---- dtype/shape propagation through the elementwise table ----
 
 struct ValueInfo {
   DType dtype = DType::kFloat32;
@@ -639,33 +382,9 @@ bool TryBroadcast(const Shape& a, const Shape& b, Shape* out) {
   }
 }
 
-// Replicates ops_linalg.cc NormalizeAxes (empty => all axes; negatives
-// wrapped; sorted + deduplicated). Returns false on a bad axis, where the
-// unfused kernel would throw.
-bool NormalizeReduceAxes(const std::vector<std::int64_t>& raw, int rank,
-                         std::vector<int>* out) {
-  std::vector<int> axes;
-  axes.reserve(raw.size());
-  for (const std::int64_t v : raw) axes.push_back(static_cast<int>(v));
-  if (axes.empty()) {
-    axes.resize(static_cast<std::size_t>(rank));
-    for (int i = 0; i < rank; ++i) axes[static_cast<std::size_t>(i)] = i;
-    *out = std::move(axes);
-    return true;
-  }
-  for (int& axis : axes) {
-    if (axis < 0) axis += rank;
-    if (axis < 0 || axis >= rank) return false;
-  }
-  std::sort(axes.begin(), axes.end());
-  axes.erase(std::unique(axes.begin(), axes.end()), axes.end());
-  *out = std::move(axes);
-  return true;
-}
-
 // Fills `spec` for the region against the concrete external dtypes/shapes.
-// Returns false when any member's dtype/shape combination cannot be executed
-// bit-exactly (or would throw) in the block interpreter; the caller then
+// Returns false when any member's dtype/shape combination is not a plain
+// same-index loop of its table entry (or would throw); the caller then
 // marks the spec fallback-only and the per-member path reproduces the exact
 // unfused behaviour, including errors.
 bool PopulateSpec(const FusedRegionPlan& region, std::span<const Tensor> inputs,
@@ -683,211 +402,42 @@ bool PopulateSpec(const FusedRegionPlan& region, std::span<const Tensor> inputs,
 
   for (const FusedRegionPlan::Member& m : region.members) {
     const ValueInfo& a = values[static_cast<std::size_t>(m.a)];
-    const ValueInfo* b =
-        m.b >= 0 ? &values[static_cast<std::size_t>(m.b)] : nullptr;
-    BlockInstr instr;
-    instr.out = m.value_id;
-    instr.a = m.a;
-    instr.b = m.b;
-    ValueInfo out;
-
-    const auto float_unary = [&](BlockFn fn) {
+    if (m.reduction != Reduction::kNone) {
       if (a.dtype != DType::kFloat32) return false;
-      instr.fn = fn;
-      out = {DType::kFloat32, a.shape};
-      return true;
-    };
-    const auto numeric_binary = [&](BlockFn ffn, BlockFn ifn) {
-      if (a.dtype != b->dtype || a.dtype == DType::kBool) return false;
-      Shape shape;
-      if (!TryBroadcast(a.shape, b->shape, &shape)) return false;
-      instr.fn = a.dtype == DType::kFloat32 ? ffn : ifn;
-      if (instr.fn == nullptr) return false;
-      out = {a.dtype, shape};
-      return true;
-    };
-    const auto compare_binary = [&](BlockFn fn) {
-      if (a.dtype != b->dtype) return false;
-      Shape shape;
-      if (!TryBroadcast(a.shape, b->shape, &shape)) return false;
-      instr.fn = fn;
-      out = {DType::kBool, shape};
-      return true;
-    };
-
-    bool ok = false;
-    switch (m.op) {
-      case FusedOp::kNeg:
-        if (a.dtype == DType::kInt64) {
-          instr.fn = &UnaryBlock<std::int64_t, std::int64_t, FNeg>;
-          out = {DType::kInt64, a.shape};
-          ok = true;
-        } else {
-          ok = float_unary(&UnaryBlock<float, float, FNeg>);
-        }
-        break;
-      case FusedOp::kAbs:
-        if (a.dtype == DType::kInt64) {
-          instr.fn = &UnaryBlock<std::int64_t, std::int64_t, FAbs>;
-          out = {DType::kInt64, a.shape};
-          ok = true;
-        } else {
-          ok = float_unary(&UnaryBlock<float, float, FAbs>);
-        }
-        break;
-      case FusedOp::kSign:
-        ok = float_unary(&UnaryBlock<float, float, FSign>);
-        break;
-      case FusedOp::kExp:
-        ok = float_unary(&UnaryBlock<float, float, FExp>);
-        break;
-      case FusedOp::kLog:
-        ok = float_unary(&UnaryBlock<float, float, FLog>);
-        break;
-      case FusedOp::kSqrt:
-        ok = float_unary(&UnaryBlock<float, float, FSqrt>);
-        break;
-      case FusedOp::kSquare:
-        ok = float_unary(&UnaryBlock<float, float, FSquare>);
-        break;
-      case FusedOp::kTanh:
-        ok = float_unary(&UnaryBlock<float, float, FTanh>);
-        break;
-      case FusedOp::kSigmoid:
-        ok = float_unary(&UnaryBlock<float, float, FSigmoid>);
-        break;
-      case FusedOp::kRelu:
-        ok = float_unary(&UnaryBlock<float, float, FRelu>);
-        break;
-      case FusedOp::kLogicalNot:
-        if (a.dtype != DType::kBool) break;
-        instr.fn = &UnaryBlock<std::uint8_t, std::uint8_t, FNot>;
-        out = {DType::kBool, a.shape};
-        ok = true;
-        break;
-      case FusedOp::kAdd:
-        ok = numeric_binary(&BinaryBlock<float, float, FAdd>,
-                            &BinaryBlock<std::int64_t, std::int64_t, FAdd>);
-        break;
-      case FusedOp::kSub:
-        ok = numeric_binary(&BinaryBlock<float, float, FSub>,
-                            &BinaryBlock<std::int64_t, std::int64_t, FSub>);
-        break;
-      case FusedOp::kMul:
-        ok = numeric_binary(&BinaryBlock<float, float, FMul>,
-                            &BinaryBlock<std::int64_t, std::int64_t, FMul>);
-        break;
-      case FusedOp::kDiv:
-        // int64 Div promotes to float through Cast in the unfused kernel;
-        // fall back so the promotion chain stays bit-identical.
-        ok = numeric_binary(&BinaryBlock<float, float, FDiv>, nullptr);
-        break;
-      case FusedOp::kFloorDiv:
-        // Integer FloorDiv/Mod can throw division-by-zero mid-tensor; the
-        // fallback keeps error attribution at the exact member node.
-        ok = numeric_binary(&BinaryBlock<float, float, FFloorDiv>, nullptr);
-        break;
-      case FusedOp::kMod:
-        ok = numeric_binary(&BinaryBlock<float, float, FMod>, nullptr);
-        break;
-      case FusedOp::kPow:
-        ok = numeric_binary(&BinaryBlock<float, float, FPow>,
-                            &BinaryBlock<std::int64_t, std::int64_t, FPow>);
-        break;
-      case FusedOp::kMaximum:
-        ok = numeric_binary(&BinaryBlock<float, float, FMax>,
-                            &BinaryBlock<std::int64_t, std::int64_t, FMax>);
-        break;
-      case FusedOp::kMinimum:
-        ok = numeric_binary(&BinaryBlock<float, float, FMin>,
-                            &BinaryBlock<std::int64_t, std::int64_t, FMin>);
-        break;
-      case FusedOp::kReluGrad:
-        if (a.dtype != DType::kFloat32 || b->dtype != DType::kFloat32) break;
-        if (a.shape != b->shape) break;  // unfused kernel throws
-        instr.fn = &BinaryBlock<float, float, FReluGrad>;
-        out = {DType::kFloat32, a.shape};
-        ok = true;
-        break;
-      case FusedOp::kEqual:
-        ok = compare_binary(CompareFn<CEq>(a.dtype));
-        break;
-      case FusedOp::kNotEqual:
-        ok = compare_binary(CompareFn<CNe>(a.dtype));
-        break;
-      case FusedOp::kLess:
-        ok = compare_binary(CompareFn<CLt>(a.dtype));
-        break;
-      case FusedOp::kLessEqual:
-        ok = compare_binary(CompareFn<CLe>(a.dtype));
-        break;
-      case FusedOp::kGreater:
-        ok = compare_binary(CompareFn<CGt>(a.dtype));
-        break;
-      case FusedOp::kGreaterEqual:
-        ok = compare_binary(CompareFn<CGe>(a.dtype));
-        break;
-      case FusedOp::kLogicalAnd:
-      case FusedOp::kLogicalOr:
-        // Non-bool operands hit a dtype-mismatch error in the unfused kernel;
-        // reproduce through the fallback.
-        if (a.dtype != DType::kBool || b->dtype != DType::kBool) break;
-        {
-          Shape shape;
-          if (!TryBroadcast(a.shape, b->shape, &shape)) break;
-          instr.fn = m.op == FusedOp::kLogicalAnd
-                         ? &BinaryBlock<std::uint8_t, std::uint8_t, FAnd>
-                         : &BinaryBlock<std::uint8_t, std::uint8_t, FOr>;
-          out = {DType::kBool, shape};
-          ok = true;
-        }
-        break;
-      case FusedOp::kReduceSum:
-      case FusedOp::kReduceMean: {
-        if (a.dtype != DType::kFloat32) return false;
-        std::vector<int> axes;
-        if (!NormalizeReduceAxes(m.axes, a.shape.rank(), &axes)) return false;
-        spec.has_reduction = true;
-        spec.reduce_mean = m.op == FusedOp::kReduceMean;
-        spec.iter_shape = a.shape;
-        spec.root_value = m.a;
-        spec.root_dtype = DType::kFloat32;
-        // ReducedShape replica.
-        std::vector<std::int64_t> out_dims;
-        for (int i = 0; i < a.shape.rank(); ++i) {
-          const bool reduced = std::binary_search(axes.begin(), axes.end(), i);
-          if (reduced) {
-            if (m.keep_dims) out_dims.push_back(1);
-          } else {
-            out_dims.push_back(a.shape.dim(i));
-          }
-        }
-        spec.out_shape = Shape(std::move(out_dims));
-        // Full-rank output strides with 0 on reduced axes (ReduceImpl).
-        const int rank = a.shape.rank();
-        spec.red_in_dims = a.shape.dims();
-        spec.red_out_strides.assign(static_cast<std::size_t>(rank), 0);
-        std::int64_t stride = 1;
-        for (int i = rank - 1; i >= 0; --i) {
-          const auto u = static_cast<std::size_t>(i);
-          if (std::binary_search(axes.begin(), axes.end(), i)) {
-            spec.red_out_strides[u] = 0;
-          } else {
-            spec.red_out_strides[u] = stride;
-            stride *= spec.red_in_dims[u];
-          }
-        }
-        std::int64_t count = 1;
-        for (const int axis : axes) count *= a.shape.dim(axis);
-        spec.mean_scale = 1.0f / static_cast<float>(count);
-        values[static_cast<std::size_t>(m.value_id)] = {DType::kFloat32,
-                                                        spec.out_shape};
-        continue;  // epilogue, not a block instruction
+      std::vector<int> axes;
+      try {
+        axes = ops::NormalizeAxes(m.axes, a.shape.rank());
+      } catch (const Error&) {
+        return false;  // the unfused kernel throws
+      }
+      spec.has_reduction = true;
+      spec.reduce_mean = m.reduction == Reduction::kMean;
+      spec.iter_shape = a.shape;
+      spec.root_value = m.a;
+      spec.root_dtype = DType::kFloat32;
+      spec.out_shape = ops::ReducedShape(a.shape, axes, m.keep_dims);
+      spec.reduce_index = ops::ReduceIndex(a.shape, axes);
+      std::int64_t count = 1;
+      for (const int axis : axes) count *= a.shape.dim(axis);
+      spec.mean_scale = 1.0f / static_cast<float>(count);
+      values[static_cast<std::size_t>(m.value_id)] = {DType::kFloat32,
+                                                      spec.out_shape};
+      continue;  // epilogue, not a block instruction
+    }
+    const ops::ElementwiseOp::Typed& typed = m.op->For(a.dtype);
+    if (typed.same_index == nullptr || typed.may_throw) return false;
+    Shape shape = a.shape;
+    if (m.b >= 0) {
+      const ValueInfo& b = values[static_cast<std::size_t>(m.b)];
+      if (b.dtype != a.dtype) return false;
+      if (m.op->equal_shapes ? b.shape != a.shape
+                             : !TryBroadcast(a.shape, b.shape, &shape)) {
+        return false;
       }
     }
-    if (!ok || instr.fn == nullptr) return false;
-    values[static_cast<std::size_t>(m.value_id)] = out;
-    spec.instrs.push_back(instr);
+    values[static_cast<std::size_t>(m.value_id)] = {typed.result, shape};
+    spec.instrs.push_back(
+        {typed.same_index, m.value_id, m.a, m.b >= 0 ? m.b : m.a});
   }
 
   if (!spec.has_reduction) {
@@ -959,7 +509,7 @@ bool PopulateSpec(const FusedRegionPlan& region, std::span<const Tensor> inputs,
   return true;
 }
 
-// ---- spec cache ----
+// ---- per-region memo ----
 
 bool SpecMatches(const FusedSpec& spec, std::span<const Tensor> inputs) {
   if (spec.externals.size() != inputs.size()) return false;
@@ -972,18 +522,6 @@ bool SpecMatches(const FusedSpec& spec, std::span<const Tensor> inputs) {
   return true;
 }
 
-std::string SpecKey(const FusedRegionPlan& region,
-                    std::span<const Tensor> inputs) {
-  std::string key = region.signature;
-  key += '|';
-  for (const Tensor& t : inputs) {
-    key += DTypeName(t.dtype());
-    key += t.shape().ToString();
-    key += ',';
-  }
-  return key;
-}
-
 std::shared_ptr<const FusedSpec> GetSpec(const FusedRegionPlan& region,
                                          std::span<const Tensor> inputs) {
   {
@@ -993,18 +531,9 @@ std::shared_ptr<const FusedSpec> GetSpec(const FusedRegionPlan& region,
     }
   }
   // Memo miss: the region is running its first shape, or the graph was
-  // despecialized and the runtime shapes changed. Share programs through the
-  // process-wide content-addressed cache.
-  const std::string key = SpecKey(region, inputs);
-  auto& cache = cache::FusedKernelCache::Global();
-  std::shared_ptr<const FusedSpec> spec =
-      std::static_pointer_cast<const FusedSpec>(cache.Find(key));
-  if (spec == nullptr) {
-    auto built = std::make_shared<FusedSpec>();
-    if (!PopulateSpec(region, inputs, *built)) built->use_fallback = true;
-    spec = std::move(built);
-    cache.Insert(key, spec);
-  }
+  // despecialized and the runtime shapes changed.
+  auto spec = std::make_shared<FusedSpec>();
+  if (!PopulateSpec(region, inputs, *spec)) spec->use_fallback = true;
   {
     const MutexLock lock(region.memo_mu);
     region.memo = spec;
@@ -1013,30 +542,6 @@ std::shared_ptr<const FusedSpec> GetSpec(const FusedRegionPlan& region,
 }
 
 // ---- execution helpers ----
-
-const char* RawData(const Tensor& t) {
-  switch (t.dtype()) {
-    case DType::kFloat32:
-      return reinterpret_cast<const char*>(t.data<float>().data());
-    case DType::kInt64:
-      return reinterpret_cast<const char*>(t.data<std::int64_t>().data());
-    case DType::kBool:
-      return reinterpret_cast<const char*>(t.data<std::uint8_t>().data());
-  }
-  return nullptr;
-}
-
-char* RawMutable(Tensor& t) {
-  switch (t.dtype()) {
-    case DType::kFloat32:
-      return reinterpret_cast<char*>(t.mutable_data<float>().data());
-    case DType::kInt64:
-      return reinterpret_cast<char*>(t.mutable_data<std::int64_t>().data());
-    case DType::kBool:
-      return reinterpret_cast<char*>(t.mutable_data<std::uint8_t>().data());
-  }
-  return nullptr;
-}
 
 void SplatUniform(const Tensor& t, char* dst) {
   switch (t.dtype()) {
@@ -1052,25 +557,6 @@ void SplatUniform(const Tensor& t, char* dst) {
       std::fill_n(reinterpret_cast<std::uint8_t*>(dst), kBlockElements,
                   t.data<std::uint8_t>()[0]);
       break;
-  }
-}
-
-// ReduceImpl's accumulation, restricted to the linear index window
-// [base, base + count): identical combine order, identical index mapping.
-void AccumulateReduction(const FusedSpec& spec, float* out, const float* block,
-                         std::int64_t base, std::int64_t count) {
-  const int rank = static_cast<int>(spec.red_in_dims.size());
-  for (std::int64_t k = 0; k < count; ++k) {
-    std::int64_t rem = base + k;
-    std::int64_t out_idx = 0;
-    for (int axis = rank - 1; axis >= 0; --axis) {
-      const auto u = static_cast<std::size_t>(axis);
-      const std::int64_t coord = rem % spec.red_in_dims[u];
-      rem /= spec.red_in_dims[u];
-      out_idx += coord * spec.red_out_strides[u];
-    }
-    float& slot = out[static_cast<std::size_t>(out_idx)];
-    slot = slot + block[k];
   }
 }
 
@@ -1173,7 +659,9 @@ void ExecuteFusedRegion(RunContext& run, const FusedRegionPlan& region,
       SplatUniform(inputs[i], dst);
       vals[i] = dst;
     } else {
-      fulls.push_back({static_cast<int>(i), RawData(inputs[i]),
+      fulls.push_back({static_cast<int>(i),
+                       static_cast<const char*>(
+                           ops::ElementData(inputs[i], inputs[i].dtype())),
                        ext.elem_size});
     }
   }
@@ -1183,7 +671,7 @@ void ExecuteFusedRegion(RunContext& run, const FusedRegionPlan& region,
         scratch_base + at;
   }
 
-  char* const out_base = RawMutable(out);
+  char* const out_base = static_cast<char*>(ops::MutableElementData(out));
   float* const red_out =
       spec->has_reduction ? reinterpret_cast<float*>(out_base) : nullptr;
   const std::int64_t n = spec->n;
@@ -1198,14 +686,16 @@ void ExecuteFusedRegion(RunContext& run, const FusedRegionPlan& region,
           out_base + static_cast<std::size_t>(base) * spec->root_elem_size;
     }
     for (const BlockInstr& instr : spec->instrs) {
-      instr.fn(vals.data(), instr, count);
+      instr.loop(vals[static_cast<std::size_t>(instr.a)],
+                 vals[static_cast<std::size_t>(instr.b)],
+                 vals[static_cast<std::size_t>(instr.out)], count);
     }
     if (spec->has_reduction) {
-      AccumulateReduction(
-          *spec, red_out,
+      spec->reduce_index.Accumulate(
+          red_out,
           reinterpret_cast<const float*>(
               vals[static_cast<std::size_t>(spec->root_value)]),
-          base, count);
+          base, count, [](float acc, float v) { return acc + v; });
     }
   }
   if (spec->reduce_mean) {

@@ -13,22 +13,23 @@
 // loop over the block, with interior values living in a thread-local scratch
 // arena — interior tensors are never materialized and the region's single
 // output is written in one pass with zero intermediate buffer allocations.
-//
-// Specialized programs are content-addressed (op sequence + operand wiring +
-// reduction params + external dtypes/shapes) in the process-wide
-// cache::FusedKernelCache so identical regions across units/specializations
-// share one compiled program.
+// Each region memoizes its specialized program and rebuilds it when the
+// input dtypes or shapes change.
 //
 // Correctness contract: fused execution is bitwise identical to unfused
-// per-node execution. Every block kernel replicates the corresponding
-// ops_elementwise.cc lambda exactly, reduction epilogues accumulate in the
-// same linear input order as ops_linalg.cc's ReduceImpl, and any shape /
-// dtype combination the superop cannot prove bit-exact (non-identity
-// broadcasts that are neither scalar nor full-size, int64 true division's
-// float promotion, ops that may throw data-dependent errors like integer
-// FloorDiv/Mod) falls back to per-member kernel dispatch inside the region,
-// preserving exact error attribution ("[at <node>]") and precomputed-output
-// (eager tape) semantics.
+// per-node execution because both run one definition of each op. A member
+// is a reference to its op's entry in the elementwise table
+// (tensor/elementwise.h); a block instruction runs that entry's typed
+// same-index loop, the very loop the unfused kernel runs on equal shapes,
+// and the entry's dtype rule decides what specializes. Reduction epilogues
+// accumulate through ops::ReduceIndex, in ReduceSum's input order. Any
+// shape / dtype combination the table does not mark as a plain same-index
+// loop (non-identity broadcasts that are neither scalar nor full-size,
+// int64 true division's float promotion, ops that may throw data-dependent
+// errors like integer FloorDiv/Mod, rejected dtypes) falls back to
+// per-member kernel dispatch inside the region, preserving exact error
+// attribution ("[at <node>]") and precomputed-output (eager tape)
+// semantics.
 //
 // Kill switches: JANUS_FUSION=0 disables the pass process-wide;
 // EngineOptions::enable_fusion and PlanOptions::enable_fusion disable it per
@@ -37,10 +38,8 @@
 #define JANUS_RUNTIME_FUSION_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -49,6 +48,7 @@
 
 #include "runtime/executor.h"
 #include "runtime/plan.h"
+#include "tensor/elementwise.h"
 
 namespace janus {
 
@@ -61,46 +61,6 @@ void SetGloballyEnabled(bool enabled);
 
 }  // namespace fusion
 
-// The ops the superop interpreter understands. Reductions are legal only as
-// the region root (epilogue); everything else is same-index elementwise or
-// broadcast.
-enum class FusedOp : std::uint8_t {
-  // Unary.
-  kNeg,
-  kAbs,
-  kSign,
-  kExp,
-  kLog,
-  kSqrt,
-  kSquare,
-  kTanh,
-  kSigmoid,
-  kRelu,
-  kLogicalNot,
-  // Binary.
-  kAdd,
-  kSub,
-  kMul,
-  kDiv,
-  kFloorDiv,
-  kMod,
-  kPow,
-  kMaximum,
-  kMinimum,
-  kReluGrad,
-  kEqual,
-  kNotEqual,
-  kLess,
-  kLessEqual,
-  kGreater,
-  kGreaterEqual,
-  kLogicalAnd,
-  kLogicalOr,
-  // Reduction epilogues (root only).
-  kReduceSum,
-  kReduceMean,
-};
-
 struct FusedSpec;  // runtime specialization, private to fusion.cc
 
 // The plan-time (structural) description of one fused region. Value ids form
@@ -108,15 +68,20 @@ struct FusedSpec;  // runtime specialization, private to fusion.cc
 // external inputs in discovery order; each member then defines the next id,
 // so members.back() defines the region output.
 struct FusedRegionPlan {
+  // Reductions are legal only as the region root (epilogue).
+  enum class Reduction : std::uint8_t { kNone, kSum, kMean };
+
   struct Member {
     const Node* node = nullptr;
     const KernelFn* kernel = nullptr;  // fallback per-member dispatch
-    FusedOp op = FusedOp::kAdd;
+    // The member's elementwise op; nullptr for the reduction epilogue.
+    const ops::ElementwiseOp* op = nullptr;
+    Reduction reduction = Reduction::kNone;
     int value_id = -1;  // value this member defines
     int a = -1;         // operand value ids (-1 = unused)
     int b = -1;
-    // Reduction epilogue parameters (raw node attrs).
-    std::vector<std::int64_t> axes;
+    // Reduction epilogue parameters (node attrs).
+    std::vector<int> axes;
     bool keep_dims = false;
   };
 
@@ -124,13 +89,9 @@ struct FusedRegionPlan {
   int num_externals = 0;
   int num_values = 0;  // num_externals + members.size()
   bool has_reduction = false;
-  // Content-address prefix: ops + operand wiring + reduction params. The
-  // full FusedKernelCache key appends external dtypes + shapes at
-  // specialization time.
-  std::string signature;
 
   // Memoized runtime specialization, validated against the actual inputs on
-  // every execution and rebuilt (through the global cache) on mismatch.
+  // every execution and rebuilt on mismatch.
   mutable Mutex memo_mu;
   mutable std::shared_ptr<const FusedSpec> memo GUARDED_BY(memo_mu);
 };

@@ -1,6 +1,7 @@
 // Kernels for elementwise math, comparisons, linear algebra, and reductions.
 #include "runtime/kernel.h"
 #include "runtime/run_context.h"
+#include "tensor/elementwise.h"
 #include "tensor/ops.h"
 
 namespace janus {
@@ -39,43 +40,21 @@ void RegisterReduction(KernelRegistry& r, const std::string& name,
 }  // namespace
 
 void RegisterMathKernels(KernelRegistry& r) {
-  RegisterBinary(r, "Add", ops::Add);
-  RegisterBinary(r, "Sub", ops::Sub);
-  RegisterBinary(r, "Mul", ops::Mul);
-  RegisterBinary(r, "Div", ops::Div);
-  RegisterBinary(r, "FloorDiv", ops::FloorDiv);
-  RegisterBinary(r, "Mod", ops::Mod);
-  RegisterBinary(r, "Pow", ops::Pow);
-  RegisterBinary(r, "Maximum", ops::Maximum);
-  RegisterBinary(r, "Minimum", ops::Minimum);
-  RegisterBinary(r, "Equal", ops::Equal);
-  RegisterBinary(r, "NotEqual", ops::NotEqual);
-  RegisterBinary(r, "Less", ops::Less);
-  RegisterBinary(r, "LessEqual", ops::LessEqual);
-  RegisterBinary(r, "Greater", ops::Greater);
-  RegisterBinary(r, "GreaterEqual", ops::GreaterEqual);
-  RegisterBinary(r, "LogicalAnd", ops::LogicalAnd);
-  RegisterBinary(r, "LogicalOr", ops::LogicalOr);
+  for (const ops::ElementwiseOp& op : ops::ElementwiseOps()) {
+    if (op.arity == 1) {
+      r.Register(std::string(op.name), [&op](KernelContext& ctx) {
+        ctx.set_output(0, ops::Apply(op, ctx.input(0)));
+      });
+    } else {
+      r.Register(std::string(op.name), [&op](KernelContext& ctx) {
+        ctx.set_output(0, ops::Apply(op, ctx.input(0), ctx.input(1)));
+      });
+    }
+  }
   RegisterBinary(r, "MatMul", ops::MatMul);
-
-  RegisterUnary(r, "LogicalNot", ops::LogicalNot);
-  RegisterUnary(r, "Neg", ops::Neg);
-  RegisterUnary(r, "Abs", ops::Abs);
-  RegisterUnary(r, "Sign", ops::Sign);
-  RegisterUnary(r, "Exp", ops::Exp);
-  RegisterUnary(r, "Log", ops::Log);
-  RegisterUnary(r, "Sqrt", ops::Sqrt);
-  RegisterUnary(r, "Square", ops::Square);
-  RegisterUnary(r, "Tanh", ops::Tanh);
-  RegisterUnary(r, "Sigmoid", ops::Sigmoid);
-  RegisterUnary(r, "Relu", ops::Relu);
   RegisterUnary(r, "Transpose", ops::Transpose);
   RegisterUnary(r, "Softmax", ops::Softmax);
   RegisterUnary(r, "LogSoftmax", ops::LogSoftmax);
-
-  r.Register("ReluGrad", [](KernelContext& ctx) {
-    ctx.set_output(0, ops::ReluGrad(ctx.input(0), ctx.input(1)));
-  });
 
   RegisterReduction(r, "ReduceSum", ops::ReduceSum);
   RegisterReduction(r, "ReduceMean", ops::ReduceMean);

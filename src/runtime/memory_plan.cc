@@ -1,27 +1,18 @@
 #include "runtime/memory_plan.h"
 
-#include <unordered_set>
-
 #include "runtime/fusion.h"
 #include "runtime/plan.h"
+#include "tensor/elementwise.h"
 
 namespace janus {
 
 bool OpSupportsInPlace(std::string_view op) {
-  // Same-index elementwise ops only. Binary entries are still gated at run
-  // time: the executor's InPlaceScope plus OutputBuffer's byte-size and
-  // uniqueness checks reject broadcast operands (different byte size) and
-  // shared buffers, and kernels themselves fall back to fresh allocation on
-  // shape mismatch.
-  static const std::unordered_set<std::string_view> kInPlaceOps = {
-      "Add",        "Sub",       "Mul",        "Div",      "FloorDiv",
-      "Mod",        "Pow",       "Maximum",    "Minimum",  "Neg",
-      "Abs",        "Sign",      "Exp",        "Log",      "Sqrt",
-      "Square",     "Tanh",      "Sigmoid",    "Relu",     "ReluGrad",
-      "LogicalAnd", "LogicalOr", "LogicalNot", "Equal",    "NotEqual",
-      "Less",       "LessEqual", "Greater",    "GreaterEqual",
-  };
-  return kInPlaceOps.find(op) != kInPlaceOps.end();
+  // The same-index elementwise ops. Binary ops are still gated at run time:
+  // the executor's InPlaceScope plus OutputBuffer's byte-size and uniqueness
+  // checks reject broadcast operands (different byte size) and shared
+  // buffers, and kernels themselves fall back to fresh allocation on shape
+  // mismatch.
+  return ops::FindElementwiseOp(op) != nullptr;
 }
 
 MemoryPlan BuildMemoryPlan(const ExecutionPlan& plan) {

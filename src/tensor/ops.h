@@ -3,7 +3,9 @@
 // runtime (graph node kernels).
 //
 // All binary elementwise kernels follow NumPy broadcasting rules. Kernels
-// never mutate their inputs; every call allocates a fresh output.
+// never mutate their inputs; every call allocates a fresh output. The
+// same-index elementwise ops below are entries of the table in
+// tensor/elementwise.h.
 #ifndef JANUS_TENSOR_OPS_H_
 #define JANUS_TENSOR_OPS_H_
 

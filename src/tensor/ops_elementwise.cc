@@ -1,6 +1,11 @@
-// Broadcasting elementwise kernels, comparisons, logical ops, and unary math.
+// The elementwise op table (elementwise.h) and the kernels it defines:
+// broadcasting arithmetic, comparisons, logical ops and unary math; plus
+// Select and the random generators.
+#include "tensor/elementwise.h"
+
 #include <cmath>
-#include <functional>
+#include <string_view>
+#include <type_traits>
 
 #include "tensor/ops.h"
 
@@ -50,7 +55,7 @@ class BroadcastIndexer {
   std::vector<std::int64_t> b_strides_;
 };
 
-void CheckSameDType(const Tensor& a, const Tensor& b, const char* op) {
+void CheckSameDType(const Tensor& a, const Tensor& b, std::string_view op) {
   if (a.dtype() != b.dtype()) {
     throw InvalidArgument(std::string(op) + ": dtype mismatch (" +
                           DTypeName(a.dtype()) + " vs " +
@@ -58,289 +63,404 @@ void CheckSameDType(const Tensor& a, const Tensor& b, const char* op) {
   }
 }
 
-template <typename T, typename F>
-Tensor BinaryImpl(const Tensor& a, const Tensor& b, DType out_dtype, F fn) {
-  const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
-  // With identical operand shapes every write to output element i reads only
-  // operand element i, so (under an active InPlaceScope) the output may
-  // overwrite a dying operand's buffer. Broadcast outputs must not alias an
-  // operand: stride-0 dims re-read elements after earlier writes.
-  const bool same_shape = a.shape() == b.shape();
-  Tensor out = same_shape ? Tensor::OutputBuffer({&a, &b}, out_dtype, out_shape)
-                          : Tensor::Uninitialized(out_dtype, out_shape);
+using F32 = float;
+using I64 = std::int64_t;
+using U8 = std::uint8_t;  // a bool element
+
+template <typename T>
+constexpr DType kDTypeOf = std::is_same_v<T, F32>   ? DType::kFloat32
+                           : std::is_same_v<T, I64> ? DType::kInt64
+                                                    : DType::kBool;
+
+// ---- Scalar functors: one per op and supported dtype ----
+namespace fn {
+
+template <typename T>
+T Neg(T x) {
+  return -x;
+}
+template <typename T>
+T Abs(T x) {
+  if constexpr (std::is_same_v<T, F32>) {
+    return std::fabs(x);
+  } else {
+    return x < 0 ? -x : x;
+  }
+}
+F32 Sign(F32 x) { return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f); }
+F32 Exp(F32 x) { return std::exp(x); }
+F32 Log(F32 x) { return std::log(x); }
+F32 Sqrt(F32 x) { return std::sqrt(x); }
+F32 Square(F32 x) { return x * x; }
+F32 Tanh(F32 x) { return std::tanh(x); }
+F32 Sigmoid(F32 x) { return 1.0f / (1.0f + std::exp(-x)); }
+F32 Relu(F32 x) { return x > 0.0f ? x : 0.0f; }
+U8 LogicalNot(U8 x) { return x != 0 ? 0 : 1; }
+
+template <typename T>
+T Add(T x, T y) {
+  return x + y;
+}
+template <typename T>
+T Sub(T x, T y) {
+  return x - y;
+}
+template <typename T>
+T Mul(T x, T y) {
+  return x * y;
+}
+F32 Div(F32 x, F32 y) { return x / y; }
+template <typename T>
+T FloorDiv(T x, T y) {
+  if constexpr (std::is_same_v<T, F32>) {
+    return std::floor(x / y);
+  } else {
+    if (y == 0) throw InvalidArgument("integer division by zero");
+    T q = x / y;
+    if ((x % y != 0) && ((x < 0) != (y < 0))) --q;
+    return q;
+  }
+}
+template <typename T>
+T Mod(T x, T y) {
+  if constexpr (std::is_same_v<T, F32>) {
+    return x - y * std::floor(x / y);
+  } else {
+    if (y == 0) throw InvalidArgument("integer modulo by zero");
+    T r = x % y;
+    if (r != 0 && ((r < 0) != (y < 0))) r += y;
+    return r;
+  }
+}
+template <typename T>
+T Pow(T x, T y) {
+  if constexpr (std::is_same_v<T, F32>) {
+    return std::pow(x, y);
+  } else {
+    T result = 1;
+    for (T i = 0; i < y; ++i) result *= x;
+    return result;
+  }
+}
+template <typename T>
+T Maximum(T x, T y) {
+  return x > y ? x : y;
+}
+template <typename T>
+T Minimum(T x, T y) {
+  return x < y ? x : y;
+}
+F32 ReluGrad(F32 grad, F32 x) { return x > 0.0f ? grad : 0.0f; }
+
+// Comparisons yield a bool element; bool operands compare by truthiness.
+template <typename T>
+auto Truth(T x) {
+  if constexpr (std::is_same_v<T, U8>) {
+    return x != 0;
+  } else {
+    return x;
+  }
+}
+template <typename T>
+U8 Equal(T x, T y) {
+  return Truth(x) == Truth(y) ? 1 : 0;
+}
+template <typename T>
+U8 NotEqual(T x, T y) {
+  return Truth(x) != Truth(y) ? 1 : 0;
+}
+template <typename T>
+U8 Less(T x, T y) {
+  return Truth(x) < Truth(y) ? 1 : 0;
+}
+template <typename T>
+U8 LessEqual(T x, T y) {
+  return Truth(x) <= Truth(y) ? 1 : 0;
+}
+template <typename T>
+U8 Greater(T x, T y) {
+  return Truth(x) > Truth(y) ? 1 : 0;
+}
+template <typename T>
+U8 GreaterEqual(T x, T y) {
+  return Truth(x) >= Truth(y) ? 1 : 0;
+}
+U8 LogicalAnd(U8 x, U8 y) { return (x != 0 && y != 0) ? 1 : 0; }
+U8 LogicalOr(U8 x, U8 y) { return (x != 0 || y != 0) ? 1 : 0; }
+
+}  // namespace fn
+
+// ---- The typed loops every functor is instantiated into ----
+
+template <typename T, typename O, auto F>
+void SameIndexLoop(const void* a, const void* b, void* out,
+                   std::int64_t count) {
+  const T* x = static_cast<const T*>(a);
+  O* o = static_cast<O*>(out);
+  if constexpr (std::is_invocable_v<decltype(F), T>) {
+    for (std::int64_t i = 0; i < count; ++i) o[i] = F(x[i]);
+  } else {
+    const T* y = static_cast<const T*>(b);
+    for (std::int64_t i = 0; i < count; ++i) o[i] = F(x[i], y[i]);
+  }
+}
+
+template <typename T, typename O, auto F>
+void BroadcastLoop(const Tensor& a, const Tensor& b, Tensor& out) {
+  const BroadcastIndexer indexer(a.shape(), b.shape(), out.shape());
   const auto av = a.data<T>();
   const auto bv = b.data<T>();
-  const std::int64_t n = out_shape.num_elements();
-  // Fast path: identical shapes — no index mapping needed.
-  if (same_shape) {
-    if constexpr (std::is_same_v<T, float>) {
-      if (out_dtype == DType::kFloat32) {
-        auto ov = out.mutable_data<float>();
-        for (std::int64_t i = 0; i < n; ++i) {
-          const auto u = static_cast<std::size_t>(i);
-          ov[u] = fn(av[u], bv[u]);
-        }
-        return out;
-      }
-    }
+  auto ov = out.mutable_data<O>();
+  const std::int64_t n = out.num_elements();
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto [ai, bi] = indexer.Map(i);
+    ov[static_cast<std::size_t>(i)] =
+        F(av[static_cast<std::size_t>(ai)], bv[static_cast<std::size_t>(bi)]);
   }
-  const BroadcastIndexer indexer(a.shape(), b.shape(), out_shape);
-  const auto write = [&](auto span) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      const auto [ai, bi] = indexer.Map(i);
-      span[static_cast<std::size_t>(i)] =
-          fn(av[static_cast<std::size_t>(ai)], bv[static_cast<std::size_t>(bi)]);
-    }
-  };
-  switch (out_dtype) {
-    case DType::kFloat32:
-      write(out.mutable_data<float>());
-      break;
-    case DType::kInt64:
-      write(out.mutable_data<std::int64_t>());
-      break;
-    case DType::kBool:
-      write(out.mutable_data<std::uint8_t>());
-      break;
-  }
-  return out;
 }
 
-// Dispatches a numeric binary op over float32 / int64 operands.
-template <typename FF, typename FI>
-Tensor NumericBinary(const char* name, const Tensor& a, const Tensor& b,
-                     FF ffn, FI ifn) {
-  CheckSameDType(a, b, name);
-  switch (a.dtype()) {
-    case DType::kFloat32:
-      return BinaryImpl<float>(a, b, DType::kFloat32, ffn);
-    case DType::kInt64:
-      return BinaryImpl<std::int64_t>(a, b, DType::kInt64, ifn);
-    case DType::kBool:
-      throw InvalidArgument(std::string(name) + ": bool operands unsupported");
+template <typename T, typename O, auto F>
+constexpr ElementwiseOp::Typed Loop(bool may_throw = false) {
+  ElementwiseOp::Typed typed;
+  typed.same_index = &SameIndexLoop<T, O, F>;
+  if constexpr (!std::is_invocable_v<decltype(F), T>) {
+    typed.broadcast = &BroadcastLoop<T, O, F>;
   }
-  throw InternalError("unreachable dtype");
+  typed.result = kDTypeOf<O>;
+  typed.may_throw = may_throw;
+  return typed;
 }
 
-template <typename F>
-Tensor Compare(const char* name, const Tensor& a, const Tensor& b, F fn) {
-  CheckSameDType(a, b, name);
-  switch (a.dtype()) {
-    case DType::kFloat32:
-      return BinaryImpl<float>(a, b, DType::kBool, [&](float x, float y) {
-        return static_cast<std::uint8_t>(fn(x, y) ? 1 : 0);
-      });
-    case DType::kInt64:
-      return BinaryImpl<std::int64_t>(
-          a, b, DType::kBool, [&](std::int64_t x, std::int64_t y) {
-            return static_cast<std::uint8_t>(fn(x, y) ? 1 : 0);
-          });
-    case DType::kBool:
-      return BinaryImpl<std::uint8_t>(
-          a, b, DType::kBool, [&](std::uint8_t x, std::uint8_t y) {
-            return static_cast<std::uint8_t>(fn(x != 0, y != 0) ? 1 : 0);
-          });
-  }
-  throw InternalError("unreachable dtype");
+// ---- The table ----
+
+constexpr const char* kRequiresFloat = ": requires float32 operand";
+
+template <auto F>
+constexpr ElementwiseOp FloatUnary(std::string_view name) {
+  return {name, 1, {Loop<F32, F32, F>(), {}, {}}, kRequiresFloat};
 }
 
-template <typename F>
-Tensor UnaryFloat(const char* name, const Tensor& a, F fn) {
-  if (a.dtype() != DType::kFloat32) {
-    throw InvalidArgument(std::string(name) + ": requires float32 operand");
+template <auto FF, auto FI>
+constexpr ElementwiseOp Numeric(std::string_view name,
+                                bool int_may_throw = false) {
+  return {name,
+          2,
+          {Loop<F32, F32, FF>(), Loop<I64, I64, FI>(int_may_throw), {}},
+          ": bool operands unsupported"};
+}
+
+template <auto FF, auto FI, auto FB>
+constexpr ElementwiseOp Comparison(std::string_view name) {
+  return {name,
+          2,
+          {Loop<F32, U8, FF>(), Loop<I64, U8, FI>(), Loop<U8, U8, FB>()}};
+}
+
+// Typed slots are {float32, int64, bool}; {} rejects that dtype.
+constexpr ElementwiseOp kOps[] = {
+    {"Neg",
+     1,
+     {Loop<F32, F32, fn::Neg<F32>>(), Loop<I64, I64, fn::Neg<I64>>(), {}},
+     kRequiresFloat},
+    {"Abs",
+     1,
+     {Loop<F32, F32, fn::Abs<F32>>(), Loop<I64, I64, fn::Abs<I64>>(), {}},
+     kRequiresFloat},
+    FloatUnary<fn::Sign>("Sign"),
+    FloatUnary<fn::Exp>("Exp"),
+    FloatUnary<fn::Log>("Log"),
+    FloatUnary<fn::Sqrt>("Sqrt"),
+    FloatUnary<fn::Square>("Square"),
+    FloatUnary<fn::Tanh>("Tanh"),
+    FloatUnary<fn::Sigmoid>("Sigmoid"),
+    FloatUnary<fn::Relu>("Relu"),
+    {"LogicalNot",
+     1,
+     {{}, {}, Loop<U8, U8, fn::LogicalNot>()},
+     ": requires bool operand"},
+    Numeric<fn::Add<F32>, fn::Add<I64>>("Add"),
+    Numeric<fn::Sub<F32>, fn::Sub<I64>>("Sub"),
+    Numeric<fn::Mul<F32>, fn::Mul<I64>>("Mul"),
+    {"Div",
+     2,
+     {Loop<F32, F32, fn::Div>(),
+      {.result = DType::kFloat32, .promotes = true},
+      {}}},
+    Numeric<fn::FloorDiv<F32>, fn::FloorDiv<I64>>("FloorDiv",
+                                                  /*int_may_throw=*/true),
+    Numeric<fn::Mod<F32>, fn::Mod<I64>>("Mod", /*int_may_throw=*/true),
+    Numeric<fn::Pow<F32>, fn::Pow<I64>>("Pow"),
+    Numeric<fn::Maximum<F32>, fn::Maximum<I64>>("Maximum"),
+    Numeric<fn::Minimum<F32>, fn::Minimum<I64>>("Minimum"),
+    {"ReluGrad",
+     2,
+     {Loop<F32, F32, fn::ReluGrad>(), {}, {}},
+     nullptr,
+     /*equal_shapes=*/true},
+    Comparison<fn::Equal<F32>, fn::Equal<I64>, fn::Equal<U8>>("Equal"),
+    Comparison<fn::NotEqual<F32>, fn::NotEqual<I64>, fn::NotEqual<U8>>(
+        "NotEqual"),
+    Comparison<fn::Less<F32>, fn::Less<I64>, fn::Less<U8>>("Less"),
+    Comparison<fn::LessEqual<F32>, fn::LessEqual<I64>, fn::LessEqual<U8>>(
+        "LessEqual"),
+    Comparison<fn::Greater<F32>, fn::Greater<I64>, fn::Greater<U8>>(
+        "Greater"),
+    Comparison<fn::GreaterEqual<F32>, fn::GreaterEqual<I64>,
+               fn::GreaterEqual<U8>>("GreaterEqual"),
+    {"LogicalAnd", 2, {{}, {}, Loop<U8, U8, fn::LogicalAnd>()}},
+    {"LogicalOr", 2, {{}, {}, Loop<U8, U8, fn::LogicalOr>()}},
+};
+
+consteval const ElementwiseOp& Op(std::string_view name) {
+  for (const ElementwiseOp& op : kOps) {
+    if (op.name == name) return op;
   }
-  Tensor out = Tensor::OutputBuffer({&a}, DType::kFloat32, a.shape());
-  const auto av = a.data<float>();
-  auto ov = out.mutable_data<float>();
-  for (std::size_t i = 0; i < av.size(); ++i) ov[i] = fn(av[i]);
-  return out;
+  throw "no such elementwise op";
+}
+
+// The dtype `op` reads operands of `dtype` as: that dtype where the op runs
+// on it, else the op's first supported dtype, whose type check then
+// rejects the operand.
+DType ReadDType(const ElementwiseOp& op, DType dtype) {
+  if (op.For(dtype).same_index != nullptr) return dtype;
+  for (const DType d : {DType::kFloat32, DType::kInt64, DType::kBool}) {
+    if (op.For(d).same_index != nullptr) return d;
+  }
+  throw InternalError(std::string(op.name) + ": no supported dtype");
 }
 
 }  // namespace
 
-Tensor Add(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "Add", a, b, [](float x, float y) { return x + y; },
-      [](std::int64_t x, std::int64_t y) { return x + y; });
-}
+std::span<const ElementwiseOp> ElementwiseOps() { return kOps; }
 
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "Sub", a, b, [](float x, float y) { return x - y; },
-      [](std::int64_t x, std::int64_t y) { return x - y; });
-}
-
-Tensor Mul(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "Mul", a, b, [](float x, float y) { return x * y; },
-      [](std::int64_t x, std::int64_t y) { return x * y; });
-}
-
-Tensor Div(const Tensor& a, const Tensor& b) {
-  CheckSameDType(a, b, "Div");
-  if (a.dtype() == DType::kInt64) {
-    // True division promotes to float, as in Python 3.
-    return Div(Cast(a, DType::kFloat32), Cast(b, DType::kFloat32));
+const ElementwiseOp* FindElementwiseOp(std::string_view name) {
+  for (const ElementwiseOp& op : kOps) {
+    if (op.name == name) return &op;
   }
-  return BinaryImpl<float>(a, b, DType::kFloat32,
-                           [](float x, float y) { return x / y; });
+  return nullptr;
 }
 
+const void* ElementData(const Tensor& t, DType dtype) {
+  switch (dtype) {
+    case DType::kFloat32:
+      return t.data<float>().data();
+    case DType::kInt64:
+      return t.data<std::int64_t>().data();
+    case DType::kBool:
+      return t.data<std::uint8_t>().data();
+  }
+  throw InternalError("unreachable dtype");
+}
+
+void* MutableElementData(Tensor& t) {
+  switch (t.dtype()) {
+    case DType::kFloat32:
+      return t.mutable_data<float>().data();
+    case DType::kInt64:
+      return t.mutable_data<std::int64_t>().data();
+    case DType::kBool:
+      return t.mutable_data<std::uint8_t>().data();
+  }
+  throw InternalError("unreachable dtype");
+}
+
+Tensor Apply(const ElementwiseOp& op, const Tensor& a) {
+  const ElementwiseOp::Typed& typed = op.For(a.dtype());
+  if (typed.same_index == nullptr) {
+    throw InvalidArgument(std::string(op.name) + op.rejects);
+  }
+  Tensor out = Tensor::OutputBuffer({&a}, typed.result, a.shape());
+  typed.same_index(ElementData(a, a.dtype()), nullptr,
+                   MutableElementData(out), a.num_elements());
+  return out;
+}
+
+Tensor Apply(const ElementwiseOp& op, const Tensor& a, const Tensor& b) {
+  if (op.equal_shapes) {
+    if (a.shape() != b.shape()) {
+      throw InvalidArgument(std::string(op.name) + ": shape mismatch");
+    }
+  } else {
+    CheckSameDType(a, b, op.name);
+  }
+  const ElementwiseOp::Typed& typed = op.For(a.dtype());
+  if (typed.promotes) {
+    return Apply(op, Cast(a, DType::kFloat32), Cast(b, DType::kFloat32));
+  }
+  if (typed.same_index == nullptr && op.rejects != nullptr) {
+    throw InvalidArgument(std::string(op.name) + op.rejects);
+  }
+  const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
+  const DType read = ReadDType(op, a.dtype());
+  const void* a_data = ElementData(a, read);
+  const void* b_data = ElementData(b, read);
+  // With identical operand shapes every write to output element i reads only
+  // operand element i, so (under an active InPlaceScope) the output may
+  // overwrite a dying operand's buffer. Broadcast outputs must not alias an
+  // operand: stride-0 dims re-read elements after earlier writes.
+  if (a.shape() == b.shape()) {
+    Tensor out = Tensor::OutputBuffer({&a, &b}, typed.result, out_shape);
+    typed.same_index(a_data, b_data, MutableElementData(out),
+                     out.num_elements());
+    return out;
+  }
+  Tensor out = Tensor::Uninitialized(typed.result, out_shape);
+  typed.broadcast(a, b, out);
+  return out;
+}
+
+Tensor Add(const Tensor& a, const Tensor& b) { return Apply(Op("Add"), a, b); }
+Tensor Sub(const Tensor& a, const Tensor& b) { return Apply(Op("Sub"), a, b); }
+Tensor Mul(const Tensor& a, const Tensor& b) { return Apply(Op("Mul"), a, b); }
+Tensor Div(const Tensor& a, const Tensor& b) { return Apply(Op("Div"), a, b); }
 Tensor FloorDiv(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "FloorDiv", a, b,
-      [](float x, float y) { return std::floor(x / y); },
-      [](std::int64_t x, std::int64_t y) {
-        if (y == 0) throw InvalidArgument("integer division by zero");
-        std::int64_t q = x / y;
-        if ((x % y != 0) && ((x < 0) != (y < 0))) --q;
-        return q;
-      });
+  return Apply(Op("FloorDiv"), a, b);
 }
-
-Tensor Mod(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "Mod", a, b,
-      [](float x, float y) { return x - y * std::floor(x / y); },
-      [](std::int64_t x, std::int64_t y) {
-        if (y == 0) throw InvalidArgument("integer modulo by zero");
-        std::int64_t r = x % y;
-        if (r != 0 && ((r < 0) != (y < 0))) r += y;
-        return r;
-      });
-}
-
-Tensor Pow(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "Pow", a, b, [](float x, float y) { return std::pow(x, y); },
-      [](std::int64_t x, std::int64_t y) {
-        std::int64_t result = 1;
-        for (std::int64_t i = 0; i < y; ++i) result *= x;
-        return result;
-      });
-}
-
+Tensor Mod(const Tensor& a, const Tensor& b) { return Apply(Op("Mod"), a, b); }
+Tensor Pow(const Tensor& a, const Tensor& b) { return Apply(Op("Pow"), a, b); }
 Tensor Maximum(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "Maximum", a, b, [](float x, float y) { return x > y ? x : y; },
-      [](std::int64_t x, std::int64_t y) { return x > y ? x : y; });
+  return Apply(Op("Maximum"), a, b);
 }
-
 Tensor Minimum(const Tensor& a, const Tensor& b) {
-  return NumericBinary(
-      "Minimum", a, b, [](float x, float y) { return x < y ? x : y; },
-      [](std::int64_t x, std::int64_t y) { return x < y ? x : y; });
+  return Apply(Op("Minimum"), a, b);
 }
-
 Tensor Equal(const Tensor& a, const Tensor& b) {
-  return Compare("Equal", a, b, [](auto x, auto y) { return x == y; });
+  return Apply(Op("Equal"), a, b);
 }
 Tensor NotEqual(const Tensor& a, const Tensor& b) {
-  return Compare("NotEqual", a, b, [](auto x, auto y) { return x != y; });
+  return Apply(Op("NotEqual"), a, b);
 }
 Tensor Less(const Tensor& a, const Tensor& b) {
-  return Compare("Less", a, b, [](auto x, auto y) { return x < y; });
+  return Apply(Op("Less"), a, b);
 }
 Tensor LessEqual(const Tensor& a, const Tensor& b) {
-  return Compare("LessEqual", a, b, [](auto x, auto y) { return x <= y; });
+  return Apply(Op("LessEqual"), a, b);
 }
 Tensor Greater(const Tensor& a, const Tensor& b) {
-  return Compare("Greater", a, b, [](auto x, auto y) { return x > y; });
+  return Apply(Op("Greater"), a, b);
 }
 Tensor GreaterEqual(const Tensor& a, const Tensor& b) {
-  return Compare("GreaterEqual", a, b, [](auto x, auto y) { return x >= y; });
+  return Apply(Op("GreaterEqual"), a, b);
 }
-
 Tensor LogicalAnd(const Tensor& a, const Tensor& b) {
-  CheckSameDType(a, b, "LogicalAnd");
-  return BinaryImpl<std::uint8_t>(
-      a, b, DType::kBool, [](std::uint8_t x, std::uint8_t y) {
-        return static_cast<std::uint8_t>((x != 0 && y != 0) ? 1 : 0);
-      });
+  return Apply(Op("LogicalAnd"), a, b);
 }
-
 Tensor LogicalOr(const Tensor& a, const Tensor& b) {
-  CheckSameDType(a, b, "LogicalOr");
-  return BinaryImpl<std::uint8_t>(
-      a, b, DType::kBool, [](std::uint8_t x, std::uint8_t y) {
-        return static_cast<std::uint8_t>((x != 0 || y != 0) ? 1 : 0);
-      });
+  return Apply(Op("LogicalOr"), a, b);
 }
-
-Tensor LogicalNot(const Tensor& a) {
-  if (a.dtype() != DType::kBool) {
-    throw InvalidArgument("LogicalNot: requires bool operand");
-  }
-  Tensor out = Tensor::OutputBuffer({&a}, DType::kBool, a.shape());
-  const auto av = a.data<std::uint8_t>();
-  auto ov = out.mutable_data<std::uint8_t>();
-  for (std::size_t i = 0; i < av.size(); ++i) ov[i] = av[i] != 0 ? 0 : 1;
-  return out;
-}
-
-Tensor Neg(const Tensor& a) {
-  if (a.dtype() == DType::kInt64) {
-    Tensor out = Tensor::OutputBuffer({&a}, DType::kInt64, a.shape());
-    const auto av = a.data<std::int64_t>();
-    auto ov = out.mutable_data<std::int64_t>();
-    for (std::size_t i = 0; i < av.size(); ++i) ov[i] = -av[i];
-    return out;
-  }
-  return UnaryFloat("Neg", a, [](float x) { return -x; });
-}
-
-Tensor Abs(const Tensor& a) {
-  if (a.dtype() == DType::kInt64) {
-    Tensor out = Tensor::OutputBuffer({&a}, DType::kInt64, a.shape());
-    const auto av = a.data<std::int64_t>();
-    auto ov = out.mutable_data<std::int64_t>();
-    for (std::size_t i = 0; i < av.size(); ++i)
-      ov[i] = av[i] < 0 ? -av[i] : av[i];
-    return out;
-  }
-  return UnaryFloat("Abs", a, [](float x) { return std::fabs(x); });
-}
-
-Tensor Sign(const Tensor& a) {
-  return UnaryFloat("Sign", a, [](float x) {
-    return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
-  });
-}
-
-Tensor Exp(const Tensor& a) {
-  return UnaryFloat("Exp", a, [](float x) { return std::exp(x); });
-}
-Tensor Log(const Tensor& a) {
-  return UnaryFloat("Log", a, [](float x) { return std::log(x); });
-}
-Tensor Sqrt(const Tensor& a) {
-  return UnaryFloat("Sqrt", a, [](float x) { return std::sqrt(x); });
-}
-Tensor Square(const Tensor& a) {
-  return UnaryFloat("Square", a, [](float x) { return x * x; });
-}
-Tensor Tanh(const Tensor& a) {
-  return UnaryFloat("Tanh", a, [](float x) { return std::tanh(x); });
-}
-Tensor Sigmoid(const Tensor& a) {
-  return UnaryFloat("Sigmoid", a,
-                    [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
-Tensor Relu(const Tensor& a) {
-  return UnaryFloat("Relu", a, [](float x) { return x > 0.0f ? x : 0.0f; });
-}
-
+Tensor LogicalNot(const Tensor& a) { return Apply(Op("LogicalNot"), a); }
+Tensor Neg(const Tensor& a) { return Apply(Op("Neg"), a); }
+Tensor Abs(const Tensor& a) { return Apply(Op("Abs"), a); }
+Tensor Sign(const Tensor& a) { return Apply(Op("Sign"), a); }
+Tensor Exp(const Tensor& a) { return Apply(Op("Exp"), a); }
+Tensor Log(const Tensor& a) { return Apply(Op("Log"), a); }
+Tensor Sqrt(const Tensor& a) { return Apply(Op("Sqrt"), a); }
+Tensor Square(const Tensor& a) { return Apply(Op("Square"), a); }
+Tensor Tanh(const Tensor& a) { return Apply(Op("Tanh"), a); }
+Tensor Sigmoid(const Tensor& a) { return Apply(Op("Sigmoid"), a); }
+Tensor Relu(const Tensor& a) { return Apply(Op("Relu"), a); }
 Tensor ReluGrad(const Tensor& grad, const Tensor& x) {
-  if (grad.shape() != x.shape()) {
-    throw InvalidArgument("ReluGrad: shape mismatch");
-  }
-  Tensor out = Tensor::OutputBuffer({&grad, &x}, DType::kFloat32, x.shape());
-  const auto gv = grad.data<float>();
-  const auto xv = x.data<float>();
-  auto ov = out.mutable_data<float>();
-  for (std::size_t i = 0; i < xv.size(); ++i)
-    ov[i] = xv[i] > 0.0f ? gv[i] : 0.0f;
-  return out;
+  return Apply(Op("ReluGrad"), grad, x);
 }
 
 Tensor Select(const Tensor& cond, const Tensor& a, const Tensor& b) {

@@ -2,6 +2,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "tensor/elementwise.h"
 #include "tensor/ops.h"
 
 namespace janus::ops {
@@ -13,7 +14,20 @@ void CheckFloat(const Tensor& t, const char* op) {
   }
 }
 
-// Normalises a reduction axis list: empty => all axes.
+// Generic reduction: combines elements mapped to the same output slot.
+template <typename Combine>
+Tensor ReduceImpl(const Tensor& a, const std::vector<int>& axes,
+                  bool keep_dims, float init, Combine combine) {
+  CheckFloat(a, "Reduce");
+  Tensor out = Tensor::Full(ReducedShape(a.shape(), axes, keep_dims), init);
+  ReduceIndex(a.shape(), axes)
+      .Accumulate(out.mutable_data<float>().data(), a.data<float>().data(), 0,
+                  a.num_elements(), combine);
+  return out;
+}
+
+}  // namespace
+
 std::vector<int> NormalizeAxes(std::vector<int> axes, int rank) {
   if (axes.empty()) {
     axes.resize(static_cast<std::size_t>(rank));
@@ -43,48 +57,18 @@ Shape ReducedShape(const Shape& in, const std::vector<int>& axes,
   return Shape(std::move(dims));
 }
 
-// Generic reduction: combines elements mapped to the same output slot.
-template <typename Combine>
-Tensor ReduceImpl(const Tensor& a, const std::vector<int>& axes,
-                  bool keep_dims, float init, Combine combine) {
-  CheckFloat(a, "Reduce");
-  const Shape out_shape = ReducedShape(a.shape(), axes, keep_dims);
-  Tensor out = Tensor::Full(out_shape, init);
-  const auto av = a.data<float>();
-  auto ov = out.mutable_data<float>();
-  const auto in_dims = a.shape().dims();
-  const int rank = a.rank();
-  // Strides of the output viewed at full rank (reduced axes get stride 0).
-  std::vector<std::int64_t> out_strides(static_cast<std::size_t>(rank), 0);
-  {
-    std::int64_t stride = 1;
-    for (int i = rank - 1; i >= 0; --i) {
-      const auto u = static_cast<std::size_t>(i);
-      if (std::binary_search(axes.begin(), axes.end(), i)) {
-        out_strides[u] = 0;
-      } else {
-        out_strides[u] = stride;
-        stride *= in_dims[u];
-      }
+ReduceIndex::ReduceIndex(const Shape& in, const std::vector<int>& axes)
+    : in_dims(in.dims()),
+      out_strides(static_cast<std::size_t>(in.rank()), 0) {
+  std::int64_t stride = 1;
+  for (int i = in.rank() - 1; i >= 0; --i) {
+    const auto u = static_cast<std::size_t>(i);
+    if (!std::binary_search(axes.begin(), axes.end(), i)) {
+      out_strides[u] = stride;
+      stride *= in_dims[u];
     }
   }
-  const std::int64_t n = a.num_elements();
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::int64_t rem = i;
-    std::int64_t out_idx = 0;
-    for (int axis = rank - 1; axis >= 0; --axis) {
-      const auto u = static_cast<std::size_t>(axis);
-      const std::int64_t coord = rem % in_dims[u];
-      rem /= in_dims[u];
-      out_idx += coord * out_strides[u];
-    }
-    float& slot = ov[static_cast<std::size_t>(out_idx)];
-    slot = combine(slot, av[static_cast<std::size_t>(i)]);
-  }
-  return out;
 }
-
-}  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   CheckFloat(a, "MatMul");

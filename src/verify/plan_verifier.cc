@@ -46,10 +46,6 @@ const char* KindName(OpKind kind) {
   return "?";
 }
 
-bool IsFusedReduction(FusedOp op) {
-  return op == FusedOp::kReduceSum || op == FusedOp::kReduceMean;
-}
-
 // Accumulates issues with one-line helpers; every Check() call counts
 // toward Report::checks so reports show coverage, not just violations.
 class Checker {
@@ -145,7 +141,7 @@ void CheckRegion(Checker& check, const Graph& graph,
                 "fusion.operand_range", member.node,
                 "operand b=" + std::to_string(member.b) +
                     " outside [0, " + std::to_string(member.value_id) + ")");
-    if (IsFusedReduction(member.op)) {
+    if (member.reduction != FusedRegionPlan::Reduction::kNone) {
       saw_reduction = true;
       check.Check(is_root, "fusion.reduction_interior", member.node,
                   "reduction epilogue is not the region root");

@@ -3,27 +3,31 @@
 // in-region diamonds fuse; fetched or externally-consumed interiors split;
 // reductions are root-only; singletons never fuse), the bitwise
 // fused-vs-unfused equivalence contract across broadcasts, reduction
-// epilogues, and fallback dtype combinations, error attribution through the
-// fallback path, the kill switches, program sharing through the process-wide
-// FusedKernelCache, and an exhaustive fusion-on/off sweep over the model zoo.
+// epilogues, and fallback dtype combinations, an exhaustive parity sweep
+// over every elementwise op, dtype pair and shape kind, error attribution
+// through the fallback path, the kill switches, and an exhaustive
+// fusion-on/off sweep over the model zoo.
 #include "runtime/fusion.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <map>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "cache/fused_kernel_cache.h"
 #include "common/rng.h"
 #include "models/zoo.h"
 #include "runtime/executor.h"
 #include "runtime/plan.h"
+#include "tensor/elementwise.h"
 #include "tensor/tensor.h"
 
 namespace janus {
@@ -33,7 +37,7 @@ const void* RawBytes(const Tensor& t) {
   switch (t.dtype()) {
     case DType::kFloat32: return t.data<float>().data();
     case DType::kInt64: return t.data<std::int64_t>().data();
-    case DType::kBool: return t.data<bool>().data();
+    case DType::kBool: return t.data<std::uint8_t>().data();
   }
   return nullptr;
 }
@@ -389,9 +393,8 @@ TEST_F(FusionTest, PlanOptionDisablesThePass) {
 }
 
 TEST_F(FusionTest, IdenticalRegionsShareOneCachedProgram) {
-  cache::FusedKernelCache::Global().Clear();
-  const cache::FusedKernelCache::Stats before =
-      cache::FusedKernelCache::Global().Snapshot();
+  // Two structurally identical regions in separate plans specialize to the
+  // same program: bitwise-equal outputs, both equal to unfused execution.
   auto build = [] {
     auto g = std::make_unique<Graph>();
     const NodeOutput x = g->Placeholder("x", DType::kFloat32);
@@ -410,12 +413,199 @@ TEST_F(FusionTest, IdenticalRegionsShareOneCachedProgram) {
   const std::vector<Tensor> r1 = Run(*p1, feeds);
   const std::vector<Tensor> r2 = Run(*p2, feeds);
   EXPECT_TRUE(BitwiseEqual(r1[0], r2[0]));
-  const cache::FusedKernelCache::Stats stats =
-      cache::FusedKernelCache::Global().Snapshot();
-  // Structurally identical regions with identical input signatures compile
-  // once: the second plan's specialization is a cache hit.
-  EXPECT_EQ(stats.inserts - before.inserts, 1);
-  EXPECT_GE(stats.hits - before.hits, 1);
+  const std::vector<Tensor> plain =
+      Run(*BuildPlan(*g1, f1, /*enable_fusion=*/false), feeds);
+  EXPECT_TRUE(BitwiseEqual(r1[0], plain[0]));
+}
+
+// ---- exhaustive parity: every elementwise op, dtype and shape kind ----
+
+// The test's own statement of which cases the block interpreter runs: an op
+// fuses on operands of one shared dtype from `fused`, on same-shape or
+// scalar-broadcast operands (ReluGrad: same shape only); every other case
+// runs the per-member fallback and must fail or succeed exactly as unfused.
+struct ParityOp {
+  const char* name;
+  int arity;
+  std::vector<DType> fused;
+  bool equal_shapes = false;
+};
+
+const std::vector<ParityOp>& ParityOps() {
+  constexpr DType kF = DType::kFloat32;
+  constexpr DType kI = DType::kInt64;
+  constexpr DType kB = DType::kBool;
+  static const auto* ops = new std::vector<ParityOp>{
+      {"Neg", 1, {kF, kI}},        {"Abs", 1, {kF, kI}},
+      {"Sign", 1, {kF}},           {"Exp", 1, {kF}},
+      {"Log", 1, {kF}},            {"Sqrt", 1, {kF}},
+      {"Square", 1, {kF}},         {"Tanh", 1, {kF}},
+      {"Sigmoid", 1, {kF}},        {"Relu", 1, {kF}},
+      {"LogicalNot", 1, {kB}},     {"Add", 2, {kF, kI}},
+      {"Sub", 2, {kF, kI}},        {"Mul", 2, {kF, kI}},
+      {"Div", 2, {kF}},            {"FloorDiv", 2, {kF}},
+      {"Mod", 2, {kF}},            {"Pow", 2, {kF, kI}},
+      {"Maximum", 2, {kF, kI}},    {"Minimum", 2, {kF, kI}},
+      {"ReluGrad", 2, {kF}, true}, {"Equal", 2, {kF, kI, kB}},
+      {"NotEqual", 2, {kF, kI, kB}}, {"Less", 2, {kF, kI, kB}},
+      {"LessEqual", 2, {kF, kI, kB}}, {"Greater", 2, {kF, kI, kB}},
+      {"GreaterEqual", 2, {kF, kI, kB}}, {"LogicalAnd", 2, {kB}},
+      {"LogicalOr", 2, {kB}},
+  };
+  return *ops;
+}
+
+// Operand shapes: x always reaches the op through an identity member.
+enum class ShapeKind { kSame, kScalarRhs, kScalarLhs, kPartial };
+
+const char* ShapeKindName(ShapeKind kind) {
+  switch (kind) {
+    case ShapeKind::kSame: return "same";
+    case ShapeKind::kScalarRhs: return "scalar-rhs";
+    case ShapeKind::kScalarLhs: return "scalar-lhs";
+    case ShapeKind::kPartial: return "partial";
+  }
+  return "?";
+}
+
+// Values with NaN, signed zeros, infinities, negative ints and zero int
+// divisors; `count` is 8 ({2,4}), 4 ({1,4}) or 1 (scalar).
+Tensor ParityValues(DType dtype, bool rhs, const Shape& shape) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::size_t count = static_cast<std::size_t>(shape.num_elements());
+  const std::vector<float> fx{nan, -0.0f, 0.0f, inf, -inf, -2.5f, 1.5f, 3.0f};
+  const std::vector<float> fy{1.5f, -0.0f, 0.0f, -inf, nan, 2.0f, -3.0f, 0.5f};
+  const std::vector<std::int64_t> ix{-3, 0, 7, -1, 2, 5, -6, 4};
+  const std::vector<std::int64_t> iy{3, -2, 0, 5, -7, 1, 2, -1};
+  // Partial and scalar right operands skip the zero divisor so integer
+  // FloorDiv/Mod also run to completion.
+  const std::vector<std::int64_t> iy_nonzero{-3, 2, -1, 4};
+  const std::vector<std::int64_t> bx{1, 0, 1, 1, 0, 0, 1, 0};
+  const std::vector<std::int64_t> by{1, 1, 0, 0, 1, 0, 1, 0};
+  switch (dtype) {
+    case DType::kFloat32: {
+      const std::vector<float>& v = rhs ? fy : fx;
+      return Tensor::FromVector({v.begin(), v.begin() + count}, shape);
+    }
+    case DType::kInt64: {
+      const std::vector<std::int64_t>& v =
+          rhs ? (count == 8 ? iy : iy_nonzero) : ix;
+      return Tensor::FromVectorInt({v.begin(), v.begin() + count}, shape);
+    }
+    case DType::kBool: {
+      const std::vector<std::int64_t>& v = rhs ? by : bx;
+      Tensor t = Tensor::Uninitialized(DType::kBool, shape);
+      auto out = t.mutable_data<std::uint8_t>();
+      for (std::size_t i = 0; i < count; ++i) {
+        out[i] = static_cast<std::uint8_t>(v[i]);
+      }
+      return t;
+    }
+  }
+  return Tensor();
+}
+
+// A run's result: the fetched value's bits, or the error's type and text.
+struct ParityOutcome {
+  bool threw = false;
+  std::string error;
+  Tensor value;
+  bool fused = false;
+};
+
+TEST_F(FusionTest, EveryElementwiseOpMatchesUnfusedBitwise) {
+  // Every table entry has a case, and every case is a table entry.
+  std::vector<std::string> table;
+  for (const ops::ElementwiseOp& op : ops::ElementwiseOps()) {
+    table.emplace_back(op.name);
+  }
+  std::vector<std::string> covered;
+  for (const ParityOp& op : ParityOps()) covered.emplace_back(op.name);
+  std::sort(table.begin(), table.end());
+  std::sort(covered.begin(), covered.end());
+  ASSERT_EQ(table, covered);
+
+  const std::vector<DType> dtypes{DType::kFloat32, DType::kInt64,
+                                  DType::kBool};
+  int cases = 0;
+  int fused_cases = 0;
+  for (const ParityOp& op : ParityOps()) {
+    const std::vector<ShapeKind> kinds =
+        op.arity == 1
+            ? std::vector<ShapeKind>{ShapeKind::kSame, ShapeKind::kScalarLhs}
+            : std::vector<ShapeKind>{ShapeKind::kSame, ShapeKind::kScalarRhs,
+                                     ShapeKind::kScalarLhs,
+                                     ShapeKind::kPartial};
+    for (const DType xt : dtypes) {
+      for (const DType yt : op.arity == 1 ? std::vector<DType>{xt} : dtypes) {
+        for (const ShapeKind kind : kinds) {
+          SCOPED_TRACE(std::string(op.name) + "(" + DTypeName(xt) +
+                       (op.arity == 2 ? std::string(", ") + DTypeName(yt)
+                                      : std::string()) +
+                       ") " + ShapeKindName(kind));
+          const Shape full{2, 4};
+          const Shape x_shape = kind == ShapeKind::kScalarLhs ? Shape{} : full;
+          const Shape y_shape = kind == ShapeKind::kSame        ? full
+                                : kind == ShapeKind::kPartial ? Shape{1, 4}
+                                : kind == ShapeKind::kScalarLhs ? full
+                                                                : Shape{};
+          Graph g;
+          const NodeOutput x =
+              g.Constant(ParityValues(xt, /*rhs=*/false, x_shape));
+          const char* identity =
+              xt == DType::kBool ? "LogicalOr" : "Maximum";
+          const NodeOutput id = {g.AddNode(identity, {x, x}), 0};
+          std::vector<NodeOutput> operands{id};
+          if (op.arity == 2) {
+            operands.push_back(
+                g.Constant(ParityValues(yt, /*rhs=*/true, y_shape)));
+          }
+          const NodeOutput root = {g.AddNode(op.name, operands), 0};
+          const std::vector<NodeOutput> fetches{root};
+          const auto fused_plan = BuildPlan(g, fetches, true);
+          const auto plain_plan = BuildPlan(g, fetches, false);
+          ASSERT_EQ(fused_plan->fused_regions().size(), 1u);
+          ASSERT_EQ(fused_plan->fused_regions()[0]->members.size(), 2u);
+          const auto run = [&](const ExecutionPlan& plan) {
+            ParityOutcome outcome;
+            RunMetrics metrics;
+            try {
+              outcome.value = Run(plan, {}, &metrics).at(0);
+              outcome.fused = metrics.fused_regions == 1;
+            } catch (const Error& e) {
+              outcome.threw = true;
+              outcome.error = std::string(typeid(e).name()) + ": " + e.what();
+            }
+            return outcome;
+          };
+          const ParityOutcome fused = run(*fused_plan);
+          const ParityOutcome plain = run(*plain_plan);
+          ++cases;
+          ASSERT_EQ(fused.threw, plain.threw)
+              << "fused: " << fused.error << " unfused: " << plain.error;
+          if (plain.threw) {
+            EXPECT_EQ(fused.error, plain.error);
+          } else {
+            EXPECT_TRUE(BitwiseEqual(fused.value, plain.value))
+                << "fused " << fused.value.ToString() << " unfused "
+                << plain.value.ToString();
+          }
+          const bool expect_fused =
+              (op.arity == 1 || xt == yt) &&
+              std::find(op.fused.begin(), op.fused.end(), xt) !=
+                  op.fused.end() &&
+              kind != ShapeKind::kPartial &&
+              (!op.equal_shapes || kind == ShapeKind::kSame);
+          EXPECT_EQ(fused.fused, expect_fused);
+          if (fused.fused) ++fused_cases;
+        }
+      }
+    }
+  }
+  // 11 unary ops x 3 dtypes x 2 shapes + 18 binary ops x 9 dtype pairs x 4.
+  EXPECT_EQ(cases, 11 * 3 * 2 + 18 * 9 * 4);
+  EXPECT_EQ(fused_cases, 132);
 }
 
 // ---- model-zoo sweep: fusion on vs off must be bitwise-equivalent ----

@@ -98,7 +98,8 @@ TEST_F(IntrospectionTest, RingOverflowKeepsNewestRecords) {
   ledger.SetCapacityForTesting(8);
   Ledger::Enable();
   for (int i = 0; i < 20; ++i) {
-    ledger.Record(MakeRecord("run", "r" + std::to_string(i)));
+    ledger.Record(
+        MakeRecord("run", std::string("r").append(std::to_string(i))));
   }
   EXPECT_EQ(ledger.TotalRecorded(), 20);
   EXPECT_EQ(ledger.TotalDropped(), 12);
@@ -107,7 +108,8 @@ TEST_F(IntrospectionTest, RingOverflowKeepsNewestRecords) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     // Oldest-first, exactly the last capacity records.
     EXPECT_EQ(records[i].seq, static_cast<std::int64_t>(12 + i));
-    EXPECT_EQ(records[i].detail, "r" + std::to_string(12 + i));
+    EXPECT_EQ(records[i].detail,
+              std::string("r").append(std::to_string(12 + i)));
   }
 }
 
@@ -202,7 +204,8 @@ TEST_F(IntrospectionTest, WriteJsonlProducesValidatableFile) {
   ledger.SetCapacityForTesting(16);
   Ledger::Enable();
   for (int i = 0; i < 5; ++i) {
-    ledger.Record(MakeRecord("generation", "g" + std::to_string(i)));
+    ledger.Record(
+        MakeRecord("generation", std::string("g").append(std::to_string(i))));
   }
   const std::string path =
       ::testing::TempDir() + "/introspection_test_ledger.jsonl";
@@ -404,7 +407,8 @@ TEST_F(IntrospectionTest, FlightzServesRecentRecordsWithLimit) {
   ledger.SetCapacityForTesting(16);
   Ledger::Enable();
   for (int i = 0; i < 5; ++i) {
-    ledger.Record(MakeRecord("run", "r" + std::to_string(i)));
+    ledger.Record(
+        MakeRecord("run", std::string("r").append(std::to_string(i))));
   }
   const HttpResponse response = HttpExportServer::HandlePath("/flightz?n=2");
   std::istringstream lines(response.body);

@@ -248,6 +248,22 @@ TEST_F(ProfileTest, EagerDispatchProfileIsPinnedPastTheCap) {
   EXPECT_TRUE(found) << "eager samples dropped with the oldest plans";
 }
 
+TEST_F(ProfileTest, FreshThreadDoesNotSampleItsFirstEagerOp) {
+  // A thread's first op is not sampled: one sample would be scaled up by
+  // the stride and stand for 64 executions of whatever ran first.
+  obs::EnableProfiling();
+  std::thread([] {
+    VariableStore variables;
+    Rng rng(3);
+    minipy::EagerContext eager(&variables, &rng);
+    eager.Execute("Neg", {Tensor::Full(Shape{2, 2}, 1.0f)});
+  }).join();
+  obs::DisableProfiling();
+  for (const ProfileSample& sample : obs::CollectProfileSamples()) {
+    EXPECT_EQ(sample.count, 0u) << sample.unit << " " << sample.op;
+  }
+}
+
 // ---- pprof encoding: gzip container + protobuf round-trip ----
 
 TEST_F(ProfileTest, GzipRoundTripsIncludingMultiBlockAndEmpty) {
