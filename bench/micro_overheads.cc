@@ -177,6 +177,46 @@ void BM_FusedChain(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedChain)->Arg(0)->Arg(1);
 
+void BM_BroadcastKernels(benchmark::State& state) {
+  // The strided kernels at shapes the coarse zoo models run them on: batch
+  // norm's broadcast Mul, a bias Add, the bias gradient's ReduceToShape,
+  // BroadcastLike's BroadcastTo and a SliceGrad. Arg 0 is the same-shape
+  // Mul the broadcast Mul (Arg 1) is compared against: walking operands
+  // by runs, a broadcast costs a small multiple of the plain loop.
+  const Tensor x = Tensor::Full(Shape{8, 8, 8, 8}, 1.5f);
+  const Tensor row = Tensor::Full(Shape{8}, 0.5f);
+  const Tensor act = Tensor::Full(Shape{16, 256}, 1.0f);
+  const Tensor bias = Tensor::Full(Shape{256}, 0.25f);
+  const Tensor grad = Tensor::Full(Shape{16, 64}, 1.0f);
+  const Shape sliced{16, 256};
+  const std::vector<std::int64_t> begin{0, 64};
+  const auto run = [&]() -> Tensor {
+    switch (state.range(0)) {
+      case 0:
+        return ops::Mul(x, x);
+      case 1:
+        return ops::Mul(x, row);
+      case 2:
+        return ops::Add(act, bias);
+      case 3:
+        return ops::ReduceToShape(x, row.shape());
+      case 4:
+        return ops::BroadcastTo(row, x.shape());
+      default:
+        return ops::SliceGrad(grad, sliced, begin);
+    }
+  };
+  static constexpr const char* kLabels[] = {
+      "Mul [8,8,8,8]x[8,8,8,8]",   "Mul [8,8,8,8]x[8]",
+      "Add [16,256]+[256]",        "ReduceToShape [8,8,8,8]->[8]",
+      "BroadcastTo [8]->[8,8,8,8]", "SliceGrad [16,64]->[16,256]"};
+  state.SetLabel(kLabels[state.range(0)]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run());
+  }
+}
+BENCHMARK(BM_BroadcastKernels)->DenseRange(0, 5);
+
 void BM_EnginePlanCaching(benchmark::State& state) {
   // Steady-state engine loop on a cached graph; counters surface the
   // compile-once/run-many split (plan_builds stays at its post-generation

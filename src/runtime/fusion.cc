@@ -543,18 +543,19 @@ std::shared_ptr<const FusedSpec> GetSpec(const FusedRegionPlan& region,
 
 // ---- execution helpers ----
 
-void SplatUniform(const Tensor& t, char* dst) {
+// Fills the `count` block slots a run reads with a uniform external's one
+// element.
+void SplatUniform(const Tensor& t, char* dst, std::int64_t count) {
   switch (t.dtype()) {
     case DType::kFloat32:
-      std::fill_n(reinterpret_cast<float*>(dst), kBlockElements,
-                  t.data<float>()[0]);
+      std::fill_n(reinterpret_cast<float*>(dst), count, t.data<float>()[0]);
       break;
     case DType::kInt64:
-      std::fill_n(reinterpret_cast<std::int64_t*>(dst), kBlockElements,
+      std::fill_n(reinterpret_cast<std::int64_t*>(dst), count,
                   t.data<std::int64_t>()[0]);
       break;
     case DType::kBool:
-      std::fill_n(reinterpret_cast<std::uint8_t*>(dst), kBlockElements,
+      std::fill_n(reinterpret_cast<std::uint8_t*>(dst), count,
                   t.data<std::uint8_t>()[0]);
       break;
   }
@@ -656,7 +657,7 @@ void ExecuteFusedRegion(RunContext& run, const FusedRegionPlan& region,
     const auto& ext = spec->externals[i];
     if (ext.uniform) {
       char* dst = scratch_base + ext.scratch;
-      SplatUniform(inputs[i], dst);
+      SplatUniform(inputs[i], dst, std::min(spec->n, kBlockElements));
       vals[i] = dst;
     } else {
       fulls.push_back({static_cast<int>(i),

@@ -58,26 +58,8 @@ void RegisterGradKernels(KernelRegistry& r) {
   //   inputs: grad (slice-shaped), exemplar (the sliced input)
   //   attrs: begin
   r.Register("SliceGrad", [](KernelContext& ctx) {
-    const Tensor& grad = ctx.input(0);
-    const Tensor& exemplar = ctx.input(1);
-    const auto& begin = ctx.node->GetIntListAttr("begin");
-    Tensor out = Tensor::Zeros(DType::kFloat32, exemplar.shape());
-    const auto out_strides = exemplar.shape().Strides();
-    auto ov = out.mutable_data<float>();
-    const auto gv = grad.data<float>();
-    const std::int64_t n = grad.num_elements();
-    for (std::int64_t i = 0; i < n; ++i) {
-      std::int64_t rem = i;
-      std::int64_t dst = 0;
-      for (int axis = grad.rank() - 1; axis >= 0; --axis) {
-        const auto u = static_cast<std::size_t>(axis);
-        const std::int64_t coord = rem % grad.dim(axis);
-        rem /= grad.dim(axis);
-        dst += (coord + begin[u]) * out_strides[u];
-      }
-      ov[static_cast<std::size_t>(dst)] = gv[static_cast<std::size_t>(i)];
-    }
-    ctx.set_output(0, std::move(out));
+    ctx.set_output(0, ops::SliceGrad(ctx.input(0), ctx.input(1).shape(),
+                                     ctx.node->GetIntListAttr("begin")));
   });
 
   // Splits a Concat gradient into per-input gradients.

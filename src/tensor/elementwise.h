@@ -12,7 +12,8 @@
 // same code.
 //
 // The header also carries the reduction pieces the fused sum/mean epilogue
-// shares with ReduceSum/ReduceMean.
+// shares with ReduceSum/ReduceMean. Broadcast loops and reductions walk
+// their operands with tensor/strided.h.
 #ifndef JANUS_TENSOR_ELEMENTWISE_H_
 #define JANUS_TENSOR_ELEMENTWISE_H_
 
@@ -21,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "tensor/strided.h"
 #include "tensor/tensor.h"
 
 namespace janus::ops {
@@ -83,7 +85,8 @@ Shape ReducedShape(const Shape& in, const std::vector<int>& axes,
                    bool keep_dims);
 
 // Where each input element of a reduction over normalised `axes` lands in
-// the output.
+// the output: a walk of the input shape over the output viewed with the
+// reduced axes kept at size 1 (stride 0).
 struct ReduceIndex {
   ReduceIndex() = default;
   ReduceIndex(const Shape& in, const std::vector<int>& axes);
@@ -94,24 +97,23 @@ struct ReduceIndex {
   template <typename Combine>
   void Accumulate(float* out, const float* in, std::int64_t base,
                   std::int64_t count, Combine combine) const {
-    const int rank = static_cast<int>(in_dims.size());
-    for (std::int64_t k = 0; k < count; ++k) {
-      std::int64_t rem = base + k;
-      std::int64_t out_idx = 0;
-      for (int axis = rank - 1; axis >= 0; --axis) {
-        const auto u = static_cast<std::size_t>(axis);
-        const std::int64_t coord = rem % in_dims[u];
-        rem /= in_dims[u];
-        out_idx += coord * out_strides[u];
+    walk.ForEachRun(base, count, [&](std::int64_t pos, std::int64_t len,
+                                     const auto& at, const auto& step) {
+      const float* src = in + (pos - base);
+      float* dst = out + at[0];
+      if (step[0] == 0) {
+        float acc = *dst;
+        for (std::int64_t j = 0; j < len; ++j) acc = combine(acc, src[j]);
+        *dst = acc;
+      } else {
+        for (std::int64_t j = 0; j < len; ++j) {
+          dst[j * step[0]] = combine(dst[j * step[0]], src[j]);
+        }
       }
-      float& slot = out[static_cast<std::size_t>(out_idx)];
-      slot = combine(slot, in[k]);
-    }
+    });
   }
 
-  std::vector<std::int64_t> in_dims;
-  // Strides of the output viewed at full rank (reduced axes get stride 0).
-  std::vector<std::int64_t> out_strides;
+  StridedWalk<1> walk;
 };
 
 }  // namespace janus::ops

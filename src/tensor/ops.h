@@ -71,6 +71,12 @@ Tensor Stack(const std::vector<Tensor>& parts);
 // begin/size along each axis (size -1 = to end).
 Tensor Slice(const Tensor& a, const std::vector<std::int64_t>& begin,
              const std::vector<std::int64_t>& size);
+// The gradient of Slice: a float32 `grad` of the slice's shape scattered
+// into zeros of `shape` at `begin`.
+Tensor SliceGrad(const Tensor& grad, const Shape& shape,
+                 const std::vector<std::int64_t>& begin);
+// Converts each element directly to `dtype` (one rounding); to or from
+// bool, x != 0.
 Tensor Cast(const Tensor& a, DType dtype);
 
 // ---- Reductions ----

@@ -1,8 +1,10 @@
 // Shape manipulation, indexing, casting, and gather/scatter kernels.
+#include <algorithm>
 #include <cstring>
-#include <numeric>
+#include <type_traits>
 
 #include "tensor/ops.h"
+#include "tensor/strided.h"
 
 namespace janus::ops {
 namespace {
@@ -41,6 +43,84 @@ void ConcatImpl(const std::vector<Tensor>& parts, int axis, Tensor& out) {
   }
 }
 
+// dst[pos] = src[offset(pos)] over every position of `walk`'s iteration
+// space: the gather of BroadcastTo and Slice.
+template <typename T>
+void GatherRuns(const T* src, T* dst, const StridedWalk<1>& walk,
+                std::int64_t n) {
+  walk.ForEachRun(0, n, [&](std::int64_t pos, std::int64_t len,
+                            const auto& at, const auto& step) {
+    const T* s = src + at[0];
+    T* d = dst + pos;
+    if (step[0] == 1) {
+      std::copy_n(s, len, d);
+    } else if (step[0] == 0) {
+      std::fill_n(d, len, *s);
+    } else {
+      for (std::int64_t j = 0; j < len; ++j) d[j] = s[j * step[0]];
+    }
+  });
+}
+
+void GatherRuns(const Tensor& src, Tensor& dst, const StridedWalk<1>& walk) {
+  const std::int64_t n = dst.num_elements();
+  switch (src.dtype()) {
+    case DType::kFloat32:
+      GatherRuns(src.data<float>().data(), dst.mutable_data<float>().data(),
+                 walk, n);
+      break;
+    case DType::kInt64:
+      GatherRuns(src.data<std::int64_t>().data(),
+                 dst.mutable_data<std::int64_t>().data(), walk, n);
+      break;
+    case DType::kBool:
+      GatherRuns(src.data<std::uint8_t>().data(),
+                 dst.mutable_data<std::uint8_t>().data(), walk, n);
+      break;
+  }
+}
+
+// Converts every element of `src` to D with one rounding; a bool (uint8)
+// on either side means `x != 0`.
+template <typename D>
+void ConvertTo(const Tensor& src, D* dst) {
+  const auto convert = [&](const auto* from) {
+    using S = std::remove_cvref_t<decltype(*from)>;
+    const std::int64_t n = src.num_elements();
+    for (std::int64_t i = 0; i < n; ++i) {
+      if constexpr (std::is_same_v<S, std::uint8_t> ||
+                    std::is_same_v<D, std::uint8_t>) {
+        dst[i] = from[i] != 0 ? 1 : 0;
+      } else {
+        dst[i] = static_cast<D>(from[i]);
+      }
+    }
+  };
+  switch (src.dtype()) {
+    case DType::kFloat32:
+      convert(src.data<float>().data());
+      break;
+    case DType::kInt64:
+      convert(src.data<std::int64_t>().data());
+      break;
+    case DType::kBool:
+      convert(src.data<std::uint8_t>().data());
+      break;
+  }
+}
+
+// The element offset of `begin` in a row-major array of `shape`.
+std::int64_t StartOffset(const Shape& shape,
+                         const std::vector<std::int64_t>& begin) {
+  std::int64_t offset = 0;
+  std::int64_t stride = 1;
+  for (int i = shape.rank() - 1; i >= 0; --i) {
+    offset += begin[static_cast<std::size_t>(i)] * stride;
+    stride *= shape.dim(i);
+  }
+  return offset;
+}
+
 }  // namespace
 
 Tensor Reshape(const Tensor& a, const Shape& shape) {
@@ -71,46 +151,8 @@ Tensor BroadcastTo(const Tensor& a, const Shape& shape) {
     throw InvalidArgument("cannot broadcast " + a.shape().ToString() + " to " +
                           shape.ToString());
   }
-  // Reuse Add's broadcasting machinery cheaply: out = a + zeros(shape) for
-  // floats would be wasteful for other dtypes, so do an explicit loop.
   Tensor out(a.dtype(), shape);
-  const int rank = shape.rank();
-  const int offset = rank - a.rank();
-  const auto a_strides = a.shape().Strides();
-  const std::int64_t n = shape.num_elements();
-  std::vector<std::int64_t> strides(static_cast<std::size_t>(rank), 0);
-  for (int i = 0; i < a.rank(); ++i) {
-    strides[static_cast<std::size_t>(offset + i)] =
-        a.dim(i) == 1 ? 0 : a_strides[static_cast<std::size_t>(i)];
-  }
-  const auto map = [&](std::int64_t out_idx) {
-    std::int64_t src = 0;
-    std::int64_t rem = out_idx;
-    for (int axis = rank - 1; axis >= 0; --axis) {
-      const auto u = static_cast<std::size_t>(axis);
-      const std::int64_t coord = rem % shape.dim(axis);
-      rem /= shape.dim(axis);
-      src += coord * strides[u];
-    }
-    return src;
-  };
-  const auto copy = [&](auto src_span, auto dst_span) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      dst_span[static_cast<std::size_t>(i)] =
-          src_span[static_cast<std::size_t>(map(i))];
-    }
-  };
-  switch (a.dtype()) {
-    case DType::kFloat32:
-      copy(a.data<float>(), out.mutable_data<float>());
-      break;
-    case DType::kInt64:
-      copy(a.data<std::int64_t>(), out.mutable_data<std::int64_t>());
-      break;
-    case DType::kBool:
-      copy(a.data<std::uint8_t>(), out.mutable_data<std::uint8_t>());
-      break;
-  }
+  GatherRuns(a, out, StridedWalk<1>(shape, {&a.shape()}));
   return out;
 }
 
@@ -176,67 +218,51 @@ Tensor Slice(const Tensor& a, const std::vector<std::int64_t>& begin,
     }
     out_dims[u] = extent;
   }
-  Shape out_shape(out_dims);
+  const Shape out_shape(std::move(out_dims));
   Tensor out(a.dtype(), out_shape);
-  const auto in_strides = a.shape().Strides();
-  const std::int64_t n = out_shape.num_elements();
-  const auto map = [&](std::int64_t out_idx) {
-    std::int64_t src = 0;
-    std::int64_t rem = out_idx;
-    for (int axis = a.rank() - 1; axis >= 0; --axis) {
-      const auto u = static_cast<std::size_t>(axis);
-      const std::int64_t coord = rem % out_dims[u];
-      rem /= out_dims[u];
-      src += (coord + begin[u]) * in_strides[u];
-    }
-    return src;
-  };
-  const auto copy = [&](auto src_span, auto dst_span) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      dst_span[static_cast<std::size_t>(i)] =
-          src_span[static_cast<std::size_t>(map(i))];
-    }
-  };
-  switch (a.dtype()) {
-    case DType::kFloat32:
-      copy(a.data<float>(), out.mutable_data<float>());
-      break;
-    case DType::kInt64:
-      copy(a.data<std::int64_t>(), out.mutable_data<std::int64_t>());
-      break;
-    case DType::kBool:
-      copy(a.data<std::uint8_t>(), out.mutable_data<std::uint8_t>());
-      break;
+  GatherRuns(a, out,
+             StridedWalk<1>(out_shape, {&a.shape()},
+                            {StartOffset(a.shape(), begin)}));
+  return out;
+}
+
+Tensor SliceGrad(const Tensor& grad, const Shape& shape,
+                 const std::vector<std::int64_t>& begin) {
+  Tensor out = Tensor::Zeros(DType::kFloat32, shape);
+  float* dst = out.mutable_data<float>().data();
+  const float* src = grad.data<float>().data();
+  JANUS_EXPECTS(grad.rank() == shape.rank() &&
+                static_cast<int>(begin.size()) == shape.rank());
+  for (int i = 0; i < shape.rank(); ++i) {
+    const std::int64_t at = begin[static_cast<std::size_t>(i)];
+    JANUS_EXPECTS(at >= 0 && at + grad.dim(i) <= shape.dim(i));
   }
+  StridedWalk<1>(grad.shape(), {&shape}, {StartOffset(shape, begin)})
+      .ForEachRun(0, grad.num_elements(),
+                  [&](std::int64_t pos, std::int64_t len, const auto& at,
+                      const auto& step) {
+                    float* d = dst + at[0];
+                    const float* s = src + pos;
+                    for (std::int64_t j = 0; j < len; ++j) {
+                      d[j * step[0]] = s[j];
+                    }
+                  });
   return out;
 }
 
 Tensor Cast(const Tensor& a, DType dtype) {
   if (a.dtype() == dtype) return a;
   Tensor out(dtype, a.shape());
-  const std::int64_t n = a.num_elements();
-  const auto convert = [&](auto dst_span) {
-    using D = typename decltype(dst_span)::value_type;
-    for (std::int64_t i = 0; i < n; ++i) {
-      dst_span[static_cast<std::size_t>(i)] =
-          static_cast<D>(a.ElementAsDouble(i));
-    }
-  };
   switch (dtype) {
     case DType::kFloat32:
-      convert(out.mutable_data<float>());
+      ConvertTo(a, out.mutable_data<float>().data());
       break;
     case DType::kInt64:
-      convert(out.mutable_data<std::int64_t>());
+      ConvertTo(a, out.mutable_data<std::int64_t>().data());
       break;
-    case DType::kBool: {
-      auto dst = out.mutable_data<std::uint8_t>();
-      for (std::int64_t i = 0; i < n; ++i) {
-        dst[static_cast<std::size_t>(i)] =
-            a.ElementAsDouble(i) != 0.0 ? 1 : 0;
-      }
+    case DType::kBool:
+      ConvertTo(a, out.mutable_data<std::uint8_t>().data());
       break;
-    }
   }
   return out;
 }

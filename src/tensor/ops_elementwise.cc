@@ -8,52 +8,10 @@
 #include <type_traits>
 
 #include "tensor/ops.h"
+#include "tensor/strided.h"
 
 namespace janus::ops {
 namespace {
-
-// Iterates an output shape, mapping each output linear index to the linear
-// indices of two broadcast inputs (stride 0 on size-1 dims).
-class BroadcastIndexer {
- public:
-  BroadcastIndexer(const Shape& a, const Shape& b, const Shape& out)
-      : rank_(out.rank()), out_dims_(out.dims()) {
-    const auto pad_strides = [&](const Shape& s) {
-      std::vector<std::int64_t> strides(static_cast<std::size_t>(rank_), 0);
-      const auto native = s.Strides();
-      const int offset = rank_ - s.rank();
-      for (int i = 0; i < s.rank(); ++i) {
-        const auto out_axis = static_cast<std::size_t>(offset + i);
-        strides[out_axis] =
-            s.dim(i) == 1 ? 0 : native[static_cast<std::size_t>(i)];
-      }
-      return strides;
-    };
-    a_strides_ = pad_strides(a);
-    b_strides_ = pad_strides(b);
-  }
-
-  // Computes (a_index, b_index) for the given output linear index.
-  std::pair<std::int64_t, std::int64_t> Map(std::int64_t out_index) const {
-    std::int64_t a = 0;
-    std::int64_t b = 0;
-    std::int64_t rem = out_index;
-    for (int axis = rank_ - 1; axis >= 0; --axis) {
-      const auto i = static_cast<std::size_t>(axis);
-      const std::int64_t coord = rem % out_dims_[i];
-      rem /= out_dims_[i];
-      a += coord * a_strides_[i];
-      b += coord * b_strides_[i];
-    }
-    return {a, b};
-  }
-
- private:
-  int rank_;
-  std::vector<std::int64_t> out_dims_;
-  std::vector<std::int64_t> a_strides_;
-  std::vector<std::int64_t> b_strides_;
-};
 
 void CheckSameDType(const Tensor& a, const Tensor& b, std::string_view op) {
   if (a.dtype() != b.dtype()) {
@@ -205,18 +163,37 @@ void SameIndexLoop(const void* a, const void* b, void* out,
   }
 }
 
+// One run of a broadcast: o[j] = F(x[j * sx], y[j * sy]). The unit and
+// broadcast stride pairs get loops of their own, which the compiler
+// vectorises.
+template <typename T, typename O, auto F>
+void StridedRun(const T* x, std::int64_t sx, const T* y, std::int64_t sy,
+                O* o, std::int64_t len) {
+  if (sx == 1 && sy == 1) {
+    for (std::int64_t j = 0; j < len; ++j) o[j] = F(x[j], y[j]);
+  } else if (sx == 1 && sy == 0) {
+    const T v = *y;
+    for (std::int64_t j = 0; j < len; ++j) o[j] = F(x[j], v);
+  } else if (sx == 0 && sy == 1) {
+    const T u = *x;
+    for (std::int64_t j = 0; j < len; ++j) o[j] = F(u, y[j]);
+  } else {
+    for (std::int64_t j = 0; j < len; ++j) o[j] = F(x[j * sx], y[j * sy]);
+  }
+}
+
 template <typename T, typename O, auto F>
 void BroadcastLoop(const Tensor& a, const Tensor& b, Tensor& out) {
-  const BroadcastIndexer indexer(a.shape(), b.shape(), out.shape());
-  const auto av = a.data<T>();
-  const auto bv = b.data<T>();
-  auto ov = out.mutable_data<O>();
-  const std::int64_t n = out.num_elements();
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto [ai, bi] = indexer.Map(i);
-    ov[static_cast<std::size_t>(i)] =
-        F(av[static_cast<std::size_t>(ai)], bv[static_cast<std::size_t>(bi)]);
-  }
+  const T* x = a.data<T>().data();
+  const T* y = b.data<T>().data();
+  O* o = out.mutable_data<O>().data();
+  StridedWalk<2>(out.shape(), {&a.shape(), &b.shape()})
+      .ForEachRun(0, out.num_elements(),
+                  [&](std::int64_t pos, std::int64_t len, const auto& at,
+                      const auto& step) {
+                    StridedRun<T, O, F>(x + at[0], step[0], y + at[1],
+                                        step[1], o + pos, len);
+                  });
 }
 
 template <typename T, typename O, auto F>

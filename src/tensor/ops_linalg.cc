@@ -26,6 +26,12 @@ Tensor ReduceImpl(const Tensor& a, const std::vector<int>& axes,
   return out;
 }
 
+// Walks the input of a reduction over the output kept at full rank.
+StridedWalk<1> ReduceWalk(const Shape& in, const std::vector<int>& axes) {
+  const Shape kept = ReducedShape(in, axes, /*keep_dims=*/true);
+  return StridedWalk<1>(in, {&kept});
+}
+
 }  // namespace
 
 std::vector<int> NormalizeAxes(std::vector<int> axes, int rank) {
@@ -58,17 +64,7 @@ Shape ReducedShape(const Shape& in, const std::vector<int>& axes,
 }
 
 ReduceIndex::ReduceIndex(const Shape& in, const std::vector<int>& axes)
-    : in_dims(in.dims()),
-      out_strides(static_cast<std::size_t>(in.rank()), 0) {
-  std::int64_t stride = 1;
-  for (int i = in.rank() - 1; i >= 0; --i) {
-    const auto u = static_cast<std::size_t>(i);
-    if (!std::binary_search(axes.begin(), axes.end(), i)) {
-      out_strides[u] = stride;
-      stride *= in_dims[u];
-    }
-  }
-}
+    : walk(ReduceWalk(in, axes)) {}
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   CheckFloat(a, "MatMul");

@@ -49,7 +49,8 @@ Shape BroadcastShapes(const Shape& a, const Shape& b) {
       throw InvalidArgument("cannot broadcast shapes " + a.ToString() +
                             " and " + b.ToString());
     }
-    dims[static_cast<std::size_t>(rank - 1 - i)] = std::max(da, db);
+    // A size-1 dim takes the other's size, 0 included.
+    dims[static_cast<std::size_t>(rank - 1 - i)] = da == 1 ? db : da;
   }
   return Shape(std::move(dims));
 }

@@ -35,8 +35,9 @@ class Shape {
   std::vector<std::int64_t> dims_;
 };
 
-// Computes the NumPy-style broadcast of two shapes. Throws InvalidArgument
-// if the shapes are incompatible.
+// Computes the NumPy-style broadcast of two shapes: per trailing-aligned
+// axis, equal sizes or a size 1 that takes the other's size (so 1 against 0
+// is 0). Throws InvalidArgument if the shapes are incompatible.
 Shape BroadcastShapes(const Shape& a, const Shape& b);
 
 }  // namespace janus

@@ -240,6 +240,28 @@ TEST_F(FusionTest, ReductionEpilogues) {
   }
 }
 
+TEST_F(FusionTest, EpilogueWindowsStartMidRow) {
+  // 3300 elements run as 1024-element blocks, so the blocks after the
+  // first start inside a 1100-element row: each window's walk must pick up
+  // mid-row and keep every output slot's input order.
+  for (const char* op : {"ReduceSum", "ReduceMean"}) {
+    for (const std::int64_t axis : {0, 1}) {
+      for (const bool keep_dims : {false, true}) {
+        Graph g;
+        const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+        const NodeOutput y = g.Constant(Iota(Shape{3, 1100}, -700.0f));
+        const NodeOutput m = {g.AddNode("Mul", {x, y}), 0};
+        const NodeOutput r = Reduce(g, op, m, {axis}, keep_dims);
+        const std::vector<NodeOutput> fetches{r};
+        const RunMetrics metrics = ExpectFusedMatchesUnfused(
+            g, fetches, {{"x", Iota(Shape{3, 1100}, 0.3f)}});
+        EXPECT_EQ(metrics.fused_regions, 1)
+            << op << " axis " << axis << " keep_dims " << keep_dims;
+      }
+    }
+  }
+}
+
 TEST_F(FusionTest, ReduceAllAxesEpilogue) {
   Graph g;
   const NodeOutput x = g.Placeholder("x", DType::kFloat32);

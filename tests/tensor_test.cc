@@ -1,14 +1,22 @@
 // Unit tests for the tensor substrate: shapes, broadcasting, elementwise
-// kernels, linear algebra, reductions, NN ops, and gather/scatter.
+// kernels, linear algebra, reductions, NN ops, and gather/scatter, plus an
+// oracle sweep that holds the strided kernels (broadcast loops, reductions,
+// BroadcastTo, Slice, SliceGrad) to per-element reference maps.
 #include "tensor/ops.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <ostream>
+#include <string>
+#include <typeinfo>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "tensor/elementwise.h"
 #include "tensor/tensor.h"
 
 namespace janus {
@@ -65,6 +73,15 @@ TEST(ShapeTest, BroadcastCompatible) {
   EXPECT_EQ(BroadcastShapes(Shape{4, 1}, Shape{3}), (Shape{4, 3}));
   EXPECT_EQ(BroadcastShapes(Shape{}, Shape{2, 2}), (Shape{2, 2}));
   EXPECT_EQ(BroadcastShapes(Shape{5, 1, 3}, Shape{1, 2, 1}), (Shape{5, 2, 3}));
+}
+
+TEST(ShapeTest, BroadcastOneAgainstZeroIsZero) {
+  EXPECT_EQ(BroadcastShapes(Shape{0, 3}, Shape{3}), (Shape{0, 3}));
+  EXPECT_EQ(BroadcastShapes(Shape{3, 1}, Shape{0, 1, 4}), (Shape{0, 3, 4}));
+  const Tensor sum =
+      ops::Add(Tensor::Zeros(DType::kFloat32, Shape{0, 3}), Vec({1, 2, 3}));
+  EXPECT_EQ(sum.shape(), (Shape{0, 3}));
+  EXPECT_EQ(ops::BroadcastTo(Vec({1}), Shape{0, 3}).shape(), (Shape{0, 3}));
 }
 
 TEST(ShapeTest, BroadcastIncompatibleThrows) {
@@ -420,6 +437,38 @@ TEST(CastTest, RoundTrips) {
   EXPECT_FALSE(b.ScalarBoolValue());
 }
 
+TEST(CastTest, Int64ToFloat32RoundsOnce) {
+  // 2^54 + 2^30 + 1 lies just above the midpoint of two adjacent floats, so
+  // one rounding goes up. Rounding through double first lands exactly on
+  // the midpoint and ties to even, down.
+  const std::int64_t x = (std::int64_t{1} << 54) + (std::int64_t{1} << 30) + 1;
+  const Tensor f = ops::Cast(Tensor::FromVectorInt({x, -x}, Shape{2}),
+                             DType::kFloat32);
+  EXPECT_EQ(f.data<float>()[0], static_cast<float>(x));
+  EXPECT_EQ(f.data<float>()[0], 18014400656965632.0f);
+  EXPECT_EQ(f.data<float>()[1], -18014400656965632.0f);
+}
+
+TEST(CastTest, BoolIsNonZero) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor b = ops::Cast(
+      Tensor::FromVector({0.0f, -0.0f, nan, 0.5f, -3.0f}, Shape{5}),
+      DType::kBool);
+  const auto bv = b.data<std::uint8_t>();
+  EXPECT_EQ(std::vector<std::uint8_t>(bv.begin(), bv.end()),
+            (std::vector<std::uint8_t>{0, 0, 1, 1, 1}));
+  const Tensor i = ops::Cast(b, DType::kInt64);
+  const auto iv = i.data<std::int64_t>();
+  EXPECT_EQ(std::vector<std::int64_t>(iv.begin(), iv.end()),
+            (std::vector<std::int64_t>{0, 0, 1, 1, 1}));
+  ExpectNear(ops::Cast(b, DType::kFloat32), {0, 0, 1, 1, 1});
+  const Tensor t = ops::Cast(Tensor::FromVectorInt({0, -5, 1}, Shape{3}),
+                             DType::kBool);
+  const auto tv = t.data<std::uint8_t>();
+  EXPECT_EQ(std::vector<std::uint8_t>(tv.begin(), tv.end()),
+            (std::vector<std::uint8_t>{0, 1, 1}));
+}
+
 TEST(BroadcastToTest, Materialises) {
   const Tensor b = ops::BroadcastTo(Vec({1, 2}), Shape{3, 2});
   ExpectNear(b, {1, 2, 1, 2, 1, 2});
@@ -573,6 +622,403 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<Shape, Shape>{Shape{}, Shape{2, 2}},
                       std::pair<Shape, Shape>{Shape{1}, Shape{3, 1}},
                       std::pair<Shape, Shape>{Shape{5}, Shape{5}}));
+
+// ---- Oracle sweep: the strided kernels against per-element maps ----
+//
+// The references below locate every element's operand offsets with a
+// div/mod per axis, as the kernels did before they walked their operands
+// by runs (tensor/strided.h). Each kernel must produce the same dtype,
+// shape and bytes, or raise an error of the same type with the same text.
+
+struct Outcome {
+  std::string error;  // "<type>: <what>"; empty when a tensor came back
+  DType dtype = DType::kFloat32;
+  Shape shape;
+  std::vector<unsigned char> bytes;
+};
+
+template <typename F>
+Outcome Capture(F&& f) {
+  Outcome outcome;
+  try {
+    const Tensor t = f();
+    outcome.dtype = t.dtype();
+    outcome.shape = t.shape();
+    const auto* p =
+        static_cast<const unsigned char*>(ops::ElementData(t, t.dtype()));
+    outcome.bytes.assign(p, p + t.byte_size());
+  } catch (const std::exception& e) {
+    outcome.error = std::string(typeid(e).name()) + ": " + e.what();
+  }
+  return outcome;
+}
+
+void ExpectSameOutcome(const Outcome& got, const Outcome& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.error, want.error) << what;
+  EXPECT_EQ(got.dtype, want.dtype) << what;
+  EXPECT_EQ(got.shape, want.shape) << what;
+  EXPECT_TRUE(got.bytes == want.bytes) << what << ": bytes differ";
+}
+
+// Row-major strides of `s` aligned to the trailing axes of a rank-`rank`
+// iteration shape; 0 where `s` lacks the axis or has it at size 1.
+std::vector<std::int64_t> RefStrides(const Shape& s, int rank) {
+  std::vector<std::int64_t> strides(static_cast<std::size_t>(rank), 0);
+  const auto native = s.Strides();
+  const int offset = rank - s.rank();
+  for (int i = 0; i < s.rank(); ++i) {
+    strides[static_cast<std::size_t>(offset + i)] =
+        s.dim(i) == 1 ? 0 : native[static_cast<std::size_t>(i)];
+  }
+  return strides;
+}
+
+// The element that position `index` of row-major `dims` reads from an
+// array with `strides`, offset by `begin` per axis: a div/mod per axis.
+std::int64_t RefMap(std::int64_t index, const std::vector<std::int64_t>& dims,
+                    const std::vector<std::int64_t>& strides,
+                    const std::vector<std::int64_t>& begin) {
+  std::int64_t src = 0;
+  std::int64_t rem = index;
+  for (int axis = static_cast<int>(dims.size()) - 1; axis >= 0; --axis) {
+    const auto u = static_cast<std::size_t>(axis);
+    const std::int64_t coord = rem % dims[u];
+    rem /= dims[u];
+    src += (coord + begin[u]) * strides[u];
+  }
+  return src;
+}
+
+void CopyElement(const Tensor& src, std::int64_t from, Tensor& dst,
+                 std::int64_t to) {
+  const std::size_t size = DTypeSize(src.dtype());
+  std::memcpy(static_cast<char*>(ops::MutableElementData(dst)) +
+                  static_cast<std::size_t>(to) * size,
+              static_cast<const char*>(ops::ElementData(src, src.dtype())) +
+                  static_cast<std::size_t>(from) * size,
+              size);
+}
+
+Tensor RefBroadcastTo(const Tensor& a, const Shape& shape) {
+  if (a.shape() == shape) return a;
+  if (BroadcastShapes(a.shape(), shape) != shape) {
+    throw InvalidArgument("cannot broadcast " + a.shape().ToString() + " to " +
+                          shape.ToString());
+  }
+  Tensor out(a.dtype(), shape);
+  const auto strides = RefStrides(a.shape(), shape.rank());
+  const std::vector<std::int64_t> begin(static_cast<std::size_t>(shape.rank()),
+                                        0);
+  for (std::int64_t i = 0; i < shape.num_elements(); ++i) {
+    CopyElement(a, RefMap(i, shape.dims(), strides, begin), out, i);
+  }
+  return out;
+}
+
+// The op element by element: its same-index loop over both operands
+// expanded to the output shape by the map above.
+Tensor RefBinary(const ops::ElementwiseOp& op, const Tensor& a,
+                 const Tensor& b) {
+  if (op.equal_shapes && a.shape() != b.shape()) {
+    throw InvalidArgument(std::string(op.name) + ": shape mismatch");
+  }
+  const Shape out = BroadcastShapes(a.shape(), b.shape());
+  return ops::Apply(op, RefBroadcastTo(a, out), RefBroadcastTo(b, out));
+}
+
+Tensor RefSlice(const Tensor& a, const std::vector<std::int64_t>& begin,
+                const std::vector<std::int64_t>& size) {
+  if (static_cast<int>(begin.size()) != a.rank() ||
+      static_cast<int>(size.size()) != a.rank()) {
+    throw InvalidArgument("Slice: begin/size rank mismatch");
+  }
+  std::vector<std::int64_t> out_dims(begin.size());
+  for (int i = 0; i < a.rank(); ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    const std::int64_t extent = size[u] == -1 ? a.dim(i) - begin[u] : size[u];
+    if (begin[u] < 0 || extent < 0 || begin[u] + extent > a.dim(i)) {
+      throw InvalidArgument("Slice: out of bounds on axis " +
+                            std::to_string(i));
+    }
+    out_dims[u] = extent;
+  }
+  Tensor out(a.dtype(), Shape(out_dims));
+  const auto strides = a.shape().Strides();
+  for (std::int64_t i = 0; i < out.num_elements(); ++i) {
+    CopyElement(a, RefMap(i, out_dims, strides, begin), out, i);
+  }
+  return out;
+}
+
+Tensor RefSliceGrad(const Tensor& grad, const Shape& shape,
+                    const std::vector<std::int64_t>& begin) {
+  Tensor out = Tensor::Zeros(DType::kFloat32, shape);
+  const auto out_strides = shape.Strides();
+  auto ov = out.mutable_data<float>();
+  const auto gv = grad.data<float>();
+  for (std::int64_t i = 0; i < grad.num_elements(); ++i) {
+    ov[static_cast<std::size_t>(
+        RefMap(i, grad.shape().dims(), out_strides, begin))] =
+        gv[static_cast<std::size_t>(i)];
+  }
+  return out;
+}
+
+enum class RefReduction { kSum, kMean, kMax };
+
+Tensor RefReduce(const Tensor& a, std::vector<int> axes, bool keep_dims,
+                 RefReduction kind) {
+  const auto norm = ops::NormalizeAxes(std::move(axes), a.rank());
+  if (a.dtype() != DType::kFloat32) {
+    throw InvalidArgument("Reduce: requires float32 operands");
+  }
+  Tensor out = Tensor::Full(
+      ops::ReducedShape(a.shape(), norm, keep_dims),
+      kind == RefReduction::kMax ? std::numeric_limits<float>::lowest() : 0.0f);
+  // The output's strides at full rank, 0 on reduced axes.
+  std::vector<std::int64_t> out_strides(static_cast<std::size_t>(a.rank()), 0);
+  std::int64_t stride = 1;
+  std::int64_t count = 1;
+  for (int i = a.rank() - 1; i >= 0; --i) {
+    if (std::binary_search(norm.begin(), norm.end(), i)) {
+      count *= a.dim(i);
+    } else {
+      out_strides[static_cast<std::size_t>(i)] = stride;
+      stride *= a.dim(i);
+    }
+  }
+  const std::vector<std::int64_t> begin(static_cast<std::size_t>(a.rank()), 0);
+  auto ov = out.mutable_data<float>();
+  const auto av = a.data<float>();
+  for (std::int64_t k = 0; k < a.num_elements(); ++k) {
+    float& slot = ov[static_cast<std::size_t>(
+        RefMap(k, a.shape().dims(), out_strides, begin))];
+    const float v = av[static_cast<std::size_t>(k)];
+    slot = kind == RefReduction::kMax ? (slot > v ? slot : v) : slot + v;
+  }
+  if (kind == RefReduction::kMean) {
+    const float scale = 1.0f / static_cast<float>(count);
+    for (float& v : ov) v = v * scale;
+  }
+  return out;
+}
+
+// Deterministic operands. Variant 0 mixes in special values (NaN, signed
+// zeros, infinities, zero integers); variant 1 holds finite non-zero
+// values only, so integer FloorDiv and Mod yield bytes instead of errors.
+Tensor OracleValues(DType dtype, const Shape& shape, int variant, int salt) {
+  static constexpr float kInf = std::numeric_limits<float>::infinity();
+  static const float kFloats[2][11] = {
+      {1.5f, -2.25f, 0.0f, -0.0f, std::numeric_limits<float>::quiet_NaN(),
+       kInf, -kInf, 3.0f, -0.5f, 7.75f, 1e-3f},
+      {1.5f, -2.25f, 0.75f, 3.0f, -0.5f, 7.75f, 2.0f, -4.0f, 1.25f, 5.5f,
+       -1.0f}};
+  static constexpr std::int64_t kInts[2][11] = {
+      {3, -2, 0, 5, -1, 2, -4, 1, 0, 4, -3},
+      {3, -2, 1, 5, -1, 2, -4, 1, 6, 4, -3}};
+  Tensor t(dtype, shape);
+  for (std::int64_t i = 0; i < t.num_elements(); ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    const auto k = static_cast<std::size_t>((i * 7 + salt * 3) % 11);
+    const auto v = static_cast<std::size_t>(variant);
+    switch (dtype) {
+      case DType::kFloat32:
+        t.mutable_data<float>()[u] = kFloats[v][k];
+        break;
+      case DType::kInt64:
+        t.mutable_data<std::int64_t>()[u] = kInts[v][k];
+        break;
+      case DType::kBool:
+        t.mutable_data<std::uint8_t>()[u] = variant == 0 ? k % 2 : k % 3 != 0;
+        break;
+    }
+  }
+  return t;
+}
+
+std::string Describe(const Tensor& t) {
+  return std::string(DTypeName(t.dtype())) + t.shape().ToString();
+}
+
+TEST(StridedOracleTest, BinaryOpsMatchPerElementMaps) {
+  const std::vector<std::pair<Shape, Shape>> shapes = {
+      {Shape{2, 3}, Shape{2, 3}},              // same shape
+      {Shape{2, 3, 4}, Shape{4}},              // rank mismatch
+      {Shape{4}, Shape{2, 3, 4}},
+      {Shape{2, 1, 4}, Shape{2, 3, 4}},        // size-1 middle axis
+      {Shape{3, 4, 1, 5}, Shape{3, 1, 1, 5}},
+      {Shape{4, 1, 3}, Shape{1, 5, 1}},        // both sides broadcast
+      {Shape{5, 1, 2, 1}, Shape{1, 3, 1, 4}},
+      {Shape{6, 1}, Shape{1, 7}},
+      {Shape{2, 3}, Shape{}},                  // scalars
+      {Shape{}, Shape{2, 3}},
+      {Shape{1}, Shape{}},
+      {Shape{}, Shape{}},
+      {Shape{0, 3}, Shape{3}},                 // zero-size dims
+      {Shape{2, 0, 3}, Shape{1, 1}},
+      {Shape{3, 1}, Shape{0, 1, 4}},
+  };
+  const DType dtypes[] = {DType::kFloat32, DType::kInt64, DType::kBool};
+  int broadcast_results = 0;
+  for (const ops::ElementwiseOp& op : ops::ElementwiseOps()) {
+    if (op.arity != 2) continue;
+    for (const DType da : dtypes) {
+      for (const DType db : dtypes) {
+        for (const auto& [sa, sb] : shapes) {
+          for (const int variant : {0, 1}) {
+            const Tensor a = OracleValues(da, sa, variant, 0);
+            const Tensor b = OracleValues(db, sb, variant, 5);
+            const Outcome got = Capture([&] { return ops::Apply(op, a, b); });
+            const Outcome want = Capture([&] { return RefBinary(op, a, b); });
+            ExpectSameOutcome(got, want,
+                              std::string(op.name) + " " + Describe(a) + " " +
+                                  Describe(b) + " variant " +
+                                  std::to_string(variant));
+            if (sa != sb && got.error.empty()) ++broadcast_results;
+          }
+        }
+      }
+    }
+  }
+  // The sweep compares bytes, not only errors, for most broadcast cases.
+  EXPECT_GT(broadcast_results, 900);
+}
+
+TEST(StridedOracleTest, ReductionsMatchPerElementMap) {
+  const Shape shape{3, 1, 4, 5};
+  std::vector<float> values;
+  for (int i = 0; i < 60; ++i) {
+    // Magnitudes far apart, so a changed summation order changes bits.
+    values.push_back(static_cast<float>((i * 37) % 101 - 50) * 0.37f *
+                     (i % 7 == 0 ? 1e6f : 1.0f));
+  }
+  std::vector<float> specials = values;
+  specials[9] = std::numeric_limits<float>::quiet_NaN();
+  specials[22] = -0.0f;
+  std::vector<Tensor> inputs = {Tensor::FromVector(values, shape),
+                                Tensor::FromVector(specials, shape)};
+  struct Kind {
+    const char* name;
+    RefReduction ref;
+    Tensor (*op)(const Tensor&, std::vector<int>, bool);
+  };
+  const Kind kinds[] = {{"ReduceSum", RefReduction::kSum, &ops::ReduceSum},
+                        {"ReduceMean", RefReduction::kMean, &ops::ReduceMean},
+                        {"ReduceMax", RefReduction::kMax, &ops::ReduceMax}};
+  for (const Kind& kind : kinds) {
+    for (const Tensor& input : inputs) {
+      for (int mask = 0; mask < 16; ++mask) {
+        std::vector<int> axes;
+        for (int axis = 0; axis < 4; ++axis) {
+          if ((mask >> axis) & 1) axes.push_back(axis);
+        }
+        for (const bool keep_dims : {false, true}) {
+          const Outcome got =
+              Capture([&] { return kind.op(input, axes, keep_dims); });
+          const Outcome want = Capture(
+              [&] { return RefReduce(input, axes, keep_dims, kind.ref); });
+          ExpectSameOutcome(got, want,
+                            std::string(kind.name) + " mask " +
+                                std::to_string(mask) + " keep_dims " +
+                                std::to_string(keep_dims));
+          EXPECT_TRUE(got.error.empty()) << got.error;
+        }
+      }
+    }
+    const Tensor ints = Tensor::FullInt(shape, 2);
+    ExpectSameOutcome(Capture([&] { return kind.op(ints, {1}, false); }),
+                      Capture([&] {
+                        return RefReduce(ints, {1}, false, kind.ref);
+                      }),
+                      std::string(kind.name) + " int64");
+    ExpectSameOutcome(
+        Capture([&] { return kind.op(inputs[0], {4}, false); }),
+        Capture([&] { return RefReduce(inputs[0], {4}, false, kind.ref); }),
+        std::string(kind.name) + " bad axis");
+  }
+}
+
+TEST(StridedOracleTest, BroadcastToMatchesPerElementMap) {
+  const std::vector<std::pair<Shape, Shape>> cases = {
+      {Shape{8}, Shape{8, 8, 8, 8}},   {Shape{3, 1}, Shape{2, 3, 4}},
+      {Shape{}, Shape{2, 3}},          {Shape{1}, Shape{0, 3}},
+      {Shape{2, 1, 3}, Shape{2, 4, 3}}, {Shape{1, 5, 1}, Shape{4, 5, 3}},
+      {Shape{3}, Shape{3}},            {Shape{3}, Shape{2, 2}},
+      {Shape{2, 3}, Shape{3}},         {Shape{1, 3}, Shape{3}},
+  };
+  for (const DType dtype : {DType::kFloat32, DType::kInt64, DType::kBool}) {
+    for (const auto& [from, to] : cases) {
+      const Tensor a = OracleValues(dtype, from, 0, 1);
+      ExpectSameOutcome(Capture([&] { return ops::BroadcastTo(a, to); }),
+                        Capture([&] { return RefBroadcastTo(a, to); }),
+                        "BroadcastTo " + Describe(a) + " to " + to.ToString());
+    }
+  }
+}
+
+TEST(StridedOracleTest, SliceMatchesPerElementMap) {
+  struct Case {
+    Shape shape;
+    std::vector<std::int64_t> begin;
+    std::vector<std::int64_t> size;
+  };
+  const std::vector<Case> cases = {
+      {Shape{4, 6}, {1, 2}, {2, 3}},
+      {Shape{4, 6}, {0, 0}, {4, 6}},
+      {Shape{4, 6}, {1, 0}, {2, -1}},
+      {Shape{4, 6}, {0, 5}, {4, 1}},
+      {Shape{3, 4, 5}, {1, 1, 1}, {2, -1, 3}},
+      {Shape{3, 4, 5}, {0, 2, 0}, {3, 1, 5}},
+      {Shape{2, 3, 4, 5}, {1, 0, 2, 1}, {1, -1, 2, -1}},
+      {Shape{5}, {2}, {-1}},
+      {Shape{2, 3}, {0, 3}, {2, 0}},
+      {Shape{}, {}, {}},
+      {Shape{4, 6}, {1}, {2}},         // rank mismatch
+      {Shape{4, 6}, {3, 0}, {2, 6}},   // out of bounds
+      {Shape{4, 6}, {-1, 0}, {1, 6}},
+      {Shape{4, 6}, {0, 2}, {1, -2}},
+  };
+  for (const DType dtype : {DType::kFloat32, DType::kInt64, DType::kBool}) {
+    for (const Case& c : cases) {
+      const Tensor a = OracleValues(dtype, c.shape, 1, 2);
+      ExpectSameOutcome(
+          Capture([&] { return ops::Slice(a, c.begin, c.size); }),
+          Capture([&] { return RefSlice(a, c.begin, c.size); }),
+          "Slice " + Describe(a) + " at " + Shape(c.begin).ToString() +
+              " size " + Shape(c.size).ToString());
+    }
+  }
+}
+
+TEST(StridedOracleTest, SliceGradMatchesPerElementMap) {
+  struct Case {
+    Shape grad;
+    Shape shape;
+    std::vector<std::int64_t> begin;
+  };
+  const std::vector<Case> cases = {
+      {Shape{16, 64}, Shape{16, 256}, {0, 64}},
+      {Shape{2, 5, 3}, Shape{4, 5, 6}, {1, 0, 2}},
+      {Shape{1, 4}, Shape{3, 4}, {2, 0}},
+      {Shape{3, 1}, Shape{3, 4}, {0, 3}},
+      {Shape{0, 3}, Shape{2, 3}, {1, 0}},
+      {Shape{3}, Shape{7}, {4}},
+      {Shape{}, Shape{}, {}},
+  };
+  for (const Case& c : cases) {
+    const Tensor grad = OracleValues(DType::kFloat32, c.grad, 1, 3);
+    ExpectSameOutcome(
+        Capture([&] { return ops::SliceGrad(grad, c.shape, c.begin); }),
+        Capture([&] { return RefSliceGrad(grad, c.shape, c.begin); }),
+        "SliceGrad " + Describe(grad) + " into " + c.shape.ToString());
+  }
+  const Tensor ints = Tensor::FullInt(Shape{2, 2}, 1);
+  ExpectSameOutcome(
+      Capture([&] { return ops::SliceGrad(ints, Shape{2, 4}, {0, 1}); }),
+      Capture([&] { return RefSliceGrad(ints, Shape{2, 4}, {0, 1}); }),
+      "SliceGrad int64");
+}
 
 }  // namespace
 }  // namespace janus
