@@ -1,9 +1,8 @@
 // Specialization-cache replay stress: a heavy-tailed (Zipf) request stream
 // over many conversion units, driven through an engine whose cache budget
 // is deliberately too small for the working set. Reports hit / miss /
-// eviction / fallback rates and cache-lookup latency percentiles, plus a
-// promotion A/B (identical hot workload with guard promotion on vs off)
-// pricing the entry-check savings. Results land in BENCH_cache_stress.json.
+// eviction / fallback rates and cache-lookup latency percentiles. Results
+// land in BENCH_cache_stress.json.
 //
 // The run fails (non-zero exit) if the steady-state fallback-to-imperative
 // rate reaches 5% or the budget pressure produced no evictions — the two
@@ -70,7 +69,6 @@ struct Session {
 
 EngineOptions StressOptions() {
   EngineOptions options;
-  options.private_cache = true;
   // The working set is kNumModels units; budget half of it so the Zipf
   // tail keeps evicting and regenerating.
   options.cache.max_entries = kNumModels / 2;
@@ -107,42 +105,6 @@ void Replay(Session& session, const Zipf& zipf, Lcg& rng, int requests) {
 std::int64_t CounterValue(const Session& session, const char* name) {
   const obs::Counter* counter = session.engine.metrics().FindCounter(name);
   return counter != nullptr ? counter->Value() : 0;
-}
-
-struct AbResult {
-  std::int64_t validations = 0;
-  std::int64_t validation_ns_total = 0;
-  std::int64_t skips = 0;
-  std::int64_t failures = 0;
-};
-
-// Hot single-unit workload measuring entry-check cost with promotion
-// on/off. Same program, same iteration count, private engines.
-AbResult RunPromotionArm(bool enable_promotion) {
-  EngineOptions options;
-  options.private_cache = true;
-  options.cache.enable_promotion = enable_promotion;
-  options.cache.promotion_runs = 16;
-  options.cache.audit_interval = 32;
-  Session session(options);
-  session.interp.Run(R"(
-w = variable('w', zeros([16, 1]))
-b = zeros([8, 16])
-def loss_fn():
-    return reduce_mean(matmul(b, w))
-for i in range(400):
-    optimize(loss_fn, 0.01)
-)");
-  AbResult result;
-  const obs::Histogram* validation =
-      session.engine.metrics().FindHistogram("engine.validation_ns");
-  if (validation != nullptr) {
-    result.validations = validation->Count();
-    result.validation_ns_total = validation->Sum();
-  }
-  result.skips = CounterValue(session, "cache.validation_skips");
-  result.failures = session.engine.stats().assumption_failures;
-  return result;
 }
 
 int Run(const char* out_path) {
@@ -217,26 +179,6 @@ int Run(const char* out_path) {
               static_cast<long long>(lookup_p50),
               static_cast<long long>(lookup_p99));
 
-  // Promotion A/B on a quiet hot unit.
-  const AbResult on = RunPromotionArm(true);
-  const AbResult off = RunPromotionArm(false);
-  const double check_reduction =
-      off.validations > 0
-          ? 1.0 - static_cast<double>(on.validations) /
-                      static_cast<double>(off.validations)
-          : 0.0;
-  std::printf("\npromotion A/B (400 hot runs):\n");
-  std::printf("  %-26s %8lld checks, %lld skips, %lld ns checking\n",
-              "promotion on", static_cast<long long>(on.validations),
-              static_cast<long long>(on.skips),
-              static_cast<long long>(on.validation_ns_total));
-  std::printf("  %-26s %8lld checks, %lld skips, %lld ns checking\n",
-              "promotion off", static_cast<long long>(off.validations),
-              static_cast<long long>(off.skips),
-              static_cast<long long>(off.validation_ns_total));
-  std::printf("  %-26s %7.1f%%\n", "entry checks avoided",
-              check_reduction * 100.0);
-
   std::FILE* out = std::fopen(out_path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path);
@@ -259,13 +201,7 @@ int Run(const char* out_path) {
                "  \"eviction_rate\": %.4f,\n"
                "  \"fallback_rate\": %.4f,\n"
                "  \"lookup_p50_ns\": %lld,\n"
-               "  \"lookup_p99_ns\": %lld,\n"
-               "  \"promotion_on_checks\": %lld,\n"
-               "  \"promotion_on_skips\": %lld,\n"
-               "  \"promotion_on_check_ns\": %lld,\n"
-               "  \"promotion_off_checks\": %lld,\n"
-               "  \"promotion_off_check_ns\": %lld,\n"
-               "  \"promotion_check_reduction\": %.4f\n"
+               "  \"lookup_p99_ns\": %lld\n"
                "}\n",
                BuildTypeString(), kSteadyRequests, kNumModels,
                kNumModels / 2,
@@ -277,13 +213,7 @@ int Run(const char* out_path) {
                static_cast<long long>(despecializations), hit_rate,
                eviction_rate, fallback_rate,
                static_cast<long long>(lookup_p50),
-               static_cast<long long>(lookup_p99),
-               static_cast<long long>(on.validations),
-               static_cast<long long>(on.skips),
-               static_cast<long long>(on.validation_ns_total),
-               static_cast<long long>(off.validations),
-               static_cast<long long>(off.validation_ns_total),
-               check_reduction);
+               static_cast<long long>(lookup_p99));
   std::fclose(out);
   std::printf("\nwrote %s\n", out_path);
 
@@ -300,14 +230,6 @@ int Run(const char* out_path) {
     std::fprintf(stderr,
                  "FAIL: steady-state fallback rate %.4f >= 0.05\n",
                  fallback_rate);
-    failed = 1;
-  }
-  if (on.validations >= off.validations) {
-    std::fprintf(stderr,
-                 "FAIL: promotion did not reduce entry checks "
-                 "(%lld on vs %lld off)\n",
-                 static_cast<long long>(on.validations),
-                 static_cast<long long>(off.validations));
     failed = 1;
   }
   if (failed == 0) std::printf("all stress criteria held\n");

@@ -59,23 +59,9 @@ SpecializationCache::SpecializationCache(CacheOptions options,
   counters_.churn_events = &registry_->GetCounter("cache.churn_events");
   counters_.despecializations =
       &registry_->GetCounter("cache.despecializations");
-  counters_.promotions = &registry_->GetCounter("cache.promotions");
-  counters_.demotions = &registry_->GetCounter("cache.demotions");
-  counters_.audits = &registry_->GetCounter("cache.audits");
-  counters_.audit_failures = &registry_->GetCounter("cache.audit_failures");
-  counters_.validation_skips =
-      &registry_->GetCounter("cache.validation_skips");
-  counters_.purged = &registry_->GetCounter("cache.purged");
-  counters_.epoch_bumps = &registry_->GetCounter("cache.epoch_bumps");
   lookup_ns_ = &registry_->GetHistogram("cache.lookup_ns");
   entry_bytes_ = &registry_->GetHistogram("cache.entry_bytes");
   entry_cost_ns_ = &registry_->GetHistogram("cache.entry_cost_ns");
-}
-
-SpecializationCache& SpecializationCache::Global() {
-  // Leaked: engines may report stats from atexit paths.
-  static SpecializationCache* cache = new SpecializationCache();
-  return *cache;
 }
 
 std::vector<SpecializationCache::EntryRef> SpecializationCache::Lookup(
@@ -132,7 +118,7 @@ SpecializationCache::EntryRef SpecializationCache::Insert(
                    entry->bytes,
                    "cost_ns=" + std::to_string(entry->cost_ns));
 
-  // Global budgets. Never evict the entry being inserted unless it alone
+  // Cache-wide budgets. Never evict the entry being inserted unless it alone
   // busts the byte budget — then it leaves non-resident and the returned
   // ref is the caller's only handle (usable for the current run).
   while (options_.max_entries > 0 && resident_entries_ > options_.max_entries &&
@@ -150,66 +136,18 @@ SpecializationCache::EntryRef SpecializationCache::Insert(
   return entry;
 }
 
-ValidationDecision SpecializationCache::BeginUse(const EntryRef& entry) {
+void SpecializationCache::BeginUse(const EntryRef& entry) {
   const MutexLock lock(mu_);
   entry->uses += 1;
   if (entry->resident) TouchLocked(entry);
-  if (!options_.enable_promotion || !entry->promoted) {
-    return ValidationDecision::kValidate;
-  }
-  if (entry->promoted_epoch != epoch_.load(std::memory_order_relaxed)) {
-    // The world changed since promotion (some guard failed somewhere):
-    // demote and recheck from scratch.
-    entry->promoted = false;
-    entry->runs_since_failure = 0;
-    counters_.demotions->Increment();
-    RecordCacheEvent("cache_demote", entry->key, -1, -1, "epoch_advance");
-    return ValidationDecision::kValidate;
-  }
-  entry->uses_since_audit += 1;
-  if (options_.audit_interval > 0 &&
-      entry->uses_since_audit >= options_.audit_interval) {
-    entry->uses_since_audit = 0;
-    counters_.audits->Increment();
-    return ValidationDecision::kAudit;
-  }
-  counters_.validation_skips->Increment();
-  return ValidationDecision::kSkip;
 }
 
-void SpecializationCache::OnRunSuccess(const Key& key, const EntryRef& entry) {
+void SpecializationCache::OnRunSuccess(const Key& key) {
   const MutexLock lock(mu_);
   counters_.hits->Increment();
-  KeyRecord* record = FindRecordLocked(key);
-  if (record != nullptr) record->stats.hits += 1;
-  entry->runs_since_failure += 1;
-  if (options_.enable_promotion && !entry->promoted &&
-      options_.promotion_runs > 0 &&
-      entry->runs_since_failure >= options_.promotion_runs) {
-    entry->promoted = true;
-    entry->promoted_epoch = epoch_.load(std::memory_order_relaxed);
-    entry->uses_since_audit = 0;
-    counters_.promotions->Increment();
-    if (record != nullptr) record->stats.promotions += 1;
-    RecordCacheEvent(
-        "cache_promote", key,
-        record != nullptr ? record->stats.ladder_level : -1, -1,
-        "after " + std::to_string(entry->runs_since_failure) + " clean runs");
-  }
-}
-
-void SpecializationCache::OnAuditMismatch(const Key& key,
-                                          const EntryRef& entry) {
-  const MutexLock lock(mu_);
-  counters_.audit_failures->Increment();
-  entry->promoted = false;
-  entry->runs_since_failure = 0;
-  counters_.demotions->Increment();
-  RecordCacheEvent("cache_demote", key, -1, -1, "audit_mismatch");
   if (KeyRecord* record = FindRecordLocked(key); record != nullptr) {
-    AddChurnLocked(key, *record);
+    record->stats.hits += 1;
   }
-  BumpEpochLocked();
 }
 
 void SpecializationCache::OnEntryFailure(const Key& key,
@@ -227,12 +165,6 @@ void SpecializationCache::OnEntryFailure(const Key& key,
     resident_entries_ -= 1;
     entry->resident = false;
   }
-  if (entry->promoted) {
-    entry->promoted = false;
-    counters_.demotions->Increment();
-    RecordCacheEvent("cache_demote", key, -1, -1, "entry_failure");
-  }
-  BumpEpochLocked();
 }
 
 void SpecializationCache::OnMiss(const Key& key) {
@@ -254,25 +186,8 @@ KeyStats SpecializationCache::Stats(const Key& key) const {
   KeyStats stats = it->second.stats;
   for (const EntryRef& entry : it->second.entries) {
     if (entry->resident) stats.resident_entries += 1;
-    if (entry->promoted) stats.promoted_entries += 1;
   }
   return stats;
-}
-
-void SpecializationCache::PurgeOwner(const void* owner) {
-  const MutexLock lock(mu_);
-  for (auto it = keys_.lower_bound(Key{owner, nullptr, 0});
-       it != keys_.end() && it->first.owner == owner;) {
-    for (const EntryRef& entry : it->second.entries) {
-      if (!entry->resident) continue;
-      RemoveFromIndexLocked(entry);
-      bytes_in_use_ -= entry->bytes;
-      resident_entries_ -= 1;
-      entry->resident = false;
-      counters_.purged->Increment();
-    }
-    it = keys_.erase(it);
-  }
 }
 
 SpecializationCache::Snapshot SpecializationCache::TakeSnapshot() const {
@@ -281,7 +196,6 @@ SpecializationCache::Snapshot SpecializationCache::TakeSnapshot() const {
   snapshot.bytes_in_use = bytes_in_use_;
   snapshot.entries = resident_entries_;
   snapshot.keys = static_cast<std::int64_t>(keys_.size());
-  snapshot.epoch = epoch_.load(std::memory_order_relaxed);
   return snapshot;
 }
 
@@ -291,13 +205,12 @@ std::string SpecializationCache::TextReport() const {
   std::string out;
   std::snprintf(line, sizeof(line),
                 "cache: %lld bytes in %lld entries over %lld keys "
-                "(budget %lld bytes / %lld entries), epoch %llu\n",
+                "(budget %lld bytes / %lld entries)\n",
                 static_cast<long long>(snapshot.bytes_in_use),
                 static_cast<long long>(snapshot.entries),
                 static_cast<long long>(snapshot.keys),
                 static_cast<long long>(options_.max_bytes),
-                static_cast<long long>(options_.max_entries),
-                static_cast<unsigned long long>(snapshot.epoch));
+                static_cast<long long>(options_.max_entries));
   out += line;
   out += registry_->TextReportForPrefix("cache.");
   return out;
@@ -319,11 +232,6 @@ void SpecializationCache::EvictEntryLocked(const EntryRef entry) {
   clock_ = std::max(clock_, entry->priority);
   counters_.evictions->Increment();
   counters_.bytes_evicted->Add(entry->bytes);
-  if (entry->promoted) {
-    entry->promoted = false;
-    counters_.demotions->Increment();
-    RecordCacheEvent("cache_demote", entry->key, -1, -1, "evicted");
-  }
   KeyRecord* record = FindRecordLocked(entry->key);
   if (record != nullptr) {
     record->stats.evictions += 1;
@@ -369,18 +277,6 @@ void SpecializationCache::AddChurnLocked(const Key& key, KeyRecord& record) {
             " from_level=" + std::to_string(record.stats.ladder_level));
     record.stats.ladder_level = level;
     counters_.despecializations->Increment();
-  }
-}
-
-void SpecializationCache::BumpEpochLocked() {
-  const std::uint64_t next =
-      epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  counters_.epoch_bumps->Increment();
-  if (obs::Ledger::Enabled()) {
-    obs::LedgerRecord record;
-    record.kind = "cache_epoch_bump";
-    record.detail = "epoch=" + std::to_string(next);
-    obs::Ledger::Global().Record(std::move(record));
   }
 }
 

@@ -1,12 +1,11 @@
-// Process-wide budgeted cache of specialized artifacts (compiled graphs),
-// with cost-aware eviction, per-key churn accounting, a despecialization
-// ladder, and guard promotion.
+// Budgeted cache of specialized artifacts (compiled graphs), with
+// cost-aware eviction, per-key churn accounting and a despecialization
+// ladder. Each engine owns one.
 //
 // JANUS's compile-once/run-many model only pays off if the population of
-// specialized graphs is managed: at fleet scale, the space of
-// (function, assumption set, shape) keys is effectively unbounded, and the
-// seed's per-unit, per-Graph, unbounded caches would thrash. This cache is
-// the single owner of that population:
+// specialized graphs is managed: the space of (function, assumption set,
+// shape) keys is effectively unbounded, and per-unit, per-Graph, unbounded
+// caches would thrash. This cache is the single owner of that population:
 //
 //  * Budgets. A byte budget (JANUS_CACHE_BYTES) and an entry budget
 //    (JANUS_CACHE_ENTRIES) bound the resident set, plus a per-key candidate
@@ -19,28 +18,21 @@
 //    inflates to each evicted priority (GreedyDual aging), so long-idle
 //    entries eventually lose to fresh ones regardless of cost.
 //  * Churn accounting + despecialization ladder (paper Fig. 4). Each key
-//    counts churn events: runtime assumption failures, audit mismatches,
-//    and evict-then-reinsert cycles. Every `churn_per_level` events raise
-//    the key's ladder level; the producer consults the level when it
+//    counts churn events: runtime assumption failures and
+//    evict-then-reinsert cycles. Every `churn_per_level` events raise the
+//    key's ladder level; the producer consults the level when it
 //    regenerates, relaxing shape -> rank -> value assumptions instead of
 //    re-specializing exact graphs forever.
-//  * Guard promotion. Entry guards (shape/type/constant validation) that
-//    have not failed for `promotion_runs` consecutive runs are promoted:
-//    lookups skip validation behind a global despecialization-epoch check
-//    (one relaxed atomic compare). Any runtime assumption failure or audit
-//    mismatch anywhere bumps the epoch, demoting every promoted entry at
-//    its next use; promoted entries also fully revalidate every
-//    `audit_interval`-th use, bounding how long an unchecked guard can
-//    drift.
+//
+// The cache never decides whether an entry may run: the caller checks every
+// candidate's entry guards on every use (Fig. 2 (1)).
 //
 // The payload is type-erased (shared_ptr<void>) so this layer depends only
-// on src/obs and is shared by engines, tests, and the future serving
-// layer. All statistics land in a MetricsRegistry as cache.* counters and
-// histograms. Every method is thread-safe.
+// on src/obs. All statistics land in a MetricsRegistry as cache.* counters
+// and histograms. Every method is thread-safe.
 #ifndef JANUS_CACHE_SPECIALIZATION_CACHE_H_
 #define JANUS_CACHE_SPECIALIZATION_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -61,13 +53,6 @@ struct CacheOptions {
   // Candidate graphs kept per key. Replaces the removed
   // EngineOptions::max_cached_graphs_per_unit knob.
   int max_entries_per_key = 8;
-  // Guard promotion: consecutive failure-free runs before an entry's
-  // validation is skipped, and how often a promoted entry still fully
-  // revalidates (the audit). enable_promotion = false keeps every lookup
-  // checked (the A/B baseline for the stress benchmark).
-  std::int64_t promotion_runs = 64;
-  std::int64_t audit_interval = 16;
-  bool enable_promotion = true;
   // Despecialization ladder: churn events per level step, and the deepest
   // level (see GraphGenerator::CompileHints for the level semantics).
   int churn_per_level = 3;
@@ -75,13 +60,6 @@ struct CacheOptions {
 
   // Defaults with JANUS_CACHE_BYTES / JANUS_CACHE_ENTRIES applied.
   static CacheOptions FromEnv();
-};
-
-// What the caller must do before executing a cached entry.
-enum class ValidationDecision {
-  kValidate,  // run the full entry-guard validation
-  kAudit,     // promoted entry, scheduled revalidation: validate fully
-  kSkip,      // promoted entry, epoch current: execute unchecked
 };
 
 // Per-key statistics, exposed for tests and reports.
@@ -92,24 +70,19 @@ struct KeyStats {
   std::int64_t evictions = 0;
   std::int64_t failures = 0;       // runtime assumption failures
   std::int64_t churn_events = 0;
-  std::int64_t promotions = 0;     // entries whose guards were promoted
   int ladder_level = 0;
   bool evicted_since_insert = false;
   // Filled by Stats() from the live candidate list (not stored).
   std::int64_t resident_entries = 0;
-  std::int64_t promoted_entries = 0;
 };
 
 class SpecializationCache {
  public:
   using Payload = std::shared_ptr<void>;
 
-  // Cache key: the owner (typically the engine, so owners can purge their
-  // keys on teardown and pointer reuse across sessions cannot alias), the
-  // conversion-unit identity, and a variant discriminator (training mode,
-  // learning rate, ...).
+  // Cache key: the conversion-unit identity and a variant discriminator
+  // (training mode, learning rate, ...).
   struct Key {
-    const void* owner = nullptr;
     const void* unit = nullptr;
     std::uint64_t variant = 0;
     auto operator<=>(const Key&) const = default;
@@ -126,28 +99,18 @@ class SpecializationCache {
     Key key;
     bool resident = false;
     std::int64_t uses = 0;
-    std::int64_t runs_since_failure = 0;
-    std::int64_t uses_since_audit = 0;
-    bool promoted = false;
-    std::uint64_t promoted_epoch = 0;
     double priority = 0.0;
   };
   using EntryRef = std::shared_ptr<Entry>;
 
-  explicit SpecializationCache(
-      CacheOptions options = CacheOptions::FromEnv(),
-      obs::MetricsRegistry* registry = &obs::MetricsRegistry::Global());
-
-  // The process-wide instance (budgets from the environment). Engines share
-  // it by default so multi-tenant sessions compete for one budget.
-  static SpecializationCache& Global();
+  SpecializationCache(CacheOptions options, obs::MetricsRegistry* registry);
 
   // Snapshot of the key's candidates, most-recently-used first. Records
   // cache.lookup_ns.
   std::vector<EntryRef> Lookup(const Key& key);
 
-  // Registers a freshly built artifact. Evicts per-key and global-budget
-  // overflow (never the entry being inserted; if the entry alone exceeds
+  // Registers a freshly built artifact. Evicts per-key and cache-wide
+  // budget overflow (never the entry being inserted; if the entry alone exceeds
   // the byte budget it is inserted non-resident, i.e. immediately evicted,
   // and the returned ref is the caller's only handle). An insert for a key
   // with an eviction since its last insert counts one churn event — the
@@ -156,23 +119,17 @@ class SpecializationCache {
                   std::int64_t cost_ns);
 
   // Per-use protocol, in order:
-  //   decision = BeginUse(entry)      -- promotion/audit decision, LRU touch
-  //   [validate if decision != kSkip] -- caller-owned guard check
-  //   OnRunSuccess | OnAuditMismatch | OnEntryFailure | (plain miss: keep
-  //   iterating; call OnMiss once when no candidate was usable)
-  ValidationDecision BeginUse(const EntryRef& entry);
+  //   BeginUse(entry)                 -- use count, LRU/GDSF touch
+  //   [validate]                      -- caller-owned guard check
+  //   OnRunSuccess | OnEntryFailure | (plain miss: keep iterating; call
+  //   OnMiss once when no candidate was usable)
+  void BeginUse(const EntryRef& entry);
 
-  // Successful execution through this entry: counts the hit and advances
-  // promotion.
-  void OnRunSuccess(const Key& key, const EntryRef& entry);
-
-  // A promoted entry failed its scheduled audit: its inputs drifted while
-  // unchecked. Demotes the entry, bumps the global epoch (demoting every
-  // other promoted entry at next use), and counts churn.
-  void OnAuditMismatch(const Key& key, const EntryRef& entry);
+  // Successful execution through this entry: counts the hit.
+  void OnRunSuccess(const Key& key);
 
   // Runtime assumption failure (AssertOp) or kernel error while executing
-  // the entry: removes it, bumps the epoch, and counts churn.
+  // the entry: removes it and counts churn.
   void OnEntryFailure(const Key& key, const EntryRef& entry);
 
   // No candidate matched the live context (the engine will regenerate once
@@ -184,28 +141,17 @@ class SpecializationCache {
 
   KeyStats Stats(const Key& key) const;
 
-  // Removes every entry and key record owned by `owner`. Engines call this
-  // on teardown; without it, a later allocation reusing a freed AST/engine
-  // address could alias a dead unit's graphs.
-  void PurgeOwner(const void* owner);
-
-  // Global despecialization epoch (relaxed read; exposed for tests).
-  std::uint64_t epoch() const {
-    return epoch_.load(std::memory_order_relaxed);
-  }
-
   struct Snapshot {
     std::int64_t bytes_in_use = 0;
     std::int64_t entries = 0;
     std::int64_t keys = 0;
-    std::uint64_t epoch = 0;
   };
   Snapshot TakeSnapshot() const;
 
   const CacheOptions& options() const { return options_; }
 
   // Human-readable section for Engine::StatsReport(): budgets, residency,
-  // epoch, and every cache.* counter/histogram in this cache's registry.
+  // and every cache.* counter/histogram in this cache's registry.
   std::string TextReport() const;
 
  private:
@@ -221,7 +167,6 @@ class SpecializationCache {
   void EvictLowestPriorityLocked() REQUIRES(mu_);
   void TouchLocked(const EntryRef& entry) REQUIRES(mu_);
   void AddChurnLocked(const Key& key, KeyRecord& record) REQUIRES(mu_);
-  void BumpEpochLocked() REQUIRES(mu_);
   void RemoveFromIndexLocked(const EntryRef& entry) REQUIRES(mu_);
   double ComputePriorityLocked(const Entry& entry) const REQUIRES(mu_);
   KeyRecord* FindRecordLocked(const Key& key) REQUIRES(mu_);
@@ -238,8 +183,6 @@ class SpecializationCache {
   std::int64_t resident_entries_ GUARDED_BY(mu_) = 0;
   double clock_ GUARDED_BY(mu_) = 0.0;  // GreedyDual aging floor
 
-  std::atomic<std::uint64_t> epoch_{0};
-
   struct Counters {
     obs::Counter* lookups;
     obs::Counter* hits;
@@ -250,13 +193,6 @@ class SpecializationCache {
     obs::Counter* assumption_failures;
     obs::Counter* churn_events;
     obs::Counter* despecializations;
-    obs::Counter* promotions;
-    obs::Counter* demotions;
-    obs::Counter* audits;
-    obs::Counter* audit_failures;
-    obs::Counter* validation_skips;
-    obs::Counter* purged;
-    obs::Counter* epoch_bumps;
   } counters_{};
   obs::Histogram* lookup_ns_ = nullptr;
   obs::Histogram* entry_bytes_ = nullptr;

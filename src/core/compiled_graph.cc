@@ -1,7 +1,5 @@
 #include "core/compiled_graph.h"
 
-#include <sstream>
-
 #include "common/error.h"
 #include "obs/profile.h"
 
@@ -57,20 +55,20 @@ Value ContextRef::Resolve(std::span<const Value> args) const {
 }
 
 std::string ContextRef::ToString() const {
-  std::ostringstream oss;
-  if (arg_index >= 0) {
-    oss << "arg" << arg_index;
-  } else {
-    oss << name;
-  }
+  // Built on every validation (the profile key of each capture), so plain
+  // appends rather than a stream.
+  std::string out = arg_index >= 0 ? "arg" + std::to_string(arg_index) : name;
   for (const Step& step : steps) {
     if (step.is_attr) {
-      oss << '.' << step.attr;
+      out += '.';
+      out += step.attr;
     } else {
-      oss << '[' << step.index << ']';
+      out += '[';
+      out += std::to_string(step.index);
+      out += ']';
     }
   }
-  return oss.str();
+  return out;
 }
 
 int CompiledGraph::BuildPlans(bool enable_fusion) {

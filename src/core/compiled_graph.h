@@ -19,8 +19,8 @@ namespace janus {
 // A path from the live program context to a value. The root is either a
 // positional argument of the converted call or a name in a (still-live)
 // lexical environment; steps descend through object attributes and list
-// indices. Resolved again on every execution to feed placeholders and on
-// every cache lookup to validate environment assumptions.
+// indices. Resolved once per cache-candidate check: the same values
+// validate the entry assumptions and feed the placeholders.
 struct ContextRef {
   int arg_index = -1;  // >= 0: root is argument #arg_index
   std::shared_ptr<minipy::Environment> env;  // else: `name` in this env

@@ -73,6 +73,33 @@ std::string DescribeCaptureAssumption(const CaptureSpec& capture) {
   return ObservedKindName(capture.kind);
 }
 
+// Whether a resolved context value still fits its capture's assumption:
+// kind, plus dtype and shape for tensors.
+bool CaptureMatches(const CaptureSpec& capture, const Value& value) {
+  switch (capture.kind) {
+    case ObservedKind::kTensor: {
+      const auto* tensor = std::get_if<Tensor>(&value);
+      return tensor != nullptr && tensor->dtype() == capture.dtype &&
+             capture.shape.Matches(tensor->shape());
+    }
+    case ObservedKind::kInt:
+      return std::holds_alternative<std::int64_t>(value);
+    case ObservedKind::kFloat:
+      return std::holds_alternative<double>(value);
+    case ObservedKind::kBool:
+      return std::holds_alternative<bool>(value);
+    case ObservedKind::kObject:
+      return std::holds_alternative<std::shared_ptr<minipy::ObjectValue>>(
+          value);
+    case ObservedKind::kList:
+      return std::holds_alternative<std::shared_ptr<minipy::ListValue>>(value);
+    case ObservedKind::kDict:
+      return std::holds_alternative<std::shared_ptr<minipy::DictValue>>(value);
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 EngineOptions EngineOptions::ImperativePreset() {
@@ -91,9 +118,9 @@ EngineOptions EngineOptions::TracingPreset() {
 }
 
 // The SpecializationCache payload: the compiled artifact plus the closure
-// it was generated against. The closure identity check is mandatory on
-// every use — even for promoted entries — because a different closure is a
-// different program, not a drifted assumption.
+// it was generated against. EntryValid checks the closure before any other
+// guard on every use: a different closure is a different program, not a
+// drifted assumption.
 struct JanusEngine::CachedUnit {
   std::unique_ptr<CompiledGraph> compiled;
   std::shared_ptr<minipy::Environment> closure;
@@ -115,7 +142,8 @@ JanusEngine::JanusEngine(minipy::Interpreter* interp, EngineOptions options)
     : interp_(interp),
       options_(options),
       generator_(interp, &profiler_, options.generator),
-      host_state_(interp) {
+      host_state_(interp),
+      cache_(options_.cache, &metrics_) {
   if (options_.enabled && options_.parallel_execution) {
     pool_ = std::make_unique<ThreadPool>(
         ResolveThreadPoolSize(options_.pool_threads));
@@ -128,20 +156,10 @@ JanusEngine::JanusEngine(minipy::Interpreter* interp, EngineOptions options)
   graph_execution_ns_ = &metrics_.GetHistogram("engine.graph_execution_ns");
   generation_ns_ = &metrics_.GetHistogram("engine.generation_ns");
   validation_ns_ = &metrics_.GetHistogram("engine.validation_ns");
-  if (options_.private_cache) {
-    owned_cache_ = std::make_unique<cache::SpecializationCache>(
-        options_.cache, &metrics_);
-    cache_ = owned_cache_.get();
-  } else {
-    cache_ = &cache::SpecializationCache::Global();
-  }
 }
 
 JanusEngine::~JanusEngine() {
   if (attached_) Detach();
-  // Without the purge, a later allocation reusing this engine's (or a dead
-  // AST's) address could alias our keys in the shared global cache.
-  cache_->PurgeOwner(this);
 }
 
 void JanusEngine::Attach() {
@@ -295,12 +313,13 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
                               lr, unit->refusal_reason);
   }
 
-  const cache::SpecializationCache::Key cache_key{this, key,
+  const cache::SpecializationCache::Key cache_key{key,
                                                   VariantKey(training, lr)};
   // Runs a cached (cache_hit 1) or freshly generated (0) entry whose entry
   // assumptions hold. On a speculation failure nothing was committed:
   // records it, drops the entry, and returns nullopt with `failure` set.
   std::string failure;
+  std::vector<Value> captured;  // EntryValid's resolved capture values
   const auto try_graph = [&](CachedUnit& entry,
                              const cache::SpecializationCache::EntryRef& ref,
                              int cache_hit,
@@ -318,9 +337,9 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
       obs::LedgerRecord run_record;
       if (ledger_on) run_record = NewRecord("run");
       Value result =
-          ExecuteCompiled(entry, args, ledger_on ? &run_record : nullptr);
+          ExecuteCompiled(entry, captured, ledger_on ? &run_record : nullptr);
       counters_.graph_executions->Increment();
-      cache_->OnRunSuccess(cache_key, ref);
+      cache_.OnRunSuccess(cache_key);
       if (ledger_on) {
         run_record.level = entry.compiled->despecialization_level;
         run_record.cache_hit = cache_hit;
@@ -358,34 +377,28 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
       }
       failure = error.what();
     }
-    cache_->OnEntryFailure(cache_key, ref);
+    cache_.OnEntryFailure(cache_key, ref);
     return std::nullopt;
   };
 
   // (D) Try cached graphs whose entry assumptions hold (Fig. 2 ①). The
   // SpecializationCache owns the candidate population (budgets, eviction,
   // churn accounting); the engine owns validation and execution.
-  const auto candidates = cache_->Lookup(cache_key);
+  const auto candidates = cache_.Lookup(cache_key);
   for (const auto& entry_ref : candidates) {
     auto& entry = *static_cast<CachedUnit*>(entry_ref->payload.get());
-    // The closure check is never skipped: a different closure is a
-    // different program, not a guard that can be promoted away.
-    if (entry.closure != fn->closure) continue;
-    const cache::ValidationDecision decision = cache_->BeginUse(entry_ref);
-    bool valid = true;
-    std::int64_t check_ns = -1;
+    cache_.BeginUse(entry_ref);
     EntryMismatch mismatch;
-    if (decision != cache::ValidationDecision::kSkip) {
-      const std::int64_t check_start_ns = obs::Trace::NowNs();
-      valid = EntryValid(entry, fn, args, ledger_on ? &mismatch : nullptr);
-      check_ns = obs::Trace::NowNs() - check_start_ns;
-      validation_ns_->Record(check_ns);
-      if (entry.compiled->plan != nullptr &&
-          entry.compiled->plan->profile() != nullptr) {
-        // Guard cost charged to the unit it protects, so /profilez shows
-        // validation alongside execution per unit.
-        entry.compiled->plan->profile()->AddValidationNs(check_ns);
-      }
+    const std::int64_t check_start_ns = obs::Trace::NowNs();
+    const bool valid = EntryValid(entry, fn, args, &captured,
+                                  ledger_on ? &mismatch : nullptr);
+    const std::int64_t check_ns = obs::Trace::NowNs() - check_start_ns;
+    validation_ns_->Record(check_ns);
+    if (entry.compiled->plan != nullptr &&
+        entry.compiled->plan->profile() != nullptr) {
+      // Guard cost charged to the unit it protects, so /profilez shows
+      // validation alongside execution per unit.
+      entry.compiled->plan->profile()->AddValidationNs(check_ns);
     }
     if (!valid) {
       if (ledger_on) {
@@ -397,11 +410,6 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
         record.observed = mismatch.observed;
         record.validate_ns = check_ns;
         obs::Ledger::Global().Record(std::move(record));
-      }
-      if (decision == cache::ValidationDecision::kAudit) {
-        // The entry's inputs drifted while its guards ran unchecked:
-        // demote it (and, via the epoch, every other promoted entry).
-        cache_->OnAuditMismatch(cache_key, entry_ref);
       }
       continue;
     }
@@ -415,7 +423,7 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
   }
   if (!candidates.empty()) {
     counters_.cache_misses->Increment();
-    cache_->OnMiss(cache_key);
+    cache_.OnMiss(cache_key);
     if (ledger_on) {
       auto record = NewRecord("cache_miss");
       record.cache_hit = 0;
@@ -439,7 +447,7 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
       hints.despecialization_level =
           options_.force_despecialization_level >= 0
               ? options_.force_despecialization_level
-              : cache_->DespecializationLevel(cache_key);
+              : cache_.DespecializationLevel(cache_key);
       std::unique_ptr<CompiledGraph> compiled;
       std::int64_t build_cost_ns = 0;
       {
@@ -479,9 +487,9 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
       // Eviction weight: what this artifact cost to build (generation +
       // plan compilation) against what it occupies.
       const auto entry_ref =
-          cache_->Insert(cache_key, cached, bytes, build_cost_ns);
+          cache_.Insert(cache_key, cached, bytes, build_cost_ns);
       CachedUnit& fresh = *cached;
-      if (EntryValid(fresh, fn, args)) {
+      if (EntryValid(fresh, fn, args, &captured)) {
         if (auto result = try_graph(fresh, entry_ref, /*cache_hit=*/0, -1)) {
           return *std::move(result);
         }
@@ -564,6 +572,7 @@ minipy::Value JanusEngine::RunImperative(
 bool JanusEngine::EntryValid(const CachedUnit& entry,
                              const std::shared_ptr<FunctionValue>& fn,
                              std::span<const Value> args,
+                             std::vector<Value>* captured,
                              EntryMismatch* mismatch) {
   // Renders the first failing guard for the flight recorder; the rendering
   // work only happens on the (already slow) rejection path, and only when
@@ -579,59 +588,37 @@ bool JanusEngine::EntryValid(const CachedUnit& entry,
     report("closure", "generation-time closure", "different closure");
     return false;
   }
-  if (!options_.validate_entry_checks) return true;
+  // Without entry checks (TracingPreset) the captures are still resolved:
+  // they are the graph's feeds.
+  const bool check = options_.validate_entry_checks;
+  captured->clear();
+  captured->reserve(entry.compiled->captures.size());
   const CaptureSpec* current_capture = nullptr;
   try {
-    for (const EntryCheck& check : entry.compiled->entry_checks) {
-      if (!EntryValueMatches(check.ref.Resolve(args), check.expected)) {
-        report(check.assumption_id, DescribeValue(check.expected),
-               DescribeValue(check.ref.Resolve(args)));
-        return false;
+    if (check) {
+      for (const EntryCheck& entry_check : entry.compiled->entry_checks) {
+        const Value actual = entry_check.ref.Resolve(args);
+        if (!EntryValueMatches(actual, entry_check.expected)) {
+          report(entry_check.assumption_id,
+                 DescribeValue(entry_check.expected), DescribeValue(actual));
+          return false;
+        }
       }
     }
     for (const CaptureSpec& capture : entry.compiled->captures) {
       current_capture = &capture;
-      const Value value = capture.ref.Resolve(args);
-      // Every validation is also a profile observation, so shape/constant
-      // assumptions keep relaxing along the Fig. 4 lattice.
-      profiler_.ObserveContext(capture.ref.ToString(), value);
-      bool ok = true;
-      switch (capture.kind) {
-        case ObservedKind::kTensor: {
-          const auto* tensor = std::get_if<Tensor>(&value);
-          ok = tensor != nullptr && tensor->dtype() == capture.dtype &&
-               capture.shape.Matches(tensor->shape());
-          break;
+      Value value = capture.ref.Resolve(args);
+      if (check) {
+        // Every validation is also a profile observation, so shape/constant
+        // assumptions keep relaxing along the Fig. 4 lattice.
+        profiler_.ObserveContext(capture.ref.ToString(), value);
+        if (!CaptureMatches(capture, value)) {
+          report(capture.assumption_id, DescribeCaptureAssumption(capture),
+                 DescribeValue(value));
+          return false;
         }
-        case ObservedKind::kInt:
-          ok = std::holds_alternative<std::int64_t>(value);
-          break;
-        case ObservedKind::kFloat:
-          ok = std::holds_alternative<double>(value);
-          break;
-        case ObservedKind::kBool:
-          ok = std::holds_alternative<bool>(value);
-          break;
-        case ObservedKind::kObject:
-          ok = std::holds_alternative<std::shared_ptr<minipy::ObjectValue>>(
-              value);
-          break;
-        case ObservedKind::kList:
-          ok = std::holds_alternative<std::shared_ptr<minipy::ListValue>>(
-              value);
-          break;
-        case ObservedKind::kDict:
-          ok = std::holds_alternative<std::shared_ptr<minipy::DictValue>>(
-              value);
-          break;
-        default:
-          ok = false;
       }
-      if (!ok) {
-        report(capture.assumption_id, DescribeCaptureAssumption(capture),
-               DescribeValue(value));
-        return false;
-      }
+      captured->push_back(std::move(value));
     }
   } catch (const Error& error) {
     // Ref no longer resolves: the surrounding context changed shape.
@@ -644,14 +631,15 @@ bool JanusEngine::EntryValid(const CachedUnit& entry,
 }
 
 minipy::Value JanusEngine::ExecuteCompiled(CachedUnit& entry,
-                                           std::span<const Value> args,
+                                           std::span<const Value> captured,
                                            obs::LedgerRecord* run_record) {
   obs::TraceScope span("graph_execution", "engine");
   const std::int64_t start_ns = obs::Trace::NowNs();
+  const std::vector<CaptureSpec>& captures = entry.compiled->captures;
+  JANUS_EXPECTS(captured.size() == captures.size());
   std::map<std::string, Tensor> feeds;
-  for (const CaptureSpec& capture : entry.compiled->captures) {
-    feeds[capture.placeholder_name] =
-        EncodeValueAsTensor(capture.ref.Resolve(args));
+  for (std::size_t i = 0; i < captures.size(); ++i) {
+    feeds[captures[i].placeholder_name] = EncodeValueAsTensor(captured[i]);
   }
   ExecutorOptions exec_options;
   exec_options.parallel = options_.parallel_execution && pool_ != nullptr;
@@ -712,17 +700,17 @@ EngineStats JanusEngine::stats() const {
 
 std::string JanusEngine::StatsReport() const {
   std::string out = "=== JANUS engine observability report ===\n";
-  out += metrics_.TextReport();
+  out += metrics_.TextReportForPrefix("engine.");
   out += "--- specialization cache ---\n";
-  out += cache_->TextReport();
-  // Per-unit ladder/promotion state: which rung of the Fig. 4 lattice each
+  out += cache_.TextReport();  // the registry's cache.* metrics
+  // Per-unit ladder state: which rung of the Fig. 4 lattice each
   // conversion unit sits on, and how its candidates are doing. /statusz
   // reads this from the HTTP thread, hence the units_mu_ snapshot.
   {
     std::string ladder;
     for (const UnitVariants& unit : SnapshotUnits()) {
       for (const std::uint64_t variant : unit.variants) {
-        const cache::KeyStats ks = cache_->Stats({this, unit.key, variant});
+        const cache::KeyStats ks = cache_.Stats({unit.key, variant});
         if (ks.insertions == 0 && ks.misses == 0 && ks.hits == 0) continue;
         std::string variant_text = "inference";
         if ((variant & 1u) != 0) {
@@ -734,19 +722,16 @@ std::string JanusEngine::StatsReport() const {
         char line[320];
         std::snprintf(
             line, sizeof(line),
-            "%s [%s]: ladder_level=%d resident=%lld promoted=%lld "
-            "hits=%lld misses=%lld failures=%lld churn=%lld "
-            "promotions=%lld\n",
+            "%s [%s]: ladder_level=%d resident=%lld "
+            "hits=%lld misses=%lld failures=%lld churn=%lld\n",
             unit.name.empty() ? obs::PointerToHex(unit.key).c_str()
                               : unit.name.c_str(),
             variant_text.c_str(), ks.ladder_level,
             static_cast<long long>(ks.resident_entries),
-            static_cast<long long>(ks.promoted_entries),
             static_cast<long long>(ks.hits),
             static_cast<long long>(ks.misses),
             static_cast<long long>(ks.failures),
-            static_cast<long long>(ks.churn_events),
-            static_cast<long long>(ks.promotions));
+            static_cast<long long>(ks.churn_events));
         ladder += line;
       }
     }
@@ -760,6 +745,8 @@ std::string JanusEngine::StatsReport() const {
   out += "--- fusion ---\n";
   out += "enabled=";
   out += options_.enable_fusion && fusion::GloballyEnabled() ? "1\n" : "0\n";
+  out += "--- plan cache (process-wide) ---\n";
+  out += obs::MetricsRegistry::Global().TextReportForPrefix("cache.plan_");
   const BufferPool::Stats pool = BufferPool::Global().Snapshot();
   out += "--- buffer pool (process-wide) ---\n";
   char line[256];
@@ -783,7 +770,7 @@ void JanusEngine::ForEachCompiledUnit(
   // visitor may be arbitrarily slow.
   for (const UnitVariants& unit : SnapshotUnits()) {
     for (const std::uint64_t variant : unit.variants) {
-      for (const auto& entry_ref : cache_->Lookup({this, unit.key, variant})) {
+      for (const auto& entry_ref : cache_.Lookup({unit.key, variant})) {
         const auto& cached =
             *static_cast<const CachedUnit*>(entry_ref->payload.get());
         if (cached.compiled != nullptr) {

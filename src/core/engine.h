@@ -52,14 +52,11 @@ struct EngineOptions {
   int pool_threads = 0;
   int profile_threshold = 3;  // §3.1 footnote 3
   bool validate_entry_checks = true;
-  // Compiled-graph cache configuration (src/cache). Engines share the
-  // process-wide SpecializationCache::Global() by default, so concurrent
-  // sessions compete for one byte/entry budget; `private_cache` gives this
-  // engine its own instance built from `cache` that reports into the
-  // engine's registry (tests, A/B benchmarks). The former
+  // Budgets of this engine's compiled-graph cache (src/cache). Each engine
+  // owns one SpecializationCache built from these options; its cache.*
+  // counters and histograms land in the engine's registry. The former
   // max_cached_graphs_per_unit knob is cache.max_entries_per_key.
   cache::CacheOptions cache = cache::CacheOptions::FromEnv();
-  bool private_cache = false;
   // Calibrated per-op cost (ns) of the imperative executor's dispatch,
   // standing in for CPython + TF Eager overhead (the MiniPy interpreter is
   // a compiled tree-walker, orders of magnitude faster than CPython; the
@@ -156,13 +153,12 @@ class JanusEngine : public minipy::CallInterceptor {
 
   // Human-readable observability summary: the engine registry's counters
   // and phase latency histograms (p50/p95/p99), the specialization cache,
-  // fusion and buffer-pool traffic. Per-op kernel time is in the plan
-  // profiles (/profilez, janus_kernel_ns on /metrics).
+  // fusion, the plan cache and buffer-pool traffic. Per-op kernel time is
+  // in the plan profiles (/profilez, janus_kernel_ns on /metrics).
   std::string StatsReport() const;
 
-  // The graph cache this engine stores its specializations in (global by
-  // default; see EngineOptions::private_cache).
-  cache::SpecializationCache& graph_cache() { return *cache_; }
+  // The graph cache this engine stores its specializations in.
+  cache::SpecializationCache& graph_cache() { return cache_; }
 
   // Visits every compiled unit currently resident in the engine's cache
   // (each variant of each conversion unit), passing the unit's qualified
@@ -210,14 +206,20 @@ class JanusEngine : public minipy::CallInterceptor {
     std::string assumed;
     std::string observed;
   };
+  // The one entry-guard path (Fig. 2 (1)): the closure, every entry check
+  // and every capture's kind and shape. Resolves each capture once, into
+  // `captured` (one value per CompiledGraph::captures entry), which
+  // ExecuteCompiled feeds from.
   bool EntryValid(const CachedUnit& entry,
                   const std::shared_ptr<minipy::FunctionValue>& fn,
                   std::span<const minipy::Value> args,
+                  std::vector<minipy::Value>* captured,
                   EntryMismatch* mismatch = nullptr);
-  // When `run_record` is non-null (ledger enabled), fills execute_ns, ops,
-  // and bytes for the caller's flight-recorder record.
+  // Runs `entry` on the capture values EntryValid resolved. When
+  // `run_record` is non-null (ledger enabled), fills execute_ns, ops, and
+  // bytes for the caller's flight-recorder record.
   minipy::Value ExecuteCompiled(CachedUnit& entry,
-                                std::span<const minipy::Value> args,
+                                std::span<const minipy::Value> captured,
                                 obs::LedgerRecord* run_record = nullptr);
 
   minipy::Interpreter* interp_;
@@ -232,8 +234,7 @@ class JanusEngine : public minipy::CallInterceptor {
   obs::Histogram* graph_execution_ns_ = nullptr;
   obs::Histogram* generation_ns_ = nullptr;
   obs::Histogram* validation_ns_ = nullptr;
-  std::unique_ptr<cache::SpecializationCache> owned_cache_;
-  cache::SpecializationCache* cache_ = nullptr;
+  cache::SpecializationCache cache_;  // reports into metrics_
   // Guards the units_ map plus each unit's name/variants against the
   // introspection thread (StatsReport via /statusz); the remaining
   // UnitState fields stay engine-thread-only.

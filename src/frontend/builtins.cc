@@ -205,11 +205,26 @@ std::span<const BuiltinSpec> BuiltinTable() {
         }
         return std::fabs(ExpectNumber(args[0], "abs"));
       }, kStaticEval),
+      // An int, or an int64 tensor's element, is returned as is (graph
+      // mode's Cast keeps it exact too); a float truncates toward zero.
       Fn("int", 1, 1, [](Interpreter&, Args args) -> Value {
+        if (const auto* i = std::get_if<std::int64_t>(&args[0])) return *i;
+        double number = 0.0;
         if (const auto* t = std::get_if<Tensor>(&args[0])) {
-          return static_cast<std::int64_t>(t->ElementAsDouble(0));
+          if (t->dtype() == DType::kInt64) {
+            JANUS_EXPECTS(t->num_elements() > 0);  // as ElementAsDouble(0)
+            return t->data<std::int64_t>()[0];
+          }
+          number = t->ElementAsDouble(0);
+        } else {
+          number = ExpectNumber(args[0], "int");
         }
-        return static_cast<std::int64_t>(ExpectNumber(args[0], "int"));
+        // NaN fails both comparisons; 2^63 itself is out of range.
+        if (!(number >= -0x1p63 && number < 0x1p63)) {
+          throw MiniPyError("int(): cannot convert " +
+                            ValueToString(Value(number)) + " to int64");
+        }
+        return static_cast<std::int64_t>(number);
       }, kStaticEval),
       Fn("float", 1, 1, [](Interpreter&, Args args) -> Value {
         if (const auto* t = std::get_if<Tensor>(&args[0])) {

@@ -10,8 +10,7 @@
 // entry-mismatch, and fallback records carrying the failing assumption's
 // assumed vs observed rendering), the executors (assert failures at the
 // kernel site), the profiler (assumption blacklisting), and the
-// specialization cache (insert/evict/promote/demote/despecialize/epoch
-// events). Consumers: the JANUS_LEDGER=<path> JSONL dump at exit, the
+// specialization cache (insert/evict/despecialize events). Consumers: the JANUS_LEDGER=<path> JSONL dump at exit, the
 // /flightz HTTP endpoint, and the `janus_explain` root-cause CLI.
 //
 // Cost model (mirrors the tracer's):
@@ -53,8 +52,8 @@ namespace obs {
 //   refusal        generator refused the program (NotConvertible)
 //   assert_failure AssertOp aborted a graph run (executor site)
 //   assumption_blacklisted  profiler stopped speculating on an id
-//   cache_insert / cache_evict / cache_promote / cache_demote /
-//   cache_despecialize / cache_epoch_bump   specialization-cache events
+//   cache_insert / cache_evict / cache_despecialize
+//                  specialization-cache events
 struct LedgerRecord {
   std::int64_t seq = -1;    // assigned by the ring
   std::int64_t ts_ns = -1;  // Trace::NowNs() timebase; assigned if < 0

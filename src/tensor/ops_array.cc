@@ -81,7 +81,8 @@ void GatherRuns(const Tensor& src, Tensor& dst, const StridedWalk<1>& walk) {
 }
 
 // Converts every element of `src` to D with one rounding; a bool (uint8)
-// on either side means `x != 0`.
+// on either side means `x != 0`. A float with no int64 value (NaN, an
+// infinity, or outside [-2^63, 2^63)) throws instead of converting.
 template <typename D>
 void ConvertTo(const Tensor& src, D* dst) {
   const auto convert = [&](const auto* from) {
@@ -92,6 +93,14 @@ void ConvertTo(const Tensor& src, D* dst) {
                     std::is_same_v<D, std::uint8_t>) {
         dst[i] = from[i] != 0 ? 1 : 0;
       } else {
+        if constexpr (std::is_same_v<S, float> &&
+                      std::is_same_v<D, std::int64_t>) {
+          // NaN fails both comparisons; 2^63 itself is out of range.
+          if (!(from[i] >= -0x1p63f && from[i] < 0x1p63f)) {
+            throw InvalidArgument("Cast: " + std::to_string(from[i]) +
+                                  " has no int64 value");
+          }
+        }
         dst[i] = static_cast<D>(from[i]);
       }
     }

@@ -1,7 +1,7 @@
 // Tests for the src/cache subsystem: the ShapeAssumption lattice edges the
 // despecialization ladder walks, the PlanCache, the SpecializationCache's
-// budgets / cost-aware eviction / churn ladder / guard promotion, and the
-// engine running end-to-end through a tight-budget cache.
+// budgets / cost-aware eviction / churn ladder, and the engine running
+// end-to-end through its own cache.
 #include "cache/specialization_cache.h"
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@ namespace {
 using cache::CacheOptions;
 using cache::PlanCache;
 using cache::SpecializationCache;
-using cache::ValidationDecision;
 
 // ===========================================================================
 // ShapeAssumption lattice edges (Fig. 4)
@@ -157,15 +156,13 @@ class SpecializationCacheTest : public ::testing::Test {
     options.max_bytes = 1 << 20;
     options.max_entries = 64;
     options.max_entries_per_key = 4;
-    options.promotion_runs = 3;
-    options.audit_interval = 4;
     options.churn_per_level = 2;
     return options;
   }
 
   SpecializationCache::Key KeyFor(int unit, std::uint64_t variant = 0) {
-    return {this, reinterpret_cast<const void*>(
-                      static_cast<std::uintptr_t>(unit + 1)),
+    return {reinterpret_cast<const void*>(
+                static_cast<std::uintptr_t>(unit + 1)),
             variant};
   }
 
@@ -185,7 +182,7 @@ TEST_F(SpecializationCacheTest, LookupReturnsMruFirst) {
   ASSERT_EQ(listed.size(), 2u);
   EXPECT_EQ(listed[0], second);  // most recent insert first
   // Using `first` moves it to the front.
-  (void)cache.BeginUse(first);
+  cache.BeginUse(first);
   listed = cache.Lookup(key);
   EXPECT_EQ(listed[0], first);
 }
@@ -214,8 +211,8 @@ TEST_F(SpecializationCacheTest, ByteBudgetEvictsCheapBulkyFirst) {
   const auto hot_key = KeyFor(0);
   auto hot = cache.Insert(hot_key, MakePayload(1), 100, 1'000'000);
   for (int i = 0; i < 8; ++i) {
-    (void)cache.BeginUse(hot);
-    cache.OnRunSuccess(hot_key, hot);
+    cache.BeginUse(hot);
+    cache.OnRunSuccess(hot_key);
   }
   auto cold = cache.Insert(KeyFor(1), MakePayload(2), 800, 100);
   // A third entry pushes past 1000 bytes; the cheap bulky one must go.
@@ -289,107 +286,18 @@ TEST_F(SpecializationCacheTest, FailureRemovesEntryAndBumpsEpoch) {
   SpecializationCache cache(SmallOptions(), &registry);
   const auto key = KeyFor(0);
   auto entry = cache.Insert(key, MakePayload(1), 100, 100);
-  const auto epoch_before = cache.epoch();
   cache.OnEntryFailure(key, entry);
   EXPECT_TRUE(cache.Lookup(key).empty());
   EXPECT_FALSE(entry->resident);
-  EXPECT_EQ(cache.epoch(), epoch_before + 1);
   EXPECT_EQ(cache.Stats(key).failures, 1);
-}
-
-TEST_F(SpecializationCacheTest, PromotionAfterQuietRunsThenSkips) {
-  SpecializationCache cache(SmallOptions(), &registry);  // promotion_runs = 3
-  const auto key = KeyFor(0);
-  auto entry = cache.Insert(key, MakePayload(1), 100, 100);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(cache.BeginUse(entry), ValidationDecision::kValidate);
-    cache.OnRunSuccess(key, entry);
-  }
-  EXPECT_TRUE(entry->promoted);
-  // audit_interval = 4: three skips, then an audit.
-  EXPECT_EQ(cache.BeginUse(entry), ValidationDecision::kSkip);
-  EXPECT_EQ(cache.BeginUse(entry), ValidationDecision::kSkip);
-  EXPECT_EQ(cache.BeginUse(entry), ValidationDecision::kSkip);
-  EXPECT_EQ(cache.BeginUse(entry), ValidationDecision::kAudit);
-  EXPECT_EQ(cache.BeginUse(entry), ValidationDecision::kSkip);
-}
-
-TEST_F(SpecializationCacheTest, EpochBumpDemotesPromotedEntries) {
-  SpecializationCache cache(SmallOptions(), &registry);
-  const auto key = KeyFor(0);
-  auto promoted = cache.Insert(key, MakePayload(1), 100, 100);
-  for (int i = 0; i < 3; ++i) {
-    (void)cache.BeginUse(promoted);
-    cache.OnRunSuccess(key, promoted);
-  }
-  EXPECT_EQ(cache.BeginUse(promoted), ValidationDecision::kSkip);
-  // A failure anywhere (different key) bumps the global epoch...
-  const auto other_key = KeyFor(1);
-  auto failing = cache.Insert(other_key, MakePayload(2), 100, 100);
-  cache.OnEntryFailure(other_key, failing);
-  // ...demoting the promoted entry at its next use.
-  EXPECT_EQ(cache.BeginUse(promoted), ValidationDecision::kValidate);
-  EXPECT_FALSE(promoted->promoted);
-  // It re-promotes after another quiet streak.
-  cache.OnRunSuccess(key, promoted);
-  (void)cache.BeginUse(promoted);
-  cache.OnRunSuccess(key, promoted);
-  (void)cache.BeginUse(promoted);
-  cache.OnRunSuccess(key, promoted);
-  EXPECT_EQ(cache.BeginUse(promoted), ValidationDecision::kSkip);
-}
-
-TEST_F(SpecializationCacheTest, AuditMismatchDemotesAndCountsChurn) {
-  SpecializationCache cache(SmallOptions(), &registry);
-  const auto key = KeyFor(0);
-  auto entry = cache.Insert(key, MakePayload(1), 100, 100);
-  for (int i = 0; i < 3; ++i) {
-    (void)cache.BeginUse(entry);
-    cache.OnRunSuccess(key, entry);
-  }
-  EXPECT_TRUE(entry->promoted);
-  const auto epoch_before = cache.epoch();
-  cache.OnAuditMismatch(key, entry);
-  EXPECT_FALSE(entry->promoted);
-  EXPECT_EQ(cache.epoch(), epoch_before + 1);
-  EXPECT_EQ(cache.Stats(key).churn_events, 1);
-  // The entry itself survives (its guards caught the drift — the graph is
-  // still sound for contexts that do validate).
-  EXPECT_TRUE(entry->resident);
-}
-
-TEST_F(SpecializationCacheTest, PromotionDisabledNeverSkips) {
-  auto options = SmallOptions();
-  options.enable_promotion = false;
-  SpecializationCache cache(options, &registry);
-  const auto key = KeyFor(0);
-  auto entry = cache.Insert(key, MakePayload(1), 100, 100);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(cache.BeginUse(entry), ValidationDecision::kValidate);
-    cache.OnRunSuccess(key, entry);
-  }
-  EXPECT_FALSE(entry->promoted);
-}
-
-TEST_F(SpecializationCacheTest, PurgeOwnerRemovesOnlyThatOwner) {
-  SpecializationCache cache(SmallOptions(), &registry);
-  int other_owner = 0;
-  const SpecializationCache::Key mine = KeyFor(0);
-  const SpecializationCache::Key theirs{&other_owner, &other_owner, 0};
-  cache.Insert(mine, MakePayload(1), 100, 100);
-  cache.Insert(theirs, MakePayload(2), 100, 100);
-  cache.PurgeOwner(this);
-  EXPECT_TRUE(cache.Lookup(mine).empty());
-  EXPECT_EQ(cache.Lookup(theirs).size(), 1u);
-  EXPECT_EQ(cache.TakeSnapshot().entries, 1);
 }
 
 TEST_F(SpecializationCacheTest, TextReportNamesBudgetsAndCounters) {
   SpecializationCache cache(SmallOptions(), &registry);
   const auto key = KeyFor(0);
   auto entry = cache.Insert(key, MakePayload(1), 100, 100);
-  (void)cache.BeginUse(entry);
-  cache.OnRunSuccess(key, entry);
+  cache.BeginUse(entry);
+  cache.OnRunSuccess(key);
   const std::string report = cache.TextReport();
   EXPECT_NE(report.find("cache.insertions"), std::string::npos);
   EXPECT_NE(report.find("cache.hits"), std::string::npos);
@@ -431,7 +339,6 @@ class CacheEngineTest : public ::testing::Test {
 
 TEST_F(CacheEngineTest, TightBudgetForcesEvictionsButStaysCorrect) {
   EngineOptions options;
-  options.private_cache = true;
   options.cache.max_entries = 1;  // every second unit evicts the first
   options.cache.max_entries_per_key = 1;
   Session session(options);
@@ -469,47 +376,8 @@ for i in range(20):
   EXPECT_EQ(session.engine.stats().assumption_failures, 0);
 }
 
-TEST_F(CacheEngineTest, PromotionSkipsValidationOnQuietUnit) {
-  EngineOptions options;
-  options.private_cache = true;
-  options.cache.promotion_runs = 5;
-  options.cache.audit_interval = 8;
-  Session session(options);
-  session.interp.Run(R"(
-w = variable('pw', constant([[0.2]]))
-x = constant([[1.0], [2.0]])
-y = constant([[2.0], [4.0]])
-
-def loss_fn():
-    err = matmul(x, w) - y
-    return reduce_mean(err * err)
-
-last = 0.0
-for i in range(40):
-    last = float(optimize(loss_fn, 0.01))
-)");
-  EXPECT_LT(session.Num("last"), 4.0);
-  const obs::Counter* promotions =
-      session.engine.metrics().FindCounter("cache.promotions");
-  const obs::Counter* skips =
-      session.engine.metrics().FindCounter("cache.validation_skips");
-  const obs::Counter* audits =
-      session.engine.metrics().FindCounter("cache.audits");
-  ASSERT_NE(promotions, nullptr);
-  ASSERT_NE(skips, nullptr);
-  ASSERT_NE(audits, nullptr);
-  EXPECT_GE(promotions->Value(), 1);
-  EXPECT_GT(skips->Value(), 10);
-  EXPECT_GE(audits->Value(), 1);  // periodic full revalidation still runs
-  EXPECT_EQ(session.engine.stats().assumption_failures, 0);
-}
-
 TEST_F(CacheEngineTest, AssumptionFailureDemotesViaEpoch) {
-  EngineOptions options;
-  options.private_cache = true;
-  options.cache.promotion_runs = 3;
-  options.cache.audit_interval = 1000;  // isolate the epoch path
-  Session session(options);
+  Session session(EngineOptions{});
   session.interp.Run(R"(
 w = variable('ew', constant([2.0]))
 mode = constant([1.0])
@@ -526,12 +394,8 @@ r1 = 0.0
 for i in range(12):
     r1 = float(optimize(loss_fn, 0.0))
 )");
-  const auto epoch_before = session.engine.graph_cache().epoch();
-  const obs::Counter* skips =
-      session.engine.metrics().FindCounter("cache.validation_skips");
-  ASSERT_NE(skips, nullptr);
-  EXPECT_GT(skips->Value(), 0);  // the stable-branch graph got promoted
-  // Flip the branch: the AssertOp fails, the entry dies, the epoch bumps.
+  // Flip the branch: the AssertOp fails, the entry dies, the unit falls
+  // back to the imperative executor.
   session.interp.Run(R"(
 mode = constant([-1.0])
 r2 = 0.0
@@ -539,13 +403,65 @@ for i in range(8):
     r2 = float(optimize(loss_fn, 0.0))
 )");
   EXPECT_NEAR(session.Num("r2"), 106.0, 1e-3);
-  EXPECT_GT(session.engine.graph_cache().epoch(), epoch_before);
   EXPECT_GE(session.engine.stats().assumption_failures, 1);
+}
+
+TEST_F(CacheEngineTest, BakedConstantsAreCheckedOnEveryCall) {
+  // A stable scalar argument and a stable global are baked into the graph
+  // as constants, guarded only by entry checks. However long the unit has
+  // run cleanly, a new argument or a rebound global must reach the result.
+  const std::string program = R"(
+x = constant([1.0, 2.0, 3.0])
+scale = 10.0
+
+def f(n):
+    return reduce_sum(x * n) * scale
+
+f = janus_function(f)
+for i in range(100):
+    f(2.0)
+new_arg = float(f(3.0))
+scale = 100.0
+new_global = float(f(2.0))
+)";
+  Session imperative(EngineOptions::ImperativePreset());
+  Session janus(EngineOptions{});
+  imperative.interp.Run(program);
+  janus.interp.Run(program);
+  EXPECT_EQ(imperative.Num("new_arg"), 180.0);
+  EXPECT_EQ(imperative.Num("new_global"), 1200.0);
+  EXPECT_EQ(janus.Num("new_arg"), imperative.Num("new_arg"));
+  EXPECT_EQ(janus.Num("new_global"), imperative.Num("new_global"));
+  EXPECT_GT(janus.engine.stats().graph_executions, 90);
+}
+
+TEST_F(CacheEngineTest, EachEngineOwnsItsCache) {
+  EngineOptions options;
+  options.cache.max_entries = 3;
+  Session first(options);
+  Session second(EngineOptions{});
+  first.interp.Run(R"(
+w = variable('ow', constant([2.0]))
+
+def loss_fn():
+    return reduce_sum(w * w)
+
+for i in range(6):
+    optimize(loss_fn, 0.0)
+)");
+  // The first engine's budget and entries are its own; the second engine,
+  // which has run nothing, sees neither.
+  EXPECT_EQ(first.engine.graph_cache().options().max_entries, 3);
+  EXPECT_EQ(first.engine.graph_cache().TakeSnapshot().entries, 1);
+  EXPECT_EQ(second.engine.graph_cache().TakeSnapshot().entries, 0);
+  const obs::Counter* insertions =
+      first.engine.metrics().FindCounter("cache.insertions");
+  ASSERT_NE(insertions, nullptr);
+  EXPECT_EQ(insertions->Value(), 1);
 }
 
 TEST_F(CacheEngineTest, DespecializedRegenerationStopsShapeThrash) {
   EngineOptions options;
-  options.private_cache = true;
   options.cache.max_entries_per_key = 1;  // every regeneration evicts
   options.cache.churn_per_level = 2;
   Session session(options);

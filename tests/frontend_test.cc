@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "frontend/builtins.h"
 #include "frontend/lexer.h"
 #include "frontend/parser.h"
@@ -383,6 +385,46 @@ TEST_F(FrontendTest, NameErrorsHaveMessages) {
   } catch (const MiniPyError& e) {
     EXPECT_NE(std::string(e.what()).find("undefined_name"),
               std::string::npos);
+  }
+}
+
+TEST_F(FrontendTest, IntBuiltinKeepsInt64Exact) {
+  // 2^53 + 1 has no double; a conversion through double reads 2^53.
+  interp_.Run(R"(
+a = int(9007199254740993)
+b = int(constant_int([9007199254740993]))
+c = int(-9007199254740993)
+d = int(-2.7)
+e = int(constant([2.9]))
+f = int(-9223372036854775808.0)
+)");
+  EXPECT_EQ(std::get<std::int64_t>(interp_.GetGlobal("a")),
+            9007199254740993);
+  EXPECT_EQ(std::get<std::int64_t>(interp_.GetGlobal("b")),
+            9007199254740993);
+  EXPECT_EQ(std::get<std::int64_t>(interp_.GetGlobal("c")),
+            -9007199254740993);
+  EXPECT_EQ(std::get<std::int64_t>(interp_.GetGlobal("d")), -2);
+  EXPECT_EQ(std::get<std::int64_t>(interp_.GetGlobal("e")), 2);
+  EXPECT_EQ(std::get<std::int64_t>(interp_.GetGlobal("f")),
+            std::numeric_limits<std::int64_t>::min());
+}
+
+TEST_F(FrontendTest, IntBuiltinRejectsFloatsWithoutInt64Value) {
+  interp_.Run("inf = 1e300 * 1e300\nnan = inf - inf\n");
+  for (const char* call :
+       {"int(1e300)", "int(-1e300)", "int(inf)", "int(-inf)", "int(nan)",
+        "int(9223372036854775808.0)", "int(constant([1e30]))",
+        "int(constant([1.0]) * nan)"}) {
+    SCOPED_TRACE(call);
+    try {
+      interp_.Run(std::string("r = ") + call + "\n");
+      ADD_FAILURE() << "no error";
+    } catch (const MiniPyError& e) {
+      EXPECT_NE(std::string(e.what()).find("int(): cannot convert"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

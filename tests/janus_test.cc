@@ -653,6 +653,16 @@ INSTANTIATE_TEST_SUITE_P(
                           "relu(): wrong number of arguments", true},
         // abs of a static int used to go through a double.
         BuiltinDivergence{"abs", "abs(n)", nullptr, false},
+        // So did int of an int and of an int64 tensor, whose graph form
+        // (Cast) was already exact.
+        BuiltinDivergence{"int_int", "int(n)", nullptr, false},
+        BuiltinDivergence{"int_int64_tensor",
+                          "int(constant_int(9007199254740993))", nullptr,
+                          false},
+        // A float with no int64 value raises in both modes, where both
+        // used to return an undefined conversion.
+        BuiltinDivergence{"int_out_of_range", "int(x * 1e30)",
+                          "int(): cannot convert 1e+32 to int64", true},
         // Bad static arguments raise the interpreter's own error.
         BuiltinDivergence{"bad_axis", "reduce_sum(x, 'a')",
                           "reduce_sum: expected an int, got str", true},

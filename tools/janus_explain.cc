@@ -86,7 +86,6 @@ struct UnitAgg {
   std::map<std::string, AssumptionAgg> assumptions;
   std::vector<std::string> ladder;       // despecialization transitions
   std::vector<std::string> generations;  // one line per generation
-  std::map<std::string, std::int64_t> demote_reasons;
 
   std::int64_t Count(const char* kind) const {
     const auto it = kind_counts.find(kind);
@@ -225,23 +224,10 @@ void PrintUnit(const UnitAgg& unit, int top) {
 
   const std::int64_t inserts = unit.Count("cache_insert");
   const std::int64_t evicts = unit.Count("cache_evict");
-  const std::int64_t promotes = unit.Count("cache_promote");
-  const std::int64_t demotes = unit.Count("cache_demote");
-  if (inserts + evicts + promotes + demotes > 0) {
-    std::printf(
-        "  cache: %lld inserts, %lld evictions, %lld promotions, %lld "
-        "demotions",
-        static_cast<long long>(inserts), static_cast<long long>(evicts),
-        static_cast<long long>(promotes), static_cast<long long>(demotes));
-    if (!unit.demote_reasons.empty()) {
-      std::string reasons;
-      for (const auto& [reason, count] : unit.demote_reasons) {
-        if (!reasons.empty()) reasons += ", ";
-        reasons += reason + "=" + std::to_string(count);
-      }
-      std::printf(" (%s)", reasons.c_str());
-    }
-    std::printf("\n");
+  if (inserts + evicts > 0) {
+    std::printf("  cache: %lld inserts, %lld evictions\n",
+                static_cast<long long>(inserts),
+                static_cast<long long>(evicts));
   }
   std::printf("\n");
 }
@@ -319,7 +305,7 @@ int main(int argc, char** argv) {
     }
 
     const std::string unit_id = GetStr(fields, "unit");
-    if (unit_id.empty()) continue;  // e.g. cache_epoch_bump
+    if (unit_id.empty()) continue;  // not attributable to a unit
     UnitAgg& unit = units[unit_id];
     unit.unit = unit_id;
     const std::string name = GetStr(fields, "name");
@@ -366,9 +352,6 @@ int main(int argc, char** argv) {
       unit.ladder.push_back("-> level " +
                             std::to_string(GetInt(fields, "level", 0)) + " (" +
                             GetStr(fields, "detail") + ")");
-    } else if (kind == "cache_demote") {
-      const std::string reason = GetStr(fields, "detail");
-      unit.demote_reasons[reason.empty() ? "unknown" : reason] += 1;
     }
   }
 

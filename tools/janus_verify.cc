@@ -149,7 +149,6 @@ int main(int argc, char** argv) {
         result.fusion = fusion;
         try {
           janus::EngineOptions options;
-          options.private_cache = true;
           options.enable_fusion = fusion;
           options.force_despecialization_level = level;
           janus::models::ModelSession session(spec, options);
