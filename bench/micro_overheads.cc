@@ -7,7 +7,6 @@
 #include "bench/bench_util.h"
 #include "core/engine.h"
 #include "frontend/builtins.h"
-#include "obs/ledger.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "opt/passes.h"
@@ -389,66 +388,6 @@ void BM_ProfileOverhead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProfileOverhead)->Arg(0)->Arg(1);
-
-void BM_LedgerOverhead(benchmark::State& state) {
-  // Full engine decision loop on a cached graph with the speculation
-  // flight recorder off (arg 0) vs on (arg 1). The engine's record sites
-  // guard on Ledger::Enabled(), so the disabled pair member prices the
-  // one-relaxed-load-plus-branch fast path against the BM_EnginePlanCaching/1
-  // baseline; the enabled delta prices building and publishing one "run"
-  // record (strings + a wait-free ring slot) per step.
-  const bool recording = state.range(0) != 0;
-  VariableStore variables;
-  Rng rng(1);
-  minipy::Interpreter interp(&variables, &rng);
-  minipy::InstallBuiltins(interp);
-  JanusEngine engine(&interp, EngineOptions{});
-  engine.Attach();
-  interp.Run(R"(
-w = variable('w', constant([[0.5]]))
-x = constant([[1.0], [2.0]])
-def fn():
-    return reduce_mean(matmul(x, w))
-for i in range(6):
-    optimize(fn, 0.01)
-)");
-  if (recording) {
-    obs::Ledger::Enable();
-  } else {
-    obs::Ledger::Disable();
-  }
-  for (auto _ : state) {
-    interp.Run("optimize(fn, 0.01)\n");
-  }
-  if (recording) {
-    state.counters["records_recorded"] =
-        static_cast<double>(obs::Ledger::Global().TotalRecorded());
-    obs::Ledger::Disable();
-    obs::Ledger::Global().Reset();
-  }
-}
-BENCHMARK(BM_LedgerOverhead)->Arg(0)->Arg(1);
-
-void BM_LedgerRecord(benchmark::State& state) {
-  // Cost of publishing one representative record while enabled: the price
-  // a producer site pays on top of building the strings.
-  obs::Ledger::Enable();
-  for (auto _ : state) {
-    obs::LedgerRecord record;
-    record.kind = "run";
-    record.unit = "0x55aa00112233";
-    record.name = "loss_fn";
-    record.level = 0;
-    record.cache_hit = 1;
-    record.validate_ns = 1200;
-    record.execute_ns = 48000;
-    record.ops = 21;
-    obs::Ledger::Global().Record(std::move(record));
-  }
-  obs::Ledger::Disable();
-  obs::Ledger::Global().Reset();
-}
-BENCHMARK(BM_LedgerRecord);
 
 void BM_OptimizationPasses(benchmark::State& state) {
   for (auto _ : state) {

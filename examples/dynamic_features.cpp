@@ -62,14 +62,22 @@ print('out on the other branch:', out)
 )");
 
   const auto after = engine.stats();
+  const long long graph_runs =
+      after.graph_executions - before.graph_executions;
   std::printf("[C++] after the flip: +generations=%lld +failures=%lld "
-              "+fallbacks=%lld\n",
+              "+fallbacks=%lld +graph runs=%lld\n",
               static_cast<long long>(after.graph_generations -
                                      before.graph_generations),
               static_cast<long long>(after.assumption_failures -
                                      before.assumption_failures),
-              static_cast<long long>(after.fallbacks - before.fallbacks));
+              static_cast<long long>(after.fallbacks - before.fallbacks),
+              graph_runs);
   std::printf("The flip was caught by an AssertOp; no state was committed "
               "by the aborted run (deferred state update, paper §4.2.3).\n");
-  return after.assumption_failures > before.assumption_failures ? 0 : 1;
+  // The flip must be caught, and the regenerated Switch/Merge graph must
+  // take over from the imperative fallback.
+  return after.assumption_failures > before.assumption_failures &&
+                 graph_runs > 0
+             ? 0
+             : 1;
 }

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "obs/ledger.h"
 #include "obs/trace.h"
 
 namespace janus {
@@ -21,19 +20,17 @@ std::int64_t EnvInt64(const char* name, std::int64_t fallback) {
   return static_cast<std::int64_t>(parsed);
 }
 
-// Flight-recorder event for one cache transition. Safe while holding the
-// cache mutex: Ledger::Record takes no lock. `bytes` < 0 omits the field.
+// Decision event for one cache transition. Safe while holding the cache
+// mutex: the trace buffer lock is a leaf lock. `bytes` < 0 omits the arg.
 void RecordCacheEvent(const char* kind, const SpecializationCache::Key& key,
                       int level, std::int64_t bytes, std::string detail) {
-  if (!obs::Ledger::Enabled()) return;
-  obs::LedgerRecord record;
-  record.kind = kind;
-  record.unit = obs::PointerToHex(key.unit);
-  record.variant = key.variant;
-  record.level = level;
-  record.bytes = bytes;
-  record.detail = std::move(detail);
-  obs::Ledger::Global().Record(std::move(record));
+  if (!obs::Trace::Enabled()) return;
+  obs::TraceArgs args = {{"unit", obs::PointerToHex(key.unit)},
+                         {"variant", std::to_string(key.variant)},
+                         {"level", level}};
+  if (bytes >= 0) args.push_back({"bytes", bytes});
+  if (!detail.empty()) args.push_back({"detail", std::move(detail)});
+  obs::Trace::RecordDecision(kind, std::move(args));
 }
 
 }  // namespace
@@ -269,7 +266,7 @@ void SpecializationCache::AddChurnLocked(const Key& key, KeyRecord& record) {
       static_cast<int>(record.stats.churn_events /
                        std::max(options_.churn_per_level, 1)));
   if (level > record.stats.ladder_level) {
-    // The ladder transition the flight recorder exists to explain: which
+    // The ladder transition janus_explain exists to explain: which
     // key slid down, to which rung, after how much churn.
     RecordCacheEvent(
         "cache_despecialize", key, level, -1,

@@ -86,7 +86,7 @@ int CompiledGraph::BuildPlans(bool enable_fusion) {
     }
   }
   // Key every plan's profile accumulator by the unit that owns it, so
-  // /profilez and the pprof export can aggregate by (unit, variant, ladder
+  // /profilez and the folded stacks can aggregate by (unit, variant, ladder
   // level). Done here — the single choke point for plan construction —
   // so test-injected graphs built through the defensive ExecuteCompiled
   // path get keyed too.

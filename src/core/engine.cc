@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <set>
 
@@ -295,18 +294,6 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
   }
   ++unit->calls;
 
-  // Flight-recorder context for every record this run emits. The disabled
-  // path is the one relaxed load in Ledger::Enabled().
-  const bool ledger_on = obs::Ledger::Enabled();
-  const auto NewRecord = [&](const char* kind) {
-    obs::LedgerRecord record;
-    record.kind = kind;
-    record.unit = obs::PointerToHex(key);
-    record.name = fn->qualified_name;
-    record.variant = VariantKey(training, lr);
-    return record;
-  };
-
   if (unit->imperative_only) {
     counters_.imperative_executions->Increment();
     return RunImperativePhase("imperative", fn, std::move(args), training,
@@ -324,42 +311,34 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
                              const cache::SpecializationCache::EntryRef& ref,
                              int cache_hit,
                              std::int64_t check_ns) -> std::optional<Value> {
-    const auto fallback_record = [&] {
-      auto record = NewRecord("fallback");
-      record.level = entry.compiled->despecialization_level;
-      record.cache_hit = cache_hit;
-      record.validate_ns = check_ns;
-      return record;
+    // Where the run sat: the ladder level, whether a cached entry ran, and
+    // what its entry guard cost (a fresh entry's check is not timed). Built
+    // only while tracing, as every event arg of this run.
+    const auto run_args = [&] {
+      obs::TraceArgs args = UnitArgs(*fn, training, lr);
+      args.push_back({"level", entry.compiled->despecialization_level});
+      args.push_back({"cache_hit", cache_hit});
+      if (check_ns >= 0) args.push_back({"validate_ns", check_ns});
+      return args;
     };
     try {
-      // Only materialize the record (PointerToHex + name copies) when the
-      // ledger is on; the disabled path stays one relaxed load and a branch.
-      obs::LedgerRecord run_record;
-      if (ledger_on) run_record = NewRecord("run");
-      Value result =
-          ExecuteCompiled(entry, captured, ledger_on ? &run_record : nullptr);
+      obs::TraceScope span("graph_execution", "engine");
+      Value result = ExecuteCompiled(entry, captured, span);
       counters_.graph_executions->Increment();
       cache_.OnRunSuccess(cache_key);
-      if (ledger_on) {
-        run_record.level = entry.compiled->despecialization_level;
-        run_record.cache_hit = cache_hit;
-        run_record.validate_ns = check_ns;
-        obs::Ledger::Global().Record(std::move(run_record));
-      }
+      if (span.armed()) span.AddArgs(run_args());
       return result;
     } catch (const AssumptionFailed& assumption) {
       // (E) Runtime assumption failure: mark the assumption so
       // regeneration relaxes it (§3.2).
       counters_.assumption_failures->Increment();
       counters_.fallbacks->Increment();
-      obs::Trace::RecordInstant("assumption_failure", "engine",
-                                assumption.assumption_id());
-      if (ledger_on) {
-        auto record = fallback_record();
-        record.assumption = assumption.assumption_id();
-        record.assumed = assumption.assumed();
-        record.observed = assumption.observed();
-        obs::Ledger::Global().Record(std::move(record));
+      if (obs::Trace::Enabled()) {
+        obs::TraceArgs args = run_args();
+        args.push_back({"assumption", assumption.assumption_id()});
+        args.push_back({"assumed", assumption.assumed()});
+        args.push_back({"observed", assumption.observed()});
+        obs::Trace::RecordDecision("fallback", std::move(args));
       }
       profiler_.MarkAssumptionFailed(assumption.assumption_id());
       failure = assumption.assumption_id();
@@ -370,10 +349,10 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
       counters_.fallbacks->Increment();
       JANUS_LOG(kInfo) << "speculative graph failed (" << error.what()
                        << "); falling back";
-      if (ledger_on) {
-        auto record = fallback_record();
-        record.detail = error.what();
-        obs::Ledger::Global().Record(std::move(record));
+      if (obs::Trace::Enabled()) {
+        obs::TraceArgs args = run_args();
+        args.push_back({"detail", std::string(error.what())});
+        obs::Trace::RecordDecision("fallback", std::move(args));
       }
       failure = error.what();
     }
@@ -390,8 +369,9 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
     cache_.BeginUse(entry_ref);
     EntryMismatch mismatch;
     const std::int64_t check_start_ns = obs::Trace::NowNs();
+    const bool tracing = obs::Trace::Enabled();
     const bool valid = EntryValid(entry, fn, args, &captured,
-                                  ledger_on ? &mismatch : nullptr);
+                                  tracing ? &mismatch : nullptr);
     const std::int64_t check_ns = obs::Trace::NowNs() - check_start_ns;
     validation_ns_->Record(check_ns);
     if (entry.compiled->plan != nullptr &&
@@ -401,15 +381,14 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
       entry.compiled->plan->profile()->AddValidationNs(check_ns);
     }
     if (!valid) {
-      if (ledger_on) {
-        auto record = NewRecord("entry_mismatch");
-        record.level = entry.compiled->despecialization_level;
-        record.cache_hit = 0;
-        record.assumption = mismatch.assumption;
-        record.assumed = mismatch.assumed;
-        record.observed = mismatch.observed;
-        record.validate_ns = check_ns;
-        obs::Ledger::Global().Record(std::move(record));
+      if (tracing) {
+        obs::TraceArgs decision = UnitArgs(*fn, training, lr);
+        decision.push_back({"level", entry.compiled->despecialization_level});
+        decision.push_back({"validate_ns", check_ns});
+        decision.push_back({"assumption", std::move(mismatch.assumption)});
+        decision.push_back({"assumed", std::move(mismatch.assumed)});
+        decision.push_back({"observed", std::move(mismatch.observed)});
+        obs::Trace::RecordDecision("entry_mismatch", std::move(decision));
       }
       continue;
     }
@@ -424,12 +403,11 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
   if (!candidates.empty()) {
     counters_.cache_misses->Increment();
     cache_.OnMiss(cache_key);
-    if (ledger_on) {
-      auto record = NewRecord("cache_miss");
-      record.cache_hit = 0;
-      record.detail =
-          std::to_string(candidates.size()) + " candidates rejected";
-      obs::Ledger::Global().Record(std::move(record));
+    if (obs::Trace::Enabled()) {
+      obs::TraceArgs decision = UnitArgs(*fn, training, lr);
+      decision.push_back(
+          {"candidates", static_cast<std::int64_t>(candidates.size())});
+      obs::Trace::RecordDecision("cache_miss", std::move(decision));
     }
   }
 
@@ -450,8 +428,9 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
               : cache_.DespecializationLevel(cache_key);
       std::unique_ptr<CompiledGraph> compiled;
       std::int64_t build_cost_ns = 0;
+      std::int64_t bytes = 0;
       {
-        const obs::TraceScope span("graph_generation", "engine");
+        obs::TraceScope span("graph_generation", "engine");
         const std::int64_t start_ns = obs::Trace::NowNs();
         compiled = generator_.Compile(fn, args, training, lr, hints);
         // Pay the scheduling cost once, here, with the rest of the
@@ -465,25 +444,22 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
         if (compiled->plan != nullptr && compiled->plan->profile() != nullptr) {
           compiled->plan->profile()->SetGenerationNs(build_cost_ns);
         }
+        bytes = compiled->EstimateBytes();
+        if (span.armed()) {
+          span.AddArgs(UnitArgs(*fn, training, lr));
+          span.AddArg("level", hints.despecialization_level);
+          span.AddArg("bytes", bytes);
+          span.AddArg("asserts", compiled->num_assert_ops);
+          span.AddArg("entry_checks",
+                      static_cast<std::int64_t>(compiled->entry_checks.size()));
+          span.AddArg("captures",
+                      static_cast<std::int64_t>(compiled->captures.size()));
+        }
       }
       counters_.graph_generations->Increment();
       auto cached = std::make_shared<CachedUnit>();
       cached->compiled = std::move(compiled);
       cached->closure = fn->closure;
-      const std::int64_t bytes = cached->compiled->EstimateBytes();
-      if (ledger_on) {
-        auto record = NewRecord("generation");
-        record.level = hints.despecialization_level;
-        record.generate_ns = build_cost_ns;
-        record.bytes = bytes;
-        record.detail =
-            std::to_string(cached->compiled->num_assert_ops) +
-            " asserts, " +
-            std::to_string(cached->compiled->entry_checks.size()) +
-            " entry checks, " +
-            std::to_string(cached->compiled->captures.size()) + " captures";
-        obs::Ledger::Global().Record(std::move(record));
-      }
       // Eviction weight: what this artifact cost to build (generation +
       // plan compilation) against what it occupies.
       const auto entry_ref =
@@ -498,18 +474,15 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
       // (C) Outside the convertible subset (§4.3). Pin to the imperative
       // executor after repeated refusals.
       counters_.not_convertible->Increment();
-      obs::Trace::RecordInstant("not_convertible", "engine", refusal.what());
       ++unit->failed_generations;
       unit->refusal_reason = refusal.what();
       unit->next_generation_attempt = unit->calls * 2;
       if (unit->failed_generations >= 4) unit->imperative_only = true;
-      if (ledger_on) {
-        auto record = NewRecord("refusal");
-        record.detail = refusal.what();
-        if (unit->imperative_only) {
-          record.detail += " (unit pinned imperative)";
-        }
-        obs::Ledger::Global().Record(std::move(record));
+      if (obs::Trace::Enabled()) {
+        obs::TraceArgs decision = UnitArgs(*fn, training, lr);
+        decision.push_back({"detail", std::string(refusal.what())});
+        decision.push_back({"pinned", unit->imperative_only ? 1 : 0});
+        obs::Trace::RecordDecision("refusal", std::move(decision));
       }
       JANUS_LOG(kInfo) << "not convertible: " << refusal.what();
     }
@@ -523,25 +496,21 @@ minipy::Value JanusEngine::RunImperativePhase(
     const char* phase, const std::shared_ptr<FunctionValue>& fn,
     std::vector<Value> args, bool training, double lr, std::string detail) {
   obs::TraceScope span(phase, "engine");
+  if (span.armed()) {
+    span.AddArgs(UnitArgs(*fn, training, lr));
+    if (!detail.empty()) span.AddArg("detail", std::move(detail));
+  }
   const std::int64_t start_ns = obs::Trace::NowNs();
   Value result = RunImperative(fn, std::move(args), training, lr);
-  const std::int64_t duration_ns = obs::Trace::NowNs() - start_ns;
-  imperative_ns_->Record(duration_ns);
-  // Fallback runs are attributed at the catch site (with the failing
-  // assumption); profile/imperative runs get their phase record here.
-  if (obs::Ledger::Enabled() && std::strcmp(phase, "fallback") != 0) {
-    obs::LedgerRecord record;
-    record.kind = phase;
-    record.unit = obs::PointerToHex(UnitKey(*fn));
-    record.name = fn->qualified_name;
-    record.variant = VariantKey(training, lr);
-    record.cache_hit = 0;
-    record.execute_ns = duration_ns;
-    record.detail = detail;
-    obs::Ledger::Global().Record(std::move(record));
-  }
-  span.set_detail(std::move(detail));
+  imperative_ns_->Record(obs::Trace::NowNs() - start_ns);
   return result;
+}
+
+obs::TraceArgs JanusEngine::UnitArgs(const FunctionValue& fn, bool training,
+                                     double lr) {
+  return {{"unit", obs::PointerToHex(UnitKey(fn))},
+          {"name", fn.qualified_name},
+          {"variant", std::to_string(VariantKey(training, lr))}};
 }
 
 minipy::Value JanusEngine::RunImperative(
@@ -574,9 +543,9 @@ bool JanusEngine::EntryValid(const CachedUnit& entry,
                              std::span<const Value> args,
                              std::vector<Value>* captured,
                              EntryMismatch* mismatch) {
-  // Renders the first failing guard for the flight recorder; the rendering
-  // work only happens on the (already slow) rejection path, and only when
-  // the caller wants attribution.
+  // Renders the first failing guard for the entry_mismatch decision; the
+  // rendering work only happens on the (already slow) rejection path, and
+  // only when the caller wants attribution.
   const auto report = [mismatch](const std::string& assumption,
                                  std::string assumed, std::string observed) {
     if (mismatch == nullptr) return;
@@ -632,8 +601,7 @@ bool JanusEngine::EntryValid(const CachedUnit& entry,
 
 minipy::Value JanusEngine::ExecuteCompiled(CachedUnit& entry,
                                            std::span<const Value> captured,
-                                           obs::LedgerRecord* run_record) {
-  obs::TraceScope span("graph_execution", "engine");
+                                           obs::TraceScope& span) {
   const std::int64_t start_ns = obs::Trace::NowNs();
   const std::vector<CaptureSpec>& captures = entry.compiled->captures;
   JANUS_EXPECTS(captured.size() == captures.size());
@@ -666,16 +634,11 @@ minipy::Value JanusEngine::ExecuteCompiled(CachedUnit& entry,
   // The prebuilt main-graph plan counts as a hit, as do nested
   // Invoke/While dispatches through each function's plan cache.
   counters_.plan_cache_hits->Add(1 + metrics.plan_cache_hits);
-  span.set_arg("ops", metrics.ops_executed);
-  const std::int64_t duration_ns = obs::Trace::NowNs() - start_ns;
-  graph_execution_ns_->Record(duration_ns);
-  if (run_record != nullptr) {
-    run_record->execute_ns = duration_ns;
-    run_record->ops = metrics.ops_executed;
-    run_record->bytes = metrics.bytes_allocated;
-    run_record->fused_regions = metrics.fused_regions;
-    run_record->fused_ops = metrics.fused_ops;
-  }
+  graph_execution_ns_->Record(obs::Trace::NowNs() - start_ns);
+  span.AddArg("ops", metrics.ops_executed);
+  span.AddArg("bytes", metrics.bytes_allocated);
+  span.AddArg("fused_regions", metrics.fused_regions);
+  span.AddArg("fused_ops", metrics.fused_ops);
   return results.at(0);
 }
 

@@ -37,8 +37,8 @@
 #include "common/thread_pool.h"
 #include "core/generator.h"
 #include "core/host_state.h"
-#include "obs/ledger.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "runtime/executor.h"
 
 namespace janus {
@@ -193,14 +193,19 @@ class JanusEngine : public minipy::CallInterceptor {
                               std::vector<minipy::Value> args, bool training,
                               double lr);
   // RunImperative wrapped in a trace span named `phase` ("profile",
-  // "imperative", "fallback") and the engine.imperative_ns histogram.
+  // "imperative", "fallback") carrying the unit and `detail`, and the
+  // engine.imperative_ns histogram.
   minipy::Value RunImperativePhase(
       const char* phase, const std::shared_ptr<minipy::FunctionValue>& fn,
       std::vector<minipy::Value> args, bool training, double lr,
       std::string detail = {});
+  // The unit identity a decision-loop trace event carries: "unit" (the
+  // UnitKey as hex, the join key cache events share), "name", "variant".
+  static obs::TraceArgs UnitArgs(const minipy::FunctionValue& fn,
+                                 bool training, double lr);
   // First entry-guard that rejected a cached entry, rendered for the
-  // speculation ledger: which assumption, what the graph assumed, what the
-  // live context held.
+  // entry_mismatch decision: which assumption, what the graph assumed,
+  // what the live context held.
   struct EntryMismatch {
     std::string assumption;
     std::string assumed;
@@ -215,12 +220,12 @@ class JanusEngine : public minipy::CallInterceptor {
                   std::span<const minipy::Value> args,
                   std::vector<minipy::Value>* captured,
                   EntryMismatch* mismatch = nullptr);
-  // Runs `entry` on the capture values EntryValid resolved. When
-  // `run_record` is non-null (ledger enabled), fills execute_ns, ops, and
-  // bytes for the caller's flight-recorder record.
+  // Runs `entry` on the capture values EntryValid resolved, and adds the
+  // run's volume (ops, bytes, fused regions and ops) to `span`, the
+  // caller's graph_execution span.
   minipy::Value ExecuteCompiled(CachedUnit& entry,
                                 std::span<const minipy::Value> captured,
-                                obs::LedgerRecord* run_record = nullptr);
+                                obs::TraceScope& span);
 
   minipy::Interpreter* interp_;
   EngineOptions options_;

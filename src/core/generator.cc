@@ -861,6 +861,7 @@ struct GraphGenerator::Impl {
     };
 
     const auto saved = scope.vars;
+    const int first_id = static_cast<int>(frame.graph->num_nodes());
     BranchOutcome then_out = run_branch(stmt->body, true);
     BranchOutcome else_out = run_branch(stmt->else_body, false);
 
@@ -873,6 +874,7 @@ struct GraphGenerator::Impl {
                              &ptr);
       ev = GateSide(frame, pred, false, ev);
       Node* merge = frame.graph->AddNode("Merge", {tv, ev}, {}, 2);
+      JoinBranchEffects(frame, pred, first_id);
       throw GenReturn{
           SymValue::OfNode({merge, 0}, frame.graph, dt, ptr)};
     }
@@ -912,6 +914,7 @@ struct GraphGenerator::Impl {
       Node* merge = then_returned
                         ? frame.graph->AddNode("Merge", {rv, cv}, {}, 2)
                         : frame.graph->AddNode("Merge", {cv, rv}, {}, 2);
+      JoinBranchEffects(frame, pred, first_id);
       throw GenReturn{SymValue::OfNode({merge, 0}, frame.graph, dt, ptr)};
     }
 
@@ -952,7 +955,42 @@ struct GraphGenerator::Impl {
       scope.vars[name] =
           SymValue::OfNode({merge, 0}, frame.graph, dt_t, ptr_t);
     }
+    JoinBranchEffects(frame, pred, first_id);
     return false;
+  }
+
+  // Joins the side nodes and state reads emitted under a dynamic branch
+  // (node ids from `first_id` on) through one Merge of the predicate's two
+  // Switch outputs. Either side of a branch is dead when not taken, so a
+  // later write or the anchor ordered on it directly would die with it;
+  // the join is live whenever the `if` runs, and a Merge ignores dead
+  // control inputs. Later writes and the anchor order on the join instead.
+  void JoinBranchEffects(Frame& frame, NodeOutput pred, int first_id) {
+    const auto before_branch = [first_id](const Node* node) {
+      return node->id() < first_id;
+    };
+    std::vector<Node*> effects;
+    const auto take_emitted = [&](std::vector<Node*>& nodes) {
+      const auto split =
+          std::stable_partition(nodes.begin(), nodes.end(), before_branch);
+      const bool any = split != nodes.end();
+      effects.insert(effects.end(), split, nodes.end());
+      nodes.erase(split, nodes.end());
+      return any;
+    };
+    const bool side_effects = take_emitted(frame.side_nodes);
+    std::vector<std::vector<Node*>*> joined_readers;
+    for (auto& [key, readers] : frame.readers_since_write) {
+      if (take_emitted(readers)) joined_readers.push_back(&readers);
+    }
+    if (effects.empty()) return;
+    Node* sw = frame.graph->AddNode("Switch", {pred, pred}, {}, 2);
+    Node* join = frame.graph->AddNode("Merge", {{sw, 0}, {sw, 1}}, {}, 2);
+    for (Node* effect : effects) join->AddControlInput(effect);
+    for (std::vector<Node*>* readers : joined_readers) {
+      readers->push_back(join);
+    }
+    if (side_effects) frame.side_nodes.push_back(join);
   }
 
   NodeOutput GateSide(Frame& frame, NodeOutput pred, bool side,
@@ -2253,19 +2291,27 @@ SymValue GraphGenerator::Impl::EvalBuiltinCall(
     frame.side_nodes.push_back(n);
     return SymValue::Static(minipy::NoneType{});
   }
-  // Tensor forms of the statically evaluated int/float/abs.
+  // Tensor forms of the statically evaluated int/float/abs. Like the
+  // interpreter, int and float convert a tensor's element 0 to a scalar.
   if ((name == "int" || name == "float" || name == "abs") &&
       args[0].IsNode()) {
     DType dt = DType::kFloat32;
     const NodeOutput v = ToNode(frame, args[0], std::nullopt, &dt);
-    Node* n = nullptr;
     if (name == "abs") {
-      n = AddOp(frame, "Abs", {v});
-    } else {
-      dt = name == "int" ? DType::kInt64 : DType::kFloat32;
-      n = AddOp(frame, "Cast", {v}, {{"dtype", dt}});
+      return SymValue::OfNode({AddOp(frame, "Abs", {v}), 0}, frame.graph, dt,
+                              false, args[0].shape);
     }
-    return SymValue::OfNode({n, 0}, frame.graph, dt, false, args[0].shape);
+    Node* flat = AddOp(frame, "Reshape", {v},
+                       {{"shape", std::vector<std::int64_t>{-1}}});
+    Node* first = AddOp(frame, "Slice", {{flat, 0}},
+                        {{"begin", std::vector<std::int64_t>{0}},
+                         {"size", std::vector<std::int64_t>{1}}});
+    Node* element = AddOp(frame, "Reshape", {{first, 0}},
+                          {{"shape", std::vector<std::int64_t>{}}});
+    dt = name == "int" ? DType::kInt64 : DType::kFloat32;
+    Node* n = AddOp(frame, "Cast", {{element, 0}}, {{"dtype", dt}});
+    return SymValue::OfNode({n, 0}, frame.graph, dt, false,
+                            ShapeAssumption::Exact(Shape{}));
   }
   if (spec != nullptr && spec->static_eval) {
     Refuse(name + "(): arguments are not static plain data");

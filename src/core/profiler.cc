@@ -1,6 +1,6 @@
 #include "core/profiler.h"
 
-#include "obs/ledger.h"
+#include "obs/trace.h"
 
 namespace janus {
 
@@ -160,13 +160,11 @@ const ValueProfile* Profiler::context(const std::string& ref) const {
 }
 
 void Profiler::MarkAssumptionFailed(const std::string& assumption_id) {
-  if (obs::Ledger::Enabled() &&
+  if (obs::Trace::Enabled() &&
       failed_assumptions_.count(assumption_id) == 0u) {
     // First failure of this id: regeneration will stop speculating on it.
-    obs::LedgerRecord record;
-    record.kind = "assumption_blacklisted";
-    record.assumption = assumption_id;
-    obs::Ledger::Global().Record(std::move(record));
+    obs::Trace::RecordDecision("assumption_blacklisted",
+                               {{"assumption", assumption_id}});
   }
   failed_assumptions_[assumption_id] = ++failure_stamp_;
   while (failed_assumptions_.size() > kMaxFailedAssumptions) {

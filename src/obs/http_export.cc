@@ -14,9 +14,8 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/ledger.h"
-#include "obs/pprof_encode.h"
 #include "obs/profile.h"
+#include "obs/trace.h"
 
 namespace janus {
 namespace obs {
@@ -240,9 +239,6 @@ std::string RenderPrometheusText() {
   for (const auto& [name, value] : hub.MergedCounters()) {
     counters[PrometheusMetricName(name)] += value;
   }
-  Ledger& ledger = Ledger::Global();
-  counters["janus_ledger_records_total"] += ledger.TotalRecorded();
-  counters["janus_ledger_dropped_total"] += ledger.TotalDropped();
   for (const auto& [name, value] : counters) {
     out += "# TYPE " + name + " counter\n";
     out += name + " " + std::to_string(value) + "\n";
@@ -327,32 +323,15 @@ HttpResponse HttpExportServer::HandlePath(std::string_view path) {
           std::atoll(std::string(query.substr(pos + kParam.size())).c_str());
       if (parsed > 0) limit = static_cast<std::size_t>(parsed);
     }
-    response.body = Ledger::Global().ToJsonl(limit);
-    if (response.body.empty()) {
-      response.body = Ledger::Enabled()
-                          ? ""
-                          : "(ledger disabled; set JANUS_LEDGER or call "
-                            "Ledger::Enable())\n";
-    }
+    // The newest decisions from the trace rings; an empty trace while
+    // tracing is off.
+    response.content_type = "application/json";
+    response.body = Trace::ToChromeJson(Trace::CollectDecisions(limit));
     return response;
   }
   if (path == "/profilez") {
     // Source-attributed profiler: per-unit / per-source-line cost report.
-    // ?format=json returns the machine-readable form.
-    if (query.find("format=json") != std::string_view::npos) {
-      response.content_type = "application/json";
-      response.body = RenderProfileJson();
-    } else {
-      response.body = RenderProfileText();
-    }
-    return response;
-  }
-  if (path == "/pprof/profile") {
-    // Gzipped pprof protobuf (go tool pprof / speedscope compatible). The
-    // body is binary; ServeConnection frames it with Content-Length, so
-    // embedded NULs are fine.
-    response.content_type = "application/octet-stream";
-    response.body = GzipCompress(SerializeCurrentProfileProto());
+    response.body = RenderProfileText();
     return response;
   }
   if (path == "/healthz") {
@@ -369,9 +348,8 @@ HttpResponse HttpExportServer::HandlePath(std::string_view path) {
         "janus introspection\n"
         "  /metrics   Prometheus text exposition\n"
         "  /statusz   engine status reports\n"
-        "  /flightz   recent speculation-ledger records (JSONL, ?n=N)\n"
-        "  /profilez  source-attributed profile (text; ?format=json)\n"
-        "  /pprof/profile  gzipped pprof protobuf for `go tool pprof`\n"
+        "  /flightz   recent decision events (Chrome-trace JSON, ?n=N)\n"
+        "  /profilez  source-attributed profile\n"
         "  /healthz   liveness probe\n"
         "  /quitquitquit  release a lingering process\n";
     return response;
@@ -414,7 +392,7 @@ bool HttpExportServer::Start(int port) {
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   JANUS_LOG(kInfo) << "http_export: serving on http://127.0.0.1:" << port_
-                   << " (/metrics /statusz /flightz /profilez /pprof/profile)";
+                   << " (/metrics /statusz /flightz /profilez)";
   return true;
 }
 
@@ -502,7 +480,8 @@ namespace {
 // time so any binary becomes scrape-able with no code changes.
 // JANUS_HTTP_LINGER_MS=<ms>: after main returns, keep serving for up to
 // <ms> (or until /quitquitquit) so scrapers can collect final metrics from
-// short-lived batch binaries; the ledger/trace atexit dumps still run.
+// short-lived batch binaries; the trace and profile atexit dumps still
+// run.
 struct HttpEnvInit {
   HttpEnvInit() {
     const char* port_env = std::getenv("JANUS_HTTP_PORT");

@@ -11,7 +11,7 @@
 // during the JANUS_HTTP_LINGER_MS window after main returns) still sees
 // the totals instead of an empty page.
 //
-// Endpoints (all text/plain, loopback only):
+// Endpoints (text/plain but /flightz, loopback only):
 //   /metrics       Prometheus text exposition 0.0.4: every counter and
 //                  histogram from the global registry, live registered
 //                  registries, and retired sources, merged by name; plus
@@ -19,7 +19,11 @@
 //                  into one family, janus_kernel_ns{op="<op>"}.
 //   /statusz       concatenated status text from every registered (and
 //                  retired) provider — Engine::StatsReport() per engine.
-//   /flightz       the most recent speculation-ledger records as JSONL.
+//   /flightz       the newest decision events of the trace rings (the
+//                  kDecisionCategory instants of obs/trace.h) as
+//                  Chrome-trace JSON; ?n=N bounds the count (default 256).
+//                  Empty while tracing is off (JANUS_TRACE).
+//   /profilez      the source-attributed profile as text (obs/profile.h).
 //   /healthz       "ok" liveness probe.
 //   /quitquitquit  sets the quit flag polled by the linger loop, so CI
 //                  can scrape a short-lived process and then release it

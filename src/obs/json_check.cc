@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -14,9 +13,9 @@ namespace janus {
 namespace obs {
 namespace {
 
-// Recursive-descent JSON parser. Values are discarded except for strings,
-// which are returned so object walkers can read the fields they care
-// about. Throws ParseError (internal) on malformed input.
+// Recursive-descent JSON parser. Values are discarded except for the
+// scalar fields object walkers ask for. Throws ParseError (internal) on
+// malformed input.
 class Parser {
  public:
   struct ParseError {
@@ -27,125 +26,10 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   // Parses one complete JSON value and requires end-of-input after it.
-  void ParseDocument(ChromeTraceSummary* summary) {
+  void ParseDocument(ChromeTraceSummary* summary,
+                     std::vector<ChromeTraceEvent>* events) {
     SkipWhitespace();
-    ParseTopLevel(summary);
-    SkipWhitespace();
-    if (pos_ != text_.size()) Fail("trailing content after JSON document");
-  }
-
-  // Parses one flat JSON object (no nested objects/arrays), capturing
-  // every top-level field, and requires end-of-input after it.
-  void ParseFlatDocument(FlatObject* fields) {
-    SkipWhitespace();
-    Expect('{');
-    SkipWhitespace();
-    if (Peek() == '}') {
-      ++pos_;
-    } else {
-      while (true) {
-        SkipWhitespace();
-        const std::string key = ParseString();
-        SkipWhitespace();
-        Expect(':');
-        SkipWhitespace();
-        FlatValue value;
-        switch (Peek()) {
-          case '{':
-          case '[':
-            Fail("nested value in flat object");
-          case '"':
-            value.kind = FlatValue::Kind::kString;
-            value.text = ParseString();
-            break;
-          case 't':
-            ParseLiteral("true");
-            value.kind = FlatValue::Kind::kBool;
-            value.text = "true";
-            break;
-          case 'f':
-            ParseLiteral("false");
-            value.kind = FlatValue::Kind::kBool;
-            value.text = "false";
-            break;
-          case 'n':
-            ParseLiteral("null");
-            value.kind = FlatValue::Kind::kNull;
-            value.text = "null";
-            break;
-          default: {
-            const std::size_t start = pos_;
-            ParseNumber();
-            value.kind = FlatValue::Kind::kNumber;
-            value.text = std::string(text_.substr(start, pos_ - start));
-          }
-        }
-        if (fields != nullptr) (*fields)[key] = std::move(value);
-        SkipWhitespace();
-        const char c = Next();
-        if (c == '}') break;
-        if (c != ',') {
-          --pos_;
-          Fail("expected ',' or '}' in object");
-        }
-      }
-    }
-    SkipWhitespace();
-    if (pos_ != text_.size()) Fail("trailing content after JSON object");
-  }
-
-  // Parses a /profilez?format=json document against the obs/profile.h
-  // schema and requires end-of-input after it.
-  void ParseProfileDocument(ProfileJsonSummary* summary) {
-    SkipWhitespace();
-    Expect('{');
-    bool saw_enabled = false;
-    bool saw_stride = false;
-    bool saw_units = false;
-    SkipWhitespace();
-    if (Peek() == '}') {
-      ++pos_;
-      Fail("missing \"units\" array");
-    }
-    while (true) {
-      SkipWhitespace();
-      const std::string key = ParseString();
-      SkipWhitespace();
-      Expect(':');
-      SkipWhitespace();
-      if (key == "enabled") {
-        saw_enabled = true;
-        if (Peek() == 't') {
-          ParseLiteral("true");
-          if (summary != nullptr) summary->enabled = true;
-        } else {
-          ParseLiteral("false");
-        }
-      } else if (key == "sample_stride") {
-        saw_stride = true;
-        const std::size_t start = pos_;
-        ParseNumber();
-        if (summary != nullptr) {
-          summary->sample_stride =
-              std::atoi(std::string(text_.substr(start, pos_ - start)).c_str());
-        }
-      } else if (key == "units") {
-        saw_units = true;
-        ParseProfileUnitArray(summary);
-      } else {
-        ParseValue();
-      }
-      SkipWhitespace();
-      const char c = Next();
-      if (c == '}') break;
-      if (c != ',') {
-        --pos_;
-        Fail("expected ',' or '}' in object");
-      }
-    }
-    if (!saw_enabled) Fail("missing boolean field \"enabled\"");
-    if (!saw_stride) Fail("missing numeric field \"sample_stride\"");
-    if (!saw_units) Fail("missing \"units\" array");
+    ParseTopLevel(summary, events);
     SkipWhitespace();
     if (pos_ != text_.size()) Fail("trailing content after JSON document");
   }
@@ -303,9 +187,13 @@ class Parser {
     }
   }
 
-  // Parses an object; when `strings` is non-null, string-valued fields are
-  // collected into it.
-  void ParseObject(std::map<std::string, std::string>* strings) {
+  // Parses an object. String fields are collected decoded into `strings`
+  // and number fields as written into `numbers`, when non-null. When
+  // `args` is non-null, the "args" field must be an object whose strings
+  // and numbers are collected into `args`.
+  void ParseObject(std::map<std::string, std::string>* strings,
+                   std::map<std::string, std::string>* numbers = nullptr,
+                   std::map<std::string, std::string>* args = nullptr) {
     Expect('{');
     SkipWhitespace();
     if (Peek() == '}') {
@@ -318,8 +206,17 @@ class Parser {
       SkipWhitespace();
       Expect(':');
       SkipWhitespace();
-      if (strings != nullptr && Peek() == '"') {
+      const char first = Peek();
+      if (args != nullptr && key == "args") {
+        if (first != '{') Fail("trace event \"args\" is not an object");
+        ParseObject(args, args);
+      } else if (strings != nullptr && first == '"') {
         (*strings)[key] = ParseString();
+      } else if (numbers != nullptr &&
+                 (first == '-' || (first >= '0' && first <= '9'))) {
+        const std::size_t start = pos_;
+        ParseNumber();
+        (*numbers)[key] = std::string(text_.substr(start, pos_ - start));
       } else {
         ParseValue();
       }
@@ -333,168 +230,10 @@ class Parser {
     }
   }
 
-  // Parses an object into string fields (like ParseObject) but also records
-  // which keys held numeric values, so schema walkers can distinguish a
-  // missing field from a mistyped one.
-  void ParseTypedObject(std::map<std::string, std::string>* strings,
-                        std::set<std::string>* numbers) {
-    Expect('{');
-    SkipWhitespace();
-    if (Peek() == '}') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      SkipWhitespace();
-      const std::string key = ParseString();
-      SkipWhitespace();
-      Expect(':');
-      SkipWhitespace();
-      const char c = Peek();
-      if (c == '"') {
-        (*strings)[key] = ParseString();
-      } else if (c == '-' || (c >= '0' && c <= '9')) {
-        ParseNumber();
-        numbers->insert(key);
-      } else {
-        ParseValue();
-      }
-      SkipWhitespace();
-      const char sep = Next();
-      if (sep == '}') return;
-      if (sep != ',') {
-        --pos_;
-        Fail("expected ',' or '}' in object");
-      }
-    }
-  }
-
-  // An array of flat record objects, each validated against required
-  // string/number keys; returns the element count.
-  int ParseProfileRecordArray(std::initializer_list<const char*> req_strings,
-                              std::initializer_list<const char*> req_numbers,
-                              const char* what) {
-    Expect('[');
-    SkipWhitespace();
-    int count = 0;
-    if (Peek() == ']') {
-      ++pos_;
-      return count;
-    }
-    while (true) {
-      SkipWhitespace();
-      if (Peek() != '{') Fail(std::string(what) + " entry is not an object");
-      std::map<std::string, std::string> strings;
-      std::set<std::string> numbers;
-      ParseTypedObject(&strings, &numbers);
-      for (const char* key : req_strings) {
-        if (strings.find(key) == strings.end()) {
-          Fail(std::string(what) + " entry missing string field \"" + key +
-               "\"");
-        }
-      }
-      for (const char* key : req_numbers) {
-        if (numbers.find(key) == numbers.end()) {
-          Fail(std::string(what) + " entry missing numeric field \"" + key +
-               "\"");
-        }
-      }
-      ++count;
-      SkipWhitespace();
-      const char c = Next();
-      if (c == ']') return count;
-      if (c != ',') {
-        --pos_;
-        Fail(std::string("expected ',' or ']' in ") + what);
-      }
-    }
-  }
-
-  void ParseProfileUnitArray(ProfileJsonSummary* summary) {
-    Expect('[');
-    SkipWhitespace();
-    if (Peek() == ']') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      SkipWhitespace();
-      if (Peek() != '{') Fail("unit entry is not an object");
-      Expect('{');
-      std::map<std::string, std::string> strings;
-      std::set<std::string> numbers;
-      bool saw_lines = false;
-      bool saw_nodes = false;
-      SkipWhitespace();
-      if (Peek() == '}') {
-        ++pos_;
-        Fail("empty unit entry");
-      }
-      while (true) {
-        SkipWhitespace();
-        const std::string key = ParseString();
-        SkipWhitespace();
-        Expect(':');
-        SkipWhitespace();
-        if (key == "lines") {
-          saw_lines = true;
-          const int n = ParseProfileRecordArray(
-              {"function"}, {"line", "execution_ns", "count"}, "lines");
-          if (summary != nullptr) summary->num_lines += n;
-        } else if (key == "top_nodes") {
-          saw_nodes = true;
-          const int n = ParseProfileRecordArray(
-              {"node", "op", "function"},
-              {"line", "count", "total_ns", "max_ns"}, "top_nodes");
-          if (summary != nullptr) summary->num_nodes += n;
-        } else if (Peek() == '"') {
-          strings[key] = ParseString();
-        } else if (Peek() == '-' || (Peek() >= '0' && Peek() <= '9')) {
-          ParseNumber();
-          numbers.insert(key);
-        } else {
-          ParseValue();
-        }
-        SkipWhitespace();
-        const char c = Next();
-        if (c == '}') break;
-        if (c != ',') {
-          --pos_;
-          Fail("expected ',' or '}' in unit entry");
-        }
-      }
-      for (const char* key : {"unit", "variant"}) {
-        if (strings.find(key) == strings.end()) {
-          Fail(std::string("unit entry missing string field \"") + key +
-               "\"");
-        }
-      }
-      for (const char* key : {"level", "runs", "generation_ns",
-                              "validation_ns", "execution_ns"}) {
-        if (numbers.find(key) == numbers.end()) {
-          Fail(std::string("unit entry missing numeric field \"") + key +
-               "\"");
-        }
-      }
-      if (!saw_lines) Fail("unit entry missing \"lines\" array");
-      if (!saw_nodes) Fail("unit entry missing \"top_nodes\" array");
-      if (summary != nullptr) {
-        ++summary->num_units;
-        summary->units.insert(strings["unit"]);
-      }
-      SkipWhitespace();
-      const char c = Next();
-      if (c == ']') return;
-      if (c != ',') {
-        --pos_;
-        Fail("expected ',' or ']' in units");
-      }
-    }
-  }
-
   // Top level: an object that must contain a "traceEvents" array whose
   // elements each carry string name/cat/ph fields.
-  void ParseTopLevel(ChromeTraceSummary* summary) {
+  void ParseTopLevel(ChromeTraceSummary* summary,
+                     std::vector<ChromeTraceEvent>* events) {
     Expect('{');
     bool saw_trace_events = false;
     SkipWhitespace();
@@ -510,7 +249,7 @@ class Parser {
       SkipWhitespace();
       if (key == "traceEvents") {
         saw_trace_events = true;
-        ParseEventArray(summary);
+        ParseEventArray(summary, events);
       } else {
         ParseValue();
       }
@@ -525,7 +264,8 @@ class Parser {
     if (!saw_trace_events) Fail("missing \"traceEvents\" array");
   }
 
-  void ParseEventArray(ChromeTraceSummary* summary) {
+  void ParseEventArray(ChromeTraceSummary* summary,
+                       std::vector<ChromeTraceEvent>* events) {
     SkipWhitespace();
     Expect('[');
     SkipWhitespace();
@@ -537,7 +277,9 @@ class Parser {
       SkipWhitespace();
       if (Peek() != '{') Fail("trace event is not an object");
       std::map<std::string, std::string> fields;
-      ParseObject(&fields);
+      std::map<std::string, std::string> numbers;
+      ChromeTraceEvent event;
+      ParseObject(&fields, &numbers, &event.args);
       for (const char* required : {"name", "cat", "ph"}) {
         if (fields.find(required) == fields.end()) {
           Fail(std::string("trace event missing string field \"") +
@@ -549,6 +291,15 @@ class Parser {
         summary->names.insert(fields["name"]);
         summary->categories.insert(fields["cat"]);
         summary->phases.insert(fields["ph"]);
+      }
+      if (events != nullptr) {
+        event.name = std::move(fields["name"]);
+        event.cat = std::move(fields["cat"]);
+        event.ph = std::move(fields["ph"]);
+        if (const auto dur = numbers.find("dur"); dur != numbers.end()) {
+          event.dur_us = std::strtod(dur->second.c_str(), nullptr);
+        }
+        events->push_back(std::move(event));
       }
       SkipWhitespace();
       const char c = Next();
@@ -728,94 +479,19 @@ bool ValidateSampleLine(std::string_view line, std::string* name,
 }  // namespace
 
 bool ValidateChromeTrace(std::string_view json, std::string* error,
-                         ChromeTraceSummary* summary) {
+                         ChromeTraceSummary* summary,
+                         std::vector<ChromeTraceEvent>* events) {
   ChromeTraceSummary local;
+  std::vector<ChromeTraceEvent> local_events;
   try {
-    Parser(json).ParseDocument(&local);
-  } catch (const Parser::ParseError& parse_error) {
-    FormatParseError(parse_error, error);
-    return false;
-  }
-  if (summary != nullptr) *summary = local;
-  if (error != nullptr) error->clear();
-  return true;
-}
-
-bool ParseFlatJsonObject(std::string_view line, FlatObject* fields,
-                         std::string* error) {
-  FlatObject local;
-  try {
-    Parser(line).ParseFlatDocument(&local);
-  } catch (const Parser::ParseError& parse_error) {
-    FormatParseError(parse_error, error);
-    return false;
-  }
-  if (fields != nullptr) *fields = std::move(local);
-  if (error != nullptr) error->clear();
-  return true;
-}
-
-bool ValidateLedgerLine(std::string_view line, FlatObject* fields,
-                        std::string* error) {
-  FlatObject local;
-  if (!ParseFlatJsonObject(line, &local, error)) return false;
-
-  const auto require_number = [&](const char* key, bool required) {
-    const auto it = local.find(key);
-    if (it == local.end()) {
-      if (required) {
-        SetError(error, std::string("missing numeric field \"") + key + "\"");
-        return false;
-      }
-      return true;
-    }
-    if (it->second.kind != FlatValue::Kind::kNumber) {
-      SetError(error, std::string("field \"") + key + "\" is not a number");
-      return false;
-    }
-    return true;
-  };
-  const auto require_string = [&](const char* key) {
-    const auto it = local.find(key);
-    if (it != local.end() && it->second.kind != FlatValue::Kind::kString) {
-      SetError(error, std::string("field \"") + key + "\" is not a string");
-      return false;
-    }
-    return true;
-  };
-
-  if (!require_number("seq", /*required=*/true)) return false;
-  if (!require_number("ts_ns", /*required=*/true)) return false;
-  const auto kind = local.find("kind");
-  if (kind == local.end() || kind->second.kind != FlatValue::Kind::kString ||
-      kind->second.text.empty()) {
-    return SetError(error, "missing or empty string field \"kind\"");
-  }
-  for (const char* key : {"unit", "name", "variant", "assumption", "assumed",
-                          "observed", "detail"}) {
-    if (!require_string(key)) return false;
-  }
-  for (const char* key : {"level", "cache_hit", "validate_ns", "execute_ns",
-                          "generate_ns", "ops", "bytes", "fused_regions",
-                          "fused_ops"}) {
-    if (!require_number(key, /*required=*/false)) return false;
-  }
-
-  if (fields != nullptr) *fields = std::move(local);
-  if (error != nullptr) error->clear();
-  return true;
-}
-
-bool ValidateProfileJson(std::string_view json, std::string* error,
-                         ProfileJsonSummary* summary) {
-  ProfileJsonSummary local;
-  try {
-    Parser(json).ParseProfileDocument(&local);
+    Parser(json).ParseDocument(&local,
+                               events != nullptr ? &local_events : nullptr);
   } catch (const Parser::ParseError& parse_error) {
     FormatParseError(parse_error, error);
     return false;
   }
   if (summary != nullptr) *summary = std::move(local);
+  if (events != nullptr) *events = std::move(local_events);
   if (error != nullptr) error->clear();
   return true;
 }

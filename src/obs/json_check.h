@@ -1,11 +1,11 @@
 // Minimal parsers used to validate the observability subsystem's emitted
-// text formats: Chrome-trace JSON, speculation-ledger JSONL, and the
+// text formats: Chrome-trace JSON (JANUS_TRACE, /flightz) and the
 // Prometheus text exposition served on /metrics.
 //
 // These are deliberately not general libraries: they fully validate
-// syntax and extract only what validation needs. Tests and the
-// `trace_validate` CI tool both parse exporter output back through this
-// module to guard each schema.
+// syntax and extract only what their readers need. Tests, the
+// `trace_validate` CI tool and `janus_explain` parse exporter output back
+// through this module.
 #ifndef JANUS_OBS_JSON_CHECK_H_
 #define JANUS_OBS_JSON_CHECK_H_
 
@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace janus {
 namespace obs {
@@ -24,54 +25,24 @@ struct ChromeTraceSummary {
   std::set<std::string> phases;
 };
 
+// One parsed trace event. Arg values keep their text: strings decoded,
+// numbers as written; other arg values are validated and dropped.
+struct ChromeTraceEvent {
+  std::string name;
+  std::string cat;
+  std::string ph;
+  double dur_us = 0;
+  std::map<std::string, std::string> args;
+};
+
 // Parses `json` as a Chrome trace ({"traceEvents": [...]}). Returns false
 // (with a position-annotated message in *error) on any syntax error, a
-// missing "traceEvents" array, or an event missing name/cat/ph string
-// fields. On success fills *summary when non-null.
+// missing "traceEvents" array, an event missing name/cat/ph string fields,
+// or "args" that is not an object. On success fills *summary and *events
+// when non-null.
 bool ValidateChromeTrace(std::string_view json, std::string* error,
-                         ChromeTraceSummary* summary = nullptr);
-
-// One top-level value of a flat JSON object. Strings are decoded
-// (escapes resolved); numbers and literals keep their raw source text.
-struct FlatValue {
-  enum class Kind { kString, kNumber, kBool, kNull };
-  Kind kind = Kind::kString;
-  std::string text;
-};
-using FlatObject = std::map<std::string, FlatValue>;
-
-// Parses one line as a flat JSON object — the shape every ledger JSONL
-// record has. Nested objects and arrays are rejected. Returns false with
-// a position-annotated *error on malformed input.
-bool ParseFlatJsonObject(std::string_view line, FlatObject* fields,
-                         std::string* error);
-
-// Validates one speculation-ledger JSONL line (obs/ledger.h schema): a
-// flat object with numeric "seq" and "ts_ns" and a non-empty string
-// "kind"; the attribution fields (unit/name/assumption/assumed/observed/
-// detail) must be strings and the latency/volume fields numeric when
-// present. Fills *fields when non-null.
-bool ValidateLedgerLine(std::string_view line, FlatObject* fields,
-                        std::string* error);
-
-struct ProfileJsonSummary {
-  bool enabled = false;
-  int sample_stride = 0;
-  int num_units = 0;
-  int num_lines = 0;   // per-source-line rollup entries across all units
-  int num_nodes = 0;   // top_nodes entries across all units
-  std::set<std::string> units;
-};
-
-// Validates the /profilez?format=json document (obs/profile.h schema): a
-// top-level object with boolean "enabled", numeric "sample_stride", and a
-// "units" array whose entries carry string unit/variant, numeric
-// level/runs/generation_ns/validation_ns/execution_ns, a "lines" array
-// ({function, line, execution_ns, count}), and a "top_nodes" array
-// ({node, op, function, line, count, total_ns, max_ns}). On success fills
-// *summary when non-null.
-bool ValidateProfileJson(std::string_view json, std::string* error,
-                         ProfileJsonSummary* summary = nullptr);
+                         ChromeTraceSummary* summary = nullptr,
+                         std::vector<ChromeTraceEvent>* events = nullptr);
 
 struct PrometheusSummary {
   int num_samples = 0;

@@ -8,7 +8,6 @@
 #include <tuple>
 
 #include "common/logging.h"
-#include "obs/ledger.h"
 
 namespace janus {
 namespace obs {
@@ -164,7 +163,7 @@ void RecordSample(PlanProfile& profile, int index, const char* category,
   profile.Record(index, dur_ns);
   if (Trace::Enabled() && index >= 0 && index < profile.num_nodes()) {
     Trace::RecordComplete(profile.nodes()[static_cast<std::size_t>(index)].op,
-                          category, start_ns, dur_ns, "sampled", 1);
+                          category, start_ns, dur_ns);
   }
 }
 
@@ -342,84 +341,6 @@ std::string RenderProfileText() {
     }
     out << "\n";
   }
-  return out.str();
-}
-
-std::string RenderProfileJson() {
-  const std::vector<ProfileSample> samples = CollectProfileSamples();
-  const std::vector<ProfileUnitTotals> units = CollectProfileUnitTotals();
-  const auto quoted = [](std::string_view text) {
-    std::string out = "\"";
-    AppendJsonEscaped(out, text);
-    return out + "\"";
-  };
-  std::ostringstream out;
-  out << "{\"enabled\":" << (ProfilingEnabled() ? "true" : "false")
-      << ",\"sample_stride\":" << kProfileSampleEvery << ",\"units\":[";
-  bool first_unit = true;
-  for (const ProfileUnitTotals& unit : units) {
-    if (!first_unit) out << ",";
-    first_unit = false;
-    out << "{\"unit\":" << quoted(unit.unit)
-        << ",\"variant\":" << quoted(unit.variant)
-        << ",\"level\":" << unit.level << ",\"runs\":" << unit.runs
-        << ",\"generation_ns\":" << unit.generation_ns
-        << ",\"validation_ns\":" << unit.validation_ns
-        << ",\"execution_ns\":" << unit.execution_ns;
-
-    // Per-line rollup and top nodes within this unit key.
-    struct LineAcc {
-      std::string function;
-      int line = 0;
-      std::uint64_t total_ns = 0;
-      std::uint64_t count = 0;
-    };
-    std::map<std::pair<std::string, int>, LineAcc> by_line;
-    std::vector<const ProfileSample*> unit_samples;
-    for (const ProfileSample& sample : samples) {
-      if (sample.unit != unit.unit || sample.variant != unit.variant ||
-          sample.level != unit.level) {
-        continue;
-      }
-      unit_samples.push_back(&sample);
-      LineAcc& acc = by_line[{sample.function, sample.line}];
-      acc.function = sample.function;
-      acc.line = sample.line;
-      acc.total_ns += sample.total_ns;
-      acc.count += sample.count;
-    }
-    out << ",\"lines\":[";
-    bool first_line = true;
-    for (const auto& [key, acc] : by_line) {
-      if (!first_line) out << ",";
-      first_line = false;
-      out << "{\"function\":" << quoted(acc.function)
-          << ",\"line\":" << acc.line
-          << ",\"execution_ns\":" << acc.total_ns
-          << ",\"count\":" << acc.count << "}";
-    }
-    out << "],\"top_nodes\":[";
-    std::vector<const ProfileSample*> top = unit_samples;
-    std::sort(top.begin(), top.end(),
-              [](const ProfileSample* a, const ProfileSample* b) {
-                return a->total_ns > b->total_ns;
-              });
-    if (top.size() > 16) top.resize(16);
-    bool first_node = true;
-    for (const ProfileSample* sample : top) {
-      if (!first_node) out << ",";
-      first_node = false;
-      out << "{\"node\":" << quoted(sample->node)
-          << ",\"op\":" << quoted(sample->op)
-          << ",\"function\":" << quoted(sample->function)
-          << ",\"line\":" << sample->line
-          << ",\"count\":" << sample->count
-          << ",\"total_ns\":" << sample->total_ns
-          << ",\"max_ns\":" << sample->max_ns << "}";
-    }
-    out << "]}";
-  }
-  out << "]}";
   return out.str();
 }
 

@@ -12,7 +12,7 @@
 // dispatch records through the same sampler into one process-wide profile
 // (unit "<eager>", one node per kernel op).
 //
-// Cost model (mirrors trace/ledger):
+// Cost model (mirrors the tracer's):
 //  * disabled (default): the per-node hook is one relaxed atomic load and
 //    a branch;
 //  * enabled (profiling or tracing on): every Nth node execution (jittered
@@ -20,18 +20,17 @@
 //    clock reads and a handful of relaxed atomic adds on the node's own
 //    histogram, plus one trace event while tracing.
 //
-// Exports:
-//  * /profilez on the introspection HTTP server — human text and
-//    ?format=json (top nodes, per-source-line rollup, per-unit
-//    generation/validation/execution split);
-//  * /metrics — the janus_kernel_ns{op} family, the node histograms rolled
-//    up by op (obs/http_export.h);
-//  * /pprof/profile — gzipped pprof profile.proto whose sample stacks are
-//    imperative function -> statement -> op (see obs/pprof_encode.h);
-//  * JANUS_PROFILE=<path> — folded-stacks dump at process exit, directly
+// Exports, all of the one sampler's data:
+//  * JANUS_PROFILE=<path> — the one file format: a folded-stacks dump at
+//    process exit ("unit;function;function:line;op <total_ns>"), directly
 //    consumable by flamegraph.pl;
 //  * tools/janus_profdiff — per-source-site regression diff of two folded
-//    dumps (ParseFoldedProfile / DiffProfilesBySite below).
+//    dumps (ParseFoldedProfile / DiffProfilesBySite below);
+//  * /profilez on the introspection HTTP server — the live text view: top
+//    nodes, per-source-line rollup, per-unit generation/validation/
+//    execution split;
+//  * /metrics — the janus_kernel_ns{op} family, the node histograms rolled
+//    up by op (obs/http_export.h).
 #ifndef JANUS_OBS_PROFILE_H_
 #define JANUS_OBS_PROFILE_H_
 
@@ -262,9 +261,8 @@ std::vector<ProfileUnitTotals> CollectProfileUnitTotals();
 // get the blended mean, which is the best available without a unit hint.
 std::map<std::string, double> ProfileNodeMeanNs();
 
-// /profilez renderers.
+// The /profilez text view.
 std::string RenderProfileText();
-std::string RenderProfileJson();
 
 // Folded-stacks dump: one line per sample,
 //   "unit;function;function:line;op <total_ns>"

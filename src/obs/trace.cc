@@ -9,7 +9,6 @@
 #include <mutex>
 
 #include "common/logging.h"
-#include "obs/ledger.h"
 #include "obs/profile.h"
 
 namespace janus {
@@ -115,8 +114,7 @@ std::int64_t Trace::NowNs() { return SteadyNowRaw() - TraceEpoch(); }
 
 void Trace::RecordComplete(std::string name, const char* category,
                            std::int64_t start_ns, std::int64_t dur_ns,
-                           const char* arg_key, std::int64_t arg_value,
-                           std::string detail) {
+                           TraceArgs args) {
   if (!Enabled()) return;
   TraceEvent event;
   event.name = std::move(name);
@@ -124,22 +122,24 @@ void Trace::RecordComplete(std::string name, const char* category,
   event.phase = 'X';
   event.start_ns = start_ns;
   event.dur_ns = dur_ns;
-  event.arg_key = arg_key;
-  event.arg_value = arg_value;
-  event.detail = std::move(detail);
+  event.args = std::move(args);
   LocalBuffer().Append(std::move(event));
 }
 
 void Trace::RecordInstant(std::string name, const char* category,
-                          std::string detail) {
+                          TraceArgs args) {
   if (!Enabled()) return;
   TraceEvent event;
   event.name = std::move(name);
   event.category = category;
   event.phase = 'i';
   event.start_ns = NowNs();
-  event.detail = std::move(detail);
+  event.args = std::move(args);
   LocalBuffer().Append(std::move(event));
+}
+
+void Trace::RecordDecision(const char* kind, TraceArgs args) {
+  RecordInstant(kind, kDecisionCategory.data(), std::move(args));
 }
 
 std::vector<TraceEvent> Trace::Collect() {
@@ -213,8 +213,21 @@ void Trace::SetBufferCapacityForTesting(std::size_t events) {
                         std::memory_order_relaxed);
 }
 
-std::string Trace::ToChromeJson() {
-  const std::vector<TraceEvent> events = Collect();
+std::vector<TraceEvent> Trace::CollectDecisions(std::size_t max_events) {
+  std::vector<TraceEvent> events = Collect();
+  std::erase_if(events, [](const TraceEvent& event) {
+    return event.category != kDecisionCategory;
+  });
+  if (max_events > 0 && events.size() > max_events) {
+    events.erase(events.begin(),
+                 events.end() - static_cast<std::ptrdiff_t>(max_events));
+  }
+  return events;
+}
+
+std::string Trace::ToChromeJson() { return ToChromeJson(Collect()); }
+
+std::string Trace::ToChromeJson(const std::vector<TraceEvent>& events) {
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   for (const TraceEvent& event : events) {
@@ -234,20 +247,21 @@ std::string Trace::ToChromeJson() {
     } else {
       out += ",\"s\":\"t\"";  // instant scope: thread
     }
-    if (event.arg_key != nullptr || !event.detail.empty()) {
+    if (!event.args.empty()) {
       out += ",\"args\":{";
-      bool first_arg = true;
-      if (event.arg_key != nullptr) {
+      for (std::size_t i = 0; i < event.args.size(); ++i) {
+        const TraceArg& arg = event.args[i];
+        if (i > 0) out += ",";
         out += "\"";
-        AppendJsonEscaped(out, event.arg_key);
-        out += "\":" + std::to_string(event.arg_value);
-        first_arg = false;
-      }
-      if (!event.detail.empty()) {
-        if (!first_arg) out += ",";
-        out += "\"detail\":\"";
-        AppendJsonEscaped(out, event.detail);
-        out += "\"";
+        AppendJsonEscaped(out, arg.key);
+        out += "\":";
+        if (arg.is_text) {
+          out += "\"";
+          AppendJsonEscaped(out, arg.text);
+          out += "\"";
+        } else {
+          out += std::to_string(arg.number);
+        }
       }
       out += "}";
     }
@@ -264,6 +278,35 @@ void Trace::WriteChromeTrace(const std::string& path) {
     return;
   }
   file << ToChromeJson() << "\n";
+}
+
+void AppendJsonEscaped(std::string& out, std::string_view text) {
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char hex[8];
+          std::snprintf(hex, sizeof(hex), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += hex;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
+std::string PointerToHex(const void* pointer) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "0x%llx",
+                static_cast<unsigned long long>(
+                    reinterpret_cast<std::uintptr_t>(pointer)));
+  return text;
 }
 
 namespace {

@@ -1,4 +1,5 @@
-// Low-overhead span tracer for the JANUS decision loop.
+// Low-overhead span tracer for the JANUS decision loop, and its one event
+// stream.
 //
 // The engine's value proposition is a runtime loop — profile imperatively,
 // speculatively generate a graph, guard it with assertions, fall back on
@@ -8,14 +9,34 @@
 // kernels too), and the whole process timeline exports as a single
 // chrome://tracing / Perfetto-compatible JSON file.
 //
+// Events carry the decision loop's facts as named args, so the trace alone
+// answers which unit, which assumption and what was assumed vs observed:
+//  * the graph_execution span carries a cached run (unit, ladder level,
+//    cache hit, validation time, ops, bytes, fused regions and ops);
+//  * the profile / imperative / fallback phase spans carry the unit;
+//  * the graph_generation span carries the generation (level, bytes,
+//    asserts, entry checks, captures);
+//  * instants in the kDecisionCategory carry each decision, named by its
+//    kind: fallback, entry_mismatch, cache_miss, refusal (engine),
+//    assert_failure (executor, at the kernel site),
+//    assumption_blacklisted (profiler), and cache_insert, cache_evict,
+//    cache_despecialize (specialization cache).
+// Consumers: the JANUS_TRACE file, /flightz (the newest decisions), and
+// tools/janus_explain (per-unit root cause).
+//
 // Cost model:
 //  * disabled (the default): recording sites reduce to one relaxed atomic
 //    load and a branch — cheap enough for per-op code paths (the
 //    micro_overheads benchmark holds the disabled path to <5% of per-op
-//    cost);
+//    cost); producers build no args;
 //  * enabled: a clock read plus a short critical section on the calling
 //    thread's own ring buffer (uncontended except against a concurrent
-//    Collect()).
+//    Collect()). The buffer lock is a leaf lock, so producers may record
+//    while holding their own locks (the cache records under its mutex).
+//
+// The rings are bounded: once a thread's ring is full, each new event
+// overwrites that thread's oldest (TotalDropped() counts them), so sampled
+// kernel events can push out older decisions on the same thread.
 //
 // Toggles: Trace::Enable()/Disable() programmatically,
 // EngineOptions::trace_path per engine, or the JANUS_TRACE=<path>
@@ -28,10 +49,24 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace janus {
 namespace obs {
+
+// One named event argument: an integer or a string, under a static key.
+struct TraceArg {
+  TraceArg(const char* key, std::int64_t number) : key(key), number(number) {}
+  TraceArg(const char* key, std::string text)
+      : key(key), text(std::move(text)), is_text(true) {}
+
+  const char* key;
+  std::int64_t number = 0;
+  std::string text;
+  bool is_text = false;
+};
+using TraceArgs = std::vector<TraceArg>;
 
 // One recorded event. `phase` follows the Chrome trace-event format: 'X'
 // is a complete (duration) event, 'i' an instant marker.
@@ -42,11 +77,11 @@ struct TraceEvent {
   std::int64_t start_ns = 0;  // relative to the process trace epoch
   std::int64_t dur_ns = 0;    // 'X' only
   std::uint32_t tid = 0;      // tracer-assigned dense thread id
-  // Optional arguments, rendered into the Chrome "args" object.
-  const char* arg_key = nullptr;  // static key for an integer arg
-  std::int64_t arg_value = 0;
-  std::string detail;  // rendered under "detail" when non-empty
+  TraceArgs args;             // rendered into the Chrome "args" object
 };
+
+// The category of the decision instants (see the list above).
+inline constexpr std::string_view kDecisionCategory = "decision";
 
 class Trace {
  public:
@@ -61,11 +96,11 @@ class Trace {
 
   static void RecordComplete(std::string name, const char* category,
                              std::int64_t start_ns, std::int64_t dur_ns,
-                             const char* arg_key = nullptr,
-                             std::int64_t arg_value = 0,
-                             std::string detail = {});
+                             TraceArgs args = {});
   static void RecordInstant(std::string name, const char* category,
-                            std::string detail = {});
+                            TraceArgs args = {});
+  // An instant in the decision category, named by its kind.
+  static void RecordDecision(const char* kind, TraceArgs args);
 
   // Snapshot of every thread's ring buffer, sorted by start time. Dropped
   // (overwritten) events are not recoverable; see TotalDropped().
@@ -77,7 +112,13 @@ class Trace {
   static std::int64_t TotalRecorded();
   static std::int64_t TotalDropped();
 
-  // Chrome trace-event JSON ({"traceEvents": [...]}) of Collect().
+  // The newest `max_events` events of the decision category, oldest
+  // first (0 = every retained one).
+  static std::vector<TraceEvent> CollectDecisions(std::size_t max_events);
+
+  // Chrome trace-event JSON ({"traceEvents": [...]}) of `events`, or of
+  // Collect().
+  static std::string ToChromeJson(const std::vector<TraceEvent>& events);
   static std::string ToChromeJson();
   static void WriteChromeTrace(const std::string& path);
 
@@ -111,19 +152,23 @@ class TraceScope {
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;
 
-  void set_arg(const char* key, std::int64_t value) {
-    arg_key_ = key;
-    arg_value_ = value;
+  // Whether the span records: callers build costly args only when armed.
+  bool armed() const { return armed_; }
+  void AddArg(const char* key, std::int64_t value) {
+    if (armed_) args_.push_back({key, value});
   }
-  void set_detail(std::string detail) {
-    if (armed_) detail_ = std::move(detail);
+  void AddArg(const char* key, std::string value) {
+    if (armed_) args_.push_back({key, std::move(value)});
+  }
+  void AddArgs(TraceArgs args) {
+    if (!armed_) return;
+    for (TraceArg& arg : args) args_.push_back(std::move(arg));
   }
 
   ~TraceScope() {
     if (armed_) {
       Trace::RecordComplete(std::move(name_), category_, start_ns_,
-                            Trace::NowNs() - start_ns_, arg_key_, arg_value_,
-                            std::move(detail_));
+                            Trace::NowNs() - start_ns_, std::move(args_));
     }
   }
 
@@ -131,11 +176,17 @@ class TraceScope {
   bool armed_;
   const char* category_;
   std::string name_;
-  std::string detail_;
   std::int64_t start_ns_ = 0;
-  const char* arg_key_ = nullptr;
-  std::int64_t arg_value_ = 0;
+  TraceArgs args_;
 };
+
+// Appends `text` to `out` with JSON string escaping (quotes, backslash,
+// control characters). The one JSON string escaper: the trace exporter
+// and the tools all write through it.
+void AppendJsonEscaped(std::string& out, std::string_view text);
+
+// Renders a pointer as a stable "0x..." identity string (unit join keys).
+std::string PointerToHex(const void* pointer);
 
 }  // namespace obs
 }  // namespace janus

@@ -7,7 +7,6 @@
 #include <chrono>
 
 #include "common/logging.h"
-#include "obs/ledger.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "tensor/buffer_pool.h"
@@ -38,17 +37,15 @@ void ExecuteKernel(RunContext& run, const Node& node, const KernelFn& kernel,
     const InPlaceScope scope(allow_in_place);
     kernel(ctx);
   } catch (const AssumptionFailed& failure) {
-    // Expected speculative abort; no annotation needed, but the flight
-    // recorder wants the kernel-site view (the engine adds unit context in
-    // its own fallback record, joined on assumption id).
-    if (obs::Ledger::Enabled()) {
-      obs::LedgerRecord record;
-      record.kind = "assert_failure";
-      record.assumption = failure.assumption_id();
-      record.assumed = failure.assumed();
-      record.observed = failure.observed();
-      record.detail = node.op() + ":" + node.name();
-      obs::Ledger::Global().Record(std::move(record));
+    // Expected speculative abort; no annotation needed, but the trace
+    // wants the kernel-site view (the engine adds unit context in its own
+    // fallback decision, joined on assumption id).
+    if (obs::Trace::Enabled()) {
+      obs::Trace::RecordDecision(
+          "assert_failure", {{"assumption", failure.assumption_id()},
+                             {"assumed", failure.assumed()},
+                             {"observed", failure.observed()},
+                             {"node", node.op() + ":" + node.name()}});
     }
     throw;
   } catch (const Error& e) {
@@ -128,7 +125,7 @@ std::vector<Tensor> Executor::RunPlan(
     const ExecutionPlan& plan, const std::map<std::string, Tensor>& feeds,
     RunContext& run) {
   obs::TraceScope span("execute_plan", "executor");
-  span.set_arg("nodes", static_cast<std::int64_t>(plan.nodes().size()));
+  span.AddArg("nodes", static_cast<std::int64_t>(plan.nodes().size()));
   run.feeds = &feeds;
   run.variables = variables_;
   run.host_state = host_state_;

@@ -146,7 +146,7 @@ std::shared_ptr<const ExecutionPlan> ExecutionPlan::Build(
     const Graph& graph, std::span<const NodeOutput> fetches,
     PlanOptions options) {
   obs::TraceScope span("plan_build", "runtime");
-  span.set_arg("graph_nodes",
+  span.AddArg("graph_nodes",
                static_cast<std::int64_t>(graph.nodes().size()));
   auto plan = std::shared_ptr<ExecutionPlan>(new ExecutionPlan());
   plan->fetches_.assign(fetches.begin(), fetches.end());
@@ -159,7 +159,7 @@ std::shared_ptr<const ExecutionPlan> ExecutionPlan::Build(
     obs::TraceScope fusion_span("fusion", "runtime");
     const int regions = FusePlan(plan->nodes_, plan->fetch_slots_,
                                  plan->index_, plan->fused_regions_);
-    fusion_span.set_arg("regions", static_cast<std::int64_t>(regions));
+    fusion_span.AddArg("regions", static_cast<std::int64_t>(regions));
   }
   plan->memory_ = BuildMemoryPlan(*plan);
 

@@ -27,8 +27,8 @@ namespace janus {
 
 // Thrown by AssertOp when a speculative assumption does not hold at runtime.
 // Carries the failing assumption's identity and, when the assert site can
-// render them, the assumed vs observed values — the engine forwards both to
-// the speculation ledger so fallbacks are attributable after the fact.
+// render them, the assumed vs observed values — the engine records both on
+// its fallback decision so fallbacks are attributable after the fact.
 class AssumptionFailed : public Error {
  public:
   AssumptionFailed(std::string assumption_id, const std::string& message)

@@ -1,10 +1,10 @@
-// Tests for the live-introspection layer (src/obs): the speculation
-// flight recorder (ring overflow, JSONL schema, threaded publication),
-// the Prometheus text exposition (name sanitation, label escaping,
-// counter + histogram rendering), the introspection hub's source
-// retirement, the HTTP endpoint routing, an end-to-end socket scrape of a
-// live engine, and fallback root-cause attribution naming the exact
-// failing assumption.
+// Tests for the live-introspection layer (src/obs): decision events on the
+// trace (args round-tripped through the Chrome-trace JSON, ring overflow,
+// threaded publication, the disabled fast path), the Prometheus text
+// exposition (name sanitation, label escaping, counter + histogram
+// rendering), the introspection hub's source retirement, the HTTP endpoint
+// routing with /flightz, an end-to-end socket scrape of a live engine, and
+// fallback root-cause attribution naming the exact failing assumption.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -12,10 +12,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <atomic>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -23,32 +22,32 @@
 #include "frontend/builtins.h"
 #include "obs/http_export.h"
 #include "obs/json_check.h"
-#include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/trace.h"
 
 namespace janus {
 namespace {
 
-using obs::FlatObject;
-using obs::FlatValue;
+using obs::ChromeTraceEvent;
 using obs::HttpExportServer;
 using obs::HttpResponse;
 using obs::IntrospectionHub;
-using obs::Ledger;
-using obs::LedgerRecord;
 using obs::MetricsRegistry;
+using obs::Trace;
+using obs::TraceEvent;
 
 class IntrospectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    Ledger::Disable();
-    Ledger::Global().SetCapacityForTesting(0);  // default capacity
+    Trace::Disable();
+    Trace::Reset();
     IntrospectionHub::Global().ResetForTesting();
   }
   void TearDown() override {
-    Ledger::Disable();
-    Ledger::Global().SetCapacityForTesting(0);
+    Trace::Disable();
+    Trace::Reset();
+    Trace::SetBufferCapacityForTesting(0);  // restore default
     IntrospectionHub::Global().ResetForTesting();
   }
 };
@@ -66,163 +65,149 @@ struct Session {
   JanusEngine engine;
 };
 
-LedgerRecord MakeRecord(const char* kind, std::string detail = {}) {
-  LedgerRecord record;
-  record.kind = kind;
-  record.unit = "0xabc";
-  record.detail = std::move(detail);
-  return record;
+// A trace event's arg `key` as text: the string, or the integer's decimal
+// rendering; empty when absent.
+std::string ArgOf(const TraceEvent& event, std::string_view key) {
+  for (const obs::TraceArg& arg : event.args) {
+    if (key == arg.key) {
+      return arg.is_text ? arg.text : std::to_string(arg.number);
+    }
+  }
+  return {};
 }
 
-// ---- ledger ----
+// Trains a unit on a stable branch, then flips it: the speculative graph's
+// AssertOp fails and the engine falls back (Fig. 2 (E)).
+constexpr const char* kFlipProgram = R"(
+w = variable('sw', constant([2.0]))
+mode = constant([1.0])
 
-TEST_F(IntrospectionTest, DisabledLedgerHasFastPathGuard) {
-  ASSERT_FALSE(Ledger::Enabled());
-  // Producer sites all guard on Enabled(); a full engine session with the
-  // recorder off must publish nothing.
-  const std::int64_t before = Ledger::Global().TotalRecorded();
+def loss_fn():
+    h = w * 3.0
+    if reduce_sum(mode) > 0.0:
+        out = h * h
+    else:
+        out = h + 100.0
+    return reduce_sum(out)
+
+for i in range(8):
+    optimize(loss_fn, 0.0)
+
+mode = constant([-1.0])
+for i in range(4):
+    optimize(loss_fn, 0.0)
+)";
+
+// ---- decision events ----
+
+TEST_F(IntrospectionTest, DisabledTraceHasFastPathGuard) {
+  ASSERT_FALSE(Trace::Enabled());
+  // Every producer site (engine, executor, profiler, cache) guards on
+  // Trace::Enabled(); a session that generates, falls back and blacklists
+  // with the tracer off must record nothing.
   Session session;
-  session.interp.Run(R"(
-w = variable('w', constant([[0.5]]))
-x = constant([[1.0], [2.0]])
-def fn():
-    return reduce_mean(matmul(x, w))
-for i in range(6):
-    optimize(fn, 0.01)
-)");
-  EXPECT_EQ(Ledger::Global().TotalRecorded(), before);
+  session.interp.Run(kFlipProgram);
+  ASSERT_GE(session.engine.stats().fallbacks, 1);
+  EXPECT_EQ(Trace::TotalRecorded(), 0);
+}
+
+TEST_F(IntrospectionTest, DecisionKindsRoundTripWithArgs) {
+  const std::vector<std::string> kinds = {
+      "fallback",       "entry_mismatch", "cache_miss",
+      "refusal",        "assert_failure", "assumption_blacklisted",
+      "cache_insert",   "cache_evict",    "cache_despecialize"};
+  const std::string assumed = "say \"hi\"\nline\ttab\\end";
+  const std::string observed = std::string("ctl\x01");
+  Trace::Enable();
+  for (const std::string& kind : kinds) {
+    Trace::RecordDecision(kind.c_str(), {{"unit", "0xabc"},
+                                         {"assumed", assumed},
+                                         {"observed", observed},
+                                         {"level", 2},
+                                         {"validate_ns", -5}});
+  }
+  Trace::RecordComplete("not_a_decision", "engine", 0, 1);
+  Trace::Disable();
+
+  std::string error;
+  std::vector<ChromeTraceEvent> events;
+  ASSERT_TRUE(obs::ValidateChromeTrace(Trace::ToChromeJson(), &error, nullptr,
+                                       &events))
+      << error;
+  std::vector<std::string> seen;
+  for (const ChromeTraceEvent& event : events) {
+    if (event.cat != obs::kDecisionCategory) continue;
+    seen.push_back(event.name);
+    EXPECT_EQ(event.ph, "i");
+    EXPECT_EQ(event.args.at("unit"), "0xabc");
+    // Escapes decode back to the original strings; ints keep their text.
+    EXPECT_EQ(event.args.at("assumed"), assumed);
+    EXPECT_EQ(event.args.at("observed"), observed);
+    EXPECT_EQ(event.args.at("level"), "2");
+    EXPECT_EQ(event.args.at("validate_ns"), "-5");
+  }
+  EXPECT_EQ(seen, kinds);
 }
 
 TEST_F(IntrospectionTest, RingOverflowKeepsNewestRecords) {
-  Ledger& ledger = Ledger::Global();
-  ledger.SetCapacityForTesting(8);
-  Ledger::Enable();
-  for (int i = 0; i < 20; ++i) {
-    ledger.Record(
-        MakeRecord("run", std::string("r").append(std::to_string(i))));
-  }
-  EXPECT_EQ(ledger.TotalRecorded(), 20);
-  EXPECT_EQ(ledger.TotalDropped(), 12);
-  const std::vector<LedgerRecord> records = ledger.Snapshot();
-  ASSERT_EQ(records.size(), 8u);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    // Oldest-first, exactly the last capacity records.
-    EXPECT_EQ(records[i].seq, static_cast<std::int64_t>(12 + i));
-    EXPECT_EQ(records[i].detail,
-              std::string("r").append(std::to_string(12 + i)));
-  }
-}
-
-TEST_F(IntrospectionTest, SnapshotHonorsMaxRecords) {
-  Ledger& ledger = Ledger::Global();
-  ledger.SetCapacityForTesting(16);
-  Ledger::Enable();
-  for (int i = 0; i < 10; ++i) ledger.Record(MakeRecord("run"));
-  const std::vector<LedgerRecord> records = ledger.Snapshot(3);
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records.front().seq, 7);
-  EXPECT_EQ(records.back().seq, 9);
-}
-
-TEST_F(IntrospectionTest, JsonLineEscapesAndValidates) {
-  LedgerRecord record = MakeRecord("fallback");
-  record.name = "loss_fn";
-  record.assumption = "shape:x";
-  record.assumed = "say \"hi\"\nline\ttab\\end";
-  record.observed = std::string("ctl\x01");
-  record.level = 2;
-  record.cache_hit = 1;
-  record.execute_ns = 1234;
-  Ledger::Enable();
-  Ledger::Global().SetCapacityForTesting(4);
-  Ledger::Global().Record(record);
-  const std::vector<LedgerRecord> records = Ledger::Global().Snapshot();
-  ASSERT_EQ(records.size(), 1u);
-
-  const std::string line = Ledger::ToJsonLine(records[0]);
-  std::string error;
-  FlatObject fields;
-  ASSERT_TRUE(obs::ValidateLedgerLine(line, &fields, &error)) << error;
-  EXPECT_EQ(fields["kind"].text, "fallback");
-  EXPECT_EQ(fields["assumption"].text, "shape:x");
-  // Escapes decode back to the original strings.
-  EXPECT_EQ(fields["assumed"].text, record.assumed);
-  EXPECT_EQ(fields["observed"].kind, FlatValue::Kind::kString);
-  EXPECT_EQ(fields["level"].text, "2");
-  EXPECT_EQ(fields["execute_ns"].text, "1234");
-}
-
-TEST_F(IntrospectionTest, LedgerLineValidatorRejectsBadRecords) {
-  std::string error;
-  EXPECT_FALSE(obs::ValidateLedgerLine("{\"seq\":1}", nullptr, &error));
-  EXPECT_NE(error.find("ts_ns"), std::string::npos);
-  EXPECT_FALSE(obs::ValidateLedgerLine(
-      "{\"seq\":1,\"ts_ns\":2}", nullptr, &error));
-  EXPECT_NE(error.find("kind"), std::string::npos);
-  EXPECT_FALSE(obs::ValidateLedgerLine(
-      "{\"seq\":\"one\",\"ts_ns\":2,\"kind\":\"run\"}", nullptr, &error));
-  EXPECT_FALSE(obs::ValidateLedgerLine(
-      "{\"seq\":1,\"ts_ns\":2,\"kind\":\"run\",\"nested\":{}}", nullptr,
-      &error));
-  EXPECT_TRUE(obs::ValidateLedgerLine(
-      "{\"seq\":1,\"ts_ns\":2,\"kind\":\"run\"}", nullptr, &error)) << error;
+  // Decisions share each thread's ring with spans and sampled kernel
+  // events: once the ring wraps, the oldest decisions are gone and the
+  // newest survive, oldest first.
+  Trace::SetBufferCapacityForTesting(8);
+  Trace::Enable();
+  std::thread recorder([] {  // a fresh thread gets the shrunken ring
+    for (int i = 0; i < 6; ++i) {
+      const std::string detail = std::string("d").append(std::to_string(i));
+      Trace::RecordDecision("cache_insert", {{"detail", detail}});
+      Trace::RecordComplete("MatMul", "kernel", Trace::NowNs(), 1);
+    }
+  });
+  recorder.join();
+  EXPECT_EQ(Trace::TotalDropped(), 4);
+  const std::vector<TraceEvent> decisions = Trace::CollectDecisions(0);
+  ASSERT_EQ(decisions.size(), 4u);
+  EXPECT_EQ(ArgOf(decisions.front(), "detail"), "d2");
+  EXPECT_EQ(ArgOf(decisions.back(), "detail"), "d5");
 }
 
 TEST_F(IntrospectionTest, ThreadedWritersNeverTearRecords) {
-  Ledger& ledger = Ledger::Global();
-  ledger.SetCapacityForTesting(64);
-  Ledger::Enable();
+  Trace::Enable();
   constexpr int kThreads = 8;
   constexpr int kPerThread = 500;
+  std::atomic<bool> done{false};
+  // A scraper serializes the rings while the writers publish, as /flightz
+  // does against a live process.
+  std::thread scraper([&done] {
+    while (!done.load()) {
+      std::string error;
+      EXPECT_TRUE(obs::ValidateChromeTrace(
+          Trace::ToChromeJson(Trace::CollectDecisions(64)), &error))
+          << error;
+    }
+  });
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&ledger, t] {
+    threads.emplace_back([t] {
       const std::string tag = "writer-" + std::to_string(t) +
                               "-payload-payload-payload";
       for (int i = 0; i < kPerThread; ++i) {
-        LedgerRecord record;
-        record.kind = "run";
-        record.unit = tag;    // same string in two fields: a torn slot
-        record.detail = tag;  // would disagree
-        ledger.Record(std::move(record));
+        // Same string in two args: a torn event would disagree.
+        Trace::RecordDecision("cache_insert",
+                              {{"unit", tag}, {"detail", tag}});
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(ledger.TotalRecorded(), kThreads * kPerThread);
-  const std::vector<LedgerRecord> records = ledger.Snapshot();
-  EXPECT_FALSE(records.empty());
-  for (const LedgerRecord& record : records) {
-    EXPECT_EQ(record.unit, record.detail);
-    EXPECT_NE(record.unit.find("writer-"), std::string::npos);
+  done.store(true);
+  scraper.join();
+  EXPECT_EQ(Trace::TotalRecorded(), kThreads * kPerThread);
+  const std::vector<TraceEvent> events = Trace::CollectDecisions(0);
+  EXPECT_EQ(events.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  for (const TraceEvent& event : events) {
+    EXPECT_EQ(ArgOf(event, "unit"), ArgOf(event, "detail"));
+    EXPECT_NE(ArgOf(event, "unit").find("writer-"), std::string::npos);
   }
-}
-
-TEST_F(IntrospectionTest, WriteJsonlProducesValidatableFile) {
-  Ledger& ledger = Ledger::Global();
-  ledger.SetCapacityForTesting(16);
-  Ledger::Enable();
-  for (int i = 0; i < 5; ++i) {
-    ledger.Record(
-        MakeRecord("generation", std::string("g").append(std::to_string(i))));
-  }
-  const std::string path =
-      ::testing::TempDir() + "/introspection_test_ledger.jsonl";
-  ASSERT_TRUE(ledger.WriteJsonl(path));
-  std::ifstream file(path);
-  ASSERT_TRUE(file.good());
-  int lines = 0;
-  std::string line;
-  while (std::getline(file, line)) {
-    if (line.empty()) continue;
-    std::string error;
-    EXPECT_TRUE(obs::ValidateLedgerLine(line, nullptr, &error))
-        << line << ": " << error;
-    ++lines;
-  }
-  EXPECT_EQ(lines, 5);
-  std::remove(path.c_str());
 }
 
 // ---- Prometheus exposition ----
@@ -251,8 +236,6 @@ TEST_F(IntrospectionTest, RendersCountersAndValidates) {
   EXPECT_NE(text.find("# TYPE janus_engine_fallbacks counter\n"),
             std::string::npos);
   EXPECT_NE(text.find("janus_engine_fallbacks 3\n"), std::string::npos);
-  // The ledger's own counters are always exported.
-  EXPECT_NE(text.find("janus_ledger_records_total"), std::string::npos);
 
   std::string error;
   obs::PrometheusSummary summary;
@@ -403,26 +386,24 @@ TEST_F(IntrospectionTest, HandlePathRoutes) {
 }
 
 TEST_F(IntrospectionTest, FlightzServesRecentRecordsWithLimit) {
-  Ledger& ledger = Ledger::Global();
-  ledger.SetCapacityForTesting(16);
-  Ledger::Enable();
+  Trace::Enable();
   for (int i = 0; i < 5; ++i) {
-    ledger.Record(
-        MakeRecord("run", std::string("r").append(std::to_string(i))));
+    const std::string detail = std::string("r").append(std::to_string(i));
+    Trace::RecordDecision("cache_insert", {{"detail", detail}});
+    Trace::RecordComplete("graph_execution", "engine", 0, 1);
   }
   const HttpResponse response = HttpExportServer::HandlePath("/flightz?n=2");
-  std::istringstream lines(response.body);
-  std::string line;
-  int count = 0;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    std::string error;
-    EXPECT_TRUE(obs::ValidateLedgerLine(line, nullptr, &error)) << error;
-    ++count;
-  }
-  EXPECT_EQ(count, 2);
-  // The newest records are served.
-  EXPECT_NE(response.body.find("r4"), std::string::npos);
+  EXPECT_EQ(response.content_type, "application/json");
+  std::string error;
+  std::vector<ChromeTraceEvent> events;
+  ASSERT_TRUE(obs::ValidateChromeTrace(response.body, &error, nullptr,
+                                       &events))
+      << error;
+  // The newest 2 decision events, oldest first; spans are not decisions.
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].cat, obs::kDecisionCategory);
+  EXPECT_EQ(events[0].args.at("detail"), "r3");
+  EXPECT_EQ(events[1].args.at("detail"), "r4");
 }
 
 // ---- end-to-end socket scrape ----
@@ -496,57 +477,42 @@ for i in range(8):
 // ---- fallback attribution ----
 
 TEST_F(IntrospectionTest, ForcedFallbackNamesFailingAssumption) {
-  Ledger::Global().SetCapacityForTesting(1024);
-  Ledger::Enable();
+  Trace::Enable();
   Session session;
-  // Stable branch during profiling, then flipped: the speculative graph's
-  // AssertOp fails and the engine falls back (Fig. 2 (E)).
-  session.interp.Run(R"(
-w = variable('sw', constant([2.0]))
-mode = constant([1.0])
+  session.interp.Run(kFlipProgram);
+  Trace::Disable();
+  const EngineStats stats = session.engine.stats();
+  ASSERT_GE(stats.fallbacks, 1);
 
-def loss_fn():
-    h = w * 3.0
-    if reduce_sum(mode) > 0.0:
-        out = h * h
-    else:
-        out = h + 100.0
-    return reduce_sum(out)
-
-for i in range(8):
-    optimize(loss_fn, 0.0)
-
-mode = constant([-1.0])
-for i in range(4):
-    optimize(loss_fn, 0.0)
-)");
-  ASSERT_GE(session.engine.stats().fallbacks, 1);
-
-  const std::vector<LedgerRecord> records = Ledger::Global().Snapshot();
-  const LedgerRecord* fallback = nullptr;
-  const LedgerRecord* assert_failure = nullptr;
-  for (const LedgerRecord& record : records) {
-    if (std::string_view(record.kind) == "fallback" &&
-        !record.assumption.empty()) {
-      fallback = &record;
+  const std::vector<TraceEvent> decisions = Trace::CollectDecisions(0);
+  const TraceEvent* fallback = nullptr;
+  const TraceEvent* assert_failure = nullptr;
+  std::int64_t fallbacks = 0;
+  for (const TraceEvent& event : decisions) {
+    if (event.name == "fallback") {
+      ++fallbacks;
+      if (!ArgOf(event, "assumption").empty()) fallback = &event;
     }
-    if (std::string_view(record.kind) == "assert_failure") {
-      assert_failure = &record;
-    }
+    if (event.name == "assert_failure") assert_failure = &event;
   }
-  // The engine-side record carries the unit context and the exact failing
-  // assumption with its assumed-vs-observed rendering.
+  // Each decision is recorded once: one fallback event per fallback.
+  EXPECT_EQ(fallbacks, stats.fallbacks);
+  // The engine-side decision carries the unit context and the exact
+  // failing assumption with its assumed-vs-observed rendering.
   ASSERT_NE(fallback, nullptr);
-  EXPECT_EQ(fallback->name, "loss_fn");
-  EXPECT_EQ(fallback->assumption.rfind("branch:", 0), 0u)
-      << fallback->assumption;
-  EXPECT_EQ(fallback->assumed, "branch taken");
-  EXPECT_NE(fallback->observed.find("Tensor<bool"), std::string::npos)
-      << fallback->observed;
-  // The executor-side record names the same assumption at the kernel site.
+  EXPECT_EQ(ArgOf(*fallback, "name"), "loss_fn");
+  EXPECT_EQ(ArgOf(*fallback, "assumption").rfind("branch:", 0), 0u)
+      << ArgOf(*fallback, "assumption");
+  EXPECT_EQ(ArgOf(*fallback, "assumed"), "branch taken");
+  EXPECT_NE(ArgOf(*fallback, "observed").find("Tensor<bool"),
+            std::string::npos)
+      << ArgOf(*fallback, "observed");
+  // The executor-side decision names the same assumption at the kernel
+  // site.
   ASSERT_NE(assert_failure, nullptr);
-  EXPECT_EQ(assert_failure->assumption, fallback->assumption);
-  EXPECT_NE(assert_failure->detail.find("Assert"), std::string::npos);
+  EXPECT_EQ(ArgOf(*assert_failure, "assumption"),
+            ArgOf(*fallback, "assumption"));
+  EXPECT_NE(ArgOf(*assert_failure, "node").find("Assert"), std::string::npos);
 
   // The per-unit ladder section of the status report names the unit.
   const std::string report = session.engine.StatsReport();

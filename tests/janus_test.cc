@@ -147,6 +147,52 @@ r3 = float(optimize(loss_fn, 0.0))
   EXPECT_GT(stats.graph_executions, stats_before.graph_executions);
 }
 
+TEST_F(JanusTest, DynamicBranchReadingAnAttributeKeepsItsGraph) {
+  // The branch flips twice. After the first flip the regenerated graph has
+  // a Switch/Merge conditional whose then-side reads self.gain; the write
+  // after the `if` and the side-effect anchor must not die with that read
+  // when the else side runs, or every run of the graph would fail and
+  // fall back.
+  constexpr const char* program = R"(
+class Scaler:
+    def __init__(self):
+        self.gain = constant([1.0])
+    def step(self, x):
+        if reduce_sum(x) > 0.0:
+            out = reduce_sum(x * self.gain)
+        else:
+            out = reduce_sum(x * x)
+        self.gain = self.gain * 1.01
+        return out
+
+model = Scaler()
+pos = constant([1.0, 2.0, 3.0])
+neg = constant([-1.0, -2.0, -3.0])
+
+def run_once():
+    return model.step(data)
+
+out = 0.0
+for data in [pos, neg, pos]:
+    for i in range(6):
+        out = optimize(run_once, 0.0)
+gain = model.gain
+)";
+  Session janus(EngineOptions{});
+  Session imperative(EngineOptions::ImperativePreset());
+  janus.interp.Run(program);
+  imperative.interp.Run(program);
+  for (const char* global : {"out", "gain"}) {
+    const Tensor got = AsTensor(janus.interp.GetGlobal(global));
+    const Tensor want = AsTensor(imperative.interp.GetGlobal(global));
+    EXPECT_TRUE(got.ElementsEqual(want))
+        << global << ": " << got.ToString() << " vs " << want.ToString();
+  }
+  const EngineStats stats = janus.engine.stats();
+  EXPECT_LE(stats.fallbacks, 1);
+  EXPECT_GE(stats.graph_executions, 14);
+}
+
 TEST_F(JanusTest, Fig1StatePassingMatchesImperative) {
   // The paper's Figure 1 pattern: attribute state carried across calls via
   // deferred PyGetAttr/PySetAttr.
@@ -659,6 +705,12 @@ INSTANTIATE_TEST_SUITE_P(
         BuiltinDivergence{"int_int64_tensor",
                           "int(constant_int(9007199254740993))", nullptr,
                           false},
+        // int and float of a tensor take its element 0, where the graph
+        // used to cast the whole tensor.
+        BuiltinDivergence{"int_int64_vector",
+                          "int(constant_int([9007199254740993]))", nullptr,
+                          false},
+        BuiltinDivergence{"float_vector", "float(x * 2.0)", nullptr, false},
         // A float with no int64 value raises in both modes, where both
         // used to return an undefined conversion.
         BuiltinDivergence{"int_out_of_range", "int(x * 1e30)",

@@ -5,6 +5,7 @@
 // end-to-end engine trace including a forced fallback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -69,8 +70,8 @@ TEST_F(ObsTest, ScopeRecordsCompleteEventWithArgs) {
   Trace::Enable();
   {
     TraceScope span("unit_span", "test");
-    span.set_arg("items", 42);
-    span.set_detail("extra");
+    span.AddArg("items", 42);
+    span.AddArg("detail", "extra");
   }
   const std::vector<TraceEvent> events = Trace::Collect();
   ASSERT_EQ(events.size(), 1u);
@@ -78,9 +79,11 @@ TEST_F(ObsTest, ScopeRecordsCompleteEventWithArgs) {
   EXPECT_STREQ(events[0].category, "test");
   EXPECT_EQ(events[0].phase, 'X');
   EXPECT_GE(events[0].dur_ns, 0);
-  EXPECT_STREQ(events[0].arg_key, "items");
-  EXPECT_EQ(events[0].arg_value, 42);
-  EXPECT_EQ(events[0].detail, "extra");
+  ASSERT_EQ(events[0].args.size(), 2u);
+  EXPECT_STREQ(events[0].args[0].key, "items");
+  EXPECT_EQ(events[0].args[0].number, 42);
+  EXPECT_STREQ(events[0].args[1].key, "detail");
+  EXPECT_EQ(events[0].args[1].text, "extra");
 }
 
 TEST_F(ObsTest, SpanNestingAcrossThreads) {
@@ -256,9 +259,10 @@ TEST_F(ObsTest, ChromeTraceJsonRoundTrip) {
   Trace::Enable();
   {
     TraceScope span("span \"quoted\\\n", "cat/one");
-    span.set_arg("count", 7);
+    span.AddArg("count", 7);
   }
-  Trace::RecordInstant("instant_marker", "cat two", "detail \"x\"\t");
+  Trace::RecordInstant("instant_marker", "cat two",
+                       {{"detail", "detail \"x\"\t"}});
   Trace::RecordComplete("plain", "cat", 100, 50);
 
   const std::string path =
@@ -395,19 +399,29 @@ for i in range(8):
   content << file.rdbuf();
   std::string error;
   ChromeTraceSummary summary;
-  ASSERT_TRUE(obs::ValidateChromeTrace(content.str(), &error, &summary))
+  std::vector<obs::ChromeTraceEvent> events;
+  ASSERT_TRUE(
+      obs::ValidateChromeTrace(content.str(), &error, &summary, &events))
       << error;
   EXPECT_GT(summary.num_events, 10);
   // The acceptance set: profiling, generation, plan build, graph
-  // execution, per-op kernel samples, and the forced fallback.
+  // execution, per-op kernel samples, and the forced fallback as both the
+  // imperative rerun's span and the decision that names its assumption.
   EXPECT_TRUE(summary.names.count("profile") != 0u);
   EXPECT_TRUE(summary.names.count("graph_generation") != 0u);
   EXPECT_TRUE(summary.names.count("plan_build") != 0u);
   EXPECT_TRUE(summary.names.count("graph_execution") != 0u);
-  EXPECT_TRUE(summary.names.count("fallback") != 0u);
-  EXPECT_TRUE(summary.names.count("assumption_failure") != 0u);
   EXPECT_TRUE(summary.categories.count("kernel") != 0u);
   EXPECT_TRUE(summary.categories.count("engine") != 0u);
+  const auto has = [&events](std::string_view cat, std::string_view name) {
+    return std::any_of(events.begin(), events.end(),
+                       [&](const obs::ChromeTraceEvent& event) {
+                         return event.cat == cat && event.name == name;
+                       });
+  };
+  EXPECT_TRUE(has("engine", "fallback"));
+  EXPECT_TRUE(has(obs::kDecisionCategory, "fallback"));
+  EXPECT_TRUE(has(obs::kDecisionCategory, "assert_failure"));
   std::remove(path.c_str());
 }
 

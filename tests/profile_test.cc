@@ -1,10 +1,8 @@
-// Tests for the source-attributed continuous profiler (src/obs/profile,
-// src/obs/pprof_encode): provenance stamping through generation, autodiff
-// and fusion for every zoo model; the lock-free per-plan accumulator under
-// threaded recording; the hand-rolled pprof encoder round-tripped through
-// the in-repo decoder (gzip container included); the live /profilez and
-// /pprof/profile endpoints scraped over a real socket; folded-stacks
-// parsing; and profdiff regression detection.
+// Tests for the source-attributed continuous profiler (src/obs/profile):
+// provenance stamping through generation, autodiff and fusion for every
+// zoo model; the lock-free per-plan accumulator under threaded recording;
+// the live /profilez endpoint scraped over a real socket; folded-stacks
+// rendering and parsing; and profdiff regression detection.
 #include "obs/profile.h"
 
 #include <arpa/inet.h>
@@ -24,17 +22,11 @@
 #include "frontend/eager.h"
 #include "models/zoo.h"
 #include "obs/http_export.h"
-#include "obs/json_check.h"
-#include "obs/pprof_encode.h"
 
 namespace janus {
 namespace {
 
-using obs::DecodePprof;
-using obs::DecodedPprof;
 using obs::FoldedProfile;
-using obs::GunzipStored;
-using obs::GzipCompress;
 using obs::HttpExportServer;
 using obs::PlanProfile;
 using obs::ProfileNodeInfo;
@@ -155,16 +147,20 @@ TEST_F(ProfileTest, EngineRunAccumulatesSourceAttributedSamples) {
   }
   EXPECT_TRUE(found_unit);
 
-  // The renderers agree with the validator.
+  // Both renderings carry the attribution: the folded stacks as
+  // unit;function;function:line;op frames, the text view by unit and line.
+  FoldedProfile folded;
   std::string error;
-  obs::ProfileJsonSummary summary;
-  ASSERT_TRUE(obs::ValidateProfileJson(obs::RenderProfileJson(), &error,
-                                       &summary))
+  ASSERT_TRUE(obs::ParseFoldedProfile(obs::RenderFoldedStacks(), &folded,
+                                      &error))
       << error;
-  EXPECT_TRUE(summary.enabled);
-  EXPECT_EQ(summary.sample_stride,
-            static_cast<int>(obs::kProfileSampleEvery));
-  EXPECT_NE(summary.units.count("loss_fn"), 0u);
+  bool found_stack = false;
+  for (const auto& [stack, ns] : folded.stack_ns) {
+    if (stack.rfind("loss_fn;loss_fn;loss_fn:", 0) == 0 && ns > 0) {
+      found_stack = true;
+    }
+  }
+  EXPECT_TRUE(found_stack) << "no loss_fn;loss_fn;loss_fn:<line>;op stack";
   const std::string text = obs::RenderProfileText();
   EXPECT_NE(text.find("loss_fn"), std::string::npos);
   EXPECT_NE(text.find("== by source line =="), std::string::npos);
@@ -184,7 +180,8 @@ TEST_F(ProfileTest, DisabledProfilingRecordsNoSamples) {
 TEST_F(ProfileTest, ThreadedRecordingLosesNoCountsOrTime) {
   std::vector<ProfileNodeInfo> infos(4);
   for (int i = 0; i < 4; ++i) {
-    infos[static_cast<std::size_t>(i)].name = "n" + std::to_string(i);
+    infos[static_cast<std::size_t>(i)].name =
+        std::string("n").append(std::to_string(i));
   }
   PlanProfile profile(std::move(infos));
   constexpr int kThreads = 8;
@@ -264,86 +261,9 @@ TEST_F(ProfileTest, FreshThreadDoesNotSampleItsFirstEagerOp) {
   }
 }
 
-// ---- pprof encoding: gzip container + protobuf round-trip ----
+// ---- live socket scrape of /profilez ----
 
-TEST_F(ProfileTest, GzipRoundTripsIncludingMultiBlockAndEmpty) {
-  for (const std::size_t size : {std::size_t{0}, std::size_t{1},
-                                 std::size_t{65535}, std::size_t{200000}}) {
-    std::string raw(size, '\0');
-    for (std::size_t i = 0; i < size; ++i) {
-      raw[i] = static_cast<char>((i * 131 + 17) & 0xff);
-    }
-    const std::string gz = GzipCompress(raw);
-    ASSERT_GE(gz.size(), 18u);
-    EXPECT_EQ(static_cast<unsigned char>(gz[0]), 0x1f);
-    EXPECT_EQ(static_cast<unsigned char>(gz[1]), 0x8b);
-    std::string out;
-    std::string error;
-    ASSERT_TRUE(GunzipStored(gz, &out, &error)) << error;
-    EXPECT_EQ(out, raw);
-  }
-  // Corruption is detected via CRC.
-  std::string gz = GzipCompress("hello profiler");
-  gz[12] ^= 0x01;
-  std::string out;
-  std::string error;
-  EXPECT_FALSE(GunzipStored(gz, &out, &error));
-}
-
-TEST_F(ProfileTest, PprofEncodingRoundTripsThroughDecoder) {
-  std::vector<ProfileSample> samples(2);
-  samples[0].unit = "loss_fn";
-  samples[0].variant = "training(lr=0.010000)";
-  samples[0].level = 1;
-  samples[0].function = "loss_fn";
-  samples[0].line = 3;
-  samples[0].op = "MatMul";
-  samples[0].node = "MatMul_1";
-  samples[0].count = 42;
-  samples[0].total_ns = 123456;
-  samples[1].unit = "loss_fn";
-  samples[1].variant = "training(lr=0.010000)";
-  samples[1].function = "loss_fn";
-  samples[1].line = 4;
-  samples[1].op = "Mul";
-  samples[1].node = "Mul_2";
-  samples[1].count = 7;
-  samples[1].total_ns = 999;
-
-  const std::string proto = obs::EncodeProfileProto(samples);
-  // Deterministic encoder: same input, same bytes.
-  EXPECT_EQ(proto, obs::EncodeProfileProto(samples));
-
-  DecodedPprof decoded;
-  std::string error;
-  ASSERT_TRUE(DecodePprof(proto, &decoded, &error)) << error;
-  ASSERT_EQ(decoded.sample_types.size(), 2u);
-  EXPECT_EQ(decoded.sample_types[0].first, "executions");
-  EXPECT_EQ(decoded.sample_types[1].first, "time");
-  EXPECT_EQ(decoded.sample_types[1].second, "nanoseconds");
-  ASSERT_EQ(decoded.samples.size(), 2u);
-
-  // Leaf-first stack: op, then function:line, then the function frame.
-  const DecodedPprof::Sample& first = decoded.samples[0];
-  ASSERT_EQ(first.stack.size(), 3u);
-  EXPECT_EQ(first.stack[0], "MatMul");
-  EXPECT_EQ(first.stack[1], "loss_fn:3");
-  EXPECT_EQ(first.stack[2], "loss_fn");
-  ASSERT_EQ(first.values.size(), 2u);
-  EXPECT_EQ(first.values[0], 42);
-  EXPECT_EQ(first.values[1], 123456);
-  EXPECT_EQ(first.labels.at("unit"), "loss_fn");
-  EXPECT_EQ(first.labels.at("node"), "MatMul_1");
-
-  // The gzip wrapper decodes transparently too.
-  DecodedPprof via_gzip;
-  ASSERT_TRUE(DecodePprof(GzipCompress(proto), &via_gzip, &error)) << error;
-  EXPECT_EQ(via_gzip.samples.size(), 2u);
-}
-
-// ---- live socket scrape of /profilez and /pprof/profile ----
-
-TEST_F(ProfileTest, HttpEndpointsServeProfileAndPprof) {
+TEST_F(ProfileTest, HttpEndpointsServeProfile) {
   obs::EnableProfiling();
   Session session;
   session.interp.Run(kTrainingScript);
@@ -382,30 +302,10 @@ TEST_F(ProfileTest, HttpEndpointsServeProfileAndPprof) {
 
   const std::string text = http_get("/profilez");
   EXPECT_NE(text.find("loss_fn"), std::string::npos);
-
-  const std::string json = http_get("/profilez?format=json");
-  std::string error;
-  obs::ProfileJsonSummary summary;
-  ASSERT_TRUE(obs::ValidateProfileJson(json, &error, &summary)) << error;
-  EXPECT_NE(summary.units.count("loss_fn"), 0u);
-
-  // Binary-safe: the gzipped pprof body survives HTTP framing intact.
-  const std::string pprof_body = http_get("/pprof/profile");
-  ASSERT_GE(pprof_body.size(), 2u);
-  EXPECT_EQ(static_cast<unsigned char>(pprof_body[0]), 0x1f);
-  EXPECT_EQ(static_cast<unsigned char>(pprof_body[1]), 0x8b);
-  DecodedPprof decoded;
-  ASSERT_TRUE(DecodePprof(pprof_body, &decoded, &error)) << error;
-  bool found_loss_fn_stack = false;
-  for (const DecodedPprof::Sample& sample : decoded.samples) {
-    if (sample.labels.count("unit") != 0u &&
-        sample.labels.at("unit") == "loss_fn" && sample.stack.size() == 3 &&
-        sample.stack[2] == "loss_fn") {
-      found_loss_fn_stack = true;
-    }
-  }
-  EXPECT_TRUE(found_loss_fn_stack)
-      << "no function->line->op stack for loss_fn in live pprof scrape";
+  EXPECT_NE(text.find("== by source line =="), std::string::npos);
+  EXPECT_NE(text.find("== top nodes =="), std::string::npos);
+  // Folded stacks are the one profile file format: no binary export.
+  EXPECT_EQ(HttpExportServer::HandlePath("/pprof/profile").status, 404);
 
   server.Stop();
 }

@@ -1,14 +1,14 @@
-// Root-cause attribution over a speculation-ledger dump (JANUS_LEDGER=
-// <path> JSONL, obs/ledger.h schema). Where the aggregate counters say
-// *that* fallbacks and cache churn happened, this answers *why*: per
-// conversion unit, the top failing assumptions with their assumed vs
-// observed values, the despecialization-ladder transitions with the churn
-// that triggered them, and the cache-churn summary.
+// Root-cause attribution over a Chrome trace: a JANUS_TRACE=<path> file or
+// a /flightz scrape (the event args of obs/trace.h). Where the aggregate
+// counters say *that* fallbacks and cache churn happened, this answers
+// *why*: per conversion unit, the top failing assumptions with their
+// assumed vs observed values, the despecialization-ladder transitions with
+// the churn that triggered them, and the cache-churn summary.
 //
-//   janus_explain <ledger.jsonl> [--top N] [--unit <name-or-hex-substr>]
+//   janus_explain <trace.json> [--top N] [--unit <name-or-hex-substr>]
 //
-// Exit status: 0 on success, 1 on malformed records, 2 on usage/IO
-// errors.
+// Exit status: 0 on success, 1 on a malformed trace, 2 on usage/IO errors
+// or a trace without decision-loop events.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +17,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,21 +25,20 @@
 
 namespace {
 
-using janus::obs::FlatObject;
-using janus::obs::FlatValue;
+using Args = std::map<std::string, std::string>;
 
-std::string GetStr(const FlatObject& fields, const char* key) {
-  const auto it = fields.find(key);
-  return it == fields.end() ? std::string() : it->second.text;
+std::string GetStr(const Args& args, const char* key) {
+  const auto it = args.find(key);
+  return it == args.end() ? std::string() : it->second;
 }
 
-std::int64_t GetInt(const FlatObject& fields, const char* key,
+std::int64_t GetInt(const Args& args, const char* key,
                     std::int64_t fallback = -1) {
-  const auto it = fields.find(key);
-  if (it == fields.end() || it->second.kind != FlatValue::Kind::kNumber) {
-    return fallback;
-  }
-  return std::strtoll(it->second.text.c_str(), nullptr, 10);
+  const auto it = args.find(key);
+  if (it == args.end()) return fallback;
+  char* end = nullptr;
+  const long long value = std::strtoll(it->second.c_str(), &end, 10);
+  return end == it->second.c_str() ? fallback : value;
 }
 
 std::string FormatNs(double ns) {
@@ -56,7 +56,7 @@ std::string FormatNs(double ns) {
 }
 
 // One failing assumption within a unit, aggregated across fallback,
-// entry_mismatch, and (by id) assert_failure records.
+// entry_mismatch, and (by id) assert_failure decisions.
 struct AssumptionAgg {
   std::int64_t count = 0;
   std::string assumed;   // most recent rendering
@@ -76,7 +76,7 @@ struct LevelFusion {
 
 struct UnitAgg {
   std::string unit;  // hex identity (join key)
-  std::string name;  // qualified name when any record carried one
+  std::string name;  // qualified name when any event carried one
   std::set<std::string> variants;
   std::map<std::string, std::int64_t> kind_counts;
   std::int64_t graph_runs = 0, graph_ns = 0, graph_ops = 0;
@@ -97,15 +97,14 @@ struct UnitAgg {
   }
 };
 
-void AddFailure(UnitAgg& unit, const std::string& kind,
-                const FlatObject& fields) {
-  const std::string id = GetStr(fields, "assumption");
+void AddFailure(UnitAgg& unit, const std::string& kind, const Args& args) {
+  const std::string id = GetStr(args, "assumption");
   if (id.empty()) return;
   AssumptionAgg& agg = unit.assumptions[id];
   agg.count += 1;
   agg.kinds[kind] += 1;
-  const std::string assumed = GetStr(fields, "assumed");
-  const std::string observed = GetStr(fields, "observed");
+  const std::string assumed = GetStr(args, "assumed");
+  const std::string observed = GetStr(args, "observed");
   if (!assumed.empty()) agg.assumed = assumed;
   if (!observed.empty()) agg.observed = observed;
 }
@@ -252,7 +251,7 @@ int main(int argc, char** argv) {
   }
   if (path == nullptr || top < 1) {
     std::fprintf(stderr,
-                 "usage: janus_explain <ledger.jsonl> [--top N] "
+                 "usage: janus_explain <trace.json> [--top N] "
                  "[--unit <name-or-hex-substr>]\n");
     return 2;
   }
@@ -261,6 +260,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "janus_explain: cannot open '%s'\n", path);
     return 2;
   }
+  std::ostringstream content;
+  content << file.rdbuf();
+  std::string error;
+  std::vector<janus::obs::ChromeTraceEvent> events;
+  if (!janus::obs::ValidateChromeTrace(content.str(), &error, nullptr,
+                                       &events)) {
+    std::fprintf(stderr, "janus_explain: %s: invalid trace: %s\n", path,
+                 error.c_str());
+    return 1;
+  }
 
   std::map<std::string, UnitAgg> units;
   std::map<std::string, std::int64_t> kind_totals;
@@ -268,101 +277,111 @@ int main(int argc, char** argv) {
   std::map<std::string, AssumptionAgg> assert_sites;
   std::map<std::string, std::string> assert_site_nodes;
   std::set<std::string> blacklisted;
-  int records = 0;
-  int bad_lines = 0;
-  int line_number = 0;
-  std::string line;
-  while (std::getline(file, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    std::string error;
-    FlatObject fields;
-    if (!janus::obs::ValidateLedgerLine(line, &fields, &error)) {
-      std::fprintf(stderr, "janus_explain: %s:%d: skipping bad record: %s\n",
-                   path, line_number, error.c_str());
-      ++bad_lines;
-      continue;
+  int attributed = 0;
+  for (const janus::obs::ChromeTraceEvent& event : events) {
+    // Decisions are named by their kind; the engine's spans stand for the
+    // run, generation and imperative-phase kinds.
+    std::string kind;
+    bool phase_span = false;  // an imperative run of the unit
+    if (event.cat == "decision") {
+      kind = event.name;
+    } else if (event.cat == "engine" && event.args.count("unit") != 0u) {
+      if (event.name == "graph_execution") {
+        kind = "run";
+      } else if (event.name == "graph_generation") {
+        kind = "generation";
+      } else if (event.name == "profile" || event.name == "imperative" ||
+                 event.name == "fallback") {
+        kind = event.name;
+        phase_span = true;
+      }
     }
-    ++records;
-    const std::string kind = GetStr(fields, "kind");
-    ++kind_totals[kind];
+    if (kind.empty()) continue;
+    const Args& args = event.args;
+    const auto ns = static_cast<std::int64_t>(event.dur_us * 1e3);
+    ++attributed;
+    // A fallback span is the imperative rerun of its fallback decision:
+    // an imperative run, not a second fallback.
+    const bool counted = !(phase_span && kind == "fallback");
+    if (counted) ++kind_totals[kind];
 
     if (kind == "assumption_blacklisted") {
-      blacklisted.insert(GetStr(fields, "assumption"));
+      blacklisted.insert(GetStr(args, "assumption"));
       continue;
     }
     if (kind == "assert_failure") {
-      const std::string id = GetStr(fields, "assumption");
+      const std::string id = GetStr(args, "assumption");
       AssumptionAgg& agg = assert_sites[id];
       agg.count += 1;
-      const std::string assumed = GetStr(fields, "assumed");
-      const std::string observed = GetStr(fields, "observed");
+      const std::string assumed = GetStr(args, "assumed");
+      const std::string observed = GetStr(args, "observed");
       if (!assumed.empty()) agg.assumed = assumed;
       if (!observed.empty()) agg.observed = observed;
-      const std::string node = GetStr(fields, "detail");
+      const std::string node = GetStr(args, "node");
       if (!node.empty()) assert_site_nodes[id] = node;
       continue;
     }
 
-    const std::string unit_id = GetStr(fields, "unit");
+    const std::string unit_id = GetStr(args, "unit");
     if (unit_id.empty()) continue;  // not attributable to a unit
     UnitAgg& unit = units[unit_id];
     unit.unit = unit_id;
-    const std::string name = GetStr(fields, "name");
+    const std::string name = GetStr(args, "name");
     if (!name.empty()) unit.name = name;
-    const std::string variant = GetStr(fields, "variant");
+    const std::string variant = GetStr(args, "variant");
     unit.variants.insert(variant.empty() ? "inference" : variant);
-    unit.kind_counts[kind] += 1;
 
+    if (counted) unit.kind_counts[kind] += 1;
     if (kind == "run") {
+      const std::int64_t ops = std::max<std::int64_t>(GetInt(args, "ops"), 0);
+      const std::int64_t fused_regions =
+          std::max<std::int64_t>(GetInt(args, "fused_regions"), 0);
+      const std::int64_t fused_ops =
+          std::max<std::int64_t>(GetInt(args, "fused_ops"), 0);
       unit.graph_runs += 1;
-      unit.graph_ns += std::max<std::int64_t>(GetInt(fields, "execute_ns"), 0);
-      unit.graph_ops += std::max<std::int64_t>(GetInt(fields, "ops"), 0);
-      const std::int64_t fused_regions = GetInt(fields, "fused_regions");
-      const std::int64_t fused_ops = GetInt(fields, "fused_ops");
-      if (fused_regions >= 0) unit.fused_regions += fused_regions;
-      if (fused_ops >= 0) unit.fused_ops += fused_ops;
-      LevelFusion& lf = unit.fusion_by_level[GetInt(fields, "level", -1)];
+      unit.graph_ns += ns;
+      unit.graph_ops += ops;
+      unit.fused_regions += fused_regions;
+      unit.fused_ops += fused_ops;
+      LevelFusion& lf = unit.fusion_by_level[GetInt(args, "level")];
       lf.runs += 1;
-      lf.fused_regions += std::max<std::int64_t>(fused_regions, 0);
-      lf.fused_ops += std::max<std::int64_t>(fused_ops, 0);
-      lf.ops += std::max<std::int64_t>(GetInt(fields, "ops"), 0);
-    } else if (kind == "profile" || kind == "imperative" ||
-               kind == "fallback") {
-      if (kind == "fallback") AddFailure(unit, kind, fields);
-      const std::int64_t ns = GetInt(fields, "execute_ns");
-      if (ns >= 0) {
-        unit.imperative_runs += 1;
-        unit.imperative_ns += ns;
-      }
-    } else if (kind == "entry_mismatch") {
-      AddFailure(unit, kind, fields);
+      lf.fused_regions += fused_regions;
+      lf.fused_ops += fused_ops;
+      lf.ops += ops;
+    } else if (phase_span) {
+      unit.imperative_runs += 1;
+      unit.imperative_ns += ns;
     } else if (kind == "generation") {
-      std::string rendered = "level " + std::to_string(GetInt(fields, "level", 0));
-      const std::int64_t generate_ns = GetInt(fields, "generate_ns");
-      if (generate_ns >= 0) {
-        rendered += ", " + FormatNs(static_cast<double>(generate_ns));
-      }
-      const std::int64_t bytes = GetInt(fields, "bytes");
+      std::string rendered =
+          "level " + std::to_string(GetInt(args, "level", 0)) + ", " +
+          FormatNs(static_cast<double>(ns));
+      const std::int64_t bytes = GetInt(args, "bytes");
       if (bytes >= 0) rendered += ", " + std::to_string(bytes) + " bytes";
-      const std::string detail = GetStr(fields, "detail");
-      if (!detail.empty()) rendered += ", " + detail;
+      rendered += ", " + std::to_string(GetInt(args, "asserts", 0)) +
+                  " asserts, " +
+                  std::to_string(GetInt(args, "entry_checks", 0)) +
+                  " entry checks, " +
+                  std::to_string(GetInt(args, "captures", 0)) + " captures";
       unit.generations.push_back(std::move(rendered));
+    } else if (kind == "fallback" || kind == "entry_mismatch") {
+      AddFailure(unit, kind, args);
     } else if (kind == "cache_despecialize") {
       unit.ladder.push_back("-> level " +
-                            std::to_string(GetInt(fields, "level", 0)) + " (" +
-                            GetStr(fields, "detail") + ")");
+                            std::to_string(GetInt(args, "level", 0)) + " (" +
+                            GetStr(args, "detail") + ")");
     }
   }
 
-  if (records == 0) {
-    std::fprintf(stderr, "janus_explain: %s: no valid ledger records\n",
+  if (attributed == 0) {
+    std::fprintf(stderr,
+                 "janus_explain: %s: no decision-loop events (was the trace "
+                 "taken with JANUS_TRACE?)\n",
                  path);
-    return bad_lines > 0 ? 1 : 2;
+    return 2;
   }
 
-  std::printf("== ledger %s: %d records, %zu units ==\n", path, records,
-              units.size());
+  std::printf("== trace %s: %d decision-loop events, %zu units ==\n", path,
+              attributed, units.size());
   std::string kinds_line;
   for (const auto& [kind, count] : kind_totals) {
     if (!kinds_line.empty()) kinds_line += ", ";
@@ -414,5 +433,5 @@ int main(int argc, char** argv) {
       }
     }
   }
-  return bad_lines > 0 ? 1 : 0;
+  return 0;
 }

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "models/zoo.h"
-#include "obs/ledger.h"
+#include "obs/trace.h"
 #include "verify/plan_verifier.h"
 #include "verify/unit_verifier.h"
 

@@ -2,34 +2,25 @@
 // modes, selected by the first argument:
 //
 //   trace_validate <trace.json> [required-event-name...]
-//     Chrome-trace JSON (JANUS_TRACE / Trace::WriteChromeTrace): full
-//     syntax check plus per-event schema (string name/cat/ph). Extra
-//     arguments are event names that must appear; CI uses this to assert
-//     the decision-loop phases were captured.
-//
-//   trace_validate --ledger <ledger.jsonl> [required-kind...]
-//     Speculation-ledger JSONL (JANUS_LEDGER / Ledger::WriteJsonl): every
-//     line must be a valid flat record with seq/ts_ns/kind. Extra
-//     arguments are record kinds that must appear (e.g. "run",
-//     "generation").
+//     Chrome-trace JSON (JANUS_TRACE / Trace::WriteChromeTrace, or a
+//     /flightz scrape): full syntax check plus per-event schema (string
+//     name/cat/ph, object args). Extra arguments are event names that must
+//     appear; CI uses this to assert the decision-loop phases and
+//     decisions were captured.
 //
 //   trace_validate --prom <metrics.txt> [required-family...]
 //     Prometheus text exposition 0.0.4 (the /metrics endpoint): per-line
 //     syntax check of comments, metric/label names, escapes, and values.
 //     Extra arguments are metric families that must appear as samples.
 //
-//   trace_validate --profile <profile.json> [required-unit...]
-//     Source-attributed profile JSON (the /profilez?format=json endpoint):
-//     full schema check (units, per-line rollups, top nodes). Extra
-//     arguments are unit names that must appear.
-//
-//   trace_validate --folded <stacks.txt>
+//   trace_validate --folded <stacks.txt> [required-unit...]
 //     Folded-stacks dump (JANUS_PROFILE=<path>): every line must be
-//     "frame;frame;... <total_ns>" with a non-negative value.
+//     "frame;frame;... <total_ns>" with a non-negative value. Extra
+//     arguments are units that must appear as some stack's first frame.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -81,50 +72,6 @@ int ValidateTrace(const char* path, int argc, char** argv, int first_extra) {
   return missing == 0 ? 0 : 1;
 }
 
-int ValidateLedger(const char* path, int argc, char** argv, int first_extra) {
-  std::ifstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "trace_validate: cannot open '%s'\n", path);
-    return 2;
-  }
-  std::map<std::string, int> kinds;
-  int records = 0;
-  int line_number = 0;
-  std::string line;
-  while (std::getline(file, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    std::string error;
-    janus::obs::FlatObject fields;
-    if (!janus::obs::ValidateLedgerLine(line, &fields, &error)) {
-      std::fprintf(stderr, "trace_validate: %s:%d: invalid record: %s\n",
-                   path, line_number, error.c_str());
-      return 1;
-    }
-    ++records;
-    ++kinds[fields["kind"].text];
-  }
-  std::printf("%s: %d records, %zu distinct kinds\n", path, records,
-              kinds.size());
-  for (const auto& [kind, count] : kinds) {
-    std::printf("  %-24s %d\n", kind.c_str(), count);
-  }
-  if (records == 0) {
-    std::fprintf(stderr, "trace_validate: ledger contains no records\n");
-    return 1;
-  }
-  int missing = 0;
-  for (int i = first_extra; i < argc; ++i) {
-    if (kinds.count(argv[i]) == 0u) {
-      std::fprintf(stderr,
-                   "trace_validate: required record kind '%s' not present\n",
-                   argv[i]);
-      ++missing;
-    }
-  }
-  return missing == 0 ? 0 : 1;
-}
-
 int ValidatePrometheus(const char* path, int argc, char** argv,
                        int first_extra) {
   std::string content;
@@ -160,39 +107,8 @@ int ValidatePrometheus(const char* path, int argc, char** argv,
   return missing == 0 ? 0 : 1;
 }
 
-int ValidateProfile(const char* path, int argc, char** argv,
-                    int first_extra) {
-  std::string content;
-  if (!ReadFile(path, &content)) {
-    std::fprintf(stderr, "trace_validate: cannot open '%s'\n", path);
-    return 2;
-  }
-  std::string error;
-  janus::obs::ProfileJsonSummary summary;
-  if (!janus::obs::ValidateProfileJson(content, &error, &summary)) {
-    std::fprintf(stderr, "trace_validate: %s: invalid profile: %s\n", path,
-                 error.c_str());
-    return 1;
-  }
-  std::printf("%s: enabled=%s stride=%d, %d units, %d lines, %d nodes\n",
-              path, summary.enabled ? "true" : "false",
-              summary.sample_stride, summary.num_units, summary.num_lines,
-              summary.num_nodes);
-  int missing = 0;
-  for (int i = first_extra; i < argc; ++i) {
-    if (summary.units.count(argv[i]) == 0u) {
-      std::fprintf(stderr,
-                   "trace_validate: required unit '%s' not present\n",
-                   argv[i]);
-      ++missing;
-    } else {
-      std::printf("  found required unit '%s'\n", argv[i]);
-    }
-  }
-  return missing == 0 ? 0 : 1;
-}
-
-int ValidateFolded(const char* path) {
+int ValidateFolded(const char* path, int argc, char** argv,
+                   int first_extra) {
   std::string content;
   if (!ReadFile(path, &content)) {
     std::fprintf(stderr, "trace_validate: cannot open '%s'\n", path);
@@ -211,35 +127,41 @@ int ValidateFolded(const char* path) {
     std::fprintf(stderr, "trace_validate: dump contains no stacks\n");
     return 1;
   }
-  return 0;
+  std::set<std::string> units;
+  for (const auto& [stack, ns] : folded.stack_ns) {
+    units.insert(stack.substr(0, stack.find(';')));
+  }
+  int missing = 0;
+  for (int i = first_extra; i < argc; ++i) {
+    if (units.count(argv[i]) == 0u) {
+      std::fprintf(stderr,
+                   "trace_validate: required unit '%s' not present\n",
+                   argv[i]);
+      ++missing;
+    } else {
+      std::printf("  found required unit '%s'\n", argv[i]);
+    }
+  }
+  return missing == 0 ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 3 && std::strcmp(argv[1], "--ledger") == 0) {
-    return ValidateLedger(argv[2], argc, argv, 3);
-  }
   if (argc >= 3 && std::strcmp(argv[1], "--prom") == 0) {
     return ValidatePrometheus(argv[2], argc, argv, 3);
   }
-  if (argc >= 3 && std::strcmp(argv[1], "--profile") == 0) {
-    return ValidateProfile(argv[2], argc, argv, 3);
-  }
   if (argc >= 3 && std::strcmp(argv[1], "--folded") == 0) {
-    return ValidateFolded(argv[2]);
+    return ValidateFolded(argv[2], argc, argv, 3);
   }
   if (argc >= 2 && argv[1][0] != '-') {
     return ValidateTrace(argv[1], argc, argv, 2);
   }
   std::fprintf(stderr,
                "usage: trace_validate <trace.json> [required-event...]\n"
-               "       trace_validate --ledger <ledger.jsonl> "
-               "[required-kind...]\n"
                "       trace_validate --prom <metrics.txt> "
                "[required-family...]\n"
-               "       trace_validate --profile <profile.json> "
-               "[required-unit...]\n"
-               "       trace_validate --folded <stacks.txt>\n");
+               "       trace_validate --folded <stacks.txt> "
+               "[required-unit...]\n");
   return 2;
 }
