@@ -46,25 +46,25 @@ void BM_EagerOpDispatch(benchmark::State& state) {
 BENCHMARK(BM_EagerOpDispatch);
 
 void BM_GraphExecutionPerOp(benchmark::State& state) {
-  // A chain of N adds executed through the executor (plan cached after the
-  // first run, so this measures the cached-graph hot path). With fusion on
-  // (the default) the chain fuses into one region, so this is a
-  // fused-region benchmark: one superop dispatch covering N members, and
-  // the per-op figure is that dispatch divided by N. Per-node dispatch is
-  // BM_PrebuiltPlanDispatch under JANUS_FUSION=0. Allocator counters report
-  // the memory-planner effect: allocs/op should be near zero (in-place
-  // reuse) and the pool hit rate near 1 after warmup.
+  // A chain of N adds executed through the executor (plan built once, as
+  // the engine builds it at generation, so this measures the cached-graph
+  // hot path). With fusion on (the default) the chain fuses into one
+  // region, so this is a fused-region benchmark: one superop dispatch
+  // covering N members, and the per-op figure is that dispatch divided
+  // by N. Per-node dispatch is BM_PrebuiltPlanDispatch under
+  // JANUS_FUSION=0. Allocator counters report the memory-planner effect:
+  // allocs/op should be near zero (in-place reuse) and the pool hit rate
+  // near 1 after warmup.
   const int n = static_cast<int>(state.range(0));
   Graph g;
   const NodeOutput v = BuildAddChain(g, n);
-  FunctionLibrary library;
   VariableStore variables;
   Rng rng(1);
-  Executor executor(&library, &variables, nullptr, &rng);
-  const std::vector<NodeOutput> fetches{v};
+  Executor executor(nullptr, &variables, nullptr, &rng);
+  const auto plan = ExecutionPlan::Build(g, std::vector<NodeOutput>{v}, {});
   const BufferPool::Stats before = BufferPool::Global().Snapshot();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.Run(g, {}, fetches));
+    benchmark::DoNotOptimize(executor.Run(*plan, {}));
   }
   state.SetItemsProcessed(state.iterations() * n);
   const BufferPool::Stats after = BufferPool::Global().Snapshot();
@@ -107,7 +107,7 @@ void BM_PlanBuild(benchmark::State& state) {
   const NodeOutput v = BuildAddChain(g, n);
   const std::vector<NodeOutput> fetches{v};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ExecutionPlan::Build(g, fetches));
+    benchmark::DoNotOptimize(ExecutionPlan::Build(g, fetches, {}));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -115,7 +115,7 @@ BENCHMARK(BM_PlanBuild)->Arg(16)->Arg(128);
 
 void BM_PrebuiltPlanDispatch(benchmark::State& state) {
   // Pure dispatch over a prebuilt plan (Executor::Run(plan, ...)): the
-  // cached-graph path with even the plan-cache probe removed. Arg 1 = 1 puts
+  // cached-graph path without the engine around it. Arg 1 = 1 puts
   // the same chain behind one taken Switch, with an Identity on the
   // untaken side and a Merge joining them: deadness costs a conditional
   // plan no more per op than a plain one.
@@ -133,11 +133,10 @@ void BM_PrebuiltPlanDispatch(benchmark::State& state) {
   } else {
     v = BuildAddChain(g, n);
   }
-  FunctionLibrary library;
   VariableStore variables;
   Rng rng(1);
-  Executor executor(&library, &variables, nullptr, &rng);
-  const auto plan = GetOrBuildPlan(g, std::vector<NodeOutput>{v});
+  Executor executor(nullptr, &variables, nullptr, &rng);
+  const auto plan = ExecutionPlan::Build(g, std::vector<NodeOutput>{v}, {});
   for (auto _ : state) {
     benchmark::DoNotOptimize(executor.Run(*plan, {}));
   }
@@ -159,13 +158,12 @@ void BM_FusedChain(benchmark::State& state) {
   const bool fuse = state.range(0) != 0;
   Graph g;
   const NodeOutput v = BuildAddChain(g, kChainOps);
-  FunctionLibrary library;
   VariableStore variables;
   Rng rng(1);
-  Executor executor(&library, &variables, nullptr, &rng);
+  Executor executor(nullptr, &variables, nullptr, &rng);
   const std::vector<NodeOutput> fetches{v};
   const auto plan =
-      ExecutionPlan::Build(g, fetches, {.enable_fusion = fuse});
+      ExecutionPlan::Build(g, fetches, {}, {.enable_fusion = fuse});
   RunMetrics metrics;
   for (auto _ : state) {
     benchmark::DoNotOptimize(executor.Run(*plan, {}, &metrics));
@@ -217,9 +215,9 @@ void BM_BroadcastKernels(benchmark::State& state) {
 BENCHMARK(BM_BroadcastKernels)->DenseRange(0, 5);
 
 void BM_EnginePlanCaching(benchmark::State& state) {
-  // Steady-state engine loop on a cached graph; counters surface the
-  // compile-once/run-many split (plan_builds stays at its post-generation
-  // value while plan_cache_hits grows with every run). Arg 0 runs without
+  // Steady-state engine loop on a cached graph; the plan_builds counter
+  // surfaces the compile-once/run-many split (it stays at its
+  // post-generation value however many runs follow). Arg 0 runs without
   // an executor pool, arg 1 with one (the default): the plan's nodes are
   // far cheaper than a pool handoff, so after calibration its runs stay on
   // the calling thread and the two arms should match.
@@ -244,8 +242,6 @@ for i in range(6):
   }
   state.counters["plan_builds"] =
       static_cast<double>(engine.stats().plan_builds);
-  state.counters["plan_cache_hits"] =
-      static_cast<double>(engine.stats().plan_cache_hits);
 }
 BENCHMARK(BM_EnginePlanCaching)->Arg(0)->Arg(1);
 
@@ -325,18 +321,17 @@ void BM_TraceOverhead(benchmark::State& state) {
   const int n = 16;
   Graph g;
   const NodeOutput v = BuildAddChain(g, n);
-  FunctionLibrary library;
   VariableStore variables;
   Rng rng(1);
-  Executor executor(&library, &variables, nullptr, &rng);
-  const std::vector<NodeOutput> fetches{v};
+  Executor executor(nullptr, &variables, nullptr, &rng);
+  const auto plan = ExecutionPlan::Build(g, std::vector<NodeOutput>{v}, {});
   if (tracing) {
     obs::Trace::Enable();
   } else {
     obs::Trace::Disable();
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.Run(g, {}, fetches));
+    benchmark::DoNotOptimize(executor.Run(*plan, {}));
   }
   state.SetItemsProcessed(state.iterations() * n);
   if (tracing) {
@@ -359,18 +354,17 @@ void BM_ProfileOverhead(benchmark::State& state) {
   const int n = 16;
   Graph g;
   const NodeOutput v = BuildAddChain(g, n);
-  FunctionLibrary library;
   VariableStore variables;
   Rng rng(1);
-  Executor executor(&library, &variables, nullptr, &rng);
-  const std::vector<NodeOutput> fetches{v};
+  Executor executor(nullptr, &variables, nullptr, &rng);
+  const auto plan = ExecutionPlan::Build(g, std::vector<NodeOutput>{v}, {});
   if (profiling) {
     obs::EnableProfiling();
   } else {
     obs::DisableProfiling();
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.Run(g, {}, fetches));
+    benchmark::DoNotOptimize(executor.Run(*plan, {}));
   }
   state.SetItemsProcessed(state.iterations() * n);
   if (profiling) {

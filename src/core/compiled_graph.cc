@@ -1,5 +1,8 @@
 #include "core/compiled_graph.h"
 
+#include <string_view>
+#include <unordered_map>
+
 #include "common/error.h"
 #include "obs/profile.h"
 
@@ -55,8 +58,6 @@ Value ContextRef::Resolve(std::span<const Value> args) const {
 }
 
 std::string ContextRef::ToString() const {
-  // Built on every validation (the profile key of each capture), so plain
-  // appends rather than a stream.
   std::string out = arg_index >= 0 ? "arg" + std::to_string(arg_index) : name;
   for (const Step& step : steps) {
     if (step.is_attr) {
@@ -72,35 +73,38 @@ std::string ContextRef::ToString() const {
 }
 
 int CompiledGraph::BuildPlans(bool enable_fusion) {
-  if (plan != nullptr) return 0;
-  int built = 0;
-  const PlanOptions options{.enable_fusion = enable_fusion};
-  plan = GetOrBuildPlan(graph, fetches, nullptr, options);
-  ++built;
-  if (library != nullptr) {
-    for (const std::string& name : library->FunctionNames()) {
-      const GraphFunction& fn = library->Lookup(name);
-      function_plans.push_back(
-          GetOrBuildPlan(fn.graph, fn.results, nullptr, options));
-      ++built;
+  // The main plan's arguments: each capture's placeholder, in capture
+  // order. Optimization prunes a placeholder whose value feeds nothing;
+  // that capture keeps arg_slot -1.
+  std::unordered_map<std::string_view, Node*> placeholders;
+  for (const auto& node : graph.nodes()) {
+    if (node->op() == "Placeholder") {
+      placeholders.emplace(node->name(), node.get());
     }
   }
+  std::vector<Node*> arguments;
+  for (CaptureSpec& capture : captures) {
+    const auto it = placeholders.find(capture.placeholder_name);
+    capture.arg_slot = -1;
+    if (it == placeholders.end()) continue;
+    capture.arg_slot = static_cast<int>(arguments.size());
+    arguments.push_back(it->second);
+  }
+  const PlanOptions options{.enable_fusion = enable_fusion};
+  plan = ExecutionPlan::Build(graph, fetches, arguments, options);
+  function_plans = library != nullptr ? BuildFunctionPlans(*library, options)
+                                      : FunctionPlans{};
   // Key every plan's profile accumulator by the unit that owns it, so
   // /profilez and the folded stacks can aggregate by (unit, variant, ladder
-  // level). Done here — the single choke point for plan construction —
-  // so test-injected graphs built through the defensive ExecuteCompiled
-  // path get keyed too.
+  // level).
   const std::string variant =
       training ? "training(lr=" + std::to_string(learning_rate) + ")"
                : "inference";
-  const auto key_plan = [&](const std::shared_ptr<const ExecutionPlan>& p) {
-    if (p != nullptr && p->profile() != nullptr) {
-      p->profile()->SetKey(unit_name, variant, despecialization_level);
-    }
-  };
-  key_plan(plan);
-  for (const auto& fn_plan : function_plans) key_plan(fn_plan);
-  return built;
+  plan->profile()->SetKey(unit_name, variant, despecialization_level);
+  for (const auto& [name, fn_plan] : function_plans) {
+    fn_plan->profile()->SetKey(unit_name, variant, despecialization_level);
+  }
+  return 1 + static_cast<int>(function_plans.size());
 }
 
 std::int64_t CompiledGraph::EstimateBytes() const {

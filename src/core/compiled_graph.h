@@ -1,7 +1,8 @@
 // The artifact produced by the Speculative Graph Generator and stored in
 // the Graph Cache: the symbolic graph, how to feed it from the live program
-// context, the entry-time checks that guard cache hits (Fig. 2 ①), and the
-// fetches (loss value + deferred-update anchor).
+// context, the entry-time checks that guard cache hits (Fig. 2 ①), the
+// fetches (loss value + deferred-update anchor), and the execution plans,
+// bound at generation to their arguments and callees.
 #ifndef JANUS_CORE_COMPILED_GRAPH_H_
 #define JANUS_CORE_COMPILED_GRAPH_H_
 
@@ -49,6 +50,14 @@ struct CaptureSpec {
   // Entry-checked shape assumption (Fig. 4 lattice); Unknown = type-only.
   ShapeAssumption shape = ShapeAssumption::Unknown();
   std::string assumption_id;
+  // The profiler's slot for `ref` (Profiler::ObserveContext), which every
+  // entry validation observes into. Set by the generator; the engine owns
+  // both the profiler and the cache, so the slot outlives the unit.
+  ValueProfile* context_profile = nullptr;
+  // This capture's position among the main plan's arguments, bound by
+  // CompiledGraph::BuildPlans; -1 when optimization pruned its placeholder
+  // (its value feeds nothing): the capture is still checked at entry.
+  int arg_slot = -1;
 };
 
 // A context value baked into the graph at generation time; re-validated on
@@ -78,19 +87,18 @@ struct CompiledGraph {
   // at; 0 = fully specialized.
   int despecialization_level = 0;
 
-  // Compile-once execution plans: `plan` is the main graph's schedule for
-  // `fetches`; `function_plans` pin one plan per FunctionLibrary function so
-  // nested Invoke/While kernels dispatch through their graph's plan cache
-  // without ever replanning. Built right after generation (Fig. 2's pay-once
-  // conversion cost) and reused by every subsequent ExecuteCompiled.
+  // Compile-once execution plans, the only plans this unit runs: `plan` is
+  // the main graph's schedule for `fetches`, its arguments the surviving
+  // capture placeholders in capture order; `function_plans` holds one plan
+  // per library function, which the Invoke/While kernels look up by name.
+  // Built right after generation (Fig. 2's pay-once conversion cost) and
+  // reused by every subsequent ExecuteCompiled.
   std::shared_ptr<const ExecutionPlan> plan;
-  std::vector<std::shared_ptr<const ExecutionPlan>> function_plans;
+  FunctionPlans function_plans;
 
-  // Builds `plan` and `function_plans` (idempotent). Returns the number of
-  // plans built by this call, for EngineStats::plan_builds accounting.
-  // `enable_fusion` feeds PlanOptions for every plan built here; plans are
-  // cached per (graph, fetches), so the flag takes effect because this
-  // pre-build is the first (and thus cache-populating) build.
+  // Binds each capture's arg_slot and builds `plan` and `function_plans`,
+  // all with PlanOptions{enable_fusion}. Returns the number of plans built,
+  // for EngineStats::plan_builds accounting.
   int BuildPlans(bool enable_fusion = true);
 
   // Rough resident size in bytes (nodes, captures, checks, plans), used as

@@ -374,12 +374,9 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
                                   tracing ? &mismatch : nullptr);
     const std::int64_t check_ns = obs::Trace::NowNs() - check_start_ns;
     validation_ns_->Record(check_ns);
-    if (entry.compiled->plan != nullptr &&
-        entry.compiled->plan->profile() != nullptr) {
-      // Guard cost charged to the unit it protects, so /profilez shows
-      // validation alongside execution per unit.
-      entry.compiled->plan->profile()->AddValidationNs(check_ns);
-    }
+    // Guard cost charged to the unit it protects, so /profilez shows
+    // validation alongside execution per unit.
+    entry.compiled->plan->profile()->AddValidationNs(check_ns);
     if (!valid) {
       if (tracing) {
         obs::TraceArgs decision = UnitArgs(*fn, training, lr);
@@ -441,9 +438,7 @@ minipy::Value JanusEngine::Run(const std::shared_ptr<FunctionValue>& fn,
             compiled->BuildPlans(options_.enable_fusion));
         build_cost_ns = obs::Trace::NowNs() - start_ns;
         generation_ns_->Record(build_cost_ns);
-        if (compiled->plan != nullptr && compiled->plan->profile() != nullptr) {
-          compiled->plan->profile()->SetGenerationNs(build_cost_ns);
-        }
+        compiled->plan->profile()->SetGenerationNs(build_cost_ns);
         bytes = compiled->EstimateBytes();
         if (span.armed()) {
           span.AddArgs(UnitArgs(*fn, training, lr));
@@ -580,7 +575,7 @@ bool JanusEngine::EntryValid(const CachedUnit& entry,
       if (check) {
         // Every validation is also a profile observation, so shape/constant
         // assumptions keep relaxing along the Fig. 4 lattice.
-        profiler_.ObserveContext(capture.ref.ToString(), value);
+        profiler_.ObserveContext(*capture.context_profile, value);
         if (!CaptureMatches(capture, value)) {
           report(capture.assumption_id, DescribeCaptureAssumption(capture),
                  DescribeValue(value));
@@ -599,41 +594,32 @@ bool JanusEngine::EntryValid(const CachedUnit& entry,
   return true;
 }
 
-minipy::Value JanusEngine::ExecuteCompiled(CachedUnit& entry,
+minipy::Value JanusEngine::ExecuteCompiled(const CachedUnit& entry,
                                            std::span<const Value> captured,
                                            obs::TraceScope& span) {
   const std::int64_t start_ns = obs::Trace::NowNs();
-  const std::vector<CaptureSpec>& captures = entry.compiled->captures;
-  JANUS_EXPECTS(captured.size() == captures.size());
-  std::map<std::string, Tensor> feeds;
-  for (std::size_t i = 0; i < captures.size(); ++i) {
-    feeds[captures[i].placeholder_name] = EncodeValueAsTensor(captured[i]);
+  const CompiledGraph& compiled = *entry.compiled;
+  JANUS_EXPECTS(captured.size() == compiled.captures.size());
+  std::vector<Tensor> args(compiled.plan->arguments().size());
+  for (std::size_t i = 0; i < captured.size(); ++i) {
+    if (const int slot = compiled.captures[i].arg_slot; slot >= 0) {
+      args[static_cast<std::size_t>(slot)] = EncodeValueAsTensor(captured[i]);
+    }
   }
   ExecutorOptions exec_options;
   exec_options.parallel = options_.parallel_execution && pool_ != nullptr;
   exec_options.pool = pool_.get();
-  Executor executor(entry.compiled->library.get(), interp_->variables(),
+  Executor executor(&compiled.function_plans, interp_->variables(),
                     &host_state_, interp_->rng(), exec_options);
-  if (entry.compiled->plan == nullptr) {
-    // Defensive: graphs injected into the cache without going through the
-    // generator (tests) still get a one-time plan build.
-    counters_.plan_builds->Add(
-        entry.compiled->BuildPlans(options_.enable_fusion));
-  }
   RunMetrics metrics;
-  std::vector<Tensor> results =
-      executor.Run(*entry.compiled->plan, feeds, &metrics);
+  std::vector<Tensor> results = executor.Run(*compiled.plan, args, &metrics);
   counters_.graph_ops_executed->Add(metrics.ops_executed);
-  counters_.plan_builds->Add(metrics.plan_builds);
   counters_.bytes_allocated->Add(metrics.bytes_allocated);
   counters_.pool_hits->Add(metrics.pool_hits);
   counters_.pool_misses->Add(metrics.pool_misses);
   counters_.in_place_reuses->Add(metrics.in_place_reuses);
   counters_.fused_regions->Add(metrics.fused_regions);
   counters_.fused_ops->Add(metrics.fused_ops);
-  // The prebuilt main-graph plan counts as a hit, as do nested
-  // Invoke/While dispatches through each function's plan cache.
-  counters_.plan_cache_hits->Add(1 + metrics.plan_cache_hits);
   graph_execution_ns_->Record(obs::Trace::NowNs() - start_ns);
   span.AddArg("ops", metrics.ops_executed);
   span.AddArg("bytes", metrics.bytes_allocated);
@@ -708,8 +694,6 @@ std::string JanusEngine::StatsReport() const {
   out += "--- fusion ---\n";
   out += "enabled=";
   out += options_.enable_fusion && fusion::GloballyEnabled() ? "1\n" : "0\n";
-  out += "--- plan cache (process-wide) ---\n";
-  out += obs::MetricsRegistry::Global().TextReportForPrefix("cache.plan_");
   const BufferPool::Stats pool = BufferPool::Global().Snapshot();
   out += "--- buffer pool (process-wide) ---\n";
   char line[256];

@@ -84,14 +84,13 @@ struct EngineOptions {
 // The engine's counters, each named once: the list expands into the
 // EngineCounters field, its "engine.<name>" registry counter and stats()'s
 // copy, so adding a counter is one line. graph_executions through
-// graph_ops_executed follow the Fig. 2 decision loop; plan_builds and
-// plan_cache_hits the plan cache (runtime/plan.h: plans are built at
-// generation time and every cached-graph run afterwards only hits, the
-// compile-once/run-many split the paper's amortization relies on);
-// bytes_allocated through in_place_reuses the buffer-pool traffic of graph
-// runs (tensor/buffer_pool.h); fused_regions and fused_ops the regions run
-// by the superop interpreter and the member ops they covered
-// (runtime/fusion.h; also counted in graph_ops_executed).
+// graph_ops_executed follow the Fig. 2 decision loop; plan_builds counts
+// the plans built at generation time (runtime/plan.h: cached-graph runs
+// never build one, the compile-once/run-many split the paper's
+// amortization relies on); bytes_allocated through in_place_reuses the
+// buffer-pool traffic of graph runs (tensor/buffer_pool.h); fused_regions
+// and fused_ops the regions run by the superop interpreter and the member
+// ops they covered (runtime/fusion.h; also counted in graph_ops_executed).
 #define JANUS_ENGINE_COUNTERS(X) \
   X(graph_executions)            \
   X(imperative_executions)       \
@@ -102,7 +101,6 @@ struct EngineOptions {
   X(not_convertible)             \
   X(graph_ops_executed)          \
   X(plan_builds)                 \
-  X(plan_cache_hits)             \
   X(bytes_allocated)             \
   X(pool_hits)                   \
   X(pool_misses)                 \
@@ -153,8 +151,8 @@ class JanusEngine : public minipy::CallInterceptor {
 
   // Human-readable observability summary: the engine registry's counters
   // and phase latency histograms (p50/p95/p99), the specialization cache,
-  // fusion, the plan cache and buffer-pool traffic. Per-op kernel time is
-  // in the plan profiles (/profilez, janus_kernel_ns on /metrics).
+  // fusion and buffer-pool traffic. Per-op kernel time is in the plan
+  // profiles (/profilez, janus_kernel_ns on /metrics).
   std::string StatsReport() const;
 
   // The graph cache this engine stores its specializations in.
@@ -223,7 +221,7 @@ class JanusEngine : public minipy::CallInterceptor {
   // Runs `entry` on the capture values EntryValid resolved, and adds the
   // run's volume (ops, bytes, fused regions and ops) to `span`, the
   // caller's graph_execution span.
-  minipy::Value ExecuteCompiled(CachedUnit& entry,
+  minipy::Value ExecuteCompiled(const CachedUnit& entry,
                                 std::span<const minipy::Value> captured,
                                 obs::TraceScope& span);
 

@@ -412,13 +412,16 @@ struct GraphGenerator::Impl {
   SymValue Capture(const ContextRef& ref, const Value& current,
                    const ValueProfile* profile) {
     // Fold this observation into the context profile and prefer it when no
-    // site-specific (argument) profile was supplied.
-    prof->ObserveContext(ref.ToString(), current);
-    if (profile == nullptr) profile = prof->context(ref.ToString());
+    // site-specific (argument) profile was supplied. A capture keeps the
+    // slot: entry validation observes into it on every call.
+    ValueProfile& context_profile =
+        prof->ObserveContext(ref.ToString(), current);
+    if (profile == nullptr) profile = &context_profile;
     if (const auto* t = std::get_if<Tensor>(&current)) {
       // Tensors are placeholders fed on every run.
       CaptureSpec spec;
       spec.ref = ref;
+      spec.context_profile = &context_profile;
       spec.placeholder_name = Fresh("cap_" + SanitizeName(ref.ToString()));
       spec.kind = ObservedKind::kTensor;
       spec.dtype = t->dtype();
@@ -437,16 +440,17 @@ struct GraphGenerator::Impl {
       out->captures.push_back(spec);
       return SymValue::OfNode(ph, &out->graph, spec.dtype, false, spec.shape);
     }
-    if (const auto* i = std::get_if<std::int64_t>(&current)) {
-      return CaptureScalar(ref, current, profile, DType::kInt64,
-                           static_cast<double>(*i));
+    if (std::holds_alternative<std::int64_t>(current)) {
+      return CaptureScalar(ref, current, profile, context_profile,
+                           DType::kInt64);
     }
-    if (const auto* d = std::get_if<double>(&current)) {
-      return CaptureScalar(ref, current, profile, DType::kFloat32, *d);
+    if (std::holds_alternative<double>(current)) {
+      return CaptureScalar(ref, current, profile, context_profile,
+                           DType::kFloat32);
     }
-    if (const auto* b = std::get_if<bool>(&current)) {
-      return CaptureScalar(ref, current, profile, DType::kBool,
-                           *b ? 1.0 : 0.0);
+    if (std::holds_alternative<bool>(current)) {
+      return CaptureScalar(ref, current, profile, context_profile,
+                           DType::kBool);
     }
     // Heap values whose identity changes call-to-call (e.g. per-sample tree
     // roots) become dynamic pointer placeholders; the graph dereferences
@@ -463,6 +467,7 @@ struct GraphGenerator::Impl {
         !profile->heap_stable) {
       CaptureSpec spec;
       spec.ref = ref;
+      spec.context_profile = &context_profile;
       spec.placeholder_name = Fresh("cap_" + SanitizeName(ref.ToString()));
       spec.kind = profile->kind;
       spec.dtype = DType::kInt64;
@@ -481,8 +486,8 @@ struct GraphGenerator::Impl {
   }
 
   SymValue CaptureScalar(const ContextRef& ref, const Value& current,
-                         const ValueProfile* profile, DType dtype,
-                         double /*numeric*/) {
+                         const ValueProfile* profile,
+                         ValueProfile& context_profile, DType dtype) {
     const std::string id = "const:" + ref.ToString();
     if (opt.specialize && !hints.NoConstantBaking() && profile != nullptr &&
         profile->value_stable && AssumptionUsable(id)) {
@@ -493,6 +498,7 @@ struct GraphGenerator::Impl {
     // Dynamic scalar: placeholder.
     CaptureSpec spec;
     spec.ref = ref;
+    spec.context_profile = &context_profile;
     spec.placeholder_name = Fresh("cap_" + SanitizeName(ref.ToString()));
     spec.kind = dtype == DType::kInt64
                     ? ObservedKind::kInt

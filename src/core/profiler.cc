@@ -149,14 +149,16 @@ std::int64_t Profiler::function_calls(const minipy::Stmt* def) const {
   return it == function_calls_.end() ? 0 : it->second;
 }
 
-void Profiler::ObserveContext(const std::string& ref, const Value& value) {
-  ObserveValue(context_profiles_[ref], value);
-  ++total_observations_;
+ValueProfile& Profiler::ObserveContext(const std::string& ref,
+                                       const Value& value) {
+  ValueProfile& slot = context_profiles_[ref];
+  ObserveContext(slot, value);
+  return slot;
 }
 
-const ValueProfile* Profiler::context(const std::string& ref) const {
-  const auto it = context_profiles_.find(ref);
-  return it == context_profiles_.end() ? nullptr : &it->second;
+void Profiler::ObserveContext(ValueProfile& slot, const Value& value) {
+  ObserveValue(slot, value);
+  ++total_observations_;
 }
 
 void Profiler::MarkAssumptionFailed(const std::string& assumption_id) {

@@ -58,9 +58,13 @@ class Profiler : public minipy::ExecutionObserver {
   // Context-value observations keyed by ContextRef path string (closure
   // captures and heap-list elements): fed by the generator when it first
   // captures a value and by the engine on every entry validation, so shape
-  // and constant assumptions relax over time (Fig. 4).
-  void ObserveContext(const std::string& ref, const minipy::Value& value);
-  const ValueProfile* context(const std::string& ref) const;
+  // and constant assumptions relax over time (Fig. 4). Slots are never
+  // erased: a capture keeps the slot the generator observed into
+  // (CaptureSpec::context_profile), and entry validation observes into it
+  // directly, without rebuilding the key.
+  ValueProfile& ObserveContext(const std::string& ref,
+                               const minipy::Value& value);
+  void ObserveContext(ValueProfile& slot, const minipy::Value& value);
 
   std::int64_t total_observations() const { return total_observations_; }
 
@@ -72,6 +76,8 @@ class Profiler : public minipy::ExecutionObserver {
   std::map<const minipy::Expr*, ValueProfile> attr_loads_;
   std::map<const minipy::Expr*, ValueProfile> subscr_loads_;
   std::map<const minipy::Stmt*, std::int64_t> function_calls_;
+  // A node-based map whose entries are never erased: the slot pointers
+  // captures keep (CaptureSpec::context_profile) stay valid.
   std::map<std::string, ValueProfile> context_profiles_;
   // id -> insertion stamp (monotonic); oldest stamp evicted at the cap.
   std::map<std::string, std::int64_t> failed_assumptions_;

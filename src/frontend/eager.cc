@@ -183,23 +183,20 @@ std::map<std::string, Tensor> EagerContext::GradientsAndStopTape(
       AddGradients(tape->graph, tape->library, loss_it->second, targets);
 
   // Execute only the gradient subgraph; forward values come precomputed.
+  // The tape graph has no sources to feed, so its one-shot plan takes no
+  // arguments.
+  const FunctionPlans functions = BuildFunctionPlans(tape->library);
   RunContext run;
   run.variables = variables_;
   run.rng = rng_;
   run.dispatch_penalty_ns = dispatch_penalty_ns_;
-  run.library = &tape->library;
-  const std::map<std::string, Tensor> no_feeds;
-  run.feeds = &no_feeds;
-  // One-shot plan over the tape graph: the gradient subgraph executes with
-  // the recorded forward values fed in as precomputed node outputs.
+  run.functions = &functions;
   const std::shared_ptr<const ExecutionPlan> plan =
-      GetOrBuildPlan(tape->graph, grads, &run);
-  if (plan->profile() != nullptr && plan->profile()->unit().empty()) {
-    // Tape gradients run during the imperative profiling phase, before any
-    // conversion unit exists; label them so /profilez does not show them
-    // as unattributed.
-    plan->profile()->SetKey("<imperative tape>", "eager", 0);
-  }
+      ExecutionPlan::Build(tape->graph, grads, {});
+  // Tape gradients run during the imperative profiling phase, before any
+  // conversion unit exists; label them so /profilez does not show them as
+  // unattributed.
+  plan->profile()->SetKey("<imperative tape>", "eager", 0);
   const std::vector<Tensor> grad_values = internal::ExecuteDag(
       run, *plan, {}, /*parallel=*/false, &tape->precomputed);
   ops_executed_ += run.ops_executed.load();

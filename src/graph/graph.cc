@@ -147,7 +147,6 @@ Node* Graph::AddNode(std::string op, std::vector<NodeOutput> inputs,
                                           std::move(name), std::move(inputs),
                                           std::move(attrs), num_outputs));
   ++next_id_;
-  ++version_;
   if (const SourceSite* ambient = AmbientSourceSite()) {
     nodes_.back()->set_site(*ambient);
   }
@@ -171,7 +170,6 @@ void Graph::Prune(const std::vector<Node*>& keep) {
   std::erase_if(nodes_, [&kept](const std::unique_ptr<Node>& node) {
     return kept.find(node.get()) == kept.end();
   });
-  ++version_;
 }
 
 std::string Graph::DebugString() const {

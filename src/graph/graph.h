@@ -6,15 +6,17 @@
 // conditional primitives the paper builds on, Switch and Merge (Yu et al.,
 // EuroSys'18), the functional While for loops, InvokeOp for recursive
 // functions (Jeong et al., EuroSys'18) and AssertOp for JANUS's speculative
-// assumption checks.
+// assumption checks. A Graph is IR only: the execution plans built from it
+// belong to whoever built them (runtime/plan.h), so src/graph depends on no
+// runtime or cache layer.
 #ifndef JANUS_GRAPH_GRAPH_H_
 #define JANUS_GRAPH_GRAPH_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "cache/plan_cache.h"
 #include "graph/attr.h"
 #include "graph/source_site.h"
 
@@ -121,22 +123,9 @@ class Graph {
 
   std::string DebugString() const;
 
-  // Structural version, bumped on node addition/removal. Executors key
-  // their cached execution plans on it; graphs are expected to be frozen
-  // once execution starts (as in TF).
-  std::uint64_t version() const { return version_; }
-
-  // Runtime-owned cache of compiled ExecutionPlans (opaque to the graph),
-  // keyed by (structural version, fetch set). See src/cache/plan_cache.h;
-  // runtime/plan.cc is the only producer and consumer.
-  cache::PlanCache& plan_cache() const { return *plan_cache_; }
-
  private:
   std::vector<std::unique_ptr<Node>> nodes_;
   int next_id_ = 0;
-  std::uint64_t version_ = 0;
-  std::unique_ptr<cache::PlanCache> plan_cache_ =
-      std::make_unique<cache::PlanCache>();
 };
 
 struct GraphFunction {

@@ -84,7 +84,13 @@ void ProfileRegistry::Register(std::shared_ptr<PlanProfile> profile) {
   if (profile == nullptr) return;
   const std::lock_guard<std::mutex> lock(mu_);
   if (profiles_.size() >= kMaxProfiles) {
-    profiles_.erase(profiles_.begin());
+    // Orphans first: a profile whose plan is gone records nothing more.
+    const auto orphan =
+        std::find_if(profiles_.begin(), profiles_.end(),
+                     [](const std::shared_ptr<PlanProfile>& held) {
+                       return held.use_count() == 1;
+                     });
+    profiles_.erase(orphan != profiles_.end() ? orphan : profiles_.begin());
     ++dropped_;
   }
   profiles_.push_back(std::move(profile));

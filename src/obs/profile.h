@@ -130,13 +130,15 @@ class PlanProfile {
   std::atomic<std::uint64_t> runs_{0};
 };
 
-// Process-global set of live PlanProfiles. Plans register at build and
-// stay until process exit (plans are shared_ptr-owned by caches; the
-// registry holds shared_ptrs so a scrape racing plan eviction still reads
-// valid slots). Bounded: past kMaxProfiles the oldest registration is
+// Process-global set of PlanProfiles. Plans register at build and stay
+// until the cap drops them (plans are shared_ptr-owned by their compiled
+// units; the registry holds shared_ptrs so a scrape racing plan eviction
+// still reads valid slots). Bounded: past kMaxProfiles one registration is
 // dropped (dropped_ counts them) — continuous profiling must not grow
-// without bound under cache churn. Pinned profiles (the eager-dispatch
-// profile) are exempt from the cap.
+// without bound under cache churn or eager tapes. The cap drops the oldest
+// registration that only the registry still holds (a finished tape plan,
+// an evicted unit) before any that a live plan owns. Pinned profiles (the
+// eager-dispatch profile) are exempt from the cap.
 class ProfileRegistry {
  public:
   static constexpr std::size_t kMaxProfiles = 512;

@@ -90,34 +90,16 @@ struct ProfRecord {
   }
 };
 
-// The value of a Param (bound by the caller) or a Placeholder (fed by
-// name).
-Tensor ResolveSource(const RunContext& run, OpKind kind, const Node& node,
-                     const Bindings& bindings) {
-  if (kind == OpKind::kParam) {
-    const auto it = bindings.find(&node);
-    if (it == bindings.end()) {
-      throw InternalError("unbound Param node '" + node.name() + "'");
-    }
-    return it->second;
-  }
-  if (run.feeds != nullptr) {
-    const auto it = run.feeds->find(node.name());
-    if (it != run.feeds->end()) return it->second;
-  }
-  throw InvalidArgument("placeholder '" + node.name() + "' was not fed");
-}
-
 // One execution of a plan.
 class DagRun {
  public:
-  DagRun(RunContext& run, const ExecutionPlan& plan, const Bindings& bindings,
-         const Precomputed* precomputed)
+  DagRun(RunContext& run, const ExecutionPlan& plan,
+         std::span<const Tensor> args, const Precomputed* precomputed)
       : run_(run),
         plan_(plan),
         nodes_(plan.nodes()),
         memory_(plan.memory()),
-        bindings_(bindings),
+        args_(args),
         precomputed_(precomputed),
         profile_(plan.profile()),
         states_(nodes_.size()) {
@@ -163,7 +145,7 @@ class DagRun {
   void FanOut() {
     FanOutState f;
     f.remaining.store(nodes_.size(), std::memory_order_relaxed);
-    // Sources (constants, feeds, parameters) resolve in nanoseconds and are
+    // Sources (constants and arguments) resolve in nanoseconds and are
     // never worth a handoff: the caller runs them itself, then keeps one of
     // the nodes they ready (or one other root) and hands off the rest.
     int next = -1;
@@ -174,8 +156,7 @@ class DagRun {
       const int index = static_cast<int>(i);
       switch (nodes_[i].kind) {
         case OpKind::kConst:
-        case OpKind::kPlaceholder:
-        case OpKind::kParam:
+        case OpKind::kArgument:
           // True only for the last node, i.e. a plan of nothing but roots.
           if (Step(f, index, next, /*on_pool=*/false)) finished = true;
           break;
@@ -309,10 +290,9 @@ class DagRun {
       case OpKind::kConst:
         state.outputs.assign(1, entry.const_value);
         return;
-      case OpKind::kPlaceholder:
-      case OpKind::kParam:
+      case OpKind::kArgument:
         state.outputs.assign(
-            1, ResolveSource(run_, entry.kind, *entry.node, bindings_));
+            1, args_[static_cast<std::size_t>(entry.arg_index)]);
         return;
       default:
         break;
@@ -401,7 +381,7 @@ class DagRun {
   const ExecutionPlan& plan_;
   const std::vector<PlanNode>& nodes_;
   const MemoryPlan& memory_;
-  const Bindings& bindings_;
+  const std::span<const Tensor> args_;
   const Precomputed* const precomputed_;
   obs::PlanProfile* const profile_;
   std::vector<NodeState> states_;
@@ -410,9 +390,14 @@ class DagRun {
 }  // namespace
 
 std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
-                               const Bindings& bindings, bool parallel,
+                               std::span<const Tensor> args, bool parallel,
                                const Precomputed* precomputed) {
-  DagRun dag(run, plan, bindings, precomputed);
+  if (args.size() != plan.arguments().size()) {
+    throw InvalidArgument("plan takes " +
+                          std::to_string(plan.arguments().size()) +
+                          " arguments, got " + std::to_string(args.size()));
+  }
+  DagRun dag(run, plan, args, precomputed);
   if (!parallel) {
     dag.Sequential();
     return dag.Results();
@@ -431,7 +416,7 @@ std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
       try {
         dag.Sequential();
       } catch (...) {
-        // A failed run (assumption, bad feed, cycle) measures nothing; a
+        // A failed run (assumption, kernel error, cycle) measures nothing; a
         // later run calibrates instead.
         decision.Abandon();
         throw;

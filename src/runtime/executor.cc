@@ -1,7 +1,6 @@
-// Thin execution driver: resolves the per-graph ExecutionPlan (from the
-// graph's plan cache or a caller-supplied prebuilt plan) and hands it to
-// the executor in dag_executor.cc. All schedule construction lives in
-// plan.cc; nothing here is per-node work.
+// Executor::Run hands a prebuilt ExecutionPlan and its arguments to the
+// executor in dag_executor.cc and commits the run. All schedule
+// construction lives in plan.cc; nothing here is per-node work.
 #include "runtime/executor.h"
 
 #include <chrono>
@@ -68,9 +67,6 @@ void FillMetrics(const RunContext& run, const BufferPool::Stats& before,
   if (metrics == nullptr) return;
   const BufferPool::Stats after = BufferPool::Global().Snapshot();
   metrics->ops_executed = run.ops_executed.load(std::memory_order_relaxed);
-  metrics->plan_builds = run.plan_builds.load(std::memory_order_relaxed);
-  metrics->plan_cache_hits =
-      run.plan_cache_hits.load(std::memory_order_relaxed);
   metrics->buffers_released =
       run.buffers_released.load(std::memory_order_relaxed);
   metrics->fused_regions = run.fused_regions.load(std::memory_order_relaxed);
@@ -89,77 +85,42 @@ void FillMetrics(const RunContext& run, const BufferPool::Stats& before,
 
 }  // namespace
 
-Executor::Executor(const FunctionLibrary* library, VariableStore* variables,
+Executor::Executor(const FunctionPlans* functions, VariableStore* variables,
                    StateInterface* host_state, Rng* rng,
                    ExecutorOptions options)
-    : library_(library),
+    : functions_(functions),
       variables_(variables),
       host_state_(host_state),
       rng_(rng),
       options_(options) {}
 
-std::vector<Tensor> Executor::Run(const Graph& graph,
-                                  const std::map<std::string, Tensor>& feeds,
-                                  std::span<const NodeOutput> fetches,
-                                  RunMetrics* metrics) {
-  RunContext run;
-  const BufferPool::Stats before = BufferPool::Global().Snapshot();
-  const std::shared_ptr<const ExecutionPlan> plan =
-      GetOrBuildPlan(graph, fetches, &run);
-  std::vector<Tensor> results = RunPlan(*plan, feeds, run);
-  FillMetrics(run, before, metrics);
-  return results;
-}
-
 std::vector<Tensor> Executor::Run(const ExecutionPlan& plan,
-                                  const std::map<std::string, Tensor>& feeds,
+                                  std::span<const Tensor> args,
                                   RunMetrics* metrics) {
   RunContext run;
   const BufferPool::Stats before = BufferPool::Global().Snapshot();
-  std::vector<Tensor> results = RunPlan(plan, feeds, run);
-  FillMetrics(run, before, metrics);
-  return results;
-}
-
-std::vector<Tensor> Executor::RunPlan(
-    const ExecutionPlan& plan, const std::map<std::string, Tensor>& feeds,
-    RunContext& run) {
   obs::TraceScope span("execute_plan", "executor");
   span.AddArg("nodes", static_cast<std::int64_t>(plan.nodes().size()));
-  run.feeds = &feeds;
   run.variables = variables_;
   run.host_state = host_state_;
-  run.library = library_;
+  run.functions = functions_;
   run.rng = rng_;
   run.pool = options_.parallel ? options_.pool : nullptr;
   if (obs::PlanProfile* profile = plan.profile()) profile->AddRun();
 
   std::vector<Tensor> results = internal::ExecuteDag(
-      run, plan, {}, options_.parallel && options_.pool);
+      run, plan, args, options_.parallel && options_.pool);
   run.Commit();
+  FillMetrics(run, before, metrics);
   return results;
 }
 
 std::vector<Tensor> Executor::RunFunction(RunContext& run,
-                                          const GraphFunction& fn,
+                                          const ExecutionPlan& plan,
                                           std::span<const Tensor> args) {
-  if (args.size() != fn.parameters.size()) {
-    throw InvalidArgument("function '" + fn.name + "' expects " +
-                          std::to_string(fn.parameters.size()) +
-                          " arguments, got " + std::to_string(args.size()));
-  }
-  internal::Bindings bindings;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    bindings[fn.parameters[i]] = args[i];
-  }
-  // The function graph's plan is cached on the graph itself (and pre-built
-  // at generation time for engine-compiled graphs), so recursive Invoke and
-  // per-iteration While calls reuse one schedule.
-  const std::shared_ptr<const ExecutionPlan> plan =
-      GetOrBuildPlan(fn.graph, fn.results, &run);
   // Nested runs execute inline on the calling thread (never on the pool) to
   // avoid pool-thread starvation; see header comment.
-  return internal::ExecuteDag(run, *plan, bindings, /*parallel=*/false);
+  return internal::ExecuteDag(run, plan, args, /*parallel=*/false);
 }
 
 }  // namespace janus

@@ -13,17 +13,18 @@
 // as without a pool; coarse plans fan ready ops out over atomic pending
 // counts (PoolDecision in runtime/plan.h).
 //
-// Nested executions (InvokeOp function calls, While bodies) run inline on
-// the calling thread and share the caller's RunContext, so staged state and
-// tapes have run-wide scope and thread-pool deadlock is impossible. Each
-// function body's plan is cached on its own Graph (and pre-built at
-// generation time by CompiledGraph), so nested calls never replan.
+// A run takes its inputs positionally: one tensor per plan argument
+// (ExecutionPlan::arguments), no lookup by name. Nested executions
+// (InvokeOp function calls, While bodies) run inline on the calling thread
+// and share the caller's RunContext, so staged state and tapes have
+// run-wide scope and thread-pool deadlock is impossible. Each callee's plan
+// comes from the FunctionPlans table built with the caller's plan (by
+// CompiledGraph at generation time), so nested calls never plan.
 #ifndef JANUS_RUNTIME_EXECUTOR_H_
 #define JANUS_RUNTIME_EXECUTOR_H_
 
 #include <map>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "graph/graph.h"
@@ -45,8 +46,6 @@ struct ExecutorOptions {
 // over the run, attributing pool traffic to the run that caused it.
 struct RunMetrics {
   std::int64_t ops_executed = 0;
-  std::int64_t plan_builds = 0;
-  std::int64_t plan_cache_hits = 0;
   std::int64_t bytes_allocated = 0;
   std::int64_t pool_hits = 0;
   std::int64_t pool_misses = 0;
@@ -62,39 +61,29 @@ struct RunMetrics {
 
 class Executor {
  public:
-  Executor(const FunctionLibrary* library, VariableStore* variables,
+  // `functions` holds the plans of every function the run's plans call by
+  // name (Invoke, While, WhileGrad); it may be null when they call none.
+  Executor(const FunctionPlans* functions, VariableStore* variables,
            StateInterface* host_state, Rng* rng,
            ExecutorOptions options = {});
 
-  // Runs `graph`, feeding placeholders by name and returning the fetched
-  // values in order. The graph's plan is taken from its plan cache (built on
-  // first use). On success commits all staged state; on any exception
-  // (including AssumptionFailed) nothing is committed. `metrics`, when
-  // given, receives the run's kernel count and plan-cache accounting.
-  std::vector<Tensor> Run(const Graph& graph,
-                          const std::map<std::string, Tensor>& feeds,
-                          std::span<const NodeOutput> fetches,
-                          RunMetrics* metrics = nullptr);
-
-  // Runs a prebuilt plan directly: the pure dispatch hot path. No plan
-  // cache is consulted and no scheduling state is derived.
+  // Runs a prebuilt plan with one tensor per plan argument, in order, and
+  // returns the fetched values in order. On success commits all staged
+  // state; on any exception (including AssumptionFailed) nothing is
+  // committed. Throws InvalidArgument if the argument count is wrong.
+  // `metrics`, when given, receives the run's counters.
   std::vector<Tensor> Run(const ExecutionPlan& plan,
-                          const std::map<std::string, Tensor>& feeds,
+                          std::span<const Tensor> args,
                           RunMetrics* metrics = nullptr);
 
-  // Executes a library function with the given arguments inside an ongoing
-  // run, reusing the function graph's cached plan. Used by the Invoke and
-  // While kernels; never commits.
+  // Executes a function's plan with the given arguments inside an ongoing
+  // run. Used by the Invoke, While and WhileGrad kernels; never commits.
   static std::vector<Tensor> RunFunction(RunContext& run,
-                                         const GraphFunction& fn,
+                                         const ExecutionPlan& plan,
                                          std::span<const Tensor> args);
 
  private:
-  std::vector<Tensor> RunPlan(const ExecutionPlan& plan,
-                              const std::map<std::string, Tensor>& feeds,
-                              RunContext& run);
-
-  const FunctionLibrary* library_;
+  const FunctionPlans* functions_;
   VariableStore* variables_;
   StateInterface* host_state_;
   Rng* rng_;
@@ -102,10 +91,6 @@ class Executor {
 };
 
 namespace internal {
-
-// Binds function parameters for nested runs: Param nodes resolve through
-// this map, Placeholders through RunContext::feeds.
-using Bindings = std::map<const Node*, Tensor>;
 
 // Optional per-node precomputed outputs: nodes present in this map are not
 // re-executed; their recorded outputs are used directly. The eager tape uses
@@ -118,10 +103,11 @@ void ExecuteKernel(RunContext& run, const Node& node, const KernelFn& kernel,
                    std::span<const Tensor> inputs,
                    std::vector<Tensor>& outputs, bool allow_in_place = false);
 
-// Runs one plan; fetches come from the plan. Throws InternalError if a
-// fetched value is dead.
+// Runs one plan on one tensor per plan argument; fetches come from the
+// plan. Throws InvalidArgument if the argument count is wrong and
+// InternalError if a fetched value is dead.
 std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
-                               const Bindings& bindings, bool parallel,
+                               std::span<const Tensor> args, bool parallel,
                                const Precomputed* precomputed = nullptr);
 
 }  // namespace internal

@@ -9,12 +9,17 @@
 namespace janus {
 namespace {
 
-const GraphFunction& LookupFn(const RunContext& run, const Node& node,
-                              std::string_view attr) {
-  if (run.library == nullptr) {
-    throw InternalError("graph invokes functions but no library given");
+// The plan of the function a node's `attr` names, from the run's table.
+const ExecutionPlan& LookupPlan(const RunContext& run, const Node& node,
+                                std::string_view attr) {
+  const std::string& name = node.GetStringAttr(attr);
+  if (run.functions != nullptr) {
+    if (const auto it = run.functions->find(name);
+        it != run.functions->end()) {
+      return *it->second;
+    }
   }
-  return run.library->Lookup(node.GetStringAttr(attr));
+  throw InternalError("no plan for function '" + name + "'");
 }
 
 }  // namespace
@@ -24,11 +29,10 @@ void RegisterFunctionalKernels(KernelRegistry& r) {
   // one output per function result. Supports recursion: each activation is
   // an independent nested execution.
   r.Register("Invoke", [](KernelContext& ctx) {
-    const GraphFunction& fn = LookupFn(*ctx.run, *ctx.node, "function");
-    std::vector<Tensor> results =
-        Executor::RunFunction(*ctx.run, fn, ctx.inputs);
+    std::vector<Tensor> results = Executor::RunFunction(
+        *ctx.run, LookupPlan(*ctx.run, *ctx.node, "function"), ctx.inputs);
     if (static_cast<int>(results.size()) != ctx.node->num_outputs()) {
-      throw InternalError("Invoke '" + fn.name + "': result count mismatch");
+      throw InternalError("Invoke: result count mismatch");
     }
     for (std::size_t i = 0; i < results.size(); ++i) {
       ctx.set_output(static_cast<int>(i), std::move(results[i]));
@@ -44,8 +48,8 @@ void RegisterFunctionalKernels(KernelRegistry& r) {
   // With record_tape, the carried values at the start of every iteration are
   // stored in the RunContext keyed by this node's id, for WhileGrad.
   r.Register("While", [](KernelContext& ctx) {
-    const GraphFunction& cond = LookupFn(*ctx.run, *ctx.node, "cond_fn");
-    const GraphFunction& body = LookupFn(*ctx.run, *ctx.node, "body_fn");
+    const ExecutionPlan& cond = LookupPlan(*ctx.run, *ctx.node, "cond_fn");
+    const ExecutionPlan& body = LookupPlan(*ctx.run, *ctx.node, "body_fn");
     const auto num_carried =
         static_cast<std::size_t>(ctx.node->GetIntAttr("num_carried"));
     const bool record = ctx.node->HasAttr("record_tape") &&
@@ -73,8 +77,7 @@ void RegisterFunctionalKernels(KernelRegistry& r) {
       std::vector<Tensor> next =
           Executor::RunFunction(*ctx.run, body, with_captures(carried));
       if (next.size() != num_carried) {
-        throw InternalError("While body '" + body.name +
-                            "': carried count mismatch");
+        throw InternalError("While body: carried count mismatch");
       }
       carried = std::move(next);
     }
@@ -94,8 +97,8 @@ void RegisterFunctionalKernels(KernelRegistry& r) {
   //   outputs: N gradients w.r.t. the initial carried values, then K
   //   accumulated gradients w.r.t. the captures.
   r.Register("WhileGrad", [](KernelContext& ctx) {
-    const GraphFunction& body_grad =
-        LookupFn(*ctx.run, *ctx.node, "body_grad_fn");
+    const ExecutionPlan& body_grad =
+        LookupPlan(*ctx.run, *ctx.node, "body_grad_fn");
     const auto num_carried =
         static_cast<std::size_t>(ctx.node->GetIntAttr("num_carried"));
     const auto num_captures =

@@ -10,7 +10,6 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "runtime/fusion.h"
-#include "runtime/run_context.h"
 
 namespace janus {
 namespace {
@@ -18,8 +17,7 @@ namespace {
 ExecutionPlan::OpKind ClassifyOp(const std::string& op) {
   using OpKind = ExecutionPlan::OpKind;
   if (op == "Const") return OpKind::kConst;
-  if (op == "Placeholder") return OpKind::kPlaceholder;
-  if (op == "Param") return OpKind::kParam;
+  if (op == "Placeholder" || op == "Param") return OpKind::kArgument;
   if (op == "Switch") return OpKind::kSwitch;
   if (op == "Merge") return OpKind::kMerge;
   return OpKind::kKernel;
@@ -144,14 +142,15 @@ PlanVerifyHookFn GetPlanVerifyHook() {
 
 std::shared_ptr<const ExecutionPlan> ExecutionPlan::Build(
     const Graph& graph, std::span<const NodeOutput> fetches,
-    PlanOptions options) {
+    std::span<Node* const> args, PlanOptions options) {
   obs::TraceScope span("plan_build", "runtime");
   span.AddArg("graph_nodes",
                static_cast<std::int64_t>(graph.nodes().size()));
   auto plan = std::shared_ptr<ExecutionPlan>(new ExecutionPlan());
   plan->fetches_.assign(fetches.begin(), fetches.end());
-  plan->graph_version_ = graph.version();
+  plan->arguments_.assign(args.begin(), args.end());
   plan->BuildNodes(TopologicalOrder(FetchReachable(graph, fetches)));
+  plan->BindArguments();
   // Fusion rewrites the node array in place (interior members disappear)
   // and must run before the memory plan: liveness is computed over the
   // fused node array, so interior values are never materialized or tracked.
@@ -225,6 +224,32 @@ void ExecutionPlan::BuildNodes(const std::vector<const Node*>& order) {
   }
 }
 
+void ExecutionPlan::BindArguments() {
+  for (std::size_t i = 0; i < arguments_.size(); ++i) {
+    const Node* arg = arguments_[i];
+    if (ClassifyOp(arg->op()) != OpKind::kArgument) {
+      throw InvalidArgument("plan argument " + std::to_string(i) + " ('" +
+                            arg->name() + "') is a " + arg->op() +
+                            ", not a Placeholder or Param");
+    }
+    const int index = IndexOf(arg);
+    if (index < 0) continue;  // not needed by these fetches
+    PlanNode& entry = nodes_[static_cast<std::size_t>(index)];
+    if (entry.arg_index >= 0) {
+      throw InvalidArgument("'" + arg->name() +
+                            "' is listed twice among the plan arguments");
+    }
+    entry.arg_index = static_cast<int>(i);
+  }
+  for (const PlanNode& entry : nodes_) {
+    if (entry.kind == OpKind::kArgument && entry.arg_index < 0) {
+      throw InvalidArgument(entry.node->op() + " '" + entry.node->name() +
+                            "' is needed by the fetches but is not a plan "
+                            "argument");
+    }
+  }
+}
+
 PoolDecision::Mode PoolDecision::Claim() {
   if (const Mode mode = mode_.load(std::memory_order_acquire);
       mode != Mode::kCalibrate) {
@@ -276,30 +301,15 @@ int ExecutionPlan::IndexOf(const Node* node) const {
   return it == index_.end() ? -1 : it->second;
 }
 
-std::shared_ptr<const ExecutionPlan> GetOrBuildPlan(
-    const Graph& graph, std::span<const NodeOutput> fetches,
-    RunContext* run, PlanOptions options) {
-  cache::PlanCache& plan_cache = graph.plan_cache();
-  // The PlanCache is type-erased; fetch endpoints map 1:1 onto FetchIds.
-  std::vector<cache::PlanCache::FetchId> fetch_ids;
-  fetch_ids.reserve(fetches.size());
-  for (const NodeOutput& fetch : fetches) {
-    fetch_ids.push_back({fetch.node, fetch.index});
+FunctionPlans BuildFunctionPlans(const FunctionLibrary& library,
+                                 PlanOptions options) {
+  FunctionPlans plans;
+  for (const std::string& name : library.FunctionNames()) {
+    const GraphFunction& fn = library.Lookup(name);
+    plans.emplace(name, ExecutionPlan::Build(fn.graph, fn.results,
+                                             fn.parameters, options));
   }
-  if (std::shared_ptr<const void> cached =
-          plan_cache.Find(graph.version(), fetch_ids);
-      cached != nullptr) {
-    if (run != nullptr) {
-      run->plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-    return std::static_pointer_cast<const ExecutionPlan>(cached);
-  }
-  auto plan = ExecutionPlan::Build(graph, fetches, options);
-  if (run != nullptr) {
-    run->plan_builds.fetch_add(1, std::memory_order_relaxed);
-  }
-  plan_cache.Insert(graph.version(), fetch_ids, plan);
-  return plan;
+  return plans;
 }
 
 }  // namespace janus

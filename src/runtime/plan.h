@@ -1,14 +1,15 @@
 // Compile-once execution plans.
 //
-// An ExecutionPlan is the immutable, per-graph compiled schedule that moves
-// every piece of per-run scheduling work out of the dispatch hot path: the
-// fetch-reachable node set in topological (Kahn) order, dense node indices,
-// incoming-edge counts, per-slot out-edges, resolved KernelFn pointers,
-// pre-classified op kinds (no string compares at run time), and fetch
-// slots. A plan is built once per (graph, fetches) and reused across every
-// subsequent Executor::Run / nested RunFunction call — the compile-once/
-// run-many split the paper's amortization argument (§3.1, Fig. 2) relies
-// on, mirroring how TensorFlow caches a compiled executor per graph.
+// An ExecutionPlan is the immutable compiled schedule of one graph that
+// moves every piece of per-run scheduling work out of the dispatch hot
+// path: the fetch-reachable node set in topological (Kahn) order, dense
+// node indices, incoming-edge counts, per-slot out-edges, resolved KernelFn
+// pointers, pre-classified op kinds (no string compares at run time), fetch
+// slots, and each source node's argument position. A plan is built once per
+// (graph, fetches, arguments) and reused across every subsequent
+// Executor::Run / nested RunFunction call — the compile-once/run-many split
+// the paper's amortization argument (§3.1, Fig. 2) relies on, mirroring how
+// TensorFlow caches a compiled executor per graph.
 //
 // Every plan, conditional or not, has one node form (PlanNode) and runs on
 // one executor, the way TF runs every graph on one dataflow executor
@@ -17,17 +18,24 @@
 // graph is acyclic. Fusion, the memory plan, the profiler and the verifier
 // each read that one form.
 //
-// Plans are cached in the owning Graph's cache::PlanCache (so every Graph,
-// including each GraphFunction body, carries its own plans) and additionally
-// pinned by CompiledGraph, which pre-builds plans for the main graph and
-// every library function at generation time.
+// A run receives its inputs positionally, the way TF Eager calls a traced
+// function with a flat list of tensors: Build takes the graph's source
+// nodes (Placeholders of a compiled graph, Params of a function body) in
+// call order, and each run passes one tensor per argument. Plans live with
+// what they were built for: CompiledGraph owns its main plan and the
+// FunctionPlans table of its library, built together at generation time;
+// the eager tape builds its one-shot plan directly. Nothing looks a plan up
+// at run time except a callee by name in its caller's FunctionPlans.
 #ifndef JANUS_RUNTIME_PLAN_H_
 #define JANUS_RUNTIME_PLAN_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -37,7 +45,6 @@
 
 namespace janus {
 
-class RunContext;
 struct FusedRegionPlan;
 
 namespace obs {
@@ -97,8 +104,8 @@ class ExecutionPlan {
   // compares op-name strings or consults the kernel registry.
   enum class OpKind : std::uint8_t {
     kConst,
-    kPlaceholder,
-    kParam,
+    // A Placeholder or Param: the run's argument at PlanNode::arg_index.
+    kArgument,
     kSwitch,
     kMerge,
     kKernel,
@@ -141,18 +148,23 @@ class ExecutionPlan {
     std::vector<std::vector<Edge>> out_edges;
     std::vector<int> control_edges;
     Tensor const_value;  // valid iff kind == kConst
+    int arg_index = -1;  // valid iff kind == kArgument
   };
 
-  // Builds a plan from scratch, bypassing the cache (exposed for the
-  // plan-build microbenchmark and for tests that compare fresh vs cached
-  // planning). Throws InvalidArgument if an op other than a source, Switch
-  // or Merge has no registered kernel.
+  // Builds the plan for `fetches`. `args` are the graph's source nodes in
+  // call order: each run passes one tensor per entry, and a fetch-reachable
+  // Placeholder or Param takes the tensor at its position. Throws
+  // InvalidArgument if an argument is not a Placeholder or Param or is
+  // listed twice, if a fetch-reachable Placeholder or Param is not an
+  // argument, or if an op other than a source, Switch or Merge has no
+  // registered kernel.
   static std::shared_ptr<const ExecutionPlan> Build(
       const Graph& graph, std::span<const NodeOutput> fetches,
-      PlanOptions options = {});
+      std::span<Node* const> args, PlanOptions options = {});
 
   std::span<const NodeOutput> fetches() const { return fetches_; }
-  std::uint64_t graph_version() const { return graph_version_; }
+  // The source nodes a run's arguments bind to, in call order.
+  std::span<const Node* const> arguments() const { return arguments_; }
 
   // The dense node array, in topological order.
   const std::vector<PlanNode>& nodes() const { return nodes_; }
@@ -197,9 +209,13 @@ class ExecutionPlan {
   // Builds the node array over `order` (the fetch-reachable nodes in
   // topological order): one PlanNode per node, wired both ways.
   void BuildNodes(const std::vector<const Node*>& order);
+  // Stores each argument's position on its plan node, rejecting arguments
+  // that are not sources or repeat, and reachable sources that are not
+  // arguments.
+  void BindArguments();
 
   std::vector<NodeOutput> fetches_;
-  std::uint64_t graph_version_ = 0;
+  std::vector<const Node*> arguments_;
 
   std::vector<PlanNode> nodes_;
   std::vector<Endpoint> fetch_slots_;
@@ -225,12 +241,16 @@ using PlanVerifyHookFn = void (*)(const Graph& graph,
 void SetPlanVerifyHook(PlanVerifyHookFn hook);
 PlanVerifyHookFn GetPlanVerifyHook();
 
-// Returns the plan for (graph, fetches) from the graph's plan cache,
-// building and inserting it on first use. When `run` is non-null, a build
-// bumps run->plan_builds and a hit bumps run->plan_cache_hits. Thread-safe.
-std::shared_ptr<const ExecutionPlan> GetOrBuildPlan(
-    const Graph& graph, std::span<const NodeOutput> fetches,
-    RunContext* run = nullptr, PlanOptions options = {});
+// The plans of a library's functions by name: what Invoke, While and
+// WhileGrad call. Built once, beside the calling graph's own plan; a run
+// only looks callees up, and a missing one is an error.
+using FunctionPlans =
+    std::map<std::string, std::shared_ptr<const ExecutionPlan>, std::less<>>;
+
+// One plan per function of `library`: its arguments the function's
+// parameters, its fetches the function's results.
+FunctionPlans BuildFunctionPlans(const FunctionLibrary& library,
+                                 PlanOptions options = {});
 
 }  // namespace janus
 

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "graph/graph.h"
+#include "runtime/plan.h"
 #include "tensor/tensor.h"
 
 namespace janus {
@@ -85,11 +86,11 @@ class StateInterface {
 class RunContext {
  public:
   // Non-owning service pointers; any may be null when the corresponding
-  // feature is unused by the graph.
-  const std::map<std::string, Tensor>* feeds = nullptr;
+  // feature is unused by the graph. `functions` holds the plans the
+  // functional kernels call by name.
   VariableStore* variables = nullptr;
   StateInterface* host_state = nullptr;
-  const FunctionLibrary* library = nullptr;
+  const FunctionPlans* functions = nullptr;
   Rng* rng = nullptr;
   ThreadPool* pool = nullptr;  // offered to every plan (see PoolDecision)
 
@@ -120,11 +121,6 @@ class RunContext {
 
   // ---- metrics ----
   std::atomic<std::int64_t> ops_executed{0};
-  // Plan-cache accounting for this run: builds should happen at most once
-  // per (graph, fetches) over a process lifetime; the steady state is
-  // hits-only (see runtime/plan.h).
-  std::atomic<std::int64_t> plan_builds{0};
-  std::atomic<std::int64_t> plan_cache_hits{0};
   // Dead intermediate output tensors dropped mid-run by the liveness plan
   // (their buffers return to the BufferPool for reuse within the same run).
   std::atomic<std::int64_t> buffers_released{0};

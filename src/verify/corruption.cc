@@ -160,6 +160,16 @@ std::vector<Corruption> PlanCorruptions() {
     c.nodes()[static_cast<std::size_t>(i)].kernel = nullptr;
     return true;
   });
+  add("argument-index-range", "schedule.argument_index",
+      [](PlanCorruptor& c) {
+        const int i = FindNode(c, [](const PlanNode& e, int) {
+          return e.kind == OpKind::kArgument;
+        });
+        if (i < 0) return false;
+        c.nodes()[static_cast<std::size_t>(i)].arg_index =
+            static_cast<int>(c.arguments().size());
+        return true;
+      });
   // ---- Index map and fetch slots ----
 
   add("index-skew", "index.roundtrip", [](PlanCorruptor& c) {

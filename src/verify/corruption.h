@@ -39,6 +39,7 @@ class PlanCorruptor {
   }
   std::unordered_map<const Node*, int>& index() { return plan_->index_; }
   std::vector<NodeOutput>& fetches() { return plan_->fetches_; }
+  std::vector<const Node*>& arguments() { return plan_->arguments_; }
   MemoryPlan& memory() { return plan_->memory_; }
 
   std::size_t num_regions() const { return plan_->fused_regions_.size(); }

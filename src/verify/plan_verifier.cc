@@ -26,8 +26,7 @@ using PlanNode = ExecutionPlan::PlanNode;
 // classification bug in the builder cannot hide from the checker.
 OpKind ClassifyOp(const std::string& op) {
   if (op == "Const") return OpKind::kConst;
-  if (op == "Placeholder") return OpKind::kPlaceholder;
-  if (op == "Param") return OpKind::kParam;
+  if (op == "Placeholder" || op == "Param") return OpKind::kArgument;
   if (op == "Switch") return OpKind::kSwitch;
   if (op == "Merge") return OpKind::kMerge;
   return OpKind::kKernel;
@@ -36,8 +35,7 @@ OpKind ClassifyOp(const std::string& op) {
 const char* KindName(OpKind kind) {
   switch (kind) {
     case OpKind::kConst: return "Const";
-    case OpKind::kPlaceholder: return "Placeholder";
-    case OpKind::kParam: return "Param";
+    case OpKind::kArgument: return "Argument";
     case OpKind::kSwitch: return "Switch";
     case OpKind::kMerge: return "Merge";
     case OpKind::kKernel: return "Kernel";
@@ -417,6 +415,27 @@ void CheckFetches(Checker& check, const ExecutionPlan& plan) {
   }
 }
 
+// Arguments: each source node's argument index is in range and names the
+// node itself in the plan's argument list, so indices are distinct and
+// every run input lands on the one source it was passed for.
+void CheckArguments(Checker& check, const ExecutionPlan& plan) {
+  const int num_args = static_cast<int>(plan.arguments().size());
+  for (const PlanNode& entry : plan.nodes()) {
+    if (entry.kind != OpKind::kArgument) continue;
+    const int index = entry.arg_index;
+    const bool in_range = index >= 0 && index < num_args;
+    check.Check(in_range, "schedule.argument_index", entry.node,
+                "argument index " + std::to_string(index) + " outside [0, " +
+                    std::to_string(num_args) + ")");
+    if (!in_range) continue;
+    const Node* arg = plan.arguments()[static_cast<std::size_t>(index)];
+    check.Check(arg == entry.node, "schedule.argument_index", entry.node,
+                "plan argument " + std::to_string(index) + " is '" +
+                    (arg != nullptr ? arg->name() : "<null>") +
+                    "', not this node");
+  }
+}
+
 // Memory plan: recompute liveness/in-place independently and require
 // equality. An undercount releases a live buffer; an overcount leaks.
 void CheckMemory(Checker& check, const ExecutionPlan& plan) {
@@ -536,6 +555,7 @@ void VerifyNodes(Checker& check, const Graph& graph,
     CheckOutEdges(check, plan, i);
   }
   CheckFetches(check, plan);
+  CheckArguments(check, plan);
   CheckMemory(check, plan);
 }
 

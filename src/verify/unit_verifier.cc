@@ -1,8 +1,9 @@
 #include "verify/unit_verifier.h"
 
+#include <algorithm>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -68,44 +69,56 @@ void VerifyPlanFetches(Report& report, const ExecutionPlan& plan,
 Report VerifyCompiledUnit(const CompiledGraph& unit) {
   Report report;
 
-  // Graph node name -> node, for capture resolution; also the membership
-  // set for fetch checks.
-  std::unordered_map<std::string, const Node*> by_name;
-  std::unordered_set<const Node*> in_graph;
-  for (const auto& node : unit.graph.nodes()) {
-    by_name.emplace(node->name(), node.get());
-    in_graph.insert(node.get());
-  }
-
   const int level = unit.despecialization_level;
   Check(report, level >= 0 && level <= 3, "unit.ladder_level", "<unit>",
         "despecialization_level " + std::to_string(level) +
             " outside the ladder [0, 3]");
 
+  Check(report, unit.plan != nullptr, "unit.plan_missing", "<unit>",
+        "unit has no pre-built main plan (BuildPlans not run?)");
+  const std::span<const Node* const> arguments =
+      unit.plan != nullptr ? unit.plan->arguments()
+                           : std::span<const Node* const>{};
+  // Captures feed the main plan's arguments in capture order; a capture
+  // whose placeholder optimization pruned feeds none (arg_slot -1).
+  int next_slot = 0;
   for (const CaptureSpec& capture : unit.captures) {
-    const auto it = by_name.find(capture.placeholder_name);
-    if (it == by_name.end()) {
-      Check(report, false, "unit.capture_placeholder",
-            capture.placeholder_name,
-            "capture feeds a placeholder that does not exist in the graph");
-      continue;
-    }
-    const Node* node = it->second;
-    Check(report, node->op() == "Placeholder", "unit.capture_placeholder",
-          node->name(),
-          "capture target is a '" + node->op() + "', not a Placeholder");
-    if (node->HasAttr("dtype")) {
-      Check(report, node->GetDTypeAttr("dtype") == capture.dtype,
-            "unit.capture_dtype", node->name(),
-            "capture dtype disagrees with the placeholder's dtype attr: "
-            "entry checks would admit tensors the kernels reject");
+    const std::string& where = capture.placeholder_name;
+    if (capture.arg_slot >= 0) {
+      Check(report, capture.arg_slot == next_slot, "unit.plan_arguments",
+            where,
+            "capture feeds argument " + std::to_string(capture.arg_slot) +
+                " where capture order puts argument " +
+                std::to_string(next_slot));
+      ++next_slot;
+      const bool in_range =
+          capture.arg_slot < static_cast<int>(arguments.size());
+      Check(report, in_range, "unit.capture_placeholder", where,
+            "capture feeds argument " + std::to_string(capture.arg_slot) +
+                " of a plan with " + std::to_string(arguments.size()));
+      if (in_range) {
+        const Node* node =
+            arguments[static_cast<std::size_t>(capture.arg_slot)];
+        Check(report,
+              node->op() == "Placeholder" && node->name() == where,
+              "unit.capture_placeholder", node->name(),
+              "capture of '" + where + "' feeds a " + node->op() +
+                  ", not its Placeholder");
+        if (node->HasAttr("dtype")) {
+          Check(report, node->GetDTypeAttr("dtype") == capture.dtype,
+                "unit.capture_dtype", node->name(),
+                "capture dtype disagrees with the placeholder's dtype "
+                "attr: entry checks would admit tensors the kernels "
+                "reject");
+        }
+      }
     }
     // Ladder consistency: the shape assumption may never be MORE specific
     // than the level the unit claims it was generated at.
     if (!IsTensorLikeCapture(capture)) continue;
     const ShapeAssumption& shape = capture.shape;
     if (level >= 2) {
-      Check(report, shape.is_unknown(), "unit.shape_level", node->name(),
+      Check(report, shape.is_unknown(), "unit.shape_level", where,
             "level-" + std::to_string(level) +
                 " unit pins a shape assumption (" + shape.ToString() +
                 "); DropShapes() should have erased it");
@@ -114,22 +127,27 @@ Report VerifyCompiledUnit(const CompiledGraph& unit) {
       for (const std::optional<std::int64_t>& dim : shape.dims()) {
         if (dim.has_value()) pinned = true;
       }
-      Check(report, !pinned, "unit.shape_level", node->name(),
+      Check(report, !pinned, "unit.shape_level", where,
             "level-1 unit pins concrete dimensions (" + shape.ToString() +
                 "); RelaxShapesToRank() should have wildcarded them");
     }
   }
+  if (unit.plan != nullptr) {
+    Check(report, next_slot == static_cast<int>(arguments.size()),
+          "unit.plan_arguments", "main",
+          "plan takes " + std::to_string(arguments.size()) +
+              " arguments but " + std::to_string(next_slot) +
+              " captures feed it");
+  }
 
   Check(report, !unit.fetches.empty(), "unit.fetches", "<unit>",
         "unit has no fetches; executing it computes nothing");
+  std::unordered_set<const Node*> in_graph;
+  for (const auto& node : unit.graph.nodes()) in_graph.insert(node.get());
   for (const NodeOutput& fetch : unit.fetches) {
-    if (fetch.node == nullptr ||
-        in_graph.find(fetch.node) == in_graph.end()) {
-      Check(report, false, "unit.fetches", "<unit>",
-            "fetch references a node outside the unit's graph");
-      continue;
-    }
-    ++report.checks;
+    Check(report, fetch.node != nullptr && in_graph.count(fetch.node) != 0,
+          "unit.fetches", "<unit>",
+          "fetch references a node outside the unit's graph");
   }
 
   // Assert-op accounting: generation counts every Assert/AssertShape it
@@ -150,12 +168,9 @@ Report VerifyCompiledUnit(const CompiledGraph& unit) {
             std::to_string(unit.num_assert_ops) +
             ": a speculation guard was dropped");
 
-  // Plans: the main plan plus one per library function, in FunctionNames()
-  // order, each structurally verified against its graph.
-  if (unit.plan == nullptr) {
-    Check(report, false, "unit.plan_missing", "<unit>",
-          "unit has no pre-built main plan (BuildPlans not run?)");
-  } else {
+  // Plans: the main plan plus one per library function in the function-plan
+  // table, each structurally verified against its graph.
+  if (unit.plan != nullptr) {
     VerifyPlanFetches(report, *unit.plan, unit.fetches, "main");
     MergePlanReport(report, VerifyPlan(unit.graph, *unit.plan), "main");
   }
@@ -167,18 +182,21 @@ Report VerifyCompiledUnit(const CompiledGraph& unit) {
         std::to_string(unit.function_plans.size()) +
             " function plans for " + std::to_string(fn_names.size()) +
             " library functions");
-  const std::size_t n_fn =
-      std::min(unit.function_plans.size(), fn_names.size());
-  for (std::size_t i = 0; i < n_fn; ++i) {
-    const GraphFunction& fn = unit.library->Lookup(fn_names[i]);
-    if (unit.function_plans[i] == nullptr) {
-      Check(report, false, "unit.function_plans", fn.name,
-            "library function has a null pre-built plan");
-      continue;
-    }
-    VerifyPlanFetches(report, *unit.function_plans[i], fn.results, fn.name);
-    MergePlanReport(report, VerifyPlan(fn.graph, *unit.function_plans[i]),
-                    fn.name);
+  for (const std::string& name : fn_names) {
+    const GraphFunction& fn = unit.library->Lookup(name);
+    const auto it = unit.function_plans.find(name);
+    const bool present = it != unit.function_plans.end() && it->second;
+    Check(report, present, "unit.function_plans", name,
+          "library function has no pre-built plan");
+    if (!present) continue;
+    const ExecutionPlan& fn_plan = *it->second;
+    Check(report,
+          std::equal(fn_plan.arguments().begin(), fn_plan.arguments().end(),
+                     fn.parameters.begin(), fn.parameters.end()),
+          "unit.plan_arguments", name,
+          "function plan's arguments are not the function's parameters");
+    VerifyPlanFetches(report, fn_plan, fn.results, name);
+    MergePlanReport(report, VerifyPlan(fn.graph, fn_plan), name);
   }
   return report;
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "run_graph.h"
 #include "runtime/executor.h"
 #include "tensor/ops.h"
 
@@ -35,15 +36,16 @@ class AutodiffTest : public ::testing::Test {
     Rng rng(seed);
     Tensor x0 = ops::RandomUniform(x_shape, 0.2f, 1.2f, rng);
 
-    Executor executor(&library_, &variables_, nullptr, &rng_);
+    const FunctionPlans functions = BuildFunctionPlans(library_);
+    Executor executor(&functions, &variables_, nullptr, &rng_);
     const auto eval_loss = [&](const Tensor& xv) {
-      const auto out = executor.Run(g, {{"x", xv}},
-                                    std::vector<NodeOutput>{loss});
+      const auto out = RunGraph(executor, g, {{"x", xv}},
+                                std::vector<NodeOutput>{loss});
       return out[0].ScalarValue();
     };
 
-    const auto out = executor.Run(
-        g, {{"x", x0}}, std::vector<NodeOutput>{loss, grads[0]});
+    const auto out = RunGraph(executor, g, {{"x", x0}},
+                              std::vector<NodeOutput>{loss, grads[0]});
     const Tensor analytic = out[1];
     ASSERT_EQ(analytic.shape(), x_shape);
 
@@ -296,9 +298,10 @@ TEST_F(AutodiffTest, MaxPoolGradient) {
   const Tensor input = Tensor::FromVector(
       {1, 2, 3, 4, 8, 7, 6, 5, 9, 10, 11, 12, 16, 15, 14, 13},
       Shape{1, 4, 4, 1});
-  Executor executor(&library_, &variables_, nullptr, &rng_);
-  const auto out = executor.Run(g, {{"x", input}},
-                                std::vector<NodeOutput>{grads[0]});
+  const FunctionPlans functions = BuildFunctionPlans(library_);
+  Executor executor(&functions, &variables_, nullptr, &rng_);
+  const auto out = RunGraph(executor, g, {{"x", input}},
+                            std::vector<NodeOutput>{grads[0]});
   // Window maxima: 8, 6, 16, 14. d(sum(p^2))/dmax = 2*max, zero elsewhere.
   const std::vector<float> expected = {0, 0, 0, 0, 16, 0, 12, 0,
                                        0, 0, 0, 0, 32, 0, 28, 0};
@@ -325,9 +328,10 @@ TEST_F(AutodiffTest, UnreachedTargetGetsZeros) {
   const NodeOutput loss = SumAll(g, {g.AddNode("Square", {x}), 0});
   const std::vector<NodeOutput> targets{x, y};
   const auto grads = AddGradients(g, library_, loss, targets);
-  Executor executor(&library_, &variables_, nullptr, &rng_);
-  const auto out = executor.Run(
-      g,
+  const FunctionPlans functions = BuildFunctionPlans(library_);
+  Executor executor(&functions, &variables_, nullptr, &rng_);
+  const auto out = RunGraph(
+      executor, g,
       {{"x", Tensor::FromVector({1, 2}, Shape{2})},
        {"y", Tensor::FromVector({5, 5, 5}, Shape{3})}},
       std::vector<NodeOutput>{grads[0], grads[1]});
@@ -346,9 +350,10 @@ TEST_F(AutodiffTest, FanOutAccumulatesGradients) {
   const NodeOutput loss = {g.AddNode("Add", {sq, lin}), 0};
   const std::vector<NodeOutput> targets{x};
   const auto grads = AddGradients(g, library_, loss, targets);
-  Executor executor(&library_, &variables_, nullptr, &rng_);
-  const auto out = executor.Run(g, {{"x", Tensor::Scalar(5)}},
-                                std::vector<NodeOutput>{grads[0]});
+  const FunctionPlans functions = BuildFunctionPlans(library_);
+  Executor executor(&functions, &variables_, nullptr, &rng_);
+  const auto out = RunGraph(executor, g, {{"x", Tensor::Scalar(5)}},
+                            std::vector<NodeOutput>{grads[0]});
   EXPECT_FLOAT_EQ(out[0].ScalarValue(), 13.0f);
 }
 
@@ -367,16 +372,17 @@ TEST_F(AutodiffTest, ConditionalGradientFollowsTakenBranch) {
   const auto grads =
       AddGradients(g, library_, NodeOutput{merge, 0}, targets);
 
-  Executor executor(&library_, &variables_, nullptr, &rng_);
-  const auto t = executor.Run(g,
-                              {{"pred", Tensor::ScalarBool(true)},
-                               {"x", Tensor::Scalar(4)}},
-                              std::vector<NodeOutput>{grads[0]});
+  const FunctionPlans functions = BuildFunctionPlans(library_);
+  Executor executor(&functions, &variables_, nullptr, &rng_);
+  const auto t = RunGraph(executor, g,
+                          {{"pred", Tensor::ScalarBool(true)},
+                           {"x", Tensor::Scalar(4)}},
+                          std::vector<NodeOutput>{grads[0]});
   EXPECT_FLOAT_EQ(t[0].ScalarValue(), 8.0f);
-  const auto f = executor.Run(g,
-                              {{"pred", Tensor::ScalarBool(false)},
-                               {"x", Tensor::Scalar(4)}},
-                              std::vector<NodeOutput>{grads[0]});
+  const auto f = RunGraph(executor, g,
+                          {{"pred", Tensor::ScalarBool(false)},
+                           {"x", Tensor::Scalar(4)}},
+                          std::vector<NodeOutput>{grads[0]});
   EXPECT_FLOAT_EQ(f[0].ScalarValue(), 3.0f);
 }
 
@@ -425,9 +431,10 @@ TEST_F(AutodiffTest, FunctionalWhileGradient) {
   const std::vector<NodeOutput> targets{x};
   const auto grads =
       AddGradients(g, library_, NodeOutput{loop, 1}, targets);
-  Executor executor(&library_, &variables_, nullptr, &rng_);
-  const auto out = executor.Run(g, {{"x", Tensor::Scalar(1.5f)}},
-                                std::vector<NodeOutput>{{loop, 1}, grads[0]});
+  const FunctionPlans functions = BuildFunctionPlans(library_);
+  Executor executor(&functions, &variables_, nullptr, &rng_);
+  const auto out = RunGraph(executor, g, {{"x", Tensor::Scalar(1.5f)}},
+                            std::vector<NodeOutput>{{loop, 1}, grads[0]});
   EXPECT_FLOAT_EQ(out[0].ScalarValue(), 1.5f * 32);
   EXPECT_FLOAT_EQ(out[1].ScalarValue(), 32.0f);
 }
@@ -466,9 +473,10 @@ TEST_F(AutodiffTest, RecursiveInvokeGradient) {
   const std::vector<NodeOutput> targets{x};
   const auto grads =
       AddGradients(g, library_, NodeOutput{call, 0}, targets);
-  Executor executor(&library_, &variables_, nullptr, &rng_);
-  const auto out = executor.Run(g, {{"x", Tensor::Scalar(2.0f)}},
-                                std::vector<NodeOutput>{{call, 0}, grads[0]});
+  const FunctionPlans functions = BuildFunctionPlans(library_);
+  Executor executor(&functions, &variables_, nullptr, &rng_);
+  const auto out = RunGraph(executor, g, {{"x", Tensor::Scalar(2.0f)}},
+                            std::vector<NodeOutput>{{call, 0}, grads[0]});
   EXPECT_FLOAT_EQ(out[0].ScalarValue(), 8.0f);
   EXPECT_FLOAT_EQ(out[1].ScalarValue(), 12.0f);  // 3 * 2^2
 }

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "run_graph.h"
 #include "runtime/executor.h"
 #include "runtime/memory_plan.h"
 #include "runtime/plan.h"
@@ -151,7 +152,7 @@ TEST(MemoryPlanTest, BuildComputesReadsProtectionAndCapability) {
   Node* t1 = g.AddNode("Transpose", {c});
   Node* add = g.AddNode("Add", {{t1, 0}, {t1, 0}});
   const std::vector<NodeOutput> fetches{{add, 0}};
-  const auto plan = ExecutionPlan::Build(g, fetches);
+  const auto plan = ExecutionPlan::Build(g, fetches, {});
   const MemoryPlan& mem = plan->memory();
   ASSERT_EQ(mem.nodes.size(), plan->nodes().size());
 
@@ -175,11 +176,10 @@ class MemoryPlanLivenessTest : public ::testing::Test {
  protected:
   std::vector<Tensor> Run(const Graph& g, std::vector<NodeOutput> fetches,
                           RunMetrics* metrics) {
-    Executor executor(&library_, &variables_, nullptr, &rng_);
-    return executor.Run(g, {}, fetches, metrics);
+    Executor executor(nullptr, &variables_, nullptr, &rng_);
+    return RunGraph(executor, g, {}, fetches, metrics);
   }
 
-  FunctionLibrary library_;
   VariableStore variables_;
   Rng rng_{7};
 };
@@ -221,8 +221,9 @@ TEST_F(MemoryPlanLivenessTest, ElementwiseChainRunsInPlace) {
   // Per-op in-place reuse is what this test measures; fusion would collapse
   // the whole chain into one region with no intermediates at all.
   const std::vector<NodeOutput> fetches{v};
-  const auto plan = ExecutionPlan::Build(g, fetches, {.enable_fusion = false});
-  Executor executor(&library_, &variables_, nullptr, &rng_);
+  const auto plan =
+      ExecutionPlan::Build(g, fetches, {}, {.enable_fusion = false});
+  Executor executor(nullptr, &variables_, nullptr, &rng_);
   RunMetrics metrics;
   const std::vector<Tensor> results = executor.Run(*plan, {}, &metrics);
   ASSERT_EQ(results.size(), 1u);

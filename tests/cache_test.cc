@@ -1,7 +1,7 @@
 // Tests for the src/cache subsystem: the ShapeAssumption lattice edges the
-// despecialization ladder walks, the PlanCache, the SpecializationCache's
-// budgets / cost-aware eviction / churn ladder, and the engine running
-// end-to-end through its own cache.
+// despecialization ladder walks, the SpecializationCache's budgets /
+// cost-aware eviction / churn ladder, and the engine running end-to-end
+// through its own cache.
 #include "cache/specialization_cache.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <memory>
 #include <string>
 
-#include "cache/plan_cache.h"
 #include "core/assumptions.h"
 #include "core/engine.h"
 #include "core/profiler.h"
@@ -19,7 +18,6 @@ namespace janus {
 namespace {
 
 using cache::CacheOptions;
-using cache::PlanCache;
 using cache::SpecializationCache;
 
 // ===========================================================================
@@ -106,43 +104,6 @@ TEST(ProfilerTest, RemarkingRefreshesAgingStamp) {
   profiler.MarkAssumptionFailed("overflow");
   EXPECT_TRUE(profiler.HasFailed("keep"));
   EXPECT_FALSE(profiler.HasFailed("filler0"));
-}
-
-// ===========================================================================
-// PlanCache
-// ===========================================================================
-
-TEST(PlanCacheTest, FindMissesThenHitsAfterInsert) {
-  PlanCache plans;
-  int a = 0;
-  const std::vector<PlanCache::FetchId> fetches{{&a, 0}};
-  EXPECT_EQ(plans.Find(1, fetches), nullptr);
-  auto plan = std::make_shared<const int>(42);
-  plans.Insert(1, fetches, plan);
-  EXPECT_EQ(plans.Find(1, fetches), plan);
-  // Different version and different fetch set miss.
-  EXPECT_EQ(plans.Find(2, fetches), nullptr);
-  const std::vector<PlanCache::FetchId> other{{&a, 1}};
-  EXPECT_EQ(plans.Find(1, other), nullptr);
-}
-
-TEST(PlanCacheTest, StaleVersionsDropOnInsertAndFifoBounds) {
-  PlanCache plans;
-  int anchor = 0;
-  std::vector<PlanCache::FetchId> f1{{&anchor, 1}};
-  plans.Insert(1, f1, std::make_shared<const int>(1));
-  EXPECT_EQ(plans.size(), 1u);
-  // Inserting under a newer version drops the stale entry.
-  std::vector<PlanCache::FetchId> f2{{&anchor, 2}};
-  plans.Insert(2, f2, std::make_shared<const int>(2));
-  EXPECT_EQ(plans.size(), 1u);
-  EXPECT_EQ(plans.Find(1, f1), nullptr);
-  // FIFO bound under one version.
-  for (int i = 0; i < 64; ++i) {
-    std::vector<PlanCache::FetchId> f{{&anchor, 100 + i}};
-    plans.Insert(2, f, std::make_shared<const int>(i));
-  }
-  EXPECT_LE(plans.size(), PlanCache::MaxEntries());
 }
 
 // ===========================================================================

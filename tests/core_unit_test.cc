@@ -139,14 +139,15 @@ TEST(ProfilerTest, FailedAssumptionsAreRemembered) {
 
 TEST(ProfilerTest, ContextProfilesAccumulate) {
   Profiler profiler;
-  profiler.ObserveContext("x", minipy::Value{std::int64_t{3}});
-  profiler.ObserveContext("x", minipy::Value{std::int64_t{3}});
-  const ValueProfile* profile = profiler.context("x");
-  ASSERT_NE(profile, nullptr);
-  EXPECT_TRUE(profile->value_stable);
-  profiler.ObserveContext("x", minipy::Value{std::int64_t{4}});
-  EXPECT_FALSE(profiler.context("x")->value_stable);
-  EXPECT_EQ(profiler.context("unknown"), nullptr);
+  ValueProfile& slot =
+      profiler.ObserveContext("x", minipy::Value{std::int64_t{3}});
+  EXPECT_EQ(&profiler.ObserveContext("x", minipy::Value{std::int64_t{3}}),
+            &slot);
+  EXPECT_TRUE(slot.value_stable);
+  // Observing through the slot a capture keeps is the same observation.
+  profiler.ObserveContext(slot, minipy::Value{std::int64_t{4}});
+  EXPECT_FALSE(slot.value_stable);
+  EXPECT_EQ(profiler.total_observations(), 3);
 }
 
 // ---- ContextRef resolution and entry checks ----

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "run_graph.h"
 #include "runtime/run_context.h"
 #include "tensor/ops.h"
 
@@ -45,8 +46,9 @@ class ExecutorTest : public ::testing::Test {
  protected:
   std::vector<Tensor> Run(const Graph& g, std::vector<NodeOutput> fetches,
                           const std::map<std::string, Tensor>& feeds = {}) {
-    Executor executor(&library_, &variables_, &host_, &rng_);
-    return executor.Run(g, feeds, fetches);
+    const FunctionPlans functions = BuildFunctionPlans(library_);
+    Executor executor(&functions, &variables_, &host_, &rng_);
+    return RunGraph(executor, g, feeds, fetches);
   }
 
   FunctionLibrary library_;
@@ -77,6 +79,23 @@ TEST_F(ExecutorTest, MissingFeedThrows) {
   Graph g;
   const NodeOutput x = g.Placeholder("x", DType::kFloat32);
   EXPECT_THROW(Run(g, {x}), InvalidArgument);
+}
+
+TEST_F(ExecutorTest, WrongArgumentCountThrows) {
+  Graph g;
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  Node* twice = g.AddNode("Add", {x, x});
+  const auto plan = ExecutionPlan::Build(
+      g, std::vector<NodeOutput>{{twice, 0}}, std::vector<Node*>{x.node});
+  Executor executor(nullptr, &variables_, &host_, &rng_);
+  EXPECT_THROW(executor.Run(*plan, {}), InvalidArgument);
+  EXPECT_THROW(executor.Run(*plan, std::vector<Tensor>{Tensor::Scalar(1),
+                                                       Tensor::Scalar(2)}),
+               InvalidArgument);
+  EXPECT_FLOAT_EQ(
+      executor.Run(*plan, std::vector<Tensor>{Tensor::Scalar(21)})[0]
+          .ScalarValue(),
+      42.0f);
 }
 
 TEST_F(ExecutorTest, MultipleFetches) {
@@ -123,20 +142,21 @@ TEST_F(ExecutorTest, ParallelDagMatchesSequential) {
   Graph g;
   const std::vector<NodeOutput> fetches{
       BuildMatMulFanOut(g, g.Placeholder("x", DType::kFloat32), 8)};
-  const std::map<std::string, Tensor> feeds{
-      {"x", Tensor::FromVector(Ramp(128 * 128), Shape{128, 128})}};
+  const auto plan = PlanOverPlaceholders(g, fetches);
+  const std::vector<Tensor> args{
+      Tensor::FromVector(Ramp(128 * 128), Shape{128, 128})};
 
-  Executor seq(&library_, &variables_, &host_, &rng_);
-  const auto expected = seq.Run(g, feeds, fetches);
+  Executor seq(nullptr, &variables_, &host_, &rng_);
+  const auto expected = seq.Run(*plan, args);
 
   ThreadPool pool(4);
-  Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
+  Executor par(nullptr, &variables_, &host_, &rng_, {true, &pool});
   // The untimed first run and at least one timed run stay on the calling
   // thread; once calibration ends this heavy plan fans out.
   constexpr int kMaxCalibration = 1 + PoolDecision::kCalibrationRuns;
   for (int run = 0; run < kMaxCalibration + 2; ++run) {
     RunMetrics metrics;
-    const auto got = par.Run(g, feeds, fetches, &metrics);
+    const auto got = par.Run(*plan, args, &metrics);
     EXPECT_TRUE(got[0].ElementsEqual(expected[0])) << "run " << run;
     if (run < 2) {
       EXPECT_EQ(metrics.offloaded_nodes, 0) << "calibration run " << run;
@@ -156,15 +176,16 @@ TEST_F(ExecutorTest, CheapFanOutStaysOnCallingThread) {
   std::vector<NodeOutput> branches;
   for (int i = 0; i < 16; ++i) branches.push_back({g.AddNode("Neg", {x}), 0});
   const std::vector<NodeOutput> fetches{{g.AddNode("AddN", branches), 0}};
-  const std::map<std::string, Tensor> feeds{{"x", Tensor::Scalar(3)}};
-  const auto plan = ExecutionPlan::Build(g, fetches, {.enable_fusion = false});
+  const std::vector<Tensor> args{Tensor::Scalar(3)};
+  const auto plan = ExecutionPlan::Build(
+      g, fetches, std::vector<Node*>{x.node}, {.enable_fusion = false});
   // The premise is a build where these nodes are far below a handoff;
   // sanitizer builds can make every node cost microseconds.
-  Executor seq(&library_, &variables_, &host_, &rng_);
+  Executor seq(nullptr, &variables_, &host_, &rng_);
   std::int64_t fastest_ns = std::numeric_limits<std::int64_t>::max();
   for (int run = 0; run < 3; ++run) {
     const auto start = std::chrono::steady_clock::now();
-    seq.Run(*plan, feeds);
+    seq.Run(*plan, args);
     fastest_ns = std::min<std::int64_t>(
         fastest_ns, std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start)
@@ -176,10 +197,10 @@ TEST_F(ExecutorTest, CheapFanOutStaysOnCallingThread) {
                  << " ns each in this build";
   }
   ThreadPool pool(4);
-  Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
+  Executor par(nullptr, &variables_, &host_, &rng_, {true, &pool});
   for (int run = 0; run < 1 + PoolDecision::kCalibrationRuns + 2; ++run) {
     RunMetrics metrics;
-    const auto got = par.Run(*plan, feeds, &metrics);
+    const auto got = par.Run(*plan, args, &metrics);
     EXPECT_FLOAT_EQ(got[0].ScalarValue(), -48.0f);
     EXPECT_EQ(metrics.ops_executed, 17);
     EXPECT_EQ(metrics.offloaded_nodes, 0) << "run " << run;
@@ -192,8 +213,8 @@ TEST_F(ExecutorTest, ParallelDagPropagatesException) {
   // Assert fails must rethrow that error, finish, and commit nothing.
   variables_.Assign("v", Tensor::Scalar(0));
   Graph g;
-  const NodeOutput sum =
-      BuildMatMulFanOut(g, g.Placeholder("x", DType::kFloat32), 8);
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  const NodeOutput sum = BuildMatMulFanOut(g, x, 8);
   const NodeOutput ok = g.Placeholder("ok", DType::kBool);
   Node* check = g.AddNode("Assert", {ok}, {{"assumption", std::string("ok")}});
   const NodeOutput v_new = g.Placeholder("v_new", DType::kFloat32);
@@ -203,27 +224,25 @@ TEST_F(ExecutorTest, ParallelDagPropagatesException) {
   out->AddControlInput(check);
   out->AddControlInput(assign);
   const std::vector<NodeOutput> fetches{{out, 0}};
-  const Tensor x = Tensor::FromVector(Ramp(128 * 128), Shape{128, 128});
+  const auto plan = ExecutionPlan::Build(
+      g, fetches, std::vector<Node*>{x.node, ok.node, v_new.node});
+  const Tensor x_value = Tensor::FromVector(Ramp(128 * 128), Shape{128, 128});
+  const auto args = [&x_value](bool assumption, float v) {
+    return std::vector<Tensor>{x_value, Tensor::ScalarBool(assumption),
+                               Tensor::Scalar(v)};
+  };
 
   ThreadPool pool(4);
-  Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
+  Executor par(nullptr, &variables_, &host_, &rng_, {true, &pool});
   constexpr int kMaxCalibration = 1 + PoolDecision::kCalibrationRuns;
   for (int run = 0; run < kMaxCalibration; ++run) {
-    par.Run(g,
-            {{"x", x},
-             {"ok", Tensor::ScalarBool(true)},
-             {"v_new", Tensor::Scalar(static_cast<float>(run + 1))}},
-            fetches);
+    par.Run(*plan, args(true, static_cast<float>(run + 1)));
   }
   ASSERT_FLOAT_EQ(variables_.Read("v").ScalarValue(), kMaxCalibration);
 
   for (int attempt = 0; attempt < 3; ++attempt) {
     try {
-      par.Run(g,
-              {{"x", x},
-               {"ok", Tensor::ScalarBool(false)},
-               {"v_new", Tensor::Scalar(99)}},
-              fetches);
+      par.Run(*plan, args(false, 99));
       FAIL() << "expected AssumptionFailed";
     } catch (const AssumptionFailed& e) {
       EXPECT_EQ(e.assumption_id(), "ok");
@@ -234,11 +253,7 @@ TEST_F(ExecutorTest, ParallelDagPropagatesException) {
 
   // The plan still fans out cleanly afterwards.
   RunMetrics metrics;
-  par.Run(g,
-          {{"x", x},
-           {"ok", Tensor::ScalarBool(true)},
-           {"v_new", Tensor::Scalar(3)}},
-          fetches, &metrics);
+  par.Run(*plan, args(true, 3), &metrics);
   EXPECT_GT(metrics.offloaded_nodes, 0);
   EXPECT_FLOAT_EQ(variables_.Read("v").ScalarValue(), 3.0f);
 }
@@ -250,11 +265,11 @@ TEST_F(ExecutorTest, DeepUnfusedChainRunsWithPool) {
   Graph g;
   NodeOutput v = g.Constant(Tensor::Scalar(1.5f));
   for (int i = 0; i < kDepth; ++i) v = {g.AddNode("Neg", {v}), 0};
-  const auto plan = ExecutionPlan::Build(g, std::vector<NodeOutput>{v},
+  const auto plan = ExecutionPlan::Build(g, std::vector<NodeOutput>{v}, {},
                                          {.enable_fusion = false});
   ASSERT_EQ(plan->nodes().size(), static_cast<std::size_t>(kDepth + 1));
   ThreadPool pool(4);
-  Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
+  Executor par(nullptr, &variables_, &host_, &rng_, {true, &pool});
   for (int run = 0; run < 3; ++run) {
     RunMetrics metrics;
     const auto got = par.Run(*plan, {}, &metrics);
@@ -270,10 +285,10 @@ TEST_F(ExecutorTest, EmptyPlanRunsWithPool) {
   // the plan fans out, and the fan-out must return without a node to
   // count off.
   Graph g;
-  const auto plan = ExecutionPlan::Build(g, std::vector<NodeOutput>{});
+  const auto plan = ExecutionPlan::Build(g, std::vector<NodeOutput>{}, {});
   ASSERT_TRUE(plan->nodes().empty());
   ThreadPool pool(2);
-  Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
+  Executor par(nullptr, &variables_, &host_, &rng_, {true, &pool});
   for (int run = 0; run < 1 + PoolDecision::kCalibrationRuns + 2; ++run) {
     EXPECT_TRUE(par.Run(*plan, {}).empty()) << "run " << run;
   }
@@ -385,15 +400,14 @@ TEST_F(ExecutorTest, NestedConditionalInsideUntakenBranch) {
         {"inner", Tensor::ScalarBool(inner_taken)},
         {"x", Tensor::Scalar(5)}};
   };
-  Executor executor(&library_, &variables_, &host_, &rng_);
+  Executor executor(nullptr, &variables_, &host_, &rng_);
 
   // The inner Switch, both inner arms and the inner Merge are dead: only
   // the Neg runs.
   RunMetrics metrics;
-  const auto out =
-      executor.Run(g, feeds(false, true),
-                   std::vector<NodeOutput>{{outer_merge, 0}, {outer_merge, 1}},
-                   &metrics);
+  const auto out = RunGraph(
+      executor, g, feeds(false, true),
+      std::vector<NodeOutput>{{outer_merge, 0}, {outer_merge, 1}}, &metrics);
   EXPECT_FLOAT_EQ(out[0].ScalarValue(), -5.0f);
   EXPECT_EQ(out[1].ScalarIntValue(), 1);
   EXPECT_EQ(metrics.ops_executed, 1);
@@ -423,19 +437,21 @@ TEST_F(ExecutorTest, ConditionalPlanFansOut) {
   Node* untaken = g.AddNode("Neg", {{sw, 0}});
   Node* merge = g.AddNode("Merge", {taken, {untaken, 0}}, {}, 2);
   const std::vector<NodeOutput> fetches{{merge, 0}};
-  std::map<std::string, Tensor> feeds{
-      {"pred", Tensor::ScalarBool(true)},
-      {"x", Tensor::FromVector(Ramp(128 * 128), Shape{128, 128})}};
+  const auto plan =
+      ExecutionPlan::Build(g, fetches, std::vector<Node*>{pred.node, x.node});
+  std::vector<Tensor> args{
+      Tensor::ScalarBool(true),
+      Tensor::FromVector(Ramp(128 * 128), Shape{128, 128})};
 
-  Executor seq(&library_, &variables_, &host_, &rng_);
-  const auto expected = seq.Run(g, feeds, fetches);
+  Executor seq(nullptr, &variables_, &host_, &rng_);
+  const auto expected = seq.Run(*plan, args);
 
   ThreadPool pool(4);
-  Executor par(&library_, &variables_, &host_, &rng_, {true, &pool});
+  Executor par(nullptr, &variables_, &host_, &rng_, {true, &pool});
   constexpr int kMaxCalibration = 1 + PoolDecision::kCalibrationRuns;
   for (int run = 0; run < kMaxCalibration + 2; ++run) {
     RunMetrics metrics;
-    const auto got = par.Run(g, feeds, fetches, &metrics);
+    const auto got = par.Run(*plan, args, &metrics);
     EXPECT_TRUE(got[0].ElementsEqual(expected[0])) << "run " << run;
     EXPECT_EQ(metrics.ops_executed, 17) << "run " << run;  // 16 MatMul, AddN
     EXPECT_GT(metrics.buffers_released, 0) << "run " << run;
@@ -446,10 +462,10 @@ TEST_F(ExecutorTest, ConditionalPlanFansOut) {
     }
   }
 
-  feeds["pred"] = Tensor::ScalarBool(false);
+  args[0] = Tensor::ScalarBool(false);
   RunMetrics metrics;
-  const auto got = par.Run(g, feeds, fetches, &metrics);
-  EXPECT_TRUE(got[0].ElementsEqual(seq.Run(g, feeds, fetches)[0]));
+  const auto got = par.Run(*plan, args, &metrics);
+  EXPECT_TRUE(got[0].ElementsEqual(seq.Run(*plan, args)[0]));
   EXPECT_EQ(metrics.ops_executed, 1);
 }
 
@@ -469,6 +485,30 @@ TEST_F(ExecutorTest, InvokeSimpleFunction) {
   Node* call = g.AddNode("Invoke", {x}, {{"function", std::string("double")}});
   const auto out = Run(g, {{call, 0}});
   EXPECT_FLOAT_EQ(out[0].ScalarValue(), 8.0f);
+}
+
+TEST_F(ExecutorTest, InvokeWithWrongArgumentCountThrows) {
+  auto fn = std::make_unique<GraphFunction>();
+  fn->name = "double";
+  Node* p = fn->graph.AddNode("Param", {}, {{"index", std::int64_t{0}}});
+  Node* d = fn->graph.AddNode("Add", {{p, 0}, {p, 0}});
+  fn->parameters = {p};
+  fn->results = {{d, 0}};
+  library_.Register(std::move(fn));
+
+  Graph g;
+  const NodeOutput x = g.Constant(Tensor::Scalar(4));
+  Node* call =
+      g.AddNode("Invoke", {x, x}, {{"function", std::string("double")}});
+  EXPECT_THROW(Run(g, {{call, 0}}), InvalidArgument);
+}
+
+TEST_F(ExecutorTest, InvokeOfFunctionWithoutPlanThrows) {
+  Graph g;
+  const NodeOutput x = g.Constant(Tensor::Scalar(4));
+  Node* call =
+      g.AddNode("Invoke", {x}, {{"function", std::string("missing")}});
+  EXPECT_THROW(Run(g, {{call, 0}}), InvalidArgument);
 }
 
 TEST_F(ExecutorTest, InvokeRecursiveFactorial) {
@@ -654,8 +694,8 @@ TEST_F(ExecutorTest, OpsExecutedCounter) {
   Node* n1 = g.AddNode("Neg", {a});
   Node* n2 = g.AddNode("Neg", {{n1, 0}});
   RunMetrics metrics;
-  Executor executor(&library_, &variables_, &host_, &rng_);
-  executor.Run(g, {}, std::vector<NodeOutput>{{n2, 0}}, &metrics);
+  Executor executor(nullptr, &variables_, &host_, &rng_);
+  RunGraph(executor, g, {}, std::vector<NodeOutput>{{n2, 0}}, &metrics);
   EXPECT_EQ(metrics.ops_executed, 2);  // Const resolves without a kernel
 }
 
@@ -667,10 +707,11 @@ TEST_F(ExecutorTest, RandomOpsDeterministicPerSeed) {
                         {"stddev", 1.0}});
   Rng rng_a(9);
   Rng rng_b(9);
-  Executor ex_a(&library_, &variables_, &host_, &rng_a);
-  Executor ex_b(&library_, &variables_, &host_, &rng_b);
-  const auto a = ex_a.Run(g, {}, std::vector<NodeOutput>{{r1, 0}});
-  const auto b = ex_b.Run(g, {}, std::vector<NodeOutput>{{r1, 0}});
+  Executor ex_a(nullptr, &variables_, &host_, &rng_a);
+  Executor ex_b(nullptr, &variables_, &host_, &rng_b);
+  const std::vector<NodeOutput> fetches{{r1, 0}};
+  const auto a = RunGraph(ex_a, g, {}, fetches);
+  const auto b = RunGraph(ex_b, g, {}, fetches);
   EXPECT_TRUE(a[0].ElementsEqual(b[0]));
 }
 

@@ -25,6 +25,7 @@
 
 #include "common/rng.h"
 #include "models/zoo.h"
+#include "run_graph.h"
 #include "runtime/executor.h"
 #include "runtime/plan.h"
 #include "tensor/elementwise.h"
@@ -50,7 +51,7 @@ bool BitwiseEqual(const Tensor& a, const Tensor& b) {
 std::shared_ptr<const ExecutionPlan> BuildPlan(
     const Graph& g, const std::vector<NodeOutput>& fetches,
     bool enable_fusion) {
-  return ExecutionPlan::Build(g, fetches, {.enable_fusion = enable_fusion});
+  return PlanOverPlaceholders(g, fetches, {.enable_fusion = enable_fusion});
 }
 
 class FusionTest : public ::testing::Test {
@@ -58,8 +59,8 @@ class FusionTest : public ::testing::Test {
   std::vector<Tensor> Run(const ExecutionPlan& plan,
                           const std::map<std::string, Tensor>& feeds,
                           RunMetrics* metrics = nullptr) {
-    Executor executor(&library_, &variables_, nullptr, &rng_);
-    return executor.Run(plan, feeds, metrics);
+    Executor executor(nullptr, &variables_, nullptr, &rng_);
+    return executor.Run(plan, ArgsByName(plan, feeds), metrics);
   }
 
   // Runs (graph, fetches) with fusion on and off and asserts every fetched
@@ -86,7 +87,6 @@ class FusionTest : public ::testing::Test {
     return fused_metrics;
   }
 
-  FunctionLibrary library_;
   VariableStore variables_;
   Rng rng_{7};
 };
@@ -427,8 +427,8 @@ TEST_F(FusionTest, IdenticalRegionsShareOneCachedProgram) {
   };
   auto [g1, f1] = build();
   auto [g2, f2] = build();
-  const auto p1 = ExecutionPlan::Build(*g1, f1, {});
-  const auto p2 = ExecutionPlan::Build(*g2, f2, {});
+  const auto p1 = PlanOverPlaceholders(*g1, f1);
+  const auto p2 = PlanOverPlaceholders(*g2, f2);
   ASSERT_EQ(p1->fused_regions().size(), 1u);
   ASSERT_EQ(p2->fused_regions().size(), 1u);
   const std::map<std::string, Tensor> feeds{{"x", Iota(Shape{16})}};

@@ -462,6 +462,40 @@ for i in range(8):
   EXPECT_GT(session.engine.stats().graph_executions, 0);
 }
 
+TEST_F(JanusTest, PrunedCaptureIsCheckedButFeedsNoArgument) {
+  // `unused` becomes a capture placeholder that dead-code elimination
+  // prunes: its capture keeps no argument slot, the main plan takes only
+  // `x`, and a later call whose `unused` changes kind still misses.
+  constexpr const char* program = R"(
+def f(x, unused):
+    return reduce_sum(x * 2.0)
+
+f = janus_function(f)
+a = constant([1.0, 2.0])
+out = 0.0
+for i in range(6):
+    out = float(f(a, constant([5.0])))
+)";
+  Session session(EngineOptions{});
+  session.interp.Run(program);
+  EXPECT_DOUBLE_EQ(session.Num("out"), 6.0);
+  EXPECT_GT(session.engine.stats().graph_executions, 0);
+  int units = 0;
+  session.engine.ForEachCompiledUnit(
+      [&units](const std::string&, const CompiledGraph& unit) {
+        ++units;
+        ASSERT_EQ(unit.captures.size(), 2u);
+        EXPECT_EQ(unit.captures[0].arg_slot, 0);
+        EXPECT_EQ(unit.captures[1].arg_slot, -1);
+        EXPECT_EQ(unit.plan->arguments().size(), 1u);
+      });
+  EXPECT_EQ(units, 1);
+  const std::int64_t misses = session.engine.stats().cache_misses;
+  session.interp.Run("out = float(f(a, 3))\n");
+  EXPECT_DOUBLE_EQ(session.Num("out"), 6.0);
+  EXPECT_EQ(session.engine.stats().cache_misses, misses + 1);
+}
+
 TEST_F(JanusTest, AssertionsCanBeDisabled) {
   EngineOptions no_asserts;
   no_asserts.generator.insert_assertions = false;

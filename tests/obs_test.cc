@@ -472,10 +472,9 @@ TEST_F(ObsTest, TracingSamplesPlanNodesAndEagerDispatch) {
   Graph g;
   NodeOutput x = g.Constant(Tensor::Full(Shape{4, 4}, 0.25f));
   for (int i = 0; i < 64; ++i) x = {g.AddNode("MatMul", {x, x}), 0};
-  FunctionLibrary library;
-  Executor executor(&library, &variables, nullptr, &rng);
-  const std::vector<NodeOutput> fetches{x};
-  for (int run = 0; run < 4; ++run) executor.Run(g, {}, fetches);
+  Executor executor(nullptr, &variables, nullptr, &rng);
+  const auto plan = ExecutionPlan::Build(g, std::vector<NodeOutput>{x}, {});
+  for (int run = 0; run < 4; ++run) executor.Run(*plan, {});
   Trace::Disable();
 
   std::set<std::string> categories;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "run_graph.h"
 #include "runtime/executor.h"
 #include "tensor/ops.h"
 
@@ -16,10 +17,9 @@ class OptTest : public ::testing::Test {
  protected:
   std::vector<Tensor> Run(const Graph& g, std::vector<NodeOutput> fetches,
                           const std::map<std::string, Tensor>& feeds = {}) {
-    Executor executor(&library_, &variables_, nullptr, &rng_);
-    return executor.Run(g, feeds, fetches);
+    Executor executor(nullptr, &variables_, nullptr, &rng_);
+    return RunGraph(executor, g, feeds, fetches);
   }
-  FunctionLibrary library_;
   VariableStore variables_;
   Rng rng_{3};
 };

@@ -1,7 +1,8 @@
 // Tests for the compile-once ExecutionPlan layer: plan reuse must be
 // bit-identical to fresh planning for DAG, Switch/Merge, and nested
-// While/Invoke graphs, and the plan cache must report builds exactly once per
-// (graph version, fetch set) with every later run a hit.
+// While/Invoke graphs; a plan binds its source nodes to positional
+// arguments at build time; nested calls run the function plans built once
+// beside the caller's, and the engine builds plans only at generation.
 #include "runtime/plan.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "common/rng.h"
 #include "core/engine.h"
 #include "frontend/builtins.h"
+#include "obs/trace.h"
 #include "runtime/executor.h"
 #include "tensor/ops.h"
 
@@ -44,21 +46,58 @@ void ExpectBitIdentical(const Tensor& a, const Tensor& b) {
 class PlanTest : public ::testing::Test {
  protected:
   Executor MakeExecutor() {
-    return Executor(&library_, &variables_, nullptr, &rng_);
+    return Executor(&functions_, &variables_, nullptr, &rng_);
   }
 
   FunctionLibrary library_;
+  FunctionPlans functions_;  // built from library_ once it is complete
   VariableStore variables_;
   Rng rng_{42};
 };
 
-TEST_F(PlanTest, PlanRecordsGraphVersion) {
+TEST_F(PlanTest, BuildBindsArgumentsAndRejectsUnboundSources) {
   Graph g;
-  const NodeOutput a = g.Constant(Tensor::Scalar(2));
-  Node* sq = g.AddNode("Square", {a});
-  const std::vector<NodeOutput> fetches{{sq, 0}};
-  const auto plan = ExecutionPlan::Build(g, fetches);
-  EXPECT_EQ(plan->graph_version(), g.version());
+  const NodeOutput x = g.Placeholder("x", DType::kFloat32);
+  const NodeOutput y = g.Placeholder("y", DType::kFloat32);
+  const NodeOutput unused = g.Placeholder("unused", DType::kFloat32);
+  Node* diff = g.AddNode("Sub", {x, y});
+  const std::vector<NodeOutput> fetches{{diff, 0}};
+
+  // Arguments bind by position, whatever the graph order; an argument the
+  // fetches do not need takes a slot and is ignored.
+  const auto plan = ExecutionPlan::Build(
+      g, fetches, std::vector<Node*>{y.node, unused.node, x.node});
+  ASSERT_EQ(plan->arguments().size(), 3u);
+  EXPECT_EQ(plan->nodes()[static_cast<std::size_t>(plan->IndexOf(y.node))]
+                .arg_index,
+            0);
+  Executor executor = MakeExecutor();
+  const auto out = executor.Run(
+      *plan, std::vector<Tensor>{Tensor::Scalar(1), Tensor(),
+                                 Tensor::Scalar(5)});
+  EXPECT_FLOAT_EQ(out[0].ScalarValue(), 4.0f);
+
+  // A reachable Placeholder that is not an argument.
+  EXPECT_THROW(ExecutionPlan::Build(g, fetches, std::vector<Node*>{x.node}),
+               InvalidArgument);
+  // An argument that is not a source, and one listed twice.
+  EXPECT_THROW(ExecutionPlan::Build(
+                   g, fetches, std::vector<Node*>{x.node, y.node, diff}),
+               InvalidArgument);
+  EXPECT_THROW(ExecutionPlan::Build(
+                   g, fetches, std::vector<Node*>{x.node, y.node, x.node}),
+               InvalidArgument);
+
+  // A function body's reachable Param that is not among its arguments.
+  Graph body;
+  Node* p0 = body.AddNode("Param", {}, {{"index", std::int64_t{0}}});
+  Node* p1 = body.AddNode("Param", {}, {{"index", std::int64_t{1}}});
+  Node* sum = body.AddNode("Add", {{p0, 0}, {p1, 0}});
+  const std::vector<NodeOutput> results{{sum, 0}};
+  EXPECT_THROW(ExecutionPlan::Build(body, results, std::vector<Node*>{p0}),
+               InvalidArgument);
+  EXPECT_NO_THROW(
+      ExecutionPlan::Build(body, results, std::vector<Node*>{p0, p1}));
 }
 
 TEST_F(PlanTest, ConditionalPlanKeepsOnlyFetchReachableNodes) {
@@ -80,7 +119,8 @@ TEST_F(PlanTest, ConditionalPlanKeepsOnlyFetchReachableNodes) {
   result->AddControlInput(write);
   const std::vector<NodeOutput> fetches{{result, 0}};
 
-  const auto plan = ExecutionPlan::Build(g, fetches);
+  const auto plan = ExecutionPlan::Build(
+      g, fetches, std::vector<Node*>{pred.node, x.node});
   EXPECT_EQ(plan->IndexOf(stray), -1);
   EXPECT_GE(plan->IndexOf(write), 0);
   EXPECT_EQ(plan->nodes().size(), g.nodes().size() - 1);
@@ -89,8 +129,8 @@ TEST_F(PlanTest, ConditionalPlanKeepsOnlyFetchReachableNodes) {
   for (const bool taken : {true, false}) {
     const float input = taken ? 2.0f : 4.0f;
     const auto out = executor.Run(
-        *plan, {{"pred", Tensor::ScalarBool(taken)},
-                {"x", Tensor::Scalar(input)}});
+        *plan, std::vector<Tensor>{Tensor::ScalarBool(taken),
+                                   Tensor::Scalar(input)});
     ASSERT_EQ(out.size(), 1u);
     EXPECT_FLOAT_EQ(out[0].ScalarValue(), taken ? 6.0f : 104.0f);
     EXPECT_FLOAT_EQ(variables_.Read("v").ScalarValue(), input);
@@ -104,16 +144,17 @@ TEST_F(PlanTest, ReusedDagPlanMatchesFreshPlan) {
   Node* right = g.AddNode("Neg", {x});
   Node* join = g.AddNode("Add", {{left, 0}, {right, 0}});
   const std::vector<NodeOutput> fetches{{join, 0}};
-  const std::map<std::string, Tensor> feeds{
-      {"x", Tensor::FromVector({1.5f, -2.25f}, Shape{2})}};
+  const std::vector<Node*> params{x.node};
+  const std::vector<Tensor> args{
+      Tensor::FromVector({1.5f, -2.25f}, Shape{2})};
 
   Executor executor = MakeExecutor();
-  const auto cached = GetOrBuildPlan(g, fetches);
+  const auto reused = ExecutionPlan::Build(g, fetches, params);
   // Same shared plan dispatched many times vs. a from-scratch plan each run.
   for (int i = 0; i < 3; ++i) {
-    const auto fresh = ExecutionPlan::Build(g, fetches);
-    const auto a = executor.Run(*cached, feeds);
-    const auto b = executor.Run(*fresh, feeds);
+    const auto fresh = ExecutionPlan::Build(g, fetches, params);
+    const auto a = executor.Run(*reused, args);
+    const auto b = executor.Run(*fresh, args);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t j = 0; j < a.size(); ++j) ExpectBitIdentical(a[j], b[j]);
   }
@@ -131,14 +172,15 @@ TEST_F(PlanTest, ReusedDynamicPlanMatchesFreshPlan) {
       g.AddNode("Add", {{sw, 0}, g.Constant(Tensor::Scalar(100))});
   Node* merge = g.AddNode("Merge", {{times3, 0}, {plus100, 0}}, {}, 2);
   const std::vector<NodeOutput> fetches{{merge, 0}, {merge, 1}};
+  const std::vector<Node*> params{pred.node, x.node};
   Executor executor = MakeExecutor();
-  const auto cached = GetOrBuildPlan(g, fetches);
+  const auto reused = ExecutionPlan::Build(g, fetches, params);
   for (const bool taken : {true, false, true, false}) {
-    const std::map<std::string, Tensor> feeds{
-        {"pred", Tensor::ScalarBool(taken)}, {"x", Tensor::Scalar(1.5f)}};
-    const auto fresh = ExecutionPlan::Build(g, fetches);
-    const auto a = executor.Run(*cached, feeds);
-    const auto b = executor.Run(*fresh, feeds);
+    const std::vector<Tensor> args{Tensor::ScalarBool(taken),
+                                   Tensor::Scalar(1.5f)};
+    const auto fresh = ExecutionPlan::Build(g, fetches, params);
+    const auto a = executor.Run(*reused, args);
+    const auto b = executor.Run(*fresh, args);
     ASSERT_EQ(a.size(), 2u);
     ASSERT_EQ(b.size(), 2u);
     EXPECT_FLOAT_EQ(a[0].ScalarValue(), taken ? 4.5f : 101.5f);
@@ -200,77 +242,42 @@ TEST_F(PlanTest, NestedWhileAndInvokeReusePerFunctionPlans) {
                           {"num_carried", std::int64_t{2}}},
                          2);
   const std::vector<NodeOutput> fetches{{loop, 1}};
-  const std::map<std::string, Tensor> feeds{{"n", Tensor::ScalarInt(10)}};
+  const std::vector<Node*> params{n.node};
+  const std::vector<Tensor> args{Tensor::ScalarInt(10)};
 
+  // Every plan is built up front: the main plan and one per function.
+  functions_ = BuildFunctionPlans(library_);
+  ASSERT_EQ(functions_.size(), 3u);
   Executor executor = MakeExecutor();
-  const auto cached = GetOrBuildPlan(g, fetches);
+  const auto reused = ExecutionPlan::Build(g, fetches, params);
 
-  // First run populates each function graph's plan cache; later runs must
-  // hit those cached plans without building anything new.
-  RunMetrics first;
-  const auto a = executor.Run(*cached, feeds, &first);
+  // Runs dispatch the While and the nested Invoke through those plans and
+  // never build one: a traced run records no plan_build span.
+  obs::Trace::Reset();
+  obs::Trace::Enable();
+  const auto a = executor.Run(*reused, args);
+  const auto b = executor.Run(*reused, args);
+  obs::Trace::Disable();
+  int plan_builds = 0;
+  int executed = 0;
+  for (const obs::TraceEvent& event : obs::Trace::Collect()) {
+    if (event.name == "plan_build") ++plan_builds;
+    if (event.name == "execute_plan") ++executed;
+  }
+  obs::Trace::Reset();
+  EXPECT_EQ(plan_builds, 0);
+  EXPECT_EQ(executed, 2);
   EXPECT_FLOAT_EQ(a[0].ScalarValue(), 1024.0f);
-  EXPECT_GT(first.plan_builds, 0);  // cond/body/dbl planned once, lazily
-
-  RunMetrics second;
-  const auto b = executor.Run(*cached, feeds, &second);
-  EXPECT_EQ(second.plan_builds, 0);
-  EXPECT_GT(second.plan_cache_hits, 0);
   ExpectBitIdentical(a[0], b[0]);
 
-  const auto fresh = ExecutionPlan::Build(g, fetches);
-  const auto c = executor.Run(*fresh, feeds);
+  const auto fresh = ExecutionPlan::Build(g, fetches, params);
+  const auto c = executor.Run(*fresh, args);
   ExpectBitIdentical(a[0], c[0]);
-}
-
-TEST_F(PlanTest, RunMetricsCountBuildsOnceThenHits) {
-  Graph g;
-  const NodeOutput a = g.Constant(Tensor::Scalar(3));
-  Node* sq = g.AddNode("Square", {a});
-  const std::vector<NodeOutput> fetches{{sq, 0}};
-  const std::map<std::string, Tensor> no_feeds;
-
-  Executor executor = MakeExecutor();
-  RunMetrics first;
-  (void)executor.Run(g, no_feeds, fetches, &first);
-  EXPECT_EQ(first.plan_builds, 1);
-  EXPECT_EQ(first.plan_cache_hits, 0);
-
-  for (int i = 0; i < 3; ++i) {
-    RunMetrics again;
-    (void)executor.Run(g, no_feeds, fetches, &again);
-    EXPECT_EQ(again.plan_builds, 0);
-    EXPECT_EQ(again.plan_cache_hits, 1);
-  }
-}
-
-TEST_F(PlanTest, GraphMutationInvalidatesCachedPlan) {
-  Graph g;
-  const NodeOutput a = g.Constant(Tensor::Scalar(2));
-  Node* sq = g.AddNode("Square", {a});
-  const std::vector<NodeOutput> fetches{{sq, 0}};
-  const std::map<std::string, Tensor> no_feeds;
-
-  Executor executor = MakeExecutor();
-  RunMetrics before;
-  const auto out1 = executor.Run(g, no_feeds, fetches, &before);
-  EXPECT_FLOAT_EQ(out1[0].ScalarValue(), 4.0f);
-  EXPECT_EQ(before.plan_builds, 1);
-
-  // Structural change bumps the graph version: the stale plan must not be
-  // reused (it predates the new node).
-  Node* neg = g.AddNode("Neg", {{sq, 0}});
-  RunMetrics after;
-  const auto out2 =
-      executor.Run(g, no_feeds, std::vector<NodeOutput>{{neg, 0}}, &after);
-  EXPECT_FLOAT_EQ(out2[0].ScalarValue(), -4.0f);
-  EXPECT_EQ(after.plan_builds, 1);
-  EXPECT_EQ(after.plan_cache_hits, 0);
 }
 
 TEST_F(PlanTest, EngineRunsPlanBuiltAtGenerationTime) {
   // End-to-end: after the engine generates a graph, its plan is prebuilt;
-  // every subsequent cached-graph execution is hits-only.
+  // no subsequent cached-graph execution builds one.
   VariableStore variables;
   Rng rng(1);
   minipy::Interpreter interp(&variables, &rng);
@@ -287,7 +294,6 @@ for i in range(6):
 )");
   ASSERT_GT(engine.stats().graph_generations, 0);
   const std::int64_t builds_after_generation = engine.stats().plan_builds;
-  const std::int64_t hits_before = engine.stats().plan_cache_hits;
   const std::int64_t graph_runs_before = engine.stats().graph_executions;
   EXPECT_GT(builds_after_generation, 0);
 
@@ -296,7 +302,6 @@ for i in range(6):
   EXPECT_EQ(engine.stats().graph_executions, graph_runs_before + 5);
   // The compile-once guarantee: zero plan construction on the hot path.
   EXPECT_EQ(engine.stats().plan_builds, builds_after_generation);
-  EXPECT_GE(engine.stats().plan_cache_hits, hits_before + 5);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -243,6 +244,25 @@ TEST_F(ProfileTest, EagerDispatchProfileIsPinnedPastTheCap) {
     }
   }
   EXPECT_TRUE(found) << "eager samples dropped with the oldest plans";
+}
+
+TEST_F(ProfileTest, LiveRegistrationSurvivesTheCap) {
+  // One profile a live plan still owns, then more than a cap's worth of
+  // registrations that only the registry holds (finished tape plans): the
+  // cap drops those, never the live one.
+  const auto live =
+      std::make_shared<PlanProfile>(std::vector<ProfileNodeInfo>(1));
+  live->SetKey("live_unit", "inference", 0);
+  ProfileRegistry::Global().Register(live);
+  for (std::size_t i = 0; i <= ProfileRegistry::kMaxProfiles; ++i) {
+    ProfileRegistry::Global().Register(
+        std::make_shared<PlanProfile>(std::vector<ProfileNodeInfo>(1)));
+  }
+  EXPECT_GT(ProfileRegistry::Global().dropped(), 0u);
+  const auto profiles = ProfileRegistry::Global().Profiles();
+  EXPECT_NE(std::find(profiles.begin(), profiles.end(), live),
+            profiles.end())
+      << "the cap dropped a profile its plan still owns";
 }
 
 TEST_F(ProfileTest, FreshThreadDoesNotSampleItsFirstEagerOp) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -42,7 +43,7 @@ Built BuildPlainDag() {
   Node* mm = b.g.AddNode("MatMul", {{sq, 0}, {tr, 0}});
   mm->AddControlInput(sq);
   b.fetches = {{mm, 0}};
-  b.plan = ExecutionPlan::Build(b.g, b.fetches,
+  b.plan = ExecutionPlan::Build(b.g, b.fetches, std::vector<Node*>{x.node},
                                 PlanOptions{.enable_fusion = false});
   return b;
 }
@@ -58,7 +59,7 @@ Built BuildFusedDag() {
   for (int i = 0; i < 6; ++i) v = {b.g.AddNode("Add", {v, one}), 0};
   Node* tr = b.g.AddNode("Transpose", {v});
   b.fetches = {{tr, 0}};
-  b.plan = ExecutionPlan::Build(b.g, b.fetches,
+  b.plan = ExecutionPlan::Build(b.g, b.fetches, std::vector<Node*>{x.node},
                                 PlanOptions{.enable_fusion = true});
   return b;
 }
@@ -75,7 +76,8 @@ Built BuildCond() {
       b.g.AddNode("Add", {{sw, 0}, b.g.Constant(Tensor::Scalar(100))});
   Node* merge = b.g.AddNode("Merge", {{times3, 0}, {plus100, 0}}, {}, 2);
   b.fetches = {{merge, 0}};
-  b.plan = ExecutionPlan::Build(b.g, b.fetches);
+  b.plan = ExecutionPlan::Build(b.g, b.fetches,
+                                std::vector<Node*>{pred.node, x.node});
   return b;
 }
 
@@ -93,18 +95,19 @@ Built BuildFusedCond() {
   Node* merge = b.g.AddNode("Merge", {{tr, 0}, {sw, 0}}, {}, 2);
   b.fetches = {{merge, 0}};
   b.plan = ExecutionPlan::Build(b.g, b.fetches,
+                                std::vector<Node*>{pred.node, x.node},
                                 PlanOptions{.enable_fusion = true});
   return b;
 }
 
 // Catalog entries whose target every fixture has: a node with inputs, an
-// out-edge, a kernel node, a fetch, an in-place-capable node.
+// out-edge, a kernel node, an argument, a fetch, an in-place-capable node.
 std::set<std::string> Expected(std::initializer_list<std::string> extra) {
   std::set<std::string> names = {
       "self-loop", "producer-out-of-range", "producer-negative",
       "slot-out-of-range", "edge-drop", "edge-duplicate", "edge-slot-skew",
       "phantom-edge", "pending-undercount", "pending-overcount", "kind-flip",
-      "kernel-null", "index-skew", "index-erase", "index-out-of-range",
+      "kernel-null", "argument-index-range", "index-skew", "index-erase", "index-out-of-range",
       "fetch-producer-range", "fetch-output-slot-range",
       "fetch-dropped-remap", "liveness-undercount", "liveness-overcount",
       "liveness-fetch-unprotected", "liveness-spurious-protection",
@@ -295,10 +298,52 @@ TEST(VerifyUnitTest, CaptureDtypeMismatchCaught) {
 
 TEST(VerifyUnitTest, MissingCapturePlaceholderCaught) {
   CompiledGraph unit = MakeCleanUnit();
-  unit.captures[0].placeholder_name = "not_a_node";
+  unit.captures[0].arg_slot = 5;  // the main plan takes one argument
   const Report report = VerifyCompiledUnit(unit);
   EXPECT_TRUE(HasInvariant(report, "unit.capture_placeholder"))
       << report.ToString();
+}
+
+TEST(VerifyUnitTest, CapturesOutOfArgumentOrderCaught) {
+  CompiledGraph unit;
+  const NodeOutput x = unit.graph.Placeholder("x", DType::kFloat32);
+  const NodeOutput y = unit.graph.Placeholder("y", DType::kFloat32);
+  unit.fetches = {{unit.graph.AddNode("Sub", {x, y}), 0}};
+  for (const char* name : {"x", "y"}) {
+    CaptureSpec capture;
+    capture.placeholder_name = name;
+    unit.captures.push_back(capture);
+  }
+  unit.BuildPlans(false);
+  ASSERT_TRUE(VerifyCompiledUnit(unit).ok());
+  // Swapped slots would feed each capture's value to the other's
+  // placeholder.
+  std::swap(unit.captures[0].arg_slot, unit.captures[1].arg_slot);
+  EXPECT_TRUE(HasInvariant(VerifyCompiledUnit(unit), "unit.plan_arguments"));
+}
+
+TEST(VerifyUnitTest, FunctionPlanArgumentsMustBeParameters) {
+  CompiledGraph unit = MakeCleanUnit();
+  auto fn = std::make_unique<GraphFunction>();
+  fn->name = "sub";
+  Node* a = fn->graph.AddNode("Param", {}, {{"index", std::int64_t{0}}});
+  Node* b = fn->graph.AddNode("Param", {}, {{"index", std::int64_t{1}}});
+  Node* diff = fn->graph.AddNode("Sub", {{a, 0}, {b, 0}});
+  fn->parameters = {a, b};
+  fn->results = {{diff, 0}};
+  unit.library = std::make_shared<FunctionLibrary>();
+  const GraphFunction& registered = unit.library->Register(std::move(fn));
+  unit.BuildPlans(false);
+  ASSERT_TRUE(VerifyCompiledUnit(unit).ok());
+  // A plan that binds the parameters in the wrong order.
+  unit.function_plans["sub"] = ExecutionPlan::Build(
+      registered.graph, registered.results, std::vector<Node*>{b, a});
+  const Report report = VerifyCompiledUnit(unit);
+  EXPECT_TRUE(HasInvariant(report, "unit.plan_arguments"))
+      << report.ToString();
+  // And a table without the function's plan.
+  unit.function_plans.clear();
+  EXPECT_TRUE(HasInvariant(VerifyCompiledUnit(unit), "unit.function_plans"));
 }
 
 TEST(VerifyUnitTest, ShapeAssumptionInconsistentWithLadderCaught) {
