@@ -26,9 +26,11 @@ inline const char* BuildTypeString() {
 
 // Calibrated per-op dispatch cost of the imperative executor, standing in
 // for CPython + TF Eager overhead (~tens of microseconds per op in the
-// paper's era). All framework configs share it: JANUS and the symbolic
-// executor only pay it during profiling and fallbacks, exactly as the
-// paper's systems only pay Python costs outside the graph.
+// paper's era), paid once per eager op, forward or backward. All framework
+// configs share it: JANUS and the symbolic executor only pay it during
+// profiling and fallbacks and in the imperative code a model keeps outside
+// its converted functions, exactly as the paper's systems only pay Python
+// costs outside the graph.
 inline constexpr std::int64_t kEagerDispatchPenaltyNs = 30000;
 
 // The framework configurations compared throughout the evaluation.

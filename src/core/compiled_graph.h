@@ -56,7 +56,9 @@ struct CaptureSpec {
   ValueProfile* context_profile = nullptr;
   // This capture's position among the main plan's arguments, bound by
   // CompiledGraph::BuildPlans; -1 when optimization pruned its placeholder
-  // (its value feeds nothing): the capture is still checked at entry.
+  // (its value feeds nothing). Such a capture is still checked at entry: the
+  // graph may have baked its shape, since len() and static indexing read a
+  // pruned capture's shape.
   int arg_slot = -1;
 };
 

@@ -168,10 +168,6 @@ void JanusEngine::Attach() {
   // idempotent; whether it actually checks is gated by JANUS_VERIFY
   // (default: debug builds only).
   verify::InstallPlanVerifier();
-  if (!options_.trace_path.empty()) {
-    trace_was_enabled_ = obs::Trace::Enabled();
-    obs::Trace::Enable();
-  }
   // Publish this engine to the live-introspection endpoints: its private
   // registry feeds /metrics, its StatsReport() feeds /statusz. Detach()
   // retires both so a scrape after teardown still sees the final totals.
@@ -228,10 +224,6 @@ void JanusEngine::Detach() {
   obs::IntrospectionHub::Global().UnregisterMetricsSource(&metrics_);
   interp_->set_observer(nullptr);
   interp_->set_interceptor(nullptr);
-  if (!options_.trace_path.empty()) {
-    obs::Trace::WriteChromeTrace(options_.trace_path);
-    if (!trace_was_enabled_) obs::Trace::Disable();
-  }
 }
 
 const void* JanusEngine::UnitKey(const FunctionValue& fn) {

@@ -63,11 +63,6 @@ struct EngineOptions {
   // benchmarks set this to reproduce the paper's framework-overhead
   // ratios). Applied at Attach().
   std::int64_t eager_dispatch_penalty_ns = 0;
-  // Observability (src/obs): when non-empty, Attach() enables the global
-  // span tracer and Detach() writes a chrome://tracing-compatible JSON
-  // file to this path. The JANUS_TRACE=<path> environment variable
-  // provides the same process-wide without engine involvement.
-  std::string trace_path;
   // Plan-time fusion of elementwise regions into superops (runtime/fusion.h).
   // ANDed with the process-wide JANUS_FUSION kill switch; applies to every
   // plan this engine builds (main graphs and library functions).
@@ -247,7 +242,6 @@ class JanusEngine : public minipy::CallInterceptor {
   std::map<const void*, bool> roots_;
   bool attached_ = false;
   bool in_imperative_run_ = false;
-  bool trace_was_enabled_ = false;  // tracer state to restore at Detach()
   int status_source_id_ = 0;  // IntrospectionHub registration (0 = none)
 };
 

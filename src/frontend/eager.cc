@@ -78,17 +78,26 @@ struct EagerContext::Tape {
   FunctionLibrary library;  // gradient functions (unused by eager bodies)
   std::unordered_map<TensorKey, NodeOutput, TensorKeyHash> value_to_node;
   std::map<std::string, NodeOutput> variable_reads;  // var name -> node
-  internal::Precomputed precomputed;
+  // The value each forward node recorded, indexed by node id: every node
+  // the tape adds records exactly one value, so the ids are dense.
+  std::vector<Tensor> values;
+
+  // Adds a forward node that recorded `value`.
+  NodeOutput Add(std::string op, std::vector<NodeOutput> inputs, AttrMap attrs,
+                 const Tensor& value) {
+    Node* node =
+        graph.AddNode(std::move(op), std::move(inputs), std::move(attrs));
+    JANUS_EXPECTS(static_cast<std::size_t>(node->id()) == values.size());
+    values.push_back(value);
+    value_to_node[KeyFor(value)] = {node, 0};
+    return {node, 0};
+  }
 
   NodeOutput NodeFor(const Tensor& t) {
-    const TensorKey key = KeyFor(t);
-    const auto it = value_to_node.find(key);
+    const auto it = value_to_node.find(KeyFor(t));
     if (it != value_to_node.end()) return it->second;
     // External input (data batch, literal): record as a constant leaf.
-    const NodeOutput leaf = graph.Constant(t);
-    value_to_node.emplace(key, leaf);
-    precomputed[leaf.node] = {t};
-    return leaf;
+    return Add("Const", {}, {{"value", t}}, t);
   }
 
   void Record(const std::string& op, std::span<const Tensor> inputs,
@@ -96,9 +105,7 @@ struct EagerContext::Tape {
     std::vector<NodeOutput> input_nodes;
     input_nodes.reserve(inputs.size());
     for (const Tensor& input : inputs) input_nodes.push_back(NodeFor(input));
-    Node* node = graph.AddNode(op, std::move(input_nodes), std::move(attrs));
-    value_to_node[KeyFor(output)] = {node, 0};
-    precomputed[node] = {output};
+    Add(op, std::move(input_nodes), std::move(attrs), output);
   }
 };
 
@@ -109,9 +116,10 @@ EagerContext::~EagerContext() = default;
 
 Tensor EagerContext::Execute(const std::string& op,
                              std::vector<Tensor> inputs, AttrMap attrs) {
-  // Execute the kernel immediately (per-op dispatch, as in TF Eager). No
-  // InPlaceScope is opened here: eager inputs are caller-visible values (and
-  // may be retained by the tape), so kernel outputs must always be freshly
+  // Execute the kernel immediately (per-op dispatch, as in TF Eager), through
+  // the graph executor's dispatch: same penalty, same error annotation. In
+  // place reuse stays off: eager inputs are caller-visible values (and may
+  // be retained by the tape), so kernel outputs must always be freshly
   // allocated — only the graph executors, which prove deadness through the
   // memory plan, may reuse input buffers in place.
   RunContext run;
@@ -119,20 +127,16 @@ Tensor EagerContext::Execute(const std::string& op,
   run.rng = rng_;
   run.dispatch_penalty_ns = dispatch_penalty_ns_;
   Graph scratch;
-  Node* node = scratch.AddNode(op, {}, attrs, 1);
-  KernelContext ctx;
-  ctx.node = node;
-  ctx.inputs = inputs;
-  ctx.outputs.resize(1);
-  ctx.run = &run;
+  const Node* node = scratch.AddNode(op, {}, attrs, 1);
+  std::vector<Tensor> outputs;
   // The graph executor's sampler, so profiles and traces compare eager
   // dispatch against graph kernels under one clock.
   const bool sampled = obs::ShouldSampleProfileNode();
   const std::int64_t start_ns = sampled ? obs::Trace::NowNs() : 0;
-  KernelRegistry::Global().Lookup(op)(ctx);
+  internal::ExecuteKernel(run, *node, KernelRegistry::Global().Lookup(op),
+                          inputs, outputs);
   if (sampled) RecordEagerSample(op, start_ns);
-  ++ops_executed_;
-  Tensor output = std::move(ctx.outputs[0]);
+  Tensor output = std::move(outputs[0]);
   if (tape_ != nullptr) {
     tape_->Record(op, inputs, std::move(attrs), output);
   }
@@ -141,22 +145,15 @@ Tensor EagerContext::Execute(const std::string& op,
 
 Tensor EagerContext::ReadVariable(const std::string& name) {
   const Tensor value = variables_->Read(name);
-  ++ops_executed_;
-  if (tape_ != nullptr) {
-    const auto it = tape_->variable_reads.find(name);
-    if (it == tape_->variable_reads.end()) {
-      Node* node = tape_->graph.AddNode("ReadVariable", {}, {{"var", name}});
-      tape_->variable_reads[name] = {node, 0};
-      tape_->precomputed[node] = {value};
-      tape_->value_to_node[KeyFor(value)] = {node, 0};
-    }
+  if (tape_ != nullptr && !tape_->variable_reads.contains(name)) {
+    tape_->variable_reads[name] =
+        tape_->Add("ReadVariable", {}, {{"var", name}}, value);
   }
   return value;
 }
 
 void EagerContext::AssignVariable(const std::string& name, Tensor value) {
   variables_->Assign(name, std::move(value));
-  ++ops_executed_;
 }
 
 void EagerContext::StartTape() { tape_ = std::make_unique<Tape>(); }
@@ -179,27 +176,56 @@ std::map<std::string, Tensor> EagerContext::GradientsAndStopTape(
     names.push_back(name);
     targets.push_back(node);
   }
-  const std::vector<NodeOutput> grads =
+  const auto first_gradient = static_cast<int>(tape->values.size());
+  std::vector<NodeOutput> grads =
       AddGradients(tape->graph, tape->library, loss_it->second, targets);
 
-  // Execute only the gradient subgraph; forward values come precomputed.
-  // The tape graph has no sources to feed, so its one-shot plan takes no
-  // arguments.
+  // Execute only the gradient subgraph. Every read of a forward node, by a
+  // gradient node or as a fetch, is rewired to a Placeholder standing for
+  // its recorded value, so the forward nodes drop out of the plan and the
+  // recorded values are its arguments.
+  std::vector<Node*> args;
+  std::vector<Tensor> arg_values;
+  std::vector<Node*> placeholder_of(static_cast<std::size_t>(first_gradient));
+  const auto argument_for = [&](NodeOutput value) -> NodeOutput {
+    const int id = value.node->id();
+    if (id >= first_gradient) return value;
+    Node*& placeholder = placeholder_of[static_cast<std::size_t>(id)];
+    if (placeholder == nullptr) {
+      const Tensor& recorded = tape->values[static_cast<std::size_t>(id)];
+      placeholder = tape->graph.Placeholder({}, recorded.dtype()).node;
+      placeholder->set_site(value.node->site());
+      args.push_back(placeholder);
+      arg_values.push_back(recorded);
+    }
+    return {placeholder, 0};
+  };
+  const std::size_t gradient_end = tape->graph.num_nodes();
+  for (auto i = static_cast<std::size_t>(first_gradient); i < gradient_end;
+       ++i) {
+    Node* node = tape->graph.nodes()[i].get();
+    for (int slot = 0; slot < node->num_inputs(); ++slot) {
+      node->set_input(slot, argument_for(node->input(slot)));
+    }
+  }
+  for (NodeOutput& grad : grads) grad = argument_for(grad);
+
+  // One-shot and unfused: TF Eager dispatches each backward op, and a fused
+  // region's specialization would serve a single run.
   const FunctionPlans functions = BuildFunctionPlans(tape->library);
   RunContext run;
   run.variables = variables_;
   run.rng = rng_;
   run.dispatch_penalty_ns = dispatch_penalty_ns_;
   run.functions = &functions;
-  const std::shared_ptr<const ExecutionPlan> plan =
-      ExecutionPlan::Build(tape->graph, grads, {});
+  const std::shared_ptr<const ExecutionPlan> plan = ExecutionPlan::Build(
+      tape->graph, grads, args, PlanOptions{.enable_fusion = false});
   // Tape gradients run during the imperative profiling phase, before any
   // conversion unit exists; label them so /profilez does not show them as
   // unattributed.
   plan->profile()->SetKey("<imperative tape>", "eager", 0);
-  const std::vector<Tensor> grad_values = internal::ExecuteDag(
-      run, *plan, {}, /*parallel=*/false, &tape->precomputed);
-  ops_executed_ += run.ops_executed.load();
+  const std::vector<Tensor> grad_values =
+      internal::ExecuteDag(run, *plan, arg_values, /*parallel=*/false);
 
   std::map<std::string, Tensor> result;
   for (std::size_t i = 0; i < names.size(); ++i) {

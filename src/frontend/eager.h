@@ -5,10 +5,17 @@
 // Each eager op executes its kernel immediately *and*, while a tape is
 // active, records an equivalent node into a shadow graph. Backward passes
 // reuse the exact same symbolic gradient rules as graph mode
-// (autodiff::AddGradients) and execute only the gradient subgraph, feeding
-// the recorded forward values as precomputed node outputs. This guarantees
-// imperative and symbolic training compute identical gradients — the
-// correctness baseline the paper's evaluation compares against.
+// (autodiff::AddGradients) and execute only the gradient subgraph: its
+// one-shot plan takes the recorded forward values it reads as positional
+// arguments, one Placeholder per forward node. This guarantees imperative
+// and symbolic training compute identical gradients — the correctness
+// baseline the paper's evaluation compares against.
+//
+// Every eager kernel and every backward kernel runs through
+// internal::ExecuteKernel and pays the calibrated dispatch penalty once, as
+// TF Eager dispatches each op (forward and backward) one at a time; the
+// backward plan is therefore built without fusion. Variable reads and
+// assignments run no kernel and pay nothing.
 #ifndef JANUS_FRONTEND_EAGER_H_
 #define JANUS_FRONTEND_EAGER_H_
 
@@ -49,14 +56,10 @@ class EagerContext {
   // Discards the active tape, if any, without computing gradients.
   void DropTape();
 
-  // Number of eager kernel invocations so far (throughput accounting).
-  std::int64_t ops_executed() const { return ops_executed_; }
-
   // Calibrated per-op dispatch cost (ns) standing in for CPython +
   // framework dispatch on the imperative executor; applied to every eager
-  // kernel and to the tape's backward ops.
+  // kernel and to the tape's backward kernels.
   void set_dispatch_penalty_ns(std::int64_t ns) { dispatch_penalty_ns_ = ns; }
-  std::int64_t dispatch_penalty_ns() const { return dispatch_penalty_ns_; }
 
  private:
   struct Tape;
@@ -64,7 +67,6 @@ class EagerContext {
   VariableStore* variables_;
   Rng* rng_;
   std::unique_ptr<Tape> tape_;
-  std::int64_t ops_executed_ = 0;
   std::int64_t dispatch_penalty_ns_ = 0;
 };
 

@@ -38,11 +38,12 @@
 // overwrites that thread's oldest (TotalDropped() counts them), so sampled
 // kernel events can push out older decisions on the same thread.
 //
-// Toggles: Trace::Enable()/Disable() programmatically,
-// EngineOptions::trace_path per engine, or the JANUS_TRACE=<path>
-// environment variable, which enables tracing at process start and writes
-// the Chrome-trace file at exit — so any example or benchmark binary can be
-// traced with no code changes.
+// One switch, process-wide: Trace::Enable()/Disable() programmatically
+// (then Trace::WriteChromeTrace), or the JANUS_TRACE=<path> environment
+// variable, which enables tracing at process start and writes the
+// Chrome-trace file at exit — so any example or benchmark binary can be
+// traced with no code changes. The rings are process-wide, so a trace holds
+// the events of every engine in the process.
 #ifndef JANUS_OBS_TRACE_H_
 #define JANUS_OBS_TRACE_H_
 

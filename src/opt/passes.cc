@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/error.h"
+#include "runtime/executor.h"
 #include "runtime/kernel.h"
 #include "runtime/run_context.h"
 
@@ -136,21 +137,18 @@ int ConstantFolding(Graph& graph) {
       inputs.push_back(effective->GetTensorAttr("value"));
     }
     RunContext run;  // pure kernels need no services
-    KernelContext ctx;
-    ctx.node = node;
-    ctx.inputs = inputs;
-    ctx.outputs.resize(static_cast<std::size_t>(node->num_outputs()));
-    ctx.run = &run;
+    std::vector<Tensor> outputs;
     try {
-      KernelRegistry::Global().Lookup(node->op())(ctx);
+      internal::ExecuteKernel(run, *node,
+                              KernelRegistry::Global().Lookup(node->op()),
+                              inputs, outputs);
     } catch (const Error&) {
       continue;  // e.g. data-dependent failure; leave for runtime
     }
     // The folded constant inherits the replaced node's source site.
     SourceSiteScope site_scope(node->site());
     for (int i = 0; i < node->num_outputs(); ++i) {
-      repl[{node, i}] =
-          graph.Constant(ctx.outputs[static_cast<std::size_t>(i)]);
+      repl[{node, i}] = graph.Constant(outputs[static_cast<std::size_t>(i)]);
     }
     ++folded;
   }

@@ -74,10 +74,10 @@ struct FanOutState {
 };
 
 // RAII sampled-time recorder for one plan-node execution, so every exit
-// path of a node body (precomputed shortcut, source kinds, kernel
-// dispatch) is covered. Construct with armed = ShouldSampleProfileNode():
-// the runtime's one sampler (obs/profile.h), which also emits the node's
-// "kernel" trace event while tracing.
+// path of a node body (source kinds, kernel dispatch) is covered.
+// Construct with armed = ShouldSampleProfileNode(): the runtime's one
+// sampler (obs/profile.h), which also emits the node's "kernel" trace event
+// while tracing.
 struct ProfRecord {
   obs::PlanProfile* profile;
   int index;
@@ -94,13 +94,12 @@ struct ProfRecord {
 class DagRun {
  public:
   DagRun(RunContext& run, const ExecutionPlan& plan,
-         std::span<const Tensor> args, const Precomputed* precomputed)
+         std::span<const Tensor> args)
       : run_(run),
         plan_(plan),
         nodes_(plan.nodes()),
         memory_(plan.memory()),
         args_(args),
-        precomputed_(precomputed),
         profile_(plan.profile()),
         states_(nodes_.size()) {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -276,16 +275,6 @@ class DagRun {
     const MemoryPlan::NodeInfo& minfo =
         memory_.nodes[static_cast<std::size_t>(index)];
     NodeState& state = states_[static_cast<std::size_t>(index)];
-    if (precomputed_ != nullptr) {
-      const auto it = precomputed_->find(entry.node);
-      if (it != precomputed_->end()) {
-        // Precomputed nodes skip reading their inputs, so their producers'
-        // read countdowns never reach zero: liveness release degrades to
-        // end-of-run teardown for that subgraph, never to a premature drop.
-        state.outputs = it->second;
-        return;
-      }
-    }
     switch (entry.kind) {
       case OpKind::kConst:
         state.outputs.assign(1, entry.const_value);
@@ -356,13 +345,8 @@ class DagRun {
         if (any_dead) {
           state.live = kNoneLive;
         } else if (entry.kind == OpKind::kFusedRegion) {
-          // Note the precomputed check above keys on the region's ROOT
-          // node; interior members recorded on an eager tape are honoured
-          // inside ExecuteFusedRegion, which falls back to per-member
-          // dispatch.
           ExecuteFusedRegion(run_, *entry.fused, inputs, state.outputs,
-                             /*allow_in_place=*/minfo.in_place_capable,
-                             precomputed_);
+                             /*allow_in_place=*/minfo.in_place_capable);
         } else {
           ExecuteKernel(run_, *entry.node, *entry.kernel, inputs,
                         state.outputs,
@@ -382,7 +366,6 @@ class DagRun {
   const std::vector<PlanNode>& nodes_;
   const MemoryPlan& memory_;
   const std::span<const Tensor> args_;
-  const Precomputed* const precomputed_;
   obs::PlanProfile* const profile_;
   std::vector<NodeState> states_;
 };
@@ -390,14 +373,13 @@ class DagRun {
 }  // namespace
 
 std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
-                               std::span<const Tensor> args, bool parallel,
-                               const Precomputed* precomputed) {
+                               std::span<const Tensor> args, bool parallel) {
   if (args.size() != plan.arguments().size()) {
     throw InvalidArgument("plan takes " +
                           std::to_string(plan.arguments().size()) +
                           " arguments, got " + std::to_string(args.size()));
   }
-  DagRun dag(run, plan, args, precomputed);
+  DagRun dag(run, plan, args);
   if (!parallel) {
     dag.Sequential();
     return dag.Results();

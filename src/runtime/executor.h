@@ -20,10 +20,12 @@
 // run-wide scope and thread-pool deadlock is impossible. Each callee's plan
 // comes from the FunctionPlans table built with the caller's plan (by
 // CompiledGraph at generation time), so nested calls never plan.
+//
+// Every kernel in the process, graph or eager, runs through one dispatch,
+// internal::ExecuteKernel below.
 #ifndef JANUS_RUNTIME_EXECUTOR_H_
 #define JANUS_RUNTIME_EXECUTOR_H_
 
-#include <map>
 #include <span>
 #include <vector>
 
@@ -92,13 +94,11 @@ class Executor {
 
 namespace internal {
 
-// Optional per-node precomputed outputs: nodes present in this map are not
-// re-executed; their recorded outputs are used directly. The eager tape uses
-// this to run gradient subgraphs without recomputing the forward pass.
-using Precomputed = std::map<const Node*, std::vector<Tensor>>;
-
-// Runs one kernel (defined in executor.cc; fused regions call it for
-// per-member fallback dispatch).
+// Runs one kernel: the one place a KernelContext is built and the calibrated
+// dispatch penalty (RunContext::dispatch_penalty_ns) is paid. Its callers
+// are the plan executor, a fused region's per-member fallback, the eager
+// executor's per-op dispatch (frontend/eager.h) and constant folding. A
+// kernel Error is rethrown as InvalidArgument with an "[at <node>]" suffix.
 void ExecuteKernel(RunContext& run, const Node& node, const KernelFn& kernel,
                    std::span<const Tensor> inputs,
                    std::vector<Tensor>& outputs, bool allow_in_place = false);
@@ -107,8 +107,7 @@ void ExecuteKernel(RunContext& run, const Node& node, const KernelFn& kernel,
 // plan. Throws InvalidArgument if the argument count is wrong and
 // InternalError if a fetched value is dead.
 std::vector<Tensor> ExecuteDag(RunContext& run, const ExecutionPlan& plan,
-                               std::span<const Tensor> args, bool parallel,
-                               const Precomputed* precomputed = nullptr);
+                               std::span<const Tensor> args, bool parallel);
 
 }  // namespace internal
 }  // namespace janus

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -562,23 +561,15 @@ void SplatUniform(const Tensor& t, char* dst, std::int64_t count) {
 }
 
 // Per-member fallback: executes every member through its resolved kernel
-// over a local value table — identical dispatch, identical error annotation,
-// identical precomputed-output (eager tape) semantics as unfused execution.
+// over a local value table — identical dispatch and error annotation as
+// unfused execution.
 void RunFallback(RunContext& run, const FusedRegionPlan& region,
-                 std::span<const Tensor> inputs, std::vector<Tensor>& outputs,
-                 const Precomputed* precomputed) {
+                 std::span<const Tensor> inputs, std::vector<Tensor>& outputs) {
   std::vector<Tensor> table(static_cast<std::size_t>(region.num_values));
   for (int i = 0; i < region.num_externals; ++i) {
     table[static_cast<std::size_t>(i)] = inputs[static_cast<std::size_t>(i)];
   }
   for (const FusedRegionPlan::Member& m : region.members) {
-    if (precomputed != nullptr) {
-      const auto it = precomputed->find(m.node);
-      if (it != precomputed->end()) {
-        table[static_cast<std::size_t>(m.value_id)] = it->second.at(0);
-        continue;
-      }
-    }
     std::vector<Tensor> operands;
     operands.reserve(2);
     operands.push_back(table[static_cast<std::size_t>(m.a)]);
@@ -597,29 +588,13 @@ void RunFallback(RunContext& run, const FusedRegionPlan& region,
 
 void ExecuteFusedRegion(RunContext& run, const FusedRegionPlan& region,
                         std::span<const Tensor> inputs,
-                        std::vector<Tensor>& outputs, bool allow_in_place,
-                        const Precomputed* precomputed) {
-  if (precomputed != nullptr && !precomputed->empty()) {
-    for (const FusedRegionPlan::Member& m : region.members) {
-      if (precomputed->find(m.node) != precomputed->end()) {
-        RunFallback(run, region, inputs, outputs, precomputed);
-        return;
-      }
-    }
-  }
+                        std::vector<Tensor>& outputs, bool allow_in_place) {
   const std::shared_ptr<const FusedSpec> spec = GetSpec(region, inputs);
   if (spec->use_fallback) {
-    RunFallback(run, region, inputs, outputs, nullptr);
+    RunFallback(run, region, inputs, outputs);
     return;
   }
 
-  if (run.dispatch_penalty_ns > 0) {
-    // One region = one dispatch under the calibrated imperative stand-in.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::nanoseconds(run.dispatch_penalty_ns);
-    while (std::chrono::steady_clock::now() < deadline) {
-    }
-  }
   // Region output. Non-reduction regions may steal a dying full external's
   // buffer: block b's writes land only on indices every instruction has
   // already consumed (instructions run whole-block, the root runs last), so

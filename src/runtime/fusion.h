@@ -28,8 +28,7 @@
 // int64 true division's float promotion, ops that may throw data-dependent
 // errors like integer FloorDiv/Mod, rejected dtypes) falls back to
 // per-member kernel dispatch inside the region, preserving exact error
-// attribution ("[at <node>]") and precomputed-output (eager tape)
-// semantics.
+// attribution ("[at <node>]").
 //
 // Kill switches: JANUS_FUSION=0 disables the pass process-wide;
 // EngineOptions::enable_fusion and PlanOptions::enable_fusion disable it per
@@ -113,13 +112,10 @@ namespace internal {
 // value-id order; `outputs` receives the single region output at slot 0.
 // Specializes (or revalidates) the region's program against the actual
 // input dtypes/shapes, then either runs the block interpreter or the
-// per-member fallback path. `precomputed` carries the eager tape's recorded
-// forward outputs; any region member present there forces the fallback path
-// so recorded values are honoured exactly.
+// per-member fallback path.
 void ExecuteFusedRegion(RunContext& run, const FusedRegionPlan& region,
                         std::span<const Tensor> inputs,
-                        std::vector<Tensor>& outputs, bool allow_in_place,
-                        const Precomputed* precomputed);
+                        std::vector<Tensor>& outputs, bool allow_in_place);
 
 }  // namespace internal
 }  // namespace janus

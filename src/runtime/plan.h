@@ -24,8 +24,10 @@
 // call order, and each run passes one tensor per argument. Plans live with
 // what they were built for: CompiledGraph owns its main plan and the
 // FunctionPlans table of its library, built together at generation time;
-// the eager tape builds its one-shot plan directly. Nothing looks a plan up
-// at run time except a callee by name in its caller's FunctionPlans.
+// the eager tape builds its one-shot backward plan directly, unfused, with
+// one Placeholder argument per recorded forward value it reads. Nothing
+// looks a plan up at run time except a callee by name in its caller's
+// FunctionPlans.
 #ifndef JANUS_RUNTIME_PLAN_H_
 #define JANUS_RUNTIME_PLAN_H_
 

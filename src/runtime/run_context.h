@@ -133,8 +133,10 @@ class RunContext {
   // (zero unless the plan's PoolDecision fanned the run out).
   std::atomic<std::int64_t> offloaded_nodes{0};
 
-  // Per-kernel busy-wait (ns) emulating interpreter/framework dispatch cost;
-  // only the eager (imperative) executor sets this.
+  // Busy-wait (ns) emulating interpreter/framework dispatch cost, paid by
+  // internal::ExecuteKernel (runtime/executor.h) before every kernel it
+  // runs, and read nowhere else. Only the eager (imperative) executor sets
+  // it: for its per-op dispatch and its tape's backward plan.
   std::int64_t dispatch_penalty_ns = 0;
 
   std::mutex mu;  // guards all staging maps and the rng in parallel runs

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
+#include <memory>
 
 #include "frontend/builtins.h"
 #include "frontend/lexer.h"
 #include "frontend/parser.h"
+#include "obs/profile.h"
 
 namespace janus::minipy {
 namespace {
@@ -567,6 +570,45 @@ g = gradients(f)
       std::get<std::shared_ptr<DictValue>>(interp_.GetGlobal("g"));
   const Tensor grad = std::get<Tensor>(dict->items.at(DictKey{"cw"}));
   EXPECT_FLOAT_EQ(grad.data<float>()[0], 16.0f);
+}
+
+TEST_F(FrontendTest, EagerOpsPayTheDispatchPenalty) {
+  // Eager ops run through the executor's one kernel dispatch, which pays
+  // the calibrated penalty before every kernel. Only the lower bound is
+  // asserted: a slow host cannot make it flake.
+  interp_.eager().set_dispatch_penalty_ns(2'000'000);
+  const Tensor a = Tensor::Full(Shape{4}, 1.0f);
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 5; ++i) interp_.eager().Execute("Add", {a, a});
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(10));
+}
+
+TEST_F(FrontendTest, TapeBackwardPlanTakesForwardValuesAsArguments) {
+  // The backward plan reads the recorded forward values as Placeholder
+  // arguments, so no forward node (the variable reads among them) is part
+  // of it, and it is built unfused: each backward op is its own dispatch.
+  obs::ProfileRegistry::Global().Reset();
+  interp_.Run(R"(
+w = variable('tape_arg_w', constant([[0.5, -1.0], [2.0, 1.5]]))
+x = constant([[1.0, 2.0], [3.0, 4.0]])
+def loss_fn():
+    h = matmul(x, w)
+    return reduce_mean(tanh(h * 2.0 + 1.0) * h - h)
+loss = optimize(loss_fn, 0.1)
+)");
+  std::shared_ptr<obs::PlanProfile> tape;
+  for (const auto& profile : obs::ProfileRegistry::Global().Profiles()) {
+    if (profile->unit() == "<imperative tape>") tape = profile;  // newest
+  }
+  ASSERT_NE(tape, nullptr);
+  int placeholders = 0;
+  for (const obs::ProfileNodeInfo& node : tape->nodes()) {
+    EXPECT_NE(node.op, "ReadVariable") << node.name;
+    EXPECT_NE(node.op, "FusedRegion") << node.name;
+    if (node.op == "Placeholder") ++placeholders;
+  }
+  EXPECT_GE(placeholders, 1);
 }
 
 TEST_F(FrontendTest, Fig1RnnPatternTrainsImperatively) {

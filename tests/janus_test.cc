@@ -496,6 +496,40 @@ for i in range(6):
   EXPECT_EQ(session.engine.stats().cache_misses, misses + 1);
 }
 
+TEST_F(JanusTest, PrunedCaptureWithBakedShapeStaysChecked) {
+  // `len(x)` bakes x's length into the graph as a constant, so x's
+  // placeholder feeds nothing and is pruned, yet the graph depends on x's
+  // shape: a call with a longer x must miss the cache, not reuse the
+  // graph that multiplies by 3.
+  constexpr const char* program = R"(
+def g(x, y):
+    return y * len(x)
+
+g = janus_function(g)
+a = constant([1.0, 2.0, 3.0])
+out = 0.0
+for i in range(6):
+    out = float(g(a, constant([2.0])))
+)";
+  Session session(EngineOptions{});
+  session.interp.Run(program);
+  EXPECT_DOUBLE_EQ(session.Num("out"), 6.0);
+  EXPECT_GT(session.engine.stats().graph_executions, 0);
+  int units = 0;
+  session.engine.ForEachCompiledUnit(
+      [&units](const std::string&, const CompiledGraph& unit) {
+        ++units;
+        ASSERT_EQ(unit.captures.size(), 2u);
+        EXPECT_EQ(unit.captures[0].arg_slot, -1);
+      });
+  EXPECT_EQ(units, 1);
+  const std::int64_t misses = session.engine.stats().cache_misses;
+  session.interp.Run(
+      "out = float(g(constant([1.0, 2.0, 3.0, 4.0]), constant([2.0])))\n");
+  EXPECT_DOUBLE_EQ(session.Num("out"), 8.0);
+  EXPECT_EQ(session.engine.stats().cache_misses, misses + 1);
+}
+
 TEST_F(JanusTest, AssertionsCanBeDisabled) {
   EngineOptions no_asserts;
   no_asserts.generator.insert_assertions = false;

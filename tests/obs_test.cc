@@ -347,9 +347,8 @@ TEST_F(ObsTest, EngineTraceCapturesDecisionLoopIncludingFallback) {
   Rng rng(7);
   minipy::Interpreter interp(&variables, &rng);
   minipy::InstallBuiltins(interp);
-  EngineOptions options;
-  options.trace_path = path;  // Attach() enables, Detach() exports
-  JanusEngine engine(&interp, options);
+  Trace::Enable();  // process-wide: the one tracing switch
+  JanusEngine engine(&interp, EngineOptions{});
   engine.Attach();
 
   // Stable branch during profiling, then a flip: the speculative graph's
@@ -391,7 +390,8 @@ for i in range(8):
   EXPECT_NE(report.find("buffer pool"), std::string::npos);
   EXPECT_FALSE(obs::CollectProfileSamples().empty());
 
-  engine.Detach();  // writes the Chrome trace
+  engine.Detach();
+  Trace::WriteChromeTrace(path);
 
   std::ifstream file(path);
   ASSERT_TRUE(file.good());

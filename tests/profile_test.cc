@@ -82,10 +82,12 @@ TEST_P(ZooProvenance, EveryPlanNodeCarriesASourceSite) {
   models::ModelSession session(spec, EngineOptions{});
   for (int i = 0; i < 12; ++i) session.Step();
 
-  // Every engine-generated plan (unit-keyed at BuildPlans) must attribute
-  // all of its nodes — including autodiff-cloned gradient nodes and every
-  // member of a fused region — back to an imperative source site. The
-  // eager-dispatch profile is not a plan: one node per kernel op, no site.
+  // Every engine-generated plan (unit-keyed at BuildPlans) and every
+  // "<imperative tape>" backward plan must attribute all of its nodes —
+  // including autodiff-cloned gradient nodes, the tape plan's argument
+  // placeholders and every member of a fused region — back to an imperative
+  // source site. The eager-dispatch profile is not a plan: one node per
+  // kernel op, no site.
   int unit_plans = 0;
   int nodes_checked = 0;
   for (const auto& profile : ProfileRegistry::Global().Profiles()) {
