@@ -214,6 +214,62 @@ void BM_BroadcastKernels(benchmark::State& state) {
 }
 BENCHMARK(BM_BroadcastKernels)->DenseRange(0, 5);
 
+void BM_ContractionKernels(benchmark::State& state) {
+  // The one contraction loop at the shapes the coarse zoo models run it on:
+  // LM's gate MatMul (Arg 0) and its two gradients as flagged products —
+  // the input gradient with transpose_b (Arg 1), the weight gradient with
+  // transpose_a (Arg 2); ResNet50's block Conv2D and its two gradients;
+  // Inception-v3's 5x5 and 1x1 Conv2D. Args 1 and 2 do the multiply-adds
+  // of Arg 0, so a strided slow path shows as a ratio to it.
+  Rng rng(1);
+  const auto values = [&](const Shape& shape) {
+    return ops::RandomUniform(shape, -1.0f, 1.0f, rng);
+  };
+  const Tensor xh = values(Shape{16, 128});
+  const Tensor wg = values(Shape{128, 256});
+  const Tensor dz = values(Shape{16, 256});
+  const Tensor x = values(Shape{8, 8, 8, 8});
+  const Tensor w = values(Shape{3, 3, 8, 8});
+  const Tensor dy = values(Shape{8, 8, 8, 8});
+  const Tensor x16 = values(Shape{8, 8, 8, 16});
+  const Tensor w5 = values(Shape{5, 5, 16, 4});
+  const Tensor w1 = values(Shape{1, 1, 16, 4});
+  const auto run = [&]() -> Tensor {
+    switch (state.range(0)) {
+      case 0:
+        return ops::MatMul(xh, wg);
+      case 1:
+        return ops::MatMul(dz, wg, false, true);
+      case 2:
+        return ops::MatMul(xh, dz, true, false);
+      case 3:
+        return ops::Conv2D(x, w, 1, "SAME");
+      case 4:
+        return ops::Conv2DGradInput(x.shape(), w, dy, 1, "SAME");
+      case 5:
+        return ops::Conv2DGradFilter(x, w.shape(), dy, 1, "SAME");
+      case 6:
+        return ops::Conv2D(x16, w5, 1, "SAME");
+      default:
+        return ops::Conv2D(x16, w1, 1, "SAME");
+    }
+  };
+  static constexpr const char* kLabels[] = {
+      "MatMul [16,128]x[128,256]",
+      "MatMul [16,256]x[128,256]^T",
+      "MatMul [16,128]^Tx[16,256]",
+      "Conv2D [8,8,8,8]*[3,3,8,8]",
+      "Conv2DGradInput [8,8,8,8]*[3,3,8,8]",
+      "Conv2DGradFilter [8,8,8,8]*[3,3,8,8]",
+      "Conv2D [8,8,8,16]*[5,5,16,4]",
+      "Conv2D [8,8,8,16]*[1,1,16,4]"};
+  state.SetLabel(kLabels[state.range(0)]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run());
+  }
+}
+BENCHMARK(BM_ContractionKernels)->DenseRange(0, 7);
+
 void BM_EnginePlanCaching(benchmark::State& state) {
   // Steady-state engine loop on a cached graph; the plan_builds counter
   // surfaces the compile-once/run-many split (it stays at its

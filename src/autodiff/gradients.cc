@@ -133,8 +133,15 @@ std::vector<OptOut> OpGradient(Graph& g, FunctionLibrary& lib, Node* node,
              op == "Mod" || op == "ZerosLike" || op == "OnesLike") {
     // No gradient (integer/bool semantics or explicit gradient sinks).
   } else if (op == "MatMul") {
-    din[0] = Op2(g, "MatMul", need0(), Op1(g, "Transpose", in(1)));
-    din[1] = Op2(g, "MatMul", Op1(g, "Transpose", in(0)), need0());
+    // y = op(a) op(b), op(x) = x or x^T by the node's flags: each gradient
+    // is one flagged MatMul, never a Transpose.
+    const bool ta = node->HasAttr("transpose_a") && node->GetBoolAttr("transpose_a");
+    const bool tb = node->HasAttr("transpose_b") && node->GetBoolAttr("transpose_b");
+    const auto mm = [&](NodeOutput a, NodeOutput b, bool t_a, bool t_b) {
+      return Op2(g, "MatMul", a, b, {{"transpose_a", t_a}, {"transpose_b", t_b}});
+    };
+    din[0] = ta ? mm(in(1), need0(), tb, true) : mm(need0(), in(1), false, !tb);
+    din[1] = tb ? mm(need0(), in(0), true, ta) : mm(in(0), need0(), !ta, false);
   } else if (op == "Transpose") {
     din[0] = Op1(g, "Transpose", need0());
   } else if (op == "Reshape" || op == "ReshapeLike") {

@@ -7,13 +7,6 @@
 namespace janus {
 namespace {
 
-void RegisterBinary(KernelRegistry& r, const std::string& name,
-                    Tensor (*fn)(const Tensor&, const Tensor&)) {
-  r.Register(name, [fn](KernelContext& ctx) {
-    ctx.set_output(0, fn(ctx.input(0), ctx.input(1)));
-  });
-}
-
 void RegisterUnary(KernelRegistry& r, const std::string& name,
                    Tensor (*fn)(const Tensor&)) {
   r.Register(name, [fn](KernelContext& ctx) {
@@ -51,7 +44,13 @@ void RegisterMathKernels(KernelRegistry& r) {
       });
     }
   }
-  RegisterBinary(r, "MatMul", ops::MatMul);
+  r.Register("MatMul", [](KernelContext& ctx) {
+    const auto flag = [&](const char* key) {
+      return ctx.node->HasAttr(key) && ctx.node->GetBoolAttr(key);
+    };
+    ctx.set_output(0, ops::MatMul(ctx.input(0), ctx.input(1),
+                                  flag("transpose_a"), flag("transpose_b")));
+  });
   RegisterUnary(r, "Transpose", ops::Transpose);
   RegisterUnary(r, "Softmax", ops::Softmax);
   RegisterUnary(r, "LogSoftmax", ops::LogSoftmax);

@@ -56,8 +56,11 @@ Tensor Relu(const Tensor& a);
 Tensor ReluGrad(const Tensor& grad, const Tensor& x);
 
 // ---- Linear algebra ----
-// 2-D matrix product: (m,k) x (k,n) -> (m,n).
-Tensor MatMul(const Tensor& a, const Tensor& b);
+// 2-D matrix product op(a) x op(b), where op(x) is x, or its transpose when
+// the side's flag is set: (m,k) x (k,n) -> (m,n). A flag swaps the side's
+// strides (tensor/contract.h); no Transpose runs.
+Tensor MatMul(const Tensor& a, const Tensor& b, bool transpose_a = false,
+              bool transpose_b = false);
 // 2-D transpose.
 Tensor Transpose(const Tensor& a);
 

@@ -2,6 +2,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "tensor/contract.h"
 #include "tensor/elementwise.h"
 #include "tensor/ops.h"
 
@@ -30,6 +31,45 @@ Tensor ReduceImpl(const Tensor& a, const std::vector<int>& axes,
 StridedWalk<1> ReduceWalk(const Shape& in, const std::vector<int>& axes) {
   const Shape kept = ReducedShape(in, axes, /*keep_dims=*/true);
   return StridedWalk<1>(in, {&kept});
+}
+
+// One register tile: kTileRows x kCols sums over the whole depth, each from
+// +0 with k ascending, stored to C once. The panel holds the tile's rows of
+// A interleaved, a[k * kTileRows + r]: read in place, a strided A led gcc
+// to vectorise over k with shuffles.
+template <int kCols>
+void Tile(const float* a, std::int64_t depth, const float* b,
+          std::int64_t ldb, float* c, std::int64_t ldc) {
+  float acc[kTileRows][kCols];
+  for (int r = 0; r < kTileRows; ++r) {
+    for (int j = 0; j < kCols; ++j) acc[r][j] = 0.0f;
+  }
+  for (std::int64_t k = 0; k < depth; ++k, a += kTileRows, b += ldb) {
+    for (int r = 0; r < kTileRows; ++r) {
+      for (int j = 0; j < kCols; ++j) acc[r][j] += a[r] * b[j];
+    }
+  }
+  for (int r = 0; r < kTileRows; ++r) {
+    for (int j = 0; j < kCols; ++j) c[r * ldc + j] = acc[r][j];
+  }
+}
+
+// The tile at column j of `rows` rows of C; one that crosses row `rows` or
+// column n is computed into a local copy.
+template <int kCols>
+void TileAt(const float* a, std::int64_t rows, std::int64_t depth,
+            const PanelsB& b, std::int64_t j, std::int64_t n, float* c,
+            std::int64_t ldc) {
+  if (rows == kTileRows && n - j >= kCols) {
+    return Tile<kCols>(a, depth, b.at(j), b.ldb, c + j, ldc);
+  }
+  float part[kTileRows][kCols];
+  Tile<kCols>(a, depth, b.at(j), b.ldb, &part[0][0], kCols);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t q = 0; q < std::min<std::int64_t>(kCols, n - j); ++q) {
+      c[r * ldc + j + q] = part[r][q];
+    }
+  }
 }
 
 }  // namespace
@@ -66,50 +106,80 @@ Shape ReducedShape(const Shape& in, const std::vector<int>& axes,
 ReduceIndex::ReduceIndex(const Shape& in, const std::vector<int>& axes)
     : walk(ReduceWalk(in, axes)) {}
 
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  CheckFloat(a, "MatMul");
-  CheckFloat(b, "MatMul");
-  if (a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(0)) {
-    throw InvalidArgument("MatMul: incompatible shapes " +
-                          a.shape().ToString() + " x " + b.shape().ToString());
-  }
-  const std::int64_t m = a.dim(0);
-  const std::int64_t k = a.dim(1);
-  const std::int64_t n = b.dim(1);
-  Tensor out = Tensor::Zeros(DType::kFloat32, Shape{m, n});
-  const auto av = a.data<float>();
-  const auto bv = b.data<float>();
-  auto ov = out.mutable_data<float>();
-  // i-k-j loop order for cache-friendly access to b and out rows.
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float aik = av[static_cast<std::size_t>(i * k + kk)];
-      if (aik == 0.0f) continue;
-      const std::size_t brow = static_cast<std::size_t>(kk * n);
-      const std::size_t orow = static_cast<std::size_t>(i * n);
-      for (std::int64_t j = 0; j < n; ++j) {
-        ov[orow + static_cast<std::size_t>(j)] +=
-            aik * bv[brow + static_cast<std::size_t>(j)];
+float* KernelBuffer(int slot, std::int64_t floats) {
+  thread_local std::vector<float> buffers[3];
+  auto& buffer = buffers[slot];
+  // Never empty, so a zero-size operand still gets a non-null pointer.
+  const auto size = static_cast<std::size_t>(std::max<std::int64_t>(floats, 1));
+  if (buffer.size() < size) buffer.resize(size);
+  return buffer.data();
+}
+
+// dst (rows x width, row-major) = src's first rows x cols, zero-padded on
+// the right; four columns at a time (a fixed count, which gcc unrolls), so
+// a transposed src is read along four of its rows.
+void CopyView(MatrixView src, std::int64_t rows, std::int64_t cols,
+              std::int64_t width, float* dst) {
+  const std::int64_t blocked = width / 4 * 4;
+  for (std::int64_t j0 = 0; j0 < width; j0 += 4) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t j = j0; j0 < blocked ? j < j0 + 4 : j < width; ++j) {
+        dst[r * width + j] = j < cols ? src.at(r, j) : 0.0f;
       }
     }
   }
+}
+
+PanelsB PackB(MatrixView b, std::int64_t depth, std::int64_t n) {
+  if (b.cs == 1 && n % 4 == 0) return {b.data, 8, b.rs};
+  float* packed = KernelBuffer(0, depth * ((n + 7) / 8 * 8));
+  for (std::int64_t j = 0; j < n; j += 8) {
+    CopyView({b.data + j * b.cs, b.rs, b.cs}, depth,
+             std::min<std::int64_t>(8, n - j), 8, packed + j * depth);
+  }
+  return {packed, 8 * depth, 8};
+}
+
+void Contract(MatrixView a, std::int64_t m, std::int64_t depth,
+              const PanelsB& b, std::int64_t n, float* c, std::int64_t ldc) {
+  float* panel = KernelBuffer(2, depth * kTileRows);
+  for (std::int64_t i = 0; i < m; i += kTileRows) {
+    const std::int64_t rows = std::min<std::int64_t>(kTileRows, m - i);
+    CopyView({a.data + i * a.rs, a.cs, a.rs}, depth, rows, kTileRows, panel);
+    float* ci = c + i * ldc;
+    std::int64_t j = 0;
+    for (; n - j > 4; j += 8) TileAt<8>(panel, rows, depth, b, j, n, ci, ldc);
+    if (j < n) TileAt<4>(panel, rows, depth, b, j, n, ci, ldc);
+  }
+}
+
+Tensor MatMul(const Tensor& a, const Tensor& b, bool transpose_a,
+              bool transpose_b) {
+  CheckFloat(a, "MatMul");
+  CheckFloat(b, "MatMul");
+  if (a.rank() != 2 || b.rank() != 2 ||
+      a.dim(transpose_a ? 0 : 1) != b.dim(transpose_b ? 1 : 0)) {
+    throw InvalidArgument("MatMul: incompatible shapes " +
+                          a.shape().ToString() + " x " + b.shape().ToString());
+  }
+  const std::int64_t m = a.dim(transpose_a ? 1 : 0);
+  const std::int64_t depth = a.dim(transpose_a ? 0 : 1);
+  const std::int64_t n = b.dim(transpose_b ? 0 : 1);
+  MatrixView av{a.data<float>().data(), a.dim(1), 1};
+  const MatrixView bv{b.data<float>().data(), b.dim(1), 1};
+  if (transpose_a) av = av.T();
+  Tensor out = Tensor::Uninitialized(DType::kFloat32, Shape{m, n});
+  Contract(av, m, depth, PackB(transpose_b ? bv.T() : bv, depth, n), n,
+           out.mutable_data<float>().data(), n);
   return out;
 }
 
 Tensor Transpose(const Tensor& a) {
   CheckFloat(a, "Transpose");
   if (a.rank() != 2) throw InvalidArgument("Transpose: requires rank 2");
-  const std::int64_t m = a.dim(0);
-  const std::int64_t n = a.dim(1);
-  Tensor out(DType::kFloat32, Shape{n, m});
-  const auto av = a.data<float>();
-  auto ov = out.mutable_data<float>();
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      ov[static_cast<std::size_t>(j * m + i)] =
-          av[static_cast<std::size_t>(i * n + j)];
-    }
-  }
+  Tensor out = Tensor::Uninitialized(DType::kFloat32, Shape{a.dim(1), a.dim(0)});
+  CopyView(MatrixView{a.data<float>().data(), a.dim(1), 1}.T(), a.dim(1),
+           a.dim(0), a.dim(0), out.mutable_data<float>().data());
   return out;
 }
 

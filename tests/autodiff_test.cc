@@ -155,6 +155,66 @@ TEST_F(AutodiffTest, MatMulGradient) {
   });
 }
 
+// y = op(a) op(b), where op(x) is x or x^T by the node's transpose_a /
+// transpose_b attrs: every flag pair, with x as each operand in turn.
+TEST_F(AutodiffTest, MatMulFlagGradients) {
+  const std::vector<float> w_values{0.5f, -0.2f, 0.1f, 0.4f, -0.3f, 0.2f};
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      const AttrMap flags{{"transpose_a", ta}, {"transpose_b", tb}};
+      SCOPED_TRACE(std::string("transpose_a=") + (ta ? "1" : "0") +
+                   " transpose_b=" + (tb ? "1" : "0"));
+      // op(x) is [2,3] on the left, op(w) is [3,2].
+      CheckGradient(ta ? Shape{3, 2} : Shape{2, 3},
+                    [&](Graph& g, NodeOutput x) {
+                      const NodeOutput w = g.Constant(Tensor::FromVector(
+                          w_values, tb ? Shape{2, 3} : Shape{3, 2}));
+                      const NodeOutput y = {g.AddNode("MatMul", {x, w}, flags), 0};
+                      return SumAll(g, {g.AddNode("Square", {y}), 0});
+                    });
+      // op(w) is [2,3] on the left, op(x) is [3,2].
+      CheckGradient(tb ? Shape{2, 3} : Shape{3, 2},
+                    [&](Graph& g, NodeOutput x) {
+                      const NodeOutput w = g.Constant(Tensor::FromVector(
+                          w_values, ta ? Shape{3, 2} : Shape{2, 3}));
+                      const NodeOutput y = {g.AddNode("MatMul", {w, x}, flags), 0};
+                      return SumAll(g, {g.AddNode("Square", {y}), 0});
+                    });
+    }
+  }
+}
+
+// The gradient of a gradient differentiates the flagged MatMul the first
+// pass emitted (dx = dy x w^T). The first pass is seeded at y^2 so its
+// graph holds only ops that have gradient rules.
+TEST_F(AutodiffTest, MatMulSecondOrderGradient) {
+  CheckGradient(Shape{2, 3}, [&](Graph& g, NodeOutput x) {
+    const NodeOutput w = g.Constant(
+        Tensor::FromVector({0.5f, -0.2f, 0.1f, 0.4f, -0.3f, 0.2f}, Shape{3, 2}));
+    const NodeOutput y = {g.AddNode("MatMul", {x, w}), 0};
+    const NodeOutput sq = {g.AddNode("Square", {y}), 0};
+    const GradientSeed seed{sq, g.Constant(Tensor::Full(Shape{2, 2}, 1.0f))};
+    const NodeOutput dx = AddGradients(g, library_, std::span(&seed, 1),
+                                       std::vector<NodeOutput>{x})[0];
+    return SumAll(g, {g.AddNode("Square", {dx}), 0});
+  });
+}
+
+// MatMul's gradients are MatMuls with transpose flags: no Transpose node.
+TEST_F(AutodiffTest, MatMulGradientEmitsNoTranspose) {
+  Graph g;
+  const NodeOutput a = g.Placeholder("a", DType::kFloat32);
+  const NodeOutput b = g.Placeholder("b", DType::kFloat32);
+  const NodeOutput y = {g.AddNode("MatMul", {a, b}), 0};
+  AddGradients(g, library_, SumAll(g, y), std::vector<NodeOutput>{a, b});
+  int matmuls = 0;
+  for (const auto& node : g.nodes()) {
+    EXPECT_NE(node->op(), "Transpose");
+    if (node->op() == "MatMul") ++matmuls;
+  }
+  EXPECT_EQ(matmuls, 3);
+}
+
 TEST_F(AutodiffTest, TransposeGradient) {
   CheckGradient(Shape{2, 3}, [](Graph& g, NodeOutput x) {
     const NodeOutput t = {g.AddNode("Transpose", {x}), 0};

@@ -1,7 +1,8 @@
 // Unit tests for the tensor substrate: shapes, broadcasting, elementwise
-// kernels, linear algebra, reductions, NN ops, and gather/scatter, plus an
-// oracle sweep that holds the strided kernels (broadcast loops, reductions,
-// BroadcastTo, Slice, SliceGrad) to per-element reference maps.
+// kernels, linear algebra, reductions, NN ops, and gather/scatter, plus two
+// oracle sweeps: one holds the strided kernels (broadcast loops, reductions,
+// BroadcastTo, Slice, SliceGrad) to per-element reference maps, the other
+// holds MatMul and the Conv2D family to the loop nests they replaced.
 #include "tensor/ops.h"
 
 #include <cmath>
@@ -581,6 +582,18 @@ TEST(PoolTest, AvgPoolAveragesAndGradSpreads) {
   ExpectNear(ops::AvgPool2DGrad(Shape{1, 2, 2, 1}, grad, 2, 2), {1, 1, 1, 1});
 }
 
+// A window that overhangs the input by less than the stride used to pass
+// the size check (the output count rounded up to 1) and read past the
+// input.
+TEST(PoolTest, WindowLargerThanInputThrows) {
+  const Tensor input = Tensor::Full(Shape{1, 3, 3, 1}, 1.0f);
+  EXPECT_THROW(ops::MaxPool2D(input, 4, 2), InvalidArgument);
+  EXPECT_THROW(ops::AvgPool2D(input, 4, 2), InvalidArgument);
+  EXPECT_THROW(ops::AvgPool2DGrad(Shape{1, 3, 3, 1},
+                                  Tensor::Full(Shape{1, 1, 1, 1}, 1.0f), 4, 2),
+               InvalidArgument);
+}
+
 TEST(RandomTest, DeterministicUnderSeed) {
   Rng rng1(123);
   Rng rng2(123);
@@ -1018,6 +1031,371 @@ TEST(StridedOracleTest, SliceGradMatchesPerElementMap) {
       Capture([&] { return ops::SliceGrad(ints, Shape{2, 4}, {0, 1}); }),
       Capture([&] { return RefSliceGrad(ints, Shape{2, 4}, {0, 1}); }),
       "SliceGrad int64");
+}
+
+// ---- Oracle sweep: the contraction loop against the loops it replaced ----
+//
+// MatMul and the Conv2D family used to be four loop nests that added into
+// the output in their innermost loop and skipped zero left-hand elements.
+// They are kept below, verbatim, as the reference. On operands whose other
+// side is finite, a skipped zero only adds +-0 to a sum that started at +0,
+// so the one contraction loop (tensor/contract.h) must give the same bytes.
+// The values span magnitudes far apart, so any reordered sum changes bits.
+
+Tensor RefMatMul(const Tensor& a, const Tensor& b) {
+  if (a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(0)) {
+    throw InvalidArgument("MatMul: incompatible shapes " +
+                          a.shape().ToString() + " x " + b.shape().ToString());
+  }
+  const std::int64_t m = a.dim(0);
+  const std::int64_t k = a.dim(1);
+  const std::int64_t n = b.dim(1);
+  Tensor out = Tensor::Zeros(DType::kFloat32, Shape{m, n});
+  const auto av = a.data<float>();
+  const auto bv = b.data<float>();
+  auto ov = out.mutable_data<float>();
+  // i-k-j loop order for cache-friendly access to b and out rows.
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float aik = av[static_cast<std::size_t>(i * k + kk)];
+      if (aik == 0.0f) continue;
+      const std::size_t brow = static_cast<std::size_t>(kk * n);
+      const std::size_t orow = static_cast<std::size_t>(i * n);
+      for (std::int64_t j = 0; j < n; ++j) {
+        ov[orow + static_cast<std::size_t>(j)] +=
+            aik * bv[brow + static_cast<std::size_t>(j)];
+      }
+    }
+  }
+  return out;
+}
+
+struct RefGeometry {
+  std::int64_t batch, in_h, in_w, in_c;
+  std::int64_t f_h, f_w, out_c;
+  std::int64_t out_h, out_w;
+  std::int64_t pad_top, pad_left;
+  int stride;
+};
+
+RefGeometry MakeRefGeometry(const Shape& input, const Shape& filter,
+                            int stride, const std::string& padding) {
+  RefGeometry g{};
+  g.batch = input.dim(0);
+  g.in_h = input.dim(1);
+  g.in_w = input.dim(2);
+  g.in_c = input.dim(3);
+  g.f_h = filter.dim(0);
+  g.f_w = filter.dim(1);
+  g.out_c = filter.dim(3);
+  g.stride = stride;
+  if (padding == "SAME") {
+    g.out_h = (g.in_h + stride - 1) / stride;
+    g.out_w = (g.in_w + stride - 1) / stride;
+    g.pad_top = std::max<std::int64_t>(
+                    0, (g.out_h - 1) * stride + g.f_h - g.in_h) / 2;
+    g.pad_left = std::max<std::int64_t>(
+                     0, (g.out_w - 1) * stride + g.f_w - g.in_w) / 2;
+  } else {
+    g.out_h = (g.in_h - g.f_h) / stride + 1;
+    g.out_w = (g.in_w - g.f_w) / stride + 1;
+    g.pad_top = 0;
+    g.pad_left = 0;
+  }
+  return g;
+}
+
+Tensor RefConv2D(const Tensor& input, const Tensor& filter, int stride,
+                 const std::string& padding) {
+  const RefGeometry g =
+      MakeRefGeometry(input.shape(), filter.shape(), stride, padding);
+  Tensor out =
+      Tensor::Zeros(DType::kFloat32, Shape{g.batch, g.out_h, g.out_w, g.out_c});
+  const auto in = input.data<float>();
+  const auto fl = filter.data<float>();
+  auto ov = out.mutable_data<float>();
+  for (std::int64_t n = 0; n < g.batch; ++n) {
+    for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
+      for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
+        for (std::int64_t fh = 0; fh < g.f_h; ++fh) {
+          const std::int64_t ih = oh * g.stride + fh - g.pad_top;
+          if (ih < 0 || ih >= g.in_h) continue;
+          for (std::int64_t fw = 0; fw < g.f_w; ++fw) {
+            const std::int64_t iw = ow * g.stride + fw - g.pad_left;
+            if (iw < 0 || iw >= g.in_w) continue;
+            const std::size_t in_base = static_cast<std::size_t>(
+                ((n * g.in_h + ih) * g.in_w + iw) * g.in_c);
+            const std::size_t f_base =
+                static_cast<std::size_t>((fh * g.f_w + fw) * g.in_c * g.out_c);
+            const std::size_t out_base = static_cast<std::size_t>(
+                ((n * g.out_h + oh) * g.out_w + ow) * g.out_c);
+            for (std::int64_t c = 0; c < g.in_c; ++c) {
+              const float x = in[in_base + static_cast<std::size_t>(c)];
+              if (x == 0.0f) continue;
+              const std::size_t f_row =
+                  f_base + static_cast<std::size_t>(c * g.out_c);
+              for (std::int64_t oc = 0; oc < g.out_c; ++oc) {
+                ov[out_base + static_cast<std::size_t>(oc)] +=
+                    x * fl[f_row + static_cast<std::size_t>(oc)];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+Tensor RefConv2DGradInput(const Shape& input_shape, const Tensor& filter,
+                          const Tensor& grad, int stride,
+                          const std::string& padding) {
+  const RefGeometry g =
+      MakeRefGeometry(input_shape, filter.shape(), stride, padding);
+  Tensor out = Tensor::Zeros(DType::kFloat32, input_shape);
+  const auto fl = filter.data<float>();
+  const auto gv = grad.data<float>();
+  auto ov = out.mutable_data<float>();
+  for (std::int64_t n = 0; n < g.batch; ++n) {
+    for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
+      for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
+        const std::size_t g_base = static_cast<std::size_t>(
+            ((n * g.out_h + oh) * g.out_w + ow) * g.out_c);
+        for (std::int64_t fh = 0; fh < g.f_h; ++fh) {
+          const std::int64_t ih = oh * g.stride + fh - g.pad_top;
+          if (ih < 0 || ih >= g.in_h) continue;
+          for (std::int64_t fw = 0; fw < g.f_w; ++fw) {
+            const std::int64_t iw = ow * g.stride + fw - g.pad_left;
+            if (iw < 0 || iw >= g.in_w) continue;
+            const std::size_t in_base = static_cast<std::size_t>(
+                ((n * g.in_h + ih) * g.in_w + iw) * g.in_c);
+            const std::size_t f_base =
+                static_cast<std::size_t>((fh * g.f_w + fw) * g.in_c * g.out_c);
+            for (std::int64_t c = 0; c < g.in_c; ++c) {
+              float acc = 0.0f;
+              const std::size_t f_row =
+                  f_base + static_cast<std::size_t>(c * g.out_c);
+              for (std::int64_t oc = 0; oc < g.out_c; ++oc) {
+                acc += gv[g_base + static_cast<std::size_t>(oc)] *
+                       fl[f_row + static_cast<std::size_t>(oc)];
+              }
+              ov[in_base + static_cast<std::size_t>(c)] += acc;
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+Tensor RefConv2DGradFilter(const Tensor& input, const Shape& filter_shape,
+                           const Tensor& grad, int stride,
+                           const std::string& padding) {
+  const RefGeometry g =
+      MakeRefGeometry(input.shape(), filter_shape, stride, padding);
+  Tensor out = Tensor::Zeros(DType::kFloat32, filter_shape);
+  const auto in = input.data<float>();
+  const auto gv = grad.data<float>();
+  auto ov = out.mutable_data<float>();
+  for (std::int64_t n = 0; n < g.batch; ++n) {
+    for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
+      for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
+        const std::size_t g_base = static_cast<std::size_t>(
+            ((n * g.out_h + oh) * g.out_w + ow) * g.out_c);
+        for (std::int64_t fh = 0; fh < g.f_h; ++fh) {
+          const std::int64_t ih = oh * g.stride + fh - g.pad_top;
+          if (ih < 0 || ih >= g.in_h) continue;
+          for (std::int64_t fw = 0; fw < g.f_w; ++fw) {
+            const std::int64_t iw = ow * g.stride + fw - g.pad_left;
+            if (iw < 0 || iw >= g.in_w) continue;
+            const std::size_t in_base = static_cast<std::size_t>(
+                ((n * g.in_h + ih) * g.in_w + iw) * g.in_c);
+            const std::size_t f_base =
+                static_cast<std::size_t>((fh * g.f_w + fw) * g.in_c * g.out_c);
+            for (std::int64_t c = 0; c < g.in_c; ++c) {
+              const float x = in[in_base + static_cast<std::size_t>(c)];
+              if (x == 0.0f) continue;
+              const std::size_t f_row =
+                  f_base + static_cast<std::size_t>(c * g.out_c);
+              for (std::int64_t oc = 0; oc < g.out_c; ++oc) {
+                ov[f_row + static_cast<std::size_t>(oc)] +=
+                    x * gv[g_base + static_cast<std::size_t>(oc)];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Finite values of both signs whose magnitudes run from 2^-20 to 2^20, so
+// sums of them round differently in another order. With `zeros`, every
+// third element is +0 or -0: the elements the old loops skipped.
+Tensor ContractionValues(const Shape& shape, int salt, bool zeros) {
+  Tensor t(DType::kFloat32, shape);
+  auto data = t.mutable_data<float>();
+  for (std::int64_t i = 0; i < t.num_elements(); ++i) {
+    const std::int64_t h = (i * 2654435761LL + salt * 40503LL) % 1000003;
+    float v = std::ldexp(1.0f + static_cast<float>(h % 997) / 997.0f,
+                         static_cast<int>(h % 41) - 20);
+    if (h % 2 == 0) v = -v;
+    if (zeros && i % 3 == 1) v = h % 2 == 0 ? -0.0f : 0.0f;
+    data[static_cast<std::size_t>(i)] = v;
+  }
+  return t;
+}
+
+TEST(ContractionOracleTest, MatMulMatchesLoopNest) {
+  struct Case {
+    std::int64_t m, k, n;
+  };
+  const std::vector<Case> cases = {
+      // Zoo shapes: LeNet, ResNet50, Inception-v3, LSTM, LM, TreeRNN,
+      // TreeLSTM, A3C/PPO, AN, pix2pix.
+      {16, 144, 8}, {32, 144, 8}, {8, 128, 8}, {8, 256, 8}, {8, 64, 128},
+      {8, 32, 16}, {16, 128, 256}, {16, 64, 64}, {1, 16, 16}, {1, 16, 2},
+      {1, 32, 16}, {20, 4, 32}, {32, 32, 2}, {32, 32, 1}, {16, 16, 64},
+      {16, 64, 144}, {16, 144, 64}, {16, 64, 1}, {1, 64, 1},
+      // Tile edges: rows and columns that are not multiples of the tile.
+      {5, 7, 3}, {3, 9, 13}, {6, 17, 12}, {9, 31, 20}, {7, 5, 9}, {4, 3, 4},
+      // Zero-size dims.
+      {0, 4, 5}, {4, 0, 5}, {4, 5, 0}, {0, 0, 0},
+  };
+  int salt = 0;
+  for (const Case& c : cases) {
+    const Tensor a = ContractionValues(Shape{c.m, c.k}, ++salt, true);
+    const Tensor b = ContractionValues(Shape{c.k, c.n}, ++salt, false);
+    const Outcome want = Capture([&] { return RefMatMul(a, b); });
+    const std::string what = "MatMul " + Describe(a) + " x " + Describe(b);
+    ExpectSameOutcome(Capture([&] { return ops::MatMul(a, b); }), want, what);
+    // A transposed operand is the stored transpose read by swapped strides.
+    const Tensor at = ops::Transpose(a);
+    const Tensor bt = ops::Transpose(b);
+    ExpectSameOutcome(Capture([&] { return ops::MatMul(at, b, true, false); }),
+                      want, what + " (transpose_a)");
+    ExpectSameOutcome(Capture([&] { return ops::MatMul(a, bt, false, true); }),
+                      want, what + " (transpose_b)");
+    ExpectSameOutcome(Capture([&] { return ops::MatMul(at, bt, true, true); }),
+                      want, what + " (both)");
+    // The gradient rule's products against the Transpose + MatMul it used
+    // to emit: dA = dC x B^T and dB = A^T x dC.
+    const Tensor dc = ContractionValues(Shape{c.m, c.n}, ++salt, true);
+    ExpectSameOutcome(
+        Capture([&] { return ops::MatMul(dc, b, false, true); }),
+        Capture([&] { return RefMatMul(dc, ops::Transpose(b)); }),
+        what + " (input gradient)");
+    ExpectSameOutcome(
+        Capture([&] { return ops::MatMul(a, dc, true, false); }),
+        Capture([&] { return RefMatMul(ops::Transpose(a), dc); }),
+        what + " (weight gradient)");
+  }
+  ExpectSameOutcome(
+      Capture([&] { return ops::MatMul(Mat({1, 2}, 1, 2), Mat({1, 2, 3}, 1, 3)); }),
+      Capture([&] { return RefMatMul(Mat({1, 2}, 1, 2), Mat({1, 2, 3}, 1, 3)); }),
+      "MatMul shape error");
+}
+
+TEST(ContractionOracleTest, Conv2DFamilyMatchesLoopNests) {
+  struct Case {
+    Shape input, filter;
+    int stride;
+    const char* padding;
+  };
+  const std::vector<Case> cases = {
+      // Zoo shapes: LeNet, ResNet50, Inception-v3 (both modules), pix2pix.
+      {Shape{16, 12, 12, 1}, Shape{3, 3, 1, 8}, 1, "SAME"},
+      {Shape{16, 6, 6, 8}, Shape{3, 3, 8, 16}, 1, "SAME"},
+      {Shape{8, 8, 8, 3}, Shape{3, 3, 3, 8}, 1, "SAME"},
+      {Shape{8, 8, 8, 8}, Shape{3, 3, 8, 8}, 1, "SAME"},
+      {Shape{8, 8, 8, 8}, Shape{1, 1, 8, 4}, 1, "SAME"},
+      {Shape{8, 8, 8, 8}, Shape{3, 3, 8, 4}, 1, "SAME"},
+      {Shape{8, 8, 8, 8}, Shape{5, 5, 8, 4}, 1, "SAME"},
+      {Shape{8, 8, 8, 16}, Shape{1, 1, 16, 4}, 1, "SAME"},
+      {Shape{8, 8, 8, 16}, Shape{3, 3, 16, 4}, 1, "SAME"},
+      {Shape{8, 8, 8, 16}, Shape{5, 5, 16, 4}, 1, "SAME"},
+      {Shape{1, 8, 8, 1}, Shape{3, 3, 1, 8}, 1, "SAME"},
+      {Shape{1, 8, 8, 8}, Shape{3, 3, 8, 1}, 1, "SAME"},
+      {Shape{1, 8, 8, 2}, Shape{3, 3, 2, 4}, 2, "SAME"},
+      // Strides 2 and 3, VALID, tile edges (out_c and pixel counts that
+      // are not multiples of the tile).
+      {Shape{2, 7, 9, 3}, Shape{3, 2, 3, 5}, 2, "VALID"},
+      {Shape{3, 10, 7, 2}, Shape{4, 3, 2, 7}, 3, "SAME"},
+      {Shape{1, 11, 11, 4}, Shape{5, 5, 4, 9}, 3, "VALID"},
+      {Shape{2, 5, 5, 6}, Shape{2, 2, 6, 3}, 1, "VALID"},
+      {Shape{1, 6, 6, 1}, Shape{6, 6, 1, 2}, 1, "VALID"},
+      // Zero-size dims: batch 0, in_c = 0, out_c = 0.
+      {Shape{0, 5, 5, 3}, Shape{3, 3, 3, 4}, 1, "SAME"},
+      {Shape{2, 5, 5, 0}, Shape{3, 3, 0, 4}, 1, "SAME"},
+      {Shape{2, 5, 5, 3}, Shape{3, 3, 3, 0}, 2, "VALID"},
+  };
+  int salt = 100;
+  for (const Case& c : cases) {
+    const Tensor input = ContractionValues(c.input, ++salt, true);
+    const Tensor filter = ContractionValues(c.filter, ++salt, false);
+    const std::string what = "Conv2D " + Describe(input) + " * " +
+                             Describe(filter) + " stride " +
+                             std::to_string(c.stride) + " " + c.padding;
+    const Outcome forward = Capture(
+        [&] { return RefConv2D(input, filter, c.stride, c.padding); });
+    ExpectSameOutcome(Capture([&] {
+                        return ops::Conv2D(input, filter, c.stride, c.padding);
+                      }),
+                      forward, what);
+    const Tensor grad = ContractionValues(forward.shape, ++salt, true);
+    ExpectSameOutcome(
+        Capture([&] {
+          return ops::Conv2DGradInput(c.input, filter, grad, c.stride,
+                                      c.padding);
+        }),
+        Capture([&] {
+          return RefConv2DGradInput(c.input, filter, grad, c.stride, c.padding);
+        }),
+        what + " (grad input)");
+    ExpectSameOutcome(
+        Capture([&] {
+          return ops::Conv2DGradFilter(input, c.filter, grad, c.stride,
+                                       c.padding);
+        }),
+        Capture([&] {
+          return RefConv2DGradFilter(input, c.filter, grad, c.stride,
+                                     c.padding);
+        }),
+        what + " (grad filter)");
+  }
+}
+
+// No kernel skips a zero operand: 0 * NaN and 0 * inf are NaN, so a NaN or
+// inf in a weight reaches the output even behind a zero activation.
+TEST(ContractionTest, NonFiniteValuesReachTheOutput) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor a = Mat({0, 1}, 1, 2);
+  const Tensor b = Mat({nan, inf, 2, 3}, 2, 2);
+  const auto expect_nan = [](const Tensor& t, const std::string& what) {
+    for (const float v : t.data<float>()) EXPECT_TRUE(std::isnan(v)) << what;
+  };
+  expect_nan(ops::MatMul(a, b), "MatMul");
+  expect_nan(ops::MatMul(ops::Transpose(a), b, true, false), "transpose_a");
+  expect_nan(ops::MatMul(a, ops::Transpose(b), false, true), "transpose_b");
+  expect_nan(ops::MatMul(ops::Transpose(a), ops::Transpose(b), true, true),
+             "both");
+
+  // A zero input pixel under a NaN filter tap: the interior output is NaN.
+  const Tensor zeros = Tensor::Zeros(DType::kFloat32, Shape{1, 3, 3, 1});
+  Tensor filter = Tensor::Full(Shape{3, 3, 1, 1}, 1.0f);
+  filter.mutable_data<float>()[4] = nan;
+  const Tensor out = ops::Conv2D(zeros, filter, 1, "SAME");
+  EXPECT_TRUE(std::isnan(out.data<float>()[4]));
+
+  // A zero input under an inf in dY: the filter gradient is NaN.
+  Tensor grad = Tensor::Full(Shape{1, 3, 3, 1}, 1.0f);
+  grad.mutable_data<float>()[4] = inf;
+  const Tensor dfilter =
+      ops::Conv2DGradFilter(zeros, Shape{1, 1, 1, 1}, grad, 1, "VALID");
+  EXPECT_TRUE(std::isnan(dfilter.data<float>()[0]));
 }
 
 }  // namespace
