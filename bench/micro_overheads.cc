@@ -455,6 +455,32 @@ void BM_OptimizationPasses(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizationPasses);
 
+// CSE over constants of N elements: a chain of 200 steps from a
+// Placeholder, each adding two equal N-element constants to the chain value
+// and multiplying the sums. Nothing folds, and CSE merges one constant and
+// one Add per step. The key hashes a constant's bytes once, so /256 costs
+// a small multiple of /1 (CI allows 4x).
+void BM_CseConstants(benchmark::State& state) {
+  const auto n = static_cast<std::int64_t>(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    Graph g;
+    NodeOutput v = g.Placeholder("x", DType::kFloat32);
+    for (int i = 0; i < 200; ++i) {
+      const float value = 0.5f + static_cast<float>(i);
+      const NodeOutput a = g.Constant(Tensor::Full(Shape{n}, value));
+      const NodeOutput b = g.Constant(Tensor::Full(Shape{n}, value));
+      v = {g.AddNode("Mul", {{g.AddNode("Add", {v, a}), 0},
+                             {g.AddNode("Add", {v, b}), 0}}),
+           0};
+    }
+    std::vector<NodeOutput> fetches{v};
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(OptimizeGraph(g, fetches));
+  }
+}
+BENCHMARK(BM_CseConstants)->Arg(1)->Arg(256);
+
 }  // namespace
 }  // namespace janus
 

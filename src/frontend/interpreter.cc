@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "frontend/parser.h"
 #include "graph/source_site.h"
@@ -12,13 +13,10 @@
 namespace janus::minipy {
 namespace {
 
-// Non-error control-flow signals (thrown through C++ exceptions, caught at
-// the enclosing construct).
-struct ReturnSignal {
-  Value value;
-};
-struct BreakSignal {};
-struct ContinueSignal {};
+// How a statement or block ended. The parser admits `return` only inside a
+// function and `break`/`continue` only inside a loop, so a function body
+// ends in kNormal or kReturn and a module in kNormal.
+enum class Flow { kNormal, kReturn, kBreak, kContinue };
 
 [[noreturn]] void Fail(int line, const std::string& message) {
   throw MiniPyError("line " + std::to_string(line) + ": " + message);
@@ -99,12 +97,20 @@ struct Interpreter::Impl {
 
   // ---- statements ----
 
-  void ExecBlock(const std::vector<StmtPtr>& body,
+  // The value of the `return` that is unwinding to its CallFunction.
+  Value returned;
+
+  Flow ExecBlock(const std::vector<StmtPtr>& body,
                  const std::shared_ptr<Environment>& env) {
-    for (const StmtPtr& stmt : body) ExecStmt(stmt.get(), env);
+    for (const StmtPtr& stmt : body) {
+      if (const Flow flow = ExecStmt(stmt.get(), env); flow != Flow::kNormal) {
+        return flow;
+      }
+    }
+    return Flow::kNormal;
   }
 
-  void ExecStmt(const Stmt* stmt, const std::shared_ptr<Environment>& env) {
+  Flow ExecStmt(const Stmt* stmt, const std::shared_ptr<Environment>& env) {
     ++self->statements_executed_;
     // Ambient provenance for any graph nodes built while this statement
     // executes (eager tape recording). Cost when nothing records: one
@@ -115,87 +121,80 @@ struct Interpreter::Impl {
     switch (stmt->kind) {
       case StmtKind::kExpr:
         Eval(stmt->value.get(), env);
-        return;
+        return Flow::kNormal;
       case StmtKind::kAssign:
         AssignTo(stmt->target.get(), Eval(stmt->value.get(), env), env);
-        return;
+        return Flow::kNormal;
       case StmtKind::kAugAssign: {
         const Value current = Eval(stmt->target.get(), env);
         Value updated = self->BinaryOperation(
             stmt->aug_op, current, Eval(stmt->value.get(), env));
         AssignTo(stmt->target.get(), std::move(updated), env);
-        return;
+        return Flow::kNormal;
       }
       case StmtKind::kIf: {
         const bool taken = Truthy(Eval(stmt->value.get(), env));
         if (self->observer_ != nullptr) self->observer_->OnBranch(stmt, taken);
-        if (taken) {
-          ExecBlock(stmt->body, env);
-        } else {
-          ExecBlock(stmt->else_body, env);
-        }
-        return;
+        return ExecBlock(taken ? stmt->body : stmt->else_body, env);
       }
+      // A loop left by `return` reports no trip count, as one left by an
+      // error does not.
       case StmtKind::kWhile: {
         std::int64_t trips = 0;
-        try {
-          while (Truthy(Eval(stmt->value.get(), env))) {
-            ++trips;
-            try {
-              ExecBlock(stmt->body, env);
-            } catch (const ContinueSignal&) {
-            }
-          }
-        } catch (const BreakSignal&) {
+        while (Truthy(Eval(stmt->value.get(), env))) {
+          ++trips;
+          const Flow flow = ExecBlock(stmt->body, env);
+          if (flow == Flow::kReturn) return flow;
+          if (flow == Flow::kBreak) break;
         }
         if (self->observer_ != nullptr) {
           self->observer_->OnLoopFinished(stmt, trips);
         }
-        return;
+        return Flow::kNormal;
       }
       case StmtKind::kFor: {
         const Value iterable = Eval(stmt->value.get(), env);
         const std::string& var = stmt->target->str_value;
         std::int64_t trips = 0;
+        Flow flow = Flow::kNormal;
+        // Runs one iteration; false once the loop is left.
         const auto run_iter = [&](Value item) {
           ++trips;
           env->Define(var, std::move(item));
-          try {
-            ExecBlock(stmt->body, env);
-          } catch (const ContinueSignal&) {
-          }
+          flow = ExecBlock(stmt->body, env);
+          return flow != Flow::kReturn && flow != Flow::kBreak;
         };
-        try {
-          if (const auto* list =
-                  std::get_if<std::shared_ptr<ListValue>>(&iterable)) {
-            const std::vector<Value> snapshot = (*list)->items;
-            for (const Value& item : snapshot) run_iter(item);
-          } else if (const auto* dict =
-                         std::get_if<std::shared_ptr<DictValue>>(&iterable)) {
-            for (const auto& [key, unused] : (*dict)->items) {
-              if (const auto* s = std::get_if<std::string>(&key)) {
-                run_iter(*s);
-              } else {
-                run_iter(std::get<std::int64_t>(key));
-              }
-            }
-          } else if (const auto* tensor = std::get_if<Tensor>(&iterable)) {
-            if (tensor->rank() < 1) {
-              Fail(stmt->line, "cannot iterate a scalar tensor");
-            }
-            for (std::int64_t i = 0; i < tensor->dim(0); ++i) {
-              run_iter(TensorIndex(*tensor, i));
-            }
-          } else {
-            Fail(stmt->line, std::string("cannot iterate over ") +
-                                 ValueTypeName(iterable));
+        if (const auto* list =
+                std::get_if<std::shared_ptr<ListValue>>(&iterable)) {
+          const std::vector<Value> snapshot = (*list)->items;
+          for (const Value& item : snapshot) {
+            if (!run_iter(item)) break;
           }
-        } catch (const BreakSignal&) {
+        } else if (const auto* dict =
+                       std::get_if<std::shared_ptr<DictValue>>(&iterable)) {
+          for (const auto& [key, unused] : (*dict)->items) {
+            const auto* s = std::get_if<std::string>(&key);
+            if (!(s != nullptr ? run_iter(*s)
+                               : run_iter(std::get<std::int64_t>(key)))) {
+              break;
+            }
+          }
+        } else if (const auto* tensor = std::get_if<Tensor>(&iterable)) {
+          if (tensor->rank() < 1) {
+            Fail(stmt->line, "cannot iterate a scalar tensor");
+          }
+          for (std::int64_t i = 0; i < tensor->dim(0); ++i) {
+            if (!run_iter(TensorIndex(*tensor, i))) break;
+          }
+        } else {
+          Fail(stmt->line, std::string("cannot iterate over ") +
+                               ValueTypeName(iterable));
         }
+        if (flow == Flow::kReturn) return flow;
         if (self->observer_ != nullptr) {
           self->observer_->OnLoopFinished(stmt, trips);
         }
-        return;
+        return Flow::kNormal;
       }
       case StmtKind::kDef: {
         auto fn = std::make_shared<FunctionValue>();
@@ -204,7 +203,7 @@ struct Interpreter::Impl {
         fn->qualified_name = stmt->name;
         RegisterClosureEnv(env);
         env->Define(stmt->name, std::move(fn));
-        return;
+        return Flow::kNormal;
       }
       case StmtKind::kClass: {
         auto cls = std::make_shared<ClassValue>();
@@ -219,23 +218,23 @@ struct Interpreter::Impl {
           cls->methods[method->name] = std::move(fn);
         }
         env->Define(stmt->name, std::move(cls));
-        return;
+        return Flow::kNormal;
       }
       case StmtKind::kReturn:
-        throw ReturnSignal{stmt->value != nullptr
-                               ? Eval(stmt->value.get(), env)
-                               : Value{NoneType{}}};
+        returned = stmt->value != nullptr ? Eval(stmt->value.get(), env)
+                                          : Value{NoneType{}};
+        return Flow::kReturn;
       case StmtKind::kPass:
-        return;
+        return Flow::kNormal;
       case StmtKind::kBreak:
-        throw BreakSignal{};
+        return Flow::kBreak;
       case StmtKind::kContinue:
-        throw ContinueSignal{};
+        return Flow::kContinue;
       case StmtKind::kGlobal:
         for (const std::string& name : stmt->globals) {
           env->global_names.push_back(name);
         }
-        return;
+        return Flow::kNormal;
       case StmtKind::kRaise: {
         const std::string message =
             stmt->value != nullptr
@@ -243,34 +242,47 @@ struct Interpreter::Impl {
                 : std::string("exception");
         throw MiniPyError(message);
       }
+      // The finally block runs on every exit. If it ends in return, break
+      // or continue, that replaces how the try ended, a pending error
+      // included.
       case StmtKind::kTry: {
         const auto run_finally = [&] {
-          if (!stmt->finally_body.empty()) ExecBlock(stmt->finally_body, env);
+          if (stmt->finally_body.empty()) return Flow::kNormal;
+          // The block may call functions; keep a pending return value.
+          Value pending = std::move(returned);
+          const Flow flow = ExecBlock(stmt->finally_body, env);
+          if (flow == Flow::kNormal) returned = std::move(pending);
+          return flow;
         };
+        Flow flow = Flow::kNormal;
         try {
-          ExecBlock(stmt->body, env);
+          flow = ExecBlock(stmt->body, env);
         } catch (const MiniPyError& e) {
-          if (!stmt->else_body.empty()) {
-            if (!stmt->except_name.empty()) {
-              env->Define(stmt->except_name, std::string(e.what()));
+          if (stmt->else_body.empty()) {
+            if (const Flow exit = run_finally(); exit != Flow::kNormal) {
+              return exit;
             }
-            try {
-              ExecBlock(stmt->else_body, env);
-            } catch (...) {
-              run_finally();
-              throw;
-            }
-            run_finally();
-            return;
+            throw;
           }
-          run_finally();
-          throw;
+          if (!stmt->except_name.empty()) {
+            env->Define(stmt->except_name, std::string(e.what()));
+          }
+          try {
+            flow = ExecBlock(stmt->else_body, env);
+          } catch (...) {
+            if (const Flow exit = run_finally(); exit != Flow::kNormal) {
+              return exit;
+            }
+            throw;
+          }
         } catch (...) {
-          run_finally();
+          if (const Flow exit = run_finally(); exit != Flow::kNormal) {
+            return exit;
+          }
           throw;
         }
-        run_finally();
-        return;
+        const Flow exit = run_finally();
+        return exit != Flow::kNormal ? exit : flow;
       }
     }
     throw InternalError("unhandled statement kind");
@@ -632,7 +644,7 @@ Value Interpreter::CallFunction(const std::shared_ptr<FunctionValue>& fn,
   auto env = std::make_shared<Environment>(
       fn->closure != nullptr ? fn->closure : impl_->globals);
   // Track the qualified-name call stack so ExecStmt can stamp provenance;
-  // the guard survives MiniPyError / ReturnSignal unwinding.
+  // the guard survives MiniPyError unwinding.
   struct FnNameGuard {
     std::vector<std::string>* stack;
     explicit FnNameGuard(std::vector<std::string>* s, std::string name)
@@ -666,10 +678,8 @@ Value Interpreter::CallFunction(const std::shared_ptr<FunctionValue>& fn,
   for (std::size_t i = 0; i < args.size(); ++i) {
     env->Define(def->params[i], std::move(args[i]));
   }
-  try {
-    impl_->ExecBlock(def->body, env);
-  } catch (ReturnSignal& ret) {
-    return std::move(ret.value);
+  if (impl_->ExecBlock(def->body, env) == Flow::kReturn) {
+    return std::exchange(impl_->returned, Value{NoneType{}});
   }
   return NoneType{};
 }

@@ -1,5 +1,7 @@
 #include "frontend/parser.h"
 
+#include <utility>
+
 #include "common/error.h"
 #include "frontend/lexer.h"
 
@@ -106,7 +108,7 @@ class Parser {
         ++pos_;
         auto stmt = NewStmt(StmtKind::kWhile, line);
         stmt->value = ParseExpression();
-        stmt->body = ParseBlock();
+        stmt->body = ParseLoopBody();
         return stmt;
       }
       case TokenKind::kFor: {
@@ -117,10 +119,11 @@ class Parser {
         stmt->target = std::move(var);
         Expect(TokenKind::kIn, "for");
         stmt->value = ParseExpression();
-        stmt->body = ParseBlock();
+        stmt->body = ParseLoopBody();
         return stmt;
       }
       case TokenKind::kReturn: {
+        if (!in_function_) Reject(line, "'return' outside function");
         ++pos_;
         auto stmt = NewStmt(StmtKind::kReturn, line);
         if (!Check(TokenKind::kNewline)) stmt->value = ParseExpressionList();
@@ -132,10 +135,12 @@ class Parser {
         Expect(TokenKind::kNewline, "pass");
         return NewStmt(StmtKind::kPass, line);
       case TokenKind::kBreak:
+        if (loop_depth_ == 0) Reject(line, "'break' outside loop");
         ++pos_;
         Expect(TokenKind::kNewline, "break");
         return NewStmt(StmtKind::kBreak, line);
       case TokenKind::kContinue:
+        if (loop_depth_ == 0) Reject(line, "'continue' outside loop");
         ++pos_;
         Expect(TokenKind::kNewline, "continue");
         return NewStmt(StmtKind::kContinue, line);
@@ -182,8 +187,25 @@ class Parser {
       }
     }
     Expect(TokenKind::kRParen, "def");
+    // A body is a new context: `return` is allowed in it, and `break` and
+    // `continue` only inside its own loops.
+    const bool outer_in_function = std::exchange(in_function_, true);
+    const int outer_loop_depth = std::exchange(loop_depth_, 0);
     stmt->body = ParseBlock();
+    in_function_ = outer_in_function;
+    loop_depth_ = outer_loop_depth;
     return stmt;
+  }
+
+  std::vector<StmtPtr> ParseLoopBody() {
+    ++loop_depth_;
+    std::vector<StmtPtr> body = ParseBlock();
+    --loop_depth_;
+    return body;
+  }
+
+  [[noreturn]] static void Reject(int line, const std::string& message) {
+    throw InvalidArgument("line " + std::to_string(line) + ": " + message);
   }
 
   StmtPtr ParseClass() {
@@ -596,6 +618,8 @@ class Parser {
   std::size_t pos_ = 0;
   int next_id_ = 0;
   int depth_ = 0;  // current nesting, see NestingGuard
+  bool in_function_ = false;  // parsing a def body
+  int loop_depth_ = 0;        // loops enclosing the statement, within its def
 };
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/error.h"
 
@@ -166,10 +165,43 @@ NodeOutput Graph::Placeholder(std::string name, DType dtype) {
 }
 
 void Graph::Prune(const std::vector<Node*>& keep) {
-  std::unordered_set<const Node*> kept(keep.begin(), keep.end());
+  std::vector<bool> kept(static_cast<std::size_t>(next_id_));
+  for (const Node* node : keep) {
+    JANUS_EXPECTS(node->id() < next_id_);
+    kept[static_cast<std::size_t>(node->id())] = true;
+  }
   std::erase_if(nodes_, [&kept](const std::unique_ptr<Node>& node) {
-    return kept.find(node.get()) == kept.end();
+    return !kept[static_cast<std::size_t>(node->id())];
   });
+}
+
+std::vector<Node*> ReachableNodes(const Graph& graph,
+                                  std::span<const NodeOutput> fetches) {
+  std::vector<bool> reached(static_cast<std::size_t>(graph.id_bound()));
+  std::size_t count = 0;
+  std::vector<Node*> stack;
+  for (const NodeOutput& fetch : fetches) stack.push_back(fetch.node);
+  while (!stack.empty()) {
+    Node* node = stack.back();
+    stack.pop_back();
+    if (node->id() >= graph.id_bound()) {
+      throw InvalidArgument("node " + node->name() + " is not in this graph");
+    }
+    const auto id = static_cast<std::size_t>(node->id());
+    if (reached[id]) continue;
+    reached[id] = true;
+    ++count;
+    for (const NodeOutput& input : node->inputs()) stack.push_back(input.node);
+    for (Node* control : node->control_inputs()) stack.push_back(control);
+  }
+  std::vector<Node*> order;
+  order.reserve(count);
+  for (const auto& node : graph.nodes()) {
+    if (reached[static_cast<std::size_t>(node->id())]) {
+      order.push_back(node.get());
+    }
+  }
+  return order;
 }
 
 std::string Graph::DebugString() const {

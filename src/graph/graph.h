@@ -14,6 +14,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -116,8 +117,11 @@ class Graph {
 
   const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
   std::size_t num_nodes() const { return nodes_.size(); }
+  // Node ids grow along nodes() and stay below this bound, so a vector of
+  // id_bound() entries can stand in for a map keyed by node.
+  int id_bound() const { return next_id_; }
 
-  // Removes nodes not satisfying `keep`. Caller guarantees no kept node
+  // Removes the nodes not in `keep`. Caller guarantees no kept node
   // references a removed one.
   void Prune(const std::vector<Node*>& keep);
 
@@ -127,6 +131,12 @@ class Graph {
   std::vector<std::unique_ptr<Node>> nodes_;
   int next_id_ = 0;
 };
+
+// The nodes `fetches` transitively need through data and control edges, in
+// graph order. Every fetch must be a node of `graph`. Dead-code elimination
+// keeps these and plan build runs these: one walk for both.
+std::vector<Node*> ReachableNodes(const Graph& graph,
+                                  std::span<const NodeOutput> fetches);
 
 struct GraphFunction {
   std::string name;

@@ -1,6 +1,9 @@
 #include "opt/passes.h"
 
-#include <sstream>
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -8,6 +11,7 @@
 #include "runtime/executor.h"
 #include "runtime/kernel.h"
 #include "runtime/run_context.h"
+#include "tensor/elementwise.h"
 
 namespace janus {
 namespace {
@@ -58,34 +62,135 @@ void ApplyReplacements(Graph& graph, const Replacements& repl,
 
 bool IsConst(const Node* node) { return node->op() == "Const"; }
 
-bool IsScalarConst(const Node* node, float value) {
+// A rank-0 Const holding `value`: float32 compared by bits, so -0 and +0
+// differ. Only a rank-0 operand of the same dtype leaves the other
+// operand's shape and dtype as they are.
+bool IsFloatConst(const Node* node, float value) {
   if (!IsConst(node)) return false;
   const Tensor& t = node->GetTensorAttr("value");
-  if (t.num_elements() != 1) return false;
-  return t.ElementAsDouble(0) == static_cast<double>(value);
+  return t.rank() == 0 && t.dtype() == DType::kFloat32 &&
+         std::bit_cast<std::uint32_t>(t.ScalarValue()) ==
+             std::bit_cast<std::uint32_t>(value);
 }
 
-std::string AttrSignature(const AttrMap& attrs) {
-  std::ostringstream oss;
-  for (const auto& [key, value] : attrs) {
-    oss << key << '=';
-    if (const Tensor* t = std::get_if<Tensor>(&value)) {
-      // Hash small tensors by content; large ones are treated as unique so
-      // we never pay to compare big weight blobs.
-      if (t->num_elements() <= 256) {
-        oss << DTypeName(t->dtype()) << t->shape().ToString() << ':';
-        for (std::int64_t i = 0; i < t->num_elements(); ++i) {
-          oss << t->ElementAsDouble(i) << ',';
+bool IsIntConst(const Node* node, std::int64_t value) {
+  if (!IsConst(node)) return false;
+  const Tensor& t = node->GetTensorAttr("value");
+  return t.rank() == 0 && t.dtype() == DType::kInt64 &&
+         t.ScalarIntValue() == value;
+}
+
+// The constants c with x + c, x - c and x * c equal to x for every x. The
+// float32 zeros differ: -0 + +0 is +0, so only -0 is an additive identity,
+// and only +0 a subtractive one.
+bool IsAddIdentity(const Node* c) {
+  return IsFloatConst(c, -0.0f) || IsIntConst(c, 0);
+}
+bool IsSubIdentity(const Node* c) {
+  return IsFloatConst(c, 0.0f) || IsIntConst(c, 0);
+}
+bool IsOne(const Node* c) {
+  return IsFloatConst(c, 1.0f) || IsIntConst(c, 1);
+}
+
+// Tensor attrs of up to this many elements compare by dtype, shape and
+// payload bytes. Larger ones are unique to their node, so CSE never hashes
+// or compares a weight blob.
+constexpr std::int64_t kMaxComparedElements = 256;
+
+bool IsCompared(const Tensor& t) {
+  return t.num_elements() <= kMaxComparedElements;
+}
+
+std::size_t Mix(std::size_t seed, std::size_t value) {
+  return seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
+}
+
+std::size_t HashAttr(const AttrValue& value) {
+  return std::visit(
+      [](const auto& v) -> std::size_t {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, double>) {
+          return std::bit_cast<std::uint64_t>(v);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          return std::hash<std::string>()(v);
+        } else if constexpr (std::is_same_v<T, std::vector<std::int64_t>>) {
+          std::size_t h = v.size();
+          for (const std::int64_t x : v) {
+            h = Mix(h, static_cast<std::size_t>(x));
+          }
+          return h;
+        } else if constexpr (std::is_same_v<T, Tensor>) {
+          if (!IsCompared(v)) return std::hash<const void*>()(&v);
+          std::size_t h = static_cast<std::size_t>(v.dtype());
+          for (const std::int64_t dim : v.shape().dims()) {
+            h = Mix(h, static_cast<std::size_t>(dim));
+          }
+          const auto* bytes =
+              static_cast<const char*>(ops::ElementData(v, v.dtype()));
+          return Mix(h, std::hash<std::string_view>()({bytes, v.byte_size()}));
+        } else {  // int64, bool, DType
+          return static_cast<std::size_t>(v);
         }
-      } else {
-        oss << "unique@" << static_cast<const void*>(t);
-      }
-    } else {
-      oss << AttrToString(value);
-    }
-    oss << ';';
+      },
+      value);
+}
+
+// Exact: doubles by their bits, small tensors by dtype, shape and bytes
+// (so +0 and -0, and NaNs with different payloads, stay apart).
+bool AttrEqual(const AttrValue& a, const AttrValue& b) {
+  if (a.index() != b.index()) return false;
+  return std::visit(
+      [&b](const auto& x) {
+        using T = std::decay_t<decltype(x)>;
+        const T& y = std::get<T>(b);
+        if constexpr (std::is_same_v<T, double>) {
+          return std::bit_cast<std::uint64_t>(x) ==
+                 std::bit_cast<std::uint64_t>(y);
+        } else if constexpr (std::is_same_v<T, Tensor>) {
+          return IsCompared(x) && x.ElementsEqual(y);
+        } else {
+          return x == y;
+        }
+      },
+      a);
+}
+
+// A pure node's CSE identity: its op, its inputs (already rewired to this
+// pass's representatives), its control inputs in order and its attributes,
+// hashed once and compared exactly.
+struct CseEntry {
+  std::size_t hash;
+  Node* node;
+};
+struct CseHash {
+  std::size_t operator()(const CseEntry& entry) const { return entry.hash; }
+};
+struct CseEqual {
+  bool operator()(const CseEntry& a, const CseEntry& b) const {
+    const Node& x = *a.node;
+    const Node& y = *b.node;
+    return a.hash == b.hash && x.op() == y.op() && x.inputs() == y.inputs() &&
+           x.control_inputs() == y.control_inputs() &&
+           std::equal(x.attrs().begin(), x.attrs().end(), y.attrs().begin(),
+                      y.attrs().end(), [](const auto& p, const auto& q) {
+                        return p.first == q.first &&
+                               AttrEqual(p.second, q.second);
+                      });
   }
-  return oss.str();
+};
+
+std::size_t HashNode(const Node& node) {
+  std::size_t h = std::hash<std::string>()(node.op());
+  for (const NodeOutput& input : node.inputs()) {
+    h = Mix(h, static_cast<std::size_t>(input.node->id()) << 8 |
+                   static_cast<std::size_t>(input.index));
+  }
+  for (const Node* control : node.control_inputs()) {
+    h = Mix(h, static_cast<std::size_t>(control->id()));
+  }
+  for (const auto& [key, value] : node.attrs()) h = Mix(h, HashAttr(value));
+  return h;
 }
 
 }  // namespace
@@ -158,27 +263,31 @@ int ConstantFolding(Graph& graph) {
 
 int CommonSubexpressionElimination(Graph& graph) {
   Replacements repl;
-  std::unordered_map<std::string, Node*> seen;
+  // The node each merged node's outputs now come from, by id. Graph order
+  // visits a producer before most of its consumers, which then key on the
+  // representative; a producer appended later is rewired only at the end.
+  std::vector<Node*> representative(
+      static_cast<std::size_t>(graph.id_bound()));
+  std::unordered_set<CseEntry, CseHash, CseEqual> seen;
+  seen.reserve(graph.num_nodes());
   int merged = 0;
   for (const auto& node : graph.nodes()) {
     if (!IsPureOp(node->op()) && node->op() != "Const") continue;
-    std::ostringstream sig;
-    sig << node->op() << '(';
-    for (const NodeOutput& input : node->inputs()) {
-      NodeOutput v = input;
-      const auto it = repl.find({v.node, v.index});
-      if (it != repl.end()) v = it->second;
-      sig << v.node->id() << ':' << v.index << ',';
+    if (merged > 0) {
+      for (int i = 0; i < node->num_inputs(); ++i) {
+        const NodeOutput input = node->input(i);
+        const auto id = static_cast<std::size_t>(input.node->id());
+        if (representative[id] != nullptr) {
+          node->set_input(i, {representative[id], input.index});
+        }
+      }
     }
-    sig << ")^[";
-    for (const Node* control : node->control_inputs()) {
-      sig << control->id() << ',';
-    }
-    sig << ']' << AttrSignature(node->attrs());
-    const auto [it, inserted] = seen.emplace(sig.str(), node.get());
+    const auto [it, inserted] = seen.insert({HashNode(*node), node.get()});
     if (!inserted) {
+      Node* kept = it->node;
+      representative[static_cast<std::size_t>(node->id())] = kept;
       for (int i = 0; i < node->num_outputs(); ++i) {
-        repl[{node.get(), i}] = {it->second, i};
+        repl[{node.get(), i}] = {kept, i};
       }
       ++merged;
     }
@@ -202,37 +311,40 @@ int ArithmeticSimplification(Graph& graph) {
     if (!node->control_inputs().empty()) continue;
     const std::string& op = node->op();
     const auto in = [&](int i) { return node->input(i); };
+    // Every rewrite gives the op's bytes for every operand value.
     if (op == "Identity") {
       replace(node, in(0));
     } else if (op == "Add") {
-      if (IsScalarConst(in(1).node, 0.0f)) {
+      if (IsAddIdentity(in(1).node)) {
         replace(node, in(0));
-      } else if (IsScalarConst(in(0).node, 0.0f)) {
+      } else if (IsAddIdentity(in(0).node)) {
         replace(node, in(1));
       }
     } else if (op == "Sub") {
-      if (IsScalarConst(in(1).node, 0.0f)) replace(node, in(0));
+      if (IsSubIdentity(in(1).node)) replace(node, in(0));
     } else if (op == "Mul") {
-      if (IsScalarConst(in(1).node, 1.0f)) {
+      if (IsOne(in(1).node)) {
         replace(node, in(0));
-      } else if (IsScalarConst(in(0).node, 1.0f)) {
+      } else if (IsOne(in(0).node)) {
         replace(node, in(1));
-      } else if (IsScalarConst(in(1).node, 0.0f) ||
-                 IsScalarConst(in(0).node, 0.0f)) {
+      } else if (IsIntConst(in(1).node, 0) || IsIntConst(in(0).node, 0)) {
+        // Only an int64 zero: float32 x * 0 is -0 for negative x and NaN
+        // for NaN or inf x.
         const NodeOutput operand =
-            IsScalarConst(in(1).node, 0.0f) ? in(0) : in(1);
+            IsIntConst(in(1).node, 0) ? in(0) : in(1);
         // The replacement ZerosLike inherits the Mul's source site.
         SourceSiteScope site_scope(node->site());
         replace(node, {graph.AddNode("ZerosLike", {operand}), 0});
       }
     } else if (op == "Div") {
-      if (IsScalarConst(in(1).node, 1.0f)) replace(node, in(0));
+      // int64 Div yields float32, so only a float32 one is an identity.
+      if (IsFloatConst(in(1).node, 1.0f)) replace(node, in(0));
     } else if (op == "Neg") {
       if (in(0).node->op() == "Neg") {
         replace(node, in(0).node->input(0));
       }
     } else if (op == "Pow") {
-      if (IsScalarConst(in(1).node, 1.0f)) replace(node, in(0));
+      if (IsOne(in(1).node)) replace(node, in(0));
     }
   }
   ApplyReplacements(graph, repl, nullptr);
@@ -240,23 +352,9 @@ int ArithmeticSimplification(Graph& graph) {
 }
 
 int DeadCodeElimination(Graph& graph, std::span<const NodeOutput> fetches) {
-  std::unordered_set<const Node*> live;
-  std::vector<Node*> stack;
-  for (const NodeOutput& fetch : fetches) stack.push_back(fetch.node);
-  while (!stack.empty()) {
-    Node* node = stack.back();
-    stack.pop_back();
-    if (!live.insert(node).second) continue;
-    for (const NodeOutput& input : node->inputs()) stack.push_back(input.node);
-    for (Node* control : node->control_inputs()) stack.push_back(control);
-  }
-  std::vector<Node*> keep;
-  keep.reserve(live.size());
-  for (const auto& node : graph.nodes()) {
-    if (live.count(node.get()) != 0u) keep.push_back(node.get());
-  }
-  const int removed = static_cast<int>(graph.num_nodes() - keep.size());
-  graph.Prune(keep);
+  const std::vector<Node*> live = ReachableNodes(graph, fetches);
+  const int removed = static_cast<int>(graph.num_nodes() - live.size());
+  if (removed > 0) graph.Prune(live);
   return removed;
 }
 

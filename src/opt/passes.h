@@ -23,16 +23,20 @@ bool IsPureOp(const std::string& op);
 // executing their kernels at optimisation time. Returns #nodes folded.
 int ConstantFolding(Graph& graph);
 
-// Merges duplicate pure nodes (same op, inputs, attrs). Returns #merged.
+// Merges duplicate pure nodes and constants: same op, inputs, control
+// inputs and attrs, compared exactly (tensor attrs of at most 256 elements
+// by dtype, shape and bytes; larger ones never merge). Returns #merged.
 int CommonSubexpressionElimination(Graph& graph);
 
-// Local algebraic rewrites: x+0 -> x, x*1 -> x, x-0 -> x, x/1 -> x,
+// Local algebraic rewrites that keep every output byte, with a rank-0
+// constant operand: x + -0 -> x, x - +0 -> x, x * 1 -> x, x / 1.0 -> x,
+// x ** 1 -> x, x * 0 -> ZerosLike(x) for int64 (int64 0 also for + and -),
 // double-Neg elimination, Identity forwarding. Returns #rewrites.
 int ArithmeticSimplification(Graph& graph);
 
-// Removes nodes not reachable from the fetches (through data and control
-// edges). Side-effecting nodes must be anchored to a fetch to survive.
-// Returns #nodes removed.
+// Keeps only ReachableNodes(graph, fetches), the nodes a plan for these
+// fetches would run. Side-effecting nodes must be anchored to a fetch to
+// survive. Returns #nodes removed.
 int DeadCodeElimination(Graph& graph, std::span<const NodeOutput> fetches);
 
 struct OptimizationStats {

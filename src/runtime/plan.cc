@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <queue>
-#include <unordered_set>
 #include <utility>
 
 #include "common/error.h"
@@ -23,32 +22,6 @@ ExecutionPlan::OpKind ClassifyOp(const std::string& op) {
   return OpKind::kKernel;
 }
 
-// The nodes the fetches transitively need (through data and control edges),
-// in graph order. Side-effecting ops only run when anchored to a fetch (the
-// update-anchor NoOp convention); inside a conditional, deadness then
-// decides which of them execute.
-std::vector<const Node*> FetchReachable(const Graph& graph,
-                                        std::span<const NodeOutput> fetches) {
-  std::unordered_set<const Node*> needed;
-  std::vector<const Node*> stack;
-  for (const NodeOutput& fetch : fetches) stack.push_back(fetch.node);
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (!needed.insert(node).second) continue;
-    for (const NodeOutput& input : node->inputs()) stack.push_back(input.node);
-    for (const Node* control : node->control_inputs()) {
-      stack.push_back(control);
-    }
-  }
-  std::vector<const Node*> order;
-  order.reserve(needed.size());
-  for (const auto& node : graph.nodes()) {
-    if (needed.find(node.get()) != needed.end()) order.push_back(node.get());
-  }
-  return order;
-}
-
 // Stable topological order of `nodes` (given in graph order). Freshly
 // generated graphs insert nodes topologically, but optimization passes
 // append replacement nodes (folded constants, ZerosLike) at the END of the
@@ -58,19 +31,21 @@ std::vector<const Node*> FetchReachable(const Graph& graph,
 // order deterministic and as close to graph order as the edges allow. On a
 // cycle, returns `nodes` unchanged and lets the executor's executed-count
 // check report it.
-std::vector<const Node*> TopologicalOrder(std::vector<const Node*> nodes) {
-  std::unordered_map<const Node*, int> position;
-  position.reserve(nodes.size());
+std::vector<const Node*> TopologicalOrder(const Graph& graph,
+                                          const std::vector<Node*>& nodes) {
+  // Each node's position in `nodes`, by node id.
+  std::vector<int> position(static_cast<std::size_t>(graph.id_bound()));
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    position[nodes[i]] = static_cast<int>(i);
+    position[static_cast<std::size_t>(nodes[i]->id())] = static_cast<int>(i);
   }
   // One count per edge, duplicates included: each edge is counted off once.
   std::vector<int> indegree(nodes.size(), 0);
   std::vector<std::vector<int>> dependents(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const auto depend_on = [&](const Node* producer) {
-      dependents[static_cast<std::size_t>(position.at(producer))].push_back(
-          static_cast<int>(i));
+      dependents[static_cast<std::size_t>(
+                     position[static_cast<std::size_t>(producer->id())])]
+          .push_back(static_cast<int>(i));
       ++indegree[i];
     };
     for (const NodeOutput& input : nodes[i]->inputs()) depend_on(input.node);
@@ -92,7 +67,8 @@ std::vector<const Node*> TopologicalOrder(std::vector<const Node*> nodes) {
       }
     }
   }
-  return order.size() == nodes.size() ? order : nodes;
+  if (order.size() != nodes.size()) order.assign(nodes.begin(), nodes.end());
+  return order;
 }
 
 obs::ProfileSite SiteOf(const Node* node) {
@@ -149,7 +125,10 @@ std::shared_ptr<const ExecutionPlan> ExecutionPlan::Build(
   auto plan = std::shared_ptr<ExecutionPlan>(new ExecutionPlan());
   plan->fetches_.assign(fetches.begin(), fetches.end());
   plan->arguments_.assign(args.begin(), args.end());
-  plan->BuildNodes(TopologicalOrder(FetchReachable(graph, fetches)));
+  // Side-effecting ops only run when anchored to a fetch (the update-anchor
+  // NoOp convention); inside a conditional, deadness then decides which of
+  // them execute.
+  plan->BuildNodes(TopologicalOrder(graph, ReachableNodes(graph, fetches)));
   plan->BindArguments();
   // Fusion rewrites the node array in place (interior members disappear)
   // and must run before the memory plan: liveness is computed over the

@@ -3,7 +3,7 @@
 // (tensor/contract.h); the pooling kernels walk the same output pixels and
 // taps.
 #include <algorithm>
-#include <limits>
+#include <cmath>
 #include <vector>
 
 #include "tensor/contract.h"
@@ -118,6 +118,17 @@ ConvGeometry MakePoolGeometry(const Shape& input, int window, int stride) {
                       stride, "VALID");
 }
 
+// The tap a max-pool window forwards and routes its gradient to: the first
+// NaN tap if the window holds one, else the first tap holding the maximum.
+std::int64_t MaxTap(const float* in, const std::vector<std::int64_t>& taps) {
+  std::int64_t best_at = taps.front();
+  for (const std::int64_t at : taps) {
+    if (std::isnan(in[at])) return at;
+    if (in[at] > in[best_at]) best_at = at;
+  }
+  return best_at;
+}
+
 }  // namespace
 
 // Conv2D is patches x filter, one tile of kTileRows output pixels at a
@@ -219,9 +230,7 @@ Tensor MaxPool2D(const Tensor& input, int window, int stride) {
   const float* in = input.data<float>().data();
   float* ov = out.mutable_data<float>().data();
   g.ForEachWindow([&](std::int64_t o, const auto& taps) {
-    float best = std::numeric_limits<float>::lowest();
-    for (const std::int64_t at : taps) best = std::max(best, in[at]);
-    ov[o] = best;
+    ov[o] = in[MaxTap(in, taps)];
   });
   return out;
 }
@@ -234,15 +243,7 @@ Tensor MaxPool2DGrad(const Tensor& input, const Tensor& grad, int window,
   const float* gv = grad.data<float>().data();
   float* ov = out.mutable_data<float>().data();
   g.ForEachWindow([&](std::int64_t o, const auto& taps) {
-    float best = std::numeric_limits<float>::lowest();
-    std::int64_t best_at = 0;
-    for (const std::int64_t at : taps) {
-      if (in[at] > best) {
-        best = in[at];
-        best_at = at;
-      }
-    }
-    ov[best_at] += gv[o];
+    ov[MaxTap(in, taps)] += gv[o];
   });
   return out;
 }

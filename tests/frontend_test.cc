@@ -258,6 +258,133 @@ result = fib(10)
   EXPECT_EQ(Num(interp_.GetGlobal("result")), 55);
 }
 
+// A `return` outside a function, or a `break`/`continue` outside a loop,
+// used to escape Interpreter::Run as an uncaught C++ exception and abort
+// the process. A def body starts outside any loop.
+TEST_F(FrontendTest, StrayControlStatementsAreParseErrors) {
+  const char* const sources[] = {
+      "return 1\n",
+      "x = 1\nreturn\n",
+      "if True:\n    return 2\n",
+      "break\n",
+      "continue\n",
+      "if True:\n    break\n",
+      "def f():\n    break\n",
+      "def f():\n    continue\n",
+      "for i in range(2):\n    def f():\n        break\n",
+      "while False:\n    pass\nbreak\n",
+      "try:\n    x = 1\nfinally:\n    return 3\n",
+      "class C:\n    def m(self):\n        return 1\nreturn 4\n",
+  };
+  for (const char* source : sources) {
+    EXPECT_THROW(interp_.Run(source), InvalidArgument) << source;
+  }
+  try {
+    interp_.Run("x = 1\n\nfor i in range(3):\n    pass\ncontinue\n");
+    ADD_FAILURE() << "stray continue parsed";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 5"), std::string::npos)
+        << e.what();
+  }
+  // The interpreter is still usable.
+  EXPECT_EQ(Num(RunAndGet("y = 7\n", "y")), 7);
+}
+
+TEST_F(FrontendTest, ReturnThroughLoopsRunsFinally) {
+  interp_.Run(R"(
+log = []
+def find(limit):
+    n = 0
+    try:
+        while n < limit:
+            for i in range(10):
+                if n == 2 and i == 3:
+                    return n * 10 + i
+            n += 1
+    finally:
+        log.append(n)
+    return -1
+result = find(5)
+missing = find(1)
+)");
+  EXPECT_EQ(Num(interp_.GetGlobal("result")), 23);
+  EXPECT_EQ(Num(interp_.GetGlobal("missing")), -1);
+  interp_.Run("first = log[0]\nsecond = log[1]\ncount = len(log)\n");
+  EXPECT_EQ(Num(interp_.GetGlobal("first")), 2);
+  EXPECT_EQ(Num(interp_.GetGlobal("second")), 1);
+  EXPECT_EQ(Num(interp_.GetGlobal("count")), 2);
+}
+
+// A function called from a finally block does not replace the value a
+// pending `return` carries; a `return` in the finally block does.
+TEST_F(FrontendTest, FinallyKeepsOrReplacesThePendingReturn) {
+  interp_.Run(R"(
+def g():
+    return 100
+def kept():
+    try:
+        return 1
+    finally:
+        g()
+def replaced():
+    try:
+        return 1
+    finally:
+        return 2
+def swallowed():
+    try:
+        raise 'boom'
+    finally:
+        return 3
+a = kept()
+b = replaced()
+c = swallowed()
+)");
+  EXPECT_EQ(Num(interp_.GetGlobal("a")), 1);
+  EXPECT_EQ(Num(interp_.GetGlobal("b")), 2);
+  EXPECT_EQ(Num(interp_.GetGlobal("c")), 3);
+}
+
+TEST_F(FrontendTest, BreakAndContinueInNestedLoops) {
+  interp_.Run(R"(
+acc = 0
+for i in range(4):
+    j = 0
+    while True:
+        j += 1
+        if j > i:
+            break
+        if j == 2:
+            continue
+        for k in range(10):
+            if k == 1:
+                break
+            acc += 100
+        acc += j
+    if i == 2:
+        continue
+    acc += 1000
+)");
+  // i=0: no inner trips; i=1: j=1; i=2: j=1, j=2 skipped; i=3: j=1, 3.
+  // Each counted j adds 100 + j; every i but 2 adds 1000.
+  EXPECT_EQ(Num(interp_.GetGlobal("acc")),
+            3000 + (101) + (101) + (101 + 103));
+}
+
+TEST_F(FrontendTest, BodyWithoutReturnYieldsNone) {
+  interp_.Run(R"(
+def f(x):
+    y = x + 1
+def g():
+    for i in range(3):
+        pass
+a = f(1)
+b = g()
+)");
+  EXPECT_TRUE(Is<NoneType>(interp_.GetGlobal("a")));
+  EXPECT_TRUE(Is<NoneType>(interp_.GetGlobal("b")));
+}
+
 TEST_F(FrontendTest, ClosuresCaptureEnvironment) {
   interp_.Run(R"(
 def make_adder(k):

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "frontend/builtins.h"
@@ -460,6 +461,78 @@ for i in range(8):
   session.interp.Run(program);
   EXPECT_NEAR(session.Num("out"), 5.0, 1e-4);
   EXPECT_GT(session.engine.stats().graph_executions, 0);
+}
+
+// Graph CSE once keyed constants on their 6-significant-digit text, so a
+// converted function merged 1000001.0 with 1000002.0 (returning 2000004
+// where the interpreter returns 2000003) and 0.1234567 with 0.1234568
+// (returning 0 instead of -9.68575478e-08).
+TEST_F(JanusTest, NearlyEqualConstantsStayApartInGraphs) {
+  constexpr const char* program = R"(
+def near(x):
+    return x * 1000001.0 + x * 1000002.0
+
+def close(x):
+    return reduce_sum(x * constant([0.1234567, 1.0]) - x * constant([0.1234568, 1.0]))
+
+near = janus_function(near)
+close = janus_function(close)
+a = constant([1.0])
+b = constant([1.0, 1.0])
+for i in range(6):
+    out_near = near(a)
+    out_close = close(b)
+)";
+  Session janus(EngineOptions{});
+  Session imperative(EngineOptions::ImperativePreset());
+  janus.interp.Run(program);
+  imperative.interp.Run(program);
+  for (const char* global : {"out_near", "out_close"}) {
+    const Tensor got = AsTensor(janus.interp.GetGlobal(global));
+    const Tensor want = AsTensor(imperative.interp.GetGlobal(global));
+    EXPECT_TRUE(got.ElementsEqual(want))
+        << global << ": " << got.ToString(4) << " vs " << want.ToString(4);
+  }
+  EXPECT_EQ(janus.Num("out_near"), 2000003.0);
+  EXPECT_GT(janus.engine.stats().graph_executions, 0);
+}
+
+// Arithmetic simplification once rewrote `0.0 + x` to x and `x * 0.0` to
+// zeros, so a converted function returned -0 where the interpreter returns
+// +0, and +0 where it returns -0.
+TEST_F(JanusTest, SignedZerosMatchTheInterpreterInGraphs) {
+  constexpr const char* program = R"(
+def accumulate(x):
+    total = 0.0
+    total += x
+    return total
+
+def scale(x):
+    return x * 0.0
+
+accumulate = janus_function(accumulate)
+scale = janus_function(scale)
+a = constant([-0.0, 2.0])
+b = constant([-2.0, 1.0])
+for i in range(6):
+    out_acc = accumulate(a)
+    out_scale = scale(b)
+)";
+  Session janus(EngineOptions{});
+  Session imperative(EngineOptions::ImperativePreset());
+  janus.interp.Run(program);
+  imperative.interp.Run(program);
+  for (const char* global : {"out_acc", "out_scale"}) {
+    const Tensor got = AsTensor(janus.interp.GetGlobal(global));
+    const Tensor want = AsTensor(imperative.interp.GetGlobal(global));
+    EXPECT_TRUE(got.ElementsEqual(want))
+        << global << ": " << got.ToString(4) << " vs " << want.ToString(4);
+  }
+  EXPECT_FALSE(std::signbit(AsTensor(janus.interp.GetGlobal("out_acc"))
+                                .data<float>()[0]));
+  EXPECT_TRUE(std::signbit(AsTensor(janus.interp.GetGlobal("out_scale"))
+                               .data<float>()[0]));
+  EXPECT_GT(janus.engine.stats().graph_executions, 0);
 }
 
 TEST_F(JanusTest, PrunedCaptureIsCheckedButFeedsNoArgument) {

@@ -574,6 +574,38 @@ TEST(PoolTest, MaxPoolGradRoutesToArgmax) {
   ExpectNear(gi, {0, 7, 0, 0});
 }
 
+// A window's gradient goes to the tap its forward read: the first NaN if
+// the window holds one, else the first maximum. A window of NaNs used to
+// send its gradient to input element 0, outside the window.
+TEST(PoolTest, MaxPoolGradStaysInsideItsWindow) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor input =
+      Tensor::FromVector({1, 2, nan, nan, 3, 4, nan, nan}, Shape{1, 2, 4, 1});
+  const Tensor forward = ops::MaxPool2D(input, 2, 2);
+  EXPECT_EQ(forward.data<float>()[0], 4.0f);
+  EXPECT_TRUE(std::isnan(forward.data<float>()[1]));
+  const Tensor grad = Tensor::FromVector({10, 20}, Shape{1, 1, 2, 1});
+  ExpectNear(ops::MaxPool2DGrad(input, grad, 2, 2),
+             {0, 0, 20, 0, 0, 10, 0, 0});
+
+  // A NaN after the maximum still wins the window.
+  const Tensor mixed = Tensor::FromVector({5, 1, nan, 2}, Shape{1, 2, 2, 1});
+  EXPECT_TRUE(std::isnan(ops::MaxPool2D(mixed, 2, 2).data<float>()[0]));
+  ExpectNear(ops::MaxPool2DGrad(mixed, Tensor::FromVector({7}, Shape{1, 1, 1, 1}),
+                                2, 2),
+             {0, 0, 7, 0});
+}
+
+TEST(PoolTest, MaxPoolOfNegativeInfinityReadsNegativeInfinity) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor input = Tensor::FromVector({-inf, -inf, -inf, -inf},
+                                          Shape{1, 2, 2, 1});
+  EXPECT_EQ(ops::MaxPool2D(input, 2, 2).data<float>()[0], -inf);
+  ExpectNear(ops::MaxPool2DGrad(input, Tensor::FromVector({3}, Shape{1, 1, 1, 1}),
+                                2, 2),
+             {3, 0, 0, 0});
+}
+
 TEST(PoolTest, AvgPoolAveragesAndGradSpreads) {
   const Tensor input = Tensor::FromVector({2, 4, 6, 8}, Shape{1, 2, 2, 1});
   EXPECT_FLOAT_EQ(
