@@ -126,11 +126,12 @@ std::int64_t CompiledGraph::EstimateBytes() const {
 
 bool EntryValueMatches(const Value& actual, const Value& expected) {
   // Heap values and callables compare by identity; tensors are never entry
-  // expectations (they become captures); scalars compare by value.
+  // expectations (they become captures); scalars compare exactly, so 2 is
+  // not 2.0 and -0.0 is not 0.0.
   if (std::holds_alternative<Tensor>(expected)) {
     throw InternalError("tensors must be captures, not entry checks");
   }
-  return minipy::ValuesEqual(actual, expected);
+  return minipy::ValuesIdentical(actual, expected);
 }
 
 }  // namespace janus

@@ -1,12 +1,14 @@
 #include "core/generator.h"
 
 #include <algorithm>
+#include <deque>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "autodiff/gradients.h"
+#include "common/stack.h"
 #include "core/host_state.h"
 #include "frontend/builtins.h"
 #include "opt/passes.h"
@@ -20,6 +22,7 @@ using minipy::BoolOpKind;
 using minipy::CompareOp;
 using minipy::Expr;
 using minipy::ExprKind;
+using minipy::Flow;
 using minipy::Stmt;
 using minipy::StmtKind;
 using minipy::UnaryOp;
@@ -92,7 +95,8 @@ struct SymValue {
   bool IsNode() const { return kind == Kind::kNode; }
   bool IsList() const { return kind == Kind::kList; }
 
-  // Shallow identity, used to detect branch-local rebinding.
+  // Shallow identity, used to detect branch-local rebinding: a static value
+  // rebound to 2.0 from 2, or to -0.0 from 0.0, has changed.
   bool SameAs(const SymValue& other) const {
     if (kind != other.kind) return false;
     switch (kind) {
@@ -101,11 +105,21 @@ struct SymValue {
       case Kind::kList:
         return elements == other.elements;
       case Kind::kStatic:
-        return minipy::ValuesEqual(static_value, other.static_value);
+        return minipy::ValuesIdentical(static_value, other.static_value);
     }
     return false;
   }
 };
+
+// Whether two call arguments select the same generated function: a node
+// by its dtype and pointer flag, a static value exactly. A node's shape
+// stays out, as the function's Params bind the first caller's. A list
+// matches nothing: generated functions refuse list arguments.
+bool SameFunctionArg(const SymValue& a, const SymValue& b) {
+  if (a.kind != b.kind || a.IsList()) return false;
+  if (a.IsNode()) return a.dtype == b.dtype && a.is_pointer == b.is_pointer;
+  return minipy::ValuesIdentical(a.static_value, b.static_value);
+}
 
 // ---------------------------------------------------------------------------
 // Frames and scopes
@@ -158,12 +172,13 @@ struct Scope {
   }
 };
 
-// Control-flow signals during symbolic execution.
-struct GenReturn {
-  SymValue value;
-};
-struct GenBreak {};
-struct GenContinue {};
+// The statement that ended a block in `flow`, as refusals name it.
+std::string FlowStatement(Flow flow) {
+  JANUS_EXPECTS(flow != Flow::kNormal);
+  return flow == Flow::kReturn  ? "'return'"
+         : flow == Flow::kBreak ? "'break'"
+                                : "'continue'";
+}
 
 // Syntactically collects names assigned anywhere in a statement list
 // (loop-carried variable analysis).
@@ -218,24 +233,35 @@ struct GraphGenerator::Impl {
 
   // Root-graph ReadVariable nodes, one per variable name.
   std::map<std::string, NodeOutput> variable_reads;
-  // Generated GraphFunctions: signature -> name; plus in-progress set for
-  // recursion detection and post-patching of self-recursive Invoke sites.
-  std::map<std::string, std::string> fn_cache;
-  std::set<std::string> fn_generating;
-  // Self-recursive Invoke sites awaiting import-list completion, with the
-  // dynamic-branch gates that were active where the site sits (appended
+  // A self-recursive Invoke site awaiting its callee's import list, with
+  // the dynamic-branch gates that were active where the site sits (appended
   // inputs must be gated identically or dead/live tokens mismatch).
   struct PendingSite {
     Node* site;
     Graph* graph;
     std::vector<Gate> gates;
   };
-  std::map<std::string, std::vector<PendingSite>> pending_recursive_sites;
-  // For completed functions: their import sources (root-graph values) and
-  // result dtype.
-  std::map<std::string, std::vector<NodeOutput>> fn_import_sources;
-  std::map<std::string, DType> fn_result_dtype;
+  // A generated GraphFunction (the Invoke path), keyed by its callee's def
+  // or lambda and its arguments compared by SameFunctionArg.
+  struct GeneratedFunction {
+    const void* callee = nullptr;
+    std::vector<SymValue> args;
+    std::string name;
+    // While its body is generated, a call with the same key is recursive:
+    // its Invoke site waits in `pending_sites` for the import list.
+    bool generating = true;
+    std::vector<PendingSite> pending_sites;
+    // Once generated: the root-graph values it imports, and its result.
+    std::vector<NodeOutput> import_sources;
+    DType result_dtype = DType::kFloat32;
+  };
+  // The one function table of a compilation. A deque, so a record stays
+  // put while generating its body adds others.
+  std::deque<GeneratedFunction> functions;
   std::set<std::string> entry_check_seen;
+  // The value of the `return` whose Flow::kReturn is propagating to the
+  // code that runs the function body or joins a data-dependent branch.
+  SymValue returned;
   // Functions currently being inlined (recursion through inlining is
   // rerouted to InvokeOp).
   std::vector<const void*> inline_stack;
@@ -582,32 +608,31 @@ struct GraphGenerator::Impl {
   // Statements
   // =========================================================================
 
-  void ExecBlock(const std::vector<minipy::StmtPtr>& body, Frame& frame,
+  // Statements return how they ended, as the interpreter's do; a `return`
+  // leaves its value in `returned`.
+  Flow ExecBlock(const std::vector<minipy::StmtPtr>& body, Frame& frame,
                  Scope& scope) {
-    ExecStmts(body, 0, frame, scope);
+    return ExecStmts(body, 0, frame, scope);
   }
 
-  // Executes body[start..]; `if` statements get the remaining statements as
-  // their continuation so early-return patterns (`if c: return a` followed
-  // by more code) can lower to a Merge of both return values.
-  void ExecStmts(const std::vector<minipy::StmtPtr>& body, std::size_t start,
+  // Executes body[start..].
+  Flow ExecStmts(const std::vector<minipy::StmtPtr>& body, std::size_t start,
                  Frame& frame, Scope& scope) {
     for (std::size_t i = start; i < body.size(); ++i) {
-      const Stmt* stmt = body[i].get();
-      if (stmt->kind == StmtKind::kIf) {
-        SpendBudget();
-        // kIf at block level bypasses ExecStmt (it may consume the block's
-        // continuation), so establish its provenance scope here.
-        SourceSiteScope site_scope(CurrentFunctionName(), stmt->line,
-                                   stmt->id);
-        if (ExecIf(stmt, frame, scope, body, i + 1)) return;
-        continue;
+      if (const Flow flow = ExecStmt(body, i, frame, scope);
+          flow != Flow::kNormal) {
+        return flow;
       }
-      ExecStmt(stmt, frame, scope);
     }
+    return Flow::kNormal;
   }
 
-  void ExecStmt(const Stmt* stmt, Frame& frame, Scope& scope) {
+  // Executes block[i]. An `if` gets the rest of the block as its
+  // continuation so early-return patterns (`if c: return a` followed by
+  // more code) can lower to a Merge of both return values.
+  Flow ExecStmt(const std::vector<minipy::StmtPtr>& block, std::size_t i,
+                Frame& frame, Scope& scope) {
+    const Stmt* stmt = block[i].get();
     SpendBudget();
     // Every node materialised while converting this statement is stamped
     // with {function, line, stmt} via the ambient site (Graph::AddNode).
@@ -615,45 +640,41 @@ struct GraphGenerator::Impl {
     switch (stmt->kind) {
       case StmtKind::kExpr:
         Eval(stmt->value.get(), frame, scope);
-        return;
+        return Flow::kNormal;
       case StmtKind::kAssign:
         AssignTo(stmt->target.get(), Eval(stmt->value.get(), frame, scope),
                  frame, scope);
-        return;
+        return Flow::kNormal;
       case StmtKind::kAugAssign: {
         const SymValue current = Eval(stmt->target.get(), frame, scope);
         SymValue updated =
             Binary(stmt->aug_op, current,
                    Eval(stmt->value.get(), frame, scope), frame, stmt->line);
         AssignTo(stmt->target.get(), std::move(updated), frame, scope);
-        return;
+        return Flow::kNormal;
       }
-      case StmtKind::kIf: {
-        static const std::vector<minipy::StmtPtr> kNoContinuation;
-        ExecIf(stmt, frame, scope, kNoContinuation, 0);
-        return;
-      }
+      case StmtKind::kIf:
+        return ExecIf(stmt, frame, scope, block, i + 1);
       case StmtKind::kWhile:
-        ExecWhile(stmt, frame, scope);
-        return;
+        return ExecWhile(stmt, frame, scope);
       case StmtKind::kFor:
-        ExecFor(stmt, frame, scope);
-        return;
+        return ExecFor(stmt, frame, scope);
       case StmtKind::kReturn:
-        throw GenReturn{stmt->value != nullptr
-                            ? Eval(stmt->value.get(), frame, scope)
-                            : SymValue::Static(minipy::NoneType{})};
+        returned = stmt->value != nullptr
+                       ? Eval(stmt->value.get(), frame, scope)
+                       : SymValue::Static(minipy::NoneType{});
+        return Flow::kReturn;
       case StmtKind::kPass:
-        return;
+        return Flow::kNormal;
       case StmtKind::kBreak:
-        throw GenBreak{};
+        return Flow::kBreak;
       case StmtKind::kContinue:
-        throw GenContinue{};
+        return Flow::kContinue;
       case StmtKind::kGlobal:
         for (const std::string& name : stmt->globals) {
           scope.global_names.insert(name);
         }
-        return;
+        return Flow::kNormal;
       case StmtKind::kRaise:
         Refuse("line " + std::to_string(stmt->line) +
                ": 'raise' on a converted path (exceptions are "
@@ -666,6 +687,19 @@ struct GraphGenerator::Impl {
         Refuse("line " + std::to_string(stmt->line) +
                ": nested def/class definitions are imperative-only");
     }
+    throw InternalError("unhandled statement kind in generator");
+  }
+
+  // Runs a lambda's or a def's body, its parameters bound in `scope`, and
+  // returns the function's value: the lambda's expression, the value of the
+  // def's `return`, or None when the body ends without one.
+  SymValue RunBody(const minipy::FunctionValue& fn, Frame& frame,
+                   Scope& scope) {
+    if (fn.lambda != nullptr) return Eval(fn.lambda->left.get(), frame, scope);
+    if (ExecBlock(fn.def->body, frame, scope) == Flow::kReturn) {
+      return std::exchange(returned, SymValue{});
+    }
+    return SymValue::Static(minipy::NoneType{});
   }
 
   void AssignTo(const Expr* target, SymValue value, Frame& frame,
@@ -791,9 +825,9 @@ struct GraphGenerator::Impl {
 
   // ---- conditionals ----
 
-  // Returns true when the continuation (block[cont_start..]) was consumed
-  // inside a data-dependent branch join.
-  bool ExecIf(const Stmt* stmt, Frame& frame, Scope& scope,
+  // A data-dependent `if` that returns on one side only also consumes the
+  // continuation (block[cont_start..]) under the other side's gate.
+  Flow ExecIf(const Stmt* stmt, Frame& frame, Scope& scope,
               const std::vector<minipy::StmtPtr>& block,
               std::size_t cont_start) {
     const SymValue cond = Eval(stmt->value.get(), frame, scope);
@@ -806,8 +840,7 @@ struct GraphGenerator::Impl {
         const bool taken = cond.IsList()
                                ? !cond.elements->empty()
                                : minipy::Truthy(cond.static_value);
-        ExecBlock(taken ? stmt->body : stmt->else_body, frame, scope);
-        return false;
+        return ExecBlock(taken ? stmt->body : stmt->else_body, frame, scope);
       }
     }
     // Dynamic predicate. Speculate if profiled stable (§4.2.1).
@@ -833,13 +866,15 @@ struct GraphGenerator::Impl {
         out->runtime_assumptions.push_back(id);
         ++out->num_assert_ops;
       }
-      ExecBlock(taken ? stmt->body : stmt->else_body, frame, scope);
-      return false;
+      return ExecBlock(taken ? stmt->body : stmt->else_body, frame, scope);
     }
     return ExecDynamicIf(stmt, cond, frame, scope, block, cont_start);
   }
 
-  bool ExecDynamicIf(const Stmt* stmt, const SymValue& cond, Frame& frame,
+  // A `break` or `continue` under a data-dependent predicate would need a
+  // loop-carried flag; it is refused, in a branch and in the continuation
+  // of an early return alike.
+  Flow ExecDynamicIf(const Stmt* stmt, const SymValue& cond, Frame& frame,
                      Scope& scope,
                      const std::vector<minipy::StmtPtr>& block,
                      std::size_t cont_start) {
@@ -855,10 +890,12 @@ struct GraphGenerator::Impl {
       const auto saved = scope.vars;
       frame.gates.push_back(Gate{
           pred, side, static_cast<int>(frame.graph->num_nodes()) + 1});
-      try {
-        ExecBlock(body, frame, scope);
-      } catch (GenReturn& ret) {
-        outcome.returned = std::move(ret.value);
+      const Flow flow = ExecBlock(body, frame, scope);
+      if (flow == Flow::kReturn) {
+        outcome.returned = std::exchange(returned, SymValue{});
+      } else if (flow != Flow::kNormal) {
+        Refuse(FlowStatement(flow) +
+               " inside a data-dependent branch is imperative-only");
       }
       frame.gates.pop_back();
       outcome.vars = std::move(scope.vars);
@@ -881,8 +918,8 @@ struct GraphGenerator::Impl {
       ev = GateSide(frame, pred, false, ev);
       Node* merge = frame.graph->AddNode("Merge", {tv, ev}, {}, 2);
       JoinBranchEffects(frame, pred, first_id);
-      throw GenReturn{
-          SymValue::OfNode({merge, 0}, frame.graph, dt, ptr)};
+      returned = SymValue::OfNode({merge, 0}, frame.graph, dt, ptr);
+      return Flow::kReturn;
     }
     if (then_out.returned.has_value() || else_out.returned.has_value()) {
       // Early-return pattern: the non-returning side continues with the
@@ -897,31 +934,27 @@ struct GraphGenerator::Impl {
       frame.gates.push_back(Gate{
           pred, !then_returned,
           static_cast<int>(frame.graph->num_nodes()) + 1});
-      std::optional<SymValue> cont_return;
-      try {
-        ExecStmts(block, cont_start, frame, scope);
-      } catch (GenReturn& ret) {
-        cont_return = std::move(ret.value);
-      } catch (const GenBreak&) {
-        Refuse("'break' across a data-dependent branch join");
-      } catch (const GenContinue&) {
-        Refuse("'continue' across a data-dependent branch join");
-      }
+      const Flow cont = ExecStmts(block, cont_start, frame, scope);
       frame.gates.pop_back();
-      if (!cont_return.has_value()) {
+      if (cont == Flow::kBreak || cont == Flow::kContinue) {
+        Refuse(FlowStatement(cont) + " across a data-dependent branch join");
+      }
+      if (cont == Flow::kNormal) {
         Refuse("all paths after a data-dependent early return must return");
       }
+      const SymValue cont_return = std::exchange(returned, SymValue{});
       const NodeOutput rv = GateSide(frame, pred, then_returned,
                                      ToNode(frame, ret_value));
       DType dt = DType::kFloat32;
       bool ptr = false;
-      NodeOutput cv = ToNode(frame, *cont_return, std::nullopt, &dt, &ptr);
+      NodeOutput cv = ToNode(frame, cont_return, std::nullopt, &dt, &ptr);
       cv = GateSide(frame, pred, !then_returned, cv);
       Node* merge = then_returned
                         ? frame.graph->AddNode("Merge", {rv, cv}, {}, 2)
                         : frame.graph->AddNode("Merge", {cv, rv}, {}, 2);
       JoinBranchEffects(frame, pred, first_id);
-      throw GenReturn{SymValue::OfNode({merge, 0}, frame.graph, dt, ptr)};
+      returned = SymValue::OfNode({merge, 0}, frame.graph, dt, ptr);
+      return Flow::kReturn;
     }
 
     // Merge variables whose binding changed in either branch.
@@ -962,7 +995,7 @@ struct GraphGenerator::Impl {
           SymValue::OfNode({merge, 0}, frame.graph, dt_t, ptr_t);
     }
     JoinBranchEffects(frame, pred, first_id);
-    return false;
+    return Flow::kNormal;
   }
 
   // Joins the side nodes and state reads emitted under a dynamic branch
@@ -1012,36 +1045,42 @@ struct GraphGenerator::Impl {
 
   // ---- loops ----
 
-  void ExecStaticLoopBody(const Stmt* stmt, Frame& frame, Scope& scope,
-                          bool* broke) {
-    try {
-      ExecBlock(stmt->body, frame, scope);
-    } catch (const GenContinue&) {
-    } catch (const GenBreak&) {
-      *broke = true;
+  // Runs one iteration of a statically expanded loop and maps how its body
+  // ended to the loop's next step, for all seven such loops: nullopt goes
+  // on (kNormal, kContinue); otherwise the loop is left and the loop
+  // statement ends in the returned Flow, kNormal after a `break` (refused
+  // as `break_refusal` where the trip count is speculated) and kReturn
+  // after a `return`, which propagates at once.
+  std::optional<Flow> ExecIteration(const Stmt* loop, Frame& frame,
+                                    Scope& scope,
+                                    const char* break_refusal = nullptr) {
+    switch (ExecBlock(loop->body, frame, scope)) {
+      case Flow::kNormal:
+      case Flow::kContinue:
+        return std::nullopt;
+      case Flow::kBreak:
+        if (break_refusal != nullptr) Refuse(break_refusal);
+        return Flow::kNormal;
+      case Flow::kReturn:
+        return Flow::kReturn;
     }
+    return std::nullopt;
   }
 
-  void ExecWhile(const Stmt* stmt, Frame& frame, Scope& scope) {
+  Flow ExecWhile(const Stmt* stmt, Frame& frame, Scope& scope) {
     // Try fully-static evaluation first (condition statically decidable).
-    {
-      const SymValue cond = Eval(stmt->value.get(), frame, scope);
-      if (cond.IsStatic() || cond.IsList()) {
-        bool broke = false;
-        SymValue c = cond;
-        while (!broke) {
-          const bool truthy = c.IsList() ? !c.elements->empty()
-                                         : minipy::Truthy(c.static_value);
-          if (!truthy) break;
-          SpendBudget();
-          ExecStaticLoopBody(stmt, frame, scope, &broke);
-          c = Eval(stmt->value.get(), frame, scope);
-          if (!c.IsStatic() && !c.IsList()) {
-            Refuse("while condition turned dynamic mid-loop");
-          }
+    SymValue c = Eval(stmt->value.get(), frame, scope);
+    if (c.IsStatic() || c.IsList()) {
+      while (c.IsList() ? !c.elements->empty()
+                        : minipy::Truthy(c.static_value)) {
+        SpendBudget();
+        if (const auto exit = ExecIteration(stmt, frame, scope)) return *exit;
+        c = Eval(stmt->value.get(), frame, scope);
+        if (!c.IsStatic() && !c.IsList()) {
+          Refuse("while condition turned dynamic mid-loop");
         }
-        return;
       }
+      return Flow::kNormal;
     }
     const std::string id = "loop:stmt" + std::to_string(stmt->id);
     const LoopProfile* profile = prof->loop(stmt);
@@ -1065,9 +1104,11 @@ struct GraphGenerator::Impl {
           frame.side_nodes.push_back(check);
           ++out->num_assert_ops;
         }
-        bool broke = false;
-        ExecStaticLoopBody(stmt, frame, scope, &broke);
-        if (broke) Refuse("'break' in a speculatively unrolled while loop");
+        if (const auto exit = ExecIteration(
+                stmt, frame, scope,
+                "'break' in a speculatively unrolled while loop")) {
+          return *exit;
+        }
       }
       if (opt.insert_assertions) {
         const NodeOutput pred =
@@ -1082,12 +1123,13 @@ struct GraphGenerator::Impl {
         frame.side_nodes.push_back(done);
         ++out->num_assert_ops;
       }
-      return;
+      return Flow::kNormal;
     }
     EmitFunctionalLoop(stmt, frame, scope, /*for_range=*/false, {});
+    return Flow::kNormal;
   }
 
-  void ExecFor(const Stmt* stmt, Frame& frame, Scope& scope) {
+  Flow ExecFor(const Stmt* stmt, Frame& frame, Scope& scope) {
     const std::string& var = stmt->target->str_value;
     // `for i in range(...)` gets dedicated handling so dynamic bounds work.
     const Expr* iter = stmt->value.get();
@@ -1099,21 +1141,18 @@ struct GraphGenerator::Impl {
       for (const auto& arg : iter->elements) {
         bounds.push_back(Eval(arg.get(), frame, scope));
       }
-      ExecForRange(stmt, var, bounds, frame, scope);
-      return;
+      return ExecForRange(stmt, var, bounds, frame, scope);
     }
     const SymValue iterable = Eval(iter, frame, scope);
     if (iterable.IsList()) {
       // Data-structure iteration: statically expanded in all modes.
       const std::vector<SymValue> snapshot = *iterable.elements;
-      bool broke = false;
       for (const SymValue& item : snapshot) {
-        if (broke) break;
         SpendBudget();
         scope.vars[var] = item;
-        ExecStaticLoopBody(stmt, frame, scope, &broke);
+        if (const auto exit = ExecIteration(stmt, frame, scope)) return *exit;
       }
-      return;
+      return Flow::kNormal;
     }
     if (iterable.IsStatic()) {
       if (const auto* list = std::get_if<std::shared_ptr<minipy::ListValue>>(
@@ -1125,17 +1164,18 @@ struct GraphGenerator::Impl {
         if (!iterable.origin.has_value()) {
           Refuse("cannot iterate a heap list of unknown provenance");
         }
-        bool broke = false;
-        for (std::int64_t i = 0; i < n && !broke; ++i) {
+        for (std::int64_t i = 0; i < n; ++i) {
           SpendBudget();
           ContextRef ref = *iterable.origin;
           ref.steps.push_back(ContextRef::Step{false, "", i});
           scope.vars[var] =
               Capture(ref, (*list)->items[static_cast<std::size_t>(i)],
                       nullptr);
-          ExecStaticLoopBody(stmt, frame, scope, &broke);
+          if (const auto exit = ExecIteration(stmt, frame, scope)) {
+            return *exit;
+          }
         }
-        return;
+        return Flow::kNormal;
       }
       Refuse("cannot iterate a " +
              std::string(minipy::ValueTypeName(iterable.static_value)) +
@@ -1148,18 +1188,17 @@ struct GraphGenerator::Impl {
         Refuse("iterating a tensor with unknown leading dimension");
       }
       const std::int64_t n = *iterable.shape.dims()[0];
-      bool broke = false;
-      for (std::int64_t i = 0; i < n && !broke; ++i) {
+      for (std::int64_t i = 0; i < n; ++i) {
         SpendBudget();
         scope.vars[var] = TensorIndexStatic(frame, iterable, i);
-        ExecStaticLoopBody(stmt, frame, scope, &broke);
+        if (const auto exit = ExecIteration(stmt, frame, scope)) return *exit;
       }
-      return;
+      return Flow::kNormal;
     }
     Refuse("unsupported for-loop iterable");
   }
 
-  void ExecForRange(const Stmt* stmt, const std::string& var,
+  Flow ExecForRange(const Stmt* stmt, const std::string& var,
                     const std::vector<SymValue>& bounds, Frame& frame,
                     Scope& scope) {
     SymValue lo = SymValue::Static(std::int64_t{0});
@@ -1175,12 +1214,15 @@ struct GraphGenerator::Impl {
       hi = bounds[1];
       if (bounds.size() == 3) step = bounds[2];
     }
+    // A static bound is an int or a bool, as for the interpreter's range().
     const auto static_int = [](const SymValue& s) -> std::optional<std::int64_t> {
       if (!s.IsStatic()) return std::nullopt;
       if (const auto* i = std::get_if<std::int64_t>(&s.static_value)) {
         return *i;
       }
-      return std::nullopt;
+      if (const auto* b = std::get_if<bool>(&s.static_value)) return *b;
+      Refuse(std::string("range: expected an int, got ") +
+             minipy::ValueTypeName(s.static_value));
     };
     const auto lo_i = static_int(lo);
     const auto hi_i = static_int(hi);
@@ -1190,15 +1232,14 @@ struct GraphGenerator::Impl {
     if (lo_i.has_value() && hi_i.has_value()) {
       // Fully static bounds: plain expansion (program structure, not a
       // speculative assumption).
-      bool broke = false;
       if (*step_i == 0) Refuse("range() step must not be zero");
-      for (std::int64_t i = *lo_i;
-           (*step_i > 0 ? i < *hi_i : i > *hi_i) && !broke; i += *step_i) {
+      for (std::int64_t i = *lo_i; *step_i > 0 ? i < *hi_i : i > *hi_i;
+           i += *step_i) {
         SpendBudget();
         scope.vars[var] = SymValue::Static(i);
-        ExecStaticLoopBody(stmt, frame, scope, &broke);
+        if (const auto exit = ExecIteration(stmt, frame, scope)) return *exit;
       }
-      return;
+      return Flow::kNormal;
     }
     // Dynamic bound: speculative unroll with a trip-count assertion, or a
     // functional While loop.
@@ -1224,17 +1265,20 @@ struct GraphGenerator::Impl {
         out->runtime_assumptions.push_back(id);
         ++out->num_assert_ops;
       }
-      bool broke = false;
-      for (std::int64_t k = 0; k < trips && !broke; ++k) {
+      for (std::int64_t k = 0; k < trips; ++k) {
         SpendBudget();
         scope.vars[var] = SymValue::Static(*lo_i + k);
-        ExecStaticLoopBody(stmt, frame, scope, &broke);
+        if (const auto exit = ExecIteration(
+                stmt, frame, scope,
+                "'break' in a speculatively unrolled for loop")) {
+          return *exit;
+        }
       }
-      if (broke) Refuse("'break' in a speculatively unrolled for loop");
-      return;
+      return Flow::kNormal;
     }
     EmitFunctionalLoop(stmt, frame, scope, /*for_range=*/true,
                        {lo, hi, step});
+    return Flow::kNormal;
   }
 
   // Lowers a loop with a data-dependent bound into a functional While op
@@ -1277,6 +1321,10 @@ struct GraphGenerator::Impl {
 
   SymValue Eval(const Expr* expr, Frame& frame, Scope& scope) {
     SpendBudget();
+    // Expressions nest the generator's frames, and so do the statements and
+    // functions they reach: Invoke generation goes as deep as a statically
+    // keyed recursion. Near the end of the stack the imperative run decides.
+    if (StackNearlyExhausted()) Refuse("maximum recursion depth exceeded");
     switch (expr->kind) {
       case ExprKind::kIntLit:
         return SymValue::Static(expr->int_value);
@@ -1544,6 +1592,7 @@ struct GraphGenerator::Impl {
   SymValue InlineCall(const std::shared_ptr<minipy::FunctionValue>& fn,
                       std::vector<SymValue> args, Frame& frame);
   SymValue InvokeCall(const std::shared_ptr<minipy::FunctionValue>& fn,
+                      const void* callee, GeneratedFunction* generated,
                       std::vector<SymValue> args, Frame& frame);
 
   SymValue EvalAttribute(const Expr* expr, Frame& frame, Scope& scope);
@@ -1553,12 +1602,20 @@ struct GraphGenerator::Impl {
                            DType dtype);
 
   // ---- function-graph generation (Invoke path) ----
-  std::string FunctionSignature(
-      const std::shared_ptr<minipy::FunctionValue>& fn,
+  GeneratedFunction* FindFunction(const void* callee,
+                                  const std::vector<SymValue>& args) {
+    for (GeneratedFunction& generated : functions) {
+      if (generated.callee == callee &&
+          std::equal(generated.args.begin(), generated.args.end(),
+                     args.begin(), args.end(), SameFunctionArg)) {
+        return &generated;
+      }
+    }
+    return nullptr;
+  }
+  GeneratedFunction& GenerateFunctionGraph(
+      const std::shared_ptr<minipy::FunctionValue>& fn, const void* callee,
       const std::vector<SymValue>& args);
-  std::string GenerateFunctionGraph(
-      const std::shared_ptr<minipy::FunctionValue>& fn,
-      const std::vector<SymValue>& args, Frame& frame);
 
   // ---- compilation driver ----
   std::unique_ptr<CompiledGraph> Compile(
@@ -1651,20 +1708,20 @@ SymValue GraphGenerator::Impl::EvalUserCall(
       }
     }
   }
-  const std::string signature = FunctionSignature(fn, args);
-  const void* def_key = fn->def != nullptr
-                            ? static_cast<const void*>(fn->def)
-                            : static_cast<const void*>(fn->lambda);
-  const bool in_progress = fn_generating.count(signature) != 0u;
+  const void* callee = fn->def != nullptr
+                           ? static_cast<const void*>(fn->def)
+                           : static_cast<const void*>(fn->lambda);
+  GeneratedFunction* generated = FindFunction(callee, args);
+  const bool in_progress = generated != nullptr && generated->generating;
   const bool inlining_recursively =
-      std::find(inline_stack.begin(), inline_stack.end(), def_key) !=
+      std::find(inline_stack.begin(), inline_stack.end(), callee) !=
       inline_stack.end();
   if (!opt.speculative_unroll || in_progress || inlining_recursively) {
     // BASE mode, or recursion: call through InvokeOp.
-    return InvokeCall(fn, std::move(args), frame);
+    return InvokeCall(fn, callee, generated, std::move(args), frame);
   }
   if (depth >= opt.max_inline_depth) Refuse("inline depth limit exceeded");
-  inline_stack.push_back(def_key);
+  inline_stack.push_back(callee);
   struct StackGuard {
     std::vector<const void*>* stack;
     ~StackGuard() { stack->pop_back(); }
@@ -1677,14 +1734,6 @@ SymValue GraphGenerator::Impl::InlineCall(
     std::vector<SymValue> args, Frame& frame) {
   Scope scope;
   scope.closure = fn->closure;
-  const auto bind = [&](const std::vector<std::string>& params) {
-    if (args.size() != params.size()) {
-      Refuse("call to " + fn->qualified_name + ": arity mismatch");
-    }
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      scope.vars[params[i]] = std::move(args[i]);
-    }
-  };
   ++depth;
   struct DepthGuard {
     int* d;
@@ -1692,44 +1741,29 @@ SymValue GraphGenerator::Impl::InlineCall(
   } guard{&depth};
   fn_name_stack.push_back(fn->qualified_name);
   FnNameGuard name_guard{&fn_name_stack};
-  if (fn->lambda != nullptr) {
-    bind(fn->lambda->params);
-    SourceSiteScope site_scope(fn->qualified_name, fn->lambda->line);
-    return Eval(fn->lambda->left.get(), frame, scope);
+  const std::vector<std::string>& params =
+      fn->lambda != nullptr ? fn->lambda->params : fn->def->params;
+  if (args.size() != params.size()) {
+    Refuse("call to " + fn->qualified_name + ": arity mismatch");
   }
-  bind(fn->def->params);
-  try {
-    ExecBlock(fn->def->body, frame, scope);
-  } catch (GenReturn& ret) {
-    return std::move(ret.value);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    scope.vars[params[i]] = std::move(args[i]);
   }
-  return SymValue::Static(minipy::NoneType{});
+  // A lambda body is one expression with no statement of its own, so its
+  // nodes attribute to the lambda; a def's statements stamp their own.
+  SourceSiteScope site_scope(
+      fn->qualified_name,
+      fn->lambda != nullptr ? fn->lambda->line : fn->def->line);
+  return RunBody(*fn, frame, scope);
 }
 
-std::string GraphGenerator::Impl::FunctionSignature(
-    const std::shared_ptr<minipy::FunctionValue>& fn,
-    const std::vector<SymValue>& args) {
-  std::ostringstream oss;
-  oss << static_cast<const void*>(fn->def != nullptr
-                                      ? static_cast<const void*>(fn->def)
-                                      : static_cast<const void*>(fn->lambda));
-  for (const SymValue& arg : args) {
-    if (arg.IsNode()) {
-      oss << "|n" << static_cast<int>(arg.dtype) << (arg.is_pointer ? "p" : "");
-    } else if (arg.IsList()) {
-      oss << "|l" << arg.elements->size();
-    } else {
-      oss << "|s" << minipy::ValueToString(arg.static_value);
-    }
-  }
-  return oss.str();
-}
-
+// `generated` is the callee's table record for these arguments, if any.
 SymValue GraphGenerator::Impl::InvokeCall(
-    const std::shared_ptr<minipy::FunctionValue>& fn,
-    std::vector<SymValue> args, Frame& frame) {
-  const std::string signature = FunctionSignature(fn, args);
-  const std::string name = GenerateFunctionGraph(fn, args, frame);
+    const std::shared_ptr<minipy::FunctionValue>& fn, const void* callee,
+    GeneratedFunction* generated, std::vector<SymValue> args, Frame& frame) {
+  GeneratedFunction& target = generated != nullptr
+                                  ? *generated
+                                  : GenerateFunctionGraph(fn, callee, args);
   // Node inputs: the node-kind args, then the callee's imports (its root
   // sources, brought into this frame).
   std::vector<NodeOutput> inputs;
@@ -1737,43 +1771,39 @@ SymValue GraphGenerator::Impl::InvokeCall(
     if (arg.IsNode()) inputs.push_back(ToNode(frame, arg));
     if (arg.IsList()) Refuse("list arguments to non-inlined calls");
   }
-  Node* call = AddOp(frame, "Invoke", inputs, {{"function", name}}, 1);
-  if (fn_generating.count(signature) != 0u) {
+  Node* call = AddOp(frame, "Invoke", inputs, {{"function", target.name}}, 1);
+  if (target.generating) {
     // Recursive site: the callee's import list may still grow; patch later.
-    pending_recursive_sites[signature].push_back(
+    target.pending_sites.push_back(
         PendingSite{call, frame.graph, frame.gates});
   } else {
     // Append import sources (root-graph values) lifted into this frame.
-    for (const NodeOutput& src : fn_import_sources.at(name)) {
+    for (const NodeOutput& src : target.import_sources) {
       SymValue root_sym = SymValue::OfNode(src, root->graph, DType::kFloat32);
       call->AppendInput(ApplyGates(frame, ImportValue(frame, root_sym)));
     }
   }
-  const auto dtype_it = fn_result_dtype.find(name);
-  return SymValue::OfNode(
-      {call, 0}, frame.graph,
-      dtype_it != fn_result_dtype.end() ? dtype_it->second : DType::kFloat32,
-      false);
+  // A recursive site reads float32: its callee's result is not known yet.
+  return SymValue::OfNode({call, 0}, frame.graph, target.result_dtype,
+                          false);
 }
 
 // Builds (or reuses) the GraphFunction for a call target: node-kind
 // arguments become Params, static arguments are baked in, and imports of
 // root-graph values append extra Params (Jeong et al.'s InvokeOp bodies).
-std::string GraphGenerator::Impl::GenerateFunctionGraph(
-    const std::shared_ptr<minipy::FunctionValue>& fn,
-    const std::vector<SymValue>& args, Frame& /*frame*/) {
-  const std::string signature = FunctionSignature(fn, args);
-  const auto cached = fn_cache.find(signature);
-  if (cached != fn_cache.end()) return cached->second;
-
-  const std::string name = Fresh("fn_" + SanitizeName(fn->qualified_name));
-  fn_cache.emplace(signature, name);
-  fn_generating.insert(signature);
+GraphGenerator::Impl::GeneratedFunction&
+GraphGenerator::Impl::GenerateFunctionGraph(
+    const std::shared_ptr<minipy::FunctionValue>& fn, const void* callee,
+    const std::vector<SymValue>& args) {
+  GeneratedFunction& generated = functions.emplace_back();
+  generated.callee = callee;
+  generated.args = args;
+  generated.name = Fresh("fn_" + SanitizeName(fn->qualified_name));
 
   auto gf = std::make_unique<GraphFunction>();
-  gf->name = name;
+  gf->name = generated.name;
   out->library->Register(std::move(gf));
-  GraphFunction& registered = out->library->LookupMutable(name);
+  GraphFunction& registered = out->library->LookupMutable(generated.name);
 
   fn_name_stack.push_back(fn->qualified_name);
   FnNameGuard name_guard{&fn_name_stack};
@@ -1791,15 +1821,9 @@ std::string GraphGenerator::Impl::GenerateFunctionGraph(
 
   Scope scope;
   scope.closure = fn->closure;
-  const std::vector<std::string>* params = nullptr;
-  const Expr* lambda_body = nullptr;
-  if (fn->lambda != nullptr) {
-    params = &fn->lambda->params;
-    lambda_body = fn->lambda->left.get();
-  } else {
-    params = &fn->def->params;
-  }
-  if (args.size() != params->size()) {
+  const std::vector<std::string>& params =
+      fn->lambda != nullptr ? fn->lambda->params : fn->def->params;
+  if (args.size() != params.size()) {
     Refuse("call to " + fn->qualified_name + ": arity mismatch");
   }
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -1810,26 +1834,17 @@ std::string GraphGenerator::Impl::GenerateFunctionGraph(
           {{"index",
             static_cast<std::int64_t>(registered.parameters.size())}});
       registered.parameters.push_back(param);
-      scope.vars[(*params)[i]] = SymValue::OfNode(
+      scope.vars[params[i]] = SymValue::OfNode(
           {param, 0}, &registered.graph, arg.dtype, arg.is_pointer,
           arg.shape);
     } else if (arg.IsList()) {
       Refuse("list arguments to non-inlined calls");
     } else {
-      scope.vars[(*params)[i]] = arg;  // baked static
+      scope.vars[params[i]] = arg;  // baked static
     }
   }
 
-  SymValue result = SymValue::Static(minipy::NoneType{});
-  if (lambda_body != nullptr) {
-    result = Eval(lambda_body, fn_frame, scope);
-  } else {
-    try {
-      ExecBlock(fn->def->body, fn_frame, scope);
-    } catch (GenReturn& ret) {
-      result = std::move(ret.value);
-    }
-  }
+  const SymValue result = RunBody(*fn, fn_frame, scope);
   DType result_dt = DType::kFloat32;
   bool result_ptr = false;
   NodeOutput result_node =
@@ -1839,18 +1854,17 @@ std::string GraphGenerator::Impl::GenerateFunctionGraph(
   for (Node* side : fn_frame.side_nodes) wrapped->AddControlInput(side);
   registered.results = {{wrapped, 0}};
 
-  fn_generating.erase(signature);
-  fn_import_sources[name] = fn_frame.import_sources;
-  fn_result_dtype[name] = result_dt;
+  generated.generating = false;
+  generated.import_sources = fn_frame.import_sources;
+  generated.result_dtype = result_dt;
 
   // Patch self-recursive Invoke sites: they were created before the import
   // list was complete. Their missing inputs are this function's own import
   // Params (a recursive activation forwards its imports unchanged).
-  const auto pending = pending_recursive_sites.find(signature);
-  if (pending != pending_recursive_sites.end()) {
+  if (!generated.pending_sites.empty()) {
     const int num_arg_params = static_cast<int>(
         registered.parameters.size() - fn_frame.import_sources.size());
-    for (const PendingSite& ps : pending->second) {
+    for (const PendingSite& ps : generated.pending_sites) {
       if (ps.graph != &registered.graph) {
         Refuse("recursive call from a nested loop body is not supported");
       }
@@ -1869,9 +1883,9 @@ std::string GraphGenerator::Impl::GenerateFunctionGraph(
         ps.site->AppendInput(v);
       }
     }
-    pending_recursive_sites.erase(pending);
+    generated.pending_sites.clear();
   }
-  return name;
+  return generated;
 }
 
 // ===========================================================================
@@ -1952,16 +1966,7 @@ void GraphGenerator::Impl::EmitFunctionalLoop(
             {param, 0}, &gf.graph, carried_dtypes[ci], carried_ptrs[ci]);
       }
     }
-    std::vector<NodeOutput> results;
-    try {
-      results = emit(loop_frame, loop_scope);
-    } catch (const GenReturn&) {
-      Refuse("'return' inside a data-dependent loop is imperative-only");
-    } catch (const GenBreak&) {
-      Refuse("'break' inside a data-dependent loop is imperative-only");
-    } catch (const GenContinue&) {
-      Refuse("'continue' inside a data-dependent loop is imperative-only");
-    }
+    std::vector<NodeOutput> results = emit(loop_frame, loop_scope);
     // Anchor side nodes onto the first result.
     JANUS_EXPECTS(!results.empty());
     Node* wrapped = gf.graph.AddNode("Identity", {results[0]});
@@ -1987,7 +1992,13 @@ void GraphGenerator::Impl::EmitFunctionalLoop(
 
   // Body: executes the statements once; results are the updated carrieds.
   const auto body_imports = build(body_fn, [&](Frame& lf, Scope& ls) {
-    ExecBlock(stmt->body, lf, ls);
+    // The While op runs the whole body on every trip; nothing lowers a
+    // statement that leaves it early.
+    if (const Flow flow = ExecBlock(stmt->body, lf, ls);
+        flow != Flow::kNormal) {
+      Refuse(FlowStatement(flow) +
+             " inside a data-dependent loop is imperative-only");
+    }
     std::vector<NodeOutput> results;
     if (for_range) {
       // counter + step
@@ -2608,11 +2619,7 @@ std::unique_ptr<CompiledGraph> GraphGenerator::Impl::Compile(
   // Reset per-compilation state.
   hints = compile_hints;
   variable_reads.clear();
-  fn_cache.clear();
-  fn_generating.clear();
-  pending_recursive_sites.clear();
-  fn_import_sources.clear();
-  fn_result_dtype.clear();
+  functions.clear();
   entry_check_seen.clear();
   trace_attrs.clear();
   fresh_counter = 0;
@@ -2662,16 +2669,7 @@ std::unique_ptr<CompiledGraph> GraphGenerator::Impl::Compile(
     scope.vars[params[i]] = Capture(ref, args[i], profile);
   }
 
-  SymValue result = SymValue::Static(minipy::NoneType{});
-  if (fn->lambda != nullptr) {
-    result = Eval(fn->lambda->left.get(), root_frame, scope);
-  } else {
-    try {
-      ExecBlock(fn->def->body, root_frame, scope);
-    } catch (GenReturn& ret) {
-      result = std::move(ret.value);
-    }
-  }
+  const SymValue result = RunBody(*fn, root_frame, scope);
   DType result_dt = DType::kFloat32;
   const NodeOutput result_node =
       ToNode(root_frame, result, std::nullopt, &result_dt);

@@ -94,6 +94,12 @@ enum class StmtKind {
   kPass, kBreak, kContinue, kGlobal, kRaise, kTry,
 };
 
+// How a statement or block ended, for the interpreter and the graph
+// generator alike. The parser admits `return` only inside a function and
+// `break`/`continue` only inside a loop, so a function body ends in kNormal
+// or kReturn and a module in kNormal.
+enum class Flow { kNormal, kReturn, kBreak, kContinue };
+
 struct Stmt {
   StmtKind kind;
   int id = 0;

@@ -6,17 +6,13 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/stack.h"
 #include "frontend/parser.h"
 #include "graph/source_site.h"
 #include "tensor/ops.h"
 
 namespace janus::minipy {
 namespace {
-
-// How a statement or block ended. The parser admits `return` only inside a
-// function and `break`/`continue` only inside a loop, so a function body
-// ends in kNormal or kReturn and a module in kNormal.
-enum class Flow { kNormal, kReturn, kBreak, kContinue };
 
 [[noreturn]] void Fail(int line, const std::string& message) {
   throw MiniPyError("line " + std::to_string(line) + ": " + message);
@@ -633,6 +629,10 @@ void Interpreter::SetGlobal(const std::string& name, Value value) {
 
 Value Interpreter::CallFunction(const std::shared_ptr<FunctionValue>& fn,
                                 std::vector<Value> args) {
+  // A MiniPy error, so `try`/`except` can catch it and the session lives on.
+  if (StackNearlyExhausted()) {
+    throw MiniPyError("maximum recursion depth exceeded");
+  }
   if (interceptor_ != nullptr) {
     Value result;
     if (interceptor_->MaybeIntercept(fn, args, &result)) return result;

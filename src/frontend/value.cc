@@ -1,5 +1,6 @@
 #include "frontend/value.h"
 
+#include <bit>
 #include <sstream>
 
 #include "common/error.h"
@@ -169,6 +170,15 @@ bool ValuesEqual(const Value& a, const Value& b) {
            static_cast<double>(std::get<std::int64_t>(b));
   }
   if (a.index() != b.index()) return false;
+  return std::visit(detail_equal::EqualVisitor{b}, a);
+}
+
+bool ValuesIdentical(const Value& a, const Value& b) {
+  if (a.index() != b.index()) return false;
+  if (const auto* d = std::get_if<double>(&a)) {
+    return std::bit_cast<std::uint64_t>(*d) ==
+           std::bit_cast<std::uint64_t>(std::get<double>(b));
+  }
   return std::visit(detail_equal::EqualVisitor{b}, a);
 }
 

@@ -149,7 +149,14 @@ class Environment : public std::enable_shared_from_this<Environment> {
 const char* ValueTypeName(const Value& value);
 bool Truthy(const Value& value);
 std::string ValueToString(const Value& value);
+// MiniPy `==` and `in`: an int equals the float of the same value, and
+// doubles compare by value (so -0.0 == 0.0 and NaN != NaN).
 bool ValuesEqual(const Value& a, const Value& b);
+// Whether `a` may stand for `b` in a generated graph (entry checks, branch
+// rebinding, generated-function keys): the same alternative, doubles by
+// their bits, tensors by dtype, shape and bytes, heap values and callables
+// by identity.
+bool ValuesIdentical(const Value& a, const Value& b);
 
 template <typename T>
 bool Is(const Value& v) {

@@ -6,6 +6,7 @@
 #include <chrono>
 
 #include "common/logging.h"
+#include "common/stack.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "tensor/buffer_pool.h"
@@ -119,7 +120,11 @@ std::vector<Tensor> Executor::RunFunction(RunContext& run,
                                           const ExecutionPlan& plan,
                                           std::span<const Tensor> args) {
   // Nested runs execute inline on the calling thread (never on the pool) to
-  // avoid pool-thread starvation; see header comment.
+  // avoid pool-thread starvation; see header comment. Too deep a nesting
+  // fails the run, and the engine falls back with nothing committed.
+  if (StackNearlyExhausted()) {
+    throw Error("maximum recursion depth exceeded in a nested graph function");
+  }
   return internal::ExecuteDag(run, plan, args, /*parallel=*/false);
 }
 

@@ -261,6 +261,31 @@ result = fib(10)
 // A `return` outside a function, or a `break`/`continue` outside a loop,
 // used to escape Interpreter::Run as an uncaught C++ exception and abort
 // the process. A def body starts outside any loop.
+// Runaway recursion raises a MiniPy error near the end of the stack, where
+// it used to overflow it; `except` catches it, and the interpreter runs the
+// next program.
+TEST_F(FrontendTest, RunawayRecursionRaisesAndTheSessionLivesOn) {
+  interp_.Run("def g(n):\n    return g(n + 1)\n");
+  try {
+    interp_.Run("g(0)\n");
+    ADD_FAILURE() << "g(0) returned";
+  } catch (const MiniPyError& error) {
+    EXPECT_STREQ(error.what(), "maximum recursion depth exceeded");
+  }
+  EXPECT_EQ(std::get<std::string>(RunAndGet(R"(
+caught = ''
+try:
+    g(0)
+except Exception as e:
+    caught = e
+)", "caught")),
+            "maximum recursion depth exceeded");
+  EXPECT_EQ(Num(RunAndGet("def h(n):\n    if n == 0:\n        return 0\n"
+                          "    return 1 + h(n - 1)\nr = h(50)\n",
+                          "r")),
+            50);
+}
+
 TEST_F(FrontendTest, StrayControlStatementsAreParseErrors) {
   const char* const sources[] = {
       "return 1\n",

@@ -869,5 +869,385 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.label);
     });
 
+// Converted control statements, generated-function keys and exact value
+// identity. A case defines `f` and may define `call(k)`, the k-th of 12
+// calls; the default passes `arg(k)`, whose sign alternates, so every
+// data-dependent branch below flips from call to call. Every call must
+// return the interpreter's bits or raise its error, no call may fall back,
+// and the engine must reach the case's outcome.
+enum class Outcome {
+  kGraph,    // graphs ran
+  kRefused,  // refused before anything was generated
+};
+
+struct ControlCase {
+  const char* label;
+  const char* program;
+  Outcome outcome;
+  bool base;  // Fig. 7 BASE: every user call becomes an Invoke
+};
+
+void PrintTo(const ControlCase& param, std::ostream* os) {
+  *os << param.label;
+}
+
+class ControlStatementTest
+    : public JanusTest,
+      public ::testing::WithParamInterface<ControlCase> {};
+
+TEST_P(ControlStatementTest, MatchesImperativeMode) {
+  const ControlCase& param = GetParam();
+  const std::string program = std::string(R"(
+def arg(k):
+    if k % 2 == 1:
+        return constant([-1.0 - k])
+    return constant([1.0 + k])
+
+def call(k):
+    return f(arg(k))
+
+)") + param.program + R"(
+out = []
+for k in range(12):
+    out.append(call(k))
+)";
+  EngineOptions options;
+  options.generator.speculative_unroll = !param.base;
+  Session imperative(EngineOptions::ImperativePreset());
+  Session janus(options);
+  imperative.interp.Run(program);
+  janus.interp.Run(program);
+  const auto want = std::get<std::shared_ptr<minipy::ListValue>>(
+      imperative.interp.GetGlobal("out"));
+  const auto got = std::get<std::shared_ptr<minipy::ListValue>>(
+      janus.interp.GetGlobal("out"));
+  ASSERT_EQ(want->items.size(), 12u);
+  ASSERT_EQ(got->items.size(), 12u);
+  for (std::size_t i = 0; i < 12; ++i) {
+    if (const auto* error = std::get_if<std::string>(&want->items[i])) {
+      const auto* got_error = std::get_if<std::string>(&got->items[i]);
+      ASSERT_NE(got_error, nullptr) << "call " << i;
+      EXPECT_EQ(*got_error, *error) << "call " << i;
+      continue;
+    }
+    const Tensor expected = AsTensor(want->items[i]);
+    const Tensor actual = AsTensor(got->items[i]);
+    EXPECT_TRUE(actual.ElementsEqual(expected))
+        << "call " << i << ": " << actual.ToString() << " vs "
+        << expected.ToString();
+  }
+  const EngineStats stats = janus.engine.stats();
+  EXPECT_EQ(stats.fallbacks, 0);
+  if (param.outcome == Outcome::kGraph) {
+    EXPECT_GT(stats.graph_executions, 0);
+  } else {
+    EXPECT_GE(stats.not_convertible, 1);
+    EXPECT_EQ(stats.graph_generations, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Statements, ControlStatementTest,
+    ::testing::Values(
+        // Statically expanded loops left or resumed by a static condition.
+        ControlCase{"break_in_static_range", R"(
+def f(x):
+    s = x
+    for i in range(5):
+        if i == 3:
+            break
+        s = s * 2.0
+    return reduce_sum(s)
+f = janus_function(f)
+)", Outcome::kGraph, false},
+        ControlCase{"continue_in_static_range", R"(
+def f(x):
+    s = x
+    for i in range(5):
+        if i == 2:
+            continue
+        s = s + x * i
+    return reduce_sum(s)
+f = janus_function(f)
+)", Outcome::kGraph, false},
+        ControlCase{"break_in_list_loop", R"(
+def f(x):
+    s = x
+    for c in [1.5, 2.0, 3.0, 4.0]:
+        if c > 2.5:
+            break
+        s = s * c
+    return reduce_sum(s)
+f = janus_function(f)
+)", Outcome::kGraph, false},
+        ControlCase{"continue_in_list_loop", R"(
+def f(x):
+    s = x
+    for c in [1.5, 2.0, 3.0, 4.0]:
+        if c == 2.0:
+            continue
+        s = s * c
+    return reduce_sum(s)
+f = janus_function(f)
+)", Outcome::kGraph, false},
+        ControlCase{"break_in_static_while", R"(
+def f(x):
+    s = x
+    n = 0
+    while n < 10:
+        n = n + 1
+        if n == 4:
+            break
+        s = s + x
+    return reduce_sum(s)
+f = janus_function(f)
+)", Outcome::kGraph, false},
+        ControlCase{"continue_in_static_while", R"(
+def f(x):
+    s = x
+    n = 0
+    while n < 5:
+        n = n + 1
+        if n == 2:
+            continue
+        s = s * 2.0
+    return reduce_sum(s)
+f = janus_function(f)
+)", Outcome::kGraph, false},
+        ControlCase{"return_in_static_loop", R"(
+def f(x):
+    s = x
+    for i in range(6):
+        s = s * 2.0
+        if i == 2:
+            return reduce_sum(s)
+    return reduce_sum(x)
+f = janus_function(f)
+)", Outcome::kGraph, false},
+        ControlCase{"both_sides_return_in_static_loop", R"(
+def f(x):
+    s = x
+    for i in range(3):
+        s = s * 2.0
+        if reduce_sum(s) > 0.0:
+            return reduce_sum(s)
+        else:
+            return reduce_sum(s) - 1.0
+    return reduce_sum(x)
+f = janus_function(f)
+)", Outcome::kGraph, false},
+        // Leaving a loop across a data-dependent branch needs a
+        // loop-carried flag: refused, where the gate of the branch used to
+        // stay on every later node (8 generations and fallbacks).
+        ControlCase{"break_under_dynamic_branch", R"(
+def f(x):
+    s = x
+    for i in range(4):
+        if reduce_sum(s) > 10.0:
+            break
+        s = s * 2.0
+    return reduce_sum(s)
+f = janus_function(f)
+)", Outcome::kRefused, false},
+        ControlCase{"continue_under_dynamic_branch", R"(
+def f(x):
+    s = x
+    for i in range(4):
+        if reduce_sum(s) > 10.0:
+            continue
+        s = s * 2.0
+    return reduce_sum(s)
+f = janus_function(f)
+)", Outcome::kRefused, false},
+        // A speculated trip count cannot end early.
+        ControlCase{"break_in_unrolled_while", R"(
+def f(x):
+    s = x
+    n = 0
+    while reduce_sum(s * s) < 1000000.0:
+        s = s * 2.0
+        n = n + 1
+        if n == 3:
+            break
+    return reduce_sum(s)
+f = janus_function(f)
+)", Outcome::kRefused, false},
+        ControlCase{"return_in_functional_while", R"(
+def f(x):
+    s = x
+    while reduce_sum(s * s) < 100.0:
+        s = s * 2.0
+        return reduce_sum(s)
+    return reduce_sum(x)
+f = janus_function(f)
+)", Outcome::kRefused, true},
+        // Generated functions are keyed by exact static arguments: a
+        // printed key once shared one function between 1000001.0 and
+        // 1000002.0 (4000007 and 2000004 where the interpreter returns
+        // 4000006 and 2000003).
+        ControlCase{"recursive_call_keys", R"(
+def pw(x, k, n):
+    if n == 0:
+        return x * 0.0
+    return x * k + pw(x, k, n - 1)
+
+def f(x):
+    return reduce_sum(pw(x, 1000001.0, 2) + pw(x, 1000002.0, 2))
+f = janus_function(f)
+)", Outcome::kGraph, false},
+        ControlCase{"base_call_keys", R"(
+def scale(x, k):
+    return x * k
+
+def f(x):
+    return reduce_sum(scale(x, 1000001.0) + scale(x, 1000002.0))
+f = janus_function(f)
+)", Outcome::kGraph, true},
+        // Entry checks and branch joins compare values exactly: -0.0 is
+        // not 0.0 and 2.0 is not 2.
+        ControlCase{"negative_zero_argument", R"(
+def f(x, k):
+    return x * k
+f = janus_function(f)
+
+def call(k):
+    if k < 6:
+        return f(arg(k), 0.0)
+    return f(arg(k), -0.0)
+)", Outcome::kGraph, false},
+        ControlCase{"float_range_bound", R"(
+def f(x, n):
+    s = x
+    for i in range(n):
+        s = s * 2.0
+    return reduce_sum(s)
+f = janus_function(f)
+
+def call(k):
+    if k < 6:
+        return f(arg(k), 2)
+    try:
+        return f(arg(k), 2.0)
+    except Exception as e:
+        return e
+)", Outcome::kGraph, false},
+        ControlCase{"negative_zero_rebinding", R"(
+def f(x):
+    s = 0.0
+    if reduce_sum(x) > 0.0:
+        s = -0.0
+    return x * s
+f = janus_function(f)
+)", Outcome::kGraph, false}),
+    [](const ::testing::TestParamInfo<ControlCase>& info) {
+      return std::string(info.param.label);
+    });
+
+// A recursion deeper than the stack allows raises a MiniPy error in every
+// preset, where it used to kill the process, and the session goes on. In
+// graph mode the nested Invoke runs fail first and fall back with nothing
+// committed, so the imperative limit decides.
+constexpr const char* kRecursionProgram = R"(
+def f(x, n):
+    if n == 0:
+        return x
+    return f(x, n - 1) + 1.0
+
+f = janus_function(f)
+x = constant([1.0])
+for i in range(6):
+    warm = f(x, 10)
+)";
+
+TEST_F(JanusTest, RecursionTooDeepForTheStackRaises) {
+  for (const bool graph : {false, true}) {
+    SCOPED_TRACE(graph ? "default engine" : "imperative preset");
+    Session session(graph ? EngineOptions{}
+                          : EngineOptions::ImperativePreset());
+    session.interp.Run(kRecursionProgram);
+    try {
+      session.interp.Run("deep = f(x, 100000)\n");
+      ADD_FAILURE() << "f(x, 100000) returned";
+    } catch (const minipy::MiniPyError& error) {
+      EXPECT_NE(std::string(error.what()).find(
+                    "maximum recursion depth exceeded"),
+                std::string::npos)
+          << error.what();
+    }
+    session.interp.Run("again = f(x, 20)\n");
+    EXPECT_EQ(session.Num("again"), 21.0);
+    if (graph) {
+      EXPECT_GT(session.engine.stats().fallbacks, 0);
+    }
+  }
+}
+
+// Near the deepest recursion the interpreter returns from, the default
+// engine returns the same bits, through its graph or a fallback.
+TEST_F(JanusTest, DeepRecursionMatchesTheImperativeDepth) {
+  Session imperative(EngineOptions::ImperativePreset());
+  imperative.interp.Run(kRecursionProgram);
+  // The deepest depth that returns, to within 1%.
+  std::int64_t lo = 10;
+  std::int64_t hi = 1000000;
+  while (hi - lo > lo / 100) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    try {
+      imperative.interp.Run("probe = f(x, " + std::to_string(mid) + ")\n");
+      lo = mid;
+    } catch (const minipy::MiniPyError&) {
+      hi = mid;
+    }
+  }
+  const std::string depth = std::to_string(lo * 9 / 10);
+  SCOPED_TRACE("depth " + depth);
+  const std::string calls = "out = []\nfor i in range(6):\n    out.append(f(x, " +
+                            depth + "))\n";
+  imperative.interp.Run(calls);
+  Session janus(EngineOptions{});
+  janus.interp.Run(kRecursionProgram);
+  janus.interp.Run(calls);
+  const auto want = std::get<std::shared_ptr<minipy::ListValue>>(
+      imperative.interp.GetGlobal("out"));
+  const auto got = std::get<std::shared_ptr<minipy::ListValue>>(
+      janus.interp.GetGlobal("out"));
+  ASSERT_EQ(got->items.size(), want->items.size());
+  for (std::size_t i = 0; i < want->items.size(); ++i) {
+    EXPECT_TRUE(AsTensor(got->items[i]).ElementsEqual(AsTensor(want->items[i])))
+        << "call " << i;
+  }
+  EXPECT_GT(janus.engine.stats().graph_executions +
+                janus.engine.stats().fallbacks,
+            0);
+}
+
+// A statically keyed recursion (here its depth argument is a literal at
+// every level) nests the generator's own frames as deep as the program
+// recurses; the generator refuses near the end of the stack, and the
+// imperative run raises.
+TEST_F(JanusTest, GeneratorRecursionTooDeepIsRefused) {
+  constexpr const char* program = R"(
+def pw(x, k, n):
+    if n == 0:
+        return x * 0.0
+    return x * k + pw(x, k, n - 1)
+
+def f(x):
+    return reduce_sum(pw(x, 2.0, 100000))
+f = janus_function(f)
+x = constant([1.0])
+raised = 0
+for i in range(6):
+    try:
+        f(x)
+    except Exception as e:
+        raised = raised + 1
+)";
+  Session session(EngineOptions{});
+  session.interp.Run(program);
+  EXPECT_EQ(session.Num("raised"), 6.0);
+  EXPECT_GE(session.engine.stats().not_convertible, 1);
+}
+
 }  // namespace
 }  // namespace janus

@@ -1,14 +1,18 @@
 // janus_verify: offline static verification of every plan the engine builds.
 //
 // Sweeps the model zoo (all 11 Table-2 workloads) across the
-// despecialization ladder (levels 0-3) with fusion on and off, trains each
-// session a few steps so the engine generates and caches compiled units,
-// then runs verify::VerifyCompiledUnit over every resident unit: captures,
-// shape-assumption/ladder consistency, fetches, and full structural
-// verification of the main plan and every library-function plan.
+// despecialization ladder (levels 0-3) with fusion on and off, in two
+// generator configurations: the default, and Fig. 7's BASE
+// (generator.speculative_unroll off, so every user call is an Invoke of a
+// generated function). Trains each session a few steps so the engine
+// generates and caches compiled units, then runs verify::VerifyCompiledUnit
+// over every resident unit: captures, shape-assumption/ladder consistency,
+// fetches, and full structural verification of the main plan and every
+// library-function plan.
 //
 // Exit status 0 = every plan clean; 1 = violations (printed, and written to
-// the --json report if given); 2 = usage error.
+// the --json report if given); 2 = usage error. The summary line and the
+// report give the counts of each configuration.
 //
 // Usage:
 //   janus_verify [--model NAME] [--steps N] [--json PATH]
@@ -26,7 +30,10 @@
 
 namespace {
 
+constexpr const char* kConfigs[] = {"default", "base"};
+
 struct SweepResult {
+  const char* config = "";  // one of kConfigs
   std::string model;
   int level = 0;
   bool fusion = false;
@@ -43,6 +50,29 @@ std::string Escaped(const std::string& in) {
   return out;
 }
 
+// The counts of the sweeps of one configuration, or of all when `config`
+// is null.
+struct Totals {
+  int sweeps = 0;
+  int units = 0;
+  int checks = 0;
+  int violations = 0;
+  int errors = 0;
+};
+
+Totals Count(const std::vector<SweepResult>& results, const char* config) {
+  Totals totals;
+  for (const SweepResult& r : results) {
+    if (config != nullptr && std::strcmp(r.config, config) != 0) continue;
+    ++totals.sweeps;
+    totals.units += r.units;
+    totals.checks += r.checks;
+    totals.violations += static_cast<int>(r.issues.size());
+    if (!r.error.empty()) ++totals.errors;
+  }
+  return totals;
+}
+
 void WriteJsonReport(const std::string& path,
                      const std::vector<SweepResult>& results) {
   FILE* f = std::fopen(path.c_str(), "w");
@@ -50,21 +80,26 @@ void WriteJsonReport(const std::string& path,
     std::fprintf(stderr, "janus_verify: cannot write %s\n", path.c_str());
     return;
   }
-  int total_checks = 0;
-  int total_violations = 0;
-  for (const SweepResult& r : results) {
-    total_checks += r.checks;
-    total_violations += static_cast<int>(r.issues.size());
-  }
+  const Totals total = Count(results, nullptr);
   std::fprintf(f, "{\n  \"total_checks\": %d,\n  \"total_violations\": %d,\n",
-               total_checks, total_violations);
-  std::fprintf(f, "  \"sweeps\": [\n");
+               total.checks, total.violations);
+  std::fprintf(f, "  \"configs\": {");
+  for (const char* config : kConfigs) {
+    const Totals t = Count(results, config);
+    std::fprintf(f,
+                 "%s\"%s\": {\"sweeps\": %d, \"units\": %d, \"checks\": %d, "
+                 "\"violations\": %d, \"errors\": %d}",
+                 config == kConfigs[0] ? "" : ", ", config, t.sweeps, t.units,
+                 t.checks, t.violations, t.errors);
+  }
+  std::fprintf(f, "},\n  \"sweeps\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SweepResult& r = results[i];
     std::fprintf(f,
-                 "    {\"model\": \"%s\", \"level\": %d, \"fusion\": %s, "
-                 "\"units\": %d, \"checks\": %d, \"violations\": %zu",
-                 Escaped(r.model).c_str(), r.level,
+                 "    {\"config\": \"%s\", \"model\": \"%s\", \"level\": %d, "
+                 "\"fusion\": %s, \"units\": %d, \"checks\": %d, "
+                 "\"violations\": %zu",
+                 r.config, Escaped(r.model).c_str(), r.level,
                  r.fusion ? "true" : "false", r.units, r.checks,
                  r.issues.size());
     if (!r.error.empty()) {
@@ -88,6 +123,49 @@ void WriteJsonReport(const std::string& path,
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
+}
+
+// Trains one session `steps` steps and verifies every unit it compiled.
+SweepResult Sweep(const char* config, const janus::models::ModelSpec& spec,
+                  int level, bool fusion, int steps) {
+  SweepResult result;
+  result.config = config;
+  result.model = spec.name;
+  result.level = level;
+  result.fusion = fusion;
+  try {
+    janus::EngineOptions options;
+    options.enable_fusion = fusion;
+    options.force_despecialization_level = level;
+    options.generator.speculative_unroll = config == kConfigs[0];
+    janus::models::ModelSession session(spec, options);
+    for (int s = 0; s < steps; ++s) session.Step();
+    session.engine().ForEachCompiledUnit(
+        [&result, level](const std::string& name,
+                         const janus::CompiledGraph& unit) {
+          ++result.units;
+          janus::verify::Report report =
+              janus::verify::VerifyCompiledUnit(unit);
+          // The sweep forced the ladder level; a unit claiming a
+          // different one went around CompileHints.
+          ++report.checks;
+          if (unit.despecialization_level != level) {
+            report.issues.push_back(janus::verify::Issue{
+                "unit.ladder_level", "<unit>",
+                "engine forced level " + std::to_string(level) +
+                    " but the unit was generated at level " +
+                    std::to_string(unit.despecialization_level)});
+          }
+          result.checks += report.checks;
+          for (janus::verify::Issue& issue : report.issues) {
+            issue.node = name + ":" + issue.node;
+            result.issues.push_back(std::move(issue));
+          }
+        });
+  } catch (const std::exception& e) {
+    result.error = e.what();
+  }
+  return result;
 }
 
 }  // namespace
@@ -139,75 +217,40 @@ int main(int argc, char** argv) {
   if (fusion_mode != "on") fusion_settings.push_back(false);
 
   std::vector<SweepResult> results;
-  for (const janus::models::ModelSpec& spec : janus::models::ModelZoo()) {
-    if (!only_model.empty() && spec.name != only_model) continue;
-    for (int level = 0; level <= max_level; ++level) {
-      for (const bool fusion : fusion_settings) {
-        SweepResult result;
-        result.model = spec.name;
-        result.level = level;
-        result.fusion = fusion;
-        try {
-          janus::EngineOptions options;
-          options.enable_fusion = fusion;
-          options.force_despecialization_level = level;
-          janus::models::ModelSession session(spec, options);
-          for (int s = 0; s < steps; ++s) session.Step();
-          session.engine().ForEachCompiledUnit(
-              [&result, level](const std::string& name,
-                               const janus::CompiledGraph& unit) {
-                ++result.units;
-                janus::verify::Report report =
-                    janus::verify::VerifyCompiledUnit(unit);
-                // The sweep forced the ladder level; a unit claiming a
-                // different one went around CompileHints.
-                ++report.checks;
-                if (unit.despecialization_level != level) {
-                  report.issues.push_back(janus::verify::Issue{
-                      "unit.ladder_level", "<unit>",
-                      "engine forced level " + std::to_string(level) +
-                          " but the unit was generated at level " +
-                          std::to_string(unit.despecialization_level)});
-                }
-                result.checks += report.checks;
-                for (janus::verify::Issue& issue : report.issues) {
-                  issue.node = name + ":" + issue.node;
-                  result.issues.push_back(std::move(issue));
-                }
-              });
-        } catch (const std::exception& e) {
-          result.error = e.what();
+  for (const char* config : kConfigs) {
+    for (const janus::models::ModelSpec& spec : janus::models::ModelZoo()) {
+      if (!only_model.empty() && spec.name != only_model) continue;
+      for (int level = 0; level <= max_level; ++level) {
+        for (const bool fusion : fusion_settings) {
+          SweepResult result = Sweep(config, spec, level, fusion, steps);
+          std::printf(
+              "%-7s %-12s level=%d fusion=%-3s units=%d checks=%d %s\n",
+              result.config, result.model.c_str(), result.level,
+              result.fusion ? "on" : "off", result.units, result.checks,
+              !result.error.empty()
+                  ? ("ERROR: " + result.error).c_str()
+                  : (result.issues.empty() ? "OK" : "VIOLATIONS"));
+          for (const janus::verify::Issue& issue : result.issues) {
+            std::printf("    %s at %s: %s\n", issue.invariant.c_str(),
+                        issue.node.c_str(), issue.message.c_str());
+          }
+          results.push_back(std::move(result));
         }
-        std::printf("%-12s level=%d fusion=%-3s units=%d checks=%d %s\n",
-                    result.model.c_str(), result.level,
-                    result.fusion ? "on" : "off", result.units,
-                    result.checks,
-                    !result.error.empty()
-                        ? ("ERROR: " + result.error).c_str()
-                        : (result.issues.empty() ? "OK" : "VIOLATIONS"));
-        for (const janus::verify::Issue& issue : result.issues) {
-          std::printf("    %s at %s: %s\n", issue.invariant.c_str(),
-                      issue.node.c_str(), issue.message.c_str());
-        }
-        results.push_back(std::move(result));
       }
     }
   }
 
-  int total_units = 0;
-  int total_checks = 0;
-  int total_violations = 0;
-  int errors = 0;
-  for (const SweepResult& r : results) {
-    total_units += r.units;
-    total_checks += r.checks;
-    total_violations += static_cast<int>(r.issues.size());
-    if (!r.error.empty()) ++errors;
+  const auto print = [](const char* label, const Totals& t) {
+    std::printf("%s%d sweeps, %d units, %d checks, %d violations, %d errors",
+                label, t.sweeps, t.units, t.checks, t.violations, t.errors);
+  };
+  const Totals total = Count(results, nullptr);
+  print("\njanus_verify: ", total);
+  for (const char* config : kConfigs) {
+    std::printf(config == kConfigs[0] ? " (%s: " : "; %s: ", config);
+    print("", Count(results, config));
   }
-  std::printf(
-      "\njanus_verify: %zu sweeps, %d units, %d checks, %d violations, "
-      "%d errors\n",
-      results.size(), total_units, total_checks, total_violations, errors);
+  std::printf(")\n");
   if (!json_path.empty()) WriteJsonReport(json_path, results);
-  return (total_violations > 0 || errors > 0) ? 1 : 0;
+  return (total.violations > 0 || total.errors > 0) ? 1 : 0;
 }
